@@ -3,27 +3,32 @@
 "Although WSPeer allows synchronous discovery and invocation, it is
 essentially an asynchronous, event driven system in which components
 subscribe to events and are notified when and if responses are returned
-from remote services" (§III).  Both invocation classes are async at the
-core — ``invoke_async`` with a completion callback — and synchronous
-``invoke`` pumps the simulation kernel until the callback fires, exactly
-how HTTP's held-open connection behaves.
+from remote services" (§III).  Every call — request/response, bare
+one-way, acknowledged one-way, on either binding — runs the one staged
+pipeline of :meth:`Invocation._run`:
+
+1. **resolve** the endpoint (binding: :meth:`Invocation._resolve`);
+2. **open the last hop** (binding: :meth:`Invocation._open_hop`);
+3. **build the wire once** — MAPs, trace context, request template or
+   envelope — so every retransmit carries the same ``wsa:MessageID`` and
+   provider-side dedup keeps execution at-most-once;
+4. :class:`~repro.reliability.ReliableCall` **drives the attempts** under
+   the call's :class:`~repro.reliability.ReliabilityPolicy` (an explicit
+   ``policy=``, else the node's ``default_policy``, else ``naive()``);
+5. the hop **sends**: ``hop.send(wire, on_reply, timeout)``;
+6. the reply is **decoded**, and errors go back through the policy;
+7. one **finish** closes the hop, fires events and metrics, and calls back.
+
+A binding supplies only steps 1 and 2.  Synchronous ``invoke`` pumps the
+simulation kernel until the callback fires, exactly how HTTP's held-open
+connection behaves.
 
 :class:`HttpInvocation`
     SOAP POST to an ``http://`` (or, with an :class:`HttpgTransport`
-    supplied, ``httpg://``) endpoint.
+    supplied, ``httpg://``) endpoint; the hop is ``Transport.send``.
 :class:`P2psInvocation`
-    The consumer flow of Fig. 5: create a reply pipe, serialise its
-    advert into a WS-Addressing ``ReplyTo``, listen, send the request
-    down the provider's operation pipe, and complete when the response
-    frame lands on the reply pipe.
-
-Both consult the :mod:`repro.reliability` subsystem: every entry point
-accepts a :class:`~repro.reliability.ReliabilityPolicy` (or inherits
-the node's ``default_policy``, installed by the binding) that turns one
-attempt into a retry schedule with deadline budgets, feeds per-endpoint
-circuit breakers, and — for one-way pipe sends — requests explicit
-acknowledgement frames.  Retries reuse the original ``wsa:MessageID``
-so provider-side dedup windows keep execution at-most-once.
+    The consumer flow of Fig. 5; the hop is the provider's operation
+    pipe plus one reply (or ack) pipe per call and a per-attempt timer.
 """
 
 from __future__ import annotations
@@ -39,13 +44,10 @@ from repro.p2ps.peer import Peer
 from repro.p2ps.pipes import PipeError
 from repro.reliability import (
     CircuitBreakerRegistry,
-    CircuitOpenError,
-    DeadlineExceededError,
     OnewayStatus,
     ReliabilityPolicy,
     ReliableCall,
     ack_relates_to,
-    is_ack,
     mark_ack_requested,
 )
 from repro.observability.tracecontext import (
@@ -74,18 +76,31 @@ from repro.wsdl.stubspec import stub_spec_cached
 #: except for void results where both may be None.
 InvokeCallback = Callable[[Any, Optional[Exception]], None]
 
+#: one attempt, shared: with nothing to retry its jitter stream is never read
+_NAIVE = ReliabilityPolicy.naive()
+
 
 class Invocation(EventSource):
-    """Base invocation node of the interface tree."""
+    """Base invocation node of the interface tree: the whole pipeline.
+
+    A binding subclass answers :attr:`schemes`, :meth:`_resolve` and
+    :meth:`_open_hop`.  A hop offers ``action`` (the ``wsa:Action``),
+    ``reply_to`` (the EPR answers should go to, or None),
+    ``send(wire, on_reply, timeout)`` — one physical attempt, reporting
+    ``on_reply(body, error)`` — and ``close()``.
+    """
+
+    #: URI schemes this node can send to
+    schemes: tuple[str, ...] = ()
 
     def __init__(
         self,
-        clock,
+        kernel,
         parent: Optional[EventSource] = None,
         default_policy: Optional[ReliabilityPolicy] = None,
     ):
         super().__init__("invocation", parent)
-        self._clock = clock
+        self._kernel = kernel
         self.registry = StructRegistry()
         #: binding-supplied reliability defaults; an explicit ``policy=``
         #: argument on any call overrides this.
@@ -93,15 +108,14 @@ class Invocation(EventSource):
         self._breakers: Optional[CircuitBreakerRegistry] = None
 
     def _now(self) -> float:
-        return self._clock()
+        return self._kernel.now
 
-    # -- reliability -------------------------------------------------------
     @property
     def breakers(self) -> CircuitBreakerRegistry:
         """Per-endpoint circuit breakers shared by this node's calls."""
         if self._breakers is None:
             self._breakers = CircuitBreakerRegistry(
-                clock=self._clock, on_transition=self._on_breaker_transition
+                clock=self._now, on_transition=self._on_breaker_transition
             )
         return self._breakers
 
@@ -109,17 +123,172 @@ class Invocation(EventSource):
         obs_metrics.inc("breaker.transitions." + new)
         self.fire_client(f"circuit-{new}", endpoint=endpoint, previous=old)
 
-    def _effective_policy(
-        self, policy: Optional[ReliabilityPolicy]
-    ) -> Optional[ReliabilityPolicy]:
-        return policy if policy is not None else self.default_policy
+    # -- what a binding supplies -------------------------------------------
+    def _resolve(
+        self, handle: ServiceHandle, operation: str
+    ) -> EndpointReference:  # pragma: no cover - abstract
+        """The endpoint of *handle* this binding sends *operation* to;
+        raises :class:`InvocationError` when the handle offers none."""
+        raise NotImplementedError
 
-    def _breaker_for(self, policy: Optional[ReliabilityPolicy], endpoint: str):
-        if policy is None or policy.breaker is None:
+    def _open_hop(
+        self, endpoint: EndpointReference, operation: str, reply: Optional[str]
+    ):  # pragma: no cover - abstract
+        """Open the last hop to *endpoint*.  *reply* names the return
+        channel the call wants (``"reply"``, ``"ack"``) or is None for a
+        bare one-way; transports that answer on the connection ignore it."""
+        raise NotImplementedError
+
+    # -- the pipeline ------------------------------------------------------
+    def _run(
+        self,
+        handle: ServiceHandle,
+        operation: str,
+        args: dict[str, Any],
+        callback: InvokeCallback,
+        timeout: Optional[float],
+        policy: Optional[ReliabilityPolicy],
+        endpoint: Optional[EndpointReference] = None,
+        message_id: Optional[str] = None,
+        oneway: bool = False,
+        status: Optional[OnewayStatus] = None,
+    ) -> None:
+        """One logical call.  *oneway* switches to the ``oneway-*`` names
+        and expects no result; *status*, the live record of an
+        acknowledged one-way, additionally requests and awaits an ack."""
+        if policy is None:
+            policy = self.default_policy or _NAIVE
+        ack = status is not None
+        reply = "ack" if ack else None if oneway else "reply"
+        try:
+            if endpoint is None:
+                endpoint = self._resolve(handle, operation)
+            hop = self._open_hop(endpoint, operation, reply)
+        except InvocationError as exc:
+            callback(None, exc)
+            return
+        except Exception as exc:  # noqa: BLE001 - resolution/mapping boundary
+            callback(None, InvocationError(f"cannot reach provider: {exc}"))
+            return
+
+        # One wire for every attempt: retries reuse the MessageID so the
+        # provider's dedup window suppresses duplicate execution.  A
+        # caller-supplied message_id extends the same guarantee across
+        # endpoints — the failover executor keeps one identity per
+        # logical call no matter where each attempt lands.
+        maps = MessageAddressingProperties(
+            to=endpoint.address,
+            action=hop.action,
+            reply_to=hop.reply_to,
+            message_id=message_id if message_id is not None else new_message_id(),
+        )
+        # The trace context is captured when the wire is built, so every
+        # retransmit carries the same span identity; a fresh call with
+        # the same MessageID (failover hop) mints a sibling span.
+        trace_ctx = trace_begin_send()
+        if trace_ctx is not None:
+            maps.trace_context = trace_ctx.encoded()
+        # an AckRequested header is not part of any request template
+        wire = None if ack else request_templates.render(
+            maps, handle.namespace, operation, args, target=endpoint
+        )
+        if wire is None:
+            envelope = build_rpc_request(handle.namespace, operation, args, self.registry)
+            maps.apply_to(envelope, target=endpoint)
+            if ack:
+                mark_ack_requested(envelope)
+            # attachments (E16) make this a multipart byte wire
+            wire = envelope.to_wire_message()
+
+        about = {"service": handle.name, "operation": operation,
+                 "message_id": maps.message_id}
+
+        def decode(body) -> Any:
+            if reply is None:
+                return None  # bare one-way: the send was the whole exchange
+            frame = SoapEnvelope.from_wire_message(body or "")
+            if not ack:
+                return extract_rpc_result(frame, self.registry)  # raises SoapFault
+            if ack_relates_to(frame) != maps.message_id:
+                raise InvocationError(
+                    f"frame on the ack pipe does not acknowledge {maps.message_id}"
+                )
             return None
-        return self.breakers.for_endpoint(endpoint, policy.breaker)
 
-    # -- abstract -------------------------------------------------------------
+        def attempt(on_done, attempt_no: int, budget: Optional[float]) -> None:
+            def on_reply(body, error: Optional[Exception]) -> None:
+                if error is not None:
+                    on_done(None, error)  # this send failed
+                    return
+                # an answer belongs to the call, whichever send provoked it
+                try:
+                    result = decode(body)
+                except Exception as exc:  # noqa: BLE001 - includes SoapFault
+                    call.reply(None, exc)
+                else:
+                    call.reply(result, None)
+
+            try:
+                hop.send(
+                    wire, on_reply,
+                    timeout if budget is None
+                    else budget if timeout is None else min(timeout, budget),
+                )
+            except PipeError as exc:  # the local node is down: nothing can leave
+                call.finish(None, InvocationError(str(exc)))
+
+        def on_retry(next_attempt: int, delay: float, error: Exception) -> None:
+            obs_metrics.inc("client.retransmits")
+            self.fire_client(
+                "retransmit", attempt=next_attempt, delay=delay,
+                reason=str(error), **about,
+            )
+
+        def finish(result: Any, error: Optional[Exception]) -> None:
+            hop.close()
+            if ack:
+                status.attempts = call.attempts_made
+            if error is not None and oneway:
+                obs_metrics.inc("client.oneway_failed")
+                self.fire_client("oneway-failed", reason=str(error), **about)
+            elif error is not None:
+                obs_metrics.inc("client.failures")
+                self.fire_client("invoke-failed", reason=str(error), **about)
+            elif ack:
+                obs_metrics.inc("client.oneway_acked")
+                obs_metrics.observe("client.ack_latency", self._now() - started)
+                self.fire_client("oneway-acked", attempts=call.attempts_made, **about)
+            elif not oneway:
+                obs_metrics.inc("client.responses")
+                obs_metrics.observe("client.latency", self._now() - started)
+                self.fire_client("response-received", **about)
+            callback(result, error)
+
+        call = ReliableCall(
+            self._kernel, policy, attempt, finish,
+            breaker=(
+                self.breakers.for_endpoint(endpoint.address, policy.breaker)
+                if policy.breaker is not None else None
+            ),
+            on_retry=on_retry,
+            describe=f"{endpoint.address}#{operation}",
+        )
+        started = self._now()
+        if oneway:
+            obs_metrics.inc("client.oneway_sent")
+            self.fire_client(
+                "oneway-sent", endpoint=endpoint.address, ack_requested=ack,
+                **about, **trace_event_fields(trace_ctx),
+            )
+        else:
+            obs_metrics.inc("client.requests")
+            self.fire_client(
+                "request-sent", endpoint=endpoint.address,
+                **about, **trace_event_fields(trace_ctx),
+            )
+        call.start()
+
+    # -- public entry points -----------------------------------------------
     def invoke_async(
         self,
         handle: ServiceHandle,
@@ -128,12 +297,13 @@ class Invocation(EventSource):
         callback: InvokeCallback,
         timeout: Optional[float] = None,
         policy: Optional[ReliabilityPolicy] = None,
-    ) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # -- shared ------------------------------------------------------------
-    def _kernel(self):  # pragma: no cover - overridden
-        raise NotImplementedError
+        endpoint: Optional[EndpointReference] = None,
+        message_id: Optional[str] = None,
+    ) -> None:
+        """Request/response invocation; *callback* fires exactly once."""
+        self._run(
+            handle, operation, args, callback, timeout, policy, endpoint, message_id
+        )
 
     def invoke(
         self,
@@ -155,7 +325,7 @@ class Invocation(EventSource):
 
         self.invoke_async(handle, operation, all_args, callback, timeout, policy=policy)
         try:
-            self._kernel().pump_until(lambda: "result" in box or "error" in box)
+            self._kernel.pump_until(lambda: "result" in box or "error" in box)
         except SimTimeoutError as exc:
             raise InvocationError(f"invocation of {operation!r} never completed") from exc
         if box.get("error") is not None:
@@ -207,6 +377,28 @@ class Invocation(EventSource):
         return DynamicStubBuilder().build(spec, invoke_fn)
 
 
+class _HttpHop:
+    """Last hop over a request/response transport.  The held-open
+    connection is the return channel and the transport times each
+    exchange itself, so there is nothing to close."""
+
+    reply_to = None
+
+    def __init__(self, transport: Transport, uri, action: str):
+        self._transport = transport
+        self._uri = uri
+        self.action = action
+
+    def send(self, wire, on_reply, timeout: Optional[float]) -> None:
+        headers = {"SOAPAction": self.action}
+        if isinstance(wire, bytes):
+            headers["Content-Type"] = MULTIPART_CONTENT_TYPE
+        self._transport.send(self._uri, wire, headers, on_reply, timeout=timeout)
+
+    def close(self) -> None:
+        pass
+
+
 class HttpInvocation(Invocation):
     """SOAP over request/response transports (HTTP and HTTPG)."""
 
@@ -217,16 +409,15 @@ class HttpInvocation(Invocation):
         extra_transports: Optional[list[Transport]] = None,
         default_policy: Optional[ReliabilityPolicy] = None,
     ):
-        super().__init__(
-            lambda: node.network.kernel.now, parent, default_policy=default_policy
-        )
+        super().__init__(node.network.kernel, parent, default_policy=default_policy)
         self.node = node
         self._transports: dict[str, Transport] = {"http": HttpTransport(node)}
         for transport in extra_transports or []:
             self._transports[transport.scheme] = transport
 
-    def _kernel(self):
-        return self.node.network.kernel
+    @property
+    def schemes(self) -> tuple[str, ...]:
+        return tuple(self._transports)
 
     def add_transport(self, transport: Transport) -> None:
         self._transports[transport.scheme] = transport
@@ -255,380 +446,124 @@ class HttpInvocation(Invocation):
             )
         return pool
 
-    def invoke_async(
-        self,
-        handle: ServiceHandle,
-        operation: str,
-        args: dict[str, Any],
-        callback: InvokeCallback,
-        timeout: Optional[float] = None,
-        policy: Optional[ReliabilityPolicy] = None,
-        endpoint: Optional[EndpointReference] = None,
-        message_id: Optional[str] = None,
-    ) -> None:
-        policy = self._effective_policy(policy)
-        if endpoint is None:
-            endpoint = self._pick_endpoint(handle)
-        if endpoint is None:
-            callback(
-                None,
-                InvocationError(
-                    f"service {handle.name!r} has no endpoint for schemes "
-                    f"{sorted(self._transports)}"
-                ),
-            )
-            return
-        uri = parse_uri_cached(endpoint.address)
-        transport = self._transports.get(uri.scheme)
-        if transport is None:
-            callback(
-                None,
-                InvocationError(
-                    f"no transport for scheme {uri.scheme!r} (endpoint "
-                    f"{endpoint.address})"
-                ),
-            )
-            return
-
-        # One envelope for every attempt: retries reuse the MessageID so
-        # the provider's dedup window suppresses duplicate execution.
-        # A caller-supplied message_id extends the same guarantee across
-        # endpoints — the failover executor keeps one identity per
-        # logical call no matter where each attempt lands.
-        maps = MessageAddressingProperties.for_request(endpoint, operation)
-        if message_id is not None:
-            maps.message_id = message_id
-        # The trace context is captured when the wire is built, so every
-        # retransmit of this attempt carries the same span identity; a
-        # fresh request-sent (failover hop) mints a sibling span.
-        trace_ctx = trace_begin_send()
-        if trace_ctx is not None:
-            maps.trace_context = trace_ctx.encoded()
-        wire = request_templates.render(
-            maps, handle.namespace, operation, args, target=endpoint
-        )
-        if wire is None:
-            envelope = build_rpc_request(handle.namespace, operation, args, self.registry)
-            maps.apply_to(envelope, target=endpoint)
-            # attachments (E16) make this a multipart byte wire
-            wire = envelope.to_wire_message()
-        headers = {"SOAPAction": maps.action}
-        if isinstance(wire, bytes):
-            headers["Content-Type"] = MULTIPART_CONTENT_TYPE
-        obs_metrics.inc("client.requests")
-        started = self._now()
-        self.fire_client(
-            "request-sent",
-            service=handle.name,
-            operation=operation,
-            endpoint=endpoint.address,
-            message_id=maps.message_id,
-            **trace_event_fields(trace_ctx),
-        )
-
-        def finish(result: Any, error: Optional[Exception]) -> None:
-            if error is not None:
-                obs_metrics.inc("client.failures")
-                self.fire_client(
-                    "invoke-failed", service=handle.name, operation=operation,
-                    reason=str(error), message_id=maps.message_id,
-                )
-                callback(None, error)
-                return
-            obs_metrics.inc("client.responses")
-            obs_metrics.observe("client.latency", self._now() - started)
-            self.fire_client(
-                "response-received", service=handle.name, operation=operation,
-                message_id=maps.message_id,
-            )
-            callback(result, None)
-
-        def decode(body) -> Any:
-            response = SoapEnvelope.from_wire_message(body or "")
-            return extract_rpc_result(response, self.registry)
-
-        if policy is None:
-            def on_response(body: Optional[str], error: Optional[Exception]) -> None:
-                if error is not None:
-                    finish(None, error)
-                    return
-                try:
-                    result = decode(body)
-                except Exception as exc:  # includes SoapFault
-                    finish(None, exc)
-                    return
-                finish(result, None)
-
-            transport.send(uri, wire, headers, on_response, timeout=timeout)
-            return
-
-        breaker = self._breaker_for(policy, endpoint.address)
-
-        def attempt(on_done, attempt_no: int, budget: Optional[float]) -> None:
-            attempt_timeout = timeout
-            if budget is not None:
-                attempt_timeout = (
-                    budget if attempt_timeout is None else min(attempt_timeout, budget)
-                )
-
-            def on_response(body: Optional[str], error: Optional[Exception]) -> None:
-                if error is not None:
-                    on_done(None, error)
-                    return
-                try:
-                    result = decode(body)
-                except Exception as exc:  # includes SoapFault
-                    on_done(None, exc)
-                    return
-                on_done(result, None)
-
-            transport.send(uri, wire, headers, on_response, timeout=attempt_timeout)
-
-        def on_retry(next_attempt: int, delay: float, error: Exception) -> None:
-            obs_metrics.inc("client.retransmits")
-            self.fire_client(
-                "retransmit", service=handle.name, operation=operation,
-                attempt=next_attempt, message_id=maps.message_id,
-                delay=delay, reason=str(error),
-            )
-
-        ReliableCall(
-            self._kernel(), policy, attempt, finish,
-            breaker=breaker, on_retry=on_retry,
-            describe=f"{endpoint.address}#{operation}",
-        ).start()
-
-    def _pick_endpoint(self, handle: ServiceHandle) -> Optional[EndpointReference]:
+    def _resolve(self, handle: ServiceHandle, operation: str) -> EndpointReference:
         for scheme in self._transports:
             endpoint = handle.endpoint_for_scheme(scheme)
             if endpoint is not None:
                 return endpoint
-        return None
+        raise InvocationError(
+            f"service {handle.name!r} has no endpoint for schemes "
+            f"{sorted(self._transports)}"
+        )
+
+    def _open_hop(
+        self, endpoint: EndpointReference, operation: str, reply: Optional[str]
+    ) -> _HttpHop:
+        uri = parse_uri_cached(endpoint.address)
+        transport = self._transports.get(uri.scheme)
+        if transport is None:
+            raise InvocationError(
+                f"no transport for scheme {uri.scheme!r} (endpoint {endpoint.address})"
+            )
+        # Action names the WSDL operation: address + ``#operation``
+        return _HttpHop(transport, uri, f"{endpoint.address}#{operation}")
+
+
+class _PipeHop:
+    """Last hop over P2PS pipes — the consumer flow of Fig. 5.
+
+    Step 1: request an input pipe and its advertisement; 2/3: serialise
+    the advert to the WS-Addressing ``ReplyTo`` of the request; 4: listen
+    on it; 5: send SOAP down the provider's pipe.  A bare one-way skips
+    1–4, so the provider does not answer (Fig. 6 short-circuits).  Pipes
+    are one-way and give no delivery signal: each send arms a timer that
+    reports silence as that attempt's error.
+    """
+
+    reply_to = None
+
+    def __init__(
+        self, peer: Peer, endpoint: EndpointReference, operation: str,
+        reply: Optional[str],
+    ):
+        self._peer = peer
+        self._whom = f"{endpoint.address} for {operation!r}"
+        target = pipe_from_epr(endpoint)
+        self._out = peer.open_output_pipe(target)
+        self.action = action_for_pipe(target)
+        self._in_id: Optional[str] = None
+        self._timer = None
+        self._on_reply = None
+        self._sends = 0
+        if reply is not None:
+            pipe, advert = peer.create_input_pipe(f"{reply}-{operation}")
+            pipe.add_listener(lambda payload, meta: self._on_reply(payload, None))
+            self._in_id = advert.pipe_id
+            self.reply_to = epr_from_pipe(advert)
+
+    def send(self, wire, on_reply, timeout: Optional[float]) -> None:
+        self._disarm()
+        self._on_reply = on_reply
+        self._sends += 1
+        self._peer.send_down_pipe(self._out, wire)
+        if self.reply_to is None:
+            on_reply(None, None)  # nothing comes back: sent is done
+        elif timeout is not None:
+            self._timer = self._peer.network.kernel.schedule(
+                timeout, self._silence, on_reply, timeout
+            )
+
+    def _silence(self, on_reply, timeout: float) -> None:
+        on_reply(None, InvocationError(
+            f"no response from {self._whom} after {self._sends} "
+            f"attempt(s) of {timeout}s"
+        ))
+
+    def _disarm(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()  # a no-op once the timer has fired
+
+    def close(self) -> None:
+        self._disarm()
+        if self._in_id is not None:
+            self._peer.close_input_pipe(self._in_id)
 
 
 class P2psInvocation(Invocation):
-    """SOAP over P2PS pipes — the consumer flow of Fig. 5.
+    """SOAP over P2PS pipes.
 
-    Pipes are one-way and give no delivery signal, so reliability here
-    is retransmission: when an attempt's timeout lapses the same
-    request (same MessageID) is re-sent after the policy's backoff; the
-    provider suppresses duplicate execution and replays its retained
-    response, so retries are safe even for non-idempotent operations.
-    ``default_retries`` is the legacy knob for the same machinery
-    (*n* extra attempts, no backoff) and wins over the binding default
-    when set.
+    Reliability here is retransmission: when an attempt's timer lapses
+    the same request (same MessageID) is re-sent after the policy's
+    backoff; the provider suppresses duplicate execution and replays its
+    retained response, so retries are safe even for non-idempotent
+    operations.
     """
+
+    schemes = ("p2ps",)
 
     def __init__(
         self,
         peer: Peer,
         parent: Optional[EventSource] = None,
-        default_retries: int = 0,
         default_policy: Optional[ReliabilityPolicy] = None,
     ):
-        super().__init__(
-            lambda: peer.network.kernel.now, parent, default_policy=default_policy
-        )
+        super().__init__(peer.network.kernel, parent, default_policy=default_policy)
         self.peer = peer
-        self.default_retries = default_retries
 
-    def _kernel(self):
-        return self.peer.network.kernel
-
-    def _effective_policy(
-        self, policy: Optional[ReliabilityPolicy]
-    ) -> Optional[ReliabilityPolicy]:
-        if policy is not None:
-            return policy
-        if self.default_retries:
-            from repro.reliability import RetryPolicy
-
-            return ReliabilityPolicy(
-                retry=RetryPolicy(
-                    max_attempts=1 + self.default_retries, base_delay=0.0, jitter=0.0
-                )
-            )
-        return self.default_policy
-
-    def invoke_async(
-        self,
-        handle: ServiceHandle,
-        operation: str,
-        args: dict[str, Any],
-        callback: InvokeCallback,
-        timeout: Optional[float] = None,
-        policy: Optional[ReliabilityPolicy] = None,
-        endpoint: Optional[EndpointReference] = None,
-        message_id: Optional[str] = None,
-    ) -> None:
-        policy = self._effective_policy(policy)
-        if endpoint is None:
-            endpoint = self._endpoint_for_operation(handle, operation)
-        if endpoint is None:
-            callback(
-                None,
-                InvocationError(
-                    f"service {handle.name!r} has no p2ps pipe for operation {operation!r}"
-                ),
-            )
-            return
-        breaker = self._breaker_for(policy, endpoint.address)
-        if breaker is not None and not breaker.allow():
-            callback(
-                None,
-                CircuitOpenError(
-                    f"circuit open for {endpoint.address}: shedding call "
-                    f"(recent failure rate {breaker.failure_rate:.0%})"
-                ),
-            )
-            return
-        try:
-            target_advert = pipe_from_epr(endpoint)
-            out_pipe = self.peer.open_output_pipe(target_advert)
-        except Exception as exc:  # noqa: BLE001 - resolution/mapping boundary
-            if breaker is not None:
-                breaker.record_failure()
-            callback(None, InvocationError(f"cannot reach provider: {exc}"))
-            return
-
-        # Fig. 5 step 1: request input pipe + advertisement from P2PS
-        done: dict[str, Any] = {"fired": False, "timeout_event": None, "resend_event": None}
-        reply_pipe, reply_advert = self.peer.create_input_pipe(
-            f"reply-{operation}"
+    def _resolve(self, handle: ServiceHandle, operation: str) -> EndpointReference:
+        for endpoint in handle.endpoints:
+            if not endpoint.address.startswith("p2ps://"):
+                continue
+            if endpoint.property_text("PipeName") == operation:
+                return endpoint
+        raise InvocationError(
+            f"service {handle.name!r} has no p2ps pipe for operation {operation!r}"
         )
-        # step 2/3: serialise the pipe advert to WS-Addressing and add
-        # to the SOAP request header
-        reply_epr = epr_from_pipe(reply_advert)
-        maps = MessageAddressingProperties(
-            to=endpoint.address,
-            action=action_for_pipe(target_advert),
-            reply_to=reply_epr,
-            message_id=message_id if message_id is not None else new_message_id(),
-        )
-        trace_ctx = trace_begin_send()
-        if trace_ctx is not None:
-            maps.trace_context = trace_ctx.encoded()
-        wire = request_templates.render(
-            maps, handle.namespace, operation, args, target=endpoint
-        )
-        if wire is None:
-            envelope = build_rpc_request(handle.namespace, operation, args, self.registry)
-            maps.apply_to(envelope, target=endpoint)
-            wire = envelope.to_wire_message()
 
-        max_attempts = policy.retry.max_attempts if policy is not None else 1
-        deadline = policy.new_deadline() if policy is not None else None
-        if deadline is not None:
-            deadline.start(self._now())
-
-        def finish(result: Any, error: Optional[Exception]) -> None:
-            if done["fired"]:
-                return
-            done["fired"] = True
-            for key in ("timeout_event", "resend_event"):
-                if done[key] is not None:
-                    done[key].cancel()
-            self.peer.close_input_pipe(reply_advert.pipe_id)
-            if breaker is not None:
-                if error is None:
-                    breaker.record_success()
-                else:
-                    breaker.record_failure()
-            if error is not None:
-                obs_metrics.inc("client.failures")
-                self.fire_client(
-                    "invoke-failed", service=handle.name, operation=operation,
-                    reason=str(error), message_id=maps.message_id,
-                )
-            else:
-                obs_metrics.inc("client.responses")
-                obs_metrics.observe("client.latency", self._now() - started)
-                self.fire_client(
-                    "response-received", service=handle.name, operation=operation,
-                    message_id=maps.message_id,
-                )
-            callback(result, error)
-
-        # step 4: add myself as a listener to the pipe
-        def on_reply(payload, meta: dict) -> None:
-            try:
-                response = SoapEnvelope.from_wire_message(payload)
-                result = extract_rpc_result(response, self.registry)
-            except Exception as exc:
-                finish(None, exc)
-                return
-            finish(result, None)
-
-        reply_pipe.add_listener(on_reply)
-
-        attempts = {"sent": 1}
-
-        def send_attempt() -> None:
-            if done["fired"]:
-                return
-            try:
-                self.peer.send_down_pipe(out_pipe, wire)
-            except PipeError as exc:
-                finish(None, InvocationError(str(exc)))
-                return
-            if timeout is not None:
-                done["timeout_event"] = self.peer.network.kernel.schedule(
-                    timeout, on_attempt_timeout
-                )
-
-        def on_attempt_timeout() -> None:
-            if done["fired"]:
-                return
-            exhausted = attempts["sent"] >= max_attempts
-            if not exhausted and deadline is not None and deadline.expired(self._now()):
-                finish(
-                    None,
-                    DeadlineExceededError(
-                        f"deadline of {deadline.budget}s exhausted for "
-                        f"{operation!r} after {attempts['sent']} attempt(s)"
-                    ),
-                )
-                return
-            if not exhausted:
-                backoff = (
-                    policy.retry.delay(attempts["sent"] - 1)
-                    if policy is not None
-                    else 0.0
-                )
-                attempts["sent"] += 1
-                obs_metrics.inc("client.retransmits")
-                self.fire_client(
-                    "retransmit", service=handle.name, operation=operation,
-                    attempt=attempts["sent"], message_id=maps.message_id,
-                    delay=backoff,
-                )
-                if backoff > 0:
-                    done["resend_event"] = self.peer.network.kernel.schedule(
-                        backoff, send_attempt
-                    )
-                else:
-                    send_attempt()
-            else:
-                finish(
-                    None,
-                    InvocationError(
-                        f"no response from {endpoint.address} for {operation!r} "
-                        f"after {attempts['sent']} attempt(s) of {timeout}s"
-                    ),
-                )
-
-        obs_metrics.inc("client.requests")
-        started = self._now()
-        self.fire_client(
-            "request-sent",
-            service=handle.name,
-            operation=operation,
-            endpoint=endpoint.address,
-            message_id=maps.message_id,
-            **trace_event_fields(trace_ctx),
-        )
-        # step 5: send SOAP down the remote pipe
-        send_attempt()
+    def _open_hop(
+        self, endpoint: EndpointReference, operation: str, reply: Optional[str]
+    ) -> _PipeHop:
+        return _PipeHop(self.peer, endpoint, operation, reply)
 
     def invoke_oneway(
         self,
@@ -640,206 +575,44 @@ class P2psInvocation(Invocation):
         **kwargs: Any,
     ) -> Optional[OnewayStatus]:
         """True one-way: no reply pipe is created and no ReplyTo header
-        is sent, so the provider does not answer (Fig. 6 short-circuits
-        after step 3).
+        is sent, so the provider does not answer.  Nothing is awaited,
+        so a failure to send raises here.
 
         With an acknowledgement-requesting policy (``policy.ack``), the
         WS-RM-lite handshake runs instead: an ack pipe is opened, the
         request carries ``rm:AckRequested`` and is retransmitted (same
         MessageID) until the provider's ack frame arrives or attempts
-        run out; the returned :class:`OnewayStatus` tracks the outcome.
-        Acks are opt-in per call or per policy — a bare oneway stays a
-        single fire-and-forget frame.
+        run out; the returned :class:`OnewayStatus` tracks the outcome,
+        errors included.  Acks are opt-in per call or per policy — a
+        bare oneway stays a single fire-and-forget frame.
         """
         all_args = dict(args or {})
         all_args.update(kwargs)
-        policy = policy if policy is not None else self.default_policy
-        if policy is not None and policy.ack:
-            return self._invoke_oneway_acked(
-                handle, operation, all_args, policy, timeout
+        if policy is None:
+            policy = self.default_policy or _NAIVE
+        if not policy.ack:
+            outcome: list[Optional[Exception]] = []
+            self._run(
+                handle, operation, all_args,
+                lambda result, error: outcome.append(error),
+                timeout, policy, oneway=True,
             )
-        endpoint = self._endpoint_for_operation(handle, operation)
-        if endpoint is None:
-            raise InvocationError(
-                f"service {handle.name!r} has no p2ps pipe for operation {operation!r}"
-            )
-        target_advert = pipe_from_epr(endpoint)
-        out_pipe = self.peer.open_output_pipe(target_advert)
-        maps = MessageAddressingProperties(
-            to=endpoint.address,
-            action=action_for_pipe(target_advert),
-            message_id=new_message_id(),
-        )
-        trace_ctx = trace_begin_send()
-        if trace_ctx is not None:
-            maps.trace_context = trace_ctx.encoded()
-        wire = request_templates.render(
-            maps, handle.namespace, operation, all_args, target=endpoint
-        )
-        if wire is None:
-            envelope = build_rpc_request(
-                handle.namespace, operation, all_args, self.registry
-            )
-            maps.apply_to(envelope, target=endpoint)
-            wire = envelope.to_wire_message()
-        obs_metrics.inc("client.oneway_sent")
-        self.fire_client(
-            "oneway-sent", service=handle.name, operation=operation,
-            endpoint=endpoint.address, message_id=maps.message_id,
-            **trace_event_fields(trace_ctx),
-        )
-        self.peer.send_down_pipe(out_pipe, wire)
-        return None
+            if outcome and outcome[0] is not None:
+                raise outcome[0]
+            return None
+        status = OnewayStatus(message_id=new_message_id())
 
-    def _invoke_oneway_acked(
-        self,
-        handle: ServiceHandle,
-        operation: str,
-        args: dict[str, Any],
-        policy: ReliabilityPolicy,
-        timeout: Optional[float],
-    ) -> OnewayStatus:
-        """The reliable one-way flow: AckRequested + retransmit-until-acked."""
-        endpoint = self._endpoint_for_operation(handle, operation)
-        if endpoint is None:
-            raise InvocationError(
-                f"service {handle.name!r} has no p2ps pipe for operation {operation!r}"
-            )
-        message_id = new_message_id()
-        status = OnewayStatus(message_id=message_id)
-        breaker = self._breaker_for(policy, endpoint.address)
-        if breaker is not None and not breaker.allow():
-            status.error = CircuitOpenError(
-                f"circuit open for {endpoint.address}: shedding oneway send"
-            )
-            status._conclude()
-            self.fire_client(
-                "oneway-failed", service=handle.name, operation=operation,
-                message_id=message_id, reason=str(status.error),
-            )
-            return status
-        target_advert = pipe_from_epr(endpoint)
-        out_pipe = self.peer.open_output_pipe(target_advert)
-        ack_pipe, ack_advert = self.peer.create_input_pipe(f"ack-{operation}")
-        envelope = build_rpc_request(handle.namespace, operation, args, self.registry)
-        maps = MessageAddressingProperties(
-            to=endpoint.address,
-            action=action_for_pipe(target_advert),
-            reply_to=epr_from_pipe(ack_advert),
-            message_id=message_id,
-        )
-        trace_ctx = trace_begin_send()
-        if trace_ctx is not None:
-            maps.trace_context = trace_ctx.encoded()
-        maps.apply_to(envelope, target=endpoint)
-        mark_ack_requested(envelope)
-        wire = envelope.to_wire_message()
-
-        attempt_timeout = timeout if timeout is not None else 1.0
-        deadline = policy.new_deadline()
-        if deadline is not None:
-            deadline.start(self._now())
-        done: dict[str, Any] = {"timer": None, "resend": None}
-
-        def conclude(error: Optional[Exception]) -> None:
-            if status.done:
-                return
-            for key in ("timer", "resend"):
-                if done[key] is not None:
-                    done[key].cancel()
-            self.peer.close_input_pipe(ack_advert.pipe_id)
+        def conclude(result: Any, error: Optional[Exception]) -> None:
             if error is None:
                 status.acked = True
                 status.acked_at = self._now()
-                if breaker is not None:
-                    breaker.record_success()
-                obs_metrics.inc("client.oneway_acked")
-                obs_metrics.observe("client.ack_latency", status.acked_at - sent_at)
-                self.fire_client(
-                    "oneway-acked", service=handle.name, operation=operation,
-                    message_id=message_id, attempts=status.attempts,
-                )
             else:
                 status.error = error
-                if breaker is not None:
-                    breaker.record_failure()
-                obs_metrics.inc("client.oneway_failed")
-                self.fire_client(
-                    "oneway-failed", service=handle.name, operation=operation,
-                    message_id=message_id, reason=str(error),
-                )
             status._conclude()
 
-        def on_ack(payload, meta: dict) -> None:
-            try:
-                frame = SoapEnvelope.from_wire_message(payload)
-            except Exception:  # noqa: BLE001 - wire boundary
-                return
-            if is_ack(frame) and ack_relates_to(frame) == message_id:
-                conclude(None)
-
-        ack_pipe.add_listener(on_ack)
-
-        def send_attempt() -> None:
-            if status.done:
-                return
-            status.attempts += 1
-            try:
-                self.peer.send_down_pipe(out_pipe, wire)
-            except PipeError as exc:
-                conclude(InvocationError(str(exc)))
-                return
-            done["timer"] = self.peer.network.kernel.schedule(
-                attempt_timeout, on_timeout
-            )
-
-        def on_timeout() -> None:
-            if status.done:
-                return
-            if status.attempts >= policy.retry.max_attempts:
-                conclude(
-                    InvocationError(
-                        f"no ack from {endpoint.address} for {operation!r} "
-                        f"after {status.attempts} attempt(s) of {attempt_timeout}s"
-                    )
-                )
-                return
-            if deadline is not None and deadline.expired(self._now()):
-                conclude(
-                    DeadlineExceededError(
-                        f"deadline of {deadline.budget}s exhausted for oneway "
-                        f"{operation!r} after {status.attempts} attempt(s)"
-                    )
-                )
-                return
-            backoff = policy.retry.delay(status.attempts - 1)
-            self.fire_client(
-                "retransmit", service=handle.name, operation=operation,
-                attempt=status.attempts + 1, message_id=message_id, delay=backoff,
-            )
-            if backoff > 0:
-                done["resend"] = self.peer.network.kernel.schedule(
-                    backoff, send_attempt
-                )
-            else:
-                send_attempt()
-
-        obs_metrics.inc("client.oneway_sent")
-        sent_at = self._now()
-        self.fire_client(
-            "oneway-sent", service=handle.name, operation=operation,
-            endpoint=endpoint.address, message_id=message_id, ack_requested=True,
-            **trace_event_fields(trace_ctx),
+        self._run(
+            handle, operation, all_args, conclude,
+            timeout if timeout is not None else 1.0, policy,
+            message_id=status.message_id, oneway=True, status=status,
         )
-        send_attempt()
         return status
-
-    def _endpoint_for_operation(
-        self, handle: ServiceHandle, operation: str
-    ) -> Optional[EndpointReference]:
-        for endpoint in handle.endpoints:
-            if not endpoint.address.startswith("p2ps://"):
-                continue
-            if endpoint.property_text("PipeName") == operation:
-                return endpoint
-        return None

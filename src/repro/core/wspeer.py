@@ -332,12 +332,8 @@ class WSPeer(EventSource):
             config=config if config is not None else FailoverConfig(),
         )
         invocation = self.client.invocation
-        schemes = getattr(invocation, "_transports", None)
-        if schemes:
-            for scheme in schemes:
-                executor.register_invoker(scheme, invocation)
-        else:
-            executor.register_invoker("p2ps", invocation)
+        for scheme in invocation.schemes:
+            executor.register_invoker(scheme, invocation)
         for scheme, invoker in (extra_invokers or {}).items():
             executor.register_invoker(scheme, invoker)
         health.attach_breakers(invocation.breakers)

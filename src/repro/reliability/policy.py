@@ -35,8 +35,7 @@ class RetryPolicy:
     Attempt *k* (0-based) that fails is followed, when retryable, by a
     wait of ``min(base_delay * multiplier**k, max_delay)`` stretched by
     a seeded jitter factor in ``[1 - jitter, 1 + jitter]``.  With
-    ``base_delay=0`` the policy degenerates to immediate retransmission
-    (the legacy P2PS ``default_retries`` behaviour).
+    ``base_delay=0`` the policy degenerates to immediate retransmission.
     """
 
     def __init__(

@@ -6,6 +6,7 @@ from repro.core import InvocationError, WSPeer
 from repro.core.binding import P2psBinding
 from repro.core.events import RecordingListener
 from repro.p2ps import PeerGroup
+from repro.reliability import ReliabilityPolicy, RetryPolicy
 from repro.simnet import DropInjector, FixedLatency, Network
 
 
@@ -27,7 +28,10 @@ def build_world(retries=2):
     provider.publish("Counting")
     net.run()
     consumer = WSPeer(net.add_node("cons"), P2psBinding(group), name="cons")
-    consumer.client.invocation.default_retries = retries
+    # n extra attempts, no backoff
+    consumer.client.invocation.default_policy = ReliabilityPolicy(
+        retry=RetryPolicy(max_attempts=1 + retries, base_delay=0.0, jitter=0.0)
+    )
     handle = consumer.locate_one("Counting")
     return net, provider, consumer, handle, service
 
@@ -55,7 +59,8 @@ class TestRetransmission:
 
         net.add_delivery_hook(drop_first)
         assert consumer.invoke(handle, "bump", timeout=0.5) == 1
-        assert len(listener.of_kind("retransmit")) == 1
+        (retransmit,) = listener.of_kind("retransmit")
+        assert "no response" in retransmit.detail["reason"]
 
     def test_duplicate_execution_suppressed(self):
         net, provider, consumer, handle, service = build_world(retries=3)

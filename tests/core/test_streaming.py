@@ -17,6 +17,7 @@ from tests.core.conftest import Echo
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding
 from repro.p2ps import PeerGroup
+from repro.reliability import ReliabilityPolicy, RetryPolicy
 from repro.simnet import FixedLatency, Network
 from repro.soap import Attachment
 from repro.soap.attachments import MultipartFeedParser, iter_message_wire
@@ -240,7 +241,9 @@ class TestDedupReplayWithAttachments:
         provider.publish("Blobs")
         net.run()
         consumer = WSPeer(net.add_node("cons"), P2psBinding(group), name="cons")
-        consumer.client.invocation.default_retries = 3
+        consumer.client.invocation.default_policy = ReliabilityPolicy(
+            retry=RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
+        )
         handle = consumer.locate_one("Blobs")
 
         state = {"responses_dropped": 0}

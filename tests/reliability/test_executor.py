@@ -148,15 +148,99 @@ class TestBreakerIntegration:
         assert isinstance(box["error"], CircuitOpenError)
         assert called == []  # no frame ever sent
 
-    def test_each_attempt_feeds_breaker(self):
+    def test_breaker_records_one_outcome_per_call(self):
+        """Retransmissions inside one call are the policy at work, not
+        evidence against the endpoint: the breaker is asked once and
+        told once, however many attempts the call made."""
         kernel = Kernel()
         breaker = CircuitBreaker(
             BreakerConfig(min_calls=3, failure_threshold=0.5), clock=lambda: kernel.now
         )
         policy = ReliabilityPolicy(retry=RetryPolicy(max_attempts=3, jitter=0.0))
-        run_call(kernel, policy, lambda done, n, b: done(None, ConnectionError("x")),
-                 breaker=breaker)
-        assert breaker.state == "open"  # 3 failed attempts tripped it
+
+        def failing_call():
+            return run_call(
+                kernel, policy, lambda done, n, b: done(None, ConnectionError("x")),
+                breaker=breaker,
+            )
+
+        failing_call()
+        assert breaker.state == "closed"  # 3 failed attempts, 1 failed call
+        failing_call()
+        failing_call()
+        assert breaker.state == "open"  # 3 failed calls tripped it
+
+    def test_call_recovered_by_retry_counts_as_success(self):
+        kernel = Kernel()
+        breaker = CircuitBreaker(
+            BreakerConfig(min_calls=1, failure_threshold=0.5), clock=lambda: kernel.now
+        )
+        policy = ReliabilityPolicy(retry=RetryPolicy(max_attempts=3, jitter=0.0))
+
+        def attempt(done, attempt_no, budget):
+            done(*(("ok", None) if attempt_no else (None, ConnectionError("x"))))
+
+        assert run_call(kernel, policy, attempt, breaker=breaker)["result"] == "ok"
+        assert breaker.state == "closed"
+        assert breaker.failure_rate == 0.0
+
+
+class TestCallLevelReply:
+    """``reply`` is for an answer that belongs to the call rather than to
+    one send — a frame on a per-call reply pipe."""
+
+    def _silent_call(self, kernel, policy, box):
+        """A started call whose attempts never conclude on their own;
+        each attempt's ``on_done`` is kept in ``box["dones"]``."""
+        box["dones"] = []
+
+        def attempt(on_done, attempt_no, budget):
+            box["dones"].append(on_done)
+
+        def callback(result, error):
+            box["result"], box["error"] = result, error
+
+        return ReliableCall(kernel, policy, attempt, callback).start()
+
+    def test_late_reply_during_backoff_completes_and_cancels_timer(self):
+        kernel = Kernel()
+        policy = ReliabilityPolicy(
+            retry=RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0)
+        )
+        box = {}
+        call = self._silent_call(kernel, policy, box)
+        box["dones"][0](None, ConnectionError("timer lapsed"))  # -> backoff
+        assert kernel.pending == 1
+        call.reply("late", None)
+        assert box["result"] == "late"
+        assert kernel.pending == 0  # the backoff timer did not outlive the call
+        kernel.run_until_idle()
+        assert call.attempts_made == 1
+
+    def test_error_reply_is_classified_by_the_policy(self):
+        kernel = Kernel()
+        policy = ReliabilityPolicy(
+            retry=RetryPolicy(max_attempts=2, jitter=0.0, retry_on=(ConnectionError,))
+        )
+        box = {}
+        call = self._silent_call(kernel, policy, box)
+        call.reply(None, ConnectionError("busy"))  # retryable: next attempt
+        kernel.run_until_idle()
+        assert call.attempts_made == 2 and "error" not in box
+        call.reply(None, ValueError("no"))  # final
+        assert isinstance(box["error"], ValueError)
+
+    def test_stale_attempt_cannot_conclude_the_next_one(self):
+        kernel = Kernel()
+        policy = ReliabilityPolicy(
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        )
+        box = {}
+        call = self._silent_call(kernel, policy, box)
+        box["dones"][0](None, ConnectionError("first"))
+        kernel.run_until_idle()
+        box["dones"][0](None, ConnectionError("first, again"))  # stale
+        assert "error" not in box and call.attempts_made == 2
 
 
 class TestOnewayStatus:

@@ -1,0 +1,169 @@
+"""Whatever way a call ends, it gives back what it took.
+
+One pipeline means one ``finish``: after the terminal event of a call —
+on either binding, in any exchange pattern, for any outcome — the
+consumer node has exactly the ports it had before, and no timer the
+call armed (attempt timer, backoff timer, transport timeout) is live.
+"""
+
+import pytest
+
+from repro.core import WSPeer
+from repro.core.binding import P2psBinding, StandardBinding
+from repro.p2ps import PeerGroup
+from repro.reliability import (
+    BreakerConfig,
+    CircuitOpenError,
+    DeadlineExceededError,
+    ReliabilityPolicy,
+    RetryPolicy,
+)
+from repro.simnet import FixedLatency, Network
+from repro.simnet.network import Node
+from repro.soap.faults import SoapFault
+from repro.uddi import UddiRegistryNode
+
+TERMINAL_KINDS = {"response-received", "invoke-failed", "oneway-acked", "oneway-failed"}
+
+
+class Fragile:
+    def bump(self) -> int:
+        return 1
+
+    def explode(self) -> int:
+        raise ValueError("boom")
+
+
+def build_world(binding):
+    net = Network(latency=FixedLatency(0.002))
+    if binding == "http":
+        registry = UddiRegistryNode(net.add_node("registry"))
+        make = lambda: StandardBinding(registry.endpoint)  # noqa: E731
+    else:
+        group = PeerGroup("g")
+        make = lambda: P2psBinding(group)  # noqa: E731
+    provider = WSPeer(net.add_node("prov"), make(), name="prov")
+    provider.deploy(Fragile(), name="Fragile")
+    provider.publish("Fragile")
+    net.run()
+    consumer = WSPeer(net.add_node("cons"), make(), name="cons")
+    handle = consumer.locate_one("Fragile")
+    net.run()
+    return net, provider, consumer, handle
+
+
+class Ledger:
+    """Everything the kernel was asked to run while the call was open,
+    and a snapshot of the consumer taken at the call's terminal event."""
+
+    def __init__(self, net, consumer):
+        self.consumer = consumer
+        self.armed = []
+        self.terminals = 0
+        self.ports_at_terminal = None
+        self.live_at_terminal = None
+        schedule = net.kernel.schedule
+
+        def recording_schedule(delay, fn, *args):
+            event = schedule(delay, fn, *args)
+            self.armed.append(event)
+            return event
+
+        net.kernel.schedule = recording_schedule
+        consumer.add_listener(self)
+
+    def message_received(self, event):
+        if event.kind in TERMINAL_KINDS:
+            self.terminal()
+
+    def terminal(self):
+        self.terminals += 1
+        self.ports_at_terminal = list(self.consumer.node.ports)
+        self.live_at_terminal = [
+            event for event in self.armed
+            if not (event.cancelled or event._fired)
+            # a frame already on the wire (or in a node's worker queue) is
+            # the network's, not the call's
+            and not isinstance(getattr(event.fn, "__self__", None), (Network, Node))
+        ]
+
+
+def policy_for(pattern, outcome):
+    return ReliabilityPolicy(
+        # the deadline cell must run out of budget before it runs out of attempts
+        retry=RetryPolicy(
+            max_attempts=8 if outcome == "deadline" else 2, base_delay=0.05, jitter=0.0
+        ),
+        deadline=0.3 if outcome == "deadline" else None,
+        ack=pattern == "acked-oneway",
+        breaker=(
+            BreakerConfig(min_calls=1, failure_threshold=0.5, open_timeout=60.0)
+            if outcome == "circuit-open" else None
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    ["success", "attempts-exhausted", "deadline", "circuit-open", "local-node-down",
+     "soap-fault"],
+)
+@pytest.mark.parametrize("pattern", ["request", "bare-oneway", "acked-oneway"])
+@pytest.mark.parametrize("binding", ["http", "p2ps"])
+def test_every_ending_releases_ports_and_timers(binding, pattern, outcome):
+    net, provider, consumer, handle = build_world(binding)
+    operation = "explode" if outcome == "soap-fault" else "bump"
+    policy = policy_for(pattern, outcome)
+    if outcome in ("attempts-exhausted", "deadline"):
+        provider.node.go_down()
+    elif outcome == "circuit-open":
+        # one failed call trips the endpoint's breaker; the call under
+        # test is then shed before anything is sent
+        provider.node.go_down()
+        consumer.invoke_async(
+            handle, operation, {}, lambda result, error: None, 0.2, policy=policy
+        )
+        net.run()
+        provider.node.go_up()
+    elif outcome == "local-node-down":
+        consumer.node.go_down()  # on pipes this is PipeError at send
+
+    ports_before = list(consumer.node.ports)
+    ledger = Ledger(net, consumer)
+    errors = []
+    if pattern == "request":
+        consumer.invoke_async(
+            handle, operation, {}, lambda result, error: errors.append(error),
+            0.2, policy=policy,
+        )
+    else:
+        try:
+            status = consumer.invoke_oneway(
+                handle, operation, policy=policy, timeout=0.2
+            )
+        except Exception as exc:  # a bare pipe send that could not leave
+            status = None
+            errors.append(exc)
+        if binding == "p2ps" and pattern == "bare-oneway" and not errors:
+            ledger.terminal()  # nothing is awaited: returning was the end
+        assert (status is not None) == (binding == "p2ps" and pattern == "acked-oneway")
+    net.run()
+
+    assert ledger.terminals == 1
+    assert ledger.ports_at_terminal == ports_before
+    assert ledger.live_at_terminal == []
+    assert list(consumer.node.ports) == ports_before
+
+    if pattern == "request":  # the scenario ended the way its name says
+        (error,) = errors
+        expected = {
+            "success": type(None),
+            "deadline": DeadlineExceededError,
+            "circuit-open": CircuitOpenError,
+            "soap-fault": SoapFault,
+        }.get(outcome, Exception)
+        assert isinstance(error, expected)
+        if expected is Exception:
+            assert not isinstance(
+                error, (DeadlineExceededError, CircuitOpenError, SoapFault)
+            )

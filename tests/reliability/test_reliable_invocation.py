@@ -7,10 +7,12 @@ import pytest
 from repro.core import InvocationError, WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
 from repro.core.events import RecordingListener
+from repro.observability import default_registry
 from repro.p2ps import PeerGroup
 from repro.reliability import (
     BreakerConfig,
     CircuitOpenError,
+    DeadlineExceededError,
     ReliabilityPolicy,
     RetryPolicy,
 )
@@ -155,7 +157,8 @@ class TestP2psPolicyRetry:
         # no policy argument, no default_retries: the P2psBinding default
         # (3 attempts) recovers on its own
         assert consumer.invoke(handle, "bump", timeout=0.2) == 1
-        assert len(listener.of_kind("retransmit")) == 1
+        (retransmit,) = listener.of_kind("retransmit")
+        assert "no response" in retransmit.detail["reason"]
 
     def test_backoff_delays_retransmits(self):
         net, provider, consumer, handle = build_p2ps_world(
@@ -169,6 +172,51 @@ class TestP2psPolicyRetry:
             consumer.invoke(handle, "bump", timeout=0.2, policy=policy)
         # 3 x 0.2s timeouts + 0.1 + 0.2 backoffs
         assert net.now >= 0.9 * 0.99
+
+
+    def test_late_reply_during_backoff_completes_the_call(self):
+        """The reply pipe belongs to the call, not to one send: an answer
+        that lands after its attempt's timer lapsed still completes the
+        call, and the pending retransmission never leaves."""
+        net, provider, consumer, handle = build_p2ps_world(
+            CountingService(), "Counting"
+        )
+        listener = RecordingListener()
+        consumer.add_listener(listener)
+        policy = ReliabilityPolicy(
+            retry=RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0)
+        )
+        # round trip is 4 ms: the 3 ms timer lapses first, then the reply lands
+        started = net.now
+        assert consumer.invoke(handle, "bump", timeout=0.003, policy=policy) == 1
+        assert net.now - started == pytest.approx(0.004)
+        assert len(listener.of_kind("retransmit")) == 1  # announced, then cancelled
+        frames_sent = net.sent.get("cons")
+        net.run()
+        assert net.sent.get("cons") == frames_sent
+        assert net.now - started == pytest.approx(0.004)  # no timer outlived the call
+
+
+class TestDeadlineBudget:
+    @pytest.mark.parametrize("binding", ["http", "p2ps"])
+    def test_attempt_timeout_is_trimmed_to_the_deadline(self, binding):
+        """deadline=0.3 with timeout=1.0 fails at 0.3 s on either binding:
+        the budget caps each attempt's wait, not just the retry schedule."""
+        if binding == "http":
+            net, provider, consumer, handle, _, _ = build_http_world()
+        else:
+            net, provider, consumer, handle = build_p2ps_world(
+                CountingService(), "Counting"
+            )
+        provider.node.go_down()
+        policy = ReliabilityPolicy(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
+            deadline=0.3,
+        )
+        started = net.now
+        with pytest.raises(DeadlineExceededError):
+            consumer.invoke(handle, "bump", timeout=1.0, policy=policy)
+        assert net.now - started == pytest.approx(0.3)
 
 
 class TestAckedOneway:
@@ -197,12 +245,19 @@ class TestAckedOneway:
             return True
 
         net.add_delivery_hook(drop_first)
+        listener = RecordingListener()
+        consumer.add_listener(listener)
+        retransmits = default_registry().get("client.retransmits")
         status = consumer.invoke_oneway(
             handle, "note", {"text": "hello"}, policy=ReliabilityPolicy.assured()
         )
         net.run()
         assert status.acked
         assert status.attempts == 2
+        # the same on_retry as every other path: counter and reason included
+        assert default_registry().get("client.retransmits") == retransmits + 1
+        (retransmit,) = listener.of_kind("retransmit")
+        assert "no response" in retransmit.detail["reason"]
 
     def test_lost_ack_reacked_without_reexecution(self):
         net, provider, consumer, handle = build_p2ps_world(Notebook(), "Notes")

@@ -142,6 +142,45 @@ class TestContainerShedding:
         assert container.requests_shed == 0
 
 
+class TestBusyOverPipes:
+    """Admission answers Busy on either binding.  On a reply pipe it is
+    retried after the policy's backoff, like HTTP's 503 — it must not end
+    the call on the first answer."""
+
+    def test_busy_on_reply_pipe_is_retried_after_backoff(self, net):
+        from repro.core import WSPeer
+        from repro.core.binding import P2psBinding
+        from repro.p2ps import PeerGroup
+        from repro.reliability import ReliabilityPolicy, RetryPolicy
+        from tests.supervision.conftest import Echo
+
+        group = PeerGroup("g")
+        provider = WSPeer(net.add_node("prov"), P2psBinding(group), name="prov")
+        provider.deploy(Echo(), name="Echo")
+        provider.publish("Echo")
+        net.run()
+        listener = RecordingListener()
+        consumer = WSPeer(
+            net.add_node("cons"), P2psBinding(group), name="cons", listener=listener
+        )
+        handle = consumer.locate_one("Echo")
+        admission = provider.set_admission_control(capacity=1.0, drain_rate=1.0)
+        admission.level = admission.capacity + 1.0  # still full on arrival
+
+        # the backoff outlasts the drain, so the second attempt is admitted
+        policy = ReliabilityPolicy(
+            retry=RetryPolicy(max_attempts=3, base_delay=2.0, jitter=0.0)
+        )
+        started = net.now
+        assert consumer.invoke(
+            handle, "echo", {"message": "c"}, timeout=1.0, policy=policy
+        ) == "c"
+        assert provider.server.container.requests_shed == 1
+        (retransmit,) = listener.of_kind("retransmit")
+        assert "at capacity" in retransmit.detail["reason"]
+        assert net.now - started >= 2.0
+
+
 class TestBusyFaultShape:
     def test_busy_fault_carries_hint_through_wire(self):
         fault = ServerBusyFault("at capacity", retry_after=0.75)
