@@ -124,7 +124,7 @@ def measure_oneway(profile: str, drop: float, seed: int = 0):
     world = build_p2ps_world(n_providers=1, n_consumers=1)
     net, provider, consumer = world.net, world.providers[0], world.consumers[0]
     service = CountingService()
-    provider.deploy(service, name="Counting")
+    deployed = provider.deploy(service, name="Counting")
     provider.publish("Counting")
     net.run()
     handle = consumer.locate_one("Counting", timeout=5.0)
@@ -151,7 +151,7 @@ def measure_oneway(profile: str, drop: float, seed: int = 0):
     return {
         "executed": service.executions / N_ONEWAY,
         "acked": (acked / len(statuses)) if statuses else None,
-        "duplicates_suppressed": provider.server.deployer.duplicates_suppressed,
+        "duplicates_suppressed": deployed.duplicates_suppressed,
     }
 
 
@@ -181,7 +181,7 @@ def measure_dedup(drop: float = 0.2, seed: int = 4, n: int = 40):
         "unique_requests_processed": deployed.requests_processed,
         "executions": service.executions,
         "retransmits": len(listener.of_kind("retransmit")),
-        "duplicates_suppressed": provider.server.deployer.duplicates_suppressed,
+        "duplicates_suppressed": deployed.duplicates_suppressed,
     }
 
 

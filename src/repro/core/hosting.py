@@ -13,6 +13,31 @@ allowing the component to become its own container" (§III).  Concretely:
 - every request and response fires a ServerMessageEvent, so a listener
   on the tree root observes traffic "either side of being processed by
   the underlying messaging system".
+
+The container also owns the one server-side message path,
+:meth:`LightweightContainer.serve` — wire in, wire out, the same stages
+for every binding:
+
+1. **decode** the payload; garbage fires ``malformed-request``, bumps
+   ``server.malformed_requests`` and is answered with a ``Client`` fault;
+2. read the **addressing properties** once;
+3. ``request-received``;
+4. **dedup lookup** in the service's one :class:`DedupWindow`: a hit
+   fires ``duplicate-suppressed`` and the retained wire goes out again
+   verbatim — never parsed, never re-encoded;
+5. **interceptor**, unknown service, **admission**, **replication
+   guard** — each may answer instead of the engine, and none of their
+   answers is retained;
+6. **acknowledge** an ack-requested one-way (only now: a shed request is
+   not acked, so its sender retransmits);
+7. **handler chain + dispatch**;
+8. stamp the binding's **reply MAPs**, **encode once**, **retain** that
+   wire, hand it to replication;
+9. ``response-sent``; the same wire **leaves**.
+
+:meth:`~LightweightContainer.process_request` is stages 3–9 at the
+envelope level.  A deployer supplies only how a request arrives, which
+reply MAPs the answer carries, and how it leaves.
 """
 
 from __future__ import annotations
@@ -28,12 +53,14 @@ from repro.observability.tracecontext import (
     extract as trace_extract,
     propagation_enabled as trace_propagation_enabled,
 )
-from repro.reliability import DedupWindow
+from repro.reliability import DedupWindow, ack_requested, build_ack
 from repro.soap.encoding import StructRegistry
-from repro.soap.envelope import SoapEnvelope
+from repro.soap.envelope import SoapEnvelope, wire_carries_fault
+from repro.soap.faults import FaultCode, ServerBusyFault, SoapFault
 from repro.soap.handlers import HandlerChain, MessageContext, MustUnderstandHandler
 from repro.soap.rpc import RpcDispatcher, ServiceObject
-from repro.wsa.epr import EndpointReference
+from repro.wsa.epr import EndpointReference, WsaError
+from repro.wsa.headers import MessageAddressingProperties, message_id_of
 from repro.wsdl.generator import generate_wsdl
 from repro.wsdl.model import WsdlDefinition
 from repro.xmlkit import ns
@@ -242,26 +269,90 @@ class LightweightContainer(EventSource):
         return sorted(self._services)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _request_message_id(request: SoapEnvelope) -> Optional[str]:
-        from repro.wsa.headers import message_id_of
+    # the hosting pipeline: wire in, wire out
+    # ------------------------------------------------------------------
+    def accept(self, service_name: str, payload) -> MessageContext:
+        """Stages 1–2: decode *payload* (text, or multipart bytes) and
+        read its addressing properties — once; every later stage takes
+        them from the context.  Garbage from hostile or broken peers must
+        never crash the provider: it is counted, reported, and answered
+        with a ``Client`` fault on a context that has no ``request``."""
+        try:
+            request = SoapEnvelope.from_wire_message(payload)
+        except Exception as exc:  # noqa: BLE001 - wire boundary
+            reason = f"{type(exc).__name__}: {exc}"
+            obs_metrics.inc("server.malformed_requests")
+            self.fire_server("malformed-request", service=service_name, reason=reason)
+            context = MessageContext(None, service_name)
+            self._encode(
+                context, SoapEnvelope.for_fault(SoapFault(FaultCode.CLIENT, reason))
+            )
+            return context
+        context = MessageContext(request, service_name)
+        try:
+            context.maps = MessageAddressingProperties.extract_from(request)
+            context.message_id = context.maps.message_id
+        except WsaError:
+            # not fully addressed: no reply can be routed, but a
+            # MessageID alone still buys duplicate suppression
+            context.message_id = message_id_of(request)
+        return context
 
-        return message_id_of(request)
+    def serve(
+        self, service_name: str, payload, reply_maps=None, send=None
+    ) -> MessageContext:
+        """The server-side message path of every binding (stages 1–9).
 
-    def process_request(self, service_name: str, request: SoapEnvelope) -> SoapEnvelope:
-        """The server-side message path shared by every transport.
-
-        1. ServerMessageEvent("request-received") — the app sees the raw
-           request;
-        2. the interceptor may answer directly (the app as container);
-        3. otherwise the handler chain + RPC dispatcher run;
-        4. ServerMessageEvent("response-sent") — the app sees the
-           response on its way out.
+        The deployer calls this when a request arrives and says which
+        addressing properties the answer carries (*reply_maps*, a pure
+        function of the request's) and how it leaves: through
+        ``send(epr, wire)`` to the request's ReplyTo, or — no *send* —
+        on the open connection, read off the returned context.
         """
-        operation = (
+        context = self.accept(service_name, payload)
+        if context.request is None:
+            return context  # no ReplyTo to route by: only a connection can answer
+        maps = context.maps
+        if maps is not None:
+            if reply_maps is not None:
+                context.reply_maps = reply_maps(maps)
+            if send is not None:
+                context.send, context.reply_to = send, maps.reply_to
+        self.process_request(service_name, context.request, context)
+        if context.reply_to is not None:
+            try:
+                send(context.reply_to, context.wire)
+            except Exception as exc:  # noqa: BLE001 - binding boundary
+                # an unroutable ReplyTo, or the node dying mid-dispatch
+                # (an injected crash): the answer is lost, visibly
+                self.fire_server(
+                    "reply-undeliverable", service=service_name, reason=str(exc)
+                )
+        return context
+
+    def process_request(
+        self,
+        service_name: str,
+        request: SoapEnvelope,
+        context: Optional[MessageContext] = None,
+    ) -> Optional[SoapEnvelope]:
+        """Stages 3–9, the envelope-level core of :meth:`serve`: the app
+        sees the raw request (``request-received``), :meth:`_answer`
+        produces the one encoded answer, the app sees it on its way out
+        (``response-sent``).
+
+        Called with an envelope alone it returns the response envelope
+        (a replay is decoded from the retained wire for it);
+        :meth:`serve` passes its *context* and reads the answer there.
+        """
+        direct = context is None
+        if direct:
+            context = MessageContext(request, service_name)
+            context.message_id = message_id_of(request)
+        operation = context.operation = (
             request.body_content.name.local if request.body_content is not None else ""
         )
-        message_id = self._request_message_id(request)
+        message_id = context.message_id
         # E17: continue the caller's trace.  The server span becomes the
         # ambient context for the whole (synchronous) processing window,
         # so anything the handler sends from inside it — replication
@@ -283,122 +374,135 @@ class LightweightContainer(EventSource):
             **trace_fields,
         )
         with trace_activate(server_trace):
-            response = self._dispatch_request(
-                service_name, operation, message_id, request
-            )
-        if response.is_fault:
+            self._answer(context)
+        if context.fault:
             obs_metrics.inc("server.faults")
         self.fire_server(
             "response-sent",
             service=service_name,
             operation=operation,
-            fault=response.is_fault,
-            envelope=response,
+            fault=context.fault,
+            envelope=context.response,
             message_id=message_id,
             **trace_fields,
         )
-        return response
+        if direct and context.response is None:
+            context.response = SoapEnvelope.from_wire_message(context.wire)
+        return context.response
 
-    def _dispatch_request(
-        self,
-        service_name: str,
-        operation: str,
-        message_id: Optional[str],
-        request: SoapEnvelope,
-    ) -> SoapEnvelope:
-        """Steps 2–3 of :meth:`process_request`: interceptor, dedup,
-        admission, replication guard, handler chain + dispatcher."""
-        response: Optional[SoapEnvelope] = None
+    def _answer(self, context: MessageContext) -> None:
+        """Produce the answer to *context*: each stage either answers
+        and returns, or falls through to the next.  Only an executed
+        operation's answer is retained; Busy, lag and intercepted
+        answers describe provider state, so a retransmission must get a
+        fresh decision, never a replay of them."""
+        service_name, operation = context.service_name, context.operation
+        request, message_id = context.request, context.message_id
+        about = {
+            "service": service_name, "operation": operation, "message_id": message_id,
+        }
+        deployed = self._services.get(service_name)
+
+        # at-most-once: a MessageID answered before is not re-executed;
+        # the retained wire (maybe multipart bytes, E16) goes out again
+        # verbatim — or, for an acknowledged one-way, a fresh ack does
+        if deployed is not None and message_id is not None:
+            retained = deployed.dedup.get(message_id)
+            if retained is not None:
+                deployed.duplicates_suppressed += 1
+                obs_metrics.inc("server.duplicates_suppressed")
+                self.fire_server("duplicate-suppressed", **about)
+                self._acknowledge(context)
+                context.wire = retained
+                context.fault = wire_carries_fault(retained)
+                return
+
         if self.interceptor is not None:
             response = self.interceptor(service_name, request)
             if response is not None:
                 obs_metrics.inc("server.intercepted")
-                self.fire_server(
-                    "request-intercepted", service=service_name, operation=operation,
-                    message_id=message_id,
-                )
-        if response is None:
-            deployed = self._services.get(service_name)
-            if deployed is None:
-                from repro.soap.faults import FaultCode, SoapFault
+                self.fire_server("request-intercepted", **about)
+                self._acknowledge(context)
+                self._encode(context, response)
+                return
 
-                response = SoapEnvelope.for_fault(
+        if deployed is None:
+            self._encode(
+                context,
+                SoapEnvelope.for_fault(
                     SoapFault(
                         FaultCode.CLIENT, f"no deployed service named {service_name!r}"
                     )
-                )
-            else:
-                retained = (
-                    deployed.dedup.get(message_id) if message_id is not None else None
-                )
-                if retained is not None:
-                    deployed.duplicates_suppressed += 1
-                    obs_metrics.inc("server.duplicates_suppressed")
-                    # retained wires may be multipart bytes (E16): the
-                    # replayed response keeps its attachments intact
-                    response = SoapEnvelope.from_wire_message(retained)
-                    self.fire_server(
-                        "duplicate-suppressed",
-                        service=service_name,
-                        operation=operation,
-                        message_id=message_id,
-                    )
-                else:
-                    admitted, retry_after = (
-                        self.admission.try_admit()
-                        if self.admission is not None
-                        else (True, 0.0)
-                    )
-                    if not admitted:
-                        # shed before any dispatch work: the whole point
-                        # is that a saturated provider answers cheaply.
-                        # Busy responses are NOT remembered in the dedup
-                        # window — a retransmit must get a fresh
-                        # admission decision, not a replay of "busy".
-                        from repro.soap.faults import ServerBusyFault
+                ),
+            )
+            return
 
-                        self.requests_shed += 1
-                        obs_metrics.inc("server.requests_shed")
-                        response = SoapEnvelope.for_fault(
-                            ServerBusyFault(
-                                f"service {service_name!r} is at capacity",
-                                retry_after=retry_after,
-                            )
-                        )
-                        self.fire_server(
-                            "request-shed",
-                            service=service_name,
-                            operation=operation,
-                            message_id=message_id,
+        if self.admission is not None:
+            admitted, retry_after = self.admission.try_admit()
+            if not admitted:
+                # shed before any dispatch work — and before the ack: a
+                # saturated provider answers cheaply and promises nothing
+                self.requests_shed += 1
+                obs_metrics.inc("server.requests_shed")
+                self.fire_server("request-shed", retry_after=retry_after, **about)
+                self._encode(
+                    context,
+                    SoapEnvelope.for_fault(
+                        ServerBusyFault(
+                            f"service {service_name!r} is at capacity",
                             retry_after=retry_after,
                         )
-                    else:
-                        # a replication member refuses sessions it
-                        # cannot serve safely (delta-stream gap or
-                        # divergence) with a failover-eligible fault —
-                        # never remembered in the dedup window, so the
-                        # redirected retransmission gets a fresh answer
-                        guard = (
-                            deployed.replication.guard_request(request, operation)
-                            if deployed.replication is not None
-                            else None
-                        )
-                        if guard is not None:
-                            response = guard
-                        else:
-                            deployed.requests_processed += 1
-                            obs_metrics.inc("server.dispatched")
-                            context = MessageContext(request, service_name, operation)
-                            response = deployed.chain.run(
-                                context,
-                                lambda ctx: deployed.dispatcher.dispatch(ctx.request),
-                            )
-                            if message_id is not None:
-                                deployed.dedup.remember(
-                                    message_id, response.to_wire_message()
-                                )
-                            if deployed.replication is not None:
-                                deployed.replication.after_execute(
-                                    request, response, message_id, operation
-                                )
-        return response
+                    ),
+                )
+                return
+
+        # a replication member refuses sessions it cannot serve safely
+        # (delta-stream gap or divergence) with a failover-eligible fault
+        if deployed.replication is not None:
+            guard = deployed.replication.guard_request(request, operation)
+            if guard is not None:
+                self._encode(context, guard)
+                return
+
+        self._acknowledge(context)
+        deployed.requests_processed += 1
+        obs_metrics.inc("server.dispatched")
+        response = deployed.chain.run(
+            context, lambda ctx: deployed.dispatcher.dispatch(ctx.request)
+        )
+        self._encode(context, response)
+        if message_id is not None:
+            deployed.dedup.remember(message_id, context.wire)
+        if deployed.replication is not None:
+            deployed.replication.after_execute(
+                request, context.wire, message_id, operation
+            )
+
+    @staticmethod
+    def _encode(context: MessageContext, response: SoapEnvelope) -> None:
+        """Stamp the binding's reply MAPs and encode — once: the same
+        wire is retained, replicated and shipped."""
+        if context.reply_maps is not None:
+            context.reply_maps.apply_to(response)
+        context.response = response
+        context.fault = response.is_fault
+        context.wire = response.to_wire_message()
+
+    def _acknowledge(self, context: MessageContext) -> None:
+        """WS-RM-lite: acknowledge an ack-requested request down its
+        ReplyTo.  Runs once the request is accepted (or recognised as a
+        duplicate of one that was), so a shed request is never acked and
+        the sender's policy retransmits it; from then on the request is
+        one-way — the ack is the only return traffic."""
+        reply_to, message_id = context.reply_to, context.message_id
+        if reply_to is None or message_id is None or not ack_requested(context.request):
+            return
+        context.reply_to = None
+        try:
+            context.send(reply_to, build_ack(message_id, reply_to.address).to_wire())
+        except Exception as exc:  # noqa: BLE001 - ack delivery best-effort
+            self.fire_server(
+                "ack-undeliverable", service=context.service_name, reason=str(exc)
+            )
+            return
+        self.fire_server("ack-sent", service=context.service_name, message_id=message_id)

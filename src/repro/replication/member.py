@@ -250,18 +250,19 @@ class ReplicationMember(EventSource):
     def after_execute(
         self,
         request: SoapEnvelope,
-        response: SoapEnvelope,
+        response_wire,
         message_id: Optional[str],
         operation: str,
     ) -> None:
-        """Version any state change the dispatch produced and ship it."""
+        """Version any state change the dispatch produced and ship it,
+        with the already-encoded answer (the wire the primary retains)."""
         session = self.session_of(request)
         try:
             delta = self.store.record_local(
                 session,
                 self.adapter.get(session),
                 message_id=message_id,
-                response_wire=response.to_wire_message(),
+                response_wire=response_wire,
                 operation=operation,
             )
         except StateDivergedError:

@@ -159,6 +159,15 @@ class SoapEnvelope:
         return f"<SoapEnvelope body={op} headers={len(self.headers)}>"
 
 
+def wire_carries_fault(wire) -> bool:
+    """Does a wire *this codec wrote* carry a Fault body?  No parse is
+    needed: the Body's only child follows the Body tag directly and ``<``
+    is escaped in text (a multipart wire is searched whole, so a binary
+    part repeating the marker reads as a fault)."""
+    marker = "<soapenv:Body><soapenv:Fault>"
+    return (marker if isinstance(wire, str) else marker.encode("ascii")) in wire
+
+
 class EnvelopeTemplate:
     """A pre-serialised envelope with holes for the per-call fields.
 

@@ -203,22 +203,3 @@ def is_busy_fault_element(elem: Element) -> bool:
     code_text = elem.find_text("faultcode", "")
     _, _, local = code_text.rpartition(":")
     return local == f"{FaultCode.SERVER.value}.{ServerBusyFault.SUBCODE}"
-
-
-def is_transient_fault_element(elem: Element) -> bool:
-    """True for faults describing *provider state*, not call results:
-    ``Server.Busy`` and ``Server.ReplicaLag``.
-
-    Neither executed the operation, so neither may ever be retained as
-    the canonical response for a MessageID — a retransmission (or a
-    failover handoff reusing the same MessageID) must get a fresh
-    decision, not a replay of "busy"/"behind".
-    """
-    if not SoapFault.is_fault_element(elem):
-        return False
-    code_text = elem.find_text("faultcode", "")
-    _, _, local = code_text.rpartition(":")
-    return local in (
-        f"{FaultCode.SERVER.value}.{ServerBusyFault.SUBCODE}",
-        f"{FaultCode.SERVER.value}.{ReplicaLagFault.SUBCODE}",
-    )

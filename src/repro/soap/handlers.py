@@ -24,15 +24,39 @@ class Direction(Enum):
 
 
 class MessageContext:
-    """Mutable state shared by all handlers processing one exchange."""
+    """Mutable state shared by every stage processing one exchange.
 
-    def __init__(self, request: SoapEnvelope, service_name: str = "", operation: str = ""):
+    The handler chain reads ``request`` / ``response``; the hosting
+    pipeline (:mod:`repro.core.hosting`) additionally carries the
+    request's addressing properties — read once — and the one encoded
+    answer that is both retained for duplicate suppression and shipped.
+    """
+
+    def __init__(
+        self,
+        request: Optional[SoapEnvelope],
+        service_name: str = "",
+        operation: str = "",
+    ):
         self.request = request
         self.response: Optional[SoapEnvelope] = None
         self.service_name = service_name
         self.operation = operation
         self.direction = Direction.REQUEST
         self.properties: dict[str, Any] = {}
+        #: the request's MessageAddressingProperties (None: unaddressed)
+        self.maps = None
+        self.message_id: Optional[str] = None
+        #: addressing properties the binding wants stamped on the answer
+        self.reply_maps = None
+        #: where the answer is still owed, and the binding's
+        #: ``send(epr, wire)`` to get it there; both None when it returns
+        #: on the open connection (or nothing returns at all)
+        self.reply_to = None
+        self.send = None
+        #: the encoded answer (text, or multipart bytes) and its fault bit
+        self.wire = None
+        self.fault = False
 
     @property
     def current(self) -> Optional[SoapEnvelope]:
@@ -139,13 +163,11 @@ class HandlerChain:
                 handler.invoke(context)
             assert context.response is not None
             return context.response
-        except SoapFault as fault:
-            for handler in reversed(invoked):
-                handler.on_fault(context, fault)
-            context.response = SoapEnvelope.for_fault(fault)
-            return context.response
         except Exception as exc:  # noqa: BLE001 - engine boundary
-            fault = SoapFault(FaultCode.SERVER, f"{type(exc).__name__}: {exc}")
+            fault = (
+                exc if isinstance(exc, SoapFault)
+                else SoapFault(FaultCode.SERVER, f"{type(exc).__name__}: {exc}")
+            )
             for handler in reversed(invoked):
                 handler.on_fault(context, fault)
             context.response = SoapEnvelope.for_fault(fault)

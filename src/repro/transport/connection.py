@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.observability import metrics as obs_metrics
 from repro.simnet.network import Frame, NetworkError, Node, NodeDownError
@@ -311,6 +311,20 @@ class _BufferSink:
         return bytes(self._buf)
 
 
+@dataclass(slots=True)
+class _Exchange:
+    """One request in flight on an :class:`HttpConnection`."""
+
+    seq: int
+    request: HttpRequest
+    callback: ResponseHandler
+    timeout: Optional[float]
+    response_sink: Optional[Callable[[], object]]
+    timer: object = None
+    done: bool = False
+    up_sender: object = None  # the _StreamSender of a chunked request
+
+
 class HttpConnection:
     """One persistent client→server HTTP connection.
 
@@ -346,8 +360,8 @@ class HttpConnection:
         self._on_closed = on_closed
         self._srv_port: Optional[str] = None
         #: seq -> in-flight entry, insertion (= request) order
-        self._pending: "OrderedDict[int, dict]" = OrderedDict()
-        self._backlog: "deque[dict]" = deque()
+        self._pending: "OrderedDict[int, _Exchange]" = OrderedDict()
+        self._backlog: "deque[_Exchange]" = deque()
         self._reorder: dict[int, HttpResponse] = {}
         #: seqs exempt from in-order delivery (E16 streamed exchanges) —
         #: they deliver on completion and never gate ordered peers
@@ -422,21 +436,12 @@ class HttpConnection:
                 else ConnectionClosedError(f"connection {self.id} is closed"),
             )
             return
-        entry: dict[str, Any] = {
-            "seq": self._next_seq,
-            "request": request,
-            "callback": callback,
-            "timeout": timeout,
-            "timer": None,
-            "done": False,
-            "response_sink": response_sink,
-            "up_sender": None,
-        }
+        entry = _Exchange(self._next_seq, request, callback, timeout, response_sink)
         self._next_seq += 1
         self.requests_sent += 1
-        self._pending[entry["seq"]] = entry
+        self._pending[entry.seq] = entry
         if timeout is not None:
-            entry["timer"] = self.kernel.schedule(
+            entry.timer = self.kernel.schedule(
                 timeout, self._on_request_timeout, entry
             )
         self._touch()
@@ -461,10 +466,10 @@ class HttpConnection:
         if self.state == IDLE:
             self.state = ACTIVE
 
-    def _transmit(self, entry: dict) -> None:
+    def _transmit(self, entry: _Exchange) -> None:
         self._unanswered += 1
         self.state = ACTIVE
-        request = entry["request"]
+        request = entry.request
         threshold = self.config.chunk_threshold
         streamed = isinstance(request.body, BodyStream) or (
             threshold is not None and request.wire_length() > threshold
@@ -473,18 +478,18 @@ class HttpConnection:
             # streamed exchanges opt out of strict ordering: the server
             # dispatches them on completion, so pipelined small calls
             # behind this one are never head-of-line blocked
-            self._unordered.add(entry["seq"])
+            self._unordered.add(entry.seq)
             sender = _StreamSender(
                 self.node,
                 self.target_node,
                 self._srv_port,
-                {"conn": self.id, "seq": entry["seq"]},
+                {"conn": self.id, "seq": entry.seq},
                 request.iter_wire(),
                 self.config.chunk_size,
                 self.config.stream_window,
                 on_error=self._teardown,
             )
-            entry["up_sender"] = sender
+            entry.up_sender = sender
             sender.start()
             return
         try:
@@ -494,7 +499,7 @@ class HttpConnection:
                 request.to_wire(),
                 kind="request",
                 conn=self.id,
-                seq=entry["seq"],
+                seq=entry.seq,
             )
         except (NetworkError, NodeDownError) as exc:
             self._teardown(exc)
@@ -506,7 +511,7 @@ class HttpConnection:
             and (self.config.pipeline or self._unanswered == 0)
         ):
             entry = self._backlog.popleft()
-            if entry["done"]:
+            if entry.done:
                 continue
             self._transmit(entry)
 
@@ -565,7 +570,7 @@ class HttpConnection:
         stream = self._rsp_streams.get(seq)
         if stream is None:
             entry = self._pending[seq]
-            sink_factory = entry.get("response_sink")
+            sink_factory = entry.response_sink
             assembler = _WireAssembler(
                 (lambda head: sink_factory()) if sink_factory is not None else None
             )
@@ -598,8 +603,8 @@ class HttpConnection:
     def _on_credit(self, frame: Frame) -> None:
         seq = frame.meta.get("seq")
         entry = self._pending.get(seq) if isinstance(seq, int) else None
-        if entry is not None and entry.get("up_sender") is not None:
-            entry["up_sender"].on_credit(frame.meta.get("idx"))
+        if entry is not None and entry.up_sender is not None:
+            entry.up_sender.on_credit(frame.meta.get("idx"))
 
     def _send_credit(self, seq: int, idx: int) -> None:
         if self._srv_port is None:
@@ -685,35 +690,35 @@ class HttpConnection:
             )
         )
 
-    def _on_request_timeout(self, entry: dict) -> None:
-        if entry["done"]:
+    def _on_request_timeout(self, entry: _Exchange) -> None:
+        if entry.done:
             return
-        request = entry["request"]
+        request = entry.request
         self._finish_entry(
             entry,
             None,
             TransportTimeoutError(
                 f"no response from {self.target_node}:{self.port}"
-                f"{request.path} within {entry['timeout']}s"
+                f"{request.path} within {entry.timeout}s"
             ),
         )
         self._teardown(
             ConnectionClosedError(
-                f"connection {self.id} aborted: request {entry['seq']} timed out"
+                f"connection {self.id} aborted: request {entry.seq} timed out"
             )
         )
 
     # -- teardown -------------------------------------------------------
     def _finish_entry(
-        self, entry: dict, response: Optional[HttpResponse], error: Optional[Exception]
+        self, entry: _Exchange, response: Optional[HttpResponse], error: Optional[Exception]
     ) -> None:
-        if entry["done"]:
+        if entry.done:
             return
-        entry["done"] = True
-        if entry["timer"] is not None:
-            entry["timer"].cancel()
-            entry["timer"] = None
-        entry["callback"](response, error)
+        entry.done = True
+        if entry.timer is not None:
+            entry.timer.cancel()
+            entry.timer = None
+        entry.callback(response, error)
 
     def _teardown(self, error: Optional[Exception]) -> None:
         if self.state == CLOSED:

@@ -485,23 +485,22 @@ class HttpServer:
         if frame.meta.get("kind") == "connect":
             self._on_connect(frame)
             return
+        self._reply(frame, self._response_for(frame.payload))
+
+    def _reply(self, frame: Frame, response: HttpResponse) -> None:
+        """Answer *frame* on its reply port.  With nowhere to answer, or
+        the serving node dead (e.g. a crash injected mid-dispatch), the
+        reply is lost on the wire — which must be visible, not silent
+        and not an unhandled kernel exception."""
         reply_port = frame.meta.get("reply_port")
-        response = self._response_for(frame.payload)
         if reply_port:
             try:
                 self.node.send(frame.src, reply_port, response.to_wire())
+                return
             except (NetworkError, NodeDownError):
-                # the serving node died while processing (e.g. a crash
-                # injected mid-dispatch): the executed response is lost
-                # on the wire, which must be visible, not an unhandled
-                # kernel exception
-                self.dropped_replies += 1
-                obs_metrics.inc("transport.http.dropped_replies")
-        else:
-            # nowhere to answer: the reply is lost, which must be
-            # visible, not silent
-            self.dropped_replies += 1
-            obs_metrics.inc("transport.http.dropped_replies")
+                pass
+        self.dropped_replies += 1
+        obs_metrics.inc("transport.http.dropped_replies")
 
     def _on_overflow(self, frame: Frame, retry_after: float) -> None:
         """The node's bounded worker pool rejected *frame*: answer 503 +
@@ -512,23 +511,17 @@ class HttpServer:
             # control frame: no reply channel contract; the client's
             # connect timeout (and its retry policy) handles it
             return
-        reply_port = frame.meta.get("reply_port")
-        if not reply_port:
-            self.dropped_replies += 1
-            obs_metrics.inc("transport.http.dropped_replies")
-            return
-        self.overflow_answered += 1
-        obs_metrics.inc("transport.http.worker_overflow")
-        response = HttpResponse(
-            503,
-            f"server {self.node.id}: worker pool saturated",
-            {"Retry-After": f"{retry_after:.6f}"},
+        if frame.meta.get("reply_port"):
+            self.overflow_answered += 1
+            obs_metrics.inc("transport.http.worker_overflow")
+        self._reply(
+            frame,
+            HttpResponse(
+                503,
+                f"server {self.node.id}: worker pool saturated",
+                {"Retry-After": f"{retry_after:.6f}"},
+            ),
         )
-        try:
-            self.node.send(frame.src, reply_port, response.to_wire())
-        except (NetworkError, NodeDownError):
-            self.dropped_replies += 1
-            obs_metrics.inc("transport.http.dropped_replies")
 
     def _response_for(self, payload: Union[bytes, str]) -> HttpResponse:
         """Parse and dispatch one raw request (shared with E11
@@ -639,8 +632,19 @@ class HttpClient:
     ) -> None:
         """Send *request*; *callback* fires with the response or error."""
         timeout = timeout if timeout is not None else self.default_timeout
+
+        def report(response: Optional[HttpResponse], error: Optional[Exception]) -> None:
+            if error is not None:
+                obs_metrics.inc(
+                    "transport.http.timeouts"
+                    if isinstance(error, TransportTimeoutError)
+                    else "transport.http.errors"
+                )
+            callback(response, error)
+
+        obs_metrics.inc("transport.http.requests_sent")
         if self.pool is not None:
-            self._request_pooled(target_node, port, request, callback, timeout)
+            self.pool.lease(target_node, port).send(request, report, timeout=timeout)
             return
         conn = f"http-conn:{next(self._conn_ids)}"
         done: dict = {"fired": False, "timeout_event": None}
@@ -653,13 +657,7 @@ class HttpClient:
                 done["timeout_event"].cancel()
             if self.node.has_port(conn):
                 self.node.close_port(conn)
-            if error is not None:
-                obs_metrics.inc(
-                    "transport.http.timeouts"
-                    if isinstance(error, TransportTimeoutError)
-                    else "transport.http.errors"
-                )
-            callback(response, error)
+            report(response, error)
 
         def on_reply(frame: Frame) -> None:
             try:
@@ -679,31 +677,10 @@ class HttpClient:
                     f"no response from {target_node}:{port}{request.path} within {timeout}s"
                 ),
             )
-        obs_metrics.inc("transport.http.requests_sent")
         try:
             self.node.send(target_node, f"http:{port}", request.to_wire(), reply_port=conn)
         except (NetworkError, NodeDownError) as exc:
             finish(None, exc)
-
-    def _request_pooled(
-        self,
-        target_node: str,
-        port: int,
-        request: HttpRequest,
-        callback: Callable[[Optional[HttpResponse], Optional[Exception]], None],
-        timeout: Optional[float],
-    ) -> None:
-        def finish(response: Optional[HttpResponse], error: Optional[Exception]) -> None:
-            if error is not None:
-                obs_metrics.inc(
-                    "transport.http.timeouts"
-                    if isinstance(error, TransportTimeoutError)
-                    else "transport.http.errors"
-                )
-            callback(response, error)
-
-        obs_metrics.inc("transport.http.requests_sent")
-        self.pool.lease(target_node, port).send(request, finish, timeout=timeout)
 
     def request(
         self,
@@ -731,9 +708,16 @@ class HttpClient:
 
 
 class HttpTransport(Transport):
-    """Transport SPI adapter: SOAP-over-HTTP POST."""
+    """Transport SPI adapter: SOAP-over-HTTP POST.
+
+    The four ``_…`` hooks at the bottom are where an authenticating
+    subclass (:class:`~repro.transport.httpg.HttpgTransport`) adds and
+    checks credentials; everything else — status mapping, the route
+    adapter, server lifetime, pooling — is shared.
+    """
 
     scheme = "http"
+    default_port = DEFAULT_HTTP_PORT
 
     def __init__(
         self,
@@ -754,8 +738,10 @@ class HttpTransport(Transport):
         (E11); see :meth:`HttpClient.enable_pooling`."""
         return self.client.enable_pooling(config)
 
-    def server_for(self, port: int = DEFAULT_HTTP_PORT) -> HttpServer:
-        """Get (lazily starting) the HTTP server on *port* of this node."""
+    def server_for(self, port: Optional[int] = None) -> HttpServer:
+        """Get (lazily creating, not starting) the server on *port* of
+        this node."""
+        port = port or self.default_port
         if port not in self._servers:
             self._servers[port] = HttpServer(self.node, port)
         return self._servers[port]
@@ -771,60 +757,78 @@ class HttpTransport(Transport):
         request = HttpRequest("POST", "/" + endpoint.path, body, headers)
         request.headers.setdefault("Content-Type", "text/xml; charset=utf-8")
         request.headers.setdefault("Host", endpoint.authority)
+        self._outgoing_request(request)
 
         def callback(response: Optional[HttpResponse], error: Optional[Exception]) -> None:
             if on_response is None:
                 return
-            if error is not None:
-                on_response(None, error)
-            elif response is not None and response.status == 503:
-                # explicit shed: surface the Retry-After hint so
-                # supervision backs off this endpoint precisely
+            if error is None and response.status == 503:
+                # explicit shed (before any route ran): surface the
+                # Retry-After hint so supervision backs off this
+                # endpoint precisely
                 try:
                     retry_after = float(response.headers.get("Retry-After", "0"))
                 except ValueError:
                     retry_after = 0.0
-                on_response(
-                    None,
-                    TransportBusyError(
-                        f"HTTP 503: {_text_preview(response.body)}",
-                        retry_after=retry_after,
-                    ),
+                error = TransportBusyError(
+                    f"{self.scheme.upper()} 503: {_text_preview(response.body)}",
+                    retry_after=retry_after,
                 )
-            elif response is not None and not response.ok and response.status != 500:
+            if error is None:
+                error = self._refused_response(response)
+            if error is None and not response.ok and response.status != 500:
                 # 500 carries a SOAP fault body the engine will decode;
                 # other failure codes are transport-level errors.
-                on_response(
-                    None,
-                    TransportError(
-                        f"HTTP {response.status}: {_text_preview(response.body)}"
-                    ),
+                error = TransportError(
+                    f"{self.scheme.upper()} {response.status}: "
+                    f"{_text_preview(response.body)}"
                 )
+            if error is not None:
+                on_response(None, error)
             else:
-                on_response(response.body if response else None, None)
+                on_response(response.body, None)
 
         self.client.request_async(
-            endpoint.host, endpoint.port or DEFAULT_HTTP_PORT, request, callback,
+            endpoint.host, endpoint.port or self.default_port, request, callback,
             timeout=timeout,
         )
 
     def listen(self, address: Uri, handler: ServerHandler) -> None:
-        server = self.server_for(address.port or DEFAULT_HTTP_PORT)
+        server = self.server_for(address.port)
         server.start()
 
         def route(request: HttpRequest) -> HttpResponse:
+            refusal = self._refused_request(request)
+            if refusal is not None:
+                return refusal
             body, headers = handler(request.body, dict(request.headers))
             status = int(headers.pop("X-Status", "200"))
-            headers.setdefault("Content-Type", "text/xml; charset=utf-8")
+            self._outgoing_response(headers)
             return HttpResponse(status, body, headers)
 
         server.add_route("/" + address.path, route)
 
     def stop_listening(self, address: Uri) -> None:
-        server = self._servers.get(address.port or DEFAULT_HTTP_PORT)
+        server = self._servers.get(address.port or self.default_port)
         if server is not None:
             server.remove_route("/" + address.path)
             # an installed interceptor still answers requests with no
             # routes left — only a fully idle server shuts down
             if not server.routes and server.interceptor is None:
                 server.stop()
+
+    # -- hooks -------------------------------------------------------------
+    def _outgoing_request(self, request: HttpRequest) -> None:
+        """Client side: last touch before *request* leaves."""
+
+    def _refused_response(self, response: HttpResponse) -> Optional[Exception]:
+        """Client side: why *response* cannot be trusted, or None."""
+        return None
+
+    def _refused_request(self, request: HttpRequest) -> Optional[HttpResponse]:
+        """Server side: the answer to a request no handler may see, or
+        None to let it through."""
+        return None
+
+    def _outgoing_response(self, headers: dict[str, str]) -> None:
+        """Server side: last touch before a handler's answer leaves."""

@@ -18,15 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.simnet.network import Node
-from repro.transport.base import (
-    ResponseCallback,
-    ServerHandler,
-    Transport,
-    TransportBusyError,
-    TransportError,
-)
-from repro.transport.http import HttpClient, HttpRequest, HttpResponse, HttpServer
-from repro.transport.uri import Uri
+from repro.transport.base import TransportError
+from repro.transport.http import HttpRequest, HttpResponse, HttpTransport
 
 DEFAULT_HTTPG_PORT = 8443
 
@@ -94,10 +87,13 @@ class CertificateAuthority:
             raise AuthenticationError("credential signature mismatch")
 
 
-class HttpgTransport(Transport):
-    """Authenticated request/response transport (Globus HTTPG analogue)."""
+class HttpgTransport(HttpTransport):
+    """Authenticated request/response transport (Globus HTTPG analogue):
+    :class:`~repro.transport.http.HttpTransport` plus a credential on
+    every request and — for mutual authentication — on every answer."""
 
     scheme = "httpg"
+    default_port = DEFAULT_HTTPG_PORT
 
     CRED_HEADER = "X-Globus-Credential"
     PEER_CRED_HEADER = "X-Globus-Peer-Credential"
@@ -111,113 +107,44 @@ class HttpgTransport(Transport):
         mutual: bool = True,
         pool=None,
     ):
-        self.node = node
+        super().__init__(node, default_timeout, pool=pool)
         self.ca = ca
         self.credential = credential
         self.mutual = mutual
-        self.client = HttpClient(node, default_timeout, pool=pool)
-        self._servers: dict[int, HttpServer] = {}
         self.auth_failures = 0
 
-    @property
-    def pool(self):
-        return self.client.pool
-
-    def enable_pooling(self, config=None):
-        """Persistent pooled connections (E11); the credential handshake
-        rides each request unchanged, so pooling composes with auth."""
-        return self.client.enable_pooling(config)
-
-    def send(
-        self,
-        endpoint: Uri,
-        body: str,
-        headers: Optional[dict[str, str]] = None,
-        on_response: Optional[ResponseCallback] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
-        request = HttpRequest("POST", "/" + endpoint.path, body, headers)
-        request.headers[self.CRED_HEADER] = self.credential.header_value()
-        request.headers.setdefault("Content-Type", "text/xml; charset=utf-8")
-
-        def callback(response: Optional[HttpResponse], error: Optional[Exception]) -> None:
-            if on_response is None:
-                return
-            if error is not None:
-                on_response(None, error)
-                return
-            assert response is not None
-            if response.status == 401:
-                on_response(None, AuthenticationError(response.body))
-                return
-            if response.status == 503:
-                # shed by the connection queue before the authenticating
-                # route ran, so no peer credential accompanies it
-                try:
-                    retry_after = float(response.headers.get("Retry-After", "0"))
-                except ValueError:
-                    retry_after = 0.0
-                on_response(
-                    None,
-                    TransportBusyError(
-                        f"HTTPG 503: {response.body[:200]}", retry_after=retry_after
-                    ),
-                )
-                return
-            if self.mutual:
-                peer = response.headers.get(self.PEER_CRED_HEADER)
-                if peer is None:
-                    on_response(None, AuthenticationError("server did not authenticate"))
-                    return
-                try:
-                    self.ca.verify(
-                        Credential.from_header_value(peer), self.node.network.now
-                    )
-                except AuthenticationError as exc:
-                    on_response(None, exc)
-                    return
-            if not response.ok and response.status != 500:
-                on_response(None, TransportError(f"HTTPG {response.status}: {response.body[:200]}"))
-                return
-            on_response(response.body, None)
-
-        self.client.request_async(
-            endpoint.host, endpoint.port or DEFAULT_HTTPG_PORT, request, callback,
-            timeout=timeout,
+    def _verify(self, header_value: str) -> None:
+        self.ca.verify(
+            Credential.from_header_value(header_value), self.node.network.now
         )
 
-    def listen(self, address: Uri, handler: ServerHandler) -> None:
-        port = address.port or DEFAULT_HTTPG_PORT
-        if port not in self._servers:
-            self._servers[port] = HttpServer(self.node, port)
-        server = self._servers[port]
-        server.start()
+    def _outgoing_request(self, request: HttpRequest) -> None:
+        request.headers[self.CRED_HEADER] = self.credential.header_value()
 
-        def route(request: HttpRequest) -> HttpResponse:
-            cred_text = request.headers.get(self.CRED_HEADER)
+    def _refused_response(self, response: HttpResponse) -> Optional[Exception]:
+        if response.status == 401:
+            return AuthenticationError(response.body)
+        if not self.mutual:
+            return None
+        peer = response.headers.get(self.PEER_CRED_HEADER)
+        if peer is None:
+            return AuthenticationError("server did not authenticate")
+        try:
+            self._verify(peer)
+        except AuthenticationError as exc:
+            return exc
+        return None
+
+    def _refused_request(self, request: HttpRequest) -> Optional[HttpResponse]:
+        cred_text = request.headers.get(self.CRED_HEADER)
+        try:
             if cred_text is None:
-                self.auth_failures += 1
-                return HttpResponse(401, "no credential presented")
-            try:
-                self.ca.verify(
-                    Credential.from_header_value(cred_text), self.node.network.now
-                )
-            except AuthenticationError as exc:
-                self.auth_failures += 1
-                return HttpResponse(401, str(exc))
-            body, headers = handler(request.body, dict(request.headers))
-            status = int(headers.pop("X-Status", "200"))
-            headers.setdefault("Content-Type", "text/xml; charset=utf-8")
-            headers[self.PEER_CRED_HEADER] = self.credential.header_value()
-            return HttpResponse(status, body, headers)
+                raise AuthenticationError("no credential presented")
+            self._verify(cred_text)
+        except AuthenticationError as exc:
+            self.auth_failures += 1
+            return HttpResponse(401, str(exc))
+        return None
 
-        server.add_route("/" + address.path, route)
-
-    def stop_listening(self, address: Uri) -> None:
-        server = self._servers.get(address.port or DEFAULT_HTTPG_PORT)
-        if server is not None:
-            server.remove_route("/" + address.path)
-            # mirror HttpTransport: an installed interceptor keeps the
-            # server alive even with no routes left
-            if not server.routes and server.interceptor is None:
-                server.stop()
+    def _outgoing_response(self, headers: dict[str, str]) -> None:
+        headers[self.PEER_CRED_HEADER] = self.credential.header_value()

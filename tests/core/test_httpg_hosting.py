@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
-from repro.core.deployer import HttpgServiceDeployer
+from repro.core.deployer import HttpServiceDeployer
 from repro.core.invocation import HttpInvocation
 from repro.simnet import FixedLatency, Network
 from repro.transport import CertificateAuthority, HttpgTransport
@@ -26,8 +26,8 @@ def make_secure_provider(net, registry, ca):
     server_transport = HttpgTransport(
         provider.node, ca, ca.issue("secure-prov-host")
     )
-    deployer = HttpgServiceDeployer(
-        provider.node, provider.server.container, server_transport
+    deployer = HttpServiceDeployer(
+        provider.node, provider.server.container, transport=server_transport
     )
     provider.server.register_deployer(deployer)
     provider.deploy(Echo(), name="SecureEcho")
@@ -122,8 +122,8 @@ class TestHttpgHosting:
         net, registry, ca = world
         provider = WSPeer(net.add_node("secure-prov"), StandardBinding(registry.endpoint))
         transport = HttpgTransport(provider.node, ca, ca.issue("host"))
-        deployer = HttpgServiceDeployer(
-            provider.node, provider.server.container, transport
+        deployer = HttpServiceDeployer(
+            provider.node, provider.server.container, transport=transport
         )
         provider.server.register_deployer(deployer)
 

@@ -81,7 +81,7 @@ class TestRetransmission:
         net.add_delivery_hook(drop_first_response)
         assert consumer.invoke(handle, "bump", timeout=0.5) == 1
         assert service.executions == 1  # executed once despite two requests
-        assert provider.server.deployer.duplicates_suppressed == 1
+        assert provider.server.container.get("Counting").duplicates_suppressed == 1
 
     def test_retries_exhausted_raises(self):
         net, provider, consumer, handle, service = build_world(retries=2)
@@ -99,8 +99,10 @@ class TestRetransmission:
 
     def test_response_cache_bounded(self):
         net, provider, consumer, handle, service = build_world()
-        deployer = provider.server.deployer
-        deployer.RESPONSE_CACHE_LIMIT = 4
+        # the one retention point is the service's own dedup window
+        window = provider.server.container.get("Counting").dedup
+        window.max_entries = 4
         for _ in range(10):
             consumer.invoke(handle, "bump", timeout=1.0)
-        assert len(deployer._response_cache) <= 4
+        assert len(window) == 4
+        assert window.evicted == 6

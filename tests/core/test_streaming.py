@@ -264,6 +264,6 @@ class TestDedupReplayWithAttachments:
         # executed once; the retransmit was answered from the dedup
         # window with the retained multipart wire, attachment intact
         assert service.executions == 1
-        assert provider.server.deployer.duplicates_suppressed == 1
+        assert provider.server.container.get("Blobs").duplicates_suppressed == 1
         assert isinstance(result, Attachment)
         assert result.materialise() == PNG_ISH

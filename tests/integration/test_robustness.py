@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
+from repro.core.deployer import DEFINITION_PIPE_NAME, HttpServiceDeployer
+from repro.core.events import RecordingListener
+from repro.observability import default_registry
 from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
+from repro.soap import SoapEnvelope
+from repro.transport import CertificateAuthority, HttpgTransport, HttpTransport, Uri
 from repro.transport.http import HttpClient, HttpRequest
 from repro.uddi import UddiRegistryNode
 
@@ -76,6 +81,52 @@ class TestHttpGarbage:
         assert response.status in (200, 400, 500)
 
 
+class TestGarbageIsReportedOnEveryBinding:
+    """One rule: a body that is not a SOAP envelope fires
+    ``malformed-request`` and bumps ``server.malformed_requests``;
+    HTTP(G) answer a ``soapenv:Client`` fault, pipes drop."""
+
+    @pytest.mark.parametrize("scheme", ["http", "httpg"])
+    def test_http_bindings_answer_a_client_fault(self, scheme):
+        net = Network(latency=FixedLatency(0.002))
+        registry = UddiRegistryNode(net.add_node("registry"))
+        provider = WSPeer(net.add_node("prov"), StandardBinding(registry.endpoint))
+        attacker = net.add_node("attacker")
+        if scheme == "httpg":
+            ca = CertificateAuthority()
+            provider.server.register_deployer(HttpServiceDeployer(
+                provider.node, provider.server.container,
+                transport=HttpgTransport(provider.node, ca, ca.issue("host")),
+            ))
+            client = HttpgTransport(attacker, ca, ca.issue("attacker"))
+        else:
+            client = HttpTransport(attacker)
+        endpoint = provider.deploy(Echo(), name="Echo").endpoints[0].address
+        assert endpoint.startswith(scheme + "://")
+        listener = RecordingListener()
+        provider.add_listener(listener)
+        counted = default_registry().get("server.malformed_requests")
+        answers = []
+        for garbage in GARBAGE:
+            client.send(
+                Uri.parse(endpoint), garbage,
+                on_response=lambda body, error: answers.append((body, error)),
+            )
+            net.run()
+        assert len(answers) == len(GARBAGE)
+        for body, error in answers:
+            assert error is None  # a 500 carrying a fault, not a transport error
+            fault = SoapEnvelope.from_wire(body).fault()
+            assert fault.code.value == "Client"
+        assert len(listener.of_kind("malformed-request")) == len(GARBAGE)
+        assert (
+            default_registry().get("server.malformed_requests")
+            == counted + len(GARBAGE)
+        )
+        # nothing reached the engine
+        assert listener.of_kind("request-received") == []
+
+
 class TestP2psGarbage:
     @pytest.fixture
     def pipe_world(self):
@@ -101,8 +152,28 @@ class TestP2psGarbage:
         for garbage in GARBAGE:
             consumer.peer.send_down_pipe(out, garbage)
         net.run()  # must not raise
-        assert listener.of_kind("malformed-request")
+        assert len(listener.of_kind("malformed-request")) == len(GARBAGE)
+        assert listener.of_kind("request-received") == []
         # the provider still answers real requests afterwards
+        assert consumer.invoke(handle, "echo", message="alive") == "alive"
+
+    def test_garbage_down_definition_pipe_is_reported(self, pipe_world):
+        # regression: the definition pipe used to swallow garbage with a
+        # bare ``except: return`` — no event, no counter
+        net, provider, consumer, handle = pipe_world
+        listener = RecordingListener()
+        provider.add_listener(listener)
+        counted = default_registry().get("server.malformed_requests")
+        advert = provider.server.deployer.advert_for("Echo")
+        out = consumer.peer.open_output_pipe(advert.pipe_named(DEFINITION_PIPE_NAME))
+        for garbage in GARBAGE:
+            consumer.peer.send_down_pipe(out, garbage)
+        net.run()
+        assert len(listener.of_kind("malformed-request")) == len(GARBAGE)
+        assert (
+            default_registry().get("server.malformed_requests")
+            == counted + len(GARBAGE)
+        )
         assert consumer.invoke(handle, "echo", message="alive") == "alive"
 
     def test_garbage_p2ps_protocol_messages_ignored(self, pipe_world):

@@ -278,7 +278,38 @@ class TestAckedOneway:
         assert status.acked
         assert status.attempts == 2
         assert deployed.requests_processed == 1  # dup was re-acked, not re-run
-        assert provider.server.deployer.duplicates_suppressed == 1
+        assert deployed.duplicates_suppressed == 1
+
+    def test_shed_oneway_is_not_acked(self):
+        """Regression: receipt used to be acked *before* admission, so a
+        shed one-way reported acked=True and was silently dropped.
+        Admission runs first now: acked statuses == executions, and the
+        unacked sends are retransmitted and surface their failure."""
+        notebook = Notebook()
+        net, provider, consumer, handle = build_p2ps_world(notebook, "Notes")
+        provider.set_admission_control(capacity=1, drain_rate=0.001)
+        listener = RecordingListener()
+        provider.add_listener(listener)
+        statuses = [
+            consumer.invoke_oneway(
+                handle, "note", {"text": f"n{i}"}, policy=ReliabilityPolicy.assured()
+            )
+            for i in range(4)
+        ]
+        net.run()
+        acked = [s for s in statuses if s.acked]
+        assert len(acked) == len(notebook.notes) < len(statuses)
+        assert len(listener.of_kind("ack-sent")) == len(acked)
+        for status in statuses:
+            if not status.acked:
+                assert status.attempts > 1  # retransmitted after backoff
+                assert isinstance(status.error, InvocationError)
+        # a shed request is not remembered either: every attempt was
+        # either executed or shed afresh, none replayed
+        assert listener.of_kind("duplicate-suppressed") == []
+        assert len(listener.of_kind("request-shed")) == (
+            sum(s.attempts for s in statuses) - len(notebook.notes)
+        )
 
     def test_dead_provider_exhausts_attempts(self):
         net, provider, consumer, handle = build_p2ps_world(Notebook(), "Notes")
