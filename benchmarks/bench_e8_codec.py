@@ -15,7 +15,11 @@ tokenizer/serializer hooks and disables every cache):
 3. request-encode micro-benchmark — envelope template splice vs full
    build-and-serialise;
 4. end-to-end ``invoke`` throughput over simnet for both bindings,
-   wall-clock (virtual latency costs nothing, so codec CPU dominates).
+   wall-clock (virtual latency costs nothing, so codec CPU dominates);
+5. envelope decode — ``SoapEnvelope.from_wire`` on a decode-skeleton
+   hit vs the ordinary parse behind ``fastpath_disabled()`` (E23), with
+   the two trees compared exactly and the hit itself asserted, so a
+   change that silently stops hitting fails here.
 
 Byte parity is asserted before anything is timed: both codecs must
 produce identical wires and identical trees — the fast path is an
@@ -29,9 +33,15 @@ import time
 
 from _workloads import build_p2ps_world, build_standard_world, emit_json, print_table
 
-from repro.caching import cache_stats, clear_all_caches, reset_cache_stats
+from repro.caching import (
+    cache_stats,
+    clear_all_caches,
+    fastpath_disabled,
+    reset_cache_stats,
+)
 from repro.soap.encoding import StructRegistry
-from repro.soap.rpc import build_rpc_request
+from repro.soap.envelope import SoapEnvelope
+from repro.soap.rpc import RpcDispatcher, ServiceObject, build_rpc_request
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageAddressingProperties, request_templates
 from repro.xmlkit import Element, QName, ns, parse
@@ -220,6 +230,87 @@ def measure_encode() -> dict:
 
 
 # ----------------------------------------------------------------------
+# 5. envelope decode: skeleton hit vs ordinary parse
+# ----------------------------------------------------------------------
+class _Echo:
+    def echo(self, arg0: str) -> str:
+        return arg0
+
+
+def build_decode_corpus() -> dict[str, str]:
+    request = _request_wire(1, 16, reply=False)
+    dispatcher = RpcDispatcher(ServiceObject.from_instance("Echo0", _Echo(), ECHO_NS))
+    floats = [i / 64 for i in range(64)]
+    wide = build_rpc_request(ECHO_NS, "echo_list", {"values": floats}, StructRegistry())
+    target = EndpointReference("http://prov0:80/Echo0")
+    MessageAddressingProperties.for_request(target, "echo_list").apply_to(wide, target=target)
+    return {
+        "echo-request": request,
+        "echo-response": dispatcher.dispatch(SoapEnvelope.from_wire(request)).to_wire(),
+        "floats-64": wide.to_wire(),
+    }
+
+
+def _exact(elem) -> tuple:
+    """Everything about a tree: prefix hints, declaration and attribute
+    order, every text chunk (``Element.__eq__`` forgives all three)."""
+    def name(q):
+        return (q.uri, q.local, q.prefix)
+
+    return (
+        name(elem.name),
+        tuple(elem.nsdecls.items()),
+        tuple((name(k), v) for k, v in elem.attributes.items()),
+        tuple(c if isinstance(c, str) else _exact(c) for c in elem.content),
+    )
+
+
+def _exact_envelope(envelope: SoapEnvelope) -> tuple:
+    body = envelope.body_content
+    return (
+        tuple(_exact(block) for block in envelope.headers),
+        None if body is None else _exact(body),
+    )
+
+
+def skeleton_hits() -> int:
+    return cache_stats()["decode-skeletons"]["hits"]
+
+
+def assert_decode_parity(wire: str, label: str) -> None:
+    """Third sighting is a skeleton hit, and the hit is the parse."""
+    clear_all_caches()
+    with fastpath_disabled():
+        expected = _exact_envelope(SoapEnvelope.from_wire(wire))
+    for sighting in range(3):
+        before = skeleton_hits()
+        assert _exact_envelope(SoapEnvelope.from_wire(wire)) == expected, (
+            f"{label}: decode differs from the ordinary parse"
+        )
+        assert skeleton_hits() - before == (sighting == 2), (
+            f"{label}: sighting {sighting + 1} hit={skeleton_hits() - before}"
+        )
+
+
+def measure_decode() -> dict:
+    results = {}
+    for label, wire in build_decode_corpus().items():
+        assert_decode_parity(wire, label)
+        decode = lambda w=wire: SoapEnvelope.from_wire(w)  # noqa: E731
+        hit = parsed = 0.0
+        for _ in range(REPEATS):
+            with fastpath_disabled():
+                parsed = max(parsed, ops_per_second(decode))
+            before = skeleton_hits()
+            hit = max(hit, ops_per_second(decode))
+            assert skeleton_hits() > before, f"{label}: stopped hitting"
+        results[label] = {
+            "bytes": len(wire), "skeleton": hit, "parse": parsed, "speedup": hit / parsed,
+        }
+    return results
+
+
+# ----------------------------------------------------------------------
 # 4. end-to-end invoke throughput over simnet, wall-clock
 # ----------------------------------------------------------------------
 def _e2e_invokes_per_second(binding: str, n: int) -> float:
@@ -306,10 +397,24 @@ def run_e8_experiment():
         "parse/dispatch/encode, client response parse",
     )
 
+    decode = measure_decode()
+    print_table(
+        "E8d  envelope decode: skeleton hit vs ordinary parse",
+        ["document", "bytes", "parse", "skeleton", "speedup"],
+        [
+            [label, r["bytes"], f"{r['parse']:.0f}/s", f"{r['skeleton']:.0f}/s",
+             f"{r['speedup']:.1f}x"]
+            for label, r in decode.items()
+        ],
+        note="from_wire recognises the envelope's static text and slices out "
+        "the leaf texts; exact-tree parity and the hit asserted before timing",
+    )
+
     results = {
         "parity": parity,
         "codec": codec,
         "encode": encode,
+        "decode": decode,
         "e2e": e2e,
         "cache_stats": cache_stats(),
         "config": {
@@ -345,6 +450,13 @@ def test_e8_parse_speedup():
 def test_e8_template_encode_speedup():
     encode = measure_encode()
     assert encode["speedup"] > 1.5, encode
+
+
+def test_e8_decode_skeleton_parity_and_speedup():
+    for label, decode in measure_decode().items():
+        # full-run figures are 5.7-12.5x (BENCH_E8.json); 2x absorbs CI
+        # noise and still fails when an envelope stops hitting (1.0x)
+        assert decode["speedup"] >= 2.0, (label, decode)
 
 
 def test_e8_e2e_invokes_work_under_both_codecs():

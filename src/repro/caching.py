@@ -114,6 +114,10 @@ class ArtifactCache:
         self.stats.size = len(self._data)
         return value
 
+    def recent(self) -> Iterator[Any]:
+        """Cached values, most recently used first; no counter moves."""
+        return reversed(self._data.values())
+
     def get_or_build(self, key: Any, build: Callable[[], Any]) -> Any:
         """Return the cached value for *key*, building (and storing) on miss."""
         value = self.get(key, _MISSING)

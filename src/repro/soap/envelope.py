@@ -1,4 +1,11 @@
-"""The SOAP envelope: header blocks and body."""
+"""The SOAP envelope: header blocks and body.
+
+Each direction of the wire has a fast path, exact by construction and
+gated by :func:`repro.caching.fastpath_enabled`: ``to_wire`` splices
+per-call text into a pre-serialised template (:class:`WireTemplateCache`)
+and ``from_wire`` recognises a known envelope skeleton and slices out
+only its text slots (:class:`DecodeSkeletons`), never running the parser.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +19,9 @@ from repro.soap.attachments import (
     message_to_wire,
 )
 from repro.soap.faults import SoapFault
-from repro.xmlkit import Element, QName, ns, parse, serialize
+from repro.xmlkit import Element, QName, XmlParseError, ns, parse, serialize
 from repro.xmlkit.serializer import escape_text
+from repro.xmlkit.tokenizer import Tokenizer, TokenType
 
 
 class SoapEnvelopeError(ValueError):
@@ -59,11 +67,10 @@ class SoapEnvelope:
         return block
 
     def find_header(self, name: QName | str) -> Optional[Element]:
+        """First block named *name*; a string matches the local name."""
+        by_local = isinstance(name, str)
         for block in self.headers:
-            want = name if isinstance(name, QName) else QName("", name)
-            if block.name == want or (
-                isinstance(name, str) and block.name.local == name
-            ):
+            if (block.name.local if by_local else block.name) == name:
                 return block
         return None
 
@@ -139,7 +146,15 @@ class SoapEnvelope:
 
     @classmethod
     def from_wire(cls, text: str) -> "SoapEnvelope":
-        return cls.from_element(parse(text))
+        if not fastpath_enabled():
+            return cls.from_element(parse(text))
+        parts = decode_skeletons.decode(text)
+        if parts is not None:
+            return cls(body_content=parts[1], headers=parts[0])
+        root = parse(text)
+        envelope = cls.from_element(root)
+        decode_skeletons.learn(text, root, envelope)
+        return envelope
 
     @classmethod
     def from_wire_message(cls, wire) -> "SoapEnvelope":
@@ -411,3 +426,149 @@ class WireTemplateCache:
 
 #: Process-wide wire-template cache consulted by every ``to_wire``.
 wire_templates = WireTemplateCache()
+
+
+# ----------------------------------------------------------------------
+# decode skeletons (the :meth:`SoapEnvelope.from_wire` fast path)
+# ----------------------------------------------------------------------
+def _slot_texts(wire: str, pos: int, segments: tuple) -> Optional[list[str]]:
+    """The slot texts when *wire* continues from *pos* with *segments*
+    around them and nothing else, else None.  A slot ends at the next
+    ``<``, as a text token does: a match implies the parser's tokens."""
+    texts: list[str] = []
+    for segment in segments:
+        end = wire.find("<", pos)
+        if not wire.startswith(segment, end):  # also when no '<' is left
+            return None
+        raw = wire[pos:end]
+        if "&" in raw:
+            try:
+                raw = Tokenizer(wire).decode_entities(raw, pos)
+            except XmlParseError:
+                return None  # the slow path raises it
+        texts.append(raw)
+        pos = end + len(segment)
+    return texts if pos == len(wire) else None
+
+
+def _grow(plan: tuple, texts: list[str]) -> Element:
+    """A fresh tree from a build plan: every build has its own
+    ``attributes`` / ``nsdecls`` dicts, so decoded envelopes stay isolated."""
+    name, attributes, nsdecls, kids = plan
+    if kids.__class__ is int:
+        elem = Element(name, text=texts[kids], nsdecls=nsdecls)
+    else:
+        elem = Element(name, nsdecls=nsdecls)
+        for kid in kids:
+            if kid.__class__ is str:
+                elem.append_text(kid)
+            else:
+                elem.append(_grow(kid, texts))
+    if attributes:
+        elem.attributes = attributes.copy()
+    return elem
+
+
+def _cut(key: tuple, wire: str, envelope: SoapEnvelope) -> tuple:
+    """The skeleton of *wire*: ``(key, first segment, segments after each
+    slot, header plans, body plan)``.  A slot is the one optional plain
+    text run of an element below Header / Body; other content (children,
+    CDATA, a comment) is static and copied: no slot value is retained."""
+    start_tag, end_tag, text = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
+    tokens = list(Tokenizer(wire).tokens())
+    spans = []  # per element below Header / Body, in document order
+    depth = 0
+    for i, token in enumerate(tokens):
+        if token.type is end_tag:
+            depth -= 1
+        elif token.type is start_tag:
+            if depth >= 2:
+                j = i + 1
+                # a TEXT token that starts at '<' is a CDATA section
+                if tokens[j].type is text and wire[tokens[j].offset] != "<":
+                    j += 1
+                slot = not token.self_closing and tokens[j].type is end_tag
+                spans.append((tokens[i + 1].offset, tokens[j].offset) if slot else None)
+            depth += not token.self_closing
+    slots = iter(spans)
+    edges = [0]
+
+    def plan(elem: Element) -> tuple:
+        span = next(slots)
+        if span is not None:
+            kids: object = len(edges) // 2  # this slot's index
+            edges.extend(span)
+        else:
+            kids = tuple(c if isinstance(c, str) else plan(c) for c in elem.content)
+        return (elem.name, dict(elem.attributes), dict(elem.nsdecls), kids)
+
+    headers = tuple(plan(block) for block in envelope.headers)
+    body = envelope.body_content
+    body_plan = None if body is None else plan(body)
+    edges.append(len(wire))
+    segments = [wire[a:b] for a, b in zip(edges[::2], edges[1::2])]
+    return key, segments[0], tuple(segments[1:]), headers, body_plan
+
+
+class DecodeSkeletons:
+    """Envelope skeletons, the decode-side mirror of :class:`WireTemplateCache`.
+
+    The envelopes a peer parses differ from call to call only in the
+    text of a few leaf elements (``wsa:MessageID``, parameter values).
+    A *skeleton* is a wire split at those texts: static segments, each
+    starting at a ``<``, plus a build plan for the header blocks and
+    body content, inherited ``nsdecls`` folded in as ``from_element``
+    leaves them.  Anything but an exact match (another attribute value,
+    CDATA in a slot, an entity error) goes to the ordinary parse, which
+    also raises the canonical error.  Learning costs that path nothing:
+    a missed wire's cheap shape key enters a bounded probation set and
+    only its second sighting re-tokenises the wire to cut a skeleton, so
+    shapes that rotate faster than they recur are never cut.
+    """
+
+    MAX_SKELETONS = 64
+    MAX_PROBATION = 256
+    #: a skeleton keeps its wire's static text and the store bounds
+    #: entries, not bytes: wires with more markup than this are not cut
+    MAX_TAGS = 4096
+
+    def __init__(self) -> None:
+        self._store = ArtifactCache("decode-skeletons", self.MAX_SKELETONS)
+        self._probation = ArtifactCache("decode-skeleton-probation", self.MAX_PROBATION)
+
+    def decode(self, wire: str) -> Optional[tuple[list[Element], Optional[Element]]]:
+        """``(headers, body content)`` built from the skeleton that
+        matches *wire*, or None to signal slow-path."""
+        for key, first, segments, headers, body in self._store.recent():
+            if not wire.startswith(first):
+                continue
+            texts = _slot_texts(wire, len(first), segments)
+            if texts is not None:
+                self._store.get(key)  # counts the hit, makes it most recent
+                content = None if body is None else _grow(body, texts)
+                return [_grow(plan, texts) for plan in headers], content
+        self._store.stats.misses += 1
+        return None
+
+    def learn(self, wire: str, root: Element, envelope: SoapEnvelope) -> None:
+        """Cut a slow-path wire's skeleton on its shape's second sighting."""
+        body = envelope.body_content
+        tags = wire.count("<")
+        shape = None if body is None else body.name
+        key = (tuple(block.name for block in envelope.headers), shape, tags)
+        if tags > self.MAX_TAGS or key in self._store:
+            # in the store and not matched: the shape varies outside its
+            # slots, and cutting it again would be as futile
+            return
+        if key not in self._probation:
+            self._probation.put(key, True)
+            return
+        self._probation.invalidate(key)
+        # only below an Envelope of [Header,] Body are the wire's
+        # elements the envelope's, in the same order
+        if [kid.name for kid in root.children] in ([_BODY], [_HEADER, _BODY]):
+            self._store.put(key, _cut(key, wire, envelope))
+
+
+#: Process-wide skeleton store consulted by every ``from_wire``.
+decode_skeletons = DecodeSkeletons()

@@ -73,7 +73,9 @@ class HeaderMap(MutableMapping):
     def __init__(self, data: HeadersLike = None):
         #: lower-cased name -> (casing as first set, value)
         self._entries: dict[str, tuple[str, str]] = {}
-        if data:
+        if isinstance(data, HeaderMap):
+            self._entries = data._entries.copy()
+        elif data:
             items = data.items() if hasattr(data, "items") else data
             for name, value in items:
                 self[name] = value
@@ -306,7 +308,9 @@ class HttpRequest:
         parts = start.split(" ")
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise TransportError(f"malformed request line: {start!r}")
-        return cls(parts[0], parts[1], body, headers)
+        request = cls(parts[0], parts[1], body)
+        request.headers = headers  # built for this message: no second copy
+        return request
 
     def __repr__(self) -> str:
         return (
@@ -372,7 +376,9 @@ class HttpResponse:
         except ValueError:
             raise TransportError(f"malformed status code in {start!r}") from None
         reason = parts[2] if len(parts) == 3 else ""
-        return cls(status, body, headers, reason)
+        response = cls(status, body, reason=reason)
+        response.headers = headers  # built for this message: no second copy
+        return response
 
     def __repr__(self) -> str:
         return (

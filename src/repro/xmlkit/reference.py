@@ -42,6 +42,14 @@ _PREDEFINED_ENTITIES = {
 _WS = " \t\r\n"
 
 
+def _reference_char(code: int) -> str:
+    # surrogates and values past U+10FFFF name no character (and chr()
+    # raises OverflowError, not ValueError, beyond a C int)
+    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+        raise ValueError(code)
+    return chr(code)
+
+
 @dataclass
 class ReferenceToken:
     """The eager-position token of the original tokenizer."""
@@ -124,12 +132,12 @@ class ReferenceTokenizer:
             name = raw[i + 1 : end]
             if name.startswith("#x") or name.startswith("#X"):
                 try:
-                    out.append(chr(int(name[2:], 16)))
+                    out.append(_reference_char(int(name[2:], 16)))
                 except ValueError:
                     raise XmlParseError(f"bad character reference &{name};", line, col) from None
             elif name.startswith("#"):
                 try:
-                    out.append(chr(int(name[1:])))
+                    out.append(_reference_char(int(name[1:])))
                 except ValueError:
                     raise XmlParseError(f"bad character reference &{name};", line, col) from None
             elif name in _PREDEFINED_ENTITIES:

@@ -151,7 +151,8 @@ class Tokenizer:
         return match.group()
 
     # -- entity decoding --------------------------------------------------
-    def _decode_entities(self, raw: str, offset: int) -> str:
+    def decode_entities(self, raw: str, offset: int) -> str:
+        """*raw* with its references replaced; errors report *offset*."""
         if "&" not in raw:
             return raw
         out: list[str] = []
@@ -168,14 +169,12 @@ class Tokenizer:
             if end < 0:
                 raise self._error("unterminated entity reference", offset)
             name = raw[amp + 1 : end]
-            if name.startswith("#x") or name.startswith("#X"):
+            if name.startswith("#"):
                 try:
-                    out.append(chr(int(name[2:], 16)))
-                except ValueError:
-                    raise self._error(f"bad character reference &{name};", offset) from None
-            elif name.startswith("#"):
-                try:
-                    out.append(chr(int(name[1:])))
+                    code = int(name[2:], 16) if name[1:2] in ("x", "X") else int(name[1:])
+                    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                        raise ValueError  # a surrogate, or past the last code point
+                    out.append(chr(code))
                 except ValueError:
                     raise self._error(f"bad character reference &{name};", offset) from None
             elif name in _PREDEFINED_ENTITIES:
@@ -236,7 +235,7 @@ class Tokenizer:
                 raw = text[start:nxt]
                 self.pos = nxt
                 yield Token(
-                    TokenType.TEXT, self._decode_entities(raw, start), text, start
+                    TokenType.TEXT, self.decode_entities(raw, start), text, start
                 )
 
     def _read_start_tag(self, start: int) -> Token:
@@ -262,7 +261,7 @@ class Tokenizer:
                 if raw is None:
                     raw = match.group(3)
                 if "&" in raw:
-                    raw = self._decode_entities(raw, match.start(1))
+                    raw = self.decode_entities(raw, match.start(1))
                 attrs.append((match.group(1), raw))
                 self.pos = match.end()
                 continue
@@ -295,7 +294,7 @@ class Tokenizer:
                 raise self._error(
                     f"'<' not allowed in attribute value of {aname!r}", astart
                 )
-            attrs.append((aname, self._decode_entities(raw, astart)))
+            attrs.append((aname, self.decode_entities(raw, astart)))
 
 
 def tokenize(text: str) -> Iterator[Token]:

@@ -14,6 +14,7 @@ from repro.observability import default_registry
 from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 from repro.soap import SoapEnvelope
+from repro.soap.rpc import build_rpc_request, extract_rpc_result
 from repro.transport import CertificateAuthority, HttpgTransport, HttpTransport, Uri
 from repro.transport.http import HttpClient, HttpRequest
 from repro.uddi import UddiRegistryNode
@@ -61,6 +62,25 @@ class TestHttpGarbage:
             HttpRequest("GET", "/services/Echo.wsdl"),
         )
         assert ok.status == 200
+
+    @pytest.mark.parametrize("reference", ["&#xD800;", "&#99999999999999999999;"])
+    def test_reference_to_no_character_is_a_client_fault(self, http_world, reference):
+        """A surrogate used to decode, be echoed, and blow up the reply's
+        UTF-8 encode straight out of ``Kernel.step``."""
+        net, provider, client = http_world
+        listener = RecordingListener()
+        provider.add_listener(listener)
+        wire = build_rpc_request("urn:wspeer:Echo", "echo", {"message": "x-y"}).to_wire()
+        response = client.request(
+            "prov", 80,
+            HttpRequest("POST", "/services/Echo", wire.replace("x-y", f"x{reference}y")),
+        )
+        assert response.status == 500
+        assert SoapEnvelope.from_wire(response.body).fault().code.value == "Client"
+        assert listener.kinds() == ["malformed-request"]
+        # the provider keeps serving
+        ok = client.request("prov", 80, HttpRequest("POST", "/services/Echo", wire))
+        assert extract_rpc_result(SoapEnvelope.from_wire(ok.body)) == "x-y"
 
     def test_unknown_paths_still_404(self, http_world):
         net, provider, client = http_world

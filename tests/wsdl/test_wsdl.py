@@ -147,6 +147,11 @@ class TestParserErrors:
         with pytest.raises(WsdlError):
             parse_wsdl("this is not xml")
 
+    @pytest.mark.parametrize("reference", ["&#xD800;", "&#99999999999999999999;"])
+    def test_reference_to_no_character(self, reference):
+        with pytest.raises(WsdlError, match="bad character reference"):
+            parse_wsdl(build_definition().to_wire().replace("Calc", reference, 1))
+
     def test_wrong_root(self):
         with pytest.raises(WsdlError):
             parse_wsdl("<notwsdl/>")

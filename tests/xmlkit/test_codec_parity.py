@@ -162,6 +162,11 @@ def test_parse_matches_reference(tree: Element):
         "<a>\n  <b>\n</a>",  # mismatched closing tag on line 3
         "<a>&nope;</a>",  # unknown entity
         "<a>&#xZZ;</a>",  # bad character reference
+        "<a>\n<b>&#xD800;</b></a>",  # a surrogate is not a character
+        "<a b='&#57343;'/>",  # nor in an attribute value (U+DFFF)
+        "<a>&#x110000;</a>",  # one past the last code point
+        "<a>&#99999999999999999999;</a>",  # chr() overflows a C int here
+        pytest.param("<a>&#" + "9" * 5000 + ";</a>", id="past-int()-digit-limit"),
         "<a><b attr=unquoted></b></a>",  # unquoted attribute
         '<a>\n<b c="1" c="2"/></a>',  # duplicate attribute, line 2
         "<a><!-- -- --></a>",  # double dash in comment

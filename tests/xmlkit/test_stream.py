@@ -189,6 +189,11 @@ def test_feed_parser_error_parity():
         p = FeedParser()
         p.feed("<!-- never closed")
         p.close()
+    for reference in ("&#xD800;", "&#99999999999999999999;"):
+        with pytest.raises(XmlParseError, match="bad character reference"):
+            p = FeedParser()
+            p.feed(f"<a>x{reference}y</a>")
+            p.close()
 
 
 def test_feed_after_close_rejected():
