@@ -12,23 +12,21 @@ is the one place that repetition is absorbed:
     a process-wide registry so operators can ask one question —
     :func:`cache_stats` — and see every cache's effectiveness.
 
-Fast-path switches
-    :func:`set_fastpath_enabled` / :func:`fastpath_disabled` gate every
-    derived-artifact shortcut (envelope templates, parsed-WSDL reuse,
-    URI memoisation).  Benchmarks use the switch to measure the slow
-    path and the fast path *in the same process*; it is also the big
-    red lever if a cache is ever suspected of serving stale artifacts.
-
 Invalidation is explicit: callers that change the world (redeploys,
 re-registrations) call :meth:`ArtifactCache.invalidate` /
 :func:`clear_all_caches` rather than relying on TTL guesswork.
+:func:`clear_all_caches` is also the operator's lever when a cache is
+suspected of serving a stale artifact: everything derived is rebuilt
+from its source on next use.  There is no switch that turns the caches
+off; the slow paths they shortcut are ordinary functions
+(``parse``, ``serialize``, ``SoapEnvelope.from_element``) that tests
+and measurements call by name.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -68,7 +66,6 @@ class CacheStats:
 
 _registry: dict[str, "ArtifactCache"] = {}
 _registry_lock = threading.Lock()
-_fastpath_enabled = True
 
 
 class ArtifactCache:
@@ -91,9 +88,6 @@ class ArtifactCache:
 
     # -- lookups -----------------------------------------------------------
     def get(self, key: Any, default: Any = None) -> Any:
-        if not _fastpath_enabled:
-            self.stats.misses += 1
-            return default
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
             self.stats.misses += 1
@@ -103,8 +97,6 @@ class ArtifactCache:
         return value
 
     def put(self, key: Any, value: Any) -> Any:
-        if not _fastpath_enabled:
-            return value
         if key in self._data:
             self._data.move_to_end(key)
         self._data[key] = value
@@ -178,24 +170,3 @@ def reset_cache_stats() -> None:
         caches = list(_registry.values())
     for cache in caches:
         cache.stats = CacheStats(max_entries=cache.max_entries, size=len(cache))
-
-
-def set_fastpath_enabled(enabled: bool) -> None:
-    """Globally enable/disable every derived-artifact cache."""
-    global _fastpath_enabled
-    _fastpath_enabled = bool(enabled)
-
-
-def fastpath_enabled() -> bool:
-    return _fastpath_enabled
-
-
-@contextmanager
-def fastpath_disabled() -> Iterator[None]:
-    """Run a block with every codec cache bypassed (baseline measurement)."""
-    previous = _fastpath_enabled
-    set_fastpath_enabled(False)
-    try:
-        yield
-    finally:
-        set_fastpath_enabled(previous)

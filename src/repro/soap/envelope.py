@@ -1,17 +1,19 @@
 """The SOAP envelope: header blocks and body.
 
-Each direction of the wire has a fast path, exact by construction and
-gated by :func:`repro.caching.fastpath_enabled`: ``to_wire`` splices
-per-call text into a pre-serialised template (:class:`WireTemplateCache`)
-and ``from_wire`` recognises a known envelope skeleton and slices out
-only its text slots (:class:`DecodeSkeletons`), never running the parser.
+Each direction of the wire has a fast path, exact by construction:
+``to_wire`` splices per-call text into a pre-serialised template
+(:class:`WireTemplateCache`) and ``from_wire`` recognises a known
+envelope skeleton and slices out only its text slots
+(:class:`DecodeSkeletons`), never running the parser.  The slow paths
+they must equal are ``serialize(envelope.to_element(),
+xml_declaration=True)`` and ``SoapEnvelope.from_element(parse(wire))``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.caching import ArtifactCache, fastpath_enabled
+from repro.caching import ArtifactCache
 from repro.soap.attachments import (
     Attachment,
     is_multipart,
@@ -146,8 +148,6 @@ class SoapEnvelope:
 
     @classmethod
     def from_wire(cls, text: str) -> "SoapEnvelope":
-        if not fastpath_enabled():
-            return cls.from_element(parse(text))
         parts = decode_skeletons.decode(text)
         if parts is not None:
             return cls(body_content=parts[1], headers=parts[0])
@@ -301,8 +301,6 @@ class WireTemplateCache:
 
     def render(self, envelope: "SoapEnvelope") -> Optional[str]:
         """The full wire text of *envelope*, or None to signal slow-path."""
-        if not fastpath_enabled():
-            return None
         key = self._key(envelope)
         if key is None:
             return None

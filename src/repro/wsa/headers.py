@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional
 
-from repro.caching import ArtifactCache, fastpath_enabled
+from repro.caching import ArtifactCache
 from repro.observability.recorder import current_recorder
 from repro.observability.tracecontext import (
     TRACE_HEADER,
@@ -232,8 +232,6 @@ class RequestTemplateCache:
         target: Optional[EndpointReference] = None,
     ) -> Optional[str]:
         """The full request wire text, or None to signal slow-path."""
-        if not fastpath_enabled():
-            return None
         # recorder guard: with the NullRecorder installed this is one
         # attribute check and NO detail dict is ever allocated (the CI
         # no-op-overhead test holds this path to zero allocations)

@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.xmlkit.element import Element
 from repro.xmlkit.errors import XmlParseError, XmlWellFormednessError
-from repro.xmlkit.names import QName, XML_URI, intern_qname, split_prefixed
+from repro.xmlkit.names import XML_URI, intern_qname, split_prefixed
 from repro.xmlkit.tokenizer import Token, TokenType, Tokenizer
-
-#: Active implementations.  ``repro.xmlkit.reference.reference_codec``
-#: swaps these for the frozen pre-change tokenizer / plain QName
-#: construction so benchmarks can measure before/after in one process.
-_ACTIVE_TOKENIZER = Tokenizer
-_ACTIVE_QNAME = intern_qname
-
 
 _MISSING = object()
 
@@ -100,7 +93,7 @@ def _split_tag_attrs(token: Token) -> tuple[dict[str, str], list[tuple[str, str]
     return nsdecls, plain
 
 
-def _resolve_element(token: Token, scope: _NsScope, make_qname=intern_qname) -> Element:
+def _resolve_element(token: Token, scope: _NsScope) -> Element:
     nsdecls, plain_attrs = _split_tag_attrs(token)
     if nsdecls:
         scope.push(nsdecls)
@@ -113,7 +106,7 @@ def _resolve_element(token: Token, scope: _NsScope, make_qname=intern_qname) -> 
                 token.line,
                 token.column,
             )
-        elem = Element(make_qname(uri, local, prefix), nsdecls=nsdecls)
+        elem = Element(intern_qname(uri, local, prefix), nsdecls=nsdecls)
         for aname, avalue in plain_attrs:
             aprefix, alocal = split_prefixed(aname)
             if aprefix:
@@ -126,7 +119,7 @@ def _resolve_element(token: Token, scope: _NsScope, make_qname=intern_qname) -> 
                     )
             else:
                 auri = ""  # unprefixed attributes are in no namespace
-            elem.attributes[make_qname(auri, alocal, aprefix)] = avalue
+            elem.attributes[intern_qname(auri, alocal, aprefix)] = avalue
         return elem
     except Exception:
         if nsdecls:
@@ -134,92 +127,95 @@ def _resolve_element(token: Token, scope: _NsScope, make_qname=intern_qname) -> 
         raise
 
 
+class _TreeBuilder:
+    """Token stream → Element tree: the one place namespace scope, the
+    root/stack checks and the mismatched-tag and declaration errors are
+    written.  :func:`parse` feeds it a whole document's tokens in one
+    :meth:`consume`; :class:`~repro.xmlkit.stream.FeedParser` feeds it
+    piece by piece."""
+
+    __slots__ = ("root", "_stack", "_scope")
+
+    def __init__(self) -> None:
+        self.root: Optional[Element] = None
+        self._stack: list[Element] = []
+        self._scope = _NsScope()
+
+    def consume(self, tokens: Iterable[Token], continuation: bool = False) -> None:
+        """Build from *tokens*.  With *continuation* the first token is
+        the rest of a text run whose head an earlier call appended, and
+        is merged into that content node."""
+        root, stack, scope = self.root, self._stack, self._scope
+        _START, _END, _TEXT = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
+        for token in tokens:
+            ttype = token.type
+            if ttype is _START:
+                if root is not None and not stack:
+                    raise XmlWellFormednessError(
+                        "multiple root elements", token.line, token.column
+                    )
+                elem = _resolve_element(token, scope)
+                if stack:
+                    stack[-1].append(elem)
+                else:
+                    self.root = root = elem
+                if token.self_closing:
+                    if elem.nsdecls:
+                        scope.pop()
+                else:
+                    stack.append(elem)
+            elif ttype is _TEXT:
+                chunk = token.value
+                if not stack:
+                    if chunk.strip():
+                        where = "before" if root is None else "after"
+                        raise XmlWellFormednessError(
+                            f"character data {where} root element", token.line, token.column
+                        )
+                    continue
+                content = stack[-1]._content
+                if continuation and content and isinstance(content[-1], str):
+                    content[-1] += chunk
+                elif chunk:
+                    content.append(chunk)
+                continuation = False
+            elif ttype is _END:
+                if not stack:
+                    raise XmlWellFormednessError(
+                        f"unexpected closing tag </{token.value}>", token.line, token.column
+                    )
+                open_elem = stack.pop()
+                prefix, local = split_prefixed(token.value)
+                if open_elem.name.local != local or open_elem.name.prefix != prefix:
+                    raise XmlWellFormednessError(
+                        f"mismatched closing tag </{token.value}>; "
+                        f"open element is <{open_elem.name.prefix + ':' if open_elem.name.prefix else ''}{open_elem.name.local}>",
+                        token.line,
+                        token.column,
+                    )
+                if open_elem.nsdecls:
+                    scope.pop()
+            elif ttype is TokenType.DECLARATION:
+                if root is not None or stack:
+                    raise XmlParseError("XML declaration after content", token.line, token.column)
+            # COMMENT / PI carry no structure
+
+    def close(self) -> Element:
+        """The finished tree; raises unless exactly one root was closed."""
+        if self._stack:
+            raise XmlWellFormednessError(f"unclosed element <{self._stack[-1].name.local}>")
+        if self.root is None:
+            raise XmlParseError("no root element found")
+        return self.root
+
+
 def parse(text: str) -> Element:
     """Parse an XML *document*: exactly one root element."""
-    root, trailing_ok = _parse_impl(text, fragment=False)
-    del trailing_ok
-    return root
+    builder = _TreeBuilder()
+    builder.consume(Tokenizer(text).tokens())
+    return builder.close()
 
 
-def parse_fragment(text: str) -> Element:
-    """Parse a single element, tolerating no document-level prolog checks.
-
-    Identical to :func:`parse` for well-formed single-rooted input; kept
-    as a separate name so call sites document their intent when handling
-    embedded fragments (e.g. adverts inside SOAP headers).
-    """
-    root, _ = _parse_impl(text, fragment=True)
-    return root
-
-
-def _parse_impl(
-    text: str,
-    fragment: bool,
-    tokenizer_cls=None,
-    make_qname=None,
-) -> tuple[Element, bool]:
-    tokenizer = (tokenizer_cls or _ACTIVE_TOKENIZER)(text)
-    make_qname = make_qname or _ACTIVE_QNAME
-    root: Optional[Element] = None
-    stack: list[Element] = []
-    scope = _NsScope()
-
-    _START, _END, _TEXT = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
-    for token in tokenizer.tokens():
-        ttype = token.type
-        if ttype is _START:
-            if root is not None and not stack:
-                raise XmlWellFormednessError(
-                    "multiple root elements", token.line, token.column
-                )
-            elem = _resolve_element(token, scope, make_qname)
-            if stack:
-                stack[-1].append(elem)
-            else:
-                root = elem
-            if token.self_closing:
-                if elem.nsdecls:
-                    scope.pop()
-            else:
-                stack.append(elem)
-            continue
-        if ttype is _TEXT:
-            chunk = token.value
-            if not stack:
-                if chunk.strip():
-                    where = "before" if root is None else "after"
-                    raise XmlWellFormednessError(
-                        f"character data {where} root element", token.line, token.column
-                    )
-                continue
-            stack[-1].append_text(chunk)
-            continue
-        if ttype is _END:
-            if not stack:
-                raise XmlWellFormednessError(
-                    f"unexpected closing tag </{token.value}>", token.line, token.column
-                )
-            open_elem = stack.pop()
-            prefix, local = split_prefixed(token.value)
-            if open_elem.name.local != local or open_elem.name.prefix != prefix:
-                raise XmlWellFormednessError(
-                    f"mismatched closing tag </{token.value}>; "
-                    f"open element is <{open_elem.name.prefix + ':' if open_elem.name.prefix else ''}{open_elem.name.local}>",
-                    token.line,
-                    token.column,
-                )
-            if open_elem.nsdecls:
-                scope.pop()
-            continue
-        if ttype is TokenType.DECLARATION:
-            if root is not None or stack:
-                raise XmlParseError("XML declaration after content", token.line, token.column)
-            continue
-        # COMMENT / PI carry no structure
-        continue
-
-    if stack:
-        raise XmlWellFormednessError(f"unclosed element <{stack[-1].name.local}>")
-    if root is None:
-        raise XmlParseError("no root element found")
-    return root, fragment
+#: The same function under the name call sites use for an embedded
+#: fragment (an advert inside a SOAP header): a single element either way.
+parse_fragment = parse

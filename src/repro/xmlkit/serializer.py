@@ -6,15 +6,20 @@ Namespace handling: explicit ``nsdecls`` on elements are honoured;
 elements or attributes whose namespace URI has no in-scope prefix get a
 generated ``ns<N>`` declaration at the point of use.
 
-Fast path: namespace scopes are *flattened* — each :class:`_Scope`
-carries complete ``prefix → uri`` and ``uri → prefix`` dicts, so
+Namespace scopes are *flattened* — each :class:`_Scope` carries
+complete ``prefix → uri`` and ``uri → prefix`` dicts, so
 :meth:`_Scope.resolve` and :meth:`_Scope.prefix_for` are single dict
 lookups instead of ancestor-chain walks.  Scopes that declare nothing
 share their parent's dicts (copy-on-write), so the common body element
-costs no allocation at all.  Prefix *choice* is kept byte-identical to
-the original chain-walking implementation (frozen in
-:mod:`repro.xmlkit.reference`), including its innermost-first,
-insertion-ordered search; the property tests diff the two outputs.
+costs no allocation at all.  Prefix *choice* is byte-identical to a
+plain chain-walking search — innermost scope first, each scope's
+declarations in insertion order; that reference implementation is the
+test suite's oracle (``tests/_oracle``), and the property tests diff
+the two outputs.
+
+This is the only serializer: :func:`serialize` appends to a parts list,
+:func:`repro.xmlkit.stream.iter_serialize` yields instead, and both get
+every open tag from :meth:`_Serializer._open_tag`.
 """
 
 from __future__ import annotations
@@ -127,7 +132,7 @@ class _Scope:
         (every wsa: header block), and with the persistent root scope
         the whole scope tree of a recurring document shape is built
         exactly once per process.  Returned scopes are SHARED — callers
-        must never mutate them (``element`` rebuilds a private
+        must never mutate them (``_open_tag`` rebuilds a private
         equivalent before any ``declare``).
         """
         memo = parent._child_memo
@@ -235,7 +240,7 @@ class _Serializer:
         self, st: list, parent_scope: _Scope, nsdecls: dict, q: QName, is_attr: bool
     ) -> str:
         """The full resolution cascade, byte-compatible with the
-        reference implementation.  ``element`` inlines the two hot
+        reference implementation.  ``_open_tag`` inlines the two hot
         cases (no namespace, hint already bound) and only falls back
         here; after any call the caller must re-read ``st[0]`` because
         a declaration replaces the shared scope with a private one."""
@@ -259,7 +264,12 @@ class _Serializer:
         self._declare(st, parent_scope, nsdecls, prefix, q.uri)
         return prefix
 
-    def element(self, elem: Element, parent_scope: _Scope, depth: int) -> None:
+    def _open_tag(
+        self, elem: Element, parent_scope: _Scope, depth: int
+    ) -> tuple[str, str, _Scope]:
+        """``(open tag short of its closing '>' or '/>', qualified tag
+        name, scope for the children)`` — the prefix, xmlns and attribute
+        assembly shared by the batch and streaming serializers."""
         nsdecls = elem.nsdecls
         # Elements that declare nothing share the parent scope object
         # outright, and decl-bearing elements share the memoised scope
@@ -278,60 +288,40 @@ class _Serializer:
             tag_prefix = q.prefix
             if not tag_prefix or flat.get(tag_prefix) != q.uri:
                 tag_prefix = self._prefix_of(st, parent_scope, nsdecls, q, False)
-                scope = st[0]
-                flat = scope.flat
+                flat = st[0].flat
         else:
             tag_prefix = ""
             default = flat.get("")
             if default is not None and default != "":
                 self._declare(st, parent_scope, nsdecls, "", "")
-                scope = st[0]
-                flat = scope.flat
-        tag = f"{tag_prefix}:{elem.name.local}" if tag_prefix else elem.name.local
+                flat = st[0].flat
+        tag = f"{tag_prefix}:{q.local}" if tag_prefix else q.local
 
-        attr_parts: list[str] = []
-        attributes = elem.attributes
-        if attributes:
-            for aname, avalue in attributes.items():
+        attrs = ""
+        if elem.attributes:
+            for aname, avalue in elem.attributes.items():
                 if not aname.uri:
                     ap = ""
                 else:
                     ap = aname.prefix
                     if not ap or flat.get(ap) != aname.uri:
                         ap = self._prefix_of(st, parent_scope, nsdecls, aname, True)
-                        scope = st[0]
-                        flat = scope.flat
+                        flat = st[0].flat
                 key = f"{ap}:{aname.local}" if ap else aname.local
-                attr_parts.append(f' {key}="{escape_attr(avalue)}"')
+                attrs += f' {key}="{escape_attr(avalue)}"'
 
+        # declarations go before attributes: the element's own in its
+        # order (a forced re-binding overriding in place), then the forced
+        head = f"{'  ' * depth}<{tag}" if self.pretty else f"<{tag}"
         extra_decls = st[2]
-        decl_parts: list[str] = []
-        if nsdecls:
-            if extra_decls:
-                # Same iteration order and override semantics as the old
-                # ``{**elem.nsdecls, **extra_decls}`` merge, without
-                # building the merged dict.
-                for prefix, uri in nsdecls.items():
-                    uri = extra_decls.get(prefix, uri)
-                    key = f"xmlns:{prefix}" if prefix else "xmlns"
-                    decl_parts.append(f' {key}="{escape_attr(uri)}"')
-                for prefix, uri in extra_decls.items():
-                    if prefix in nsdecls:
-                        continue
-                    key = f"xmlns:{prefix}" if prefix else "xmlns"
-                    decl_parts.append(f' {key}="{escape_attr(uri)}"')
-            else:
-                for prefix, uri in nsdecls.items():
-                    key = f"xmlns:{prefix}" if prefix else "xmlns"
-                    decl_parts.append(f' {key}="{escape_attr(uri)}"')
-        elif extra_decls:
-            for prefix, uri in extra_decls.items():
-                key = f"xmlns:{prefix}" if prefix else "xmlns"
-                decl_parts.append(f' {key}="{escape_attr(uri)}"')
+        decls = {**nsdecls, **extra_decls} if extra_decls else nsdecls
+        for prefix, uri in decls.items():
+            key = f"xmlns:{prefix}" if prefix else "xmlns"
+            head += f' {key}="{escape_attr(uri)}"'
+        return head + attrs, tag, st[0]
 
-        indent = "  " * depth if self.pretty else ""
-        open_tag = f"{indent}<{tag}{''.join(decl_parts)}{''.join(attr_parts)}"
-
+    def element(self, elem: Element, parent_scope: _Scope, depth: int) -> None:
+        open_tag, tag, scope = self._open_tag(elem, parent_scope, depth)
         content = elem.content
         if not content:
             self.parts.append(open_tag + "/>")
@@ -359,7 +349,7 @@ class _Serializer:
                     self.parts.append(escape_text(c))
             else:
                 self.element(c, scope, depth + 1)
-        self.parts.append(f"{indent}</{tag}>")
+        self.parts.append(("  " * depth if self.pretty else "") + f"</{tag}>")
         if self.pretty:
             self.parts.append("\n")
 
@@ -369,25 +359,8 @@ class _Serializer:
 #: descendants) survives across calls: a recurring document shape —
 #: every SOAP envelope this stack emits — flattens its scope tree
 #: exactly once per process.  The root itself is never mutated
-#: (``element`` materialises a private scope before any declare).
+#: (``_open_tag`` materialises a private scope before any declare).
 _ROOT_SCOPE = _Scope()
-
-
-def _serialize_fast(elem: Element, pretty: bool, xml_declaration: bool) -> str:
-    ser = _Serializer(pretty)
-    ser.element(elem, _ROOT_SCOPE, 0)
-    body = "".join(ser.parts)
-    if pretty:
-        body = body.rstrip("\n") + "\n"
-    if xml_declaration:
-        return '<?xml version="1.0" encoding="utf-8"?>' + ("\n" if pretty else "") + body
-    return body
-
-
-#: Active implementation hook.  ``repro.xmlkit.reference.reference_codec``
-#: swaps this to the frozen pre-change serializer so benchmarks can
-#: measure before/after in one process.
-_ACTIVE_SERIALIZE = _serialize_fast
 
 
 def serialize(
@@ -402,4 +375,11 @@ def serialize(
     inserts whitespace text nodes, so use it for humans, not for
     signature-sensitive exchange.
     """
-    return _ACTIVE_SERIALIZE(elem, pretty, xml_declaration)
+    ser = _Serializer(pretty)
+    ser.element(elem, _ROOT_SCOPE, 0)
+    body = "".join(ser.parts)
+    if pretty:
+        body = body.rstrip("\n") + "\n"
+    if xml_declaration:
+        return '<?xml version="1.0" encoding="utf-8"?>' + ("\n" if pretty else "") + body
+    return body

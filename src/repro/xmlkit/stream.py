@@ -1,52 +1,42 @@
 """Streaming codec path (E16): serialise and parse without ever
 materialising the whole document.
 
-Two halves, each a mirror of the batch codec with the buffers turned
-inside out:
+Two halves, each the batch codec with the buffers turned inside out:
 
-* :func:`iter_serialize` — a generator twin of
-  :func:`repro.xmlkit.serializer.serialize`.  It walks the tree with
-  the very same namespace-scope machinery (:class:`_Scope`, the
-  memoised root scope, the ``_prefix_of`` cascade) but *yields* wire
-  chunks instead of appending to a parts list, so peak memory is one
-  chunk, not one document.  Large text nodes are escaped
-  window-by-window — escaping is per-character, so a windowed escape
-  concatenates to exactly the whole-string escape.  Output is
-  byte-identical to ``serialize(...).encode("utf-8")``; the frozen
-  reference codec stays the parity oracle.
+* :func:`iter_serialize` — the generator form of
+  :func:`repro.xmlkit.serializer.serialize`.  Every open tag comes from
+  the batch serializer's own ``_open_tag`` (namespace scopes, prefix
+  choice, declaration and attribute order); only the emission differs:
+  wire chunks are *yielded* instead of appended to a parts list, so
+  peak memory is one chunk, not one document.  Large text nodes are
+  escaped window-by-window — escaping is per-character, so a windowed
+  escape concatenates to exactly the whole-string escape.  Output is
+  byte-identical to ``serialize(...).encode("utf-8")``.
 
-* :class:`FeedParser` — an incremental twin of
+* :class:`FeedParser` — the incremental form of
   :func:`repro.xmlkit.parser.parse`.  ``feed()`` accepts ``bytes`` /
   ``memoryview`` slices (decoded with an incremental UTF-8 decoder, so
-  a multi-byte character split across chunks is fine) or ``str``.  The
-  parser cuts *complete constructs* off the front of its buffer —
-  comments need ``-->``, CDATA needs ``]]>``, start tags need a ``>``
-  outside quoted attribute values (a quote-aware scan with a resume
-  offset, since attribute values may legally contain ``>``) — and runs
-  each through the ordinary tokenizer, feeding the same tree-building
-  loop as the batch parser.  Text runs split across feeds are merged
-  back into one content node, so the resulting tree compares equal to
-  the batch parser's.  Error positions are per-construct rather than
-  per-document; everything else matches.
+  a multi-byte character split across chunks is fine) or ``str``.  Each
+  feed runs the ordinary tokenizer over the unconsumed text with
+  ``final=False`` — it stops at the first construct that is not
+  complete yet, and that tail waits for the next feed — and hands the
+  tokens to the same tree builder as the batch parser.  Text runs split
+  across feeds are merged back into one content node, so the resulting
+  tree compares equal to the batch parser's.  Error positions count
+  from the start of the unconsumed text rather than of the document;
+  everything else matches.
 """
 
 from __future__ import annotations
 
 import codecs
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from repro.xmlkit.element import Element
-from repro.xmlkit.errors import XmlParseError, XmlWellFormednessError
-from repro.xmlkit.names import intern_qname, split_prefixed
-from repro.xmlkit.parser import _NsScope, _resolve_element
-from repro.xmlkit.serializer import (
-    _ROOT_SCOPE,
-    _Scope,
-    _Serializer,
-    escape_attr,
-    escape_text,
-)
-from repro.xmlkit.tokenizer import TokenType, Tokenizer
+from repro.xmlkit.errors import XmlParseError
+from repro.xmlkit.parser import _TreeBuilder
+from repro.xmlkit.serializer import _ROOT_SCOPE, _Scope, _Serializer, escape_text
+from repro.xmlkit.tokenizer import Tokenizer
 
 #: window for escaping large text nodes: escape_text is applied to
 #: slices this long, never to the whole node
@@ -65,83 +55,13 @@ def _iter_escaped(text: str) -> Iterator[str]:
 
 
 class _StreamSerializer(_Serializer):
-    """Generator twin of :meth:`_Serializer.element`.
-
-    Reuses every piece of the batch serializer's namespace machinery —
-    ``fresh_prefix``, ``_declare``, ``_prefix_of``, the shared scope
-    memo — and mirrors ``element``'s emission order statement for
-    statement.  Any change to the batch method must land here too; the
-    parity property tests (stream output == batch output == reference
-    codec output) hold the two together.
-    """
+    """:meth:`_Serializer.element` as a generator: the same open tags,
+    yielded rather than appended."""
 
     def iter_element(
         self, elem: Element, parent_scope: _Scope, depth: int
     ) -> Iterator[str]:
-        nsdecls = elem.nsdecls
-        if nsdecls:
-            scope = _Scope.shared(parent_scope, nsdecls)
-        else:
-            scope = parent_scope
-        st = [scope, False, None]
-
-        q = elem.name
-        flat = scope.flat
-        if q.uri:
-            tag_prefix = q.prefix
-            if not tag_prefix or flat.get(tag_prefix) != q.uri:
-                tag_prefix = self._prefix_of(st, parent_scope, nsdecls, q, False)
-                scope = st[0]
-                flat = scope.flat
-        else:
-            tag_prefix = ""
-            default = flat.get("")
-            if default is not None and default != "":
-                self._declare(st, parent_scope, nsdecls, "", "")
-                scope = st[0]
-                flat = scope.flat
-        tag = f"{tag_prefix}:{elem.name.local}" if tag_prefix else elem.name.local
-
-        attr_parts: list[str] = []
-        attributes = elem.attributes
-        if attributes:
-            for aname, avalue in attributes.items():
-                if not aname.uri:
-                    ap = ""
-                else:
-                    ap = aname.prefix
-                    if not ap or flat.get(ap) != aname.uri:
-                        ap = self._prefix_of(st, parent_scope, nsdecls, aname, True)
-                        scope = st[0]
-                        flat = scope.flat
-                key = f"{ap}:{aname.local}" if ap else aname.local
-                attr_parts.append(f' {key}="{escape_attr(avalue)}"')
-
-        extra_decls = st[2]
-        decl_parts: list[str] = []
-        if nsdecls:
-            if extra_decls:
-                for prefix, uri in nsdecls.items():
-                    uri = extra_decls.get(prefix, uri)
-                    key = f"xmlns:{prefix}" if prefix else "xmlns"
-                    decl_parts.append(f' {key}="{escape_attr(uri)}"')
-                for prefix, uri in extra_decls.items():
-                    if prefix in nsdecls:
-                        continue
-                    key = f"xmlns:{prefix}" if prefix else "xmlns"
-                    decl_parts.append(f' {key}="{escape_attr(uri)}"')
-            else:
-                for prefix, uri in nsdecls.items():
-                    key = f"xmlns:{prefix}" if prefix else "xmlns"
-                    decl_parts.append(f' {key}="{escape_attr(uri)}"')
-        elif extra_decls:
-            for prefix, uri in extra_decls.items():
-                key = f"xmlns:{prefix}" if prefix else "xmlns"
-                decl_parts.append(f' {key}="{escape_attr(uri)}"')
-
-        indent = "  " * depth if self.pretty else ""
-        open_tag = f"{indent}<{tag}{''.join(decl_parts)}{''.join(attr_parts)}"
-
+        open_tag, tag, scope = self._open_tag(elem, parent_scope, depth)
         content = elem.content
         if not content:
             yield open_tag + "/>"
@@ -174,7 +94,7 @@ class _StreamSerializer(_Serializer):
                     yield from _iter_escaped(c)
             else:
                 yield from self.iter_element(c, scope, depth + 1)
-        yield f"{indent}</{tag}>"
+        yield ("  " * depth if self.pretty else "") + f"</{tag}>"
         if self.pretty:
             yield "\n"
 
@@ -189,9 +109,7 @@ def iter_serialize(
     """Serialise *elem* as UTF-8 byte chunks of roughly *chunk_size*.
 
     ``b"".join(iter_serialize(e))`` is byte-identical to
-    ``serialize(e).encode("utf-8")`` for every tree — the parity
-    property tests pin this against the batch serializer and the
-    frozen reference codec.
+    ``serialize(e).encode("utf-8")`` for every tree.
     """
     ser = _StreamSerializer(pretty)
 
@@ -244,15 +162,9 @@ class FeedParser:
     def __init__(self) -> None:
         self._decoder = codecs.getincrementaldecoder("utf-8")()
         self._buf = ""
-        self._root: Optional[Element] = None
-        self._stack: list[Element] = []
-        self._scope = _NsScope()
+        self._builder = _TreeBuilder()
         self._in_text_run = False
         self._closed = False
-        # quote-aware start-tag scan state, preserved across feeds so a
-        # tag split over many chunks is scanned once, not per feed
-        self._scan_pos = 1
-        self._scan_quote: Optional[str] = None
         self.fed_bytes = 0
 
     # ------------------------------------------------------------------
@@ -274,175 +186,23 @@ class FeedParser:
         if self._closed:
             raise XmlParseError("close() called twice")
         self._closed = True
-        tail = self._decoder.decode(b"", True)
-        if tail:
-            self._buf += tail
+        self._buf += self._decoder.decode(b"", True)
+        # what is still incomplete now is an error, and the tokenizer
+        # words it as the batch parser does ("unterminated comment", ...)
         self._pump(final=True)
-        if self._buf:
-            # an incomplete construct at end of input: run the
-            # tokenizer on it so the error message matches the batch
-            # parser's ("unterminated comment", ...)
-            piece = self._buf
-            self._buf = ""
-            self._consume_piece(piece, continuation=self._in_text_run)
-        if self._stack:
-            raise XmlWellFormednessError(
-                f"unclosed element <{self._stack[-1].name.local}>"
-            )
-        if self._root is None:
-            raise XmlParseError("no root element found")
-        return self._root
+        return self._builder.close()
 
     # ------------------------------------------------------------------
     def _pump(self, final: bool) -> None:
-        while self._buf:
-            buf = self._buf
-            if buf[0] == "<":
-                end = self._construct_end(buf)
-                if end is None:
-                    return  # incomplete construct: wait for more input
-                piece = buf[:end]
-                self._buf = buf[end:]
-                self._scan_pos, self._scan_quote = 1, None
-                self._consume_piece(piece, continuation=False)
-                self._in_text_run = False
-                continue
-            lt = buf.find("<")
-            if lt >= 0:
-                piece = buf[:lt]
-                self._buf = buf[lt:]
-                self._consume_piece(piece, continuation=self._in_text_run)
-                self._in_text_run = False
-                continue
-            # all text so far: flush what is safely complete, holding
-            # back a possibly-split trailing entity reference
-            hold = 0 if final else self._entity_holdback(buf)
-            piece = buf[: len(buf) - hold]
-            self._buf = buf[len(buf) - hold :]
-            if piece:
-                self._consume_piece(piece, continuation=self._in_text_run)
-                self._in_text_run = True
+        buf = self._buf
+        if not buf:
             return
-
-    @staticmethod
-    def _entity_holdback(buf: str) -> int:
-        amp = buf.rfind("&")
-        if amp >= 0 and ";" not in buf[amp:]:
-            return len(buf) - amp
-        return 0
-
-    def _construct_end(self, buf: str) -> Optional[int]:
-        """Index one past the end of the markup construct at the front
-        of *buf*, or None if it is not complete yet."""
-        if buf.startswith("<!"):
-            if buf.startswith("<!--"):
-                end = buf.find("-->", 4)
-                return None if end < 0 else end + 3
-            if buf.startswith("<![CDATA["):
-                end = buf.find("]]>", 9)
-                return None if end < 0 else end + 3
-            if "<!--".startswith(buf) or "<![CDATA[".startswith(buf):
-                return None  # still ambiguous: need more characters
-            # a DTD or other unsupported construct: hand the whole
-            # remainder to the tokenizer, which raises the batch error
-            return len(buf)
-        if buf.startswith("<?"):
-            end = buf.find("?>", 2)
-            return None if end < 0 else end + 2
-        if buf.startswith("</"):
-            end = buf.find(">", 2)
-            return None if end < 0 else end + 1
-        if buf == "<":
-            return None
-        # start tag: scan for '>' outside quotes — attribute values may
-        # legally contain '>'.  Resume from where the last scan stopped.
-        i = self._scan_pos
-        quote = self._scan_quote
-        n = len(buf)
-        while i < n:
-            ch = buf[i]
-            if quote is not None:
-                if ch == quote:
-                    quote = None
-            elif ch == '"' or ch == "'":
-                quote = ch
-            elif ch == ">":
-                self._scan_pos, self._scan_quote = 1, None
-                return i + 1
-            i += 1
-        self._scan_pos, self._scan_quote = i, quote
-        return None
-
-    # ------------------------------------------------------------------
-    def _consume_piece(self, piece: str, continuation: bool) -> None:
-        for token in Tokenizer(piece).tokens():
-            self._handle_token(token, continuation)
-            continuation = False
-
-    def _handle_token(self, token, continuation: bool) -> None:
-        # mirrors the batch parser's _parse_impl loop body
-        ttype = token.type
-        if ttype is TokenType.START_TAG:
-            if self._root is not None and not self._stack:
-                raise XmlWellFormednessError(
-                    "multiple root elements", token.line, token.column
-                )
-            elem = _resolve_element(token, self._scope, intern_qname)
-            if self._stack:
-                self._stack[-1].append(elem)
-            else:
-                self._root = elem
-            if token.self_closing:
-                if elem.nsdecls:
-                    self._scope.pop()
-            else:
-                self._stack.append(elem)
-            return
-        if ttype is TokenType.TEXT:
-            chunk = token.value
-            if not self._stack:
-                if chunk.strip():
-                    where = "before" if self._root is None else "after"
-                    raise XmlWellFormednessError(
-                        f"character data {where} root element",
-                        token.line,
-                        token.column,
-                    )
-                return
-            top = self._stack[-1]
-            if continuation and top._content and isinstance(top._content[-1], str):
-                # the tail of a text run split by a feed boundary: merge
-                # so the tree equals the batch parser's single text node
-                top._content[-1] += chunk
-            else:
-                top.append_text(chunk)
-            return
-        if ttype is TokenType.END_TAG:
-            if not self._stack:
-                raise XmlWellFormednessError(
-                    f"unexpected closing tag </{token.value}>",
-                    token.line,
-                    token.column,
-                )
-            open_elem = self._stack.pop()
-            prefix, local = split_prefixed(token.value)
-            if open_elem.name.local != local or open_elem.name.prefix != prefix:
-                raise XmlWellFormednessError(
-                    f"mismatched closing tag </{token.value}>; "
-                    f"open element is <{open_elem.name.prefix + ':' if open_elem.name.prefix else ''}{open_elem.name.local}>",
-                    token.line,
-                    token.column,
-                )
-            if open_elem.nsdecls:
-                self._scope.pop()
-            return
-        if ttype is TokenType.DECLARATION:
-            if self._root is not None or self._stack:
-                raise XmlParseError(
-                    "XML declaration after content", token.line, token.column
-                )
-            return
-        # COMMENT / PI carry no structure
+        tokenizer = Tokenizer(buf, final)
+        # a text run an earlier feed left open goes on unless markup is next
+        self._builder.consume(tokenizer.tokens(), self._in_text_run and buf[0] != "<")
+        if tokenizer.pos:
+            self._in_text_run = tokenizer.text_open
+            self._buf = buf[tokenizer.pos :]
 
 
 def parse_stream(chunks: Iterable[Union[str, _BytesLike]]) -> Element:

@@ -13,9 +13,13 @@ every move is O(1) — ``str.find`` jumps over text runs and attribute
 values, a compiled regex eats names and whitespace.  Line/column pairs
 (needed only to format error messages and carried by every token for
 diagnostics) are derived from the offset on demand by counting
-newlines, so the well-formed hot path never pays for them.  The frozen
-original implementation lives in :mod:`repro.xmlkit.reference` as the
-parity oracle.
+newlines, so the well-formed hot path never pays for them.
+
+The same tokenizer serves the incremental parser: built with
+``final=False`` it treats input that ends inside a construct as "need
+more input" instead of an error — :meth:`Tokenizer.tokens` stops with
+``pos`` at the start of the incomplete construct, and the caller
+re-tokenises from there once more text has arrived.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ _ATTR_OR_END_RE = re.compile(
 )
 # a whole well-formed end tag after '</'
 _END_TAG_RE = re.compile(r"([^ \t\r\n=/>\"'<&]+)[ \t\r\n]*>")
+# the only two spellings of a character reference (the name between
+# '&' and ';'); int() alone would also take '_', signs, spaces and 'X'
+_CHAR_REF_RE = re.compile(r"#(?:([0-9]+)|x([0-9a-fA-F]+))")
+
+
+class _NeedMoreInput(Exception):
+    """Input ended inside a construct and more may follow."""
 
 
 def line_col_at(text: str, offset: int) -> tuple[int, int]:
@@ -105,13 +116,22 @@ class Token:
 
 
 class Tokenizer:
-    """Single-pass cursor tokenizer over an XML string."""
+    """Single-pass cursor tokenizer over an XML string.
 
-    __slots__ = ("text", "pos")
+    With ``final=False`` *text* is the head of a document still
+    arriving: :meth:`tokens` yields every complete construct, flushes a
+    trailing text run (``text_open`` is then true: the run may continue
+    in the next piece) and stops with ``pos`` at the first character it
+    could not yet make a token of.
+    """
 
-    def __init__(self, text: str):
+    __slots__ = ("text", "pos", "final", "text_open")
+
+    def __init__(self, text: str, final: bool = True):
         self.text = text
         self.pos = 0
+        self.final = final
+        self.text_open = False
 
     # -- lazy position reporting ----------------------------------------
     @property
@@ -122,8 +142,13 @@ class Tokenizer:
     def col(self) -> int:
         return line_col_at(self.text, self.pos)[1]
 
-    def _error(self, msg: str, offset: Optional[int] = None) -> XmlParseError:
-        line, col = line_col_at(self.text, self.pos if offset is None else offset)
+    def _error(self, msg: str, offset: Optional[int] = None) -> Exception:
+        if offset is None:
+            offset = self.pos
+            if not self.final and offset >= len(self.text):
+                # the cursor ran off the end of a partial input
+                return _NeedMoreInput()
+        line, col = line_col_at(self.text, offset)
         return XmlParseError(msg, line, col)
 
     # -- low-level cursor ------------------------------------------------
@@ -138,6 +163,8 @@ class Tokenizer:
     def _read_until(self, literal: str, what: str) -> str:
         end = self.text.find(literal, self.pos)
         if end < 0:
+            if not self.final:
+                raise _NeedMoreInput
             raise self._error(f"unterminated {what}")
         chunk = self.text[self.pos : end]
         self.pos = end + len(literal)
@@ -170,13 +197,15 @@ class Tokenizer:
                 raise self._error("unterminated entity reference", offset)
             name = raw[amp + 1 : end]
             if name.startswith("#"):
+                match = _CHAR_REF_RE.fullmatch(name)
                 try:
-                    code = int(name[2:], 16) if name[1:2] in ("x", "X") else int(name[1:])
-                    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                        raise ValueError  # a surrogate, or past the last code point
-                    out.append(chr(code))
-                except ValueError:
-                    raise self._error(f"bad character reference &{name};", offset) from None
+                    code = 0 if match is None else int(match[1] or match[2], 16 if match[2] else 10)
+                except ValueError:  # past int()'s digit limit
+                    code = 0
+                # NUL, a surrogate and anything past U+10FFFF name no character
+                if not 0 < code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    raise self._error(f"bad character reference &{name};", offset)
+                out.append(chr(code))
             elif name in _PREDEFINED_ENTITIES:
                 out.append(_PREDEFINED_ENTITIES[name])
             else:
@@ -188,55 +217,72 @@ class Tokenizer:
     def tokens(self) -> Iterator[Token]:
         text = self.text
         length = len(text)
-        while self.pos < length:
-            start = self.pos
-            if text[start] == "<":
-                nxt2 = text[start : start + 2]
-                if nxt2 == "<!":
-                    if text.startswith("<!--", start):
-                        self.pos = start + 4
-                        body = self._read_until("-->", "comment")
-                        if "--" in body:
-                            raise self._error("'--' not allowed in comment", start)
-                        yield Token(TokenType.COMMENT, body, text, start)
-                    elif text.startswith("<![CDATA[", start):
-                        self.pos = start + 9
-                        body = self._read_until("]]>", "CDATA section")
-                        yield Token(TokenType.TEXT, body, text, start)
-                    else:
-                        raise self._error(
-                            "DTD / doctype declarations are not supported", start
-                        )
-                elif nxt2 == "<?":
-                    self.pos = start + 2
-                    body = self._read_until("?>", "processing instruction")
-                    target, _, data = body.partition(" ")
-                    if target.lower() == "xml":
-                        yield Token(TokenType.DECLARATION, data.strip(), text, start)
-                    else:
-                        yield Token(TokenType.PI, (target, data.strip()), text, start)
-                elif nxt2 == "</":
-                    match = _END_TAG_RE.match(text, start + 2)
-                    if match is not None:
-                        self.pos = match.end()
-                        name = match.group(1)
-                    else:  # malformed: reproduce the reference errors
+        try:
+            while self.pos < length:
+                start = self.pos
+                if text[start] == "<":
+                    nxt2 = text[start : start + 2]
+                    if nxt2 == "<!":
+                        if text.startswith("<!--", start):
+                            self.pos = start + 4
+                            body = self._read_until("-->", "comment")
+                            if "--" in body:
+                                raise self._error("'--' not allowed in comment", start)
+                            yield Token(TokenType.COMMENT, body, text, start)
+                        elif text.startswith("<![CDATA[", start):
+                            self.pos = start + 9
+                            body = self._read_until("]]>", "CDATA section")
+                            yield Token(TokenType.TEXT, body, text, start)
+                        else:
+                            rest = text[start:]
+                            if not self.final and (
+                                "<!--".startswith(rest) or "<![CDATA[".startswith(rest)
+                            ):
+                                raise _NeedMoreInput  # not yet told apart from a DTD
+                            raise self._error(
+                                "DTD / doctype declarations are not supported", start
+                            )
+                    elif nxt2 == "<?":
                         self.pos = start + 2
-                        name = self._read_name()
-                        self._skip_ws()
-                        self._expect(">")
-                    yield Token(TokenType.END_TAG, name, text, start)
+                        body = self._read_until("?>", "processing instruction")
+                        target, _, data = body.partition(" ")
+                        if target.lower() == "xml":
+                            yield Token(TokenType.DECLARATION, data.strip(), text, start)
+                        else:
+                            yield Token(TokenType.PI, (target, data.strip()), text, start)
+                    elif nxt2 == "</":
+                        match = _END_TAG_RE.match(text, start + 2)
+                        if match is not None:
+                            self.pos = match.end()
+                            name = match.group(1)
+                        else:  # malformed: reproduce the reference errors
+                            self.pos = start + 2
+                            name = self._read_name()
+                            self._skip_ws()
+                            self._expect(">")
+                        yield Token(TokenType.END_TAG, name, text, start)
+                    else:
+                        yield self._read_start_tag(start)
                 else:
-                    yield self._read_start_tag(start)
-            else:
-                nxt = text.find("<", start)
-                if nxt < 0:
-                    nxt = length
-                raw = text[start:nxt]
-                self.pos = nxt
-                yield Token(
-                    TokenType.TEXT, self.decode_entities(raw, start), text, start
-                )
+                    nxt = text.find("<", start)
+                    if nxt < 0:
+                        nxt = length
+                        if not self.final:
+                            # the run may go on in the next piece: flush it
+                            # now, short of a reference that may be split
+                            amp = text.rfind("&", start)
+                            if amp >= 0 and text.find(";", amp) < 0:
+                                nxt = amp
+                            if nxt == start:
+                                return
+                            self.text_open = True
+                    raw = text[start:nxt]
+                    self.pos = nxt
+                    yield Token(
+                        TokenType.TEXT, self.decode_entities(raw, start), text, start
+                    )
+        except _NeedMoreInput:
+            self.pos = start
 
     def _read_start_tag(self, start: int) -> Token:
         text = self.text
@@ -280,6 +326,8 @@ class Tokenizer:
                 )
             if not nxt:
                 raise self._error(f"unterminated start tag <{name}")
+            if nxt == "/" and pos + 1 == len(text) and not self.final:
+                raise _NeedMoreInput  # the '>' of '/>' may be next
             astart = pos
             aname = self._read_name()
             self._skip_ws()

@@ -1,33 +1,27 @@
-"""The reference (pre-fast-path) XML codec, kept as an executable spec.
+"""The reference XML codec: the original, character-at-a-time
+implementation, frozen as an executable spec.
 
-The fast codec in :mod:`repro.xmlkit.tokenizer` and
-:mod:`repro.xmlkit.serializer` must stay byte-for-byte compatible with
-the original character-at-a-time implementation.  That original lives
-here, frozen, for two jobs:
+The production codec in :mod:`repro.xmlkit` (lazy positions, regex
+scans, flattened namespace scopes, interned names, one tree builder
+shared by the batch and incremental parsers) must stay byte-for-byte
+and error-for-error compatible with what is written here.  The parity
+suites serialise every generated tree through both and parse every
+document through both, and compare the results directly.
 
-1. **Parity oracles** — the hypothesis property tests serialise every
-   generated tree through both implementations and assert equality, and
-   parse every document through both tokenizers and assert structural
-   equality.
-2. **Same-run baselines** — ``benchmarks/bench_e8_codec.py`` measures
-   before/after throughput inside one process by flipping
-   :func:`reference_codec`, which routes :func:`repro.xmlkit.parse` and
-   :func:`repro.xmlkit.serialize` through this module and disables the
-   derived-artifact caches.
-
-Nothing outside tests and benchmarks should import this module on a hot
-path.
+It stands alone on purpose: of :mod:`repro.xmlkit` it uses only the
+data model (``Element``, ``QName``), the error types and the
+``TokenType`` enum — its tokenizer, its token → tree loop, its
+namespace resolution and its serializer share no code with production,
+so a bug there cannot pass for parity here.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.caching import set_fastpath_enabled, fastpath_enabled
-from repro.xmlkit.errors import XmlParseError
 from repro.xmlkit.element import Element
+from repro.xmlkit.errors import XmlParseError, XmlWellFormednessError
 from repro.xmlkit.names import QName, XML_URI
 from repro.xmlkit.tokenizer import TokenType
 
@@ -42,10 +36,16 @@ _PREDEFINED_ENTITIES = {
 _WS = " \t\r\n"
 
 
-def _reference_char(code: int) -> str:
-    # surrogates and values past U+10FFFF name no character (and chr()
-    # raises OverflowError, not ValueError, beyond a C int)
-    if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+def _reference_char(digits: str, base: int) -> str:
+    # only plain digits spell a reference: int() would also take '_',
+    # a sign, surrounding spaces and other scripts' digits
+    allowed = "0123456789abcdefABCDEF" if base == 16 else "0123456789"
+    if not digits or any(ch not in allowed for ch in digits):
+        raise ValueError(digits)
+    code = int(digits, base)
+    # NUL, surrogates and values past U+10FFFF name no character (and
+    # chr() raises OverflowError, not ValueError, beyond a C int)
+    if code == 0 or 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
         raise ValueError(code)
     return chr(code)
 
@@ -130,14 +130,14 @@ class ReferenceTokenizer:
             if end < 0:
                 raise XmlParseError("unterminated entity reference", line, col)
             name = raw[i + 1 : end]
-            if name.startswith("#x") or name.startswith("#X"):
+            if name.startswith("#x"):
                 try:
-                    out.append(_reference_char(int(name[2:], 16)))
+                    out.append(_reference_char(name[2:], 16))
                 except ValueError:
                     raise XmlParseError(f"bad character reference &{name};", line, col) from None
             elif name.startswith("#"):
                 try:
-                    out.append(_reference_char(int(name[1:])))
+                    out.append(_reference_char(name[1:], 10))
                 except ValueError:
                     raise XmlParseError(f"bad character reference &{name};", line, col) from None
             elif name in _PREDEFINED_ENTITIES:
@@ -385,47 +385,115 @@ def serialize_reference(
     return body
 
 
+# ----------------------------------------------------------------------
+# the reference parser: one dict of declarations per open element,
+# searched innermost-first; a fresh QName per name
+# ----------------------------------------------------------------------
+def _split_name(name: str) -> tuple[str, str]:
+    if ":" in name:
+        prefix, _, local = name.partition(":")
+        return prefix, local
+    return "", name
+
+
+def _reference_element(token: ReferenceToken, scopes: list[dict[str, str]]) -> Element:
+    nsdecls: dict[str, str] = {}
+    plain: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for name, value in token.attrs:
+        if name in seen:
+            raise XmlWellFormednessError(
+                f"duplicate attribute {name!r}", token.line, token.column
+            )
+        seen.add(name)
+        if name == "xmlns":
+            nsdecls[""] = value
+        elif name.startswith("xmlns:"):
+            if name == "xmlns:":
+                raise XmlWellFormednessError("empty xmlns prefix", token.line, token.column)
+            nsdecls[name[6:]] = value
+        else:
+            plain.append((name, value))
+    scopes.append(nsdecls)
+
+    def lookup(prefix: str) -> Optional[str]:
+        for decls in reversed(scopes):
+            if prefix in decls:
+                return decls[prefix]
+        return None
+
+    prefix, local = _split_name(token.value)
+    uri = lookup(prefix)
+    if uri is None:
+        raise XmlWellFormednessError(
+            f"undeclared namespace prefix {prefix!r} on element <{token.value}>",
+            token.line,
+            token.column,
+        )
+    elem = Element(QName(uri, local, prefix), nsdecls=nsdecls)
+    for aname, avalue in plain:
+        aprefix, alocal = _split_name(aname)
+        auri = ""  # unprefixed attributes are in no namespace
+        if aprefix:
+            auri = lookup(aprefix)
+            if auri is None:
+                raise XmlWellFormednessError(
+                    f"undeclared namespace prefix {aprefix!r} on attribute {aname!r}",
+                    token.line,
+                    token.column,
+                )
+        elem.attributes[QName(auri, alocal, aprefix)] = avalue
+    return elem
+
+
 def parse_reference(text: str) -> Element:
-    """Parse through the original tokenizer and non-interned QNames."""
-    from repro.xmlkit import parser as _parser
-
-    root, _ = _parser._parse_impl(
-        text, fragment=False, tokenizer_cls=ReferenceTokenizer, make_qname=QName
-    )
+    """Parse through the original tokenizer, a chain-walked namespace
+    stack and non-interned QNames."""
+    root: Optional[Element] = None
+    stack: list[Element] = []
+    scopes: list[dict[str, str]] = [{"xml": XML_URI, "": ""}]
+    for token in ReferenceTokenizer(text).tokens():
+        if token.type is TokenType.START_TAG:
+            if root is not None and not stack:
+                raise XmlWellFormednessError(
+                    "multiple root elements", token.line, token.column
+                )
+            elem = _reference_element(token, scopes)
+            if stack:
+                stack[-1].append(elem)
+            else:
+                root = elem
+            if token.self_closing:
+                scopes.pop()
+            else:
+                stack.append(elem)
+        elif token.type is TokenType.TEXT:
+            if stack:
+                stack[-1].append_text(token.value)
+            elif token.value.strip():
+                where = "before" if root is None else "after"
+                raise XmlWellFormednessError(
+                    f"character data {where} root element", token.line, token.column
+                )
+        elif token.type is TokenType.END_TAG:
+            if not stack:
+                raise XmlWellFormednessError(
+                    f"unexpected closing tag </{token.value}>", token.line, token.column
+                )
+            name = stack.pop().name
+            opened = f"{name.prefix}:{name.local}" if name.prefix else name.local
+            if _split_name(token.value) != (name.prefix, name.local):
+                raise XmlWellFormednessError(
+                    f"mismatched closing tag </{token.value}>; open element is <{opened}>",
+                    token.line,
+                    token.column,
+                )
+            scopes.pop()
+        elif token.type is TokenType.DECLARATION:
+            if root is not None or stack:
+                raise XmlParseError("XML declaration after content", token.line, token.column)
+    if stack:
+        raise XmlWellFormednessError(f"unclosed element <{stack[-1].name.local}>")
+    if root is None:
+        raise XmlParseError("no root element found")
     return root
-
-
-@contextmanager
-def reference_codec():
-    """Route the whole stack through the pre-change codec.
-
-    Swaps the tokenizer and serializer implementations behind
-    :func:`repro.xmlkit.parse` / :func:`repro.xmlkit.serialize` and
-    disables the derived-artifact caches, so a benchmark can measure
-    the genuine pre-change behaviour in the same process as the fast
-    path.  Not thread-safe; intended for benchmarks and tests only.
-    """
-    from repro.xmlkit import parser as _parser
-    from repro.xmlkit import serializer as _serializer
-
-    saved = (
-        _parser._ACTIVE_TOKENIZER,
-        _parser._ACTIVE_QNAME,
-        _serializer._ACTIVE_SERIALIZE,
-        fastpath_enabled(),
-    )
-    _parser._ACTIVE_TOKENIZER = ReferenceTokenizer
-    _parser._ACTIVE_QNAME = QName
-    _serializer._ACTIVE_SERIALIZE = _serialize_reference_impl
-    set_fastpath_enabled(False)
-    try:
-        yield
-    finally:
-        _parser._ACTIVE_TOKENIZER = saved[0]
-        _parser._ACTIVE_QNAME = saved[1]
-        _serializer._ACTIVE_SERIALIZE = saved[2]
-        set_fastpath_enabled(saved[3])
-
-
-def _serialize_reference_impl(elem: Element, pretty: bool, xml_declaration: bool) -> str:
-    return serialize_reference(elem, pretty=pretty, xml_declaration=xml_declaration)

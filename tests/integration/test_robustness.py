@@ -63,14 +63,24 @@ class TestHttpGarbage:
         )
         assert ok.status == 200
 
-    @pytest.mark.parametrize("reference", ["&#xD800;", "&#99999999999999999999;"])
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "&#xD800;", "&#99999999999999999999;",
+            # NUL, and what int() would take but a reference may not be
+            "&#0;", "&#1_0;", "&#+65;", "&# 65;", "&#x 41;", "&#x0_041;", "&#X41;",
+        ],
+    )
     def test_reference_to_no_character_is_a_client_fault(self, http_world, reference):
         """A surrogate used to decode, be echoed, and blow up the reply's
         UTF-8 encode straight out of ``Kernel.step``."""
         net, provider, client = http_world
+        wire = build_rpc_request("urn:wspeer:Echo", "echo", {"message": "x-y"}).to_wire()
+        for _ in range(3):  # parsed twice, then met by the warm decode skeleton
+            ok = client.request("prov", 80, HttpRequest("POST", "/services/Echo", wire))
+            assert ok.status == 200
         listener = RecordingListener()
         provider.add_listener(listener)
-        wire = build_rpc_request("urn:wspeer:Echo", "echo", {"message": "x-y"}).to_wire()
         response = client.request(
             "prov", 80,
             HttpRequest("POST", "/services/Echo", wire.replace("x-y", f"x{reference}y")),

@@ -1,12 +1,13 @@
 """Decode skeletons: ``SoapEnvelope.from_wire`` without the parser.
 
 The skeleton path is an optimisation and nothing else: for *every*
-input, ``from_wire`` with the fast path on must return a tree identical
-to, or raise the same error as, the ordinary parse behind
-``fastpath_disabled()``.  "Identical" is stricter than
-``Element.__eq__`` (which strips whitespace and ignores prefix hints):
-names with their prefix hints, ``nsdecls`` and attributes in order, and
-every content chunk.
+input, ``from_wire`` must return a tree identical to, or raise the same
+error as, the slow path it shortcuts — ``SoapEnvelope.from_element(
+parse(wire))``, called here by name — and that in turn must agree with
+the frozen reference parser in :mod:`tests._oracle.reference_codec`.
+"Identical" is stricter than ``Element.__eq__`` (which strips
+whitespace and ignores prefix hints): names with their prefix hints,
+``nsdecls`` and attributes in order, and every content chunk.
 """
 
 import string
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caching import cache_stats, clear_all_caches, fastpath_disabled, reset_cache_stats
+from repro.caching import cache_stats, clear_all_caches, reset_cache_stats
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
 from repro.p2ps import PeerGroup
@@ -26,7 +27,8 @@ from repro.soap.envelope import DecodeSkeletons, SoapEnvelope, decode_skeletons
 from repro.soap.faults import FaultCode, ServerBusyFault, SoapFault
 from repro.soap.rpc import build_rpc_request
 from repro.uddi import UddiRegistryNode
-from repro.xmlkit import Element, QName
+from repro.xmlkit import Element, QName, parse
+from tests._oracle.reference_codec import parse_reference
 
 STORE, PROBATION = "decode-skeletons", "decode-skeleton-probation"
 
@@ -60,10 +62,14 @@ def tree(elem):
     )
 
 
-def outcome(wire):
-    """What ``from_wire`` makes of *wire*: the exact trees, or the error."""
+def outcome(wire, parser=None):
+    """What ``from_wire`` makes of *wire*: the exact trees, or the error.
+    With *parser*, what the slow path over that parser makes of it."""
     try:
-        envelope = SoapEnvelope.from_wire(wire)
+        if parser is None:
+            envelope = SoapEnvelope.from_wire(wire)
+        else:
+            envelope = SoapEnvelope.from_element(parser(wire))
     except Exception as exc:  # noqa: BLE001 - the error *is* the outcome
         return ("error", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
     for block in envelope.headers:
@@ -72,8 +78,11 @@ def outcome(wire):
 
 
 def slow_outcome(wire):
-    with fastpath_disabled():
-        return outcome(wire)
+    """The slow path, no cache read or written — and the same again
+    over the reference parser."""
+    expected = outcome(wire, parse)
+    assert expected == outcome(wire, parse_reference)
+    return expected
 
 
 def hits():
@@ -296,6 +305,7 @@ BASES = [
 FRAGMENTS = [
     "", " ", "\n\t ", "plain", "a<b", "<", "<x/>", "<x>y</x>", "</a>", "&amp;", "&lt;tag&gt;",
     "&#x41;", "&#65;", "&#xD800;", "&#1114112;", "&#99999999999999999999;", "&#xZZ;", "&#;",
+    "&#0;", "&#1_0;", "&#+65;", "&# 65;", "&#x 41;", "&#X41;",
     "&bogus;", "&unterminated", "&", "a&amp;b&bogus;c", "<![CDATA[", "<![CDATA[x]]>",
     "<![CDATA[a<b]]>", "<!--", "<!-- c -->", "<!-- a -- b -->", "]]>", ">", "<?pi?>", "<?pi",
     "<!DOCTYPE x>", "é中\U0001f600", "'\"", "a\nb\nc",
@@ -340,7 +350,14 @@ def test_static_mutations_match_the_slow_path(base, data, fragment, cut):
     assert_parity(base)
 
 
-@pytest.mark.parametrize("fragment", ["&bogus;", "&unterminated", "&#xD800;", "&#xZZ;"])
+@pytest.mark.parametrize(
+    "fragment",
+    [
+        "&bogus;", "&unterminated", "&#xD800;", "&#xZZ;",
+        # what int() would take but a character reference may not be
+        "&#1_0;", "&#+65;", "&# 65;", "&#x 41;", "&#x0_041;", "&#X41;", "&#0;",
+    ],
+)
 def test_entity_error_in_a_slot_is_the_canonical_error(fragment):
     base = "<?xml version='1.0'?>\n" + ENVELOPE % ("\n" + HEADER % "id" + "\n" + BODY % SLOT)
     learn(base)
@@ -452,15 +469,3 @@ def test_clear_all_caches_empties_both_and_stats_list_them():
     before = hits()
     assert_parity(_shape(1))
     assert hits() == before  # forgotten: parsed again
-
-
-def test_fastpath_disabled_neither_reads_nor_learns():
-    wire = _shape(1)
-    learn(wire)
-    stats = cache_stats()[STORE]
-    with fastpath_disabled():
-        for i in range(3):
-            SoapEnvelope.from_wire(wire)
-            SoapEnvelope.from_wire(_shape(2))
-    assert cache_stats()[STORE] == stats
-    assert cache_stats()[PROBATION]["size"] == 0

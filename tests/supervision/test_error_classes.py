@@ -31,7 +31,7 @@ class TestReplicationVerdicts:
 
     def test_lag_fault_survives_wire_round_trip(self):
         from repro.soap.envelope import SoapEnvelope
-        from repro.xmlkit.reference import parse_reference
+        from tests._oracle.reference_codec import parse_reference
 
         wire = SoapEnvelope.for_fault(
             ReplicaLagFault(behind_by=4, retry_after=0.5)

@@ -1,11 +1,13 @@
-"""Parity: the fast codec must match the frozen reference byte-for-byte.
+"""Parity: the production codec must match the frozen reference
+byte-for-byte and error-for-error.
 
-The fast tokenizer/serializer (lazy positions, flattened namespace
-scopes, QName interning) and the envelope-template path are pure
-optimisations — every observable output must equal the pre-change
-implementation kept in :mod:`repro.xmlkit.reference`.  These tests
-generate adversarial trees (namespace shadowing, prefix hints, default
-namespaces, escaping edge cases) and diff the two implementations.
+The production tokenizer/parser/serializer (lazy positions, flattened
+namespace scopes, QName interning) are pure optimisations — every
+observable output must equal the original implementation kept, stand-
+alone, in :mod:`tests._oracle.reference_codec`.  These tests generate
+adversarial trees (namespace shadowing, prefix hints, default
+namespaces, escaping edge cases), add the envelopes the stack really
+emits, and diff the two implementations directly.
 """
 
 import string
@@ -14,17 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xmlkit import Element, QName, parse, serialize
+from repro.soap.rpc import build_rpc_request
+from repro.wsa.epr import EndpointReference
+from repro.wsa.headers import MessageAddressingProperties
+from repro.xmlkit import Element, QName, ns, parse, serialize
 from repro.xmlkit.errors import XmlError, XmlParseError
-from repro.xmlkit.reference import (
+from repro.xmlkit.serializer import escape_attr, escape_text
+from repro.xmlkit.tokenizer import Tokenizer
+from tests._oracle.reference_codec import (
     ReferenceTokenizer,
     escape_attr_reference,
     escape_text_reference,
     parse_reference,
     serialize_reference,
 )
-from repro.xmlkit.serializer import escape_attr, escape_text
-from repro.xmlkit.tokenizer import Tokenizer
 
 _local_names = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8).map(
     lambda s: "n" + s
@@ -145,12 +150,64 @@ def test_tokenizer_matches_reference_on_handwritten_documents(document: str):
 @settings(max_examples=150, deadline=None)
 @given(elements())
 def test_parse_matches_reference(tree: Element):
-    wire = serialize(tree, xml_declaration=True)
+    _assert_same_tree(serialize(tree, xml_declaration=True))
+
+
+def _exact(elem: Element) -> tuple:
+    """Everything about a tree: prefix hints, declaration and attribute
+    order, every text chunk (``Element.__eq__`` forgives all three)."""
+    def name(q):
+        return (q.uri, q.local, q.prefix)
+
+    return (
+        name(elem.name),
+        tuple(elem.nsdecls.items()),
+        tuple((name(k), v) for k, v in elem.attributes.items()),
+        tuple(c if isinstance(c, str) else _exact(c) for c in elem.content),
+    )
+
+
+def _assert_same_tree(wire: str) -> None:
     fast, reference = parse(wire), parse_reference(wire)
     assert fast == reference
-    fast_names = [(e.name.uri, e.name.local, e.name.prefix) for e in fast.iter()]
-    ref_names = [(e.name.uri, e.name.local, e.name.prefix) for e in reference.iter()]
-    assert fast_names == ref_names
+    assert _exact(fast) == _exact(reference)
+
+
+# ----------------------------------------------------------------------
+# the envelopes the stack really emits (was: the E8 bench corpus)
+# ----------------------------------------------------------------------
+def _request_wire(n_args: int, payload: int, reply: bool) -> str:
+    args = {f"arg{i}": f"value-{i:03d}-" + "x" * payload for i in range(n_args)}
+    envelope = build_rpc_request("urn:repro:echo", "echo", args)
+    target = EndpointReference("http://prov0:80/Echo0")
+    reply_to = None
+    if reply:  # a P2PS-style reply EPR: namespaced reference properties
+        reply_to = EndpointReference("p2ps://pcons0/reply-echo")
+        for pname, text in (("PipeId", "pipe-00000042"), ("PipeName", "reply-echo")):
+            reply_to.add_property(
+                Element(QName(ns.P2PS, pname, "p2ps"), text=text, nsdecls={"p2ps": ns.P2PS})
+            )
+    MessageAddressingProperties.for_request(target, "echo", reply_to=reply_to).apply_to(
+        envelope, target=target
+    )
+    return envelope.to_wire()
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [
+        pytest.param(_request_wire(1, 16, reply=False), id="small-echo"),
+        pytest.param(_request_wire(4, 24, reply=True), id="p2ps-headers"),
+        pytest.param(_request_wire(64, 48, reply=False), id="wide-body-64"),
+    ],
+)
+def test_real_envelopes_match_reference(wire: str):
+    _assert_same_tokens(wire)
+    _assert_same_tree(wire)
+    tree = parse(wire)
+    assert serialize(tree, xml_declaration=True) == serialize_reference(
+        tree, xml_declaration=True
+    ) == wire
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +232,17 @@ def test_parse_matches_reference(tree: Element):
         "<a", # unterminated start tag
         '<a b="no < allowed"/>',  # '<' inside attribute value
         "<a>\n\n   <b>&unterminated</b></a>",  # entity without ';'
+        # what int() would take but a character reference may not be
+        "<a>&#1_0;</a>",
+        "<a>&#+65;</a>",
+        "<a>&# 65;</a>",
+        "<a>&#x 41;</a>",
+        "<a b='&#x0_041;'/>",
+        "<a>&#X41;</a>",  # only a lower-case x
+        "<a>\n&#0;</a>",  # NUL is no character
+        "<a>&#\u0661\u0662;</a>",  # nor are other scripts' digits digits here
+        "<a>&#;</a>",
+        "<a>&#x;</a>",
     ],
 )
 def test_errors_match_reference(document: str):

@@ -1,6 +1,9 @@
 """Tests for the Element tree."""
 
-from repro.xmlkit import Element, QName
+import gc
+import weakref
+
+from repro.xmlkit import Element, QName, parse
 
 
 def make_tree():
@@ -32,6 +35,24 @@ class TestContent:
         root.remove(c1)
         assert c1.parent is None
         assert c1 not in root.children
+
+    def test_tree_is_freed_without_the_cycle_collector(self):
+        # the parent pointer is a weak back-reference: dropping the root
+        # frees the whole tree by reference count alone
+        gc.disable()
+        try:
+            root = parse("<r xmlns:p='urn:p'><a><b xsi='p:t'>x</b></a><c/></r>")
+            leaf = root.children[0].children[0]
+            assert leaf.parent.parent is root
+            assert leaf.namespace_for_prefix("p") == "urn:p"
+            gone = [weakref.ref(node) for node in (root, root.children[0], root.children[1])]
+            del root
+            assert [r() for r in gone] == [None, None, None]
+            # a descendant that outlives its root is simply detached
+            assert leaf.parent is None
+            assert leaf.namespace_for_prefix("p") is None
+        finally:
+            gc.enable()
 
     def test_interleaved_text(self):
         e = Element("x")

@@ -19,8 +19,8 @@ from repro.xmlkit import (
     parse_stream,
     serialize,
 )
-from repro.xmlkit.reference import serialize_reference
 from repro.xmlkit.stream import _TEXT_WINDOW
+from tests._oracle.reference_codec import parse_reference, serialize_reference
 
 _local_names = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8).map(
     lambda s: "n" + s
@@ -70,8 +70,8 @@ def test_iter_serialize_matches_batch_bytes(tree: Element, chunk_size: int):
 @given(elements())
 def test_iter_serialize_matches_reference_codec(tree: Element):
     # the frozen reference codec is the parity oracle for the whole
-    # serializer family: batch fast path, reference, and stream must
-    # all emit identical bytes
+    # serializer family: batch, reference, and stream must all emit
+    # identical bytes
     streamed = b"".join(iter_serialize(tree))
     assert streamed == serialize_reference(tree).encode("utf-8")
 
@@ -114,7 +114,12 @@ def test_feed_parser_matches_batch_parse(tree: Element, seed: int):
         step = rng.randint(1, 13)
         parser.feed(memoryview(wire)[i : i + step])
         i += step
-    assert parser.close() == parse(wire.decode("utf-8"))
+    tree = parser.close()
+    assert tree == parse(wire.decode("utf-8"))
+    # and against the oracle directly, not only through the batch parser
+    reference = parse_reference(wire.decode("utf-8"))
+    assert tree == reference
+    assert [e.content for e in tree.iter()] == [e.content for e in reference.iter()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,11 +194,21 @@ def test_feed_parser_error_parity():
         p = FeedParser()
         p.feed("<!-- never closed")
         p.close()
-    for reference in ("&#xD800;", "&#99999999999999999999;"):
-        with pytest.raises(XmlParseError, match="bad character reference"):
-            p = FeedParser()
-            p.feed(f"<a>x{reference}y</a>")
-            p.close()
+    for reference in (
+        "&#xD800;", "&#99999999999999999999;",
+        # what int() would take but a character reference may not be
+        "&#1_0;", "&#+65;", "&# 65;", "&#x 41;", "&#x0_041;", "&#X41;", "&#0;",
+    ):
+        document = f"<a>x{reference}y</a>"
+        with pytest.raises(XmlParseError, match="bad character reference") as batch:
+            parse_reference(document)
+        for split in range(1, len(document)):  # also split inside the reference
+            with pytest.raises(XmlParseError, match="bad character reference") as fed:
+                p = FeedParser()
+                p.feed(document[:split])
+                p.feed(document[split:])
+                p.close()
+            assert str(fed.value).partition(" (line")[0] == str(batch.value).partition(" (line")[0]
 
 
 def test_feed_after_close_rejected():
