@@ -350,7 +350,7 @@ class LightweightContainer(EventSource):
             context = MessageContext(request, service_name)
             context.message_id = message_id_of(request)
         operation = context.operation = (
-            request.body_content.name.local if request.body_content is not None else ""
+            request.body_name.local if request.body_name is not None else ""
         )
         message_id = context.message_id
         # E17: continue the caller's trace.  The server span becomes the

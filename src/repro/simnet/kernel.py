@@ -24,7 +24,9 @@ Cancellation is real, not cosmetic: a cancelled timer decrements the
 live ``pending`` counter immediately, and once cancelled timers
 outnumber live ones the heap is compacted in place (the asyncio
 strategy) — a workload that schedules and cancels retry timers by the
-thousands keeps the heap at the size of its *live* timer set.
+thousands keeps the heap at the size of its *live* timer set.  A
+cancelled timer drops its callback at once, so what is parked in the
+heap until then holds nothing of the exchange that armed it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ class ScheduledEvent:
         if self.cancelled or self._fired:
             return
         self.cancelled = True
+        # a cancelled timer stays parked in the heap until compaction;
+        # it must not keep its callback (and the call behind it) alive
+        self.fn, self.args = None, ()
         if self._kernel is not None:
             self._kernel._note_cancel(self)
 

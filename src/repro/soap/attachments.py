@@ -444,25 +444,3 @@ def resolve_attachment(content_id: str) -> Attachment:
         if found is not None:
             return found
     return Attachment(content_id, content_type="application/octet-stream", size=0)
-
-
-def collect_attachments(value: object) -> list[Attachment]:
-    """Every :class:`Attachment` reachable from *value* through lists,
-    tuples and dicts, in encoding order, deduplicated by identity."""
-    out: list[Attachment] = []
-    seen: set[int] = set()
-
-    def walk(v: object) -> None:
-        if isinstance(v, Attachment):
-            if id(v) not in seen:
-                seen.add(id(v))
-                out.append(v)
-        elif isinstance(v, (list, tuple)):
-            for item in v:
-                walk(item)
-        elif isinstance(v, dict):
-            for item in v.values():
-                walk(item)
-
-    walk(value)
-    return out

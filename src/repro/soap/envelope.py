@@ -7,6 +7,13 @@ envelope skeleton and slices out only its text slots
 (:class:`DecodeSkeletons`), never running the parser.  The slow paths
 they must equal are ``serialize(envelope.to_element(),
 xml_declaration=True)`` and ``SoapEnvelope.from_element(parse(wire))``.
+
+Between the two an RPC body is a :class:`DeferredBody` — slot texts plus
+a build plan — that becomes an element tree only when someone reads
+``body_content``; a template or skeleton hit therefore builds no
+per-value object.  Both caches know one repeating slot, the *group*: a
+run of sibling leaves that differ only in their text (a list of floats)
+is one hole whose separator is static text, whatever the run's length.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from repro.soap.attachments import (
     message_from_wire,
     message_to_wire,
 )
+from repro.soap.encoding import compile_readers, value_plan
 from repro.soap.faults import SoapFault
 from repro.xmlkit import Element, QName, XmlParseError, ns, parse, serialize
 from repro.xmlkit.serializer import escape_text
@@ -33,8 +41,37 @@ class SoapEnvelopeError(ValueError):
 _ENVELOPE = QName(ns.SOAP_ENV, "Envelope", "soapenv")
 _HEADER = QName(ns.SOAP_ENV, "Header", "soapenv")
 _BODY = QName(ns.SOAP_ENV, "Body", "soapenv")
+_FAULT = QName(ns.SOAP_ENV, "Fault", "soapenv")
 MUST_UNDERSTAND = QName(ns.SOAP_ENV, "mustUnderstand", "soapenv")
 ACTOR = QName(ns.SOAP_ENV, "actor", "soapenv")
+
+
+class DeferredBody:
+    """An RPC body nobody has looked at yet: its slot *texts* (taken
+    when the envelope was made) and what grows them into the tree —
+    the build *plan* of the skeleton that decoded it, or the value
+    *shape* ``(namespace, wrapper local name, parameter shapes)`` that
+    ``build_rpc_request`` observed, from which the plan derives."""
+
+    __slots__ = ("name", "texts", "plan", "shape", "readers")
+
+    def __init__(self, name: QName, texts: list, plan=None, shape=None, readers=None):
+        self.name = name
+        self.texts = texts
+        self.plan = plan
+        self.shape = shape
+        self.readers = readers
+
+    def grow(self) -> Element:
+        return _grow(self.plan or rpc_plan(self.shape, []), self.texts)
+
+
+def rpc_plan(shape: tuple, kinds: list) -> tuple:
+    """The build plan of the ``<tns:local xmlns:tns=namespace>`` RPC
+    wrapper around the parameters of a value *shape*."""
+    namespace, local, params = shape
+    plan = value_plan(QName(namespace, local, "tns"), ("struct", params), kinds)
+    return (plan[0], {}, {"tns": namespace}, plan[3])
 
 
 class SoapEnvelope:
@@ -47,6 +84,12 @@ class SoapEnvelope:
     envelope and referenced from the body by ``cid:`` href; an envelope
     with attachments serialises to a multipart byte wire via
     :meth:`to_wire_message`.
+
+    An RPC body is *deferred*: ``build_rpc_request`` and ``from_wire``
+    hand over slot texts, and ``body_content`` builds the tree on its
+    first read.  From then on the tree is the truth — ``_body`` holds it
+    and both codec fast paths step aside for this envelope.
+    ``body_name`` and ``is_fault`` never build.
     """
 
     def __init__(
@@ -56,8 +99,47 @@ class SoapEnvelope:
         attachments: Optional[list[Attachment]] = None,
     ):
         self.headers: list[Element] = list(headers or [])
-        self.body_content = body_content
+        self._body = body_content
+        self._deferred: Optional[DeferredBody] = None
         self.attachments: list[Attachment] = list(attachments or [])
+
+    @classmethod
+    def for_deferred(
+        cls, deferred: Optional[DeferredBody], headers: Optional[list[Element]] = None
+    ) -> "SoapEnvelope":
+        envelope = cls(headers=headers)
+        envelope._deferred = deferred
+        return envelope
+
+    @property
+    def body_content(self) -> Optional[Element]:
+        if self._deferred is not None:
+            self._body, self._deferred = self._deferred.grow(), None
+        return self._body
+
+    @body_content.setter
+    def body_content(self, content: Optional[Element]) -> None:
+        self._body, self._deferred = content, None
+
+    @property
+    def body_name(self) -> Optional[QName]:
+        """The name of ``body_content``; None for an empty body."""
+        if self._deferred is not None:
+            return self._deferred.name
+        return None if self._body is None else self._body.name
+
+    def rpc_values(self) -> Optional[list[tuple[str, object]]]:
+        """``(parameter local name, value)`` for each child of a body
+        still deferred, read straight off its slot texts; None when
+        there are no readers or one refused its text — the caller then
+        decodes ``body_content``, which raises the canonical error."""
+        deferred = self._deferred
+        if deferred is None or deferred.readers is None:
+            return None
+        try:
+            return [(name, reader(deferred.texts)) for name, reader in deferred.readers]
+        except ValueError:
+            return None
 
     # ------------------------------------------------------------------
     # header conveniences
@@ -85,7 +167,7 @@ class SoapEnvelope:
     # ------------------------------------------------------------------
     @property
     def is_fault(self) -> bool:
-        return self.body_content is not None and SoapFault.is_fault_element(self.body_content)
+        return self.body_name == _FAULT
 
     def fault(self) -> Optional[SoapFault]:
         if not self.is_fault:
@@ -150,7 +232,7 @@ class SoapEnvelope:
     def from_wire(cls, text: str) -> "SoapEnvelope":
         parts = decode_skeletons.decode(text)
         if parts is not None:
-            return cls(body_content=parts[1], headers=parts[0])
+            return cls.for_deferred(parts[1], parts[0])
         root = parse(text)
         envelope = cls.from_element(root)
         decode_skeletons.learn(text, root, envelope)
@@ -170,7 +252,7 @@ class SoapEnvelope:
         return cls.from_wire(wire)
 
     def __repr__(self) -> str:
-        op = self.body_content.name.local if self.body_content is not None else "(empty)"
+        op = self.body_name.local if self.body_name is not None else "(empty)"
         return f"<SoapEnvelope body={op} headers={len(self.headers)}>"
 
 
@@ -200,11 +282,14 @@ class EnvelopeTemplate:
     exactly where the slow path would.
     """
 
-    __slots__ = ("segments", "fields")
+    __slots__ = ("segments", "fields", "joins")
 
     def __init__(self, segments: list[str], fields: list):
         self.segments = segments
         self.fields = fields
+        #: for a value-shaped body, per slot: (a group's separator or
+        #: None, whether its texts can need escaping)
+        self.joins: Optional[list[tuple[Optional[str], bool]]] = None
 
     @classmethod
     def from_wire(cls, wire: str, sentinels: dict) -> Optional["EnvelopeTemplate"]:
@@ -312,7 +397,7 @@ class WireTemplateCache:
             self._cache.put(key, template if template is not None else _UNTEMPLATABLE)
             if template is None:
                 return None
-        return template.render(self._values(envelope))
+        return template.render(self._values(envelope, template.joins))
 
     def invalidate_all(self) -> int:
         return self._cache.clear()
@@ -352,6 +437,11 @@ class WireTemplateCache:
             if leaf is None:
                 return None
             headers.append(leaf)
+        deferred = envelope._deferred
+        if deferred is not None and deferred.shape is not None:
+            # a value shape starts with a namespace string, a tree
+            # shape with a name tuple: the two cannot collide
+            return (tuple(headers), deferred.shape)
         body = envelope.body_content
         body_shape = None
         if body is not None:
@@ -395,18 +485,49 @@ class WireTemplateCache:
 
         headers = [leaf_from(shape, ("h", i)) for i, shape in enumerate(header_shapes)]
         body: Optional[Element] = None
-        if body_shape is not None:
+        joins: Optional[list] = None
+        if body_shape is not None and body_shape[0].__class__ is str:
+            # a value shape: the prototype is the tree body_content
+            # would show, each group cut to two items
+            kinds: list = []
+            plan = rpc_plan(body_shape, kinds)
+            body = _grow(plan, [
+                [plant(("c", k)), plant(("c", k, 1))] if group else plant(("c", k))
+                for k, (_, group) in enumerate(kinds)
+            ])
+            joins = [(None, kind == "xsd:string") for kind, _ in kinds]
+        elif body_shape is not None:
             body = tree_from(body_shape, ())
         proto = SoapEnvelope(body_content=body, headers=headers)
         wire = serialize(proto.to_element(), xml_declaration=True)
-        return EnvelopeTemplate.from_wire(wire, sentinels)
+        template = EnvelopeTemplate.from_wire(wire, sentinels)
+        if template is not None and joins is not None:
+            # fold each group's two holes into one: the static text
+            # between them is the group's separator
+            for at in reversed(range(len(template.fields))):
+                if len(template.fields[at]) == 3:
+                    slot = template.fields.pop(at)[1]
+                    joins[slot] = (template.segments.pop(at), joins[slot][1])
+            template.joins = joins
+        return template
 
     @staticmethod
-    def _values(envelope: "SoapEnvelope") -> dict:
+    def _values(envelope: "SoapEnvelope", joins: Optional[list]) -> dict:
         values: dict = {}
         for i, block in enumerate(envelope.headers):
             if block.content:
                 values[("h", i)] = escape_text(block.text)
+        if joins is not None:
+            # a deferred body: splice its texts; numeric alphabets
+            # cannot need escaping
+            for k, text in enumerate(envelope._deferred.texts):
+                separator, escape = joins[k]
+                if separator is not None:
+                    text = separator.join(map(escape_text, text) if escape else text)
+                elif escape:
+                    text = escape_text(text)
+                values[("c", k)] = text
+            return values
 
         def walk(elem: Element, path: tuple) -> None:
             if any(not isinstance(item, str) for item in elem.content):
@@ -429,39 +550,69 @@ wire_templates = WireTemplateCache()
 # ----------------------------------------------------------------------
 # decode skeletons (the :meth:`SoapEnvelope.from_wire` fast path)
 # ----------------------------------------------------------------------
-def _slot_texts(wire: str, pos: int, segments: tuple) -> Optional[list[str]]:
+def _slot_texts(wire: str, pos: int, segments: tuple) -> Optional[list]:
     """The slot texts when *wire* continues from *pos* with *segments*
     around them and nothing else, else None.  A slot ends at the next
-    ``<``, as a text token does: a match implies the parser's tokens."""
-    texts: list[str] = []
-    for segment in segments:
-        end = wire.find("<", pos)
-        if not wire.startswith(segment, end):  # also when no '<' is left
-            return None
-        raw = wire[pos:end]
-        if "&" in raw:
-            try:
-                raw = Tokenizer(wire).decode_entities(raw, pos)
-            except XmlParseError:
-                return None  # the slow path raises it
-        texts.append(raw)
-        pos = end + len(segment)
+    ``<``, as a text token does: a match implies the parser's tokens.
+    A repeating group's segment is ``(separator, closing text)`` and its
+    slot text a list: the run up to the closing text, split at the
+    separators, matches when every ``<`` in it belongs to a separator —
+    each item then ends at the next ``<`` too."""
+    texts: list = []
+    try:
+        for segment in segments:
+            if segment.__class__ is tuple:
+                separator, segment = segment
+                end = wire.find(segment, pos)
+                if end < 0:
+                    return None
+                run = wire[pos:end]
+                raw = run.split(separator)
+                if run.count("<") != separator.count("<") * (len(raw) - 1):
+                    return None
+                if "&" in run:
+                    decode = Tokenizer(wire).decode_entities
+                    raw = [decode(item, pos) for item in raw]
+            else:
+                end = wire.find("<", pos)
+                if not wire.startswith(segment, end):  # also when no '<' is left
+                    return None
+                raw = wire[pos:end]
+                if "&" in raw:
+                    raw = Tokenizer(wire).decode_entities(raw, pos)
+            texts.append(raw)
+            pos = end + len(segment)
+    except XmlParseError:
+        return None  # the slow path raises it
     return texts if pos == len(wire) else None
 
 
-def _grow(plan: tuple, texts: list[str]) -> Element:
-    """A fresh tree from a build plan: every build has its own
-    ``attributes`` / ``nsdecls`` dicts, so decoded envelopes stay isolated."""
+def _leaf(plan: tuple, text: str) -> Element:
+    name, attributes, nsdecls, _ = plan
+    elem = Element(name, text=text, nsdecls=nsdecls)
+    if attributes:
+        elem.attributes = attributes.copy()
+    return elem
+
+
+def _grow(plan: tuple, texts: list) -> Element:
+    """A fresh tree from a build plan ``(name, attributes, nsdecls,
+    kids)``: every build has its own ``attributes`` / ``nsdecls`` dicts,
+    so decoded envelopes stay isolated.  *kids* is a leaf's slot index,
+    ``~index`` for a repeating group of such leaves (one per text of the
+    slot), or a tuple of static text chunks and child plans."""
     name, attributes, nsdecls, kids = plan
     if kids.__class__ is int:
-        elem = Element(name, text=texts[kids], nsdecls=nsdecls)
-    else:
-        elem = Element(name, nsdecls=nsdecls)
-        for kid in kids:
-            if kid.__class__ is str:
-                elem.append_text(kid)
-            else:
-                elem.append(_grow(kid, texts))
+        return _leaf(plan, texts[kids])
+    elem = Element(name, nsdecls=nsdecls)
+    for kid in kids:
+        if kid.__class__ is str:
+            elem.append_text(kid)
+        elif kid[3].__class__ is int and kid[3] < 0:
+            for text in texts[~kid[3]]:
+                elem.append(_leaf(kid, text))
+        else:
+            elem.append(_grow(kid, texts))
     if attributes:
         elem.attributes = attributes.copy()
     return elem
@@ -469,9 +620,12 @@ def _grow(plan: tuple, texts: list[str]) -> Element:
 
 def _cut(key: tuple, wire: str, envelope: SoapEnvelope) -> tuple:
     """The skeleton of *wire*: ``(key, first segment, segments after each
-    slot, header plans, body plan)``.  A slot is the one optional plain
-    text run of an element below Header / Body; other content (children,
-    CDATA, a comment) is static and copied: no slot value is retained."""
+    slot, header plans, body plan, body readers)``.  A slot is the one
+    optional plain text run of an element below Header / Body; other
+    content (children, CDATA, a comment) is static and copied: no slot
+    value is retained.  Sibling leaves written back to back with the
+    same tags — they differ only in their text — fold into one
+    repeating group, which matches a run of any length."""
     start_tag, end_tag, text = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
     tokens = list(Tokenizer(wire).tokens())
     spans = []  # per element below Header / Body, in document order
@@ -486,26 +640,69 @@ def _cut(key: tuple, wire: str, envelope: SoapEnvelope) -> tuple:
                 if tokens[j].type is text and wire[tokens[j].offset] != "<":
                     j += 1
                 slot = not token.self_closing and tokens[j].type is end_tag
-                spans.append((tokens[i + 1].offset, tokens[j].offset) if slot else None)
+                # a slot leaf: where its open tag, text, end tag and successor start
+                spans.append(
+                    (token.offset, tokens[i + 1].offset, tokens[j].offset, tokens[j + 1].offset)
+                    if slot else None
+                )
             depth += not token.self_closing
-    slots = iter(spans)
     edges = [0]
+    separators: dict[int, str] = {}
+    at = 0
 
     def plan(elem: Element) -> tuple:
-        span = next(slots)
+        nonlocal at
+        span, at = spans[at], at + 1
         if span is not None:
-            kids: object = len(edges) // 2  # this slot's index
-            edges.extend(span)
-        else:
-            kids = tuple(c if isinstance(c, str) else plan(c) for c in elem.content)
-        return (elem.name, dict(elem.attributes), dict(elem.nsdecls), kids)
+            edges.extend(span[1:3])
+            return (elem.name, dict(elem.attributes), dict(elem.nsdecls), len(edges) // 2 - 1)
+        kids: list = []
+        last = None  # the span of the slot leaf just planned
+        for item in elem.content:
+            span = None if isinstance(item, str) else spans[at]
+            if (
+                last and span and last[3] == span[0]  # two slot leaves, back to back,
+                and wire[last[0]:last[1]] == wire[span[0]:span[1]]  # same open tag
+                and wire[last[2]:last[3]] == wire[span[2]:span[3]]  # and end tag
+            ):
+                at += 1  # the leaf before it becomes (or stays) a repeating group
+                slot = len(edges) // 2 - 1
+                kids[-1] = kids[-1][:3] + (~slot,)
+                separators[slot] = wire[last[2]:span[1]]
+                edges[-1] = span[2]
+            else:
+                kids.append(item if isinstance(item, str) else plan(item))
+            last = span
+        return (elem.name, dict(elem.attributes), dict(elem.nsdecls), tuple(kids))
 
     headers = tuple(plan(block) for block in envelope.headers)
     body = envelope.body_content
     body_plan = None if body is None else plan(body)
     edges.append(len(wire))
     segments = [wire[a:b] for a, b in zip(edges[::2], edges[1::2])]
-    return key, segments[0], tuple(segments[1:]), headers, body_plan
+    after = tuple(
+        (separators[k], segment) if k in separators else segment
+        for k, segment in enumerate(segments[1:])
+    )
+    readers = None if body_plan is None else compile_readers(body_plan)
+    return key, segments[0], after, headers, body_plan, readers
+
+
+def _repeats(elem: Element) -> int:
+    """How many leaves below *elem* repeat the sibling just before them
+    (same name, text only, nothing in between): roughly what the
+    repeating groups of its skeleton absorb."""
+    count, last = 0, None
+    for item in elem.content:
+        name = None
+        if not isinstance(item, str):
+            if any(not isinstance(kid, str) for kid in item.content):
+                count += _repeats(item)
+            elif item.content:
+                name = item.name
+                count += name == last
+        last = name
+    return count
 
 
 class DecodeSkeletons:
@@ -534,17 +731,19 @@ class DecodeSkeletons:
         self._store = ArtifactCache("decode-skeletons", self.MAX_SKELETONS)
         self._probation = ArtifactCache("decode-skeleton-probation", self.MAX_PROBATION)
 
-    def decode(self, wire: str) -> Optional[tuple[list[Element], Optional[Element]]]:
-        """``(headers, body content)`` built from the skeleton that
-        matches *wire*, or None to signal slow-path."""
-        for key, first, segments, headers, body in self._store.recent():
+    def decode(self, wire: str) -> Optional[tuple[list[Element], Optional[DeferredBody]]]:
+        """``(headers, deferred body)`` from the skeleton that matches
+        *wire*, or None to signal slow-path."""
+        for key, first, segments, headers, body, readers in self._store.recent():
             if not wire.startswith(first):
                 continue
             texts = _slot_texts(wire, len(first), segments)
             if texts is not None:
                 self._store.get(key)  # counts the hit, makes it most recent
-                content = None if body is None else _grow(body, texts)
-                return [_grow(plan, texts) for plan in headers], content
+                deferred = None
+                if body is not None:
+                    deferred = DeferredBody(body[0], texts, plan=body, readers=readers)
+                return [_grow(plan, texts) for plan in headers], deferred
         self._store.stats.misses += 1
         return None
 
@@ -552,9 +751,15 @@ class DecodeSkeletons:
         """Cut a slow-path wire's skeleton on its shape's second sighting."""
         body = envelope.body_content
         tags = wire.count("<")
-        shape = None if body is None else body.name
-        key = (tuple(block.name for block in envelope.headers), shape, tags)
-        if tags > self.MAX_TAGS or key in self._store:
+        if tags > self.MAX_TAGS:
+            return
+        # a run of repeating leaves counts once, so that lists of any
+        # two lengths are two sightings of one shape
+        shape, repeats = (None, 0) if body is None else (body.name, _repeats(body))
+        key = (
+            tuple(block.name for block in envelope.headers), shape, tags - 2 * repeats, repeats > 0,
+        )
+        if key in self._store:
             # in the store and not matched: the shape varies outside its
             # slots, and cutting it again would be as futile
             return

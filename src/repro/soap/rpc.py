@@ -6,6 +6,13 @@ objects*: "each operation given to the service can map to a different
 stateful object in memory".  :meth:`ServiceObject.map_operation` is
 exactly that facility; :meth:`ServiceObject.from_instance` is the common
 case of exposing one object's public methods.
+
+Values enter and leave an envelope here.  Outgoing, one walk
+(:func:`~repro.soap.encoding.value_shape`) takes the texts and the
+attachments, and the body stays those texts unless the values have no
+shape; incoming, the envelope's compiled readers are asked first and
+the element tree is decoded only when there are none, one refuses, or
+someone has already looked at ``body_content``.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Optional
 
-from repro.soap.attachments import attachment_scope, collect_attachments
-from repro.soap.encoding import StructRegistry, decode_value, encode_value
-from repro.soap.envelope import SoapEnvelope
+from repro.soap.attachments import attachment_scope
+from repro.soap.encoding import StructRegistry, decode_value, encode_value, value_shape
+from repro.soap.envelope import DeferredBody, SoapEnvelope
 from repro.soap.faults import FaultCode, SoapFault
 from repro.xmlkit import Element, QName
+from repro.xmlkit.names import intern_qname
 
 
 class Operation:
@@ -32,16 +40,12 @@ class Operation:
             self.signature: Optional[inspect.Signature] = inspect.signature(self.callable)
         except (TypeError, ValueError):
             self.signature = None
-
-    @property
-    def parameter_names(self) -> list[str]:
-        if self.signature is None:
-            return []
-        return [
+        #: the names an argument may be passed by
+        self.parameter_names: frozenset[str] = frozenset(
             p.name
-            for p in self.signature.parameters.values()
+            for p in (self.signature.parameters.values() if self.signature else ())
             if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        ]
+        )
 
     def __repr__(self) -> str:
         return f"<Operation {self.name} -> {type(self.target).__name__}.{self.method_name}>"
@@ -108,18 +112,17 @@ class RpcDispatcher:
         self.registry = registry or StructRegistry()
 
     def dispatch(self, request: SoapEnvelope) -> SoapEnvelope:
-        body = request.body_content
-        if body is None:
+        name = request.body_name
+        if name is None:
             raise SoapFault(FaultCode.CLIENT, "empty request body")
-        op_name = body.name.local
+        op_name = name.local
         operation = self.service.operations.get(op_name)
         if operation is None:
             raise SoapFault(
                 FaultCode.CLIENT,
                 f"service {self.service.name!r} has no operation {op_name!r}",
             )
-        with attachment_scope(request.attachments):
-            args, kwargs = self._decode_args(operation, body)
+        args, kwargs = self._decode_args(operation, request)
         try:
             result = operation.callable(*args, **kwargs)
         except SoapFault:
@@ -128,30 +131,52 @@ class RpcDispatcher:
             raise SoapFault(FaultCode.CLIENT, f"bad arguments for {op_name}: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - service boundary
             raise SoapFault(FaultCode.SERVER, f"{type(exc).__name__}: {exc}") from exc
-        return self._encode_response(op_name, result)
+        return _rpc_envelope(
+            intern_qname(self.service.namespace, f"{op_name}Response", "tns"),
+            {"return": result},
+            self.registry,
+        )
 
-    def _decode_args(self, operation: Operation, body: Element) -> tuple[list, dict]:
+    def _decode_args(self, operation: Operation, request: SoapEnvelope) -> tuple[list, dict]:
+        # the envelope's readers while nobody has looked at the tree;
+        # else, and whenever a reader refuses, the tree
+        values = request.rpc_values()
+        if values is None:
+            with attachment_scope(request.attachments):
+                values = [
+                    (child.name.local, decode_value(child, self.registry))
+                    for child in request.body_content.children
+                ]
         param_names = operation.parameter_names
         positional: list[Any] = []
         keyword: dict[str, Any] = {}
-        for child in body.children:
-            value = decode_value(child, self.registry)
-            name = child.name.local
+        for name, value in values:
             if name in param_names:
                 keyword[name] = value
             else:
                 positional.append(value)
         return positional, keyword
 
-    def _encode_response(self, op_name: str, result: Any) -> SoapEnvelope:
-        wrapper = Element(
-            QName(self.service.namespace, f"{op_name}Response", "tns"),
-            nsdecls={"tns": self.service.namespace},
+
+def _rpc_envelope(
+    name: QName, params: dict[str, Any], registry: Optional[StructRegistry]
+) -> SoapEnvelope:
+    """The envelope whose body is the RPC wrapper *name* around
+    *params*.  One walk takes the texts and finds the attachments; when
+    the values have a shape the body stays those texts, otherwise the
+    element tree is built here — either way an unencodable value raises
+    now, not when the wire is written."""
+    texts: list = []
+    found: list = []
+    shape = value_shape(params, texts, found)
+    if shape is not None:
+        return SoapEnvelope.for_deferred(
+            DeferredBody(name, texts, shape=(name.uri, name.local, shape[1]))
         )
-        wrapper.append(encode_value(QName("", "return"), result, self.registry))
-        return SoapEnvelope(
-            body_content=wrapper, attachments=collect_attachments(result)
-        )
+    wrapper = Element(name, nsdecls={"tns": name.uri})
+    for param, value in params.items():
+        wrapper.append(encode_value(QName("", param), value, registry))
+    return SoapEnvelope(body_content=wrapper, attachments=found)
 
 
 def build_rpc_request(
@@ -161,12 +186,7 @@ def build_rpc_request(
     registry: Optional[StructRegistry] = None,
 ) -> SoapEnvelope:
     """Client-side helper: build the RPC request envelope for *op_name*."""
-    wrapper = Element(QName(namespace, op_name, "tns"), nsdecls={"tns": namespace})
-    for name, value in args.items():
-        wrapper.append(encode_value(QName("", name), value, registry))
-    return SoapEnvelope(
-        body_content=wrapper, attachments=collect_attachments(args)
-    )
+    return _rpc_envelope(intern_qname(namespace, op_name, "tns"), args, registry)
 
 
 def extract_rpc_result(
@@ -177,10 +197,12 @@ def extract_rpc_result(
     fault = response.fault()
     if fault is not None:
         raise fault
-    body = response.body_content
-    if body is None:
+    if response.body_name is None:
         return None
-    ret = body.find("return")
+    values = response.rpc_values()
+    if values is not None:
+        return next((value for name, value in values if name == "return"), None)
+    ret = response.body_content.find("return")
     if ret is None:
         return None
     with attachment_scope(response.attachments):

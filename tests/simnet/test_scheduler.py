@@ -7,6 +7,9 @@ a timer heap whose physical size tracks the *live* timer count, and a
 live O(1) ``pending`` counter.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simnet import Kernel
@@ -125,6 +128,31 @@ class TestCancellation:
         # the live set, with slack for the between-compaction window)
         assert peak < 300
         assert k.heap_size < 300
+
+    def test_cancelled_timer_releases_its_callback(self):
+        # a cancelled timer stays in the heap until the next compaction;
+        # what it was going to call must be freed at the cancel, by
+        # reference count, not held until then (a finished exchange's
+        # timeout timer used to keep the whole exchange alive, and the
+        # saw-tooth of up to 64 parked timers drove the cycle collector)
+        class Exchange:
+            def on_timeout(self, attempt):
+                pass
+
+        k = Kernel()
+        exchange = Exchange()
+        gone = weakref.ref(exchange)
+        ev = k.schedule(30.0, exchange.on_timeout, [1])
+        del exchange
+        assert gone() is not None  # the armed timer is what holds it
+        gc.disable()
+        try:
+            ev.cancel()
+            assert k.heap_size == 1  # still parked
+            assert gone() is None
+        finally:
+            gc.enable()
+        k.run_until_idle()
 
     def test_cancelled_heap_head_does_not_advance_clock(self):
         k = Kernel()

@@ -16,13 +16,13 @@ from repro.soap import (
 from repro.soap.attachments import (
     MULTIPART_BOUNDARY,
     cid_of,
-    collect_attachments,
     iter_message_wire,
     message_from_wire,
     message_to_wire,
     message_wire_length,
     resolve_attachment,
 )
+from repro.soap.encoding import value_shape
 from repro.xmlkit import Element, QName
 
 ENVELOPE = '<?xml version="1.0"?><env>héllo</env>'
@@ -295,6 +295,7 @@ class TestResolutionScope:
         a = Attachment("a", b"1")
         b = Attachment("b", b"2")
         value = {"k": [a, ("x", b)], "again": a}
-        found = collect_attachments(value)
+        found: list = []
+        assert value_shape(value, [], found) is None  # the element path
         assert found == [a, b]  # deduped by identity, encoding order
-        assert collect_attachments("plain") == []
+        assert value_shape("plain", [], found) == "xsd:string" and found == [a, b]
