@@ -18,26 +18,28 @@ from __future__ import annotations
 from repro.p2ps.advertisements import AdvertError, PipeAdvertisement
 from repro.wsa.epr import EndpointReference, WsaError
 from repro.wsa.p2psuri import make_p2ps_uri, parse_p2ps_uri
-from repro.xmlkit import Element, QName, ns
+from repro.xmlkit import ns
 
-
-def _q(local: str) -> QName:
-    return QName(ns.P2PS, local, "p2ps")
+#: the struct of leaves every pipe EPR carries: ``p2ps:PipeId``,
+#: ``p2ps:PipeName``, ``p2ps:PipeType``, each declaring its prefix
+_PIPE_SHAPE = tuple(
+    ((ns.P2PS, local, "p2ps"), (("p2ps", ns.P2PS),))
+    for local in ("PipeId", "PipeName", "PipeType")
+)
 
 
 def epr_from_pipe(advert: PipeAdvertisement) -> EndpointReference:
-    """Serialise a pipe advertisement to an EndpointReference."""
+    """Serialise a pipe advertisement to an EndpointReference (value-
+    backed: no element is built unless someone reads its properties)."""
     address = make_p2ps_uri(advert.peer_id, advert.service_name)
-    properties = [
-        Element(_q("PipeId"), text=advert.pipe_id, nsdecls={"p2ps": ns.P2PS}),
-        Element(_q("PipeName"), text=advert.name, nsdecls={"p2ps": ns.P2PS}),
-        Element(_q("PipeType"), text=advert.pipe_type, nsdecls={"p2ps": ns.P2PS}),
-    ]
-    return EndpointReference(address, properties)
+    return EndpointReference.from_texts(
+        address, _PIPE_SHAPE, [advert.pipe_id, advert.name, advert.pipe_type]
+    )
 
 
 def pipe_from_epr(epr: EndpointReference) -> PipeAdvertisement:
-    """Reconstruct the pipe advertisement from an EndpointReference."""
+    """Reconstruct the pipe advertisement from an EndpointReference;
+    a value-backed one is read without growing it."""
     address = parse_p2ps_uri(epr.address)
     pipe_id = epr.property_text("PipeId")
     pipe_name = epr.property_text("PipeName")

@@ -56,6 +56,10 @@ OK = "ok"
 ERROR = "error"
 SENT = "sent"  # fire-and-forget oneway: complete at send time
 
+#: a span's annotations / children until its first one: most spans of a
+#: call never get any, so they never allocate the lists
+_NONE_YET: tuple = ()
+
 
 class Span:
     """One node of a trace tree: a timed, tagged unit of work."""
@@ -72,8 +76,9 @@ class Span:
         self.end: Optional[float] = None
         self.status = IN_FLIGHT
         self.tags: dict[str, Any] = tags if tags is not None else {}
-        self.annotations: list[tuple[float, str, dict[str, Any]]] = []
-        self.children: list["Span"] = []
+        #: (time, kind, detail) tuples / child spans, lists once one arrives
+        self.annotations: list = _NONE_YET  # type: ignore[assignment]
+        self.children: list = _NONE_YET  # type: ignore[assignment]
 
     @property
     def duration(self) -> Optional[float]:
@@ -81,6 +86,8 @@ class Span:
 
     def annotate(self, time: float, kind: str, detail: dict[str, Any]) -> bool:
         if len(self.annotations) < MAX_ANNOTATIONS:
+            if self.annotations is _NONE_YET:
+                self.annotations = []
             self.annotations.append((time, kind, detail))
             return True
         self.tags["annotations_dropped"] = self.tags.get("annotations_dropped", 0) + 1
@@ -88,6 +95,8 @@ class Span:
 
     def add_child(self, child: "Span") -> bool:
         if len(self.children) < MAX_CHILDREN:
+            if self.children is _NONE_YET:
+                self.children = []
             self.children.append(child)
             return True
         self.tags["children_dropped"] = self.tags.get("children_dropped", 0) + 1
@@ -117,6 +126,20 @@ class Span:
         return f"<Span {self.kind}:{self.name} status={self.status}>"
 
 
+class _RootSpan(Span):
+    """A logical invocation's root, carrying the tracer's bookkeeping for
+    it in slots: the open attempt, the attempt count, and the server
+    span of each peer that heard the request."""
+
+    __slots__ = ("attempt", "attempts", "servers")
+
+    def __init__(self, name: str, start: float, tags: dict[str, Any]):
+        Span.__init__(self, name, "invocation", start, tags)
+        self.attempt: Optional[Span] = None
+        self.attempts = 0
+        self.servers: dict[Optional[str], Span] = {}
+
+
 class _PeerListener(PeerMessageListener):
     """Adapter: tags each event with the peer it was heard on."""
 
@@ -135,8 +158,7 @@ def _endpoint_host(address: Optional[str]) -> Optional[str]:
     _, sep, rest = address.partition("://")
     if not sep:
         return None
-    authority = rest.split("/", 1)[0]
-    return authority.split(":", 1)[0] or None
+    return rest.partition("/")[0].partition(":")[0] or None
 
 
 class SpanTracer:
@@ -163,8 +185,7 @@ class SpanTracer:
             raise ValueError("max_spans must be >= 1")
         self.max_spans = max_spans
         self.metrics = metrics if metrics is not None else obs_metrics.default_registry()
-        self._spans: "OrderedDict[str, Span]" = OrderedDict()
-        self._state: dict[str, dict[str, Any]] = {}  # per-root bookkeeping
+        self._spans: "OrderedDict[str, _RootSpan]" = OrderedDict()
         self._open_attempt_by_host: dict[str, Span] = {}
         #: trace_id -> message_ids of the roots in that trace (E17);
         #: maintained against ring eviction, so a live trace id always
@@ -246,18 +267,13 @@ class SpanTracer:
             self.annotations_dropped += 1
             self.metrics.inc("tracing.annotations_dropped")
 
-    def _root(self, message_id: str, event: PeerEvent,
-              peer: Optional[str]) -> tuple[Span, dict[str, Any]]:
-        """The logical span for *message_id*, created on first sight."""
-        root = self._spans.get(message_id)
-        if root is not None:
-            self._spans.move_to_end(message_id)
-            return root, self._state[message_id]
+    def _new_root(self, message_id: str, event: PeerEvent, peer: Optional[str]) -> _RootSpan:
+        """The logical span for *message_id*, on its first sight."""
         detail = event.detail
         service = detail.get("service", "")
         operation = detail.get("operation", "")
         name = f"{service}.{operation}" if service or operation else event.kind
-        root = Span(name, "invocation", event.time, tags={
+        root = _RootSpan(name, event.time, tags={
             "message_id": message_id,
             "service": service,
             "operation": operation,
@@ -266,7 +282,6 @@ class SpanTracer:
             root.tags["client"] = peer
         while len(self._spans) >= self.max_spans:
             evicted_id, evicted_root = self._spans.popitem(last=False)
-            self._state.pop(evicted_id, None)
             evicted_trace = evicted_root.tags.get("trace_id")
             if evicted_trace is not None:
                 mids = self._by_trace.get(evicted_trace)
@@ -280,18 +295,16 @@ class SpanTracer:
             self.evicted += 1
             self.metrics.inc("tracing.spans_evicted")
         self._spans[message_id] = root
-        state: dict[str, Any] = {"attempt": None, "attempts": 0, "servers": {}}
-        self._state[message_id] = state
         self.metrics.inc("tracing.spans_started")
-        return root, state
+        return root
 
-    def _new_attempt(self, root: Span, state: dict[str, Any], event: PeerEvent,
+    def _new_attempt(self, root: _RootSpan, event: PeerEvent,
                      peer: Optional[str], number: Optional[int] = None) -> Span:
-        current = state["attempt"]
+        current = root.attempt
         if current is not None and current.end is None:
             current.close(event.time, ERROR if event.kind == "retransmit" else current.status)
-        state["attempts"] += 1
-        attempt_no = number if number is not None else state["attempts"]
+        root.attempts += 1
+        attempt_no = number if number is not None else root.attempts
         endpoint = event.detail.get("endpoint")
         tags: dict[str, Any] = {"attempt": attempt_no}
         if endpoint:
@@ -306,14 +319,14 @@ class SpanTracer:
                 tags["parent_span_id"] = parent_span
         attempt = Span(f"attempt#{attempt_no}", "attempt", event.time, tags)
         self._adopt(root, attempt)
-        state["attempt"] = attempt
+        root.attempt = attempt
         host = _endpoint_host(endpoint)
         if host:
             self._open_attempt_by_host[host] = attempt
         return attempt
 
-    def _close_attempt(self, state: dict[str, Any], time: float, status: str) -> None:
-        attempt = state.get("attempt")
+    def _close_attempt(self, root: _RootSpan, time: float, status: str) -> None:
+        attempt = root.attempt
         if attempt is not None and attempt.end is None:
             attempt.close(time, status)
 
@@ -331,13 +344,17 @@ class SpanTracer:
         if self.metrics.enabled:
             counter.inc()
 
-        message_id = event.detail.get("message_id")
+        detail = event.detail
+        message_id = detail.get("message_id")
         if message_id is None:
-            self.uncorrelated.append((event.time, kind, event.source, event.detail))
+            self.uncorrelated.append((event.time, kind, event.source, detail))
             return
 
-        root, state = self._root(message_id, event, peer)
-        detail = event.detail
+        root = self._spans.get(message_id)
+        if root is None:
+            root = self._new_root(message_id, event, peer)
+        else:
+            self._spans.move_to_end(message_id)
         # E17: the first event carrying wire trace-context tags the root
         # and indexes it by trace — the hook distributed_trace() links on
         trace_id = detail.get("trace_id")
@@ -355,13 +372,13 @@ class SpanTracer:
                 root.end = None
                 root.status = IN_FLIGHT
                 root.tags.pop("error", None)
-            self._new_attempt(root, state, event, peer)
+            self._new_attempt(root, event, peer)
             if kind == "oneway-sent" and not detail.get("ack_requested"):
                 # fire-and-forget: the trace is complete once sent
-                self._close_attempt(state, event.time, SENT)
+                self._close_attempt(root, event.time, SENT)
                 root.close(event.time, SENT)
         elif kind == "retransmit":
-            self._new_attempt(root, state, event, peer, number=detail.get("attempt"))
+            self._new_attempt(root, event, peer, number=detail.get("attempt"))
         elif kind == "failover":
             self._annotate(root, event.time, kind, {
                 "from": detail.get("from_endpoint"),
@@ -369,7 +386,7 @@ class SpanTracer:
                 "reason": detail.get("reason"),
             })
         elif kind in ("response-received", "oneway-acked"):
-            self._close_attempt(state, event.time, OK)
+            self._close_attempt(root, event.time, OK)
             root.close(event.time, OK)
             if root.duration is not None:
                 name = "oneway.ack_latency" if kind == "oneway-acked" else "invocation.latency"
@@ -381,11 +398,11 @@ class SpanTracer:
         elif kind in ("invoke-failed", "oneway-failed"):
             # provisional for failover-driven calls: a later request-sent
             # with the same MessageID reopens the root
-            self._close_attempt(state, event.time, ERROR)
+            self._close_attempt(root, event.time, ERROR)
             root.close(event.time, ERROR)
             root.tags["error"] = detail.get("reason")
         elif kind == "failover-exhausted":
-            self._close_attempt(state, event.time, ERROR)
+            self._close_attempt(root, event.time, ERROR)
             root.close(event.time, ERROR)
             root.tags["error"] = detail.get("reason")
             root.tags["rounds"] = detail.get("rounds")
@@ -401,16 +418,16 @@ class SpanTracer:
                 tags=server_tags,
             )
             self._adopt(root, server)
-            state["servers"][peer] = server
+            root.servers[peer] = server
         elif kind == "response-sent":
-            server = state["servers"].get(peer)
+            server = root.servers.get(peer)
             if server is not None and server.end is None:
                 if server.status == "busy":  # shed verdict beats fault
                     server.end = event.time
                 else:
                     server.close(event.time, ERROR if detail.get("fault") else OK)
         elif kind == "duplicate-suppressed":
-            server = state["servers"].get(peer)
+            server = root.servers.get(peer)
             if server is not None and server.end is None:
                 server.tags["duplicate"] = True
                 self._annotate(server, event.time, kind, {"peer": peer})
@@ -421,7 +438,7 @@ class SpanTracer:
                 replay.close(event.time, OK)
                 self._adopt(root, replay)
         elif kind == "request-shed":
-            server = state["servers"].get(peer)
+            server = root.servers.get(peer)
             tags: dict[str, Any] = {"retry_after": detail.get("retry_after")}
             if peer:
                 tags["peer"] = peer

@@ -25,11 +25,12 @@ simulation's reproducibility guarantee (same seed, same trace ids)
 outranks the collision-resistance argument for random ids, and the
 process-wide counters are unique where it matters.
 
-Two codecs: :func:`encode`/:func:`decode` are the fast path (one
-f-string / one split); :func:`reference_encode`/:func:`reference_decode`
-are the deliberately naive, strict oracle the property tests hold the
-fast path byte-identical to — the same frozen-reference discipline the
-E8 codec uses.
+One codec: :func:`encode`/:func:`decode` (one f-string / one split).
+The deliberately naive, strict reference the property tests hold it
+byte-identical to is a test oracle (``tests/_oracle``), like the XML
+one.  The header block itself is a plain leaf: the wire templates
+splice its text and a decoded envelope hands it over as a slot text
+(:func:`raw_context_of`), so neither direction builds an element for it.
 
 Everything is gated on one module switch (:func:`set_propagation`):
 disabled, the per-call cost is a single boolean check and no header is
@@ -60,11 +61,6 @@ _HEX = frozenset("0123456789abcdef")
 
 _trace_ids = itertools.count(1)
 _span_ids = itertools.count(1)
-
-
-class TraceContextError(ValueError):
-    """A malformed traceparent value (reference codec only — the fast
-    path returns None and lets the caller count the drop)."""
 
 
 def new_trace_id() -> str:
@@ -158,37 +154,6 @@ def decode(text: str) -> Optional[TraceContext]:
     return TraceContext(trace_id, span_id, flags)
 
 
-def reference_encode(ctx: TraceContext) -> str:
-    """The frozen oracle: field-by-field concatenation, no f-string."""
-    return "-".join([VERSION, ctx.trace_id, ctx.span_id, ctx.flags])
-
-
-def reference_decode(text: str) -> TraceContext:
-    """The frozen strict decoder; raises :class:`TraceContextError`."""
-    if not isinstance(text, str):
-        raise TraceContextError("traceparent must be a string")
-    if len(text) != 55:
-        raise TraceContextError(f"traceparent must be 55 chars, got {len(text)}")
-    for position in (2, 35, 52):
-        if text[position] != "-":
-            raise TraceContextError(f"missing separator at offset {position}")
-    version = text[0:2]
-    trace_id = text[3:35]
-    span_id = text[36:52]
-    flags = text[53:55]
-    if version != VERSION:
-        raise TraceContextError(f"unsupported version {version!r}")
-    for name, field in (("trace-id", trace_id), ("span-id", span_id), ("flags", flags)):
-        for ch in field:
-            if ch not in _HEX:
-                raise TraceContextError(f"non-hex character {ch!r} in {name}")
-    if trace_id == "0" * 32:
-        raise TraceContextError("all-zero trace-id is invalid")
-    if span_id == "0" * 16:
-        raise TraceContextError("all-zero span-id is invalid")
-    return TraceContext(trace_id, span_id, flags)
-
-
 # ----------------------------------------------------------------------
 # SOAP header binding
 # ----------------------------------------------------------------------
@@ -200,12 +165,11 @@ def header_element(encoded: str) -> Element:
 def raw_context_of(envelope: Any) -> Optional[str]:
     """The header's raw text from a parsed envelope, or None.
 
-    Duck-typed on ``find_header`` so this module stays a leaf (no soap
-    import); malformedness is the caller's problem — pair with
-    :func:`decode`.
+    Duck-typed on ``header_text`` so this module stays a leaf (no soap
+    import) and a decoded envelope's blocks stay slot texts;
+    malformedness is the caller's problem — pair with :func:`decode`.
     """
-    block = envelope.find_header(TRACE_HEADER)
-    return block.text if block is not None and block.text else None
+    return envelope.header_text(TRACE_HEADER) or None
 
 
 def extract(envelope: Any) -> Optional[TraceContext]:

@@ -37,7 +37,7 @@ _ACKNOWLEDGEMENT = QName(RM_NS, "Acknowledgement", "rm")
 
 def mark_ack_requested(envelope: SoapEnvelope) -> SoapEnvelope:
     """Ask the receiver to acknowledge receipt of *envelope*."""
-    if envelope.find_header(_ACK_REQUESTED) is None:
+    if envelope.header_text(_ACK_REQUESTED) is None:
         envelope.add_header(
             Element(_ACK_REQUESTED, text="1", nsdecls={"rm": RM_NS})
         )
@@ -46,8 +46,8 @@ def mark_ack_requested(envelope: SoapEnvelope) -> SoapEnvelope:
 
 def ack_requested(envelope: SoapEnvelope) -> bool:
     """Did the sender of *envelope* ask for an acknowledgement?"""
-    block = envelope.find_header(_ACK_REQUESTED)
-    return block is not None and (block.text or "").strip() in ("1", "true")
+    text = envelope.header_text(_ACK_REQUESTED)
+    return text is not None and text.strip() in ("1", "true")
 
 
 def build_ack(message_id: str, to: str) -> SoapEnvelope:

@@ -14,6 +14,14 @@ a build plan — that becomes an element tree only when someone reads
 per-value object.  Both caches know one repeating slot, the *group*: a
 run of sibling leaves that differ only in their text (a list of floats)
 is one hole whose separator is static text, whatever the run's length.
+
+Header blocks get the same treatment: a decoded envelope's blocks are
+:class:`DeferredHeaders` (the skeleton's plans plus the slot texts) and
+an encoded one's are whatever ``defer_headers`` was handed (the
+addressing headers, :mod:`repro.wsa.headers`), grown into elements only
+when someone reads ``headers``.  ``header_text`` and ``header_epr`` read
+the texts without growing; an EndpointReference is read as a *struct of
+leaves* — an address plus N leaf properties.
 """
 
 from __future__ import annotations
@@ -43,7 +51,9 @@ _HEADER = QName(ns.SOAP_ENV, "Header", "soapenv")
 _BODY = QName(ns.SOAP_ENV, "Body", "soapenv")
 _FAULT = QName(ns.SOAP_ENV, "Fault", "soapenv")
 MUST_UNDERSTAND = QName(ns.SOAP_ENV, "mustUnderstand", "soapenv")
-ACTOR = QName(ns.SOAP_ENV, "actor", "soapenv")
+#: the two children of an EndpointReference a skeleton reads as slots
+_WSA_ADDRESS = QName(ns.WSA, "Address", "wsa")
+_WSA_REF_PROPS = QName(ns.WSA, "ReferenceProperties", "wsa")
 
 
 class DeferredBody:
@@ -74,6 +84,50 @@ def rpc_plan(shape: tuple, kinds: list) -> tuple:
     return (plan[0], {}, {"tns": namespace}, plan[3])
 
 
+class DeferredHeaders:
+    """Header blocks nobody has looked at yet, as a decode skeleton found
+    them: the wire's slot *texts* and the skeleton's *head* — ``(build
+    plans, {(uri, local): position of its first block}, names of the
+    blocks marked mustUnderstand, {position: EPR struct})``, an EPR
+    struct being ``(address slot, property shape, property slots)``.
+
+    The other kind of deferred head, handed over by ``apply_to``, offers
+    the same readers plus the ``shape`` wire templates key on."""
+
+    __slots__ = ("head", "texts")
+    #: decoded blocks template as elements: no shape of their own
+    shape = None
+
+    def __init__(self, head: tuple, texts: list):
+        self.head = head
+        self.texts = texts
+
+    def grow(self) -> list[Element]:
+        return [_grow(plan, self.texts) for plan in self.head[0]]
+
+    def __len__(self) -> int:
+        return len(self.head[0])
+
+    def _first(self, name: QName | str) -> Optional[int]:
+        if isinstance(name, str):
+            return next((at for at, plan in enumerate(self.head[0]) if plan[0].local == name), None)
+        return self.head[1].get((name.uri, name.local))
+
+    def text(self, name: QName | str) -> Optional[str]:
+        at = self._first(name)
+        return None if at is None else plan_text(self.head[0][at], self.texts)
+
+    def epr(self, name: QName | str) -> Optional[tuple]:
+        struct = self.head[3].get(self._first(name))
+        if struct is None:
+            return None
+        address, shape, slots = struct
+        return self.texts[address], shape, [self.texts[slot] for slot in slots]
+
+    def must_understand(self) -> tuple:
+        return self.head[2]
+
+
 class SoapEnvelope:
     """A SOAP 1.1 envelope.
 
@@ -90,6 +144,11 @@ class SoapEnvelope:
     first read.  From then on the tree is the truth — ``_body`` holds it
     and both codec fast paths step aside for this envelope.
     ``body_name`` and ``is_fault`` never build.
+
+    Header blocks are deferred the same way: ``from_wire`` and
+    ``apply_to`` hand over texts (``_head``) and ``headers`` grows them
+    on its first read, after which the element list is the truth.
+    ``header_text``, ``header_epr`` and ``must_understand`` never grow.
     """
 
     def __init__(
@@ -98,18 +157,39 @@ class SoapEnvelope:
         headers: Optional[list[Element]] = None,
         attachments: Optional[list[Attachment]] = None,
     ):
-        self.headers: list[Element] = list(headers or [])
+        self._headers: list[Element] = list(headers or [])
+        #: header blocks still texts (:class:`DeferredHeaders` or the
+        #: addressing headers of ``apply_to``); None once grown
+        self._head = None
         self._body = body_content
         self._deferred: Optional[DeferredBody] = None
         self.attachments: list[Attachment] = list(attachments or [])
 
     @classmethod
-    def for_deferred(
-        cls, deferred: Optional[DeferredBody], headers: Optional[list[Element]] = None
-    ) -> "SoapEnvelope":
-        envelope = cls(headers=headers)
+    def for_deferred(cls, deferred: Optional[DeferredBody], head=None) -> "SoapEnvelope":
+        envelope = cls()
         envelope._deferred = deferred
+        envelope._head = head
         return envelope
+
+    @property
+    def headers(self) -> list[Element]:
+        if self._head is not None:
+            self._headers, self._head = self._head.grow(), None
+        return self._headers
+
+    @headers.setter
+    def headers(self, blocks: list[Element]) -> None:
+        self._headers, self._head = blocks, None
+
+    def defer_headers(self, head) -> bool:
+        """Take *head* as this envelope's header blocks, still texts —
+        only while it has none at all; False means the caller adds
+        elements instead."""
+        if self._head is not None or self._headers:
+            return False
+        self._head = head
+        return True
 
     @property
     def body_content(self) -> Optional[Element]:
@@ -161,6 +241,26 @@ class SoapEnvelope:
     def find_headers(self, uri: str) -> list[Element]:
         """All header blocks in namespace *uri*."""
         return [b for b in self.headers if b.name.uri == uri]
+
+    def header_text(self, name: QName | str) -> Optional[str]:
+        """The text of the first block named *name* (None: no such block),
+        read without growing the blocks."""
+        if self._head is not None:
+            return self._head.text(name)
+        block = self.find_header(name)
+        return None if block is None else block.text
+
+    def header_epr(self, name: QName | str) -> Optional[tuple]:
+        """``(address, property shape, property texts)`` of the first block
+        named *name* while it is still texts and a struct of leaves; None
+        otherwise — the caller then reads ``headers``."""
+        return None if self._head is None else self._head.epr(name)
+
+    def must_understand(self) -> tuple:
+        """Names of the blocks marked ``mustUnderstand``, in order."""
+        if self._head is not None:
+            return self._head.must_understand()
+        return tuple(b.name for b in self._headers if b.get(MUST_UNDERSTAND) in ("1", "true"))
 
     # ------------------------------------------------------------------
     # fault handling
@@ -253,7 +353,8 @@ class SoapEnvelope:
 
     def __repr__(self) -> str:
         op = self.body_name.local if self.body_name is not None else "(empty)"
-        return f"<SoapEnvelope body={op} headers={len(self.headers)}>"
+        blocks = self._head if self._head is not None else self._headers
+        return f"<SoapEnvelope body={op} headers={len(blocks)}>"
 
 
 def wire_carries_fault(wire) -> bool:
@@ -393,7 +494,7 @@ class WireTemplateCache:
         if template is _UNTEMPLATABLE:
             return None
         if template is None:
-            template = self._build(key)
+            template = self._build(key, envelope._head)
             self._cache.put(key, template if template is not None else _UNTEMPLATABLE)
             if template is None:
                 return None
@@ -431,27 +532,37 @@ class WireTemplateCache:
 
     @classmethod
     def _key(cls, envelope: "SoapEnvelope") -> Optional[tuple]:
-        headers = []
-        for block in envelope.headers:
-            leaf = _leaf_shape(block)
-            if leaf is None:
-                return None
-            headers.append(leaf)
+        head = envelope._head
+        if head is not None and head.shape is not None:
+            # headers still texts: the head's own static shape, tagged
+            # with its kind so that no tuple of leaf shapes can equal it
+            headers = (head.__class__, head.shape)
+        else:
+            leaves = []
+            for block in envelope.headers:
+                leaf = _leaf_shape(block)
+                if leaf is None:
+                    return None
+                leaves.append(leaf)
+            headers = tuple(leaves)
         deferred = envelope._deferred
         if deferred is not None and deferred.shape is not None:
             # a value shape starts with a namespace string, a tree
             # shape with a name tuple: the two cannot collide
-            return (tuple(headers), deferred.shape)
+            return (headers, deferred.shape)
         body = envelope.body_content
         body_shape = None
         if body is not None:
             body_shape = cls._tree_shape(body)
             if body_shape is None:
                 return None
-        return (tuple(headers), body_shape)
+        return (headers, body_shape)
 
     @staticmethod
-    def _build(key: tuple) -> Optional[EnvelopeTemplate]:
+    def _build(key: tuple, head) -> Optional[EnvelopeTemplate]:
+        """The template of *key*, cut from a prototype the real code
+        wrote: header texts (*head*'s, when they are still texts) and
+        body texts replaced by sentinels, then serialised."""
         header_shapes, body_shape = key
         sentinels: dict = {}
 
@@ -483,7 +594,10 @@ class WireTemplateCache:
                 elem.append(tree_from(sub, path + (j,)))
             return elem
 
-        headers = [leaf_from(shape, ("h", i)) for i, shape in enumerate(header_shapes)]
+        if head is not None:  # _key grew any head without a shape
+            headers = head.grow([plant(("h", k)) for k in range(len(head.texts))])
+        else:
+            headers = [leaf_from(shape, ("h", i)) for i, shape in enumerate(header_shapes)]
         body: Optional[Element] = None
         joins: Optional[list] = None
         if body_shape is not None and body_shape[0].__class__ is str:
@@ -514,9 +628,14 @@ class WireTemplateCache:
     @staticmethod
     def _values(envelope: "SoapEnvelope", joins: Optional[list]) -> dict:
         values: dict = {}
-        for i, block in enumerate(envelope.headers):
-            if block.content:
-                values[("h", i)] = escape_text(block.text)
+        head = envelope._head
+        if head is not None:  # still texts, so keyed on its shape
+            for k, text in enumerate(head.texts):
+                values[("h", k)] = escape_text(text)
+        else:
+            for i, block in enumerate(envelope.headers):
+                if block.content:
+                    values[("h", i)] = escape_text(block.text)
         if joins is not None:
             # a deferred body: splice its texts; numeric alphabets
             # cannot need escaping
@@ -618,12 +737,57 @@ def _grow(plan: tuple, texts: list) -> Element:
     return elem
 
 
+def plan_text(plan: tuple, texts: list) -> str:
+    """``Element.text`` of the tree *plan* grows, without growing it."""
+    kids = plan[3]
+    if kids.__class__ is int:
+        return texts[kids]
+    return "".join(kid for kid in kids if kid.__class__ is str)
+
+
+def _epr_struct(plan: tuple) -> Optional[tuple]:
+    """``(address slot, property shape, property slots)`` when the header
+    block of *plan* is an EndpointReference whose properties are a struct
+    of leaves: its children are a ``wsa:Address`` slot and, optionally, a
+    ``wsa:ReferenceProperties`` wrapper of attribute-free slot leaves.
+    Each property's namespaces are its own, then its wrapper's, then its
+    block's — what ``EndpointReference.from_element`` (``copy_with_scope``)
+    gives it.  Anything else is None and is read from the grown block."""
+
+    def slot(kid: tuple) -> bool:  # a leaf's one text, not a group's
+        return kid[3].__class__ is int and kid[3] >= 0
+
+    if plan[3].__class__ is int:
+        return None
+    kids = [kid for kid in plan[3] if kid.__class__ is not str]
+    if not 1 <= len(kids) <= 2 or kids[0][0] != _WSA_ADDRESS or not slot(kids[0]):
+        return None
+    shape, slots = [], []
+    if len(kids) == 2:
+        wrapper = kids[1]
+        if wrapper[0] != _WSA_REF_PROPS or wrapper[3].__class__ is int:
+            return None
+        for prop in wrapper[3]:
+            if prop.__class__ is str:
+                continue
+            if prop[1] or not slot(prop):
+                return None
+            scope = dict(prop[2])
+            for outer in (wrapper[2], plan[2]):
+                for prefix, uri in outer.items():
+                    scope.setdefault(prefix, uri)
+            name = prop[0]
+            shape.append(((name.uri, name.local, name.prefix), tuple(scope.items())))
+            slots.append(prop[3])
+    return kids[0][3], tuple(shape), tuple(slots)
+
+
 def _cut(key: tuple, wire: str, envelope: SoapEnvelope) -> tuple:
     """The skeleton of *wire*: ``(key, first segment, segments after each
-    slot, header plans, body plan, body readers)``.  A slot is the one
-    optional plain text run of an element below Header / Body; other
-    content (children, CDATA, a comment) is static and copied: no slot
-    value is retained.  Sibling leaves written back to back with the
+    slot, head (see :class:`DeferredHeaders`), body plan, body
+    readers)``.  A slot is the one optional plain text run of an
+    element below Header / Body; other content (children, CDATA, a
+    comment) is static and copied: no slot value is retained.  Sibling leaves written back to back with the
     same tags — they differ only in their text — fold into one
     repeating group, which matches a run of any length."""
     start_tag, end_tag, text = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
@@ -675,9 +839,20 @@ def _cut(key: tuple, wire: str, envelope: SoapEnvelope) -> tuple:
             last = span
         return (elem.name, dict(elem.attributes), dict(elem.nsdecls), tuple(kids))
 
-    headers = tuple(plan(block) for block in envelope.headers)
+    plans = tuple(plan(block) for block in envelope.headers)
     body = envelope.body_content
     body_plan = None if body is None else plan(body)
+    head = None
+    if plans:
+        first: dict = {}
+        eprs = {}
+        for position, block in enumerate(plans):
+            first.setdefault((block[0].uri, block[0].local), position)
+            struct = _epr_struct(block)
+            if struct is not None:
+                eprs[position] = struct
+        must = tuple(p[0] for p in plans if p[1].get(MUST_UNDERSTAND) in ("1", "true"))
+        head = (plans, first, must, eprs)
     edges.append(len(wire))
     segments = [wire[a:b] for a, b in zip(edges[::2], edges[1::2])]
     after = tuple(
@@ -685,7 +860,7 @@ def _cut(key: tuple, wire: str, envelope: SoapEnvelope) -> tuple:
         for k, segment in enumerate(segments[1:])
     )
     readers = None if body_plan is None else compile_readers(body_plan)
-    return key, segments[0], after, headers, body_plan, readers
+    return key, segments[0], after, head, body_plan, readers
 
 
 def _repeats(elem: Element) -> int:
@@ -731,10 +906,10 @@ class DecodeSkeletons:
         self._store = ArtifactCache("decode-skeletons", self.MAX_SKELETONS)
         self._probation = ArtifactCache("decode-skeleton-probation", self.MAX_PROBATION)
 
-    def decode(self, wire: str) -> Optional[tuple[list[Element], Optional[DeferredBody]]]:
-        """``(headers, deferred body)`` from the skeleton that matches
-        *wire*, or None to signal slow-path."""
-        for key, first, segments, headers, body, readers in self._store.recent():
+    def decode(self, wire: str) -> Optional[tuple]:
+        """``(deferred headers, deferred body)`` from the skeleton that
+        matches *wire*, or None to signal slow-path."""
+        for key, first, segments, head, body, readers in self._store.recent():
             if not wire.startswith(first):
                 continue
             texts = _slot_texts(wire, len(first), segments)
@@ -743,7 +918,7 @@ class DecodeSkeletons:
                 deferred = None
                 if body is not None:
                     deferred = DeferredBody(body[0], texts, plan=body, readers=readers)
-                return [_grow(plan, texts) for plan in headers], deferred
+                return (None if head is None else DeferredHeaders(head, texts)), deferred
         self._store.stats.misses += 1
         return None
 
@@ -754,11 +929,11 @@ class DecodeSkeletons:
         if tags > self.MAX_TAGS:
             return
         # a run of repeating leaves counts once, so that lists of any
-        # two lengths are two sightings of one shape
-        shape, repeats = (None, 0) if body is None else (body.name, _repeats(body))
-        key = (
-            tuple(block.name for block in envelope.headers), shape, tags - 2 * repeats, repeats > 0,
-        )
+        # two lengths are two sightings of one shape; names as strings,
+        # whose hash is C's: every decode walks (and hashes) the keys
+        shape, repeats = (None, 0) if body is None else (body.name.clark(), _repeats(body))
+        names = tuple(block.name.clark() for block in envelope.headers)
+        key = (names, shape, tags - 2 * repeats, repeats > 0)
         if key in self._store:
             # in the store and not matched: the shape varies outside its
             # slots, and cutting it again would be as futile

@@ -14,7 +14,7 @@ import abc
 from enum import Enum, auto
 from typing import Any, Optional
 
-from repro.soap.envelope import MUST_UNDERSTAND, SoapEnvelope
+from repro.soap.envelope import SoapEnvelope
 from repro.soap.faults import FaultCode, SoapFault
 
 
@@ -107,14 +107,15 @@ class MustUnderstandHandler(Handler):
     def invoke(self, context: MessageContext) -> None:
         if context.direction is not Direction.REQUEST:
             return
-        for block in context.request.headers:
-            if block.get(MUST_UNDERSTAND) in ("1", "true"):
-                if block.name.uri not in self.understood:
-                    raise SoapFault(
-                        FaultCode.MUST_UNDERSTAND,
-                        f"header {block.name} carries mustUnderstand "
-                        "but is not understood by this node",
-                    )
+        # the marked names come straight off a skeleton's plans: the
+        # blocks grow only if someone else reads them
+        for name in context.request.must_understand():
+            if name.uri not in self.understood:
+                raise SoapFault(
+                    FaultCode.MUST_UNDERSTAND,
+                    f"header {name} carries mustUnderstand "
+                    "but is not understood by this node",
+                )
 
 
 class CallbackHandler(Handler):

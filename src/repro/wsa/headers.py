@@ -9,6 +9,16 @@ The binding rules the paper uses (§IV-B items 3–5):
   SOAP header, as siblings of the other wsa headers;
 - ``ReplyTo`` carries a full EPR for the response channel;
 - ``MessageID`` / ``RelatesTo`` correlate asynchronous replies.
+
+Neither direction builds an element on its fast path.  ``apply_to``
+into an envelope without header blocks records the MAP texts and a
+hashable *MAP shape* (which optional headers are present, the property
+shapes of the ReplyTo EPR and of the target); the wire template keyed on
+it is cut from a prototype ``_blocks`` wrote.  ``extract_from`` reads
+slot texts (``header_text``) and takes a ReplyTo that is a struct of
+leaves as a value-backed EPR (``header_epr``).  Headers already present,
+``From`` / ``FaultTo``, an EPR property with attributes or children and
+an empty text (it would self-close) take the element path.
 """
 
 from __future__ import annotations
@@ -18,16 +28,12 @@ from typing import Any, Optional
 
 from repro.caching import ArtifactCache
 from repro.observability.recorder import current_recorder
-from repro.observability.tracecontext import (
-    TRACE_HEADER,
-    header_element as trace_header_element,
-    raw_context_of as trace_context_of,  # noqa: F401 - re-exported
-)
+from repro.observability.tracecontext import TRACE_HEADER, header_element as trace_header_element
 from repro.soap.encoding import XSI_NIL, XSI_TYPE, primitive_text, primitive_xsi_type
 from repro.soap.envelope import EnvelopeTemplate, SoapEnvelope
-from repro.wsa.epr import EndpointReference, WsaError
+from repro.wsa.epr import EndpointReference, WsaError, grow_leaves
 from repro.xmlkit import Element, QName, ns
-from repro.xmlkit.serializer import escape_text
+from repro.xmlkit.serializer import escape_text, serialize
 
 _TO = QName(ns.WSA, "To", "wsa")
 _ACTION = QName(ns.WSA, "Action", "wsa")
@@ -116,61 +122,140 @@ class MessageAddressingProperties:
         """Write the headers into *envelope*.
 
         When *target* is given, its ReferenceProperties are copied
-        directly into the SOAP header (binding rule 3).
+        directly into the SOAP header (binding rule 3).  Into an
+        envelope with no header blocks yet they go as texts, taken now.
         """
-        envelope.add_header(Element(_TO, text=self.to, nsdecls={"wsa": ns.WSA}))
-        envelope.add_header(Element(_ACTION, text=self.action, nsdecls={"wsa": ns.WSA}))
-        if self.message_id:
-            envelope.add_header(
-                Element(_MESSAGE_ID, text=self.message_id, nsdecls={"wsa": ns.WSA})
-            )
-        if self.relates_to:
-            envelope.add_header(
-                Element(_RELATES_TO, text=self.relates_to, nsdecls={"wsa": ns.WSA})
-            )
-        if self.trace_context:
-            envelope.add_header(trace_header_element(self.trace_context))
-        if self.reply_to is not None:
-            envelope.add_header(self.reply_to.to_element(_REPLY_TO))
-        if self.source is not None:
-            envelope.add_header(self.source.to_element(_FROM))
-        if self.fault_to is not None:
-            envelope.add_header(self.fault_to.to_element(_FAULT_TO))
-        if target is not None:
-            for prop in target.reference_properties:
-                envelope.add_header(prop.copy())
+        recorded = self._record(target)
+        if recorded is None or not envelope.defer_headers(_MapHeaders(*recorded)):
+            props = [] if target is None else target.property_elements()
+            for block in self._blocks(props):
+                envelope.add_header(block)
         return envelope
+
+    def _blocks(self, props: list[Element]) -> list[Element]:
+        """The header blocks as elements; *props* are the target's
+        properties, already copied."""
+        wsa = {"wsa": ns.WSA}
+        blocks = [Element(_TO, text=self.to, nsdecls=wsa)]
+        blocks.append(Element(_ACTION, text=self.action, nsdecls=wsa))
+        if self.message_id:
+            blocks.append(Element(_MESSAGE_ID, text=self.message_id, nsdecls=wsa))
+        if self.relates_to:
+            blocks.append(Element(_RELATES_TO, text=self.relates_to, nsdecls=wsa))
+        if self.trace_context:
+            blocks.append(trace_header_element(self.trace_context))
+        if self.reply_to is not None:
+            blocks.append(self.reply_to.to_element(_REPLY_TO))
+        if self.source is not None:
+            blocks.append(self.source.to_element(_FROM))
+        if self.fault_to is not None:
+            blocks.append(self.fault_to.to_element(_FAULT_TO))
+        blocks.extend(props)
+        return blocks
+
+    def _record(self, target: Optional[EndpointReference]) -> Optional[tuple[tuple, list]]:
+        """``(MAP shape, texts)`` of these headers, or None when a block
+        must be an element (see the module docstring)."""
+        if self.source is not None or self.fault_to is not None:
+            return None
+        optional = (self.message_id, self.relates_to, self.trace_context)
+        texts = [self.to, self.action] + [text for text in optional if text]
+        reply = None
+        if self.reply_to is not None:
+            leaves = self.reply_to.leaves()
+            if leaves is None:
+                return None
+            reply = leaves[0]
+            texts.append(self.reply_to.address)
+            texts += leaves[1]
+        props: tuple = ()
+        if target is not None:
+            leaves = target.leaves()
+            if leaves is None:
+                return None
+            props = leaves[0]
+            texts += leaves[1]
+        if not all(texts):
+            return None  # '' self-closes
+        return (*map(bool, optional), reply, props), texts
 
     @classmethod
     def extract_from(cls, envelope: SoapEnvelope) -> "MessageAddressingProperties":
-        """Read the MAPs back out of a received envelope."""
-        to_block = envelope.find_header(_TO)
-        action_block = envelope.find_header(_ACTION)
-        if to_block is None or not to_block.text:
+        """Read the MAPs back out of a received envelope — off its slot
+        texts while it has them."""
+        text = envelope.header_text
+        to, action = text(_TO), text(_ACTION)
+        if not to:
             raise WsaError("message carries no wsa:To header")
-        if action_block is None or not action_block.text:
+        if not action:
             raise WsaError("message carries no wsa:Action header")
 
         def epr_of(name: QName) -> Optional[EndpointReference]:
-            block = envelope.find_header(name)
-            return EndpointReference.from_element(block) if block is not None else None
+            parts = envelope.header_epr(name)
+            if parts is not None and parts[0]:
+                return EndpointReference.from_texts(*parts)
+            if text(name) is None:
+                return None
+            # not a struct of leaves (or no address): the element path,
+            # which also raises the canonical error
+            return EndpointReference.from_element(envelope.find_header(name))
 
-        message_id_block = envelope.find_header(_MESSAGE_ID)
-        relates_block = envelope.find_header(_RELATES_TO)
-        trace_block = envelope.find_header(TRACE_HEADER)
         return cls(
-            to=to_block.text,
-            action=action_block.text,
+            to=to,
+            action=action,
             reply_to=epr_of(_REPLY_TO),
-            message_id=message_id_block.text if message_id_block is not None else None,
-            relates_to=relates_block.text if relates_block is not None else None,
+            message_id=text(_MESSAGE_ID),
+            relates_to=text(_RELATES_TO),
             source=epr_of(_FROM),
             fault_to=epr_of(_FAULT_TO),
-            trace_context=trace_block.text if trace_block is not None else None,
+            trace_context=text(TRACE_HEADER),
         )
 
     def __repr__(self) -> str:
         return f"<MAPs to={self.to} action={self.action}>"
+
+
+class _MapHeaders:
+    """Addressing headers nobody has looked at yet: the *texts* and the
+    static *shape* they fill, ``(MessageID?, RelatesTo?, trace context?,
+    ReplyTo property shape or None, target property shape)``.  ``grow``
+    rebuilds the MAPs from them and runs ``_blocks``, so the prototype a
+    wire template is cut from (``grow(sentinels)``) and the blocks a
+    reader sees are the element path's own."""
+
+    __slots__ = ("shape", "texts")
+
+    def __init__(self, shape: tuple, texts: list):
+        self.shape = shape
+        self.texts = texts
+
+    def grow(self, texts: Optional[list] = None) -> list[Element]:
+        has_mid, has_rel, has_trace, reply, props = self.shape
+        rest = iter(self.texts if texts is None else texts)
+        maps = MessageAddressingProperties(next(rest), next(rest))
+        maps.message_id = next(rest) if has_mid else None
+        maps.relates_to = next(rest) if has_rel else None
+        maps.trace_context = next(rest) if has_trace else None
+        if reply is not None:
+            maps.reply_to = EndpointReference.from_texts(next(rest), reply, [next(rest) for _ in reply])
+        return maps._blocks(grow_leaves(props, list(rest)))
+
+    def __len__(self) -> int:
+        return len(self.grow())
+
+    def text(self, name: QName | str) -> Optional[str]:
+        # asked only of an envelope being written (ack marking): a
+        # throwaway tree answers and this envelope keeps its texts
+        for block in self.grow():
+            if (block.name.local if isinstance(name, str) else block.name) == name:
+                return block.text
+        return None
+
+    def epr(self, name: QName | str) -> None:
+        return None  # read from the grown ReplyTo
+
+    def must_understand(self) -> tuple:
+        return ()
 
 
 def message_id_of(envelope: SoapEnvelope) -> Optional[str]:
@@ -181,14 +266,12 @@ def message_id_of(envelope: SoapEnvelope) -> Optional[str]:
     duplicate suppression on the MessageID alone, and messages without
     one simply bypass dedup.
     """
-    block = envelope.find_header(_MESSAGE_ID)
-    return block.text if block is not None and block.text else None
+    return envelope.header_text(_MESSAGE_ID) or None
 
 
 def relates_to_of(envelope: SoapEnvelope) -> Optional[str]:
     """The ``wsa:RelatesTo`` of *envelope*, or None (ack correlation)."""
-    block = envelope.find_header(_RELATES_TO)
-    return block.text if block is not None and block.text else None
+    return envelope.header_text(_RELATES_TO) or None
 
 
 # ----------------------------------------------------------------------
@@ -271,25 +354,15 @@ class RequestTemplateCache:
     @staticmethod
     def _epr_fingerprint(epr: EndpointReference) -> Optional[tuple]:
         """Full static identity of an EPR, texts included (target side)."""
-        props = []
-        for prop in epr.reference_properties:
-            if prop.attributes or prop.children:
-                return None
-            props.append(
-                (prop.name.clark(), prop.text, tuple(sorted(prop.nsdecls.items())))
-            )
-        return (epr.address, tuple(props))
+        leaves = epr.leaves()
+        return None if leaves is None else (epr.address, leaves[0], tuple(leaves[1]))
 
     @staticmethod
     def _epr_shape(epr: EndpointReference) -> Optional[tuple]:
         """Shape-only identity of an EPR whose texts vary per call
         (reply side: the address and property texts become holes)."""
-        shape = []
-        for prop in epr.reference_properties:
-            if prop.attributes or prop.children:
-                return None
-            shape.append((prop.name.clark(), tuple(sorted(prop.nsdecls.items()))))
-        return tuple(shape)
+        leaves = epr.leaves()
+        return None if leaves is None else leaves[0]
 
     def _key(
         self,
@@ -360,11 +433,10 @@ class RequestTemplateCache:
 
         proto_reply: Optional[EndpointReference] = None
         if maps.reply_to is not None:
-            proto_reply = EndpointReference(plant(("reply", "address")))
-            for i, prop in enumerate(maps.reply_to.reference_properties):
-                clone = Element(prop.name, nsdecls=dict(prop.nsdecls))
-                clone.text = plant(("reply", i))
-                proto_reply.add_property(clone)
+            shape = self._epr_shape(maps.reply_to)
+            proto_reply = EndpointReference.from_texts(
+                plant(("reply", "address")), shape, [plant(("reply", i)) for i in range(len(shape))]
+            )
         proto_maps = MessageAddressingProperties(
             to=maps.to,
             action=maps.action,
@@ -373,7 +445,11 @@ class RequestTemplateCache:
             trace_context=plant(("tc",)) if maps.trace_context is not None else None,
         )
         proto_maps.apply_to(envelope, target=target)
-        return EnvelopeTemplate.from_wire(envelope.to_wire(), sentinels)
+        # the slow path by name: a wire template of the prototype's own
+        # shape would be an entry no call ever uses
+        return EnvelopeTemplate.from_wire(
+            serialize(envelope.to_element(), xml_declaration=True), sentinels
+        )
 
     # -- per-call values ---------------------------------------------------
     @staticmethod
@@ -399,10 +475,10 @@ class RequestTemplateCache:
             values[("arg", name)] = escape_text(text)
         if maps.reply_to is not None:
             values[("reply", "address")] = escape_text(maps.reply_to.address)
-            for i, prop in enumerate(maps.reply_to.reference_properties):
-                if not prop.text:
+            for i, text in enumerate(maps.reply_to.leaves()[1]):
+                if not text:
                     return None
-                values[("reply", i)] = escape_text(prop.text)
+                values[("reply", i)] = escape_text(text)
         return values
 
 

@@ -13,7 +13,6 @@ from repro.observability import MetricsRegistry, SpanTracer
 from repro.observability.tracecontext import (
     TRACE_HEADER,
     TraceContext,
-    TraceContextError,
     activate,
     begin_send,
     current_context,
@@ -24,12 +23,15 @@ from repro.observability.tracecontext import (
     new_span_id,
     new_trace_id,
     propagation_enabled,
-    reference_decode,
-    reference_encode,
     reset,
     set_propagation,
 )
 from repro.soap import SoapEnvelope
+from tests._oracle.reference_tracecontext import (
+    TraceContextError,
+    reference_decode,
+    reference_encode,
+)
 
 
 class TestCodec:

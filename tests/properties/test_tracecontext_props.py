@@ -2,8 +2,8 @@
 
 E8 discipline applied to the E17 header: the fast codec
 (:func:`encode`/:func:`decode`) must agree byte-for-byte with the
-frozen strict reference (:func:`reference_encode`/
-:func:`reference_decode`) on every valid context, and the two must
+frozen strict reference in :mod:`tests._oracle.reference_tracecontext`
+(:func:`reference_encode`/:func:`reference_decode`) on every valid context, and the two must
 agree on *rejection* for arbitrary malformed text — the fast path
 returns ``None`` exactly when the reference raises.
 """
@@ -13,12 +13,9 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability.tracecontext import (
-    FLAG_SAMPLED,
-    TraceContext,
+from repro.observability.tracecontext import FLAG_SAMPLED, TraceContext, decode, encode
+from tests._oracle.reference_tracecontext import (
     TraceContextError,
-    decode,
-    encode,
     reference_decode,
     reference_encode,
 )

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
+from repro.observability import tracecontext
 from repro.p2ps import PeerGroup
 from repro.reliability import (
     BreakerConfig,
@@ -24,6 +25,7 @@ from repro.simnet import FixedLatency, Network
 from repro.simnet.network import Node
 from repro.soap.faults import SoapFault
 from repro.uddi import UddiRegistryNode
+from repro.xmlkit import Element
 
 TERMINAL_KINDS = {"response-received", "invoke-failed", "oneway-acked", "oneway-failed"}
 
@@ -189,3 +191,30 @@ def test_steady_call_loop_never_wakes_the_cycle_collector(binding):
         consumer.invoke(handle, "bump")
     after = [generation["collections"] for generation in gc.get_stats()]
     assert after == before
+
+
+@pytest.mark.parametrize("propagation", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("binding", ["http", "p2ps"])
+def test_steady_call_loop_builds_no_element(binding, propagation, monkeypatch):
+    """A steady call is texts end to end: request and reply ride wire
+    templates, decode skeletons hand over slot texts, the addressing
+    headers — ReplyTo EPR, reference properties, the trace context
+    included — are read off those texts and the reply pipe's EPR is
+    value-backed, so not one ``Element`` is built per call (the parent
+    design built 3 / 30 untraced and 4 / 31 traced)."""
+    monkeypatch.setattr(tracecontext, "_propagate", propagation)
+    net, provider, consumer, handle = build_world(binding)
+    for _ in range(20):  # templates and skeletons learned
+        assert consumer.invoke(handle, "bump") == 1
+    built = []
+    init = Element.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self.__class__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    for _ in range(50):
+        assert consumer.invoke(handle, "bump") == 1
+    monkeypatch.setattr(Element, "__init__", init)
+    assert built == []
