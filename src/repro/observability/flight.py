@@ -23,6 +23,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.observability import metrics as obs_metrics
+from repro.observability.recorder import TreeListener
 
 #: dump record schema: bump when the record shape changes
 FLIGHT_SCHEMA = "repro.flight/1"
@@ -44,18 +45,7 @@ def _summarise(detail: Any) -> dict[str, Any]:
     return {k: v for k, v in detail.items() if isinstance(v, _PRIMITIVES)}
 
 
-class _SourceListener:
-    """Adapter: tags each event with the source it was heard on."""
-
-    def __init__(self, recorder: "FlightRecorder", peer: Optional[str]):
-        self.recorder = recorder
-        self.peer = peer
-
-    def message_received(self, event: Any) -> None:
-        self.recorder.observe(event, peer=self.peer)
-
-
-class FlightRecorder:
+class FlightRecorder(TreeListener):
     """A bounded ring of recent events plus trigger-frozen dumps."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
@@ -70,37 +60,15 @@ class FlightRecorder:
         self.dumps: list[dict[str, Any]] = []
         self.dumps_dropped = 0
         self.events_seen = 0
-        self._attached: list[tuple[Any, _SourceListener]] = []
+        self._attached: list = []
 
     # -- wiring ------------------------------------------------------------
-    def attach(self, source: Any, peer: Optional[str] = None) -> None:
-        """Listen on any duck-typed event source (``add_listener``),
-        tagging captured events with *peer*."""
-        listener = _SourceListener(self, peer)
-        source.add_listener(listener)
-        self._attached.append((source, listener))
-
-    def install(self, *peers: Any) -> "FlightRecorder":
-        """Attach to each WSPeer in *peers* (tagged by ``peer.name``)."""
-        for peer in peers:
-            self.attach(peer, peer=getattr(peer, "name", None))
-        return self
-
     def attach_harness(self, harness: Any,
                        peer: Optional[str] = None) -> "FlightRecorder":
         """Attach to a crash harness so kills land in the ring — and,
         being in :data:`DUMP_TRIGGERS`, freeze a dump."""
         self.attach(harness, peer=peer)
         return self
-
-    def detach(self) -> None:
-        """Stop listening everywhere.  Ring and dumps are kept."""
-        for source, listener in self._attached:
-            try:
-                source.remove_listener(listener)
-            except ValueError:
-                pass
-        self._attached.clear()
 
     # -- capture -----------------------------------------------------------
     def observe(self, event: Any, peer: Optional[str] = None) -> None:

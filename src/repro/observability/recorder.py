@@ -12,14 +12,16 @@ tax the common case where no tracer is installed.  The contract:
   the same two-member surface) is installed with :func:`set_recorder`
   and then receives ``codec_event(kind, detail)`` calls.
 
-This module deliberately imports nothing from the rest of the repo so
-leaf modules (``repro.wsa.headers``, ``repro.soap.envelope``) can hook
-in without import cycles.
+It also holds :class:`TreeListener`, the attach/detach plumbing the
+tree-listening instruments (span tracer, flight recorder, SLO engine)
+share.  This module deliberately imports nothing from the rest of the
+repo so leaf modules (``repro.wsa.headers``, ``repro.soap.envelope``)
+can hook in without import cycles.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 
 class NullRecorder:
@@ -47,3 +49,46 @@ def set_recorder(recorder: Optional[Any]) -> Any:
     previous = _current
     _current = recorder if recorder is not None else NULL_RECORDER
     return previous
+
+
+class _Tap:
+    """One source's listener: hands each event to ``observe(event, peer)``."""
+
+    __slots__ = ("observe", "peer")
+
+    def __init__(self, observe: Callable[[Any, Optional[str]], None], peer: Optional[str]):
+        self.observe = observe
+        self.peer = peer
+
+    def message_received(self, event: Any) -> None:
+        self.observe(event, self.peer)
+
+
+class TreeListener:
+    """Attach/detach for an instrument with ``observe(event, peer)`` and
+    an ``_attached`` list, on any source with ``add_listener`` /
+    ``remove_listener`` (a WSPeer's tree root, a crash harness)."""
+
+    _attached: list
+
+    def attach(self, source: Any, peer: Optional[str] = None) -> None:
+        """Listen on *source*, tagging its events with *peer* so
+        multi-peer records say who did what."""
+        tap = _Tap(self.observe, peer)  # type: ignore[attr-defined]
+        source.add_listener(tap)
+        self._attached.append((source, tap))
+
+    def install(self, *peers: Any) -> Any:
+        """Attach to each WSPeer in *peers* (tagged by ``peer.name``)."""
+        for peer in peers:
+            self.attach(peer, getattr(peer, "name", None))
+        return self
+
+    def detach(self) -> None:
+        """Stop listening everywhere; what was recorded is kept."""
+        for source, tap in self._attached:
+            try:
+                source.remove_listener(tap)
+            except ValueError:
+                pass
+        self._attached.clear()

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.observability import metrics as obs_metrics
+from repro.observability.recorder import TreeListener
 
 #: health annotation states, in increasing severity
 OK, WARN, CRITICAL = "ok", "warn", "critical"
@@ -113,15 +114,7 @@ class ServiceSlo:
         return OK, short, long_
 
 
-class _SourceListener:
-    def __init__(self, engine: "SloEngine"):
-        self.engine = engine
-
-    def message_received(self, event: Any) -> None:
-        self.engine.observe(event)
-
-
-class SloEngine:
+class SloEngine(TreeListener):
     """Tree listener turning invocation events into burn-rate health."""
 
     def __init__(self, policy: Optional[SloPolicy] = None,
@@ -129,50 +122,22 @@ class SloEngine:
         self.default_policy = policy if policy is not None else SloPolicy()
         self.metrics = metrics if metrics is not None else obs_metrics
         self.services: dict[str, ServiceSlo] = {}
-        self._policies: dict[str, SloPolicy] = {}
         #: message_id -> (service, sent_time) awaiting a verdict
         self._pending: OrderedDict[str, tuple[str, float]] = OrderedDict()
         #: message_id -> (service, fail_time) provisionally failed
         self._provisional: OrderedDict[str, tuple[str, float]] = OrderedDict()
         self.pending_evicted = 0
-        self._attached: list[tuple[Any, _SourceListener]] = []
+        self._attached: list = []
         self._last_event_time = 0.0
-
-    # -- configuration -----------------------------------------------------
-    def set_policy(self, service: str, policy: SloPolicy) -> None:
-        """Per-service override (applies to future verdicts' windows)."""
-        self._policies[service] = policy
-        if service in self.services:
-            self.services[service].policy = policy
 
     def _service(self, name: str) -> ServiceSlo:
         slo = self.services.get(name)
         if slo is None:
-            policy = self._policies.get(name, self.default_policy)
-            slo = self.services[name] = ServiceSlo(name, policy)
+            slo = self.services[name] = ServiceSlo(name, self.default_policy)
         return slo
 
-    # -- wiring ------------------------------------------------------------
-    def attach(self, source: Any) -> None:
-        listener = _SourceListener(self)
-        source.add_listener(listener)
-        self._attached.append((source, listener))
-
-    def install(self, *peers: Any) -> "SloEngine":
-        for peer in peers:
-            self.attach(peer)
-        return self
-
-    def detach(self) -> None:
-        for source, listener in self._attached:
-            try:
-                source.remove_listener(listener)
-            except ValueError:
-                pass
-        self._attached.clear()
-
     # -- event intake ------------------------------------------------------
-    def observe(self, event: Any) -> None:
+    def observe(self, event: Any, peer: Optional[str] = None) -> None:
         kind = getattr(event, "kind", None)
         detail = getattr(event, "detail", None) or {}
         service = detail.get("service")

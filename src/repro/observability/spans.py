@@ -34,10 +34,10 @@ import json
 from collections import OrderedDict, deque
 from typing import Any, Callable, Iterator, Optional
 
-from repro.core.events import EventSource, PeerEvent, PeerMessageListener
+from repro.core.events import PeerEvent
 from repro.observability import metrics as obs_metrics
 from repro.observability.kinds import KNOWN_KINDS
-from repro.observability.recorder import set_recorder
+from repro.observability.recorder import TreeListener, set_recorder
 
 _span_ids = itertools.count(1)
 
@@ -62,23 +62,45 @@ _NONE_YET: tuple = ()
 
 
 class Span:
-    """One node of a trace tree: a timed, tagged unit of work."""
+    """One node of a trace tree: a timed, tagged unit of work.
 
-    __slots__ = ("span_id", "name", "kind", "start", "end", "status",
-                 "tags", "annotations", "children")
+    The tracer's own spans hold a value tuple instead: their fixed tags
+    (``_KEYS``; a ``None`` value is an absent tag) then what their name
+    is formatted from (``_NAME``).  ``tags`` and ``name`` are built on
+    first read, so a span nobody inspects never builds either.
+    """
 
-    def __init__(self, name: str, kind: str, start: float,
-                 tags: Optional[dict[str, Any]] = None):
+    __slots__ = ("span_id", "_name", "kind", "start", "end", "status",
+                 "_values", "_tags", "annotations", "children")
+    _KEYS: tuple[str, ...] = ()
+    _NAME = ""
+
+    def __init__(self, name: Optional[str], kind: str, start: float,
+                 tags: Optional[dict[str, Any]] = None, values: tuple = ()):
         self.span_id = next(_span_ids)
-        self.name = name
+        self._name = name
         self.kind = kind
         self.start = start
         self.end: Optional[float] = None
         self.status = IN_FLIGHT
-        self.tags: dict[str, Any] = tags if tags is not None else {}
+        self._values = values
+        self._tags = tags
         #: (time, kind, detail) tuples / child spans, lists once one arrives
         self.annotations: list = _NONE_YET  # type: ignore[assignment]
         self.children: list = _NONE_YET  # type: ignore[assignment]
+
+    @property
+    def name(self) -> str:
+        return self._NAME.format(*self._values) if self._name is None else self._name
+
+    @property
+    def tags(self) -> dict[str, Any]:
+        tags = self._tags
+        if tags is None:
+            tags = self._tags = {
+                k: v for k, v in zip(self._KEYS, self._values) if v is not None
+            }
+        return tags
 
     @property
     def duration(self) -> Optional[float]:
@@ -126,29 +148,27 @@ class Span:
         return f"<Span {self.kind}:{self.name} status={self.status}>"
 
 
+class _AttemptSpan(Span):
+    __slots__ = ()
+    _KEYS = ("attempt", "endpoint", "peer", "span_id", "parent_span_id")
+    _NAME = "attempt#{0}"
+
+
+class _ServerSpan(Span):
+    __slots__ = ()
+    _KEYS = ("peer", "span_id", "parent_span_id")
+    _NAME = "server:{3}.{4}"
+
+
 class _RootSpan(Span):
     """A logical invocation's root, carrying the tracer's bookkeeping for
-    it in slots: the open attempt, the attempt count, and the server
-    span of each peer that heard the request."""
+    it in slots (set by :meth:`SpanTracer._new_root`): the wire trace
+    id, the open attempt, the attempt count, and the server span of each
+    peer that heard the request."""
 
-    __slots__ = ("attempt", "attempts", "servers")
-
-    def __init__(self, name: str, start: float, tags: dict[str, Any]):
-        Span.__init__(self, name, "invocation", start, tags)
-        self.attempt: Optional[Span] = None
-        self.attempts = 0
-        self.servers: dict[Optional[str], Span] = {}
-
-
-class _PeerListener(PeerMessageListener):
-    """Adapter: tags each event with the peer it was heard on."""
-
-    def __init__(self, tracer: "SpanTracer", peer: Optional[str]):
-        self.tracer = tracer
-        self.peer = peer
-
-    def message_received(self, event: PeerEvent) -> None:
-        self.tracer.observe(event, peer=self.peer)
+    __slots__ = ("trace_id", "attempt", "attempts", "servers")
+    _KEYS = ("message_id", "service", "operation", "client", "trace_id", "parent_span_id")
+    _NAME = "{1}.{2}"
 
 
 def _endpoint_host(address: Optional[str]) -> Optional[str]:
@@ -161,7 +181,7 @@ def _endpoint_host(address: Optional[str]) -> Optional[str]:
     return rest.partition("/")[0].partition(":")[0] or None
 
 
-class SpanTracer:
+class SpanTracer(TreeListener):
     """Stitches tree events into per-invocation span trees.
 
     One tracer may be attached to many peers (client *and* providers):
@@ -186,7 +206,11 @@ class SpanTracer:
         self.max_spans = max_spans
         self.metrics = metrics if metrics is not None else obs_metrics.default_registry()
         self._spans: "OrderedDict[str, _RootSpan]" = OrderedDict()
-        self._open_attempt_by_host: dict[str, Span] = {}
+        #: the last root touched: a call's events arrive back to back
+        self._recent_id: Optional[str] = None
+        self._recent_root: Optional[_RootSpan] = None
+        #: host -> its open attempt, kept once :meth:`simnet_sink` asks
+        self._open_attempt_by_host: Optional[dict[str, Span]] = None
         #: trace_id -> message_ids of the roots in that trace (E17);
         #: maintained against ring eviction, so a live trace id always
         #: names live roots
@@ -206,26 +230,19 @@ class SpanTracer:
         self._event_counters: dict[str, obs_metrics.Counter] = {}
         self._codec_counters: dict[str, obs_metrics.Counter] = {}
         self._latency_hists: dict[str, obs_metrics.Histogram] = {}
+        self._spans_started = self.metrics.counter("tracing.spans_started")
         #: recent events that carry no MessageID (breaker transitions,
         #: discovery/publish/deployment traffic) — kept for diagnostics
         self.uncorrelated: "deque[tuple[float, str, str, dict]]" = deque(maxlen=256)
-        self._attached: list[tuple[EventSource, _PeerListener]] = []
+        self._attached: list = []
         self._recorder_installed = False
         self._prev_recorder: Any = None
 
     # -- wiring ------------------------------------------------------------
-    def attach(self, source: EventSource, peer: Optional[str] = None) -> None:
-        """Listen on *source* (usually a WSPeer root), tagging events
-        with *peer* so multi-peer traces say who did what."""
-        listener = _PeerListener(self, peer)
-        source.add_listener(listener)
-        self._attached.append((source, listener))
-
     def install(self, *peers: Any, codec: bool = False) -> "SpanTracer":
         """Attach to each WSPeer in *peers* (tagged by ``peer.name``);
         with ``codec=True`` also become the codec-layer recorder."""
-        for peer in peers:
-            self.attach(peer, peer=getattr(peer, "name", None))
+        TreeListener.install(self, *peers)
         if codec and not self._recorder_installed:
             self._prev_recorder = set_recorder(self)
             self._recorder_installed = True
@@ -233,12 +250,7 @@ class SpanTracer:
 
     def uninstall(self) -> None:
         """Detach from every source and release the codec recorder."""
-        for source, listener in self._attached:
-            try:
-                source.remove_listener(listener)
-            except ValueError:
-                pass
-        self._attached.clear()
+        self.detach()
         if self._recorder_installed:
             set_recorder(self._prev_recorder)
             self._recorder_installed = False
@@ -272,63 +284,64 @@ class SpanTracer:
         detail = event.detail
         service = detail.get("service", "")
         operation = detail.get("operation", "")
-        name = f"{service}.{operation}" if service or operation else event.kind
-        root = _RootSpan(name, event.time, tags={
-            "message_id": message_id,
-            "service": service,
-            "operation": operation,
-        })
-        if peer:
-            root.tags["client"] = peer
-        while len(self._spans) >= self.max_spans:
-            evicted_id, evicted_root = self._spans.popitem(last=False)
-            evicted_trace = evicted_root.tags.get("trace_id")
-            if evicted_trace is not None:
-                mids = self._by_trace.get(evicted_trace)
-                if mids is not None:
-                    try:
-                        mids.remove(evicted_id)
-                    except ValueError:
-                        pass
-                    if not mids:
-                        del self._by_trace[evicted_trace]
+        trace_id = detail.get("trace_id") or None
+        root = _RootSpan(
+            None if service or operation else event.kind, "invocation", event.time, None,
+            (message_id, service, operation, peer or None, trace_id,
+             (detail.get("parent_span_id") or None) if trace_id else None),
+        )
+        root.children = []  # a root nearly always gets some
+        root.trace_id = trace_id
+        root.attempt = None
+        root.attempts = 0
+        root.servers = {}
+        spans = self._spans
+        while len(spans) >= self.max_spans:
+            evicted_id, evicted_root = spans.popitem(last=False)
+            mids = self._by_trace.get(evicted_root.trace_id)
+            if mids is not None and evicted_id in mids:
+                mids.remove(evicted_id)
+                if not mids:
+                    del self._by_trace[evicted_root.trace_id]
             self.evicted += 1
             self.metrics.inc("tracing.spans_evicted")
-        self._spans[message_id] = root
-        self.metrics.inc("tracing.spans_started")
+        spans[message_id] = root
+        if trace_id is not None:
+            self._by_trace.setdefault(trace_id, []).append(message_id)
+        if self.metrics.enabled:
+            self._spans_started.value += 1
         return root
 
     def _new_attempt(self, root: _RootSpan, event: PeerEvent,
-                     peer: Optional[str], number: Optional[int] = None) -> Span:
+                     peer: Optional[str], number: Optional[int] = None) -> None:
         current = root.attempt
         if current is not None and current.end is None:
             current.close(event.time, ERROR if event.kind == "retransmit" else current.status)
         root.attempts += 1
         attempt_no = number if number is not None else root.attempts
-        endpoint = event.detail.get("endpoint")
-        tags: dict[str, Any] = {"attempt": attempt_no}
-        if endpoint:
-            tags["endpoint"] = endpoint
-        if peer:
-            tags["peer"] = peer
-        span_id = event.detail.get("span_id")
-        if span_id:
-            tags["span_id"] = span_id
-            parent_span = event.detail.get("parent_span_id")
-            if parent_span:
-                tags["parent_span_id"] = parent_span
-        attempt = Span(f"attempt#{attempt_no}", "attempt", event.time, tags)
-        self._adopt(root, attempt)
-        root.attempt = attempt
-        host = _endpoint_host(endpoint)
-        if host:
-            self._open_attempt_by_host[host] = attempt
-        return attempt
+        detail = event.detail
+        endpoint = detail.get("endpoint") or None
+        span_id = detail.get("span_id") or None
+        attempt = root.attempt = _AttemptSpan(
+            None, "attempt", event.time, None,
+            (attempt_no, endpoint, peer or None, span_id,
+             (detail.get("parent_span_id") or None) if span_id else None),
+        )
+        if len(root.children) < MAX_CHILDREN:
+            root.children.append(attempt)
+        else:
+            self._adopt(root, attempt)
+        if self._open_attempt_by_host is not None:
+            host = _endpoint_host(endpoint)
+            if host:
+                self._open_attempt_by_host[host] = attempt
 
-    def _close_attempt(self, root: _RootSpan, time: float, status: str) -> None:
+    def _close(self, root: _RootSpan, time: float, status: str) -> None:
+        """Close *root* and its open attempt."""
         attempt = root.attempt
         if attempt is not None and attempt.end is None:
-            attempt.close(time, status)
+            attempt.end, attempt.status = time, status
+        root.end, root.status = time, status
 
     # -- the listener ------------------------------------------------------
     def observe(self, event: PeerEvent, peer: Optional[str] = None) -> None:
@@ -342,7 +355,7 @@ class SpanTracer:
         if counter is None:
             counter = self._event_counters[kind] = self.metrics.counter("events." + kind)
         if self.metrics.enabled:
-            counter.inc()
+            counter.value += 1
 
         detail = event.detail
         message_id = detail.get("message_id")
@@ -350,20 +363,22 @@ class SpanTracer:
             self.uncorrelated.append((event.time, kind, event.source, detail))
             return
 
-        root = self._spans.get(message_id)
-        if root is None:
-            root = self._new_root(message_id, event, peer)
+        if message_id == self._recent_id:
+            root = self._recent_root  # already the most recently used
         else:
-            self._spans.move_to_end(message_id)
-        # E17: the first event carrying wire trace-context tags the root
-        # and indexes it by trace — the hook distributed_trace() links on
-        trace_id = detail.get("trace_id")
-        if trace_id and "trace_id" not in root.tags:
-            root.tags["trace_id"] = trace_id
-            parent_span = detail.get("parent_span_id")
-            if parent_span:
-                root.tags["parent_span_id"] = parent_span
-            self._by_trace.setdefault(trace_id, []).append(message_id)
+            root = self._spans.get(message_id)
+            if root is None:
+                root = self._new_root(message_id, event, peer)
+            else:
+                self._spans.move_to_end(message_id)
+            self._recent_id, self._recent_root = message_id, root
+        if root.trace_id is None and detail.get("trace_id"):
+            # E17: the first event carrying wire trace-context tags the
+            # root and indexes it by trace — the hook distributed_trace() links on
+            root.trace_id = root.tags["trace_id"] = detail["trace_id"]
+            if detail.get("parent_span_id"):
+                root.tags["parent_span_id"] = detail["parent_span_id"]
+            self._by_trace.setdefault(root.trace_id, []).append(message_id)
 
         if kind in ("request-sent", "oneway-sent"):
             # a repeat request-sent with the same MessageID is a failover
@@ -375,8 +390,34 @@ class SpanTracer:
             self._new_attempt(root, event, peer)
             if kind == "oneway-sent" and not detail.get("ack_requested"):
                 # fire-and-forget: the trace is complete once sent
-                self._close_attempt(root, event.time, SENT)
-                root.close(event.time, SENT)
+                self._close(root, event.time, SENT)
+        elif kind == "request-received":
+            span_id = detail.get("span_id") or None
+            server = _ServerSpan(
+                None, "server", event.time, None,
+                (peer or None, span_id,
+                 (detail.get("parent_span_id") or None) if span_id else None,
+                 detail.get("service", ""), detail.get("operation", "")),
+            )
+            if len(root.children) < MAX_CHILDREN:
+                root.children.append(server)
+            else:
+                self._adopt(root, server)
+            root.servers[peer] = server
+        elif kind == "response-sent":
+            server = root.servers.get(peer)
+            if server is not None and server.end is None:
+                server.end = event.time
+                if server.status != "busy":  # shed verdict beats fault
+                    server.status = ERROR if detail.get("fault") else OK
+        elif kind in ("response-received", "oneway-acked"):
+            self._close(root, event.time, OK)
+            name = "oneway.ack_latency" if kind == "oneway-acked" else "invocation.latency"
+            hist = self._latency_hists.get(name)
+            if hist is None:
+                hist = self._latency_hists[name] = self.metrics.histogram(name)
+            if self.metrics.enabled:
+                hist.observe(event.time - root.start)
         elif kind == "retransmit":
             self._new_attempt(root, event, peer, number=detail.get("attempt"))
         elif kind == "failover":
@@ -385,47 +426,13 @@ class SpanTracer:
                 "to": detail.get("to_endpoint"),
                 "reason": detail.get("reason"),
             })
-        elif kind in ("response-received", "oneway-acked"):
-            self._close_attempt(root, event.time, OK)
-            root.close(event.time, OK)
-            if root.duration is not None:
-                name = "oneway.ack_latency" if kind == "oneway-acked" else "invocation.latency"
-                hist = self._latency_hists.get(name)
-                if hist is None:
-                    hist = self._latency_hists[name] = self.metrics.histogram(name)
-                if self.metrics.enabled:
-                    hist.observe(root.duration)
-        elif kind in ("invoke-failed", "oneway-failed"):
+        elif kind in ("invoke-failed", "oneway-failed", "failover-exhausted"):
             # provisional for failover-driven calls: a later request-sent
             # with the same MessageID reopens the root
-            self._close_attempt(root, event.time, ERROR)
-            root.close(event.time, ERROR)
+            self._close(root, event.time, ERROR)
             root.tags["error"] = detail.get("reason")
-        elif kind == "failover-exhausted":
-            self._close_attempt(root, event.time, ERROR)
-            root.close(event.time, ERROR)
-            root.tags["error"] = detail.get("reason")
-            root.tags["rounds"] = detail.get("rounds")
-        elif kind == "request-received":
-            server_tags: dict[str, Any] = {"peer": peer} if peer else {}
-            if detail.get("span_id"):
-                server_tags["span_id"] = detail["span_id"]
-                if detail.get("parent_span_id"):
-                    server_tags["parent_span_id"] = detail["parent_span_id"]
-            server = Span(
-                f"server:{detail.get('service', '')}.{detail.get('operation', '')}",
-                "server", event.time,
-                tags=server_tags,
-            )
-            self._adopt(root, server)
-            root.servers[peer] = server
-        elif kind == "response-sent":
-            server = root.servers.get(peer)
-            if server is not None and server.end is None:
-                if server.status == "busy":  # shed verdict beats fault
-                    server.end = event.time
-                else:
-                    server.close(event.time, ERROR if detail.get("fault") else OK)
+            if kind == "failover-exhausted":
+                root.tags["rounds"] = detail.get("rounds")
         elif kind == "duplicate-suppressed":
             server = root.servers.get(peer)
             if server is not None and server.end is None:
@@ -456,7 +463,11 @@ class SpanTracer:
     # -- simnet bridge -----------------------------------------------------
     def simnet_sink(self) -> Callable[[float, str, dict[str, Any]], None]:
         """A :class:`~repro.simnet.trace.TraceLog` sink: frame records
-        annotate the open attempt span of the endpoint they touched."""
+        annotate the open attempt span of the endpoint they touched
+        (attempts opened from now on)."""
+        if self._open_attempt_by_host is None:
+            self._open_attempt_by_host = {}
+        by_host = self._open_attempt_by_host
 
         def sink(time: float, kind: str, detail: dict[str, Any]) -> None:
             self.metrics.inc("simnet." + kind)
@@ -464,7 +475,7 @@ class SpanTracer:
                 host = detail.get(key)
                 if host is None:
                     continue
-                attempt = self._open_attempt_by_host.get(host)
+                attempt = by_host.get(host)
                 if attempt is not None and attempt.end is None:
                     self._annotate(attempt, time, "frame-" + kind, dict(detail))
                     return

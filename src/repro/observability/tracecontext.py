@@ -23,9 +23,10 @@ children of its server span.
 Identifiers come from deterministic counters, not randomness — the
 simulation's reproducibility guarantee (same seed, same trace ids)
 outranks the collision-resistance argument for random ids, and the
-process-wide counters are unique where it matters.
+process-wide counters are unique where it matters.  A minted id stays
+the counter's int until first read (encode, event tags, export).
 
-One codec: :func:`encode`/:func:`decode` (one f-string / one split).
+One codec: :func:`encode`/:func:`decode` (one f-string / one match).
 The deliberately naive, strict reference the property tests hold it
 byte-identical to is a test oracle (``tests/_oracle``), like the XML
 one.  The header block itself is a plain leaf: the wire templates
@@ -40,6 +41,7 @@ written or read.
 from __future__ import annotations
 
 import itertools
+import re
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
@@ -57,7 +59,10 @@ VERSION = "00"
 #: default flags: "sampled" (the only flag this stack interprets)
 FLAG_SAMPLED = "01"
 
-_HEX = frozenset("0123456789abcdef")
+#: the whole traceparent value: lower-case hex fields, all-zero ids refused
+_WIRE = re.compile(
+    VERSION + r"-(?!0{32})([0-9a-f]{32})-(?!0{16})([0-9a-f]{16})-([0-9a-f]{2})"
+)
 
 _trace_ids = itertools.count(1)
 _span_ids = itertools.count(1)
@@ -74,33 +79,53 @@ def new_span_id() -> str:
 
 
 class TraceContext:
-    """One point in a causal tree: (trace, this span, its parent)."""
+    """One point in a causal tree: (trace, this span, its parent).
 
-    __slots__ = ("trace_id", "span_id", "flags", "parent_id")
+    Ids are hex text or counter ints; the ``*_id`` properties read text."""
+
+    __slots__ = ("_trace", "_span", "flags", "_parent")
 
     def __init__(
         self,
-        trace_id: str,
-        span_id: str,
+        trace_id: "str | int",
+        span_id: "str | int",
         flags: str = FLAG_SAMPLED,
-        parent_id: Optional[str] = None,
+        parent_id: "str | int | None" = None,
     ):
-        self.trace_id = trace_id
-        self.span_id = span_id
+        self._trace = trace_id
+        self._span = span_id
         self.flags = flags
         #: the span that caused this one (None at a trace root); not
         #: carried on the wire — the wire's span-id field *is* the
         #: parent from the receiver's point of view
-        self.parent_id = parent_id
+        self._parent = parent_id
+
+    @property
+    def trace_id(self) -> str:
+        if self._trace.__class__ is int:
+            self._trace = f"{self._trace:032x}"
+        return self._trace
+
+    @property
+    def span_id(self) -> str:
+        if self._span.__class__ is int:
+            self._span = f"{self._span:016x}"
+        return self._span
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        if self._parent.__class__ is int:
+            self._parent = f"{self._parent:016x}"
+        return self._parent
 
     @classmethod
     def new_root(cls, flags: str = FLAG_SAMPLED) -> "TraceContext":
         """A fresh trace with no parent (a client-originated call)."""
-        return cls(new_trace_id(), new_span_id(), flags)
+        return cls(next(_trace_ids), next(_span_ids), flags)
 
     def child(self) -> "TraceContext":
         """A new span in the same trace, parented on this one."""
-        return TraceContext(self.trace_id, new_span_id(), self.flags, self.span_id)
+        return TraceContext(self._trace, next(_span_ids), self.flags, self._span)
 
     def encoded(self) -> str:
         return encode(self)
@@ -132,26 +157,12 @@ def encode(ctx: TraceContext) -> str:
 def decode(text: str) -> Optional[TraceContext]:
     """The fast-path decode: None for anything malformed.
 
-    Parsed leniently but validated completely — the property tests
-    hold this byte-identical (through re-encode) to the reference
-    codec on every input the reference accepts, and equally rejecting
-    on every input it rejects.
+    The property tests hold this byte-identical (through re-encode) to
+    the reference codec on every input the reference accepts, and
+    equally rejecting on every input it rejects.
     """
-    if len(text) != 55:
-        return None
-    parts = text.split("-")
-    if len(parts) != 4:
-        return None
-    version, trace_id, span_id, flags = parts
-    if version != VERSION or len(trace_id) != 32 or len(span_id) != 16 or len(flags) != 2:
-        return None
-    hexdigits = _HEX
-    if not (hexdigits.issuperset(trace_id) and hexdigits.issuperset(span_id)
-            and hexdigits.issuperset(flags)):
-        return None
-    if trace_id == "0" * 32 or span_id == "0" * 16:
-        return None
-    return TraceContext(trace_id, span_id, flags)
+    match = _WIRE.fullmatch(text)
+    return None if match is None else TraceContext(*match.groups())
 
 
 # ----------------------------------------------------------------------

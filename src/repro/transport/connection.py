@@ -49,6 +49,7 @@ from repro.transport.http import (
     HttpRequest,
     HttpResponse,
     HttpServer,
+    _busy,
     _decoded_body,
     parse_head_block,
 )
@@ -133,6 +134,17 @@ def _rechunk(chunks, size: int):
             pending += mv
     if pending:
         yield bytes(pending)
+
+
+def _render(message, threshold: Optional[int]) -> tuple[bool, object]:
+    """Render *message* once: ``(True, wire bytes)`` when it goes as one
+    frame, ``(False, byte chunks)`` when it streams."""
+    if isinstance(message.body, BodyStream):
+        return False, message.iter_wire()
+    wire = message.to_wire()
+    if threshold is not None and len(wire) > threshold:
+        return False, (wire,)
+    return True, wire
 
 
 class _StreamSender:
@@ -246,69 +258,33 @@ class _StreamReceiver:
 
 class _WireAssembler:
     """Incremental splitter for a streamed HTTP wire: accumulates the
-    head until the ``\\r\\n\\r\\n`` terminator, then routes body bytes
-    either into a caller-provided sink (O(chunk) memory) or an
-    in-memory buffer.  *sink_for* is called once with the raw head
-    bytes and may return None to keep buffering."""
-
-    def __init__(self, sink_for: Optional[Callable[[bytes], object]] = None):
-        self._sink_for = sink_for
-        self._buf = bytearray()
-        self.head: Optional[bytes] = None
-        self.sink = None
-        self.body_len = 0
-
-    def write(self, data: bytes) -> None:
-        if self.head is None:
-            self._buf += data
-            pos = self._buf.find(b"\r\n\r\n")
-            if pos < 0:
-                return
-            self.head = bytes(self._buf[:pos])
-            rest = bytes(self._buf[pos + 4:])
-            self._buf = bytearray()
-            if self._sink_for is not None:
-                self.sink = self._sink_for(self.head)
-            if rest:
-                self.write(rest)
-            return
-        self.body_len += len(data)
-        if self.sink is not None:
-            self.sink.write(data)
-        else:
-            self._buf += data
-
-    def finish_message(self, from_parts, decode_body) -> object:
-        """Assemble the completed message.  *from_parts* is the message
-        class's ``_from_parts``; *decode_body* maps raw buffered bytes
-        to the body representation (skipped for sink bodies — the sink
-        owns the representation)."""
-        if self.head is None:
-            raise TransportError("streamed message ended before header terminator")
-        start, headers, declared = parse_head_block(self.head)
-        if declared is not None and declared != self.body_len:
-            raise TransportError(
-                f"Content-Length mismatch on streamed message: "
-                f"declared {declared}, got {self.body_len} bytes"
-            )
-        if self.sink is not None:
-            return from_parts(start, headers, self.sink.close())
-        return from_parts(start, headers, decode_body(bytes(self._buf), headers))
-
-
-class _BufferSink:
-    """The default body sink: accumulate to one bytes object."""
-
-    __slots__ = ("_buf",)
+    head until the ``\\r\\n\\r\\n`` terminator, then buffers the body."""
 
     def __init__(self):
         self._buf = bytearray()
+        self.head: Optional[bytes] = None
 
     def write(self, data: bytes) -> None:
         self._buf += data
+        if self.head is None:
+            pos = self._buf.find(b"\r\n\r\n")
+            if pos >= 0:
+                self.head = bytes(self._buf[:pos])
+                del self._buf[: pos + 4]
 
-    def close(self) -> bytes:
-        return bytes(self._buf)
+    def finish_message(self, from_parts) -> object:
+        """Assemble the completed message through the message class's
+        ``_from_parts``."""
+        if self.head is None:
+            raise TransportError("streamed message ended before header terminator")
+        start, headers, declared = parse_head_block(self.head)
+        body = bytes(self._buf)
+        if declared is not None and declared != len(body):
+            raise TransportError(
+                f"Content-Length mismatch on streamed message: "
+                f"declared {declared}, got {len(body)} bytes"
+            )
+        return from_parts(start, headers, _decoded_body(body, headers))
 
 
 @dataclass(slots=True)
@@ -319,7 +295,6 @@ class _Exchange:
     request: HttpRequest
     callback: ResponseHandler
     timeout: Optional[float]
-    response_sink: Optional[Callable[[], object]]
     timer: object = None
     done: bool = False
     up_sender: object = None  # the _StreamSender of a chunked request
@@ -415,18 +390,12 @@ class HttpConnection:
         request: HttpRequest,
         callback: ResponseHandler,
         timeout: Optional[float] = None,
-        response_sink: Optional[Callable[[], object]] = None,
     ) -> None:
         """Issue *request*; *callback* fires (in request order) with the
         response or error.  A timeout poisons the whole connection —
         later responses on it can no longer be matched trustworthily.
-
-        *response_sink* (optional) is a zero-arg factory of a body sink
-        (``write(bytes)`` / ``close() -> body``): if the server streams
-        the response as chunk frames, its body bytes flow through the
-        sink instead of being buffered, and the delivered response's
-        ``body`` is whatever ``close()`` returned.  Streamed exchanges
-        are delivered on completion, outside the strict request order.
+        A response the server streams as chunk frames is delivered on
+        completion, outside the strict request order.
         """
         if self.state == CLOSED:
             callback(
@@ -436,7 +405,7 @@ class HttpConnection:
                 else ConnectionClosedError(f"connection {self.id} is closed"),
             )
             return
-        entry = _Exchange(self._next_seq, request, callback, timeout, response_sink)
+        entry = _Exchange(self._next_seq, request, callback, timeout)
         self._next_seq += 1
         self.requests_sent += 1
         self._pending[entry.seq] = entry
@@ -470,11 +439,8 @@ class HttpConnection:
         self._unanswered += 1
         self.state = ACTIVE
         request = entry.request
-        threshold = self.config.chunk_threshold
-        streamed = isinstance(request.body, BodyStream) or (
-            threshold is not None and request.wire_length() > threshold
-        )
-        if streamed:
+        whole, wire = _render(request, self.config.chunk_threshold)
+        if not whole:
             # streamed exchanges opt out of strict ordering: the server
             # dispatches them on completion, so pipelined small calls
             # behind this one are never head-of-line blocked
@@ -484,7 +450,7 @@ class HttpConnection:
                 self.target_node,
                 self._srv_port,
                 {"conn": self.id, "seq": entry.seq},
-                request.iter_wire(),
+                wire,
                 self.config.chunk_size,
                 self.config.stream_window,
                 on_error=self._teardown,
@@ -496,7 +462,7 @@ class HttpConnection:
             self.node.send(
                 self.target_node,
                 self._srv_port,
-                request.to_wire(),
+                wire,
                 kind="request",
                 conn=self.id,
                 seq=entry.seq,
@@ -569,11 +535,7 @@ class HttpConnection:
             return
         stream = self._rsp_streams.get(seq)
         if stream is None:
-            entry = self._pending[seq]
-            sink_factory = entry.response_sink
-            assembler = _WireAssembler(
-                (lambda head: sink_factory()) if sink_factory is not None else None
-            )
+            assembler = _WireAssembler()
             receiver = _StreamReceiver(
                 assembler.write,
                 lambda idx, seq=seq: self._send_credit(seq, idx),
@@ -594,7 +556,7 @@ class HttpConnection:
             return
         self._rsp_streams.pop(seq, None)
         try:
-            response = assembler.finish_message(HttpResponse._from_parts, _decoded_body)
+            response = assembler.finish_message(HttpResponse._from_parts)
         except TransportError as exc:
             self._teardown(exc)
             return
@@ -827,10 +789,6 @@ class ConnectionPool:
     def connections(self) -> list[HttpConnection]:
         return [conn for bucket in self._conns.values() for conn in bucket]
 
-    def close_all(self) -> None:
-        for conn in self.connections():
-            conn.close()
-
     def stats(self) -> dict[str, int]:
         return {
             "open": self.size,
@@ -988,7 +946,7 @@ class ServerConnection:
         if stream is None:
             if seq < self._next_seq or seq in self._oob:
                 return  # duplicate chunk of a finished stream
-            assembler = _WireAssembler(self.server._body_sink_for)
+            assembler = _WireAssembler()
             receiver = _StreamReceiver(
                 assembler.write,
                 lambda idx, seq=seq: self._send_credit(seq, idx),
@@ -1020,27 +978,25 @@ class ServerConnection:
         except (NetworkError, NodeDownError):
             pass  # sender stalls; the client's request timeout owns it
 
+    def _admitted(self, seq: int) -> bool:
+        """Gate request *seq* through the connection's bounded queue; a
+        refused one is answered 503 + Retry-After here."""
+        if self.admission is None:
+            return True
+        admitted, retry_after = self.admission.try_admit()
+        obs_metrics.set_gauge("transport.http.queue_depth", self.admission.level)
+        if not admitted:
+            self.busy_answered += 1
+            obs_metrics.inc("transport.http.queue_overflow")
+            self._respond(seq, _busy(f"connection {self.id}: request queue full", retry_after))
+        return admitted
+
     def _dispatch_streamed(self, seq: int, assembler: _WireAssembler) -> None:
-        if self.admission is not None:
-            admitted, retry_after = self.admission.try_admit()
-            obs_metrics.set_gauge(
-                "transport.http.queue_depth", self.admission.level
-            )
-            if not admitted:
-                self.busy_answered += 1
-                obs_metrics.inc("transport.http.queue_overflow")
-                self._respond(
-                    seq,
-                    HttpResponse(
-                        503,
-                        f"connection {self.id}: request queue full",
-                        {"Retry-After": f"{retry_after:.6f}"},
-                    ),
-                )
-                return
+        if not self._admitted(seq):
+            return
         self.requests_handled += 1
         try:
-            request = assembler.finish_message(HttpRequest._from_parts, _decoded_body)
+            request = assembler.finish_message(HttpRequest._from_parts)
         except TransportError as exc:
             self.server.bad_requests += 1
             obs_metrics.inc("transport.http.bad_requests")
@@ -1078,48 +1034,25 @@ class ServerConnection:
                 self.busy_answered += 1
                 obs_metrics.inc("transport.http.worker_overflow")
                 self._respond(
-                    seq_now,
-                    HttpResponse(
-                        503,
-                        f"connection {self.id}: worker pool saturated",
-                        {"Retry-After": f"{entry[1]:.6f}"},
-                    ),
+                    seq_now, _busy(f"connection {self.id}: worker pool saturated", entry[1])
                 )
             else:
                 self._process(seq_now, entry)
 
     def _process(self, seq: int, payload) -> None:
-        if self.admission is not None:
-            admitted, retry_after = self.admission.try_admit()
-            obs_metrics.set_gauge(
-                "transport.http.queue_depth", self.admission.level
-            )
-            if not admitted:
-                self.busy_answered += 1
-                obs_metrics.inc("transport.http.queue_overflow")
-                self._respond(
-                    seq,
-                    HttpResponse(
-                        503,
-                        f"connection {self.id}: request queue full",
-                        {"Retry-After": f"{retry_after:.6f}"},
-                    ),
-                )
-                return
-        self.requests_handled += 1
-        self._respond(seq, self.server._response_for(payload))
+        if self._admitted(seq):
+            self.requests_handled += 1
+            self._respond(seq, self.server._response_for(payload))
 
     def _respond(self, seq: int, response: HttpResponse) -> None:
-        threshold = self.server.chunk_threshold
-        if isinstance(response.body, BodyStream) or (
-            threshold is not None and response.wire_length() > threshold
-        ):
+        whole, wire = _render(response, self.server.chunk_threshold)
+        if not whole:
             sender = _StreamSender(
                 self.node,
                 self.peer,
                 self.client_port,
                 {"conn": self.id, "seq": seq},
-                response.iter_wire(),
+                wire,
                 self.server.chunk_size,
                 self.server.stream_window,
                 on_error=self._on_stream_error,
@@ -1133,7 +1066,7 @@ class ServerConnection:
             self.node.send(
                 self.peer,
                 self.client_port,
-                response.to_wire(),
+                wire,
                 kind="response",
                 conn=self.id,
                 seq=seq,

@@ -22,6 +22,17 @@ connection models coexist:
 Headers live in a :class:`HeaderMap` — case-insensitive like real
 HTTP field names (RFC 9110 §5.1), preserving the first-seen casing on
 render.
+
+Heads are templated both ways (E28): between two peers a head differs
+from the last one only in its ``Content-Length``.  A render is one
+``%``-format of a cached prefix that ends in ``Content-Length: ``.  A
+parse splits off a final ``\r\nContent-Length: <digits>`` line and
+looks the bytes before it up; the digits must pass ``bytes.isdigit``
+(ASCII only, where ``str.isdigit`` and ``int`` take Arabic-Indic digits
+too).  Anything else runs the strict grammar, and a prefix is stored
+only after the strict grammar accepted it and only if it holds no
+``Content-Length`` line of its own, so a template answers only what the
+strict grammar answered for the same bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ import re
 from collections.abc import Mapping, MutableMapping
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+from repro.caching import ArtifactCache
 from repro.observability import metrics as obs_metrics
 from repro.simnet.network import Frame, Network, NetworkError, Node, NodeDownError
 from repro.transport.base import (
@@ -83,6 +95,19 @@ class HeaderMap(MutableMapping):
     def __getitem__(self, name: str) -> str:
         return self._entries[name.lower()][1]
 
+    # get / setdefault without the Mapping defaults' raise-and-catch
+    def get(self, name: str, default=None):
+        held = self._entries.get(name.lower())
+        return default if held is None else held[1]
+
+    def setdefault(self, name: str, default=None):
+        key = name.lower()
+        held = self._entries.get(key)
+        if held is None:
+            self._entries[key] = (name, default)
+            return default
+        return held[1]
+
     def __setitem__(self, name: str, value: str) -> None:
         key = name.lower()
         held = self._entries.get(key)
@@ -107,8 +132,39 @@ class HeaderMap(MutableMapping):
         return f"<HeaderMap {dict(self)!r}>"
 
 
-def _render_headers(headers: Mapping[str, str]) -> str:
-    return "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+#: encoded heads up to and including ``Content-Length: ``, keyed by
+#: (start-line tokens, header entries)
+_head_templates = ArtifactCache("http-head-templates", max_entries=256)
+#: (start line, header entries) the strict grammar built for the head
+#: bytes before a final ``\r\nContent-Length: `` line, keyed by them
+_head_skeletons = ArtifactCache("http-head-skeletons", max_entries=256)
+#: longer prefixes are parsed every time rather than held
+_MAX_SKELETON_BYTES = 4096
+_LENGTH_LINE = b"\r\nContent-Length: "
+#: a spliced length has at most this many digits (well inside int64)
+_MAX_LENGTH_DIGITS = 18
+
+
+def _render_head(start: tuple, headers: HeaderMap, length: int) -> bytes:
+    """The encoded head: start line from the three *start* tokens, the
+    header lines, and ``Content-Length: <length>``."""
+    entries = headers._entries
+    if "content-length" in entries:
+        # the transport owns framing: a caller's value is overwritten
+        # in place, keeping its casing and position
+        entries = {**entries, "content-length": (entries["content-length"][0], length)}
+        return _head_text(start, entries, "\r\n").encode("utf-8")
+    key = (start, tuple(entries.values()))
+    prefix = _head_templates.get(key)
+    if prefix is None:
+        text = _head_text(start, entries, "Content-Length: ")
+        prefix = _head_templates.put(key, text.encode("utf-8"))
+    return b"%s%d\r\n\r\n" % (prefix, length)
+
+
+def _head_text(start: tuple, entries: dict[str, tuple[str, str]], end: str) -> str:
+    lines = "".join(f"{name}: {value}\r\n" for name, value in entries.values())
+    return "%s %s %s\r\n%s%s" % (*start, lines, end)
 
 
 #: body content-types delivered as raw bytes rather than decoded text
@@ -122,8 +178,7 @@ _CONTENT_LENGTH_RE = re.compile(r" ?([0-9]+)\Z")
 def _decoded_body(body: bytes, headers: HeaderMap) -> Union[str, bytes]:
     """Binary content-types keep raw bytes; everything else is UTF-8
     text (a mis-encoded text body is a framing error, not a mojibake)."""
-    ctype = headers.get("Content-Type", "").lower()
-    if any(ctype.startswith(prefix) for prefix in _BINARY_CONTENT_PREFIXES):
+    if headers.get("Content-Type", "").lower().startswith(_BINARY_CONTENT_PREFIXES):
         return body
     try:
         return body.decode("utf-8")
@@ -138,19 +193,43 @@ def parse_head_block(head: Union[bytes, str]) -> tuple[str, HeaderMap, Optional[
     ``Content-Length`` is parsed strictly — ``+5``, ``-5``,
     whitespace-padded values, and duplicate ``Content-Length`` lines
     that disagree are all rejected (HeaderMap is last-wins, which would
-    otherwise smuggle the conflict through silently).
+    otherwise smuggle the conflict through silently).  A byte head
+    whose prefix the strict grammar has already read is answered from
+    its skeleton (see the module docstring).
     """
-    if isinstance(head, (bytes, bytearray, memoryview)):
-        try:
-            head_text = bytes(head).decode("utf-8")
-        except UnicodeDecodeError:
-            raise TransportError("malformed HTTP head: not valid UTF-8") from None
-    else:
-        head_text = head
+    if not isinstance(head, (bytes, bytearray, memoryview)):
+        return _parse_strict(head)[:3]
+    head = bytes(head)
+    prefix, sep, digits = head.rpartition(_LENGTH_LINE)
+    spliced = sep and len(digits) <= _MAX_LENGTH_DIGITS and digits.isdigit()
+    if spliced:
+        skeleton = _head_skeletons.get(prefix)
+        if skeleton is not None:
+            start, entries = skeleton
+            headers = HeaderMap.__new__(HeaderMap)
+            headers._entries = {**entries, "content-length": ("Content-Length", digits.decode())}
+            return start, headers, int(digits)
+    try:
+        head_text = head.decode("utf-8")
+    except UnicodeDecodeError:
+        raise TransportError("malformed HTTP head: not valid UTF-8") from None
+    start, headers, declared_length, length_lines = _parse_strict(head_text)
+    if spliced and length_lines == 1 and len(prefix) <= _MAX_SKELETON_BYTES:
+        # the one Content-Length line is the last one, so the prefix
+        # holds none: its entries are these minus that line's
+        entries = headers._entries.copy()
+        del entries["content-length"]
+        _head_skeletons.put(prefix, (start, entries))
+    return start, headers, declared_length
+
+
+def _parse_strict(head_text: str) -> tuple[str, HeaderMap, Optional[int], int]:
+    """The grammar; also returns how many Content-Length lines it read."""
     lines = head_text.split("\r\n")
     start = lines[0]
     headers = HeaderMap()
     declared_length: Optional[int] = None
+    length_lines = 0
     for line in lines[1:]:
         if not line:
             continue
@@ -159,17 +238,21 @@ def parse_head_block(head: Union[bytes, str]) -> tuple[str, HeaderMap, Optional[
             raise TransportError(f"malformed HTTP header line: {line!r}")
         if name.strip().lower() == "content-length":
             match = _CONTENT_LENGTH_RE.match(value)
-            if match is None:
-                raise TransportError(f"bad Content-Length: {value!r}")
-            length = int(match.group(1))
+            try:
+                length = int(match.group(1)) if match is not None else -1
+            except ValueError:  # past int()'s digit limit
+                length = -1
+            if length < 0:
+                raise TransportError(f"bad Content-Length: {value[:40]!r}")
             if declared_length is not None and declared_length != length:
                 raise TransportError(
                     f"conflicting Content-Length headers: "
                     f"{declared_length} vs {length}"
                 )
             declared_length = length
+            length_lines += 1
         headers[name.strip()] = value.strip()
-    return start, headers, declared_length
+    return start, headers, declared_length, length_lines
 
 
 def _parse_head(data: Union[bytes, str]) -> tuple[str, HeaderMap, bytes]:
@@ -246,6 +329,17 @@ def _body_declared_length(body) -> int:
     return len(body)
 
 
+def _wire(start: tuple, headers: HeaderMap, body) -> bytes:
+    data = _body_bytes(body)
+    length = body.length if isinstance(body, BodyStream) else len(data)
+    return _render_head(start, headers, length) + data
+
+
+def _iter_wire(start: tuple, headers: HeaderMap, body) -> Iterator[bytes]:
+    yield _render_head(start, headers, _body_declared_length(body))
+    yield from body.chunks() if isinstance(body, BodyStream) else (_body_bytes(body),)
+
+
 class HttpRequest:
     """An HTTP request message.
 
@@ -268,33 +362,16 @@ class HttpRequest:
         self.body = body
         self.headers = HeaderMap(headers)
 
-    @property
-    def body_bytes(self) -> bytes:
-        return _body_bytes(self.body)
-
-    def _head_wire(self) -> bytes:
-        headers = self.headers.copy()
-        # the transport owns framing: whatever the caller set, the
-        # declared length must match the body's byte count or the peer
-        # rejects it
-        headers["Content-Length"] = str(_body_declared_length(self.body))
-        head = f"{self.method} {self.path} HTTP/1.1\r\n{_render_headers(headers)}\r\n"
-        return head.encode("utf-8")
+    def _start(self) -> tuple:
+        return (self.method, self.path, "HTTP/1.1")
 
     def to_wire(self) -> bytes:
-        return self._head_wire() + self.body_bytes
+        return _wire(self._start(), self.headers, self.body)
 
     def iter_wire(self) -> Iterator[bytes]:
         """Yield the message as byte chunks: head first, then the body
         as produced — a :class:`BodyStream` body is never materialised."""
-        yield self._head_wire()
-        if isinstance(self.body, BodyStream):
-            yield from self.body.chunks()
-        else:
-            yield self.body_bytes
-
-    def wire_length(self) -> int:
-        return len(self._head_wire()) + _body_declared_length(self.body)
+        return _iter_wire(self._start(), self.headers, self.body)
 
     @classmethod
     def from_wire(cls, data: Union[bytes, str]) -> "HttpRequest":
@@ -303,8 +380,7 @@ class HttpRequest:
 
     @classmethod
     def _from_parts(cls, start: str, headers: HeaderMap, body) -> "HttpRequest":
-        """Build from an already-split head + body (the streamed path
-        hands the body straight from its sink, undecoded)."""
+        """Build from an already-split head + decoded body."""
         parts = start.split(" ")
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise TransportError(f"malformed request line: {start!r}")
@@ -338,28 +414,14 @@ class HttpResponse:
     def ok(self) -> bool:
         return 200 <= self.status < 300
 
-    @property
-    def body_bytes(self) -> bytes:
-        return _body_bytes(self.body)
-
-    def _head_wire(self) -> bytes:
-        headers = self.headers.copy()
-        headers["Content-Length"] = str(_body_declared_length(self.body))
-        head = f"HTTP/1.1 {self.status} {self.reason}\r\n{_render_headers(headers)}\r\n"
-        return head.encode("utf-8")
+    def _start(self) -> tuple:
+        return ("HTTP/1.1", self.status, self.reason)
 
     def to_wire(self) -> bytes:
-        return self._head_wire() + self.body_bytes
+        return _wire(self._start(), self.headers, self.body)
 
     def iter_wire(self) -> Iterator[bytes]:
-        yield self._head_wire()
-        if isinstance(self.body, BodyStream):
-            yield from self.body.chunks()
-        else:
-            yield self.body_bytes
-
-    def wire_length(self) -> int:
-        return len(self._head_wire()) + _body_declared_length(self.body)
+        return _iter_wire(self._start(), self.headers, self.body)
 
     @classmethod
     def from_wire(cls, data: Union[bytes, str]) -> "HttpResponse":
@@ -388,6 +450,11 @@ class HttpResponse:
 
 
 RequestHandler = Callable[[HttpRequest], HttpResponse]
+
+
+def _busy(message: str, retry_after: float) -> HttpResponse:
+    """The 503 a saturated server or connection answers with."""
+    return HttpResponse(503, message, {"Retry-After": f"{retry_after:.6f}"})
 
 
 class HttpServer:
@@ -426,10 +493,6 @@ class HttpServer:
         self.chunk_threshold: Optional[int] = None
         self.chunk_size: int = 64 * 1024
         self.stream_window: int = 8
-        #: path -> zero-arg factory of a body sink (``write(bytes)`` /
-        #: ``close() -> body``) consuming a chunk-streamed request body
-        #: incrementally instead of buffering the full wire
-        self.stream_sinks: dict[str, Callable[[], object]] = {}
         self._connections: dict[str, object] = {}
 
     @property
@@ -464,28 +527,6 @@ class HttpServer:
     def remove_route(self, path: str) -> None:
         path = path if path.startswith("/") else "/" + path
         self.routes.pop(path, None)
-        self.stream_sinks.pop(path, None)
-
-    def add_stream_sink(self, path: str, factory: Callable[[], object]) -> None:
-        """Consume chunk-streamed request bodies for *path* through
-        ``factory()`` sinks (O(chunk) server-side memory) instead of
-        reassembling the full wire before dispatch."""
-        path = path if path.startswith("/") else "/" + path
-        self.stream_sinks[path] = factory
-
-    def _body_sink_for(self, head: bytes):
-        """Pick the stream sink for an incoming chunked request, from
-        its parsed head.  None means: buffer the whole wire."""
-        if not self.stream_sinks:
-            return None
-        try:
-            start, _, _ = parse_head_block(head)
-            parts = start.split(" ")
-            path = parts[1] if len(parts) == 3 else ""
-        except TransportError:
-            return None
-        factory = self.stream_sinks.get(path)
-        return factory() if factory is not None else None
 
     def _on_frame(self, frame: Frame) -> None:
         if frame.meta.get("kind") == "connect":
@@ -520,14 +561,7 @@ class HttpServer:
         if frame.meta.get("reply_port"):
             self.overflow_answered += 1
             obs_metrics.inc("transport.http.worker_overflow")
-        self._reply(
-            frame,
-            HttpResponse(
-                503,
-                f"server {self.node.id}: worker pool saturated",
-                {"Retry-After": f"{retry_after:.6f}"},
-            ),
-        )
+        self._reply(frame, _busy(f"server {self.node.id}: worker pool saturated", retry_after))
 
     def _response_for(self, payload: Union[bytes, str]) -> HttpResponse:
         """Parse and dispatch one raw request (shared with E11
@@ -587,6 +621,48 @@ class HttpServer:
             return HttpResponse(500, f"{type(exc).__name__}: {exc}")
 
 
+class _Call:
+    """Fires one request's callback once, counting errors; on the
+    throw-away path it owns the reply port and timer until then."""
+
+    __slots__ = ("node", "callback", "port", "timer")
+
+    def __init__(self, node: Node, callback: Callable):
+        self.node = node
+        self.callback: Optional[Callable] = callback
+        self.port: Optional[str] = None
+        self.timer = None
+
+    def __call__(self, response: Optional[HttpResponse], error: Optional[Exception]) -> None:
+        callback = self.callback
+        if callback is None:
+            return
+        self.callback = None
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        if self.port is not None and self.node.has_port(self.port):
+            self.node.close_port(self.port)
+        if error is not None:
+            obs_metrics.inc(
+                "transport.http.timeouts"
+                if isinstance(error, TransportTimeoutError)
+                else "transport.http.errors"
+            )
+        callback(response, error)
+
+    def on_reply(self, frame: Frame) -> None:
+        try:
+            response = HttpResponse.from_wire(frame.payload)
+        except TransportError as exc:
+            self(None, exc)
+            return
+        self(response, None)
+
+    def on_timeout(self, where: str, path: str, timeout: float) -> None:
+        self(None, TransportTimeoutError(f"no response from {where}{path} within {timeout}s"))
+
+
 class HttpClient:
     """Issues requests from a node.
 
@@ -638,55 +714,21 @@ class HttpClient:
     ) -> None:
         """Send *request*; *callback* fires with the response or error."""
         timeout = timeout if timeout is not None else self.default_timeout
-
-        def report(response: Optional[HttpResponse], error: Optional[Exception]) -> None:
-            if error is not None:
-                obs_metrics.inc(
-                    "transport.http.timeouts"
-                    if isinstance(error, TransportTimeoutError)
-                    else "transport.http.errors"
-                )
-            callback(response, error)
-
         obs_metrics.inc("transport.http.requests_sent")
+        call = _Call(self.node, callback)
         if self.pool is not None:
-            self.pool.lease(target_node, port).send(request, report, timeout=timeout)
+            self.pool.lease(target_node, port).send(request, call, timeout=timeout)
             return
-        conn = f"http-conn:{next(self._conn_ids)}"
-        done: dict = {"fired": False, "timeout_event": None}
-
-        def finish(response: Optional[HttpResponse], error: Optional[Exception]) -> None:
-            if done["fired"]:
-                return
-            done["fired"] = True
-            if done["timeout_event"] is not None:
-                done["timeout_event"].cancel()
-            if self.node.has_port(conn):
-                self.node.close_port(conn)
-            report(response, error)
-
-        def on_reply(frame: Frame) -> None:
-            try:
-                response = HttpResponse.from_wire(frame.payload)
-            except TransportError as exc:
-                finish(None, exc)
-                return
-            finish(response, None)
-
-        self.node.open_port(conn, on_reply)
+        call.port = f"http-conn:{next(self._conn_ids)}"
+        self.node.open_port(call.port, call.on_reply)
         if timeout is not None:
-            done["timeout_event"] = self.network.kernel.schedule(
-                timeout,
-                finish,
-                None,
-                TransportTimeoutError(
-                    f"no response from {target_node}:{port}{request.path} within {timeout}s"
-                ),
+            call.timer = self.network.kernel.schedule(
+                timeout, call.on_timeout, f"{target_node}:{port}", request.path, timeout
             )
         try:
-            self.node.send(target_node, f"http:{port}", request.to_wire(), reply_port=conn)
+            self.node.send(target_node, f"http:{port}", request.to_wire(), reply_port=call.port)
         except (NetworkError, NodeDownError) as exc:
-            finish(None, exc)
+            call(None, exc)
 
     def request(
         self,
@@ -807,7 +849,7 @@ class HttpTransport(Transport):
             refusal = self._refused_request(request)
             if refusal is not None:
                 return refusal
-            body, headers = handler(request.body, dict(request.headers))
+            body, headers = handler(request.body, dict(request.headers._entries.values()))
             status = int(headers.pop("X-Status", "200"))
             self._outgoing_response(headers)
             return HttpResponse(status, body, headers)
