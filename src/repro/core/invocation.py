@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.caching import ArtifactCache
 from repro.core.errors import InvocationError
 from repro.core.events import EventSource
 from repro.observability import metrics as obs_metrics
@@ -188,17 +189,21 @@ class Invocation(EventSource):
         trace_ctx = trace_begin_send()
         if trace_ctx is not None:
             maps.trace_context = trace_ctx.encoded()
-        # an AckRequested header is not part of any request template
-        wire = None if ack else request_templates.render(
-            maps, handle.namespace, operation, args, target=endpoint
-        )
-        if wire is None:
-            envelope = build_rpc_request(handle.namespace, operation, args, self.registry)
-            maps.apply_to(envelope, target=endpoint)
-            if ack:
-                mark_ack_requested(envelope)
-            # attachments (E16) make this a multipart byte wire
-            wire = envelope.to_wire_message()
+        try:
+            # an AckRequested header is not part of any request template
+            wire = None if ack else request_templates.render(
+                maps, handle.namespace, operation, args, target=endpoint
+            )
+            if wire is None:
+                envelope = build_rpc_request(handle.namespace, operation, args, self.registry)
+                maps.apply_to(envelope, target=endpoint)
+                if ack:
+                    mark_ack_requested(envelope)
+                # attachments (E16) make this a multipart byte wire
+                wire = envelope.to_wire_message()
+        except BaseException:
+            hop.close()  # the call never started: give back its reply pipe
+            raise
 
         about = {"service": handle.name, "operation": operation,
                  "message_id": maps.message_id}
@@ -419,9 +424,6 @@ class HttpInvocation(Invocation):
     def schemes(self) -> tuple[str, ...]:
         return tuple(self._transports)
 
-    def add_transport(self, transport: Transport) -> None:
-        self._transports[transport.scheme] = transport
-
     def enable_http_keepalive(self, config=None):
         """Switch every poolable transport to persistent pooled
         connections (E11), sharing one pool across schemes.
@@ -469,6 +471,25 @@ class HttpInvocation(Invocation):
         return _HttpHop(transport, uri, f"{endpoint.address}#{operation}")
 
 
+#: a pipe EPR's (address, property shape, *property texts) -> its
+#: (PipeAdvertisement, wsa:Action); a WsaError is not cached
+_pipe_targets = ArtifactCache("p2ps-targets", max_entries=256)
+
+
+def _pipe_target(endpoint: EndpointReference) -> tuple:
+    """The pipe *endpoint* names and the ``wsa:Action`` to send down it,
+    mapped once per struct of leaves (any other EPR every time)."""
+    leaves = endpoint.leaves()
+    key = None if leaves is None else (endpoint.address, leaves[0], *leaves[1])
+    found = None if key is None else _pipe_targets.get(key)
+    if found is None:
+        target = pipe_from_epr(endpoint)
+        found = (target, action_for_pipe(target))
+        if key is not None:
+            _pipe_targets.put(key, found)
+    return found
+
+
 class _PipeHop:
     """Last hop over P2PS pipes — the consumer flow of Fig. 5.
 
@@ -487,10 +508,11 @@ class _PipeHop:
         reply: Optional[str],
     ):
         self._peer = peer
-        self._whom = f"{endpoint.address} for {operation!r}"
-        target = pipe_from_epr(endpoint)
+        self._whom = (endpoint.address, operation)
+        target, self.action = _pipe_target(endpoint)
+        # resolved per call, never cached: a peer that moved is found
+        # again on the next call
         self._out = peer.open_output_pipe(target)
-        self.action = action_for_pipe(target)
         self._in_id: Optional[str] = None
         self._timer = None
         self._on_reply = None
@@ -514,8 +536,9 @@ class _PipeHop:
             )
 
     def _silence(self, on_reply, timeout: float) -> None:
+        address, operation = self._whom
         on_reply(None, InvocationError(
-            f"no response from {self._whom} after {self._sends} "
+            f"no response from {address} for {operation!r} after {self._sends} "
             f"attempt(s) of {timeout}s"
         ))
 

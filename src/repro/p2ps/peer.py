@@ -148,6 +148,17 @@ class Peer:
     # ------------------------------------------------------------------
     # identity and membership
     # ------------------------------------------------------------------
+    @property
+    def relay_node_id(self) -> str:
+        return self._origin.get("origin_relay", "")
+
+    @relay_node_id.setter
+    def relay_node_id(self, node_id: str) -> None:
+        # the origin metadata every pipe frame carries, built once
+        self._origin = {"origin_peer": self.id, "origin_node": self.node.id}
+        if node_id:
+            self._origin["origin_relay"] = node_id
+
     def advertisement(self) -> PeerAdvertisement:
         return PeerAdvertisement(
             self.id, self.node.id, self.name, self.rendezvous, self.relay_node_id
@@ -226,11 +237,7 @@ class Peer:
 
     def send_down_pipe(self, pipe: OutputPipe, payload: str, **meta) -> None:
         """Send with origin metadata so the far side can resolve us back."""
-        meta.setdefault("origin_peer", self.id)
-        meta.setdefault("origin_node", self.node.id)
-        if self.relay_node_id:
-            meta.setdefault("origin_relay", self.relay_node_id)
-        pipe.send(payload, **meta)
+        pipe.send(payload, **({**self._origin, **meta} if meta else self._origin))
 
     def _on_relay_frame(self, frame: Frame) -> None:
         """Forward a relayed pipe frame to its NATed destination."""

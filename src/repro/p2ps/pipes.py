@@ -15,7 +15,7 @@ resolving a :class:`PipeAdvertisement` to a physical node.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.p2ps.advertisements import PipeAdvertisement
 from repro.simnet.network import Frame, Node, NodeDownError
@@ -56,8 +56,9 @@ class InputPipe:
 
     def _on_frame(self, frame: Frame) -> None:
         self.received += 1
+        meta = dict(frame.meta)  # one copy, shared by the listeners
         for listener in list(self._listeners):
-            listener(frame.payload, dict(frame.meta))
+            listener(frame.payload, meta)
 
     def close(self) -> None:
         if not self.closed:
@@ -108,6 +109,7 @@ class OutputPipe:
         self.src_node = src_node
         self.route = Route(route) if isinstance(route, str) else route
         self.sent = 0
+        self._port = pipe_port(advert.pipe_id)
 
     @property
     def dst_node_id(self) -> str:
@@ -115,15 +117,15 @@ class OutputPipe:
 
     def send(self, payload: str, **meta) -> None:
         """Fire-and-forget write down the pipe (via the relay if NATed)."""
-        port = pipe_port(self.advert.pipe_id)
+        route = self.route
         try:
-            if self.route.via_relay:
+            if route.relay_node:
                 self.src_node.send(
-                    self.route.relay_node, RELAY_PORT, payload,
-                    fwd_dst=self.route.node_id, fwd_port=port, **meta,
+                    route.relay_node, RELAY_PORT, payload,
+                    fwd_dst=route.node_id, fwd_port=self._port, **meta,
                 )
             else:
-                self.src_node.send(self.route.node_id, port, payload, **meta)
+                self.src_node.send(route.node_id, self._port, payload, **meta)
         except NodeDownError as exc:
             raise PipeError("cannot send: local node is down") from exc
         self.sent += 1
@@ -155,16 +157,13 @@ class TableEndpointResolver(EndpointResolver):
         self._table: dict[str, Route] = {}
 
     def learn(self, peer_id: str, node_id: str, relay_node: str = "") -> None:
-        self._table[peer_id] = Route(node_id, relay_node)
-
-    def forget(self, peer_id: str) -> None:
-        self._table.pop(peer_id, None)
+        """Record where *peer_id* lives (per pipe frame: a known route is kept)."""
+        route = self._table.get(peer_id)
+        if route is None or route.node_id != node_id or route.relay_node != relay_node:
+            self._table[peer_id] = Route(node_id, relay_node)
 
     def known(self, peer_id: str) -> bool:
         return peer_id in self._table
-
-    def route_for(self, peer_id: str) -> Optional[Route]:
-        return self._table.get(peer_id)
 
     def resolve(self, advert: PipeAdvertisement) -> Route:
         route = self._table.get(advert.peer_id)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.caching import ArtifactCache
 from repro.transport.uri import Uri, UriError
 from repro.wsa.epr import WsaError
 
@@ -34,9 +35,6 @@ class P2psAddress:
         """A pipe with no associated service (a reply channel)."""
         return self.pipe_name != "" and self.service_name == ""
 
-    def to_uri(self) -> str:
-        return make_p2ps_uri(self.peer_id, self.service_name, self.pipe_name)
-
     def service_uri(self) -> str:
         """The address *without* the pipe fragment — what goes in
         wsa:Address / wsa:To (binding rule 1)."""
@@ -55,8 +53,16 @@ def make_p2ps_uri(peer_id: str, service_name: str = "", pipe_name: str = "") -> 
     return text
 
 
+_p2ps_uri_cache = ArtifactCache("p2ps-uris", max_entries=512)
+
+
 def parse_p2ps_uri(text: str) -> P2psAddress:
-    """Parse a p2ps URI into its components."""
+    """Parse a p2ps URI into its components, memoised on the exact text
+    (a provider reads the same ``ReplyTo`` address on every call from a
+    consumer).  Parse *errors* are not cached."""
+    address = _p2ps_uri_cache.get(text)
+    if address is not None:
+        return address
     try:
         uri = Uri.parse(text)
     except UriError as exc:
@@ -65,4 +71,4 @@ def parse_p2ps_uri(text: str) -> P2psAddress:
         raise WsaError(f"not a p2ps URI: {text!r}")
     if "/" in uri.path:
         raise WsaError(f"p2ps URI path must be a single service name: {text!r}")
-    return P2psAddress(uri.host, uri.path, uri.fragment)
+    return _p2ps_uri_cache.put(text, P2psAddress(uri.host, uri.path, uri.fragment))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding
-from repro.p2ps import AdvertQuery, Peer, PeerGroup
+from repro.p2ps import AdvertQuery, Peer, PeerGroup, PipeAdvertisement
 from repro.simnet import FixedLatency, Network
 from repro.simnet.faults import NatGate
 
@@ -113,6 +113,41 @@ class TestRelayPeers:
         out = public.open_output_pipe(service.pipe_named("invoke"))
         assert out.route.via_relay
         assert out.route.relay_node == "relay"
+
+    def test_frame_with_new_relay_updates_route(self):
+        """A pipe frame re-states its sender's route; a known route is
+        kept as it is, a changed relay (or node) replaces it."""
+        net, group, relay, public, natted = self.build_world()
+        got = []
+        _, inbox = public.create_input_pipe("inbox", listener=lambda p, m: got.append(p))
+        natted.resolver.learn(public.id, "public")
+        out = natted.open_output_pipe(inbox)
+        to_natted = PipeAdvertisement("pipe-x", "x", natted.id)
+        natted.send_down_pipe(out, "one")
+        net.run()
+        known = public.resolver.resolve(to_natted)
+        assert (known.node_id, known.relay_node) == ("natted", "relay")
+        natted.send_down_pipe(out, "two")
+        net.run()
+        assert public.resolver.resolve(to_natted) is known  # nothing new: kept
+
+        Peer(net.add_node("relay-2"), name="relay-2")
+        natted.relay_node_id = "relay-2"  # the NATed peer moved to another relay
+        natted.send_down_pipe(out, "three")
+        net.run()
+        moved = public.resolver.resolve(to_natted)
+        assert (moved.node_id, moved.relay_node) == ("natted", "relay-2")
+        assert got == ["one", "two", "three"]
+
+    def test_frame_from_new_node_updates_route(self):
+        net, group, relay, public, natted = self.build_world()
+        _, inbox = public.create_input_pipe("inbox")
+        public.resolver.learn(natted.id, "elsewhere", "relay")  # a stale route
+        natted.resolver.learn(public.id, "public")
+        natted.send_down_pipe(natted.open_output_pipe(inbox), "here")
+        net.run()
+        route = public.resolver.resolve(PipeAdvertisement("pipe-x", "x", natted.id))
+        assert (route.node_id, route.relay_node) == ("natted", "relay")
 
     def test_natted_replies_flow_directly(self):
         # hole punching: the NATed peer's own outbound frames open

@@ -10,6 +10,7 @@ import gc
 
 import pytest
 
+from repro.caching import cache_stats, clear_all_caches, reset_cache_stats
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
 from repro.observability import tracecontext
@@ -23,6 +24,7 @@ from repro.reliability import (
 )
 from repro.simnet import FixedLatency, Network
 from repro.simnet.network import Node
+from repro.soap.encoding import EncodingError
 from repro.soap.faults import SoapFault
 from repro.uddi import UddiRegistryNode
 from repro.xmlkit import Element
@@ -171,6 +173,48 @@ def test_every_ending_releases_ports_and_timers(binding, pattern, outcome):
             assert not isinstance(
                 error, (DeadlineExceededError, CircuitOpenError, SoapFault)
             )
+
+
+def p2ps_holdings(consumer):
+    """What a P2PS call takes from its consumer: input pipes, node ports
+    and advert-cache entries (the reply pipe's advert)."""
+    peer = consumer.peer
+    return len(peer._input_pipes), list(consumer.node.ports), len(peer.cache._entries)
+
+
+@pytest.mark.parametrize("binding", ["http", "p2ps"])
+def test_unencodable_call_gives_back_its_hop(binding):
+    """The hop (on pipes: a fresh reply pipe) opens before the wire is
+    built; a call whose wire cannot be built raises at once and closes
+    it again."""
+    net, provider, consumer, handle = build_world(binding)
+    ports_before = list(consumer.node.ports)
+    holdings = p2ps_holdings(consumer) if binding == "p2ps" else None
+    for _ in range(3):
+        with pytest.raises(EncodingError):
+            consumer.invoke(handle, "bump", message=object())
+    assert list(consumer.node.ports) == ports_before
+    if binding == "p2ps":
+        assert p2ps_holdings(consumer) == holdings
+    assert consumer.invoke(handle, "bump") == 1
+
+
+def test_steady_p2ps_calls_take_nothing_and_map_once():
+    """N calls leave pipes, ports and advert cache where they started;
+    the target EPR and the ReplyTo address are each read from text
+    once, on the first call, and looked up from then on."""
+    net, provider, consumer, handle = build_world("p2ps")
+    clear_all_caches()
+    reset_cache_stats()
+    holdings = p2ps_holdings(consumer)
+    for _ in range(50):
+        assert consumer.invoke(handle, "bump") == 1
+    assert p2ps_holdings(consumer) == holdings
+    stats = {name: (s["misses"], s["hits"]) for name, s in cache_stats().items()}
+    assert stats["p2ps-targets"] == (1, 49)  # the consumer's target EPR
+    # first call: the target's address (consumer) and the ReplyTo
+    # address (provider); after that only the provider asks
+    assert stats["p2ps-uris"] == (2, 49)
 
 
 @pytest.mark.parametrize("binding", ["http", "p2ps"])

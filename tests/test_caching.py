@@ -10,13 +10,15 @@ from repro.caching import (
     clear_all_caches,
     reset_cache_stats,
 )
+from repro.core.invocation import _pipe_target
 from repro.soap.encoding import StructRegistry
 from repro.soap.envelope import EnvelopeTemplate
 from repro.soap.rpc import build_rpc_request
 from repro.soap.stubs import DynamicStubBuilder, OperationSpec, StubSpec
 from repro.transport.uri import Uri, UriError, parse_uri_cached
-from repro.wsa.epr import EndpointReference
+from repro.wsa.epr import EndpointReference, WsaError
 from repro.wsa.headers import MessageAddressingProperties, request_templates
+from repro.wsa.p2psuri import P2psAddress, parse_p2ps_uri
 from repro.wsdl.parser import parse_wsdl, parse_wsdl_cached
 from repro.wsdl.stubspec import stub_spec_cached, to_stub_spec
 from repro.xmlkit import Element, QName, ns
@@ -107,6 +109,61 @@ class TestUriCache:
         for _ in range(2):
             with pytest.raises(UriError):
                 parse_uri_cached("not a uri")
+
+
+# ----------------------------------------------------------------------
+# P2PS address caches: a ReplyTo address and a call's target pipe
+# ----------------------------------------------------------------------
+def pipe_epr(address="p2ps://peer-p/Echo", pipe_id="pipe-1", first="PipeId"):
+    return EndpointReference.from_texts(address, tuple(
+        ((ns.P2PS, local, "p2ps"), (("p2ps", ns.P2PS),))
+        for local in (first, "PipeName", "PipeType")
+    ), [pipe_id, "echo", "input"])
+
+
+class TestP2psCaches:
+    def test_address_same_instance_on_repeat(self):
+        a = parse_p2ps_uri("p2ps://peer-c")
+        assert parse_p2ps_uri("p2ps://peer-c") is a
+        assert a == P2psAddress("peer-c")
+        assert cache_stats()["p2ps-uris"]["hits"] == 1
+
+    @pytest.mark.parametrize("text", ["garbage", "http://h/x", "p2ps://p/a/b#c"])
+    def test_bad_address_raises_every_time(self, text):
+        for _ in range(3):
+            with pytest.raises(WsaError):
+                parse_p2ps_uri(text)
+        assert cache_stats()["p2ps-uris"]["size"] == 0
+
+    def test_target_mapped_once_per_texts(self):
+        first = _pipe_target(pipe_epr())
+        assert _pipe_target(pipe_epr()) is first
+        advert, action = first
+        assert (advert.pipe_id, advert.name, advert.peer_id) == ("pipe-1", "echo", "peer-p")
+        assert action == "p2ps://peer-p/Echo#echo"
+        assert _pipe_target(pipe_epr(pipe_id="pipe-2"))[0].pipe_id == "pipe-2"
+        stats = cache_stats()["p2ps-targets"]
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 2, 2)
+
+    def test_target_key_holds_the_property_names(self):
+        _pipe_target(pipe_epr())
+        # same address and texts, but no PipeId: not the cached pipe
+        for _ in range(2):
+            with pytest.raises(WsaError):
+                _pipe_target(pipe_epr(first="PipeKey"))
+        assert cache_stats()["p2ps-targets"]["size"] == 1
+
+    def test_element_backed_epr_shares_the_entry(self):
+        epr = pipe_epr()
+        grown = EndpointReference(epr.address, epr.reference_properties)
+        assert _pipe_target(grown) is _pipe_target(pipe_epr())
+
+    def test_clear_all_caches_empties_both(self):
+        parse_p2ps_uri("p2ps://peer-c")
+        _pipe_target(pipe_epr())
+        clear_all_caches()
+        assert cache_stats()["p2ps-uris"]["size"] == 0
+        assert cache_stats()["p2ps-targets"]["size"] == 0
 
 
 # ----------------------------------------------------------------------
