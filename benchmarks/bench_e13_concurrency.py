@@ -190,22 +190,22 @@ def measure_peer_sweep(n_peers):
 def trace_signature(records):
     """Canonical byte form of a trace.
 
-    Ephemeral reply ports draw from a process-global counter
-    (``HttpClient._conn_ids``), so their *names* differ between repeats
-    inside one process even when the schedule replays identically —
-    renumber them by first appearance so the comparison tests the
-    schedule, not the global counter."""
+    Connection ids draw from a process-global counter
+    (``HttpConnection._ids``), so the ids — and the ports named after
+    them — differ between repeats inside one process even when the
+    schedule replays identically: renumber them by first appearance so
+    the comparison tests the schedule, not the global counter."""
     import re
 
     canon: dict[str, str] = {}
 
     def rewrite(match):
-        return canon.setdefault(match.group(0), f"http-conn:#{len(canon)}")
+        return canon.setdefault(match.group(0), f"conn#{len(canon)}")
 
     lines = []
     for r in records:
         line = f"{r.time:.9f} {r.kind} {sorted(r.detail.items())}"
-        lines.append(re.sub(r"http-conn:\d+", rewrite, line))
+        lines.append(re.sub(r"[\w-]+:c\d+\b", rewrite, line))
     return "\n".join(lines)
 
 

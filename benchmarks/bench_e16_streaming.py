@@ -203,12 +203,10 @@ def measure_end_to_end(mode):
     net.latency = FixedLatency(0.0005, per_byte=1e-8)
     provider, consumer = world.providers[0], world.consumers[0]
     handle = consumer.locate_one("Echo0")
-    if mode == "streamed":
+    if mode == "streamed":  # buffered: the peers' pooled connections as they are
         knobs = dict(chunk_threshold=CHUNK, chunk_size=CHUNK, window=8)
         provider.enable_streaming(**knobs)
         consumer.enable_streaming(**knobs)
-    else:
-        consumer.enable_http_keepalive()
     chunks_before = default_registry().get("transport.http.chunks_sent")
 
     big = "B" * E2E_BIG

@@ -143,7 +143,7 @@ def standard_burst(n_peers: int) -> float:
         )
         box = {}
         outstanding.append(box)
-        HttpClient(peer.node).request_async(
+        HttpClient(peer.node, pool=peer.http_pool).request_async(
             "registry", 80,
             HttpRequest("POST", UDDI_PATH, request.to_wire()),
             lambda resp, err, box=box: box.update(done=True),

@@ -81,21 +81,27 @@ class StandardBinding(Binding):
             wspeer.node, wspeer.server.container, self.http_port, parent=wspeer.server
         )
 
+    # every HTTP(G) client below leases from the peer's one pool
     def make_publisher(self, wspeer: "WSPeer", deployer: ServiceDeployer) -> ServicePublisher:
         return UddiServicePublisher(
-            wspeer.node, self.registry_uri, self.business_name, parent=wspeer.server
+            wspeer.node, self.registry_uri, self.business_name, parent=wspeer.server,
+            pool=wspeer.http_pool,
         )
 
     def make_locator(self, wspeer: "WSPeer") -> ServiceLocator:
-        return UddiServiceLocator(wspeer.node, self.registry_uri, parent=wspeer.client)
+        return UddiServiceLocator(
+            wspeer.node, self.registry_uri, parent=wspeer.client, pool=wspeer.http_pool
+        )
 
     def make_invocation(self, wspeer: "WSPeer") -> Invocation:
         extra = []
         if self.ca is not None and self.credential is not None:
-            extra.append(HttpgTransport(wspeer.node, self.ca, self.credential))
+            extra.append(
+                HttpgTransport(wspeer.node, self.ca, self.credential, pool=wspeer.http_pool)
+            )
         return HttpInvocation(
             wspeer.node, parent=wspeer.client, extra_transports=extra,
-            default_policy=self.reliability,
+            default_policy=self.reliability, pool=wspeer.http_pool,
         )
 
 

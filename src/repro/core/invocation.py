@@ -413,40 +413,19 @@ class HttpInvocation(Invocation):
         parent: Optional[EventSource] = None,
         extra_transports: Optional[list[Transport]] = None,
         default_policy: Optional[ReliabilityPolicy] = None,
+        pool=None,
     ):
         super().__init__(node.network.kernel, parent, default_policy=default_policy)
         self.node = node
-        self._transports: dict[str, Transport] = {"http": HttpTransport(node)}
+        #: *pool* (see :class:`~repro.transport.http.HttpClient`) is the
+        #: peer's: retries and failover hops reuse its warm connections
+        self._transports: dict[str, Transport] = {"http": HttpTransport(node, pool=pool)}
         for transport in extra_transports or []:
             self._transports[transport.scheme] = transport
 
     @property
     def schemes(self) -> tuple[str, ...]:
         return tuple(self._transports)
-
-    def enable_http_keepalive(self, config=None):
-        """Switch every poolable transport to persistent pooled
-        connections (E11), sharing one pool across schemes.
-
-        One connection cache per *node* — retries and failover hops
-        issued through this invocation reuse the same warm connections
-        instead of re-handshaking per attempt.  *config* may be a
-        :class:`~repro.transport.connection.PoolConfig`, an existing
-        pool, or None.  Returns the shared
-        :class:`~repro.transport.connection.ConnectionPool`.
-        """
-        from repro.transport.connection import ConnectionPool
-
-        pool = config if isinstance(config, ConnectionPool) else None
-        for transport in self._transports.values():
-            if not hasattr(transport, "enable_pooling"):
-                continue
-            pool = transport.enable_pooling(pool if pool is not None else config)
-        if pool is None:
-            raise InvocationError(
-                f"no poolable transport among {sorted(self._transports)}"
-            )
-        return pool
 
     def _resolve(self, handle: ServiceHandle, operation: str) -> EndpointReference:
         for scheme in self._transports:

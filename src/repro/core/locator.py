@@ -117,11 +117,12 @@ class UddiServiceLocator(ServiceLocator):
         registry_uri: str,
         parent: Optional[EventSource] = None,
         timeout: float = 30.0,
+        pool=None,
     ):
         super().__init__(lambda: node.network.kernel.now, parent)
         self.node = node
-        self.uddi = UddiClient(node, registry_uri, timeout)
-        self.http = HttpClient(node, timeout)
+        self.http = HttpClient(node, timeout, pool=pool)
+        self.uddi = UddiClient(node, registry_uri, timeout, pool=self.http.pool)
 
     def locate(
         self, query: ServiceQuery, timeout: float = 10.0, expect: int = 1

@@ -49,11 +49,12 @@ class UddiServicePublisher(ServicePublisher):
         business_name: str = "WSPeer",
         parent: Optional[EventSource] = None,
         timeout: float = 30.0,
+        pool=None,
     ):
         super().__init__(lambda: node.network.kernel.now, parent)
         self.node = node
         self.business_name = business_name
-        self.uddi = UddiClient(node, registry_uri, timeout)
+        self.uddi = UddiClient(node, registry_uri, timeout, pool=pool)
 
     def publish(
         self,

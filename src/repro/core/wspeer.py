@@ -22,12 +22,13 @@ from repro.core.errors import DiscoveryError, WsPeerError
 from repro.core.events import EventSource, PeerMessageListener
 from repro.core.handle import ServiceHandle
 from repro.core.hosting import DeployedService, Interceptor, LightweightContainer
-from repro.core.invocation import Invocation, InvokeCallback
+from repro.core.invocation import HttpInvocation, Invocation, InvokeCallback
 from repro.core.locator import ServiceLocator
 from repro.core.query import ServiceQuery
 from repro.reliability import ReliabilityPolicy
 from repro.simnet.network import Node
 from repro.soap.encoding import StructRegistry
+from repro.transport.connection import ConnectionPool
 
 # imported for type checking/re-export convenience
 from repro.core.binding import Binding  # noqa: E402
@@ -97,8 +98,9 @@ class WSPeer(EventSource):
         self.discovery = None
         #: set by :meth:`enable_observability`
         self.tracer = None
-        #: set by :meth:`enable_http_keepalive`
-        self.http_pool = None
+        #: the one connection pool every HTTP(G) client of this peer
+        #: leases from (E11); configured by :meth:`enable_http_keepalive`
+        self.http_pool = ConnectionPool(node)
         #: set by :meth:`enable_replication`
         self.replication = None
         #: set by :meth:`enable_flight_recorder`
@@ -339,8 +341,7 @@ class WSPeer(EventSource):
         health.attach_breakers(invocation.breakers)
         if self.client.locator is not None:
             self.client.locator.watch_health(health)
-        if self.http_pool is not None:
-            self.http_pool.attach_health(health)
+        self.http_pool.attach_health(health)
         self.failover = executor
         return executor
 
@@ -419,26 +420,22 @@ class WSPeer(EventSource):
     # connection management (E11)
     # ------------------------------------------------------------------
     def enable_http_keepalive(self, config=None):
-        """Use persistent pooled HTTP(G) connections for this peer's
-        outbound calls.
+        """Apply *config* (a :class:`~repro.transport.connection.PoolConfig`;
+        None keeps the current one) to this peer's HTTP connection pool,
+        live connections included.
 
-        Retries and failover hops reuse warm connections instead of
-        paying the connect handshake per attempt; when failover is (or
-        later becomes) enabled, ``dead`` health verdicts evict the
-        pooled connections to that endpoint.  *config* is an optional
-        :class:`~repro.transport.connection.PoolConfig`.  Returns the
-        pool, also kept as ``self.http_pool``.
+        Every outbound HTTP(G) call already rides ``self.http_pool``:
+        retries and failover hops reuse warm connections, and with
+        failover enabled ``dead`` verdicts evict the connections to that
+        endpoint.  Returns the pool.
         """
-        invocation = self.client.invocation
-        if not hasattr(invocation, "enable_http_keepalive"):
+        if not isinstance(self.client.invocation, HttpInvocation):
             raise WsPeerError(
                 f"binding {self.binding.name!r} has no poolable HTTP transport"
             )
-        pool = invocation.enable_http_keepalive(config)
-        if self.failover is not None:
-            pool.attach_health(self.failover.health)
-        self.http_pool = pool
-        return pool
+        if config is not None:
+            self.http_pool.config = config
+        return self.http_pool
 
     def enable_streaming(
         self,
@@ -449,9 +446,9 @@ class WSPeer(EventSource):
     ):
         """Stream large messages as chunked frames (E16).
 
-        Turns on persistent pooled connections (if not already on) and
-        sets the chunking knobs on both directions: outbound requests
-        larger than *chunk_threshold* bytes leave as credit-windowed
+        Sets the chunking knobs on both directions (on *pool_config*,
+        if given, else on the pool's config): outbound requests larger
+        than *chunk_threshold* bytes leave as credit-windowed
         ``chunk`` frames of *chunk_size* bytes, and this peer's HTTP
         server answers oversized responses the same way.  In-flight
         memory per stream is bounded by ``window × chunk_size``, and
@@ -461,10 +458,8 @@ class WSPeer(EventSource):
         import dataclasses
 
         pool = self.http_pool
-        if pool is None:
-            pool = self.enable_http_keepalive(pool_config)
         pool.config = dataclasses.replace(
-            pool.config,
+            pool_config or pool.config,
             chunk_threshold=chunk_threshold,
             chunk_size=chunk_size,
             stream_window=window,
@@ -487,9 +482,9 @@ class WSPeer(EventSource):
         """Tune this peer's HTTP server for persistent connections:
         the per-connection request-queue bound (``None`` disables
         shedding), its drain rate (requests/second), and the
-        server-side idle timeout.  Applies to connections accepted
-        after the call.  Returns the underlying
-        :class:`~repro.transport.http.HttpServer`.
+        server-side idle timeout.  Applies to open connections too
+        (their request queues start empty again).  Returns the
+        underlying :class:`~repro.transport.http.HttpServer`.
         """
         server = getattr(self.server.deployer, "server", None)
         if server is None:
@@ -500,6 +495,8 @@ class WSPeer(EventSource):
             server.conn_drain_rate = drain_rate
         if idle_timeout is not self._UNSET:
             server.conn_idle_timeout = idle_timeout
+        for conn in server.connections:
+            conn.reset_admission()
         return server
 
     # ------------------------------------------------------------------

@@ -72,6 +72,7 @@ class DiscoveryClient:
         gossip: Optional[GossipNode] = None,
         timeout: float = 30.0,
         cache_lifetime: float = 30.0,
+        pool=None,
     ):
         self.node = node
         self.registry_uris = dict(registry_uris)
@@ -83,7 +84,9 @@ class DiscoveryClient:
         self.gossip = gossip
         if gossip is not None:
             gossip.add_listener(self.cache.on_announcement)
-        self.http = HttpClient(node, timeout)
+        #: every shard's UDDI client shares this client's pool (*pool*:
+        #: see :class:`~repro.transport.http.HttpClient`)
+        self.http = HttpClient(node, timeout, pool=pool)
         self._clients: dict[str, UddiClient] = {}
         self._timeout = timeout
         #: set by the locator facade so plane activity lands in the
@@ -97,7 +100,9 @@ class DiscoveryClient:
     def _client(self, shard: str) -> UddiClient:
         client = self._clients.get(shard)
         if client is None:
-            client = UddiClient(self.node, self.registry_uris[shard], self._timeout)
+            client = UddiClient(
+                self.node, self.registry_uris[shard], self._timeout, pool=self.http.pool
+            )
             self._clients[shard] = client
         return client
 

@@ -88,7 +88,7 @@ class DiscoveryPlane:
     # ------------------------------------------------------------------
     # client windows
     # ------------------------------------------------------------------
-    def client_for(self, node: Node, with_gossip: bool = True) -> DiscoveryClient:
+    def client_for(self, node: Node, with_gossip: bool = True, pool=None) -> DiscoveryClient:
         gossip = self.join_gossip(node) if with_gossip else None
         return DiscoveryClient(
             node,
@@ -99,6 +99,7 @@ class DiscoveryPlane:
             ),
             gossip=gossip,
             timeout=self.client_timeout,
+            pool=pool,
         )
 
     def attach(
@@ -114,7 +115,7 @@ class DiscoveryPlane:
         peer has failover enabled, health verdicts flow into both the
         quarantine and the rendezvous cache.
         """
-        client = self.client_for(wspeer.node, with_gossip=with_gossip)
+        client = self.client_for(wspeer.node, with_gossip=with_gossip, pool=wspeer.http_pool)
         locator = DistributedUddiLocator(client)
         publisher = DistributedUddiPublisher(
             client, business_name=business_name, lease_ttl=lease_ttl

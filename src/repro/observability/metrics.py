@@ -278,7 +278,9 @@ def reset_default_registry() -> None:
 # -- module-level shortcuts used by instrumentation points -----------------
 def inc(name: str, by: int = 1) -> None:
     if _default.enabled:
-        _default.counter(name).inc(by)
+        # the hot path: one lookup, no method calls once the counter exists
+        counter = _default._counters.get(name) or _default.counter(name)
+        counter.value += by
 
 
 def observe(name: str, value: float) -> None:

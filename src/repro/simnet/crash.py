@@ -252,7 +252,7 @@ class CrashHarness:
         """Drop the next *count* HTTP reply frames leaving *node_id*
         (requests and delta ships pass untouched)."""
         return self.drop_next(
-            lambda f: f.src == node_id and f.port.startswith("http-conn:"),
+            lambda f: f.src == node_id and f.meta.get("kind") == "response",
             count=count,
             label=f"drop {count} reply frame(s) from {node_id}",
         )

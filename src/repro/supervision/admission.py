@@ -56,8 +56,9 @@ class AdmissionController:
         now = self._clock()
         dt = now - self._last_drain
         if dt > 0:
-            self.level = max(0.0, self.level - dt * self.drain_rate)
-        self._last_drain = max(self._last_drain, now)
+            level = self.level - dt * self.drain_rate
+            self.level = level if level > 0.0 else 0.0
+            self._last_drain = now
 
     def try_admit(self) -> tuple[bool, float]:
         """Gate one request.

@@ -95,9 +95,6 @@ class TransportRegistry:
         except KeyError:
             raise TransportError(f"no transport registered for scheme {scheme!r}") from None
 
-    def for_uri(self, uri: Uri) -> Transport:
-        return self.lookup(uri.scheme)
-
     @property
     def schemes(self) -> list[str]:
         return sorted(self._by_scheme)

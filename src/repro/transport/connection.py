@@ -1,42 +1,42 @@
-"""Connection-oriented HTTP: persistent connections, pooling, pipelining.
+"""Connection-oriented HTTP: the one client path, its pool, pipelining.
 
 The paper faults HTTP for "maintaining an open connection for return
-messages" (§III) — but at scale the opposite failure dominates: a
-client that opens a throwaway connection per request pays full setup
-on every call, and the server has no per-caller unit to bound.  E11
-models both remedies of real HTTP/1.1 deployments:
+messages" (§III).  Here that connection is explicit and reused: every
+:class:`~repro.transport.http.HttpClient` request rides a persistent
+connection leased from a :class:`ConnectionPool` (E11, E28(b));
+``max_requests_per_connection=1`` is the per-request connection.
 
-* :class:`HttpConnection` — an explicit client-side connection with a
-  lifecycle (``connecting → active → idle → closed``), established by a
-  CONNECT/ACCEPT frame handshake.  Once open, requests ride the same
-  server-side port with monotonically increasing sequence numbers, so
-  a request costs two frame hops instead of four.
-* optional *pipelining* — several requests in flight on one connection;
-  both ends keep reorder buffers keyed on the sequence number, so
-  responses are always delivered back to callers in request order even
-  when the simulated wire reorders frames (size-dependent latency).
-* :class:`ConnectionPool` — a bounded per-client pool with LRU reuse,
-  idle-timeout and max-requests-per-connection recycling, and
-  health-aware eviction: wire it to a
-  :class:`~repro.supervision.health.HealthMonitor` and a ``dead``
-  verdict closes every pooled connection to that endpoint.
+* :class:`HttpConnection` — the client half (``connecting → active →
+  idle → closed``).  Until the server's ACCEPT names the connection
+  port, requests ride CONNECT frames to the listening port; after it,
+  the connection port, numbered in sequence.  Either way a request
+  costs two frame hops.  Several may be in flight (*pipelining*); both
+  ends reorder on the sequence number, so callers see responses in
+  request order even when the wire reorders frames.
+* :class:`ConnectionPool` — a bounded per-node pool with LRU reuse,
+  request-cap recycling, and health-aware eviction: a ``dead`` verdict
+  from a :class:`~repro.supervision.health.HealthMonitor` closes every
+  pooled connection to that endpoint.
 * :class:`ServerConnection` — the provider half: a per-connection port
-  plus a bounded request queue modelled by the existing
+  and, when configured, a bounded request queue (the
   :class:`~repro.supervision.admission.AdmissionController` leaky
-  bucket.  Overflow is answered with ``503`` + ``Retry-After`` before
-  any dispatch work happens, which the transport surfaces as
-  :class:`~repro.transport.base.TransportBusyError` so failover backs
-  off exactly as it does for SOAP ``Server.Busy``.
+  bucket) whose overflow is answered ``503`` + ``Retry-After`` before
+  any dispatch work, surfaced as
+  :class:`~repro.transport.base.TransportBusyError`.
 
-Every connection frame carries a ``conn`` meta key, which the simnet
-trace log copies into its ``sent``/``delivered``/``lost`` records —
-whole connections can be replayed from a trace.
+Idle is a deadline, not a timer: each end notes when a connection went
+quiet and checks ``+ idle_timeout`` only when it matters —
+:meth:`ConnectionPool.lease` closes an expired candidate (counting
+``transport.http.conn_idle_closed``), the server sweeps expired
+connections when it accepts one.  A steady request schedules no kernel
+event but its own timeout.  Every connection frame carries a ``conn``
+meta key, which the simnet trace log copies into its records.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,7 +49,6 @@ from repro.transport.http import (
     HttpRequest,
     HttpResponse,
     HttpServer,
-    _busy,
     _decoded_body,
     parse_head_block,
 )
@@ -99,6 +98,11 @@ class PoolConfig:
 ResponseHandler = Callable[[Optional[HttpResponse], Optional[Exception]], None]
 
 
+def _busy(message: str, retry_after: float) -> HttpResponse:
+    """The 503 a saturated connection answers with."""
+    return HttpResponse(503, message, {"Retry-After": f"{retry_after:.6f}"})
+
+
 # ----------------------------------------------------------------------
 # E16 chunked transfer framing.
 #
@@ -136,17 +140,6 @@ def _rechunk(chunks, size: int):
         yield bytes(pending)
 
 
-def _render(message, threshold: Optional[int]) -> tuple[bool, object]:
-    """Render *message* once: ``(True, wire bytes)`` when it goes as one
-    frame, ``(False, byte chunks)`` when it streams."""
-    if isinstance(message.body, BodyStream):
-        return False, message.iter_wire()
-    wire = message.to_wire()
-    if threshold is not None and len(wire) > threshold:
-        return False, (wire,)
-    return True, wire
-
-
 class _StreamSender:
     """Pushes one message's wire bytes as credit-windowed chunk frames."""
 
@@ -174,9 +167,6 @@ class _StreamSender:
         self.finished = False
         self.on_error = on_error
         obs_metrics.inc("transport.http.streams_started")
-
-    def start(self) -> None:
-        self._pump()
 
     def on_credit(self, idx) -> None:
         if isinstance(idx, int) and idx > self._acked:
@@ -226,11 +216,16 @@ class _StreamReceiver:
     """Reassembles chunk frames for one exchange, feeding a byte sink
     in index order and granting flow-control credits as it consumes.
     Out-of-order chunks are held, but never more than one window's
-    worth — the sender cannot outrun its credits."""
+    worth: a chunk the sender's credits could not have covered (at or
+    past ``next index + window``), or one past the announced last
+    index, raises :class:`TransportError`."""
 
-    def __init__(self, sink: Callable[[bytes], None], send_credit: Callable[[int], None]):
+    def __init__(
+        self, sink: Callable[[bytes], None], send_credit: Callable[[int], None], window: int
+    ):
         self._sink = sink
         self._send_credit = send_credit
+        self._window = max(1, window)
         self._next_idx = 0
         self._held: dict[int, bytes] = {}
         self._last_idx: Optional[int] = None
@@ -240,6 +235,10 @@ class _StreamReceiver:
     def feed(self, idx, last: bool, payload) -> None:
         if self.complete or not isinstance(idx, int):
             return
+        if idx >= self._next_idx + self._window or (
+            self._last_idx is not None and idx > self._last_idx
+        ):
+            raise TransportError(f"chunk {idx} outside the receive window")
         if idx >= self._next_idx and idx not in self._held:
             data = bytes(payload) if not isinstance(payload, bytes) else payload
             self._held[idx] = data
@@ -300,13 +299,32 @@ class _Exchange:
     up_sender: object = None  # the _StreamSender of a chunked request
 
 
+def _finish(entry: _Exchange, response: Optional[HttpResponse], error: Optional[Exception]) -> None:
+    """Fire *entry*'s callback once, counting a failed exchange."""
+    if entry.done:
+        return
+    entry.done = True
+    if entry.timer is not None:
+        entry.timer.cancel()
+        entry.timer = None
+    if error is not None:
+        obs_metrics.inc(
+            "transport.http.timeouts"
+            if isinstance(error, TransportTimeoutError)
+            else "transport.http.errors"
+        )
+    entry.callback(response, error)
+
+
 class HttpConnection:
     """One persistent client→server HTTP connection.
 
-    Opened eagerly in the constructor: the CONNECT frame leaves
-    immediately and requests issued while the handshake is in flight
-    queue locally, then flush on ACCEPT.  All responses are delivered
-    to callers in request order regardless of frame arrival order.
+    Until the server's ACCEPT names the connection port, each request
+    rides a CONNECT frame to the listening port, which opens the
+    connection (or reaches the one already open): a cold request costs
+    the two hops a warm one does, and leaves at once.  All responses are
+    delivered to callers in request order regardless of frame arrival
+    order.
     """
 
     _ids = itertools.count(1)
@@ -327,15 +345,16 @@ class HttpConnection:
         self.id = f"{node.id}:c{next(HttpConnection._ids)}"
         self.local_port = f"http-conn:{self.id}"
         self.state = CONNECTING
-        self.opened_at = self.kernel.now
-        self.last_used = self.kernel.now
+        #: when the connection last had nothing in flight; its idle
+        #: deadline is ``idle_since + config.idle_timeout``
+        self.idle_since = self.kernel.now
         self.requests_sent = 0
         #: response frames that arrived ahead of an earlier sequence
         self.out_of_order = 0
         self._on_closed = on_closed
         self._srv_port: Optional[str] = None
         #: seq -> in-flight entry, insertion (= request) order
-        self._pending: "OrderedDict[int, _Exchange]" = OrderedDict()
+        self._pending: dict[int, _Exchange] = {}
         self._backlog: "deque[_Exchange]" = deque()
         self._reorder: dict[int, HttpResponse] = {}
         #: seqs exempt from in-order delivery (E16 streamed exchanges) —
@@ -346,43 +365,16 @@ class HttpConnection:
         self._next_seq = 0
         self._next_delivery = 0
         self._unanswered = 0
-        self._idle_event = None
         self._connect_event = None
         self._close_error: Optional[Exception] = None
 
         obs_metrics.inc("transport.http.conn_opened")
         self.node.open_port(self.local_port, self._on_frame)
-        try:
-            self.node.send(
-                target_node,
-                f"http:{port}",
-                "",
-                kind="connect",
-                conn=self.id,
-                reply_port=self.local_port,
-            )
-        except (NetworkError, NodeDownError) as exc:
-            self._teardown(exc)
-            return
-        if self.config.connect_timeout is not None:
-            self._connect_event = self.kernel.schedule(
-                self.config.connect_timeout, self._on_connect_timeout
-            )
 
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
         return len(self._pending)
-
-    @property
-    def exhausted(self) -> bool:
-        limit = self.config.max_requests_per_connection
-        return limit is not None and self.requests_sent >= limit
-
-    @property
-    def reusable(self) -> bool:
-        """Can this connection carry another request?"""
-        return self.state != CLOSED and not self.exhausted
 
     # ------------------------------------------------------------------
     def send(
@@ -397,29 +389,32 @@ class HttpConnection:
         A response the server streams as chunk frames is delivered on
         completion, outside the strict request order.
         """
-        if self.state == CLOSED:
-            callback(
-                None,
-                self._close_error
-                if self._close_error is not None
-                else ConnectionClosedError(f"connection {self.id} is closed"),
-            )
+        seq = self._next_seq
+        entry = _Exchange(seq, request, callback, timeout)
+        if self.state is CLOSED:
+            _finish(entry, None, self._close_error)
             return
-        entry = _Exchange(self._next_seq, request, callback, timeout)
-        self._next_seq += 1
+        self._next_seq = seq + 1
         self.requests_sent += 1
-        self._pending[entry.seq] = entry
+        self._pending[seq] = entry
         if timeout is not None:
-            entry.timer = self.kernel.schedule(
-                timeout, self._on_request_timeout, entry
-            )
-        self._touch()
-        if self.state == CONNECTING:
+            entry.timer = self.kernel.schedule(timeout, self._on_request_timeout, entry)
+        config = self.config
+        if not (config.pipeline or self._unanswered == 0):
             self._backlog.append(entry)
-        elif self.config.pipeline or self._unanswered == 0:
+        elif (self.state is CONNECTING or config.chunk_threshold is not None
+              or isinstance(request.body, BodyStream)):
             self._transmit(entry)
-        else:
-            self._backlog.append(entry)
+        else:  # the steady request: one frame on the open connection
+            self._unanswered += 1
+            self.state = ACTIVE
+            try:
+                self.node.send(
+                    self.target_node, self._srv_port, request.to_wire(),
+                    kind="request", conn=self.id, seq=seq,
+                )
+            except (NetworkError, NodeDownError) as exc:
+                self._teardown(exc)
 
     def close(self) -> None:
         """Close the connection; pending requests (if any) fail with
@@ -427,111 +422,172 @@ class HttpConnection:
         self._teardown(None)
 
     # ------------------------------------------------------------------
-    def _touch(self) -> None:
-        self.last_used = self.kernel.now
-        if self._idle_event is not None:
-            self._idle_event.cancel()
-            self._idle_event = None
-        if self.state == IDLE:
-            self.state = ACTIVE
-
     def _transmit(self, entry: _Exchange) -> None:
-        self._unanswered += 1
-        self.state = ACTIVE
+        """Render the request once and put it on the wire: one frame,
+        or — a :class:`BodyStream` body, or a wire past the chunk
+        threshold — a stream of chunk frames."""
+        if self.state is IDLE:
+            self.state = ACTIVE
         request = entry.request
-        whole, wire = _render(request, self.config.chunk_threshold)
-        if not whole:
-            # streamed exchanges opt out of strict ordering: the server
-            # dispatches them on completion, so pipelined small calls
-            # behind this one are never head-of-line blocked
-            self._unordered.add(entry.seq)
-            sender = _StreamSender(
-                self.node,
-                self.target_node,
-                self._srv_port,
-                {"conn": self.id, "seq": entry.seq},
-                wire,
-                self.config.chunk_size,
-                self.config.stream_window,
-                on_error=self._teardown,
-            )
-            entry.up_sender = sender
-            sender.start()
+        if isinstance(request.body, BodyStream):
+            chunks = request.iter_wire()
+        else:
+            wire = request.to_wire()
+            threshold = self.config.chunk_threshold
+            if threshold is None or len(wire) <= threshold:
+                self._unanswered += 1
+                if self._srv_port is None:
+                    self._connect(wire, entry.seq)
+                    return
+                try:
+                    self.node.send(
+                        self.target_node, self._srv_port, wire,
+                        kind="request", conn=self.id, seq=entry.seq,
+                    )
+                except (NetworkError, NodeDownError) as exc:
+                    self._teardown(exc)
+                return
+            chunks = (wire,)
+        if self._srv_port is None:  # chunk frames need the connection port
+            self._backlog.append(entry)
+            self._connect(b"", None)
             return
+        self._unanswered += 1
+        # streamed exchanges opt out of strict ordering: the server
+        # dispatches them on completion, so pipelined small calls
+        # behind this one are never head-of-line blocked
+        self._unordered.add(entry.seq)
+        sender = _StreamSender(
+            self.node,
+            self.target_node,
+            self._srv_port,
+            {"conn": self.id, "seq": entry.seq},
+            chunks,
+            self.config.chunk_size,
+            self.config.stream_window,
+            on_error=self._teardown,
+        )
+        entry.up_sender = sender
+        sender._pump()
+
+    def _connect(self, wire: bytes, seq: Optional[int]) -> None:
+        """Send a CONNECT to the listening port, carrying request *seq*
+        (none when *wire* is empty); the first one arms the connect
+        timeout."""
+        if self._connect_event is None and self.config.connect_timeout is not None:
+            self._connect_event = self.kernel.schedule(
+                self.config.connect_timeout, self._on_connect_timeout
+            )
         try:
             self.node.send(
-                self.target_node,
-                self._srv_port,
-                wire,
-                kind="request",
-                conn=self.id,
-                seq=entry.seq,
+                self.target_node, f"http:{self.port}", wire, kind="connect",
+                conn=self.id, client_port=self.local_port, seq=seq,
             )
         except (NetworkError, NodeDownError) as exc:
             self._teardown(exc)
 
-    def _pump_backlog(self) -> None:
+    def _settle(self) -> None:
+        """After an answer or the handshake: flush what queued, then go
+        idle (or retire, when the request budget is spent)."""
         while (
             self._backlog
-            and self.state == ACTIVE
+            and self.state is ACTIVE
             and (self.config.pipeline or self._unanswered == 0)
         ):
             entry = self._backlog.popleft()
-            if entry.done:
-                continue
-            self._transmit(entry)
-
-    def _maybe_idle(self) -> None:
-        if self.state != ACTIVE or self._pending:
+            if not entry.done:
+                self._transmit(entry)
+        if self._pending or self.state is not ACTIVE:
             return
-        if self.exhausted:
+        limit = self.config.max_requests_per_connection
+        if limit is not None and self.requests_sent >= limit:
             self.close()
             return
         self.state = IDLE
-        if self.config.idle_timeout is not None:
-            self._idle_event = self.kernel.schedule(
-                self.config.idle_timeout, self._on_idle_timeout
-            )
+        self.idle_since = self.kernel.now
 
     # -- frame handling -------------------------------------------------
     def _on_frame(self, frame: Frame) -> None:
-        kind = frame.meta.get("kind")
-        if kind == "accept":
-            self._on_accept(frame)
-        elif kind == "response":
-            self._on_response(frame)
-        elif kind == "chunk":
-            self._on_response_chunk(frame)
-        elif kind == "credit":
-            self._on_credit(frame)
-        elif kind == "close":
-            self._on_remote_close()
-
-    def _on_accept(self, frame: Frame) -> None:
-        if self.state != CONNECTING:
+        meta = frame.meta
+        seq = meta.get("seq")
+        if (
+            meta.get("kind") != "response"
+            or seq != self._next_delivery
+            or self._reorder
+            or self._unordered
+        ):
+            self._on_other_frame(frame)
             return
-        if self._connect_event is not None:
-            self._connect_event.cancel()
-            self._connect_event = None
-        self._srv_port = frame.meta.get("srv_port")
-        self.state = ACTIVE
-        self._pump_backlog()
-        self._maybe_idle()
-
-    def _on_response(self, frame: Frame) -> None:
-        seq = frame.meta.get("seq")
+        # the steady case: the next response in order, nothing held
+        entry = self._pending.get(seq)
+        if entry is None:
+            return  # stale or duplicate frame
         try:
             response = HttpResponse.from_wire(frame.payload)
         except TransportError as exc:
             self._teardown(exc)
             return
-        self._complete(seq, response)
+        del self._pending[seq]
+        self._next_delivery = seq + 1
+        self._unanswered -= 1
+        entry.done = True
+        if entry.timer is not None:
+            entry.timer.cancel()
+            entry.timer = None
+        entry.callback(response, None)
+        if self._backlog:
+            self._settle()
+        elif not self._pending and self.state is ACTIVE:  # _settle's tail
+            limit = self.config.max_requests_per_connection
+            if limit is not None and self.requests_sent >= limit:
+                self.close()
+            else:
+                self.state = IDLE
+                self.idle_since = self.kernel.now
+
+    def _on_other_frame(self, frame: Frame) -> None:
+        kind = frame.meta.get("kind")
+        if kind == "response":
+            seq = frame.meta.get("seq")
+            entry = self._pending.get(seq) if isinstance(seq, int) else None
+            if entry is None:
+                return  # stale or duplicate frame
+            try:
+                response = HttpResponse.from_wire(frame.payload)
+            except TransportError as exc:
+                self._teardown(exc)
+                return
+            self._complete(entry, response)
+        elif kind == "accept":
+            if self.state is not CONNECTING:
+                return
+            if self._connect_event is not None:
+                self._connect_event.cancel()
+                self._connect_event = None
+            self._srv_port = frame.meta.get("srv_port")
+            self.state = ACTIVE
+            self._settle()
+        elif kind == "chunk":
+            self._on_response_chunk(frame)
+        elif kind == "credit":
+            seq = frame.meta.get("seq")
+            entry = self._pending.get(seq) if isinstance(seq, int) else None
+            if entry is not None and entry.up_sender is not None:
+                entry.up_sender.on_credit(frame.meta.get("idx"))
+        elif kind == "close":
+            self._srv_port = None  # the server is gone; no close echo needed
+            self._teardown(
+                ConnectionClosedError(f"connection {self.id} closed by server")
+                if self._pending
+                else None
+            )
 
     def _on_response_chunk(self, frame: Frame) -> None:
         """A chunk of a streamed response: feed the per-seq assembler,
         deliver (out of order) when the last chunk lands."""
         seq = frame.meta.get("seq")
-        if not isinstance(seq, int) or seq not in self._pending:
+        entry = self._pending.get(seq) if isinstance(seq, int) else None
+        if entry is None or seq in self._reorder:
             return
         stream = self._rsp_streams.get(seq)
         if stream is None:
@@ -539,6 +595,7 @@ class HttpConnection:
             receiver = _StreamReceiver(
                 assembler.write,
                 lambda idx, seq=seq: self._send_credit(seq, idx),
+                self.config.stream_window,
             )
             stream = (assembler, receiver)
             self._rsp_streams[seq] = stream
@@ -549,24 +606,14 @@ class HttpConnection:
         assembler, receiver = stream
         try:
             receiver.feed(frame.meta.get("idx"), frame.meta.get("last", False), frame.payload)
-        except TransportError as exc:
-            self._teardown(exc)
-            return
-        if not receiver.complete:
-            return
-        self._rsp_streams.pop(seq, None)
-        try:
+            if not receiver.complete:
+                return
+            self._rsp_streams.pop(seq, None)
             response = assembler.finish_message(HttpResponse._from_parts)
         except TransportError as exc:
             self._teardown(exc)
             return
-        self._complete(seq, response)
-
-    def _on_credit(self, frame: Frame) -> None:
-        seq = frame.meta.get("seq")
-        entry = self._pending.get(seq) if isinstance(seq, int) else None
-        if entry is not None and entry.up_sender is not None:
-            entry.up_sender.on_credit(frame.meta.get("idx"))
+        self._complete(entry, response)
 
     def _send_credit(self, seq: int, idx: int) -> None:
         if self._srv_port is None:
@@ -579,71 +626,46 @@ class HttpConnection:
         except (NetworkError, NodeDownError):
             pass  # the request timeout owns this failure mode
 
-    def _complete(self, seq, response: HttpResponse) -> None:
-        if not isinstance(seq, int) or seq not in self._pending:
-            return  # stale or duplicate frame
+    def _complete(self, entry: _Exchange, response: HttpResponse) -> None:
+        seq = entry.seq
         if seq == self._next_delivery:
-            self._deliver(seq, response)
-            self._drain()
-        elif seq in self._unordered or seq < self._next_delivery:
-            # streamed exchange: deliver on completion, out of band
-            self._deliver_oob(seq, response)
-            self._drain()
-        else:
+            self._next_delivery = seq + 1
+            self._unordered.discard(seq)
+        elif seq > self._next_delivery and seq not in self._unordered:
             # arrived ahead of an earlier response: hold it so callers
             # still see responses in request order
             self.out_of_order += 1
             obs_metrics.inc("transport.http.ooo_frames")
             self._reorder[seq] = response
             return
-        if self.state == CLOSED:
-            return  # a callback closed us
-        self._pump_backlog()
-        self._maybe_idle()
+        # otherwise a streamed exchange, delivered on completion out of
+        # band; a seq ahead of delivery stays marked so draining skips it
+        del self._pending[seq]
+        self._unanswered -= 1
+        _finish(entry, response, None)
+        self._drain()
+        if self.state is not CLOSED:  # a callback may have closed us
+            self._settle()
 
     def _drain(self) -> None:
         """Advance ordered delivery: release held responses in order,
         skipping over seqs that opted out of ordering."""
         while True:
-            if self._next_delivery in self._reorder:
-                self._deliver(
-                    self._next_delivery, self._reorder.pop(self._next_delivery)
-                )
-            elif self._next_delivery in self._unordered:
-                self._unordered.discard(self._next_delivery)
-                self._next_delivery += 1
+            seq = self._next_delivery
+            if seq in self._reorder:
+                self._next_delivery = seq + 1
+                response = self._reorder.pop(seq)
+                entry = self._pending.pop(seq, None)
+                if entry is not None:
+                    self._unanswered -= 1
+                    _finish(entry, response, None)
+            elif seq in self._unordered:
+                self._unordered.discard(seq)
+                self._next_delivery = seq + 1
             else:
                 break
 
-    def _deliver(self, seq: int, response: HttpResponse) -> None:
-        entry = self._pending.pop(seq)
-        self._unordered.discard(seq)
-        self._next_delivery = seq + 1
-        self._unanswered -= 1
-        self._finish_entry(entry, response, None)
-
-    def _deliver_oob(self, seq: int, response: HttpResponse) -> None:
-        entry = self._pending.pop(seq)
-        if seq >= self._next_delivery:
-            # leave the seq marked so ordered draining skips over it
-            self._unordered.add(seq)
-        self._unanswered -= 1
-        self._finish_entry(entry, response, None)
-
-    def _on_remote_close(self) -> None:
-        self._srv_port = None  # the server is gone; no close echo needed
-        error = (
-            ConnectionClosedError(f"connection {self.id} closed by server")
-            if self._pending
-            else None
-        )
-        self._teardown(error)
-
     # -- timers ---------------------------------------------------------
-    def _on_idle_timeout(self) -> None:
-        obs_metrics.inc("transport.http.conn_idle_closed")
-        self.close()
-
     def _on_connect_timeout(self) -> None:
         self._teardown(
             TransportTimeoutError(
@@ -655,35 +677,25 @@ class HttpConnection:
     def _on_request_timeout(self, entry: _Exchange) -> None:
         if entry.done:
             return
-        request = entry.request
-        self._finish_entry(
-            entry,
-            None,
-            TransportTimeoutError(
-                f"no response from {self.target_node}:{self.port}"
-                f"{request.path} within {entry.timeout}s"
-            ),
-        )
         self._teardown(
             ConnectionClosedError(
                 f"connection {self.id} aborted: request {entry.seq} timed out"
-            )
+            ),
+            first=(
+                entry,
+                TransportTimeoutError(
+                    f"no response from {self.target_node}:{self.port}"
+                    f"{entry.request.path} within {entry.timeout}s"
+                ),
+            ),
         )
 
     # -- teardown -------------------------------------------------------
-    def _finish_entry(
-        self, entry: _Exchange, response: Optional[HttpResponse], error: Optional[Exception]
-    ) -> None:
-        if entry.done:
-            return
-        entry.done = True
-        if entry.timer is not None:
-            entry.timer.cancel()
-            entry.timer = None
-        entry.callback(response, error)
-
-    def _teardown(self, error: Optional[Exception]) -> None:
-        if self.state == CLOSED:
+    def _teardown(self, error: Optional[Exception], first: Optional[tuple] = None) -> None:
+        """Close for good, and only then fail what was pending — *first*
+        (an entry and its own error) before the rest — so no callback
+        sees a half-closed connection."""
+        if self.state is CLOSED:
             return
         self.state = CLOSED
         self._close_error = (
@@ -691,11 +703,9 @@ class HttpConnection:
             if error is not None
             else ConnectionClosedError(f"connection {self.id} is closed")
         )
-        for event_attr in ("_idle_event", "_connect_event"):
-            event = getattr(self, event_attr)
-            if event is not None:
-                event.cancel()
-                setattr(self, event_attr, None)
+        if self._connect_event is not None:
+            self._connect_event.cancel()
+            self._connect_event = None
         if error is not None:
             obs_metrics.inc("transport.http.conn_aborted")
         pending = list(self._pending.values())
@@ -711,12 +721,13 @@ class HttpConnection:
                 )
             except (NetworkError, NodeDownError):
                 pass
-        if self.node.has_port(self.local_port):
-            self.node.close_port(self.local_port)
-        for entry in pending:
-            self._finish_entry(entry, None, self._close_error)
+        self.node.close_port(self.local_port)
         if self._on_closed is not None:
             self._on_closed(self)
+        if first is not None:
+            _finish(first[0], None, first[1])
+        for entry in pending:
+            _finish(entry, None, self._close_error)
 
     def __repr__(self) -> str:
         return (
@@ -726,24 +737,37 @@ class HttpConnection:
 
 
 class ConnectionPool:
-    """Bounded per-client pool of :class:`HttpConnection`\\ s.
+    """Bounded per-node pool of :class:`HttpConnection`\\ s.
 
     Keyed by ``(target node, port)``.  ``lease`` reuses an open
     connection when one can take another request, preferring a free one
     (no requests in flight); otherwise it opens a new connection,
     LRU-evicting a free one first when the pool is at
-    ``config.max_connections``.
+    ``config.max_connections``.  Assigning :attr:`config` reconfigures
+    the live connections too.
     """
 
     def __init__(self, node: Node, config: Optional[PoolConfig] = None):
         self.node = node
-        self.config = config if config is not None else PoolConfig()
+        self._kernel = node.network.kernel
+        self._config = config if config is not None else PoolConfig()
         self._conns: dict[tuple[str, int], list[HttpConnection]] = {}
-        self._health = None
+        #: open connections across all endpoints
+        self.size = 0
         self.opened = 0
         self.reused = 0
         self.evicted = 0
         self.evicted_dead = 0
+
+    @property
+    def config(self) -> PoolConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: PoolConfig) -> None:
+        self._config = config
+        for conn in self.connections():
+            conn.config = config
 
     # ------------------------------------------------------------------
     def lease(self, target_node: str, port: int) -> HttpConnection:
@@ -754,87 +778,89 @@ class ConnectionPool:
         ``max_connections`` (LRU-evicting a free one elsewhere first);
         and at the bound without pipelining, the least-loaded reusable
         connection — requests then serialise on its local backlog,
-        which is HTTP/1.1-without-pipelining semantics.
+        which is HTTP/1.1-without-pipelining semantics.  A free
+        connection past its idle deadline is closed and passed over.
         """
         key = (target_node, port)
-        bucket = self._conns.setdefault(key, [])
-        bucket[:] = [c for c in bucket if c.state != CLOSED]
-        reusable = [c for c in bucket if c.reusable]
-        candidate = next((c for c in reusable if c.in_flight == 0), None)
-        if candidate is None and self.config.pipeline and reusable:
-            candidate = min(reusable, key=lambda c: c.in_flight)
-        if candidate is None and self.size >= self.config.max_connections:
+        bucket = self._conns.get(key)
+        least_loaded = None
+        if bucket:
+            # one pass, no lists: the first free connection, else the
+            # least-loaded busy one
+            limit = self._config.max_requests_per_connection
+            idle_timeout = self._config.idle_timeout
+            for conn in bucket:
+                if limit is not None and conn.requests_sent >= limit:
+                    continue
+                if conn._pending:
+                    if least_loaded is None or len(conn._pending) < len(least_loaded._pending):
+                        least_loaded = conn
+                elif idle_timeout is not None and conn.idle_since + idle_timeout <= self._kernel.now:
+                    obs_metrics.inc("transport.http.conn_idle_closed")
+                    conn.close()  # past its idle deadline (this edits the bucket)
+                    return self.lease(target_node, port)
+                else:
+                    least_loaded = conn
+                    break
+            else:
+                if not self._config.pipeline:
+                    least_loaded = self._room_or(least_loaded)
+            if least_loaded is not None:
+                self.reused += 1
+                obs_metrics.inc("transport.http.conn_reused")
+                return least_loaded
+        if self.size >= self._config.max_connections:
             self._evict_lru_free()
-            if self.size >= self.config.max_connections and reusable:
-                # nothing evictable and no room: serialise on the
-                # least-loaded connection rather than overshoot
-                candidate = min(reusable, key=lambda c: c.in_flight)
-        if candidate is not None:
-            self.reused += 1
-            obs_metrics.inc("transport.http.conn_reused")
-            return candidate
-        conn = HttpConnection(
-            self.node, target_node, port, self.config, on_closed=self._forget
-        )
+        conn = HttpConnection(self.node, target_node, port, self._config, on_closed=self._forget)
         self.opened += 1
-        if conn.state != CLOSED:  # opening can fail synchronously
-            bucket.append(conn)
-        self._update_gauge()
+        self._conns.setdefault(key, []).append(conn)
+        self.size += 1
+        obs_metrics.set_gauge("transport.http.pool_size", self.size)
         return conn
 
-    @property
-    def size(self) -> int:
-        return sum(len(bucket) for bucket in self._conns.values())
+    def _room_or(self, busy: Optional[HttpConnection]) -> Optional[HttpConnection]:
+        """Without pipelining and no free connection: None when a new
+        one fits (LRU-evicting a free one elsewhere at the bound), else
+        *busy* to serialise on rather than overshoot."""
+        if self.size >= self._config.max_connections:
+            self._evict_lru_free()
+            if self.size >= self._config.max_connections:
+                return busy
+        return None
 
     def connections(self) -> list[HttpConnection]:
         return [conn for bucket in self._conns.values() for conn in bucket]
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "open": self.size,
-            "opened": self.opened,
-            "reused": self.reused,
-            "evicted": self.evicted,
-            "evicted_dead": self.evicted_dead,
-        }
 
     # ------------------------------------------------------------------
     def attach_health(self, monitor) -> None:  # type: ignore[no-untyped-def]
         """Evict pooled connections when *monitor* declares their
         endpoint dead — a new lease then starts from a fresh handshake
         instead of queueing on a corpse."""
-        self._health = monitor
         monitor.add_verdict_listener(self._on_verdict)
 
     def _on_verdict(self, address: str, verdict: str) -> None:
         if verdict != "dead":  # repro.supervision.health.DEAD
             return
-        from repro.transport.uri import Uri, UriError
+        from repro.transport.httpg import DEFAULT_HTTPG_PORT
+        from repro.transport.uri import UriError, parse_uri_cached
 
         try:
-            uri = Uri.parse(address)
+            uri = parse_uri_cached(address)
         except UriError:
             return
-        if uri.scheme == "http":
-            port = uri.port if uri.port is not None else DEFAULT_HTTP_PORT
-        elif uri.scheme == "httpg":
-            from repro.transport.httpg import DEFAULT_HTTPG_PORT
-
-            port = uri.port if uri.port is not None else DEFAULT_HTTPG_PORT
-        else:
-            return
+        defaults = {"http": DEFAULT_HTTP_PORT, "httpg": DEFAULT_HTTPG_PORT}
+        port = uri.port if uri.port is not None else defaults.get(uri.scheme)
         for conn in list(self._conns.get((uri.host, port), ())):
-            if conn.state != CLOSED:
-                self.evicted_dead += 1
-                obs_metrics.inc("transport.http.conn_evicted_dead")
-                conn.close()
+            self.evicted_dead += 1
+            obs_metrics.inc("transport.http.conn_evicted_dead")
+            conn.close()
 
     # ------------------------------------------------------------------
     def _evict_lru_free(self) -> None:
-        free = [c for c in self.connections() if c.state != CLOSED and c.in_flight == 0]
+        free = [c for c in self.connections() if not c._pending]
         if not free:
             return  # everything is busy: allow a temporary overshoot
-        victim = min(free, key=lambda c: c.last_used)
+        victim = min(free, key=lambda c: c.idle_since)
         self.evicted += 1
         obs_metrics.inc("transport.http.conn_evicted")
         victim.close()
@@ -843,10 +869,8 @@ class ConnectionPool:
         bucket = self._conns.get((conn.target_node, conn.port))
         if bucket is not None and conn in bucket:
             bucket.remove(conn)
-        self._update_gauge()
-
-    def _update_gauge(self) -> None:
-        obs_metrics.set_gauge("transport.http.pool_size", self.size)
+            self.size -= 1
+            obs_metrics.set_gauge("transport.http.pool_size", self.size)
 
     def __repr__(self) -> str:
         return f"<ConnectionPool open={self.size} opened={self.opened} reused={self.reused}>"
@@ -856,12 +880,15 @@ class ServerConnection:
     """The provider half of one persistent connection.
 
     Owns a dedicated port, restores request order with a reorder buffer
-    keyed on the client's sequence numbers, and gates each request
-    through a per-connection
+    keyed on the client's sequence numbers, and — when the server sets
+    ``max_pending_per_connection`` — gates each request through a
+    per-connection
     :class:`~repro.supervision.admission.AdmissionController` leaky
-    bucket — the bounded request queue.  Overflow answers ``503`` with
+    bucket, the bounded request queue.  Overflow answers ``503`` with
     a ``Retry-After`` hint *before* any parse/dispatch work, so a
-    saturated connection stays cheap to refuse.
+    saturated connection stays cheap to refuse.  ``last_seen`` is when
+    the client last sent anything; the server sweeps connections quiet
+    for ``conn_idle_timeout``.
     """
 
     def __init__(
@@ -874,17 +901,7 @@ class ServerConnection:
         self.peer = peer
         self.client_port = client_port
         self.srv_port = f"http-srv:{server.port}:{conn_id}"
-        capacity = server.max_pending_per_connection
-        if capacity is not None:
-            from repro.supervision.admission import AdmissionController
-
-            self.admission = AdmissionController(
-                capacity=capacity,
-                drain_rate=server.conn_drain_rate,
-                clock=lambda: self.kernel.now,
-            )
-        else:
-            self.admission = None
+        self.reset_admission()
         self._next_seq = 0
         #: seq -> raw payload, or a ``(None, retry_after)`` marker for a
         #: request the node's worker pool shed before delivery (E13)
@@ -896,44 +913,76 @@ class ServerConnection:
         self._oob: set[int] = set()
         #: seq -> _StreamSender for chunk-streamed responses
         self._rsp_senders: dict[int, _StreamSender] = {}
-        self._idle_event = None
+        self.last_seen = self.kernel.now
         self.requests_handled = 0
         self.busy_answered = 0
         self.closed = False
         self.node.open_port(self.srv_port, self._on_frame)
-        self.node.set_overflow_handler(self.srv_port, self._on_overflow)
-        self._arm_idle()
+        self.node.set_overflow_handler(self.srv_port, self._on_frame)
+
+    def reset_admission(self) -> None:
+        """(Re)build the request queue from the server's current knobs."""
+        capacity = self.server.max_pending_per_connection
+        self.admission = None
+        if capacity is not None:
+            from repro.supervision.admission import AdmissionController
+
+            self.admission = AdmissionController(
+                capacity=capacity,
+                drain_rate=self.server.conn_drain_rate,
+                clock=lambda: self.kernel.now,
+            )
+
+    def idle_expired(self, now: float) -> bool:
+        timeout = self.server.conn_idle_timeout
+        return timeout is not None and self.last_seen + timeout <= now
 
     # ------------------------------------------------------------------
-    def _on_frame(self, frame: Frame) -> None:
-        kind = frame.meta.get("kind")
-        if kind == "close":
-            self.close(notify=False)
-            return
-        if kind == "chunk":
-            self._on_chunk(frame)
-            self._arm_idle()
-            return
-        if kind == "credit":
-            sender = self._rsp_senders.get(frame.meta.get("seq"))
-            if sender is not None:
-                sender.on_credit(frame.meta.get("idx"))
-                if sender.finished:
-                    self._rsp_senders.pop(frame.meta.get("seq"), None)
-            return
-        if kind != "request":
-            return
-        seq = frame.meta.get("seq")
+    def _on_frame(self, frame: Frame, retry_after: Optional[float] = None) -> None:
+        """Every frame of the connection — and, with *retry_after*, one
+        the node's worker pool shed: a shed request still occupies its
+        slot in the sequence and is answered 503 in order, so later
+        requests are not stalled waiting for it.  The listening port
+        hands over the request a CONNECT carries (kind ``connect``)."""
+        self.last_seen = self.kernel.now
+        meta = frame.meta
+        seq = meta.get("seq")
         if (
-            not isinstance(seq, int)
-            or seq < self._next_seq
-            or seq in self._held
-            or seq in self._oob
+            retry_after is None
+            and meta.get("kind") == "request"
+            and seq == self._next_seq
+            and not self._held
+            and not self._oob
         ):
-            return  # duplicate or garbage
-        self._held[seq] = frame.payload
-        self._drain_in_order()
-        self._arm_idle()
+            # the steady case: the next request in order, nothing held
+            # (inlined _process)
+            self._next_seq = seq + 1
+            if self.admission is None or self._admitted(seq):
+                self.requests_handled += 1
+                self._respond(seq, self.server._response_for(frame.payload))
+            return
+        kind = meta.get("kind")
+        if kind in ("request", "connect"):
+            if (
+                isinstance(seq, int)
+                and seq >= self._next_seq
+                and seq not in self._held
+                and seq not in self._oob
+            ):  # not a duplicate, not garbage
+                self._held[seq] = frame.payload if retry_after is None else (None, retry_after)
+                self._drain_in_order()
+        elif retry_after is not None:
+            return  # a shed control frame is simply lost
+        elif kind == "close":
+            self.close(notify=False)
+        elif kind == "chunk":
+            self._on_chunk(frame)
+        elif kind == "credit":
+            sender = self._rsp_senders.get(seq)
+            if sender is not None:
+                sender.on_credit(meta.get("idx"))
+                if sender.finished:
+                    self._rsp_senders.pop(seq, None)
 
     def _on_chunk(self, frame: Frame) -> None:
         """One chunk of a streamed request upload.  The seq is handled
@@ -944,12 +993,13 @@ class ServerConnection:
             return
         stream = self._streams.get(seq)
         if stream is None:
-            if seq < self._next_seq or seq in self._oob:
+            if seq < self._next_seq or seq in self._oob or seq in self._held:
                 return  # duplicate chunk of a finished stream
             assembler = _WireAssembler()
             receiver = _StreamReceiver(
                 assembler.write,
                 lambda idx, seq=seq: self._send_credit(seq, idx),
+                self.server.stream_window,
             )
             stream = (assembler, receiver)
             self._streams[seq] = stream
@@ -983,8 +1033,8 @@ class ServerConnection:
         refused one is answered 503 + Retry-After here."""
         if self.admission is None:
             return True
+        # the queue's depth is read when wanted: ``admission.level``
         admitted, retry_after = self.admission.try_admit()
-        obs_metrics.set_gauge("transport.http.queue_depth", self.admission.level)
         if not admitted:
             self.busy_answered += 1
             obs_metrics.inc("transport.http.queue_overflow")
@@ -1003,19 +1053,6 @@ class ServerConnection:
             self._respond(seq, HttpResponse(400, str(exc)))
             return
         self._respond(seq, self.server._handle(request))
-
-    def _on_overflow(self, frame: Frame, retry_after: float) -> None:
-        """The worker pool shed a pipelined request.  It still occupies
-        its slot in the sequence — answered 503 in order, so later
-        requests on the connection are not stalled waiting for it."""
-        if frame.meta.get("kind") != "request":
-            return
-        seq = frame.meta.get("seq")
-        if not isinstance(seq, int) or seq < self._next_seq or seq in self._held:
-            return
-        self._held[seq] = (None, retry_after)
-        self._drain_in_order()
-        self._arm_idle()
 
     def _drain_in_order(self) -> None:
         while True:
@@ -1045,64 +1082,50 @@ class ServerConnection:
             self._respond(seq, self.server._response_for(payload))
 
     def _respond(self, seq: int, response: HttpResponse) -> None:
-        whole, wire = _render(response, self.server.chunk_threshold)
-        if not whole:
-            sender = _StreamSender(
-                self.node,
-                self.peer,
-                self.client_port,
-                {"conn": self.id, "seq": seq},
-                wire,
-                self.server.chunk_size,
-                self.server.stream_window,
-                on_error=self._on_stream_error,
-            )
-            self._rsp_senders[seq] = sender
-            sender.start()
-            if sender.finished:
-                self._rsp_senders.pop(seq, None)
-            return
-        try:
-            self.node.send(
-                self.peer,
-                self.client_port,
-                wire,
-                kind="response",
-                conn=self.id,
-                seq=seq,
-            )
-        except (NetworkError, NodeDownError):
-            self.server.dropped_replies += 1
-            obs_metrics.inc("transport.http.dropped_replies")
+        """Answer *seq* as one frame, or as chunk frames (see
+        :meth:`HttpConnection._transmit`)."""
+        if isinstance(response.body, BodyStream):
+            chunks = response.iter_wire()
+        else:
+            wire = response.to_wire()
+            threshold = self.server.chunk_threshold
+            if threshold is None or len(wire) <= threshold:
+                try:
+                    self.node.send(
+                        self.peer, self.client_port, wire,
+                        kind="response", conn=self.id, seq=seq,
+                    )
+                except (NetworkError, NodeDownError):
+                    self._on_stream_error(None)
+                return
+            chunks = (wire,)
+        sender = _StreamSender(
+            self.node,
+            self.peer,
+            self.client_port,
+            {"conn": self.id, "seq": seq},
+            chunks,
+            self.server.chunk_size,
+            self.server.stream_window,
+            on_error=self._on_stream_error,
+        )
+        self._rsp_senders[seq] = sender
+        sender._pump()
+        if sender.finished:
+            self._rsp_senders.pop(seq, None)
 
-    def _on_stream_error(self, exc: Exception) -> None:
+    def _on_stream_error(self, exc: Optional[Exception]) -> None:
         self.server.dropped_replies += 1
         obs_metrics.inc("transport.http.dropped_replies")
 
     # ------------------------------------------------------------------
-    def _arm_idle(self) -> None:
-        if self._idle_event is not None:
-            self._idle_event.cancel()
-            self._idle_event = None
-        if self.server.conn_idle_timeout is not None:
-            self._idle_event = self.kernel.schedule(
-                self.server.conn_idle_timeout, self._on_idle
-            )
-
-    def _on_idle(self) -> None:
-        self.close(notify=True)
-
     def close(self, notify: bool = True) -> None:
         if self.closed:
             return
         self.closed = True
         self._streams.clear()
         self._rsp_senders.clear()
-        if self._idle_event is not None:
-            self._idle_event.cancel()
-            self._idle_event = None
-        if self.node.has_port(self.srv_port):
-            self.node.close_port(self.srv_port)
+        self.node.close_port(self.srv_port)
         self.node.set_overflow_handler(self.srv_port, None)
         if notify and self.node.up:
             try:

@@ -9,15 +9,12 @@ happens exactly once, in :meth:`HttpRequest.to_wire` /
 :meth:`HttpResponse.to_wire`, and parsing splits head from body on
 byte boundaries.  Connection semantics are what matter to the
 paper — HTTP "maintains an open connection for return messages" (§III),
-which is why standard Web-service stacks ended up synchronous.  Two
-connection models coexist:
-
-* the default *ephemeral* model: one throwaway reply port per request,
-  held open until the response frame lands;
-* the E11 *persistent* model (:mod:`repro.transport.connection`):
-  pooled keep-alive connections with optional pipelining and bounded
-  per-connection server queues, enabled per client via
-  ``HttpClient(pool=...)`` / ``HttpTransport.enable_pooling``.
+which is why standard Web-service stacks ended up synchronous.  That
+connection is one model here: every :class:`HttpClient` request rides a
+persistent connection leased from a
+:class:`~repro.transport.connection.ConnectionPool` (E11), and an
+:class:`HttpServer`'s listening port answers only the CONNECT that
+opens one.  A peer shares one pool between all of its HTTP clients.
 
 Headers live in a :class:`HeaderMap` — case-insensitive like real
 HTTP field names (RFC 9110 §5.1), preserving the first-seen casing on
@@ -37,21 +34,19 @@ strict grammar answered for the same bytes.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Mapping, MutableMapping
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.caching import ArtifactCache
 from repro.observability import metrics as obs_metrics
-from repro.simnet.network import Frame, Network, NetworkError, Node, NodeDownError
+from repro.simnet.network import Frame, Network, Node
 from repro.transport.base import (
     ResponseCallback,
     ServerHandler,
     Transport,
     TransportBusyError,
     TransportError,
-    TransportTimeoutError,
     WirePayload,
 )
 from repro.transport.uri import Uri
@@ -452,11 +447,6 @@ class HttpResponse:
 RequestHandler = Callable[[HttpRequest], HttpResponse]
 
 
-def _busy(message: str, retry_after: float) -> HttpResponse:
-    """The 503 a saturated server or connection answers with."""
-    return HttpResponse(503, message, {"Retry-After": f"{retry_after:.6f}"})
-
-
 class HttpServer:
     """A lightweight HTTP listener on one node.
 
@@ -475,21 +465,19 @@ class HttpServer:
         self.interceptor: Optional[Callable[[HttpRequest], Optional[HttpResponse]]] = None
         self.started = False
         self.requests_served = 0
+        #: malformed requests, and frames on the listening port that are
+        #: not a CONNECT
         self.bad_requests = 0
         self.dropped_replies = 0
-        #: requests refused by the node's bounded worker pool (E13) and
-        #: answered 503 + Retry-After before any parse/dispatch work
-        self.overflow_answered = 0
-        # E11 persistent-connection knobs: per-connection request-queue
-        # bound (None disables shedding), its drain rate in req/s, and
-        # how long an inactive server-side connection lives
-        self.max_pending_per_connection: Optional[float] = 32.0
+        # E11 connection knobs: per-connection request-queue bound
+        # (None, the default, sheds nothing), its drain rate in req/s,
+        # and how long a quiet connection lives (swept on accept)
+        self.max_pending_per_connection: Optional[float] = None
         self.conn_drain_rate: float = 200.0
         self.conn_idle_timeout: Optional[float] = 60.0
-        # E16 chunked-framing knobs (persistent connections only):
-        # responses whose wire form exceeds chunk_threshold bytes are
-        # sent as a flow-controlled sequence of chunk frames instead of
-        # one giant frame.  None disables response chunking.
+        # E16 chunked-framing knobs: responses whose wire form exceeds
+        # chunk_threshold bytes leave as a flow-controlled sequence of
+        # chunk frames.  None disables response chunking.
         self.chunk_threshold: Optional[int] = None
         self.chunk_size: int = 64 * 1024
         self.stream_window: int = 8
@@ -501,14 +489,14 @@ class HttpServer:
 
     @property
     def connections(self) -> list:
-        """Open server-side persistent connections (E11)."""
+        """Open server-side connections (E11)."""
         return list(self._connections.values())
 
     def start(self) -> None:
         if self.started:
             return
         self.node.open_port(self.wire_port, self._on_frame)
-        self.node.set_overflow_handler(self.wire_port, self._on_overflow)
+        self.node.set_overflow_handler(self.wire_port, self._on_frame)
         self.started = True
 
     def stop(self) -> None:
@@ -528,44 +516,40 @@ class HttpServer:
         path = path if path.startswith("/") else "/" + path
         self.routes.pop(path, None)
 
-    def _on_frame(self, frame: Frame) -> None:
-        if frame.meta.get("kind") == "connect":
-            self._on_connect(frame)
-            return
-        self._reply(frame, self._response_for(frame.payload))
+    def _on_frame(self, frame: Frame, retry_after: Optional[float] = None) -> None:
+        """The listening port speaks only CONNECT: it opens a connection
+        (or reaches the open one) and answers ACCEPT with the connection
+        port.  The request a CONNECT carries goes to the connection —
+        shed with *retry_after* when this is the worker pool's overflow
+        (see :meth:`ServerConnection._on_frame`)."""
+        from repro.transport.connection import ServerConnection
 
-    def _reply(self, frame: Frame, response: HttpResponse) -> None:
-        """Answer *frame* on its reply port.  With nowhere to answer, or
-        the serving node dead (e.g. a crash injected mid-dispatch), the
-        reply is lost on the wire — which must be visible, not silent
-        and not an unhandled kernel exception."""
-        reply_port = frame.meta.get("reply_port")
-        if reply_port:
-            try:
-                self.node.send(frame.src, reply_port, response.to_wire())
-                return
-            except (NetworkError, NodeDownError):
-                pass
-        self.dropped_replies += 1
-        obs_metrics.inc("transport.http.dropped_replies")
-
-    def _on_overflow(self, frame: Frame, retry_after: float) -> None:
-        """The node's bounded worker pool rejected *frame*: answer 503 +
-        Retry-After without parsing or dispatching — the whole point is
-        that a saturated provider refuses cheaply (the E9 admission
-        vocabulary at the transport layer)."""
-        if frame.meta.get("kind") == "connect":
-            # control frame: no reply channel contract; the client's
-            # connect timeout (and its retry policy) handles it
+        conn_id = frame.meta.get("conn")
+        client_port = frame.meta.get("client_port")
+        if frame.meta.get("kind") != "connect" or not conn_id or not client_port:
+            self.bad_requests += 1
+            obs_metrics.inc("transport.http.bad_requests")
             return
-        if frame.meta.get("reply_port"):
-            self.overflow_answered += 1
-            obs_metrics.inc("transport.http.worker_overflow")
-        self._reply(frame, _busy(f"server {self.node.id}: worker pool saturated", retry_after))
+        conn = self._connections.get(conn_id)
+        if conn is None:  # a re-sent CONNECT re-uses the live connection
+            now = self.node.network.kernel.now
+            for quiet in [c for c in self._connections.values() if c.idle_expired(now)]:
+                quiet.close(notify=True)
+            conn = ServerConnection(self, conn_id, frame.src, client_port)
+            self._connections[conn_id] = conn
+            obs_metrics.inc("transport.http.conn_accepted")
+            obs_metrics.set_gauge(
+                "transport.http.server_connections", len(self._connections)
+            )
+        self.node.send(
+            frame.src, client_port, "", kind="accept", conn=conn_id,
+            srv_port=conn.srv_port,
+        )
+        if frame.payload:
+            conn._on_frame(frame, retry_after)
 
     def _response_for(self, payload: Union[bytes, str]) -> HttpResponse:
-        """Parse and dispatch one raw request (shared with E11
-        per-connection delivery)."""
+        """Parse and dispatch one raw request."""
         try:
             request = HttpRequest.from_wire(payload)
         except TransportError as exc:
@@ -573,26 +557,6 @@ class HttpServer:
             obs_metrics.inc("transport.http.bad_requests")
             return HttpResponse(400, str(exc))
         return self._handle(request)
-
-    def _on_connect(self, frame: Frame) -> None:
-        from repro.transport.connection import ServerConnection
-
-        conn_id = frame.meta.get("conn")
-        reply_port = frame.meta.get("reply_port")
-        if not conn_id or not reply_port:
-            return
-        conn = self._connections.get(conn_id)
-        if conn is None:  # a re-sent CONNECT re-uses the live connection
-            conn = ServerConnection(self, conn_id, frame.src, reply_port)
-            self._connections[conn_id] = conn
-            obs_metrics.inc("transport.http.conn_accepted")
-            obs_metrics.set_gauge(
-                "transport.http.server_connections", len(self._connections)
-            )
-        self.node.send(
-            frame.src, reply_port, "", kind="accept", conn=conn_id,
-            srv_port=conn.srv_port,
-        )
 
     def _forget_connection(self, conn) -> None:
         self._connections.pop(conn.id, None)
@@ -621,59 +585,16 @@ class HttpServer:
             return HttpResponse(500, f"{type(exc).__name__}: {exc}")
 
 
-class _Call:
-    """Fires one request's callback once, counting errors; on the
-    throw-away path it owns the reply port and timer until then."""
-
-    __slots__ = ("node", "callback", "port", "timer")
-
-    def __init__(self, node: Node, callback: Callable):
-        self.node = node
-        self.callback: Optional[Callable] = callback
-        self.port: Optional[str] = None
-        self.timer = None
-
-    def __call__(self, response: Optional[HttpResponse], error: Optional[Exception]) -> None:
-        callback = self.callback
-        if callback is None:
-            return
-        self.callback = None
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
-        if self.port is not None and self.node.has_port(self.port):
-            self.node.close_port(self.port)
-        if error is not None:
-            obs_metrics.inc(
-                "transport.http.timeouts"
-                if isinstance(error, TransportTimeoutError)
-                else "transport.http.errors"
-            )
-        callback(response, error)
-
-    def on_reply(self, frame: Frame) -> None:
-        try:
-            response = HttpResponse.from_wire(frame.payload)
-        except TransportError as exc:
-            self(None, exc)
-            return
-        self(response, None)
-
-    def on_timeout(self, where: str, path: str, timeout: float) -> None:
-        self(None, TransportTimeoutError(f"no response from {where}{path} within {timeout}s"))
-
-
 class HttpClient:
-    """Issues requests from a node.
+    """Issues requests from a node, each over a persistent connection
+    leased from :attr:`pool` — two frame hops per request once the
+    connection is open.
 
-    By default each request opens an ephemeral reply port (the paper's
-    throwaway "open connection for return messages").  With a pool
-    enabled (:meth:`enable_pooling` or the ``pool=`` constructor
-    argument), requests ride persistent pooled connections instead —
-    same callback contract, two frame hops instead of four.
+    *pool* is the :class:`~repro.transport.connection.ConnectionPool`
+    to lease from (a peer hands all of its clients one), or the
+    :class:`~repro.transport.connection.PoolConfig` of a pool of this
+    client's own (None: the defaults).
     """
-
-    _conn_ids = itertools.count(1)
 
     def __init__(
         self,
@@ -681,28 +602,12 @@ class HttpClient:
         default_timeout: Optional[float] = 30.0,
         pool=None,
     ):
+        from repro.transport.connection import ConnectionPool
+
         self.node = node
         self.network: Network = node.network
         self.default_timeout = default_timeout
-        self.pool = None
-        if pool is not None:
-            self.enable_pooling(pool)
-
-    def enable_pooling(self, config=None):
-        """Route requests over pooled persistent connections (E11).
-
-        *config* may be a :class:`~repro.transport.connection.PoolConfig`,
-        an existing :class:`~repro.transport.connection.ConnectionPool`
-        (to share one pool between clients on the same node), or None
-        for defaults.  Returns the pool.
-        """
-        from repro.transport.connection import ConnectionPool
-
-        if isinstance(config, ConnectionPool):
-            self.pool = config
-        else:
-            self.pool = ConnectionPool(self.node, config)
-        return self.pool
+        self.pool = pool if isinstance(pool, ConnectionPool) else ConnectionPool(node, pool)
 
     def request_async(
         self,
@@ -712,23 +617,11 @@ class HttpClient:
         callback: Callable[[Optional[HttpResponse], Optional[Exception]], None],
         timeout: Optional[float] = None,
     ) -> None:
-        """Send *request*; *callback* fires with the response or error."""
-        timeout = timeout if timeout is not None else self.default_timeout
+        """Send *request*; *callback* fires once with the response or error."""
         obs_metrics.inc("transport.http.requests_sent")
-        call = _Call(self.node, callback)
-        if self.pool is not None:
-            self.pool.lease(target_node, port).send(request, call, timeout=timeout)
-            return
-        call.port = f"http-conn:{next(self._conn_ids)}"
-        self.node.open_port(call.port, call.on_reply)
-        if timeout is not None:
-            call.timer = self.network.kernel.schedule(
-                timeout, call.on_timeout, f"{target_node}:{port}", request.path, timeout
-            )
-        try:
-            self.node.send(target_node, f"http:{port}", request.to_wire(), reply_port=call.port)
-        except (NetworkError, NodeDownError) as exc:
-            call(None, exc)
+        self.pool.lease(target_node, port).send(
+            request, callback, self.default_timeout if timeout is None else timeout
+        )
 
     def request(
         self,
@@ -761,7 +654,8 @@ class HttpTransport(Transport):
     The four ``_…`` hooks at the bottom are where an authenticating
     subclass (:class:`~repro.transport.httpg.HttpgTransport`) adds and
     checks credentials; everything else — status mapping, the route
-    adapter, server lifetime, pooling — is shared.
+    adapter, server lifetime, the client and its *pool* (see
+    :class:`HttpClient`) — is shared.
     """
 
     scheme = "http"
@@ -776,15 +670,6 @@ class HttpTransport(Transport):
         self.node = node
         self.client = HttpClient(node, default_timeout, pool=pool)
         self._servers: dict[int, HttpServer] = {}
-
-    @property
-    def pool(self):
-        return self.client.pool
-
-    def enable_pooling(self, config=None):
-        """Persistent pooled connections for this transport's client
-        (E11); see :meth:`HttpClient.enable_pooling`."""
-        return self.client.enable_pooling(config)
 
     def server_for(self, port: Optional[int] = None) -> HttpServer:
         """Get (lazily creating, not starting) the server on *port* of

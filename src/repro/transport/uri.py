@@ -69,12 +69,6 @@ class Uri:
             text += f"#{self.fragment}"
         return text
 
-    def with_fragment(self, fragment: str) -> "Uri":
-        return Uri(self.scheme, self.host, self.port, self.path, fragment)
-
-    def without_fragment(self) -> "Uri":
-        return Uri(self.scheme, self.host, self.port, self.path, "")
-
     @property
     def authority(self) -> str:
         return self.host if self.port is None else f"{self.host}:{self.port}"

@@ -17,13 +17,16 @@ class UddiClient:
 
     ``registry_uri`` is the inquiry endpoint, e.g.
     ``http://registry:80/uddi/inquiry`` (what the paper calls a
-    "user defined UDDI registry").
+    "user defined UDDI registry").  *pool* is as for
+    :class:`~repro.transport.http.HttpClient`.
     """
 
-    def __init__(self, node: Node, registry_uri: str, timeout: Optional[float] = 30.0):
+    def __init__(
+        self, node: Node, registry_uri: str, timeout: Optional[float] = 30.0, pool=None
+    ):
         self.node = node
         self.uri = Uri.parse(registry_uri)
-        self.http = HttpClient(node, timeout)
+        self.http = HttpClient(node, timeout, pool=pool)
 
     def _build_http_request(self, operation: str, args: dict[str, Any]) -> HttpRequest:
         request = build_rpc_request(UDDI_NAMESPACE, operation, args)

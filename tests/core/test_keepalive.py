@@ -1,9 +1,10 @@
 """WSPeer-level integration of E11 persistent connections.
 
-``enable_http_keepalive`` routes a peer's outbound SOAP calls over a
-shared connection pool; ``configure_http_server`` tunes the provider's
-per-connection queue; failover health verdicts evict pooled
-connections to dead endpoints.
+Every outbound call of a peer rides its one connection pool
+(``http_pool``: locating, publishing and invoking share it);
+``enable_http_keepalive`` configures that pool, ``configure_http_server``
+tunes the provider's per-connection queue, and failover health verdicts
+evict pooled connections to dead endpoints.
 """
 
 import pytest
@@ -12,6 +13,12 @@ from tests.core.conftest import Counter, Echo
 
 from repro.core import WsPeerError
 from repro.transport import PoolConfig
+
+
+def to_provider(consumer):
+    """The consumer's pooled connections to the provider (the registry
+    connection the locate opened stays)."""
+    return [c for c in consumer.http_pool.connections() if c.target_node == "prov"]
 
 
 def deploy_and_locate(provider, consumer, net, service=None, name="Echo"):
@@ -25,18 +32,23 @@ class TestKeepAliveInvocation:
         provider, consumer, _ = standard_pair
         handle = deploy_and_locate(provider, consumer, net)
         pool = consumer.enable_http_keepalive()
+        assert pool is consumer.http_pool
+        opened, reused = pool.opened, pool.reused
         for i in range(3):
             assert consumer.invoke(handle, "echo", {"message": f"m{i}"}) == f"m{i}"
-        assert pool.opened == 1
-        assert pool.reused == 2
+        # the WSDL fetch opened the connection the calls ride
+        assert pool.opened == opened
+        assert pool.reused == reused + 3
 
     def test_pool_shared_across_retries_and_stateful_calls(self, standard_pair, net):
         provider, consumer, _ = standard_pair
         handle = deploy_and_locate(provider, consumer, net, Counter(), "Counter")
         consumer.enable_http_keepalive(PoolConfig(idle_timeout=60.0))
+        opened = consumer.http_pool.opened
         assert consumer.invoke(handle, "increment", {"by": 2}) == 2
         assert consumer.invoke(handle, "increment", {"by": 3}) == 5
-        assert consumer.http_pool.opened == 1
+        assert consumer.http_pool.opened == opened
+        assert all(c.config.idle_timeout == 60.0 for c in consumer.http_pool.connections())
 
     def test_keepalive_requires_poolable_binding(self, p2ps_pair):
         _, consumer, _ = p2ps_pair
@@ -50,9 +62,9 @@ class TestKeepAliveInvocation:
         consumer.enable_failover()
         executor = consumer.failover
         assert consumer.invoke(handle, "echo", {"message": "warm"}) == "warm"
-        (conn,) = consumer.http_pool.connections()
+        (conn,) = to_provider(consumer)
         executor.health.record_failure(handle.endpoints[0].address, fatal=True)
-        assert consumer.http_pool.size == 0
+        assert to_provider(consumer) == []
         assert conn.state == "closed"
 
     def test_enable_order_is_symmetric(self, standard_pair, net):
@@ -66,7 +78,7 @@ class TestKeepAliveInvocation:
         consumer.failover.health.record_failure(
             handle.endpoints[0].address, fatal=True
         )
-        assert consumer.http_pool.size == 0
+        assert to_provider(consumer) == []
 
 
 class TestServerTuning:

@@ -116,7 +116,7 @@ class TestRetransmits:
         state = {"dropped": 0}
 
         def drop_first_response(frame):
-            if frame.port.startswith("http-conn:") and state["dropped"] == 0:
+            if frame.meta.get("kind") == "response" and state["dropped"] == 0:
                 state["dropped"] += 1
                 return False
             return True

@@ -1,9 +1,11 @@
 """Whatever way a call ends, it gives back what it took.
 
 One pipeline means one ``finish``: after the terminal event of a call —
-on either binding, in any exchange pattern, for any outcome — the
-consumer node has exactly the ports it had before, and no timer the
-call armed (attempt timer, backoff timer, transport timeout) is live.
+on either binding, in any exchange pattern, for any outcome — no timer
+the call armed (attempt timer, backoff timer, transport timeout) is
+live, and the consumer node has the ports it had before.  The one thing
+a call may leave behind is the pooled HTTP connection it rode: at most
+one per endpoint called, which the next call reuses.
 """
 
 import gc
@@ -67,6 +69,7 @@ class Ledger:
         self.armed = []
         self.terminals = 0
         self.ports_at_terminal = None
+        self.pooled_at_terminal = None
         self.live_at_terminal = None
         schedule = net.kernel.schedule
 
@@ -85,6 +88,7 @@ class Ledger:
     def terminal(self):
         self.terminals += 1
         self.ports_at_terminal = list(self.consumer.node.ports)
+        self.pooled_at_terminal = pooled(self.consumer)
         self.live_at_terminal = [
             event for event in self.armed
             if not (event.cancelled or event._fired)
@@ -92,6 +96,21 @@ class Ledger:
             # the network's, not the call's
             and not isinstance(getattr(event.fn, "__self__", None), (Network, Node))
         ]
+
+
+def pooled(consumer):
+    """The consumer's pooled HTTP connections: port -> endpoint."""
+    return {c.local_port: (c.target_node, c.port) for c in consumer.http_pool.connections()}
+
+
+def assert_gave_back(ports_before, ports, pooled_now):
+    """*ports* are *ports_before*, give or take pooled connections: every
+    other port is as it was, and at most one connection per endpoint."""
+    assert [p for p in ports if p not in pooled_now] == [
+        p for p in ports_before if not p.startswith("http-conn:")
+    ]
+    endpoints = [pooled_now[p] for p in ports if p in pooled_now]
+    assert len(endpoints) == len(set(endpoints))
 
 
 def policy_for(pattern, outcome):
@@ -156,9 +175,9 @@ def test_every_ending_releases_ports_and_timers(binding, pattern, outcome):
     net.run()
 
     assert ledger.terminals == 1
-    assert ledger.ports_at_terminal == ports_before
+    assert_gave_back(ports_before, ledger.ports_at_terminal, ledger.pooled_at_terminal)
     assert ledger.live_at_terminal == []
-    assert list(consumer.node.ports) == ports_before
+    assert_gave_back(ports_before, list(consumer.node.ports), pooled(consumer))
 
     if pattern == "request":  # the scenario ended the way its name says
         (error,) = errors

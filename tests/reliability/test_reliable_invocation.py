@@ -76,7 +76,7 @@ class TestHttpRetry:
         dropped = {"n": 0}
 
         def drop_first_request(frame):
-            if frame.port.startswith("http:") and dropped["n"] == 0:
+            if frame.meta.get("kind") == "request" and dropped["n"] == 0:
                 dropped["n"] += 1
                 return False
             return True
@@ -97,7 +97,7 @@ class TestHttpRetry:
         state = {"dropped": 0}
 
         def drop_first_response(frame):
-            if frame.port.startswith("http-conn:") and state["dropped"] == 0:
+            if frame.meta.get("kind") == "response" and state["dropped"] == 0:
                 state["dropped"] += 1
                 return False
             return True

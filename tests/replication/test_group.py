@@ -106,16 +106,21 @@ class TestHappyPath:
 
 class TestLagGuard:
     def _open_gap(self, world, victim_index=1):
-        """Drop the next delta ship to one member, then mutate twice:
-        the victim buffers seq 2 (gap at 1) and is lagging."""
+        """Lose every ship of delta 1 to one member, then mutate again
+        (``_second_mutation``): the lost frame stalls its connection until
+        the ship times out, delta 2 fails with it and its retry lands on
+        a fresh connection — the victim buffers seq 2 (gap at 1) and is
+        lagging."""
         from repro.simnet import CrashHarness
 
         world.replicate(r=2, anti_entropy=False)
         harness = CrashHarness(world.net)
         victim = world.group.members[victim_index]
         harness.drop_next(
-            lambda f: f.dst == victim.node_id and "apply_delta" in payload_text(f),
-            count=1,
+            lambda f: f.dst == victim.node_id
+            and "apply_delta" in payload_text(f)
+            and '"seq": 1,' in payload_text(f),
+            count=world.group.config.ship_retry.max_attempts,
         )
         world.executor.invoke(
             world.handle, "increment", {"by": 1}, timeout=0.5
@@ -123,20 +128,18 @@ class TestLagGuard:
         world.settle(0.5)
         return victim
 
+    def _second_mutation(self, world):
+        world.executor.invoke(world.handle, "increment", {"by": 1}, timeout=0.5)
+        world.settle(world.group.config.ship_timeout + 0.5)
+
     def test_gap_makes_member_lag(self, counter_world):
         victim = self._open_gap(counter_world)
-        counter_world.executor.invoke(
-            counter_world.handle, "increment", {"by": 1}, timeout=0.5
-        )
-        counter_world.settle(0.5)
+        self._second_mutation(counter_world)
         assert victim.store.is_lagging(DEFAULT_SESSION)
 
     def test_lagging_member_answers_replica_lag_fault(self, counter_world):
         victim = self._open_gap(counter_world)
-        counter_world.executor.invoke(
-            counter_world.handle, "increment", {"by": 1}, timeout=0.5
-        )
-        counter_world.settle(0.5)
+        self._second_mutation(counter_world)
         # invoke the victim directly (no failover): the lag surfaces
         handle = victim.peer.local_handle("Svc")
         with pytest.raises(ReplicaLagFault) as exc_info:

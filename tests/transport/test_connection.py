@@ -15,6 +15,7 @@ from repro.transport import (
     HttpTransport,
     PoolConfig,
     TransportBusyError,
+    TransportError,
     TransportTimeoutError,
     Uri,
 )
@@ -36,6 +37,17 @@ def echo_server(net, port=80, **knobs):
     server.add_route("/echo", lambda req: HttpResponse(200, req.body))
     server.start()
     return server
+
+
+def pass_time(net, seconds):
+    net.kernel.schedule(seconds, lambda: None)
+    net.run()
+
+
+def _metric(name):
+    from repro.observability.metrics import default_registry
+
+    return default_registry().get(name)
 
 
 class TestKeepAlive:
@@ -61,6 +73,7 @@ class TestKeepAlive:
         assert net.now - t_first == pytest.approx(0.01)  # 2 hops, no connect
 
     def test_idle_timeout_closes_connection(self, net):
+        # idle is a deadline checked at the next lease, not a timer
         server = echo_server(net)
         client = HttpClient(
             net.get_node("client"), pool=PoolConfig(idle_timeout=0.5)
@@ -68,10 +81,13 @@ class TestKeepAlive:
         client.request("server", 80, HttpRequest("POST", "/echo", "x"))
         (conn,) = client.pool.connections()
         assert conn.state == IDLE
-        net.run()  # fires the idle timer, then the close frame drains
-        assert conn.state == CLOSED
-        assert client.pool.size == 0
-        assert server.connections == []  # server side cleaned up too
+        pass_time(net, 0.5)
+        assert conn.state == IDLE  # nothing fired
+        client.request("server", 80, HttpRequest("POST", "/echo", "y"))
+        assert conn.state == CLOSED  # the lease closed it and moved on
+        assert client.pool.opened == 2 and client.pool.size == 1
+        net.run()  # the close frame drains
+        assert len(server.connections) == 1  # server side cleaned up too
 
     def test_max_requests_per_connection_recycles(self, net):
         echo_server(net)
@@ -177,8 +193,7 @@ class TestBoundedServerQueue:
 
     def test_transport_maps_busy_to_error_and_failover_backs_off(self, net):
         echo_server(net, max_pending_per_connection=1.0, conn_drain_rate=1.0)
-        transport = HttpTransport(net.get_node("client"))
-        transport.enable_pooling(PoolConfig(pipeline=True))
+        transport = HttpTransport(net.get_node("client"), pool=PoolConfig(pipeline=True))
         results = []
         for _ in range(3):
             transport.send(
@@ -251,8 +266,7 @@ class TestFailureHandling:
         assert client.pool.evicted_dead == 1
 
     def test_unroutable_target_times_out(self, net):
-        # parity with the ephemeral client: frames to an unknown node
-        # vanish, so the caller sees its timeout
+        # frames to an unknown node vanish, so the caller sees its timeout
         client = HttpClient(net.get_node("client"), pool=PoolConfig())
         errors = []
         client.request_async(
@@ -275,8 +289,9 @@ class TestTraceIntegration:
             r for r in net.trace.records
             if r.kind in ("sent", "delivered") and r.detail.get("conn") == conn.id
         ]
-        # connect + accept + request + response, each sent and delivered
-        assert len(tagged) >= 8
+        # connect (carrying the request) + accept + response, each sent
+        # and delivered
+        assert len(tagged) >= 6
         untagged = [
             r for r in net.trace.records
             if r.kind == "sent" and "conn" not in r.detail
@@ -350,3 +365,158 @@ class TestWorkerPoolShed:
         assert client.pool.opened == 1
         (sconn,) = server.connections
         assert sconn.busy_answered == 1
+
+
+class TestIdleDeadlines:
+    """Idle is one lazily checked deadline per connection: no kernel
+    event is scheduled or cancelled per request or per idle transition."""
+
+    def _warm(self, net, **pool):
+        server = echo_server(net)
+        client = HttpClient(net.get_node("client"), pool=PoolConfig(**pool))
+        client.request("server", 80, HttpRequest("POST", "/echo", "warm"))
+        return server, client
+
+    def test_steady_request_arms_only_its_own_timeout(self, net):
+        server, client = self._warm(net)
+        armed = []
+        schedule = net.kernel.schedule
+
+        def recording(delay, fn, *args):
+            armed.append(getattr(fn, "__self__", None))
+            return schedule(delay, fn, *args)
+
+        net.kernel.schedule = recording
+        client.request("server", 80, HttpRequest("POST", "/echo", "x"))
+        (conn,) = client.pool.connections()
+        # frames in flight are the network's; the rest are the ends'
+        ends = [owner for owner in armed if owner is not net]
+        assert ends == [conn]  # the request timeout, and nothing on the server
+
+    def test_run_after_a_call_does_not_advance_the_clock(self, net):
+        self._warm(net)
+        before = net.now
+        net.run()
+        assert net.now == before
+        assert net.kernel.pending == 0
+
+    def test_expired_connection_is_never_leased_again(self, net):
+        server, client = self._warm(net, idle_timeout=1.0)
+        (old,) = client.pool.connections()
+        closed_before = _metric("transport.http.conn_idle_closed")
+        pass_time(net, 1.0)
+        assert client.pool.lease("server", 80) is not old
+        assert old.state == CLOSED
+        assert not net.get_node("client").has_port(old.local_port)
+        assert _metric("transport.http.conn_idle_closed") == closed_before + 1
+
+    def test_unexpired_connection_is_reused(self, net):
+        server, client = self._warm(net, idle_timeout=1.0)
+        (conn,) = client.pool.connections()
+        pass_time(net, 0.9)
+        assert client.pool.lease("server", 80) is conn
+
+    def test_server_sweeps_expired_connections_on_accept(self, net):
+        server = echo_server(net, conn_idle_timeout=2.0)
+        net.add_node("other")
+        quiet = HttpClient(net.get_node("client"), pool=PoolConfig(idle_timeout=None))
+        quiet.request("server", 80, HttpRequest("POST", "/echo", "x"))
+        (stale,) = server.connections
+        (conn,) = quiet.pool.connections()
+        pass_time(net, 2.0)
+        assert server.connections == [stale]  # nothing swept it yet
+        HttpClient(net.get_node("other")).request(
+            "server", 80, HttpRequest("POST", "/echo", "y")
+        )
+        assert stale.closed and stale not in server.connections
+        assert not net.get_node("server").has_port(stale.srv_port)
+        assert conn.state == CLOSED  # told by the server's close frame
+        assert quiet.pool.size == 0
+
+    def test_server_keeps_a_connection_with_recent_traffic(self, net):
+        server = echo_server(net, conn_idle_timeout=2.0)
+        net.add_node("other")
+        busy = HttpClient(net.get_node("client"), pool=PoolConfig(idle_timeout=None))
+        busy.request("server", 80, HttpRequest("POST", "/echo", "x"))
+        pass_time(net, 1.5)
+        busy.request("server", 80, HttpRequest("POST", "/echo", "x"))
+        pass_time(net, 1.5)
+        HttpClient(net.get_node("other")).request(
+            "server", 80, HttpRequest("POST", "/echo", "y")
+        )
+        assert len(server.connections) == 2
+
+    def test_listening_port_answers_only_connect(self, net):
+        server = echo_server(net)
+        before = _metric("transport.http.bad_requests")
+        net.get_node("client").send(
+            "server", "http:80", HttpRequest("POST", "/echo", "hi").to_wire()
+        )
+        net.run()
+        assert server.bad_requests == 1 and server.requests_served == 0
+        assert _metric("transport.http.bad_requests") == before + 1
+
+
+class TestChunkWindow:
+    """A peer cannot make a connection hold chunks its credits never
+    covered: an index at or past ``next + window`` (or past the
+    announced last one) is a protocol error."""
+
+    def test_server_answers_400_to_out_of_window_chunks(self, net):
+        server = echo_server(net)
+        client = HttpClient(net.get_node("client"), pool=PoolConfig())
+        client.request("server", 80, HttpRequest("POST", "/echo", "open"))
+        (conn,) = client.pool.connections()
+        (sconn,) = server.connections
+        replies = []
+        node = net.get_node("client")
+        node.close_port(conn.local_port)
+        node.open_port(conn.local_port, lambda frame: replies.append(frame))
+        for i in range(200):
+            node.send("server", sconn.srv_port, b"x" * 16, kind="chunk",
+                      conn=conn.id, seq=1, idx=7 * i + 7, last=False)
+        net.run()
+        assert server.bad_requests == 1
+        assert sconn._streams == {}  # nothing held
+        (answer,) = [f for f in replies if f.meta.get("kind") == "response"]
+        assert HttpResponse.from_wire(answer.payload).status == 400
+
+    def test_server_rejects_a_chunk_past_the_last(self, net):
+        server = echo_server(net)
+        client = HttpClient(net.get_node("client"), pool=PoolConfig())
+        client.request("server", 80, HttpRequest("POST", "/echo", "open"))
+        (conn,) = client.pool.connections()
+        (sconn,) = server.connections
+        node = net.get_node("client")
+        for idx, last in ((2, True), (3, False)):
+            node.send("server", sconn.srv_port, b"x", kind="chunk",
+                      conn=conn.id, seq=1, idx=idx, last=last)
+        net.run()
+        assert server.bad_requests == 1
+
+    def test_client_tears_down_on_out_of_window_chunks(self, net):
+        # a hostile server: accepts, then answers with far-flung chunks
+        server_node = net.get_node("server")
+
+        def hostile(frame):
+            meta = frame.meta
+            if meta.get("kind") == "connect":
+                server_node.send(frame.src, meta["client_port"], "", kind="accept",
+                                 conn=meta["conn"], srv_port="void")
+                hostile.client_port = meta["client_port"]
+
+        server_node.open_port("http:80", hostile)
+        client = HttpClient(net.get_node("client"), pool=PoolConfig())
+        results = []
+        client.request_async("server", 80, HttpRequest("POST", "/echo", "x"),
+                             lambda resp, err: results.append((resp, err)))
+        net.kernel.run(until=0.02)  # accepted; the request went nowhere
+        (conn,) = client.pool.connections()
+        for i in range(200):
+            server_node.send("client", hostile.client_port, b"y" * 16, kind="chunk",
+                             conn=conn.id, seq=0, idx=7 * i + 7, last=False)
+        net.kernel.run(until=0.1)
+        assert conn.state == CLOSED
+        assert conn._rsp_streams == {}
+        ((resp, err),) = results
+        assert resp is None and isinstance(err, TransportError)

@@ -32,6 +32,23 @@ def _metric(name):
     return default_registry().get(name)
 
 
+def raw_on_connection(net, wire):
+    """Open a connection from "client" by hand, send *wire* on it as
+    request 0, and return the payloads of the response frames."""
+    client_node = net.get_node("client")
+    frames = []
+    client_node.open_port("probe", frames.append)
+    client_node.send("server", "http:80", "", kind="connect", conn="probe", client_port="probe")
+    net.run()
+    (accept,) = frames
+    client_node.send(
+        "server", accept.meta["srv_port"], wire, kind="request", conn="probe", seq=0
+    )
+    net.run()
+    client_node.close_port("probe")
+    return [f.payload for f in frames if f.meta.get("kind") == "response"]
+
+
 class TestMessageModel:
     def test_request_wire_roundtrip(self):
         req = HttpRequest("POST", "/svc", "hello", {"X-A": "1"})
@@ -230,20 +247,13 @@ class TestContentLengthHardening:
         server.add_route("/echo", lambda req: HttpResponse(200, req.body))
         server.start()
         before = _metric("transport.http.bad_requests")
-        client_node = net.get_node("client")
-        replies = []
-        client_node.open_port("probe", lambda frame: replies.append(frame.payload))
-        client_node.send(
-            "server", "http:80",
-            "POST /echo HTTP/1.1\r\nContent-Length: -5\r\n\r\nhello",
-            reply_port="probe",
+        replies = raw_on_connection(
+            net, "POST /echo HTTP/1.1\r\nContent-Length: -5\r\n\r\nhello"
         )
-        net.run()
         assert server.bad_requests == 1
         assert _metric("transport.http.bad_requests") == before + 1
         assert len(replies) == 1
         assert HttpResponse.from_wire(replies[0]).status == 400
-        client_node.close_port("probe")
 
 
 class TestServerClient:
@@ -261,8 +271,10 @@ class TestServerClient:
         resp = client.request("server", 80, HttpRequest("POST", "/echo", "hi"))
         assert resp.status == 200
         assert resp.body == "HI"
-        # two hops of 5 ms
+        # two hops of 5 ms: a cold request rides the CONNECT
         assert net.now == pytest.approx(0.01)
+        client.request("server", 80, HttpRequest("POST", "/echo", "hi"))
+        assert net.now == pytest.approx(0.02)  # and a warm one its connection
 
     def test_404_for_unknown_path(self, net):
         self.make_server(net)
@@ -323,12 +335,15 @@ class TestServerClient:
         assert seen[0][0].body == "ABC"
         assert seen[0][1] is None
 
-    def test_ephemeral_port_closed_after_reply(self, net):
+    def test_one_connection_port_persists_across_requests(self, net):
         self.make_server(net)
         client_node = net.get_node("client")
         client = HttpClient(client_node)
-        client.request("server", 80, HttpRequest("POST", "/echo", "x"))
-        assert all(not p.startswith("http-conn") for p in client_node.ports)
+        held = []
+        for _ in range(3):
+            client.request("server", 80, HttpRequest("POST", "/echo", "x"))
+            held.append([p for p in client_node.ports if p.startswith("http-conn")])
+        assert len(held[0]) == 1 and held == [held[0]] * 3
 
     def test_server_stop(self, net):
         server = self.make_server(net)
@@ -349,26 +364,26 @@ class TestServerClient:
         # left no server-side evidence at all
         server = self.make_server(net)
         before = _metric("transport.http.bad_requests")
-        client_node = net.get_node("client")
-        replies = []
-        client_node.open_port("probe", lambda frame: replies.append(frame.payload))
-        client_node.send("server", "http:80", "THIS IS NOT HTTP", reply_port="probe")
-        net.run()
+        replies = raw_on_connection(net, "THIS IS NOT HTTP")
         assert server.bad_requests == 1
         assert _metric("transport.http.bad_requests") == before + 1
         assert len(replies) == 1
         assert HttpResponse.from_wire(replies[0]).status == 400
-        client_node.close_port("probe")
 
-    def test_reply_without_reply_port_counted_as_dropped(self, net):
-        # regression: a request frame with no reply_port produced a
-        # response that vanished without a trace
-        server = self.make_server(net)
+    def test_undeliverable_reply_counted_as_dropped(self, net):
+        # regression: a response that could not leave (here: the
+        # server node died while the handler ran) vanished without a trace
+        server_node = net.get_node("server")
+
+        def dying(request):
+            server_node.go_down()
+            return HttpResponse(200, "late")
+
+        server = self.make_server(net, dying)
         before = _metric("transport.http.dropped_replies")
-        net.get_node("client").send(
-            "server", "http:80", HttpRequest("POST", "/echo", "hi").to_wire()
-        )
-        net.run()
+        client = HttpClient(net.get_node("client"), default_timeout=0.5)
+        with pytest.raises(TransportTimeoutError):
+            client.request("server", 80, HttpRequest("POST", "/echo", "hi"))
         assert server.requests_served == 1  # the handler did run
         assert server.dropped_replies == 1
         assert _metric("transport.http.dropped_replies") == before + 1
@@ -454,7 +469,7 @@ class TestRegistry:
         http = HttpTransport(net.get_node("client"))
         reg.register(http)
         assert reg.lookup("http") is http
-        assert reg.for_uri(Uri.parse("http://server/x")) is http
+        assert reg.lookup(Uri.parse("http://server/x").scheme) is http
 
     def test_unknown_scheme(self):
         with pytest.raises(TransportError):

@@ -70,14 +70,6 @@ class TestRender:
         for text in self.CASES:
             assert str(Uri.parse(text)) == text
 
-    def test_with_fragment(self):
-        u = Uri.parse("p2ps://p/Svc").with_fragment("pipe1")
-        assert str(u) == "p2ps://p/Svc#pipe1"
-
-    def test_without_fragment(self):
-        u = Uri.parse("p2ps://p/Svc#pipe1").without_fragment()
-        assert str(u) == "p2ps://p/Svc"
-
     def test_authority(self):
         assert Uri.parse("http://h:81/x").authority == "h:81"
         assert Uri.parse("http://h/x").authority == "h"
