@@ -4,11 +4,11 @@ Two experiments, both closed-loop and in virtual time:
 
 1. *lookup throughput at scale* — SERVICES deployed services (10k full
    run) with a hot subset looked up by concurrent consumers.  Baseline:
-   the classic single ``UddiRegistryNode`` driven through
-   ``UddiServiceLocator.locate_async`` (3 registry round-trips + WSDL
-   GET per lookup, all landing on one serial server).  Plane: 4 shards
-   x R2 with rendezvous caching — misses cost R shard queries, hits
-   cost zero frames.  Acceptance: plane throughput >= 3x baseline.
+   the classic single ``UddiRegistryNode`` driven by a stock UDDI v2
+   inquiry chain (3 registry round-trips + WSDL GET per lookup, all
+   landing on one serial server).  Plane: 4 shards x R2 with rendezvous
+   caching — misses cost R shard queries, hits cost zero frames.
+   Acceptance: plane throughput >= 3x baseline.
 2. *staleness under churn* — providers re-publish on a period (bumping
    the freshness counter, gossiping the new revision) while the E9
    churn schedule kills registry shards and browns out a provider.
@@ -29,6 +29,8 @@ from repro.core.binding import StandardBinding
 from repro.discovery import DiscoveryPlane
 from repro.simnet import FixedLatency, Network
 from repro.simnet.churn import ChurnSchedule
+from repro.transport.http import HttpRequest
+from repro.transport.uri import Uri
 
 SMOKE = bool(os.environ.get("E12_SMOKE"))
 SERVICES = 400 if SMOKE else 10_000
@@ -97,8 +99,37 @@ def deploy_hot_providers(net, plane_or_uri, use_plane):
 # ----------------------------------------------------------------------
 # E12a — closed-loop lookup throughput at scale
 # ----------------------------------------------------------------------
+def classic_lookup(uddi, name, done):
+    """A stock UDDI v2 inquiry: find_service -> get_serviceDetail ->
+    get_tModelDetail -> WSDL GET, one round trip each."""
+    def on_services(services, error):
+        if error is not None or not services:
+            return done(0, error)
+        uddi.call_async(
+            "get_service_detail", on_detail, service_key=services[0]["serviceKey"]
+        )
+
+    def on_detail(detail, error):
+        if error is not None:
+            return done(0, error)
+        keys = [k for b in detail["bindingTemplates"] for k in b["tModelKeys"]]
+        uddi.call_async("get_tmodel_detail", on_tmodel, tmodel_key=keys[0])
+
+    def on_tmodel(tmodel, error):
+        if error is not None:
+            return done(0, error)
+        uri = Uri.parse(tmodel["overviewURL"])
+        uddi.http.request_async(
+            uri.host, uri.port or 80, HttpRequest("GET", "/" + uri.path),
+            lambda response, error: done(int(error is None and response.ok), error),
+        )
+
+    uddi.call_async("find_service", on_services, name_pattern=name, category_bag=[])
+
+
 def measure_baseline_throughput():
-    """The pre-E12 path: one registry node, classic locator chain."""
+    """One registry node driven by the pre-E12 path: the classic UDDI v2
+    inquiry chain, which the registry still serves."""
     net = Network(latency=FixedLatency(HOP_LATENCY))
     single = DiscoveryPlane(
         net, shards=1, replication=1, registry_service_time=REGISTRY_SERVICE_TIME
@@ -111,17 +142,12 @@ def measure_baseline_throughput():
         WSPeer(net.add_node(f"cons{i}"), StandardBinding(registry_uri))
         for i in range(N_CONSUMERS)
     ]
+    lookups = [
+        lambda name, done, uddi=peer.client.locator.uddi: classic_lookup(uddi, name, done)
+        for peer in consumers
+    ]
     return _drive_closed_loop(
-        net,
-        [
-            lambda name, done, peer=peer: peer.locate_async(
-                name, lambda handle: None,
-                on_complete=lambda count, error: done(count if error is None else 0,
-                                                      error),
-            )
-            for peer in consumers
-        ],
-        registry_frames=lambda: net.stats.get("registry-0"),
+        net, lookups, registry_frames=lambda: net.stats.get("registry-0")
     )
 
 

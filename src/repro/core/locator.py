@@ -41,6 +41,10 @@ from repro.wsa.headers import MessageAddressingProperties, new_message_id
 from repro.wsdl.parser import parse_wsdl_cached
 
 
+def _get(uri: Uri) -> HttpRequest:
+    return HttpRequest("GET", "/" + uri.path)
+
+
 class ServiceLocator(EventSource):
     """Base locator node of the interface tree."""
 
@@ -130,51 +134,57 @@ class UddiServiceLocator(ServiceLocator):
         categories = query.categories if isinstance(query, UDDIServiceQuery) else []
         self.fire_discovery("query-issued", query=query.describe(), via="uddi")
         try:
-            services = self.uddi.find_services(query.name_pattern, categories)
+            records = self.uddi.find_service_records(query.name_pattern, categories)
         except TransportError as exc:
             self.fire_discovery("query-failed", reason=str(exc))
             raise DiscoveryError(f"UDDI registry unreachable: {exc}") from exc
         handles: list[ServiceHandle] = []
-        for service in services:
-            bindings = self.uddi.access_points(service)
-            if not bindings:
+        for record in records:
+            usable = self._usable(record)
+            if usable is None:
                 continue
-            endpoints = [EndpointReference(b.access_point) for b in bindings]
-            wsdl_url = self.uddi.wsdl_url_for(service)
-            if not wsdl_url:
-                self.fire_discovery("service-skipped", service=service.name,
-                                    reason="no wsdlSpec tModel")
-                continue
+            name, endpoints, uri = usable
             try:
-                wsdl_text = self._fetch(wsdl_url)
+                response = self.http.request(uri.host, uri.port or 80, _get(uri))
+                if not response.ok:
+                    raise TransportError(f"GET {uri} -> {response.status}")
             except TransportError as exc:
-                self.fire_discovery("service-skipped", service=service.name,
+                self.fire_discovery("service-skipped", service=name,
                                     reason=f"wsdl fetch failed: {exc}")
                 continue
-            handle = self._filter_quarantined(
-                ServiceHandle(
-                    service.name, parse_wsdl_cached(wsdl_text), endpoints, source="uddi"
-                )
-            )
-            if handle is None:
-                continue
-            handles.append(handle)
-            self.fire_discovery(
-                "service-found", service=service.name, via="uddi",
-                endpoints=[e.address for e in handle.endpoints],
-            )
+            handle = self._handle(name, endpoints, response.body, "uddi")
+            if handle is not None:
+                handles.append(handle)
         if not handles:
             self.fire_discovery("query-empty", query=query.describe())
         return handles
 
-    def _fetch(self, url: str) -> str:
-        uri = Uri.parse(url)
-        response = self.http.request(
-            uri.host, uri.port or 80, HttpRequest("GET", "/" + uri.path)
+    def _usable(self, record: dict) -> Optional[tuple[str, list[EndpointReference], Uri]]:
+        """(name, endpoints, WSDL location) of a find_service_records hit, or
+        None when it has no binding or no wsdlSpec tModel to fetch."""
+        service = record["service"]
+        endpoints = [EndpointReference(b["accessPoint"]) for b in service["bindingTemplates"]]
+        if not endpoints:
+            return None
+        wsdl_url = next((t["overviewURL"] for t in record["tModels"] if t["overviewURL"]), "")
+        if not wsdl_url:
+            self.fire_discovery("service-skipped", service=service["name"],
+                                reason="no wsdlSpec tModel")
+            return None
+        return service["name"], endpoints, Uri.parse(wsdl_url)
+
+    def _handle(
+        self, name: str, endpoints: list[EndpointReference], wsdl_text: str, via: str
+    ) -> Optional[ServiceHandle]:
+        handle = self._filter_quarantined(
+            ServiceHandle(name, parse_wsdl_cached(wsdl_text), endpoints, source="uddi")
         )
-        if not response.ok:
-            raise TransportError(f"GET {url} -> {response.status}")
-        return response.body
+        if handle is not None:
+            self.fire_discovery(
+                "service-found", service=name, via=via,
+                endpoints=[e.address for e in handle.endpoints],
+            )
+        return handle
 
     # ------------------------------------------------------------------
     def locate_async(
@@ -185,110 +195,54 @@ class UddiServiceLocator(ServiceLocator):
     ) -> None:
         """Event-driven UDDI discovery: no call in the chain blocks.
 
-        Chains find_service → get_service_detail → get_tmodel_detail →
-        WSDL GET entirely through callbacks; *on_found* fires per usable
-        service as its WSDL lands, *on_complete(count, error)* once the
-        whole sweep settles.
+        One find_service_records, then a WSDL GET per usable service,
+        entirely through callbacks; *on_found* fires per usable service
+        as its WSDL lands, *on_complete(count, error)* once the whole
+        sweep settles.
         """
         categories = query.categories if isinstance(query, UDDIServiceQuery) else []
         self.fire_discovery("query-issued", query=query.describe(), via="uddi-async")
-        state = {"outstanding": 0, "found": 0, "finished_listing": False}
+        state = {"outstanding": 0, "found": 0}
 
-        def maybe_complete(error: Optional[Exception] = None) -> None:
-            if error is not None:
-                self.fire_discovery("query-failed", reason=str(error))
-                if on_complete is not None:
-                    on_complete(state["found"], error)
-                return
-            if state["finished_listing"] and state["outstanding"] == 0:
+        def settle() -> None:
+            if state["outstanding"] == 0:
                 if state["found"] == 0:
                     self.fire_discovery("query-empty", query=query.describe())
                 if on_complete is not None:
                     on_complete(state["found"], None)
 
-        def on_services(services, error) -> None:
-            if error is not None:
-                maybe_complete(error)
-                return
-            from repro.uddi.model import BusinessService
+        def fetch(name, endpoints, uri) -> None:
+            def on_wsdl(response, error) -> None:
+                state["outstanding"] -= 1
+                if error is not None or not response.ok:
+                    self.fire_discovery("service-skipped", service=name,
+                                        reason="wsdl fetch failed")
+                else:
+                    handle = self._handle(name, endpoints, response.body, "uddi-async")
+                    if handle is not None:
+                        state["found"] += 1
+                        on_found(handle)
+                settle()
 
-            parsed = [BusinessService.from_dict(s) for s in services]
-            state["outstanding"] = len(parsed)
-            state["finished_listing"] = True
-            if not parsed:
-                maybe_complete()
-            for service in parsed:
-                self._resolve_service_async(service, on_found, state, maybe_complete)
+            self.http.request_async(uri.host, uri.port or 80, _get(uri), on_wsdl)
+
+        def on_records(records, error) -> None:
+            if error is not None:
+                self.fire_discovery("query-failed", reason=str(error))
+                if on_complete is not None:
+                    on_complete(0, error)
+                return
+            usable = [u for u in map(self._usable, records) if u is not None]
+            state["outstanding"] = len(usable)
+            if not usable:
+                settle()
+            for item in usable:
+                fetch(*item)
 
         self.uddi.call_async(
-            "find_service", on_services,
+            "find_service_records", on_records,
             name_pattern=query.name_pattern, category_bag=categories,
         )
-
-    def _resolve_service_async(self, service, on_found, state, maybe_complete) -> None:
-        def finish_one() -> None:
-            state["outstanding"] -= 1
-            maybe_complete()
-
-        def on_detail(detail, error) -> None:
-            if error is not None or not detail:
-                finish_one()
-                return
-            from repro.uddi.model import BusinessService
-
-            full = BusinessService.from_dict(detail)
-            if not full.binding_templates:
-                finish_one()
-                return
-            endpoints = [EndpointReference(b.access_point) for b in full.binding_templates]
-            tmodel_keys = [
-                key for b in full.binding_templates for key in b.tmodel_keys
-            ]
-            if not tmodel_keys:
-                self.fire_discovery("service-skipped", service=full.name,
-                                    reason="no wsdlSpec tModel")
-                finish_one()
-                return
-
-            def on_tmodel(tmodel, error) -> None:
-                if error is not None or not tmodel or not tmodel.get("overviewURL"):
-                    self.fire_discovery("service-skipped", service=full.name,
-                                        reason="no wsdl url")
-                    finish_one()
-                    return
-                uri = Uri.parse(tmodel["overviewURL"])
-
-                def on_wsdl(response, error) -> None:
-                    if error is not None or not response.ok:
-                        self.fire_discovery("service-skipped", service=full.name,
-                                            reason="wsdl fetch failed")
-                        finish_one()
-                        return
-                    handle = self._filter_quarantined(
-                        ServiceHandle(
-                            full.name, parse_wsdl_cached(response.body), endpoints,
-                            source="uddi",
-                        )
-                    )
-                    if handle is None:
-                        finish_one()
-                        return
-                    state["found"] += 1
-                    self.fire_discovery(
-                        "service-found", service=full.name, via="uddi-async",
-                        endpoints=[e.address for e in handle.endpoints],
-                    )
-                    on_found(handle)
-                    finish_one()
-
-                self.http.request_async(
-                    uri.host, uri.port or 80,
-                    HttpRequest("GET", "/" + uri.path), on_wsdl,
-                )
-
-            self.uddi.call_async("get_tmodel_detail", on_tmodel, tmodel_key=tmodel_keys[0])
-
-        self.uddi.call_async("get_service_detail", on_detail, service_key=service.key)
 
 
 class P2psServiceLocator(ServiceLocator):

@@ -40,7 +40,12 @@ class ServicePublisher(EventSource):
 
 
 class UddiServicePublisher(ServicePublisher):
-    """Publishes endpoint + WSDL URL to a UDDI registry."""
+    """Publishes endpoint + WSDL URL to a UDDI registry.
+
+    One exchange each way: a batched ``save_service`` publishes, and
+    the serviceKey it answers with is kept, so a withdraw is one
+    ``delete_service`` by key (by business and name if the key was
+    never seen)."""
 
     def __init__(
         self,
@@ -55,6 +60,8 @@ class UddiServicePublisher(ServicePublisher):
         self.node = node
         self.business_name = business_name
         self.uddi = UddiClient(node, registry_uri, timeout, pool=pool)
+        #: service name -> the serviceKey its last publish was handed
+        self._keys: dict[str, str] = {}
 
     def publish(
         self,
@@ -73,7 +80,7 @@ class UddiServicePublisher(ServicePublisher):
             )
         wsdl_url = http_endpoint.address + ".wsdl"
         try:
-            self.uddi.publish_service(
+            record = self.uddi.publish_service(
                 self.business_name,
                 deployed.name,
                 http_endpoint.address,
@@ -84,14 +91,20 @@ class UddiServicePublisher(ServicePublisher):
         except TransportError as exc:
             self.fire_publish("publish-failed", service=deployed.name, reason=str(exc))
             raise DeploymentError(f"UDDI publication failed: {exc}") from exc
+        self._keys[deployed.name] = record["service"]["serviceKey"]
         self.fire_publish(
             "published", service=deployed.name, via="uddi",
             access_point=http_endpoint.address, wsdl=wsdl_url,
         )
 
     def withdraw(self, deployed: DeployedService) -> None:
-        for service in self.uddi.find_services(deployed.name):
-            self.uddi.call("delete_service", service_key=service.key)
+        key = self._keys.pop(deployed.name, None)
+        if key is not None:
+            self.uddi.call("delete_service", service_key=key)
+        else:
+            self.uddi.call(
+                "delete_service", name=deployed.name, business_name=self.business_name
+            )
         self.fire_publish("withdrawn", service=deployed.name, via="uddi")
 
 

@@ -126,8 +126,9 @@ class DiscoveryClient:
         """Publish to the home shard, replicate, announce.
 
         The first reachable replica acts as primary (so a dead shard
-        never blocks publication); the record it mints — revision
-        included — is imported verbatim by the surviving replicas.
+        never blocks publication); the record its one batched save
+        answers with — a single revision — is imported verbatim by the
+        surviving replicas.
         """
         replicas = self.replicas_for(service_name)
         obs_metrics.inc("discovery.publishes")
@@ -135,9 +136,8 @@ class DiscoveryClient:
         acting_primary: Optional[str] = None
         last_error: Optional[Exception] = None
         for shard in replicas:
-            client = self._client(shard)
             try:
-                detail = client.publish_service(
+                record = self._client(shard).publish_service(
                     business_name,
                     service_name,
                     access_point,
@@ -146,7 +146,6 @@ class DiscoveryClient:
                     categories=categories,
                     ttl=ttl,
                 )
-                record = client.export_service(detail["serviceKey"])
                 acting_primary = shard
                 break
             except TransportError as exc:
@@ -176,14 +175,12 @@ class DiscoveryClient:
         return record
 
     def withdraw(self, service_name: str) -> int:
-        """Delete *service_name* from every replica; gossip a tombstone."""
+        """Delete *service_name* from every replica (one exchange each);
+        gossip a tombstone.  Returns how many replicas held it."""
         removed = 0
         for shard in self.replicas_for(service_name):
-            client = self._client(shard)
             try:
-                for found in client.call("find_service", name_pattern=service_name):
-                    client.call("delete_service", service_key=found["serviceKey"])
-                    removed += 1
+                removed += self._client(shard).call("delete_service", name=service_name)
             except TransportError:
                 continue
         self.cache.invalidate(service_name)

@@ -140,21 +140,10 @@ class DiscoveryPlane:
     ) -> dict[str, Any]:
         """Register *name* straight into its replica set, in-process."""
         replicas = self.ring.nodes_for(name, self.replication)
-        primary = self.registries[replicas[0]].registry
-        businesses = primary.find_business(business_name)
-        if businesses:
-            business_key = businesses[0]["businessKey"]
-        else:
-            business_key = primary.save_business(business_name)["businessKey"]
-        tmodel_keys = []
-        if wsdl_url:
-            tmodel = primary.save_tmodel(
-                f"{name}-wsdlSpec", overview_url=wsdl_url, description="wsdlSpec"
-            )
-            tmodel_keys.append(tmodel["tModelKey"])
-        service = primary.save_service(business_key, name, ttl=ttl)
-        primary.save_binding(service["serviceKey"], access_point, tmodel_keys)
-        record = primary.export_service(service["serviceKey"])
+        record = self.registries[replicas[0]].registry.save_service(
+            name=name, ttl=ttl, business_name=business_name,
+            access_point=access_point, wsdl_url=wsdl_url,
+        )
         for shard in replicas[1:]:
             self.registries[shard].registry.import_service(record)
         return record

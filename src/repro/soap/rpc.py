@@ -40,12 +40,14 @@ class Operation:
             self.signature: Optional[inspect.Signature] = inspect.signature(self.callable)
         except (TypeError, ValueError):
             self.signature = None
+        parameters = self.signature.parameters.values() if self.signature else ()
         #: the names an argument may be passed by
         self.parameter_names: frozenset[str] = frozenset(
-            p.name
-            for p in (self.signature.parameters.values() if self.signature else ())
-            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+            p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
         )
+        #: a callable taking ``**kwargs`` (a wrapper hiding the real
+        #: signature, say) is passed every argument by name
+        self.takes_any_name = any(p.kind is p.VAR_KEYWORD for p in parameters)
 
     def __repr__(self) -> str:
         return f"<Operation {self.name} -> {type(self.target).__name__}.{self.method_name}>"
@@ -147,6 +149,8 @@ class RpcDispatcher:
                     (child.name.local, decode_value(child, self.registry))
                     for child in request.body_content.children
                 ]
+        if operation.takes_any_name:
+            return [], dict(values)
         param_names = operation.parameter_names
         positional: list[Any] = []
         keyword: dict[str, Any] = {}

@@ -82,45 +82,26 @@ class UddiClient:
         categories: Optional[list[dict]] = None,
         ttl: Optional[float] = None,
     ) -> dict[str, Any]:
-        """One-shot publication of a WSDL-described service.
+        """Publication of a WSDL-described service in one exchange.
 
-        Creates (or reuses) the business, registers the service with its
-        category bag, attaches a bindingTemplate for *access_point*, and
-        records the WSDL location as a wsdlSpec tModel.  A positive
-        *ttl* puts the registration on a lease: unless re-published
-        within that many seconds it drops out of inquiries.  Returns the
-        serviceDetail dict.
+        One batched ``save_service`` finds (or creates) the business,
+        registers the service with its category bag, attaches a
+        bindingTemplate for *access_point*, and records the WSDL
+        location as a wsdlSpec tModel.  A positive *ttl* puts the
+        registration on a lease: unless re-published within that many
+        seconds it drops out of inquiries.  Returns the stored record
+        (service + business + tModels + revision + remaining lease).
         """
-        businesses = self.call("find_business", name_pattern=business_name)
-        if businesses:
-            business_key = businesses[0]["businessKey"]
-        else:
-            business_key = self.call("save_business", name=business_name)["businessKey"]
-        tmodel_keys = []
-        if wsdl_url:
-            tmodel = self.call(
-                "save_tmodel",
-                name=f"{service_name}-wsdlSpec",
-                overview_url=wsdl_url,
-                description="wsdlSpec",
-            )
-            tmodel_keys.append(tmodel["tModelKey"])
-        save_args: dict[str, Any] = dict(
-            business_key=business_key,
+        return self.call(
+            "save_service",
             name=service_name,
             description=description,
             category_bag=categories or [],
-        )
-        if ttl is not None:
-            save_args["ttl"] = ttl
-        service = self.call("save_service", **save_args)
-        self.call(
-            "save_binding",
-            service_key=service["serviceKey"],
+            ttl=ttl or 0.0,
+            business_name=business_name,
             access_point=access_point,
-            tmodel_keys=tmodel_keys,
+            wsdl_url=wsdl_url,
         )
-        return self.call("get_service_detail", service_key=service["serviceKey"])
 
     # -- replication conveniences (E12) --------------------------------------
     def find_service_records(
@@ -137,9 +118,6 @@ class UddiClient:
             category_bag=categories or [],
             max_rows=max_rows,
         )
-
-    def export_service(self, service_key: str) -> dict[str, Any]:
-        return self.call("export_service", service_key=service_key)
 
     def import_service(self, record: dict[str, Any]) -> bool:
         return bool(self.call("import_service", record=record))

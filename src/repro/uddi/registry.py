@@ -144,11 +144,14 @@ class UddiRegistry:
 
     def save_service(
         self,
-        business_key: str,
-        name: str,
+        business_key: str = "",
+        name: str = "",
         description: str = "",
         category_bag: Optional[list[dict]] = None,
         ttl: Optional[float] = None,
+        business_name: str = "",
+        access_point: str = "",
+        wsdl_url: str = "",
     ) -> dict[str, Any]:
         """Create — or refresh — the service *name* of *business_key*.
 
@@ -156,33 +159,53 @@ class UddiRegistry:
         entry in place: the key is stable, the revision bumps, and the
         lease (when *ttl* is given) restarts from now.  That is the
         re-publish idiom periodic announcers rely on.
+
+        The *batched* form publishes in one exchange: *business_name*
+        names the business (created on first use), *access_point* its
+        bindingTemplate and *wsdl_url* its wsdlSpec tModel.  The revision
+        bumps once and the answer is the stored record
+        (:meth:`export_service`'s form): one delta a replica imports.
         """
         self._count_publish()
         self._purge_expired()
+        categories = [KeyedReference.from_dict(k) for k in (category_bag or [])]
+        if business_name and not business_key:
+            found = self.find_business(business_name, max_rows=1) or [
+                self.save_business(business_name)
+            ]
+            business_key = found[0]["businessKey"]
         business = self._businesses.get(business_key)
         if business is None:
             raise UddiError(f"unknown businessKey {business_key!r}")
-        categories = [KeyedReference.from_dict(k) for k in (category_bag or [])]
-        for key in self._by_name.get(name.lower(), ()):
-            existing = self._services[key]
-            if existing.business_key == business_key:
-                if description:
-                    existing.description = description
-                if category_bag is not None:
-                    existing.category_bag = categories
-                self._bump_revision(key)
-                self._set_lease(key, ttl)
-                return existing.to_dict()
-        service = BusinessService(
-            self._new_key("svc"), business_key, name, description,
-            category_bag=categories,
+        service = next(
+            (self._services[key] for key in self._by_name.get(name.lower(), ())
+             if self._services[key].business_key == business_key),
+            None,
         )
-        self._services[service.key] = service
-        self._index_service(service)
-        business.service_keys.append(service.key)
+        if service is None:
+            service = BusinessService(
+                self._new_key("svc"), business_key, name, description,
+                category_bag=categories,
+            )
+            self._services[service.key] = service
+            self._index_service(service)
+            business.service_keys.append(service.key)
+            self._update_size_gauge()
+        else:
+            if description:
+                service.description = description
+            if category_bag is not None:
+                service.category_bag = categories
+        if access_point:
+            tmodel_keys = (
+                [self._save_tmodel(f"{name}-wsdlSpec", wsdl_url, "wsdlSpec").key]
+                if wsdl_url else []
+            )
+            self._attach(service, access_point, tmodel_keys)
         self._bump_revision(service.key)
         self._set_lease(service.key, ttl)
-        self._update_size_gauge()
+        if business_name or access_point:
+            return self._record_for(service)
         return service.to_dict()
 
     def save_binding(
@@ -200,23 +223,31 @@ class UddiRegistry:
         service = self._services.get(service_key)
         if service is None:
             raise UddiError(f"unknown serviceKey {service_key!r}")
-        for binding in service.binding_templates:
-            if binding.access_point == access_point:
-                binding.tmodel_keys = list(tmodel_keys or [])
-                self._bump_revision(service_key)
-                return binding.to_dict()
-        binding = BindingTemplate(
-            self._new_key("bind"), service_key, access_point, list(tmodel_keys or [])
-        )
-        service.binding_templates.append(binding)
+        binding = self._attach(service, access_point, list(tmodel_keys or []))
         self._bump_revision(service_key)
         return binding.to_dict()
+
+    def _attach(
+        self, service: BusinessService, access_point: str, tmodel_keys: list[str]
+    ) -> BindingTemplate:
+        for binding in service.binding_templates:
+            if binding.access_point == access_point:
+                binding.tmodel_keys = tmodel_keys
+                return binding
+        binding = BindingTemplate(
+            self._new_key("bind"), service.key, access_point, tmodel_keys
+        )
+        service.binding_templates.append(binding)
+        return binding
 
     def save_tmodel(
         self, name: str, overview_url: str = "", description: str = ""
     ) -> dict[str, Any]:
         """Create — or update in place — the tModel called *name*."""
         self._count_publish()
+        return self._save_tmodel(name, overview_url, description).to_dict()
+
+    def _save_tmodel(self, name: str, overview_url: str, description: str) -> TModel:
         existing_key = self._tmodel_by_name.get(name)
         if existing_key is not None:
             tmodel = self._tmodels[existing_key]
@@ -224,14 +255,29 @@ class UddiRegistry:
                 tmodel.overview_url = overview_url
             if description:
                 tmodel.description = description
-            return tmodel.to_dict()
+            return tmodel
         tmodel = TModel(self._new_key("tm"), name, overview_url, description)
         self._tmodels[tmodel.key] = tmodel
         self._tmodel_by_name[name] = tmodel.key
-        return tmodel.to_dict()
+        return tmodel
 
-    def delete_service(self, service_key: str) -> bool:
-        return self._drop_service(service_key) is not None
+    def delete_service(
+        self, service_key: str = "", name: str = "", business_name: str = ""
+    ) -> bool:
+        """Delete *service_key* — or, keyless, every service called
+        *name* (of the businesses called *business_name*, when given).
+        True when anything was removed."""
+        if service_key:
+            return self._drop_service(service_key) is not None
+        owners = {k for k, b in self._businesses.items() if match_name(business_name, b.name)}
+        doomed = [
+            service.key for service in self._service_candidates(name)
+            if match_name(name, service.name)
+            and (not business_name or service.business_key in owners)
+        ]
+        for key in doomed:
+            self._drop_service(key)
+        return bool(doomed)
 
     def delete_business(self, business_key: str) -> bool:
         business = self._businesses.pop(business_key, None)

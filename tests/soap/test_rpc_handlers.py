@@ -103,6 +103,19 @@ class TestRpcDispatch:
     def test_named_args_any_order(self):
         assert call(make_dispatcher(), "add", b=10, a=1) == 11
 
+    def test_wrapped_operation_binds_by_name(self):
+        # a (*args, **kwargs) wrapper hides the signature; arguments
+        # still reach the wrapped method by name, not by order
+        class Wrapped:
+            def pick(self, first="", second="", third=""):
+                return f"{first}|{second}|{third}"
+
+        target = Wrapped()
+        real = target.pick
+        target.pick = lambda *args, **kwargs: real(*args, **kwargs)
+        dispatcher = RpcDispatcher(ServiceObject.from_instance("W", target, NS, ["pick"]))
+        assert call(dispatcher, "pick", third="c", first="a") == "a||c"
+
     def test_composite_args(self):
         assert call(make_dispatcher(), "concat", parts=["a", "b", "c"]) == "abc"
 
