@@ -22,27 +22,27 @@ out-of-band schema, which is what lets WSPeer invoke services it only
 discovered at runtime.
 
 :func:`encode_value` / :func:`decode_value` are the element path and
-the reference.  Beside them, for values that cross the wire without an
-element tree: :func:`value_shape` (one walk: shape, slot texts,
-attachments), :func:`value_plan` (shape -> the build plan of the same
-element) and :func:`compile_readers` (build plan -> ``decode_value``
-specialised per parameter).  All of them read the two scalar tables
-below, so the ladder exists once in each direction.
+the reference.  Values that cross the wire without an element tree take
+one walk, :func:`value_shape`, whose shape :func:`value_tree` turns into
+the tree of :mod:`repro.soap.shapes` that templates, grows and reads
+them.  A ``str`` holding a code point XML 1.0 cannot carry raises
+:class:`EncodingError` on either path, when the value is encoded.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
+import re
 from typing import Any, Callable, Optional
 
 from repro.soap.attachments import Attachment, cid_of, resolve_attachment
+from repro.soap.shapes import SCALAR_READERS, SLOT, Group
 from repro.xmlkit import Element, QName, ns
-from repro.xmlkit.names import intern_qname, is_ncname
+from repro.xmlkit.names import is_ncname
 
 XSI_TYPE = QName(ns.XSI, "type", "xsi")
 XSI_NIL = QName(ns.XSI, "nil", "xsi")
-SOAPENC_ARRAY = QName(ns.SOAP_ENC, "Array", "soapenc")
 HREF = QName("", "href")
 
 
@@ -86,37 +86,45 @@ class StructRegistry:
 _EMPTY_REGISTRY = StructRegistry()
 
 
-def _boolean(text: str) -> bool:
-    if text in ("true", "1"):
-        return True
-    if text in ("false", "0"):
-        return False
-    raise ValueError(text)
+#: code points outside the XML 1.0 ``Char`` production: no conforming
+#: parser accepts a document holding one, escaped or not
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_text(value: str) -> str:
+    # a printable string holds no control, surrogate or noncharacter
+    found = None if value.isprintable() else _NOT_XML_CHAR.search(value)
+    if found is not None:
+        raise EncodingError(
+            f"U+{ord(found.group()):04X} at {found.start()} is not an XML 1.0 character"
+        )
+    return str.__str__(value)
 
 
 #: The scalar ladder, written once.  Encode: exact type -> (``xsi:type``
 #: text, text writer); ``bool`` sits before ``int`` because a subclass
-#: instance takes the first row it is an instance of.  ``str.__str__``
-#: is the identity on a ``str`` and the plain text of a subclass.
+#: instance takes the first row it is an instance of.  The ``str`` writer
+#: is the plain text of a subclass too, and refuses what XML cannot carry.
+#: Decode: :data:`repro.soap.shapes.SCALAR_READERS`.
 _SCALAR_WRITERS: dict[type, tuple[str, Callable[[Any], str]]] = {
     bool: ("xsd:boolean", ("false", "true").__getitem__),
     int: ("xsd:int", str),
     float: ("xsd:double", repr),
-    str: ("xsd:string", str.__str__),
-}
-#: Decode: ``xsi:type`` local name -> (converter that raises ValueError,
-#: what :func:`decode_value` calls a literal it refused).
-_SCALAR_READERS: dict[str, tuple[Callable[[str], Any], str]] = {
-    "string": (str, "string"),
-    **dict.fromkeys(("int", "long", "short", "integer", "byte"), (int, "integer")),
-    **dict.fromkeys(("double", "float", "decimal"), (float, "float")),
-    "boolean": (_boolean, "boolean"),
+    str: ("xsd:string", _xml_text),
 }
 _ITEM = QName("", "item")
 _ARRAY = ({XSI_TYPE: "soapenc:Array"}, {"soapenc": ns.SOAP_ENC})
 _STRUCT = ({XSI_TYPE: "soapenc:Struct"}, {"soapenc": ns.SOAP_ENC})
+#: the same, as parts of a shape tree
+_XSI_TYPE = (ns.XSI, "type", "xsi")
+_ITEM_NAME = ("", "item", "")
+_NIL_ATTRS = (((ns.XSI, "nil", "xsi"), "true"),)
+_ARRAY_TREE = (((_XSI_TYPE, "soapenc:Array"),), (("soapenc", ns.SOAP_ENC),))
+_STRUCT_TREE = (((_XSI_TYPE, "soapenc:Struct"),), (("soapenc", ns.SOAP_ENC),))
 #: shapes of the two values that write no text: ``None`` and ``''``
 NIL, EMPTY = "nil", "empty"
+#: the exact types of a value whose shape is one slot at most
+SCALAR_TYPES = frozenset([*_SCALAR_WRITERS, type(None)])
 
 
 def _scalar_row(value: Any) -> Optional[tuple[str, Callable[[Any], str]]]:
@@ -220,7 +228,7 @@ def decode_value(
 
     local = type_qname.local
     text = elem.text
-    row = _SCALAR_READERS.get(local)
+    row = SCALAR_READERS.get(local)
     if row is not None:
         try:
             return row[0](text)
@@ -257,19 +265,6 @@ def _decode_untyped(elem: Element, registry: StructRegistry) -> Any:
     return elem.text
 
 
-def primitive_xsi_type(value: Any) -> Optional[str]:
-    """The ``xsi:type`` text :func:`encode_value` writes for a scalar
-    *value*; None for anything the scalar table does not hold."""
-    row = _scalar_row(value)
-    return None if row is None else row[0]
-
-
-def primitive_text(value: Any) -> Optional[str]:
-    """The element text :func:`encode_value` writes for a scalar *value*."""
-    row = _scalar_row(value)
-    return None if row is None else row[1](value)
-
-
 def python_type_to_xsd(py_type: Any) -> str:
     """Map a Python annotation to an XSD type name for WSDL generation."""
     if py_type in _SCALAR_WRITERS:
@@ -288,23 +283,36 @@ def python_type_to_xsd(py_type: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# values without an element tree: shapes, build plans and readers
+# values without an element tree: the value walk and the shape it derives
 # ----------------------------------------------------------------------
 def value_shape(value: Any, texts: list, found: list[Attachment]) -> Optional[Any]:
-    """The one walk over an outgoing *value*.
-
-    Returns its **shape** — everything :func:`_encode_into` would write
-    for it except the texts: ``NIL``, ``EMPTY``, a scalar's ``xsi:type``
-    text, ``("struct", ((key, shape), ...))``, ``("array", (shape,
-    ...))`` or, for a non-empty list of one exact scalar type,
-    ``("group", xsi:type)`` whatever its length — and appends the slot
-    texts to *texts* in document order (one list for a group).  Types
-    are exact (``type()``, never ``isinstance``); None means the value
-    has no shape and takes the element path.  Every
-    :class:`Attachment` met, dataclass fields included, is appended to
-    *found* once, in encoding order; a value with a shape has none.
+    """The one walk over an outgoing *value*: its **shape** — ``NIL``,
+    ``EMPTY``, a scalar's ``xsi:type`` text, ``("struct", ((key, shape),
+    ...))``, ``("array", (shape, ...))`` or, for a non-empty list of one
+    exact scalar type, ``("group", xsi:type)`` — with its slot texts
+    appended to *texts* (one list for a group).  Types are exact; None
+    means no shape: the element path.  Every :class:`Attachment` met is
+    appended to *found* once, in encoding order; a value with a shape
+    has none.
     """
     kind = value.__class__
+    if kind is dict:
+        fields = []
+        for key, item in value.items():
+            row = _SCALAR_WRITERS.get(item.__class__)
+            if row is not None and item != "":  # a scalar, walked inline
+                texts.append(row[1](item))
+                shape = row[0]
+            else:
+                shape = value_shape(item, texts, found)
+            # an ASCII identifier is an NCName; the regex for the rest
+            if fields is not None and shape is not None and key.__class__ is str and (
+                key.isascii() and key.isidentifier() or is_ncname(key)
+            ):
+                fields.append((key, shape))
+            else:
+                fields = None  # no shape, but every value is walked
+        return None if fields is None else ("struct", tuple(fields))
     row = _SCALAR_WRITERS.get(kind)
     if row is not None:
         if kind is str and not value:
@@ -332,102 +340,34 @@ def value_shape(value: Any, texts: list, found: list[Attachment]) -> Optional[An
         for field in dataclasses.fields(value):
             value_shape(getattr(value, field.name), texts, found)
     elif isinstance(value, dict):
-        shapes = tuple([(key, value_shape(item, texts, found)) for key, item in value.items()])
-        if kind is dict and all(
-            shape is not None and key.__class__ is str and is_ncname(key)
-            for key, shape in shapes
-        ):
-            return ("struct", shapes)
+        for item in value.values():
+            value_shape(item, texts, found)
     return None
 
 
-def value_plan(name: QName, shape: Any, kinds: list) -> tuple:
-    """The build plan (see ``envelope._grow``) of the element
-    :func:`_encode_into` writes for a value of *shape*.  Slots are
-    numbered in :func:`value_shape`'s text order; *kinds* receives each
-    slot's ``(xsi:type text, is a group)``."""
+def value_tree(name: tuple, shape: Any) -> tuple:
+    """The shape tree (:mod:`repro.soap.shapes`) of the element called
+    *name* — ``(uri, local, prefix)`` — that :func:`_encode_into` writes
+    for a value of *shape*; its slots are :func:`value_shape`'s texts."""
     if shape == NIL:
-        return (name, {XSI_NIL: "true"}, {}, ())
+        return (name, _NIL_ATTRS, (), ())
     if shape == EMPTY:
-        return (name, {XSI_TYPE: "xsd:string"}, {}, ())
+        return (name, ((_XSI_TYPE, "xsd:string"),), (), ())
     if shape.__class__ is str:
-        kinds.append((shape, False))
-        return (name, {XSI_TYPE: shape}, {}, len(kinds) - 1)
+        return (name, ((_XSI_TYPE, shape),), (), SLOT)
     kind, inner = shape
     if kind == "struct":
-        kids = tuple([value_plan(intern_qname("", key), sub, kinds) for key, sub in inner])
-        return (name, *_STRUCT, kids)
+        return (name, *_STRUCT_TREE, tuple([value_tree(("", key, ""), sub) for key, sub in inner]))
     if kind == "array":
-        return (name, *_ARRAY, tuple([value_plan(_ITEM, sub, kinds) for sub in inner]))
-    kinds.append((inner, True))
-    return (name, *_ARRAY, ((_ITEM, {XSI_TYPE: inner}, {}, -len(kinds)),))
+        return (name, *_ARRAY_TREE, tuple([value_tree(_ITEM_NAME, sub) for sub in inner]))
+    return (name, *_ARRAY_TREE, (Group((_ITEM_NAME, ((_XSI_TYPE, inner),), (), SLOT)),))
 
 
-def compile_readers(plan: tuple) -> Optional[tuple]:
-    """``(parameter local name, reader)`` for each child of the RPC
-    wrapper *plan* describes, a reader being :func:`decode_value`
-    specialised on the plan's static attributes: ``reader(texts)`` is
-    the parameter's value.  None when any parameter needs the element
-    path: an ``href``, no ``xsi:type`` or one the scalar table, Array
-    and Struct do not cover (a registered dataclass), a group anywhere
-    but in an Array."""
-    kids = plan[3]
-    readers = []
-    for kid in () if kids.__class__ is int else kids:
-        if kid.__class__ is not str:
-            reader = _reader(kid)
-            if reader is None or _is_group(kid):
-                return None
-            readers.append((kid[0].local, reader))
-    return tuple(readers)
-
-
-def _is_group(plan: tuple) -> bool:
-    return plan[3].__class__ is int and plan[3] < 0
-
-
-def _reader(plan: tuple) -> Optional[Callable[[list], Any]]:
-    _, attributes, _, kids = plan
-    if attributes.get(XSI_NIL) in ("true", "1"):
-        return None if _is_group(plan) else lambda texts: None
-    type_text = attributes.get(XSI_TYPE)
-    if type_text is None or HREF in attributes:
-        return None
-    # all decode_value takes from the resolved QName is its local part
-    local = type_text.partition(":")[2] or type_text
-    row = _SCALAR_READERS.get(local)
-    if row is not None:
-        convert = row[0]
-        if kids.__class__ is not int:  # static content: convert it once
-            try:
-                value = convert("".join([kid for kid in kids if kid.__class__ is str]))
-            except ValueError:
-                return None
-            return lambda texts: value
-        if kids < 0:
-            return lambda texts: list(map(convert, texts[~kids]))
-        return lambda texts: convert(texts[kids])
-    if local not in ("Array", "Struct") or kids.__class__ is int:
-        return None
-    parts = [
-        (kid[0].local, _reader(kid), _is_group(kid)) for kid in kids if kid.__class__ is not str
-    ]
-    if any(reader is None for _, reader, _ in parts):
-        return None
-    if local == "Struct":
-        if any(group for _, _, group in parts):
-            return None
-        return lambda texts: {name: reader(texts) for name, reader, _ in parts}
-    if len(parts) == 1 and parts[0][2]:
-        return parts[0][1]  # the whole array is one group
-
-    def read_array(texts: list) -> list:
-        out: list = []
-        for _, reader, group in parts:
-            if group:
-                out += reader(texts)
-            else:
-                out.append(reader(texts))
-        return out
-
-    return read_array
+def rpc_tree(namespace: str, local: str, params: tuple) -> tuple:
+    """The shape tree of the ``<tns:local xmlns:tns=namespace>`` RPC
+    wrapper around parameters of the value shapes *params*
+    (``((name, shape), ...)``, a struct's inside)."""
+    return (
+        (namespace, local, "tns"), (), (("tns", namespace),),
+        tuple([value_tree(("", key, ""), sub) for key, sub in params]),
+    )

@@ -1,27 +1,15 @@
 """The SOAP envelope: header blocks and body.
 
-Each direction of the wire has a fast path, exact by construction:
-``to_wire`` splices per-call text into a pre-serialised template
-(:class:`WireTemplateCache`) and ``from_wire`` recognises a known
-envelope skeleton and slices out only its text slots
-(:class:`DecodeSkeletons`), never running the parser.  The slow paths
-they must equal are ``serialize(envelope.to_element(),
+Each direction of the wire has a fast path, exact by construction and
+compiled from the one shape grammar of :mod:`repro.soap.shapes`:
+``to_wire`` splices texts into a template of the envelope's shape
+(:class:`WireTemplateCache`), ``from_wire`` takes them out of a wire a
+known skeleton matches (:class:`DecodeSkeletons`) without parsing.  The
+slow paths they equal are ``serialize(envelope.to_element(),
 xml_declaration=True)`` and ``SoapEnvelope.from_element(parse(wire))``.
-
-Between the two an RPC body is a :class:`DeferredBody` — slot texts plus
-a build plan — that becomes an element tree only when someone reads
-``body_content``; a template or skeleton hit therefore builds no
-per-value object.  Both caches know one repeating slot, the *group*: a
-run of sibling leaves that differ only in their text (a list of floats)
-is one hole whose separator is static text, whatever the run's length.
-
-Header blocks get the same treatment: a decoded envelope's blocks are
-:class:`DeferredHeaders` (the skeleton's plans plus the slot texts) and
-an encoded one's are whatever ``defer_headers`` was handed (the
-addressing headers, :mod:`repro.wsa.headers`), grown into elements only
-when someone reads ``headers``.  ``header_text`` and ``header_epr`` read
-the texts without growing; an EndpointReference is read as a *struct of
-leaves* — an address plus N leaf properties.
+In between, an RPC body (:class:`DeferredBody`) and header blocks
+(:class:`DeferredHeaders`) stay slot texts plus the key of their shape
+until someone reads the elements, so a hit builds no per-value object.
 """
 
 from __future__ import annotations
@@ -35,11 +23,11 @@ from repro.soap.attachments import (
     message_from_wire,
     message_to_wire,
 )
-from repro.soap.encoding import compile_readers, value_plan
+from repro.soap.encoding import rpc_tree
 from repro.soap.faults import SoapFault
-from repro.xmlkit import Element, QName, XmlParseError, ns, parse, serialize
-from repro.xmlkit.serializer import escape_text
-from repro.xmlkit.tokenizer import Tokenizer, TokenType
+from repro.soap.shapes import SLOT, Group, attribute, cut, grow, readers, shape_of, slot_kinds, template
+from repro.xmlkit import Element, QName, ns, parse, serialize
+from repro.xmlkit.names import intern_qname
 
 
 class SoapEnvelopeError(ValueError):
@@ -51,81 +39,130 @@ _HEADER = QName(ns.SOAP_ENV, "Header", "soapenv")
 _BODY = QName(ns.SOAP_ENV, "Body", "soapenv")
 _FAULT = QName(ns.SOAP_ENV, "Fault", "soapenv")
 MUST_UNDERSTAND = QName(ns.SOAP_ENV, "mustUnderstand", "soapenv")
-#: the two children of an EndpointReference a skeleton reads as slots
-_WSA_ADDRESS = QName(ns.WSA, "Address", "wsa")
-_WSA_REF_PROPS = QName(ns.WSA, "ReferenceProperties", "wsa")
+#: the two children of an EndpointReference ``header_epr`` reads as slots
+_WSA_ADDRESS = (ns.WSA, "Address")
+_WSA_REF_PROPS = (ns.WSA, "ReferenceProperties")
+
+
+def envelope_shape(blocks: tuple = (), body: tuple = ()) -> tuple:
+    """The shape of an envelope around the header block shapes *blocks*
+    and *body*, its one content shape or none."""
+    return (
+        (ns.SOAP_ENV, "Envelope", "soapenv"), (),
+        (("soapenv", ns.SOAP_ENV), ("xsd", ns.XSD), ("xsi", ns.XSI)),
+        (
+            ((ns.SOAP_ENV, "Header", "soapenv"), (), (), blocks),
+            ((ns.SOAP_ENV, "Body", "soapenv"), (), (), body),
+        ),
+    )
 
 
 class DeferredBody:
-    """An RPC body nobody has looked at yet: its slot *texts* (taken
-    when the envelope was made) and what grows them into the tree —
-    the build *plan* of the skeleton that decoded it, or the value
-    *shape* ``(namespace, wrapper local name, parameter shapes)`` that
-    ``build_rpc_request`` observed, from which the plan derives."""
+    """An RPC body nobody has looked at yet: its slot *texts* and the
+    *key* of their shape — the skeleton's *node* itself, or what
+    ``build_rpc_request`` recorded, ``(namespace, wrapper local name,
+    parameter value shapes)``, from which the node derives."""
 
-    __slots__ = ("name", "texts", "plan", "shape", "readers")
+    __slots__ = ("name", "texts", "key", "_node", "readers")
 
-    def __init__(self, name: QName, texts: list, plan=None, shape=None, readers=None):
-        self.name = name
-        self.texts = texts
-        self.plan = plan
-        self.shape = shape
-        self.readers = readers
+    def __init__(self, name: QName, texts: list, key: tuple, node=None, readers=None):
+        self.name, self.texts, self.key, self._node, self.readers = name, texts, key, node, readers
 
-    def grow(self) -> Element:
-        return _grow(self.plan or rpc_plan(self.shape, []), self.texts)
+    @property
+    def node(self) -> tuple:
+        if self._node is None:
+            self._node = rpc_tree(*self.key)
+        return self._node
 
 
-def rpc_plan(shape: tuple, kinds: list) -> tuple:
-    """The build plan of the ``<tns:local xmlns:tns=namespace>`` RPC
-    wrapper around the parameters of a value *shape*."""
-    namespace, local, params = shape
-    plan = value_plan(QName(namespace, local, "tns"), ("struct", params), kinds)
-    return (plan[0], {}, {"tns": namespace}, plan[3])
+def _epr_view(block: tuple, at: int) -> Optional[tuple]:
+    """``(address slot, property shape, property slots)`` when the header
+    *block* (first slot *at*) is an EndpointReference whose properties are
+    a struct of leaves: a ``wsa:Address`` leaf and, optionally, a
+    ``wsa:ReferenceProperties`` wrapper of attribute-free leaves, each
+    with the namespaces ``EndpointReference.from_element`` gives it."""
+    kids = [] if block[3] is SLOT else [part for part in block[3] if part.__class__ is not str]
+    names = [None if kid.__class__ is Group else kid[0][:2] for kid in kids]
+    if names not in ([_WSA_ADDRESS], [_WSA_ADDRESS, _WSA_REF_PROPS]) or kids[0][3] is not SLOT:
+        return None
+    props = [] if len(kids) == 1 else kids[1][3]
+    shape = []
+    for prop in () if props is SLOT else props:
+        if prop.__class__ is str:
+            continue
+        if prop.__class__ is Group or prop[1] or prop[3] is not SLOT:
+            return None
+        scope = dict(prop[2])
+        for prefix, uri in kids[1][2] + block[2]:
+            scope.setdefault(prefix, uri)
+        shape.append((prop[0], tuple(scope.items())))
+    return at, tuple(shape), tuple(range(at + 1, at + 1 + len(shape)))
+
+
+def _head_index(blocks: tuple) -> tuple:
+    """``(blocks, first slot of each, {(uri, local): position of the first
+    such block}, names marked mustUnderstand, {position: EPR view})``."""
+    offsets, first, eprs, at = [], {}, {}, 0
+    for position, block in enumerate(blocks):
+        offsets.append(at)
+        first.setdefault(block[0][:2], position)
+        eprs[position] = _epr_view(block, at)
+        at += len(slot_kinds(block))
+    must = tuple(
+        intern_qname(*block[0]) for block in blocks
+        if attribute(block, ns.SOAP_ENV, "mustUnderstand") in ("1", "true")
+    )
+    return blocks, offsets, first, must, eprs
 
 
 class DeferredHeaders:
-    """Header blocks nobody has looked at yet, as a decode skeleton found
-    them: the wire's slot *texts* and the skeleton's *head* — ``(build
-    plans, {(uri, local): position of its first block}, names of the
-    blocks marked mustUnderstand, {position: EPR struct})``, an EPR
-    struct being ``(address slot, property shape, property slots)``.
+    """Header blocks nobody has looked at yet: their slot *texts* and the
+    *key* of their shape — the shape itself (a decoded head, which comes
+    with the skeleton's index) or a record it derives from (:meth:`blocks_of`)."""
 
-    The other kind of deferred head, handed over by ``apply_to``, offers
-    the same readers plus the ``shape`` wire templates key on."""
+    __slots__ = ("key", "texts", "_index")
 
-    __slots__ = ("head", "texts")
-    #: decoded blocks template as elements: no shape of their own
-    shape = None
+    def __init__(self, key: tuple, texts: list, index: Optional[tuple] = None):
+        self.key, self.texts, self._index = key, texts, index
 
-    def __init__(self, head: tuple, texts: list):
-        self.head = head
-        self.texts = texts
+    blocks_of = staticmethod(lambda key: key)
+
+    @property
+    def index(self) -> tuple:
+        if self._index is None:
+            self._index = _head_index(self.blocks_of(self.key))
+        return self._index
 
     def grow(self) -> list[Element]:
-        return [_grow(plan, self.texts) for plan in self.head[0]]
+        texts = iter(self.texts)
+        return [grow(block, texts) for block in self.index[0]]
 
     def __len__(self) -> int:
-        return len(self.head[0])
+        return len(self.index[0])
 
     def _first(self, name: QName | str) -> Optional[int]:
         if isinstance(name, str):
-            return next((at for at, plan in enumerate(self.head[0]) if plan[0].local == name), None)
-        return self.head[1].get((name.uri, name.local))
+            return next((at for at, b in enumerate(self.index[0]) if b[0][1] == name), None)
+        return self.index[2].get((name.uri, name.local))
 
     def text(self, name: QName | str) -> Optional[str]:
         at = self._first(name)
-        return None if at is None else plan_text(self.head[0][at], self.texts)
+        if at is None:
+            return None
+        block = self.index[0][at]
+        if block[3] is SLOT:
+            return self.texts[self.index[1][at]]
+        return "".join([part for part in block[3] if part.__class__ is str])
 
     def epr(self, name: QName | str) -> Optional[tuple]:
-        struct = self.head[3].get(self._first(name))
-        if struct is None:
+        view = self.index[4].get(self._first(name))
+        if view is None:
             return None
-        address, shape, slots = struct
+        address, shape, slots = view
         return self.texts[address], shape, [self.texts[slot] for slot in slots]
 
     def must_understand(self) -> tuple:
-        return self.head[2]
+        return self.index[3]
 
 
 class SoapEnvelope:
@@ -133,21 +170,15 @@ class SoapEnvelope:
 
     ``headers`` is the ordered list of header block elements;
     ``body_content`` is the single body child (RPC operation element or
-    Fault).  An empty body is legal for pure-header messages.
-    ``attachments`` (E16) are raw binary parts carried next to the
-    envelope and referenced from the body by ``cid:`` href; an envelope
-    with attachments serialises to a multipart byte wire via
-    :meth:`to_wire_message`.
+    Fault), or None.  ``attachments`` (E16) are raw binary parts carried
+    next to the envelope, referenced from the body by ``cid:`` href; with
+    any, :meth:`to_wire_message` writes a multipart byte wire.
 
-    An RPC body is *deferred*: ``build_rpc_request`` and ``from_wire``
-    hand over slot texts, and ``body_content`` builds the tree on its
-    first read.  From then on the tree is the truth — ``_body`` holds it
-    and both codec fast paths step aside for this envelope.
-    ``body_name`` and ``is_fault`` never build.
-
-    Header blocks are deferred the same way: ``from_wire`` and
-    ``apply_to`` hand over texts (``_head``) and ``headers`` grows them
-    on its first read, after which the element list is the truth.
+    Both parts may still be texts: ``build_rpc_request``, ``apply_to``
+    and ``from_wire`` hand over slot texts (``_deferred``, ``_head``) and
+    ``body_content`` / ``headers`` grow them on the first read, after
+    which the elements are the truth and the codec fast paths step aside
+    for that part.  ``body_name``, ``is_fault``, ``rpc_values``,
     ``header_text``, ``header_epr`` and ``must_understand`` never grow.
     """
 
@@ -158,9 +189,7 @@ class SoapEnvelope:
         attachments: Optional[list[Attachment]] = None,
     ):
         self._headers: list[Element] = list(headers or [])
-        #: header blocks still texts (:class:`DeferredHeaders` or the
-        #: addressing headers of ``apply_to``); None once grown
-        self._head = None
+        self._head: Optional[DeferredHeaders] = None
         self._body = body_content
         self._deferred: Optional[DeferredBody] = None
         self.attachments: list[Attachment] = list(attachments or [])
@@ -194,7 +223,8 @@ class SoapEnvelope:
     @property
     def body_content(self) -> Optional[Element]:
         if self._deferred is not None:
-            self._body, self._deferred = self._deferred.grow(), None
+            deferred = self._deferred
+            self._body, self._deferred = grow(deferred.node, deferred.texts), None
         return self._body
 
     @body_content.setter
@@ -221,9 +251,6 @@ class SoapEnvelope:
         except ValueError:
             return None
 
-    # ------------------------------------------------------------------
-    # header conveniences
-    # ------------------------------------------------------------------
     def add_header(self, block: Element, must_understand: bool = False) -> Element:
         if must_understand:
             block.set(MUST_UNDERSTAND, "1")
@@ -237,10 +264,6 @@ class SoapEnvelope:
             if (block.name.local if by_local else block.name) == name:
                 return block
         return None
-
-    def find_headers(self, uri: str) -> list[Element]:
-        """All header blocks in namespace *uri*."""
-        return [b for b in self.headers if b.name.uri == uri]
 
     def header_text(self, name: QName | str) -> Optional[str]:
         """The text of the first block named *name* (None: no such block),
@@ -262,9 +285,6 @@ class SoapEnvelope:
             return self._head.must_understand()
         return tuple(b.name for b in self._headers if b.get(MUST_UNDERSTAND) in ("1", "true"))
 
-    # ------------------------------------------------------------------
-    # fault handling
-    # ------------------------------------------------------------------
     @property
     def is_fault(self) -> bool:
         return self.body_name == _FAULT
@@ -279,22 +299,11 @@ class SoapEnvelope:
     def for_fault(cls, fault: SoapFault) -> "SoapEnvelope":
         return cls(body_content=fault.to_element())
 
-    # ------------------------------------------------------------------
-    # wire format
-    # ------------------------------------------------------------------
     def to_element(self) -> Element:
-        env = Element(
-            _ENVELOPE,
-            nsdecls={
-                "soapenv": ns.SOAP_ENV,
-                "xsd": ns.XSD,
-                "xsi": ns.XSI,
-            },
-        )
-        header = env.add(_HEADER)
+        env = grow(envelope_shape(), ())
+        header, body = env.children
         for block in self.headers:
             header.append(block.copy())
-        body = env.add(_BODY)
         if self.body_content is not None:
             body.append(self.body_content.copy())
         return env
@@ -366,300 +375,55 @@ def wire_carries_fault(wire) -> bool:
     return (marker if isinstance(wire, str) else marker.encode("ascii")) in wire
 
 
-class EnvelopeTemplate:
-    """A pre-serialised envelope with holes for the per-call fields.
-
-    Most of an RPC request envelope is invariant across calls to the
-    same operation of the same endpoint — the skeleton, the addressing
-    headers, the parameter names and ``xsi:type`` markers.  A template
-    captures that invariant text once (produced by the *real* slow
-    path, so the bytes are identical by construction) and splits it at
-    sentinel markers into ``segments``; :meth:`render` interleaves the
-    per-call field texts to rebuild the full wire string with plain
-    ``str.join``.
-
-    Field values passed to :meth:`render` must already be escaped —
-    the caller applies :func:`repro.xmlkit.serializer.escape_text`
-    exactly where the slow path would.
-    """
-
-    __slots__ = ("segments", "fields", "joins")
-
-    def __init__(self, segments: list[str], fields: list):
-        self.segments = segments
-        self.fields = fields
-        #: for a value-shaped body, per slot: (a group's separator or
-        #: None, whether its texts can need escaping)
-        self.joins: Optional[list[tuple[Optional[str], bool]]] = None
-
-    @classmethod
-    def from_wire(cls, wire: str, sentinels: dict) -> Optional["EnvelopeTemplate"]:
-        """Split *wire* at the planted sentinel strings.
-
-        *sentinels* maps a field key to the sentinel text that stands
-        in for it in the prototype wire.  Returns None when any
-        sentinel does not occur exactly once (static document content
-        collided with the marker alphabet) — the caller falls back to
-        the slow path.
-        """
-        spans: list[tuple[int, int, object]] = []
-        for key, marker in sentinels.items():
-            first = wire.find(marker)
-            if first < 0 or wire.find(marker, first + 1) >= 0:
-                return None
-            spans.append((first, len(marker), key))
-        spans.sort()
-        segments: list[str] = []
-        fields: list = []
-        prev = 0
-        for start, length, key in spans:
-            if start < prev:
-                return None  # overlapping markers
-            segments.append(wire[prev:start])
-            fields.append(key)
-            prev = start + length
-        segments.append(wire[prev:])
-        return cls(segments, fields)
-
-    def render(self, values: dict) -> str:
-        segments = self.segments
-        parts = [segments[0]]
-        append = parts.append
-        for i, key in enumerate(self.fields):
-            append(values[key])
-            append(segments[i + 1])
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<EnvelopeTemplate fields={len(self.fields)}>"
-
-
 # ----------------------------------------------------------------------
-# generic wire templates (the :meth:`SoapEnvelope.to_wire` fast path)
+# wire templates (the :meth:`SoapEnvelope.to_wire` fast path)
 # ----------------------------------------------------------------------
 #: marks a shape whose template build failed (sentinel collision with
 #: static document content); cached so the probe is not re-run.
 _UNTEMPLATABLE = object()
 
 
-def _leaf_shape(elem: Element) -> Optional[tuple]:
-    """Static identity of a childless element; its text is the hole.
-
-    Returns None for elements with child elements — those shapes are
-    left to the ordinary serialiser.
-    """
-    for item in elem.content:
-        if not isinstance(item, str):
-            return None
-    name = elem.name
-    return (
-        (name.uri, name.local, name.prefix),
-        tuple(elem.nsdecls.items()),
-        tuple(((a.uri, a.local, a.prefix), v) for a, v in elem.attributes.items()),
-        bool(elem.content),
-    )
-
-
 class WireTemplateCache:
-    """Pre-serialised envelope skeletons keyed by envelope *shape*.
+    """Envelope templates (:func:`repro.soap.shapes.template`) by shape.
 
-    Most envelopes this stack emits — RPC responses, acks, retained
-    dedup replays — share a small set of shapes: text-only header
-    blocks plus a body wrapper whose children are text-only parameter
-    elements.  The shape (names, prefix hints, namespace declarations,
-    attributes, text presence — everything byte-affecting except the
-    text values) keys a template whose prototype is serialised by the
-    real serialiser with sentinel text, so rendering is a string splice
-    with bytes identical to the slow path by construction.  Body
-    content is shaped *recursively*: element trees whose leaves carry
-    only text (RPC responses, struct returns, faults with detail
-    trees — the ``Server.Busy`` shed path in particular) all template;
-    mixed content (text alongside child elements) and header blocks
-    with children make :meth:`render` return None and the caller runs
-    the ordinary serialiser.
+    A part still texts is keyed by the key it carries, element parts by
+    their :func:`~repro.soap.shapes.shape_of`; the envelope's shape is
+    built on a miss only.  A tree with no shape (mixed content, too deep)
+    makes :meth:`render` return None: the caller serialises.
     """
-
-    #: body trees deeper than this fall back to the ordinary serialiser
-    MAX_DEPTH = 6
 
     def __init__(self, max_entries: int = 256):
         self._cache = ArtifactCache("wire-templates", max_entries)
 
     def render(self, envelope: "SoapEnvelope") -> Optional[str]:
         """The full wire text of *envelope*, or None to signal slow-path."""
-        key = self._key(envelope)
-        if key is None:
-            return None
-        template = self._cache.get(key)
-        if template is _UNTEMPLATABLE:
-            return None
-        if template is None:
-            template = self._build(key, envelope._head)
-            self._cache.put(key, template if template is not None else _UNTEMPLATABLE)
-            if template is None:
+        head, deferred, content = envelope._head, envelope._deferred, envelope._body
+        texts: list = []
+        if head is not None:
+            head_key = head.key
+            texts += head.texts
+        else:
+            head_key = tuple([shape_of(block, texts) for block in envelope._headers])
+            if None in head_key:
                 return None
-        return template.render(self._values(envelope, template.joins))
+        if deferred is not None:
+            body_key = deferred.key
+            texts += deferred.texts
+        else:
+            body_key = None if content is None else shape_of(content, texts)
+            if content is not None and body_key is None:
+                return None
+        key = (head_key, body_key)
+        wire = self._cache.get(key)
+        if wire is None:
+            body = deferred.node if deferred is not None else body_key
+            blocks = head_key if head is None else head.index[0]
+            wire = template(envelope_shape(blocks, () if body is None else (body,)))
+            self._cache.put(key, wire or _UNTEMPLATABLE)
+        return None if wire is None or wire is _UNTEMPLATABLE else wire.render(texts)
 
     def invalidate_all(self) -> int:
         return self._cache.clear()
-
-    @classmethod
-    def _tree_shape(cls, elem: Element, depth: int = 0) -> Optional[tuple]:
-        """Recursive static identity of *elem*; leaf texts are the holes.
-
-        Mixed content (text next to child elements) and over-deep trees
-        return None — those shapes go to the ordinary serialiser.
-        """
-        if depth > cls.MAX_DEPTH:
-            return None
-        name = elem.name
-        static = (
-            (name.uri, name.local, name.prefix),
-            tuple(elem.nsdecls.items()),
-            tuple(((a.uri, a.local, a.prefix), v) for a, v in elem.attributes.items()),
-        )
-        if any(not isinstance(item, str) for item in elem.content):
-            kids = []
-            for item in elem.content:
-                if isinstance(item, str):
-                    return None  # mixed content
-                sub = cls._tree_shape(item, depth + 1)
-                if sub is None:
-                    return None
-                kids.append(sub)
-            return static + (("node", tuple(kids)),)
-        return static + (("leaf", bool(elem.content)),)
-
-    @classmethod
-    def _key(cls, envelope: "SoapEnvelope") -> Optional[tuple]:
-        head = envelope._head
-        if head is not None and head.shape is not None:
-            # headers still texts: the head's own static shape, tagged
-            # with its kind so that no tuple of leaf shapes can equal it
-            headers = (head.__class__, head.shape)
-        else:
-            leaves = []
-            for block in envelope.headers:
-                leaf = _leaf_shape(block)
-                if leaf is None:
-                    return None
-                leaves.append(leaf)
-            headers = tuple(leaves)
-        deferred = envelope._deferred
-        if deferred is not None and deferred.shape is not None:
-            # a value shape starts with a namespace string, a tree
-            # shape with a name tuple: the two cannot collide
-            return (headers, deferred.shape)
-        body = envelope.body_content
-        body_shape = None
-        if body is not None:
-            body_shape = cls._tree_shape(body)
-            if body_shape is None:
-                return None
-        return (headers, body_shape)
-
-    @staticmethod
-    def _build(key: tuple, head) -> Optional[EnvelopeTemplate]:
-        """The template of *key*, cut from a prototype the real code
-        wrote: header texts (*head*'s, when they are still texts) and
-        body texts replaced by sentinels, then serialised."""
-        header_shapes, body_shape = key
-        sentinels: dict = {}
-
-        def plant(hole_key: tuple) -> str:
-            # NUL never survives escaping, so a collision requires
-            # NUL in static content — caught by from_wire
-            marker = f"\x00{len(sentinels)}\x00"
-            sentinels[hole_key] = marker
-            return marker
-
-        def leaf_from(shape: tuple, hole_key: tuple) -> Element:
-            name, nsd, attrs, has_text = shape
-            elem = Element(QName(*name), nsdecls=dict(nsd) or None)
-            for aname, avalue in attrs:
-                elem.attributes[QName(*aname)] = avalue
-            if has_text:
-                elem.append_text(plant(hole_key))
-            return elem
-
-        def tree_from(shape: tuple, path: tuple) -> Element:
-            name, nsd, attrs, tail = shape
-            kind, payload = tail
-            if kind == "leaf":
-                return leaf_from((name, nsd, attrs, payload), ("c",) + path)
-            elem = Element(QName(*name), nsdecls=dict(nsd) or None)
-            for aname, avalue in attrs:
-                elem.attributes[QName(*aname)] = avalue
-            for j, sub in enumerate(payload):
-                elem.append(tree_from(sub, path + (j,)))
-            return elem
-
-        if head is not None:  # _key grew any head without a shape
-            headers = head.grow([plant(("h", k)) for k in range(len(head.texts))])
-        else:
-            headers = [leaf_from(shape, ("h", i)) for i, shape in enumerate(header_shapes)]
-        body: Optional[Element] = None
-        joins: Optional[list] = None
-        if body_shape is not None and body_shape[0].__class__ is str:
-            # a value shape: the prototype is the tree body_content
-            # would show, each group cut to two items
-            kinds: list = []
-            plan = rpc_plan(body_shape, kinds)
-            body = _grow(plan, [
-                [plant(("c", k)), plant(("c", k, 1))] if group else plant(("c", k))
-                for k, (_, group) in enumerate(kinds)
-            ])
-            joins = [(None, kind == "xsd:string") for kind, _ in kinds]
-        elif body_shape is not None:
-            body = tree_from(body_shape, ())
-        proto = SoapEnvelope(body_content=body, headers=headers)
-        wire = serialize(proto.to_element(), xml_declaration=True)
-        template = EnvelopeTemplate.from_wire(wire, sentinels)
-        if template is not None and joins is not None:
-            # fold each group's two holes into one: the static text
-            # between them is the group's separator
-            for at in reversed(range(len(template.fields))):
-                if len(template.fields[at]) == 3:
-                    slot = template.fields.pop(at)[1]
-                    joins[slot] = (template.segments.pop(at), joins[slot][1])
-            template.joins = joins
-        return template
-
-    @staticmethod
-    def _values(envelope: "SoapEnvelope", joins: Optional[list]) -> dict:
-        values: dict = {}
-        head = envelope._head
-        if head is not None:  # still texts, so keyed on its shape
-            for k, text in enumerate(head.texts):
-                values[("h", k)] = escape_text(text)
-        else:
-            for i, block in enumerate(envelope.headers):
-                if block.content:
-                    values[("h", i)] = escape_text(block.text)
-        if joins is not None:
-            # a deferred body: splice its texts; numeric alphabets
-            # cannot need escaping
-            for k, text in enumerate(envelope._deferred.texts):
-                separator, escape = joins[k]
-                if separator is not None:
-                    text = separator.join(map(escape_text, text) if escape else text)
-                elif escape:
-                    text = escape_text(text)
-                values[("c", k)] = text
-            return values
-
-        def walk(elem: Element, path: tuple) -> None:
-            if any(not isinstance(item, str) for item in elem.content):
-                for j, item in enumerate(elem.content):
-                    walk(item, path + (j,))
-                return
-            if elem.content:
-                values[("c",) + path] = escape_text(elem.text)
-
-        body = envelope.body_content
-        if body is not None:
-            walk(body, ())
-        return values
 
 
 #: Process-wide wire-template cache consulted by every ``to_wire``.
@@ -669,204 +433,10 @@ wire_templates = WireTemplateCache()
 # ----------------------------------------------------------------------
 # decode skeletons (the :meth:`SoapEnvelope.from_wire` fast path)
 # ----------------------------------------------------------------------
-def _slot_texts(wire: str, pos: int, segments: tuple) -> Optional[list]:
-    """The slot texts when *wire* continues from *pos* with *segments*
-    around them and nothing else, else None.  A slot ends at the next
-    ``<``, as a text token does: a match implies the parser's tokens.
-    A repeating group's segment is ``(separator, closing text)`` and its
-    slot text a list: the run up to the closing text, split at the
-    separators, matches when every ``<`` in it belongs to a separator —
-    each item then ends at the next ``<`` too."""
-    texts: list = []
-    try:
-        for segment in segments:
-            if segment.__class__ is tuple:
-                separator, segment = segment
-                end = wire.find(segment, pos)
-                if end < 0:
-                    return None
-                run = wire[pos:end]
-                raw = run.split(separator)
-                if run.count("<") != separator.count("<") * (len(raw) - 1):
-                    return None
-                if "&" in run:
-                    decode = Tokenizer(wire).decode_entities
-                    raw = [decode(item, pos) for item in raw]
-            else:
-                end = wire.find("<", pos)
-                if not wire.startswith(segment, end):  # also when no '<' is left
-                    return None
-                raw = wire[pos:end]
-                if "&" in raw:
-                    raw = Tokenizer(wire).decode_entities(raw, pos)
-            texts.append(raw)
-            pos = end + len(segment)
-    except XmlParseError:
-        return None  # the slow path raises it
-    return texts if pos == len(wire) else None
-
-
-def _leaf(plan: tuple, text: str) -> Element:
-    name, attributes, nsdecls, _ = plan
-    elem = Element(name, text=text, nsdecls=nsdecls)
-    if attributes:
-        elem.attributes = attributes.copy()
-    return elem
-
-
-def _grow(plan: tuple, texts: list) -> Element:
-    """A fresh tree from a build plan ``(name, attributes, nsdecls,
-    kids)``: every build has its own ``attributes`` / ``nsdecls`` dicts,
-    so decoded envelopes stay isolated.  *kids* is a leaf's slot index,
-    ``~index`` for a repeating group of such leaves (one per text of the
-    slot), or a tuple of static text chunks and child plans."""
-    name, attributes, nsdecls, kids = plan
-    if kids.__class__ is int:
-        return _leaf(plan, texts[kids])
-    elem = Element(name, nsdecls=nsdecls)
-    for kid in kids:
-        if kid.__class__ is str:
-            elem.append_text(kid)
-        elif kid[3].__class__ is int and kid[3] < 0:
-            for text in texts[~kid[3]]:
-                elem.append(_leaf(kid, text))
-        else:
-            elem.append(_grow(kid, texts))
-    if attributes:
-        elem.attributes = attributes.copy()
-    return elem
-
-
-def plan_text(plan: tuple, texts: list) -> str:
-    """``Element.text`` of the tree *plan* grows, without growing it."""
-    kids = plan[3]
-    if kids.__class__ is int:
-        return texts[kids]
-    return "".join(kid for kid in kids if kid.__class__ is str)
-
-
-def _epr_struct(plan: tuple) -> Optional[tuple]:
-    """``(address slot, property shape, property slots)`` when the header
-    block of *plan* is an EndpointReference whose properties are a struct
-    of leaves: its children are a ``wsa:Address`` slot and, optionally, a
-    ``wsa:ReferenceProperties`` wrapper of attribute-free slot leaves.
-    Each property's namespaces are its own, then its wrapper's, then its
-    block's — what ``EndpointReference.from_element`` (``copy_with_scope``)
-    gives it.  Anything else is None and is read from the grown block."""
-
-    def slot(kid: tuple) -> bool:  # a leaf's one text, not a group's
-        return kid[3].__class__ is int and kid[3] >= 0
-
-    if plan[3].__class__ is int:
-        return None
-    kids = [kid for kid in plan[3] if kid.__class__ is not str]
-    if not 1 <= len(kids) <= 2 or kids[0][0] != _WSA_ADDRESS or not slot(kids[0]):
-        return None
-    shape, slots = [], []
-    if len(kids) == 2:
-        wrapper = kids[1]
-        if wrapper[0] != _WSA_REF_PROPS or wrapper[3].__class__ is int:
-            return None
-        for prop in wrapper[3]:
-            if prop.__class__ is str:
-                continue
-            if prop[1] or not slot(prop):
-                return None
-            scope = dict(prop[2])
-            for outer in (wrapper[2], plan[2]):
-                for prefix, uri in outer.items():
-                    scope.setdefault(prefix, uri)
-            name = prop[0]
-            shape.append(((name.uri, name.local, name.prefix), tuple(scope.items())))
-            slots.append(prop[3])
-    return kids[0][3], tuple(shape), tuple(slots)
-
-
-def _cut(key: tuple, wire: str, envelope: SoapEnvelope) -> tuple:
-    """The skeleton of *wire*: ``(key, first segment, segments after each
-    slot, head (see :class:`DeferredHeaders`), body plan, body
-    readers)``.  A slot is the one optional plain text run of an
-    element below Header / Body; other content (children, CDATA, a
-    comment) is static and copied: no slot value is retained.  Sibling leaves written back to back with the
-    same tags — they differ only in their text — fold into one
-    repeating group, which matches a run of any length."""
-    start_tag, end_tag, text = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
-    tokens = list(Tokenizer(wire).tokens())
-    spans = []  # per element below Header / Body, in document order
-    depth = 0
-    for i, token in enumerate(tokens):
-        if token.type is end_tag:
-            depth -= 1
-        elif token.type is start_tag:
-            if depth >= 2:
-                j = i + 1
-                # a TEXT token that starts at '<' is a CDATA section
-                if tokens[j].type is text and wire[tokens[j].offset] != "<":
-                    j += 1
-                slot = not token.self_closing and tokens[j].type is end_tag
-                # a slot leaf: where its open tag, text, end tag and successor start
-                spans.append(
-                    (token.offset, tokens[i + 1].offset, tokens[j].offset, tokens[j + 1].offset)
-                    if slot else None
-                )
-            depth += not token.self_closing
-    edges = [0]
-    separators: dict[int, str] = {}
-    at = 0
-
-    def plan(elem: Element) -> tuple:
-        nonlocal at
-        span, at = spans[at], at + 1
-        if span is not None:
-            edges.extend(span[1:3])
-            return (elem.name, dict(elem.attributes), dict(elem.nsdecls), len(edges) // 2 - 1)
-        kids: list = []
-        last = None  # the span of the slot leaf just planned
-        for item in elem.content:
-            span = None if isinstance(item, str) else spans[at]
-            if (
-                last and span and last[3] == span[0]  # two slot leaves, back to back,
-                and wire[last[0]:last[1]] == wire[span[0]:span[1]]  # same open tag
-                and wire[last[2]:last[3]] == wire[span[2]:span[3]]  # and end tag
-            ):
-                at += 1  # the leaf before it becomes (or stays) a repeating group
-                slot = len(edges) // 2 - 1
-                kids[-1] = kids[-1][:3] + (~slot,)
-                separators[slot] = wire[last[2]:span[1]]
-                edges[-1] = span[2]
-            else:
-                kids.append(item if isinstance(item, str) else plan(item))
-            last = span
-        return (elem.name, dict(elem.attributes), dict(elem.nsdecls), tuple(kids))
-
-    plans = tuple(plan(block) for block in envelope.headers)
-    body = envelope.body_content
-    body_plan = None if body is None else plan(body)
-    head = None
-    if plans:
-        first: dict = {}
-        eprs = {}
-        for position, block in enumerate(plans):
-            first.setdefault((block[0].uri, block[0].local), position)
-            struct = _epr_struct(block)
-            if struct is not None:
-                eprs[position] = struct
-        must = tuple(p[0] for p in plans if p[1].get(MUST_UNDERSTAND) in ("1", "true"))
-        head = (plans, first, must, eprs)
-    edges.append(len(wire))
-    segments = [wire[a:b] for a, b in zip(edges[::2], edges[1::2])]
-    after = tuple(
-        (separators[k], segment) if k in separators else segment
-        for k, segment in enumerate(segments[1:])
-    )
-    readers = None if body_plan is None else compile_readers(body_plan)
-    return key, segments[0], after, head, body_plan, readers
-
-
 def _repeats(elem: Element) -> int:
     """How many leaves below *elem* repeat the sibling just before them
-    (same name, text only, nothing in between): roughly what the
-    repeating groups of its skeleton absorb."""
+    (same name, text only, nothing in between): roughly what the groups
+    of its skeleton absorb."""
     count, last = 0, None
     for item in elem.content:
         name = None
@@ -883,17 +453,13 @@ def _repeats(elem: Element) -> int:
 class DecodeSkeletons:
     """Envelope skeletons, the decode-side mirror of :class:`WireTemplateCache`.
 
-    The envelopes a peer parses differ from call to call only in the
-    text of a few leaf elements (``wsa:MessageID``, parameter values).
-    A *skeleton* is a wire split at those texts: static segments, each
-    starting at a ``<``, plus a build plan for the header blocks and
-    body content, inherited ``nsdecls`` folded in as ``from_element``
-    leaves them.  Anything but an exact match (another attribute value,
-    CDATA in a slot, an entity error) goes to the ordinary parse, which
-    also raises the canonical error.  Learning costs that path nothing:
-    a missed wire's cheap shape key enters a bounded probation set and
-    only its second sighting re-tokenises the wire to cut a skeleton, so
-    shapes that rotate faster than they recur are never cut.
+    A *skeleton* is a parsed wire :func:`~repro.soap.shapes.cut` at the
+    texts that vary from call to call, plus the shapes of its header
+    blocks and body as ``from_element`` leaves them.  Anything but an
+    exact match goes to the ordinary parse, which also raises the
+    canonical error.  A missed wire's cheap shape key enters a bounded
+    probation set and only its second sighting is cut, so shapes that
+    rotate faster than they recur are never cut.
     """
 
     MAX_SKELETONS = 64
@@ -909,16 +475,14 @@ class DecodeSkeletons:
     def decode(self, wire: str) -> Optional[tuple]:
         """``(deferred headers, deferred body)`` from the skeleton that
         matches *wire*, or None to signal slow-path."""
-        for key, first, segments, head, body, readers in self._store.recent():
-            if not wire.startswith(first):
-                continue
-            texts = _slot_texts(wire, len(first), segments)
+        for key, wire_cut, head, at, name, body, body_readers in self._store.recent():
+            texts = wire_cut.match(wire)
             if texts is not None:
                 self._store.get(key)  # counts the hit, makes it most recent
-                deferred = None
-                if body is not None:
-                    deferred = DeferredBody(body[0], texts, plan=body, readers=readers)
-                return (None if head is None else DeferredHeaders(head, texts)), deferred
+                return (
+                    None if head is None else DeferredHeaders(head[0], texts[:at], head),
+                    None if body is None else DeferredBody(name, texts[at:], body, body, body_readers),
+                )
         self._store.stats.misses += 1
         return None
 
@@ -944,8 +508,18 @@ class DecodeSkeletons:
         self._probation.invalidate(key)
         # only below an Envelope of [Header,] Body are the wire's
         # elements the envelope's, in the same order
-        if [kid.name for kid in root.children] in ([_BODY], [_HEADER, _BODY]):
-            self._store.put(key, _cut(key, wire, envelope))
+        if [kid.name for kid in root.children] not in ([_BODY], [_HEADER, _BODY]):
+            return
+        # the skeleton: shapes and static text only, no slot value
+        blocks = envelope.headers
+        nodes, wire_cut = cut(wire, blocks if body is None else blocks + [body])
+        head = tuple(nodes[:len(blocks)])
+        node = None if body is None else nodes[-1]
+        self._store.put(key, (
+            key, wire_cut, _head_index(head) if head else None,
+            sum(len(slot_kinds(block)) for block in head),
+            None if body is None else body.name, node, None if node is None else readers(node),
+        ))
 
 
 #: Process-wide skeleton store consulted by every ``from_wire``.

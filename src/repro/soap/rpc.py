@@ -9,8 +9,9 @@ case of exposing one object's public methods.
 
 Values enter and leave an envelope here.  Outgoing, one walk
 (:func:`~repro.soap.encoding.value_shape`) takes the texts and the
-attachments, and the body stays those texts unless the values have no
-shape; incoming, the envelope's compiled readers are asked first and
+attachments, and the body stays those texts, keyed by the value shape
+its tree derives from, unless the values have no shape; incoming, the
+readers the skeleton compiled from the body's shape are asked first and
 the element tree is decoded only when there are none, one refuses, or
 someone has already looked at ``body_content``.
 """
@@ -174,9 +175,7 @@ def _rpc_envelope(
     found: list = []
     shape = value_shape(params, texts, found)
     if shape is not None:
-        return SoapEnvelope.for_deferred(
-            DeferredBody(name, texts, shape=(name.uri, name.local, shape[1]))
-        )
+        return SoapEnvelope.for_deferred(DeferredBody(name, texts, (name.uri, name.local, shape[1])))
     wrapper = Element(name, nsdecls={"tns": name.uri})
     for param, value in params.items():
         wrapper.append(encode_value(QName("", param), value, registry))

@@ -2,13 +2,11 @@
 
 Almost every EPR is a *struct of leaves*: an Address plus N
 attribute-free leaf properties (§IV-B; the P2PS binding keeps a pipe
-advert's fields there).  Its *shape* is one ``((uri, local, prefix),
-nsdecls items)`` per property, and it serves both sides of the wire: a
-decode skeleton reads a ``wsa:ReplyTo`` as one (``header_epr``),
-``apply_to`` and the request templates key on it (:meth:`leaves`).  A
-*value-backed* EPR keeps ``(address, shape, texts)`` and grows its
-property elements only when ``reference_properties`` is read; from then
-on the element list is the truth.
+advert's fields there).  Its *property shape*, one ``((uri, local,
+prefix), nsdecls items)`` per property, is what a decoded ``wsa:ReplyTo``
+yields (``header_epr``) and what the MAP record takes (:meth:`leaves`).
+A *value-backed* EPR keeps ``(address, shape, texts)`` and grows its
+properties only when ``reference_properties`` is read.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ class EndpointReference:
         """``(property shape, texts)`` when every property is an
         attribute-free leaf, else None.  Read-only: the texts may be
         this EPR's own."""
-        if self._properties is None:
-            return self._shape, self._texts
+        if not self._properties:  # value-backed, or none at all
+            return (self._shape, self._texts) if self._properties is None else ((), [])
         shape, texts = [], []
         for prop in self._properties:
             if prop.attributes or prop.children:

@@ -11,14 +11,14 @@ The binding rules the paper uses (§IV-B items 3–5):
 - ``MessageID`` / ``RelatesTo`` correlate asynchronous replies.
 
 Neither direction builds an element on its fast path.  ``apply_to``
-into an envelope without header blocks records the MAP texts and a
-hashable *MAP shape* (which optional headers are present, the property
-shapes of the ReplyTo EPR and of the target); the wire template keyed on
-it is cut from a prototype ``_blocks`` wrote.  ``extract_from`` reads
-slot texts (``header_text``) and takes a ReplyTo that is a struct of
-leaves as a value-backed EPR (``header_epr``).  Headers already present,
-``From`` / ``FaultTo``, an EPR property with attributes or children and
-an empty text (it would self-close) take the element path.
+records the MAP texts and a hashable *MAP shape* (which optional headers
+are present, the property shapes of the ReplyTo EPR and of the target),
+from which the blocks' shape tree (:mod:`repro.soap.shapes`) derives by
+writing them once with ``_blocks``.  ``extract_from`` reads slot texts
+(``header_text``) and takes a ReplyTo that is a struct of leaves as a
+value-backed EPR (``header_epr``).  Headers already present, ``From`` /
+``FaultTo``, an EPR property with attributes or children and an empty
+text (it would self-close) take the element path.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from typing import Any, Optional
 from repro.caching import ArtifactCache
 from repro.observability.recorder import current_recorder
 from repro.observability.tracecontext import TRACE_HEADER, header_element as trace_header_element
-from repro.soap.encoding import XSI_NIL, XSI_TYPE, primitive_text, primitive_xsi_type
-from repro.soap.envelope import EnvelopeTemplate, SoapEnvelope
+from repro.soap.encoding import EMPTY, SCALAR_TYPES, rpc_tree, value_shape
+from repro.soap.envelope import DeferredHeaders, SoapEnvelope, envelope_shape
+from repro.soap.shapes import shape_of, template
 from repro.wsa.epr import EndpointReference, WsaError, grow_leaves
 from repro.xmlkit import Element, QName, ns
-from repro.xmlkit.serializer import escape_text, serialize
 
 _TO = QName(ns.WSA, "To", "wsa")
 _ACTION = QName(ns.WSA, "Action", "wsa")
@@ -158,8 +158,17 @@ class MessageAddressingProperties:
         must be an element (see the module docstring)."""
         if self.source is not None or self.fault_to is not None:
             return None
-        optional = (self.message_id, self.relates_to, self.trace_context)
-        texts = [self.to, self.action] + [text for text in optional if text]
+        texts = [self.to, self.action]
+        # conditional expressions, not bool(): this runs on every request
+        mid = True if self.message_id else False
+        if mid:
+            texts.append(self.message_id)
+        rel = True if self.relates_to else False
+        if rel:
+            texts.append(self.relates_to)
+        trace = True if self.trace_context else False
+        if trace:
+            texts.append(self.trace_context)
         reply = None
         if self.reply_to is not None:
             leaves = self.reply_to.leaves()
@@ -177,7 +186,7 @@ class MessageAddressingProperties:
             texts += leaves[1]
         if not all(texts):
             return None  # '' self-closes
-        return (*map(bool, optional), reply, props), texts
+        return (mid, rel, trace, reply, props), texts
 
     @classmethod
     def extract_from(cls, envelope: SoapEnvelope) -> "MessageAddressingProperties":
@@ -215,47 +224,26 @@ class MessageAddressingProperties:
         return f"<MAPs to={self.to} action={self.action}>"
 
 
-class _MapHeaders:
-    """Addressing headers nobody has looked at yet: the *texts* and the
-    static *shape* they fill, ``(MessageID?, RelatesTo?, trace context?,
-    ReplyTo property shape or None, target property shape)``.  ``grow``
-    rebuilds the MAPs from them and runs ``_blocks``, so the prototype a
-    wire template is cut from (``grow(sentinels)``) and the blocks a
-    reader sees are the element path's own."""
+class _MapHeaders(DeferredHeaders):
+    """Addressing headers nobody has looked at yet, keyed by the MAP
+    shape ``_record`` took: ``(MessageID?, RelatesTo?, trace context?,
+    ReplyTo property shape or None, target property shape)``."""
 
-    __slots__ = ("shape", "texts")
+    __slots__ = ()
 
-    def __init__(self, shape: tuple, texts: list):
-        self.shape = shape
-        self.texts = texts
-
-    def grow(self, texts: Optional[list] = None) -> list[Element]:
-        has_mid, has_rel, has_trace, reply, props = self.shape
-        rest = iter(self.texts if texts is None else texts)
-        maps = MessageAddressingProperties(next(rest), next(rest))
-        maps.message_id = next(rest) if has_mid else None
-        maps.relates_to = next(rest) if has_rel else None
-        maps.trace_context = next(rest) if has_trace else None
+    @staticmethod
+    def blocks_of(key: tuple) -> tuple:
+        """The blocks' shape: ``_blocks`` writes them with a text in
+        every slot, so templates and readers see the element path's."""
+        has_mid, has_rel, has_trace, reply, props = key
+        maps = MessageAddressingProperties("t", "a")
+        maps.message_id = "m" if has_mid else None
+        maps.relates_to = "r" if has_rel else None
+        maps.trace_context = "c" if has_trace else None
         if reply is not None:
-            maps.reply_to = EndpointReference.from_texts(next(rest), reply, [next(rest) for _ in reply])
-        return maps._blocks(grow_leaves(props, list(rest)))
-
-    def __len__(self) -> int:
-        return len(self.grow())
-
-    def text(self, name: QName | str) -> Optional[str]:
-        # asked only of an envelope being written (ack marking): a
-        # throwaway tree answers and this envelope keeps its texts
-        for block in self.grow():
-            if (block.name.local if isinstance(name, str) else block.name) == name:
-                return block.text
-        return None
-
-    def epr(self, name: QName | str) -> None:
-        return None  # read from the grown ReplyTo
-
-    def must_understand(self) -> tuple:
-        return ()
+            maps.reply_to = EndpointReference.from_texts("r", reply, ["p"] * len(reply))
+        texts: list = []
+        return tuple(shape_of(b, texts) for b in maps._blocks(grow_leaves(props, ["p"] * len(props))))
 
 
 def message_id_of(envelope: SoapEnvelope) -> Optional[str]:
@@ -275,37 +263,56 @@ def relates_to_of(envelope: SoapEnvelope) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# request envelope templates
+# the request shape per target
 # ----------------------------------------------------------------------
-#: marks a key whose template build failed (sentinel collision); cached
-#: so the expensive probe is not re-run on every call.
+#: marks a key with no template (an argument '' or a sentinel collision);
+#: cached so the probe is not re-run on every call.
 _UNTEMPLATABLE = object()
 
 
+def _bypass(operation: str, why: str) -> None:
+    rec = current_recorder()
+    # with the NullRecorder installed this is one attribute check and no
+    # detail dict is allocated (the no-op-overhead test holds render to it)
+    if rec.active:
+        rec.codec_event("template-bypass", {"operation": operation, "why": why})
+
+
+def _request_template(namespace, operation, params, heads, head_texts, fixed):
+    """The template of a request whose To, Action and target property
+    texts are static; :data:`_UNTEMPLATABLE` for an argument ``''`` or
+    a sentinel collision."""
+    if any(param == EMPTY for _, param in params):
+        return _UNTEMPLATABLE
+    blocks = list(_MapHeaders.blocks_of(heads))
+    static = (0, 1, *range(len(blocks) - len(heads[-1]), len(blocks)))
+    for at, text in zip(static, head_texts[:2] + head_texts[fixed:]):
+        blocks[at] = blocks[at][:3] + ((text,),)  # each a leaf
+    body = rpc_tree(namespace, operation, params)
+    wire = template(envelope_shape(tuple(blocks), (body,)))
+    rec = current_recorder()
+    if wire is not None and rec.active:
+        rec.codec_event("template-build", {"operation": operation})
+    return wire or _UNTEMPLATABLE
+
+
 class RequestTemplateCache:
-    """Pre-serialised request envelopes for the invocation hot path.
+    """The request shape per target, for the invocation hot path.
 
-    Keyed by everything invariant across calls — target namespace,
-    operation, ``wsa:To``/``wsa:Action``, the argument *shape*
-    (names and primitive types, order-sensitive), the target EPR's
-    reference properties, and the reply EPR's shape — so only the
-    per-call fields (MessageID, parameter values, reply address and
-    property texts) are spliced in at send time.
-
-    The prototype wire is produced by the real envelope pipeline with
-    sentinel strings planted in the variable fields, which keeps the
-    template bytes identical to the slow path by construction.  Any
-    shape the template machinery cannot guarantee byte parity for —
-    non-primitive arguments, empty field texts (the serialiser
-    self-closes empty elements), properties with attributes or
-    children — makes :meth:`render` return None and the caller builds
-    the envelope the ordinary way.
+    One value walk (``value_shape``) and one MAP record (``_record``)
+    give the texts and the key: their shapes plus what stays put from
+    call to call to one target — namespace, operation, ``wsa:To``,
+    ``wsa:Action`` and the target's property texts, which the cached
+    template writes as static text.  It is the template of the envelope
+    ``build_rpc_request`` + ``apply_to`` would make, so the bytes are
+    theirs.  Scalar and ``None`` arguments only: a list, a struct or
+    ``''`` makes :meth:`render` return None and the caller builds the
+    envelope the generic way.
     """
 
     def __init__(self, max_entries: int = 256):
         self._cache = ArtifactCache("envelope-templates", max_entries)
 
-    # -- public ------------------------------------------------------------
     def render(
         self,
         maps: MessageAddressingProperties,
@@ -315,171 +322,33 @@ class RequestTemplateCache:
         target: Optional[EndpointReference] = None,
     ) -> Optional[str]:
         """The full request wire text, or None to signal slow-path."""
-        # recorder guard: with the NullRecorder installed this is one
-        # attribute check and NO detail dict is ever allocated (the CI
-        # no-op-overhead test holds this path to zero allocations)
+        for value in args.values():
+            if value.__class__ not in SCALAR_TYPES:  # the generic path walks it
+                return _bypass(operation, "unkeyable")
+        texts: list = []
+        shape = value_shape(args, texts, [])
+        recorded = None if shape is None else maps._record(target)
+        if recorded is None:
+            return _bypass(operation, "unkeyable")
+        heads, head_texts = recorded
+        fixed = len(head_texts) - len(heads[-1])  # the target's texts start here
+        key = (namespace, operation, heads, shape, head_texts[0], head_texts[1], *head_texts[fixed:])
+        wire = self._cache.get(key)
+        if wire is None:
+            wire = _request_template(namespace, operation, shape[1], heads, head_texts, fixed)
+            self._cache.put(key, wire)
+        if wire is _UNTEMPLATABLE:
+            return _bypass(operation, "untemplatable")
+        rendered = wire.render(head_texts[2:fixed] + texts)
+        if rendered is None:
+            return _bypass(operation, "unrenderable")
         rec = current_recorder()
-        key = self._key(maps, namespace, operation, args, target)
-        if key is None:
-            if rec.active:
-                rec.codec_event("template-bypass", {"operation": operation, "why": "unkeyable"})
-            return None
-        template = self._cache.get(key)
-        if template is _UNTEMPLATABLE:
-            if rec.active:
-                rec.codec_event("template-bypass", {"operation": operation, "why": "untemplatable"})
-            return None
-        if template is None:
-            template = self._build(maps, namespace, operation, args, target)
-            self._cache.put(key, template if template is not None else _UNTEMPLATABLE)
-            if template is None:
-                if rec.active:
-                    rec.codec_event("template-bypass", {"operation": operation, "why": "untemplatable"})
-                return None
-            if rec.active:
-                rec.codec_event("template-build", {"operation": operation})
-        values = self._values(maps, args)
-        if values is None:
-            if rec.active:
-                rec.codec_event("template-bypass", {"operation": operation, "why": "unrenderable"})
-            return None
         if rec.active:
             rec.codec_event("template-hit", {"operation": operation})
-        return template.render(values)
+        return rendered
 
     def invalidate_all(self) -> int:
         return self._cache.clear()
-
-    # -- key construction --------------------------------------------------
-    @staticmethod
-    def _epr_fingerprint(epr: EndpointReference) -> Optional[tuple]:
-        """Full static identity of an EPR, texts included (target side)."""
-        leaves = epr.leaves()
-        return None if leaves is None else (epr.address, leaves[0], tuple(leaves[1]))
-
-    @staticmethod
-    def _epr_shape(epr: EndpointReference) -> Optional[tuple]:
-        """Shape-only identity of an EPR whose texts vary per call
-        (reply side: the address and property texts become holes)."""
-        leaves = epr.leaves()
-        return None if leaves is None else leaves[0]
-
-    def _key(
-        self,
-        maps: MessageAddressingProperties,
-        namespace: str,
-        operation: str,
-        args: dict[str, Any],
-        target: Optional[EndpointReference],
-    ) -> Optional[tuple]:
-        if maps.relates_to or maps.source is not None or maps.fault_to is not None:
-            return None
-        arg_shape = []
-        for name, value in args.items():
-            if value is not None and primitive_xsi_type(value) is None:
-                return None
-            arg_shape.append((name, None if value is None else type(value).__name__))
-        target_print: Optional[tuple] = None
-        if target is not None:
-            target_print = self._epr_fingerprint(target)
-            if target_print is None:
-                return None
-        reply_shape: Optional[tuple] = None
-        if maps.reply_to is not None:
-            reply_shape = self._epr_shape(maps.reply_to)
-            if reply_shape is None:
-                return None
-        return (
-            namespace,
-            operation,
-            maps.to,
-            maps.action,
-            maps.message_id is not None,
-            maps.trace_context is not None,
-            tuple(arg_shape),
-            target_print,
-            reply_shape,
-        )
-
-    # -- template build ----------------------------------------------------
-    def _build(
-        self,
-        maps: MessageAddressingProperties,
-        namespace: str,
-        operation: str,
-        args: dict[str, Any],
-        target: Optional[EndpointReference],
-    ) -> Optional[EnvelopeTemplate]:
-        sentinels: dict = {}
-
-        def plant(key: object) -> str:
-            # NUL never appears in escape output and never survives
-            # escaping itself, so collisions with real content require
-            # the static fields to contain NUL — checked by from_wire.
-            marker = f"\x00{len(sentinels)}\x00"
-            sentinels[key] = marker
-            return marker
-
-        wrapper = Element(QName(namespace, operation, "tns"), nsdecls={"tns": namespace})
-        for name, value in args.items():
-            param = Element(QName("", name))
-            if value is None:
-                param.set(XSI_NIL, "true")
-            else:
-                param.set(XSI_TYPE, primitive_xsi_type(value))
-                param.text = plant(("arg", name))
-            wrapper.append(param)
-        envelope = SoapEnvelope(body_content=wrapper)
-
-        proto_reply: Optional[EndpointReference] = None
-        if maps.reply_to is not None:
-            shape = self._epr_shape(maps.reply_to)
-            proto_reply = EndpointReference.from_texts(
-                plant(("reply", "address")), shape, [plant(("reply", i)) for i in range(len(shape))]
-            )
-        proto_maps = MessageAddressingProperties(
-            to=maps.to,
-            action=maps.action,
-            reply_to=proto_reply,
-            message_id=plant(("mid",)) if maps.message_id is not None else None,
-            trace_context=plant(("tc",)) if maps.trace_context is not None else None,
-        )
-        proto_maps.apply_to(envelope, target=target)
-        # the slow path by name: a wire template of the prototype's own
-        # shape would be an entry no call ever uses
-        return EnvelopeTemplate.from_wire(
-            serialize(envelope.to_element(), xml_declaration=True), sentinels
-        )
-
-    # -- per-call values ---------------------------------------------------
-    @staticmethod
-    def _values(
-        maps: MessageAddressingProperties, args: dict[str, Any]
-    ) -> Optional[dict]:
-        values: dict = {}
-        if maps.message_id is not None:
-            if not maps.message_id:
-                return None
-            values[("mid",)] = escape_text(maps.message_id)
-        if maps.trace_context is not None:
-            if not maps.trace_context:
-                return None
-            values[("tc",)] = escape_text(maps.trace_context)
-        for name, value in args.items():
-            if value is None:
-                continue
-            text = primitive_text(value)
-            if not text:
-                # '' would self-close on the slow path; fall back
-                return None
-            values[("arg", name)] = escape_text(text)
-        if maps.reply_to is not None:
-            values[("reply", "address")] = escape_text(maps.reply_to.address)
-            for i, text in enumerate(maps.reply_to.leaves()[1]):
-                if not text:
-                    return None
-                values[("reply", i)] = escape_text(text)
-        return values
 
 
 #: Process-wide template cache shared by every invocation node.

@@ -48,13 +48,6 @@ class TestEnvelope:
         env.add_header(Element(QName("urn:h", "Token", "h")))
         assert env.find_header("Token") is not None
 
-    def test_find_headers_by_namespace(self):
-        env = SoapEnvelope()
-        env.add_header(Element(QName("urn:a", "X", "a")))
-        env.add_header(Element(QName("urn:a", "Y", "a")))
-        env.add_header(Element(QName("urn:b", "Z", "b")))
-        assert len(env.find_headers("urn:a")) == 2
-
     def test_non_envelope_rejected(self):
         with pytest.raises(SoapEnvelopeError):
             SoapEnvelope.from_wire("<notsoap/>")

@@ -12,7 +12,6 @@ from repro.caching import (
 )
 from repro.core.invocation import _pipe_target
 from repro.soap.encoding import StructRegistry
-from repro.soap.envelope import EnvelopeTemplate
 from repro.soap.rpc import build_rpc_request
 from repro.soap.stubs import DynamicStubBuilder, OperationSpec, StubSpec
 from repro.transport.uri import Uri, UriError, parse_uri_cached
@@ -269,18 +268,6 @@ def _slow_wire(maps: MessageAddressingProperties, namespace, operation, args, ta
 
 
 class TestEnvelopeTemplates:
-    def test_template_split_and_render(self):
-        template = EnvelopeTemplate.from_wire(
-            "<a>\x000\x00</a><b>\x001\x00</b>", {"x": "\x000\x00", "y": "\x001\x00"}
-        )
-        assert template.render({"x": "1", "y": "2"}) == "<a>1</a><b>2</b>"
-
-    def test_template_rejects_duplicated_sentinel(self):
-        assert EnvelopeTemplate.from_wire("\x000\x00 \x000\x00", {"x": "\x000\x00"}) is None
-
-    def test_template_rejects_missing_sentinel(self):
-        assert EnvelopeTemplate.from_wire("static only", {"x": "\x000\x00"}) is None
-
     def test_http_shape_matches_slow_path(self):
         target = EndpointReference("http://node-1:8080/svc/Echo")
         args = {"text": "hello & <world>", "n": 41, "f": 2.5, "b": False, "z": None}

@@ -66,3 +66,42 @@ def test_oracle_shares_no_code_with_the_production_codec():
                         f"{node.module}.{a.name}" for a in node.names if a.name not in allowed
                     ]
     assert not offenders, f"an oracle imports production code: {offenders}"
+
+
+#: the one module that plants sentinels, cuts wires at them and walks
+#: slot texts; the parser under ``xmlkit`` walks text of its own
+SHAPES = pathlib.Path("soap") / "shapes.py"
+
+
+def _engine_offenses(tree: ast.AST) -> list[str]:
+    """What a second template or skeleton engine would have to do."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\x00" in node.value:
+            found.append(f"line {node.lineno}: plants a NUL sentinel")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("EnvelopeTemplate", "Wire", "split_at_sentinels", "Tokenizer"):
+                found.append(f"line {node.lineno}: cuts a wire ({name})")
+            elif name == "decode_entities" or (
+                name == "find" and len(node.args) == 2
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value == "<"
+            ):
+                found.append(f"line {node.lineno}: walks slot texts ({name})")
+    return found
+
+
+def test_one_shape_engine_for_both_codec_directions():
+    """Every wire template, skeleton and slot walk is compiled by
+    ``soap/shapes.py``; the codec's other modules are its clients."""
+    src = pathlib.Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(src)} {offense}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src) != SHAPES and path.relative_to(src).parts[0] != "xmlkit"
+        for offense in _engine_offenses(ast.parse(path.read_text()))
+    ]
+    assert not offenders, f"a second codec engine outside {SHAPES}: {offenders}"
+    # the sweep sees what it is looking for
+    assert _engine_offenses(ast.parse((src / SHAPES).read_text()))
