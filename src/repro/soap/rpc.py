@@ -22,7 +22,7 @@ import inspect
 from typing import Any, Callable, Optional
 
 from repro.soap.attachments import attachment_scope
-from repro.soap.encoding import StructRegistry, decode_value, encode_value, value_shape
+from repro.soap.encoding import EncodingError, StructRegistry, decode_value, encode_value, value_shape
 from repro.soap.envelope import DeferredBody, SoapEnvelope
 from repro.soap.faults import FaultCode, SoapFault
 from repro.xmlkit import Element, QName
@@ -171,11 +171,14 @@ def _rpc_envelope(
     the values have a shape the body stays those texts, otherwise the
     element tree is built here — either way an unencodable value raises
     now, not when the wire is written."""
-    texts: list = []
+    texts: list = [name.uri]
     found: list = []
-    shape = value_shape(params, texts, found)
+    try:
+        shape = value_shape(params, texts, found)
+    except EncodingError:
+        shape = None  # the element path raises it, or an offence before it
     if shape is not None:
-        return SoapEnvelope.for_deferred(DeferredBody(name, texts, (name.uri, name.local, shape[1])))
+        return SoapEnvelope.for_deferred(DeferredBody(name, texts, (name.local, shape[1])))
     wrapper = Element(name, nsdecls={"tns": name.uri})
     for param, value in params.items():
         wrapper.append(encode_value(QName("", param), value, registry))

@@ -29,9 +29,9 @@ from typing import Any, Optional
 from repro.caching import ArtifactCache
 from repro.observability.recorder import current_recorder
 from repro.observability.tracecontext import TRACE_HEADER, header_element as trace_header_element
-from repro.soap.encoding import EMPTY, SCALAR_TYPES, rpc_tree, value_shape
+from repro.soap.encoding import EMPTY, SCALAR_TYPES, EncodingError, rpc_tree, value_shape
 from repro.soap.envelope import DeferredHeaders, SoapEnvelope, envelope_shape
-from repro.soap.shapes import shape_of, template
+from repro.soap.shapes import SLOT, shape_of, template
 from repro.wsa.epr import EndpointReference, WsaError, grow_leaves
 from repro.xmlkit import Element, QName, ns
 
@@ -278,18 +278,13 @@ def _bypass(operation: str, why: str) -> None:
         rec.codec_event("template-bypass", {"operation": operation, "why": why})
 
 
-def _request_template(namespace, operation, params, heads, head_texts, fixed):
-    """The template of a request whose To, Action and target property
-    texts are static; :data:`_UNTEMPLATABLE` for an argument ``''`` or
-    a sentinel collision."""
+def _request_template(operation, params, heads):
+    """The template of a request of MAP shape *heads*; :data:`_UNTEMPLATABLE`
+    for an argument ``''`` or a sentinel collision."""
     if any(param == EMPTY for _, param in params):
         return _UNTEMPLATABLE
-    blocks = list(_MapHeaders.blocks_of(heads))
-    static = (0, 1, *range(len(blocks) - len(heads[-1]), len(blocks)))
-    for at, text in zip(static, head_texts[:2] + head_texts[fixed:]):
-        blocks[at] = blocks[at][:3] + ((text,),)  # each a leaf
-    body = rpc_tree(namespace, operation, params)
-    wire = template(envelope_shape(tuple(blocks), (body,)))
+    body = rpc_tree(SLOT, operation, params)
+    wire = template(envelope_shape(_MapHeaders.blocks_of(heads), (body,)))
     rec = current_recorder()
     if wire is not None and rec.active:
         rec.codec_event("template-build", {"operation": operation})
@@ -297,13 +292,13 @@ def _request_template(namespace, operation, params, heads, head_texts, fixed):
 
 
 class RequestTemplateCache:
-    """The request shape per target, for the invocation hot path.
+    """The request shape per class, for the invocation hot path.
 
     One value walk (``value_shape``) and one MAP record (``_record``)
-    give the texts and the key: their shapes plus what stays put from
-    call to call to one target — namespace, operation, ``wsa:To``,
-    ``wsa:Action`` and the target's property texts, which the cached
-    template writes as static text.  It is the template of the envelope
+    give the texts and the key: their shapes and the operation.  What
+    names a service — ``wsa:To``, ``wsa:Action``, the namespace, the
+    target's properties — is slots, not key, so the services of one
+    class share a template.  It is the template of the envelope
     ``build_rpc_request`` + ``apply_to`` would make, so the bytes are
     theirs.  Scalar and ``None`` arguments only: a list, a struct or
     ``''`` makes :meth:`render` return None and the caller builds the
@@ -326,20 +321,21 @@ class RequestTemplateCache:
             if value.__class__ not in SCALAR_TYPES:  # the generic path walks it
                 return _bypass(operation, "unkeyable")
         texts: list = []
-        shape = value_shape(args, texts, [])
+        try:
+            shape = value_shape(args, texts, [])
+        except EncodingError:  # the generic path raises it, or an offence before it
+            return _bypass(operation, "unencodable")
         recorded = None if shape is None else maps._record(target)
         if recorded is None:
             return _bypass(operation, "unkeyable")
         heads, head_texts = recorded
-        fixed = len(head_texts) - len(heads[-1])  # the target's texts start here
-        key = (namespace, operation, heads, shape, head_texts[0], head_texts[1], *head_texts[fixed:])
+        key = (operation, heads, shape)
         wire = self._cache.get(key)
         if wire is None:
-            wire = _request_template(namespace, operation, shape[1], heads, head_texts, fixed)
-            self._cache.put(key, wire)
+            wire = self._cache.put(key, _request_template(operation, shape[1], heads))
         if wire is _UNTEMPLATABLE:
             return _bypass(operation, "untemplatable")
-        rendered = wire.render(head_texts[2:fixed] + texts)
+        rendered = wire.render([*head_texts, namespace, *texts])
         if rendered is None:
             return _bypass(operation, "unrenderable")
         rec = current_recorder()

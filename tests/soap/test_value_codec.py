@@ -15,7 +15,7 @@ import re
 
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.caching import cache_stats, clear_all_caches, reset_cache_stats
@@ -255,6 +255,7 @@ _values = st.recursive(
 
 @settings(max_examples=250, deadline=None)
 @given(_values)
+@example([{"bad key": 1}, "\x1f"])  # the bad name comes first, and wins
 def test_every_value_crosses_the_wire_as_the_element_path_would(value):
     assert_parity(value, REGISTRY)
 
