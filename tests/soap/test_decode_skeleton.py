@@ -237,6 +237,41 @@ def test_a_sibling_wire_hits_the_skeleton_of_the_first(stack_wires):
     assert cache_stats()[STORE]["size"] == size == 1
 
 
+def _static_namespace(uri, written):
+    """An echo request of *uri* whose body namespace cannot be a slot."""
+    wire = build_rpc_request(uri, "echo", {"message": "hi"}).to_wire()
+    decl = f' xmlns:tns="{uri}"'
+    if written == "on-the-envelope":
+        return wire.replace(decl, "").replace("<soapenv:Envelope ", f"<soapenv:Envelope{decl} ")
+    return wire.replace(decl, f" xmlns:tns='{uri}'") if written == "single-quoted" else wire
+
+
+@pytest.mark.parametrize("written", ["on-the-envelope", "single-quoted", "escaped"])
+def test_services_whose_body_namespace_stays_static_each_get_a_skeleton(written):
+    """Only a body whose own declaration becomes a slot keys on its class;
+    otherwise two services sharing prefix, names and tag count would share
+    one key, and the one cut second would miss for good."""
+    uris = ["urn:a&1", "urn:b&1"] if written == "escaped" else ["urn:a", "urn:b"]
+    wires = [_static_namespace(uri, written) for uri in uris]
+    for wire in wires:
+        learn(wire)
+    for wire in wires:
+        before = hits()
+        assert_parity(wire)
+        assert hits() == before + 1, wire
+    assert cache_stats()[STORE]["size"] == 2
+
+
+def test_services_of_one_class_share_one_skeleton():
+    """A body declaring its own prefix once, verbatim: its namespace is a
+    slot, and a second service of the class is a hit without a cut."""
+    learn(build_rpc_request("urn:a", "echo", {"message": "hi"}).to_wire())
+    before = hits()
+    assert_parity(build_rpc_request("urn:b", "echo", {"message": "ho"}).to_wire())
+    assert hits() == before + 1
+    assert cache_stats()[STORE]["size"] == 1
+
+
 ENVELOPE = (
     '<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/" '
     'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">%s</soapenv:Envelope>'
