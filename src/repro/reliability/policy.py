@@ -10,7 +10,9 @@ acknowledgement and circuit-breaker switches the bindings understand.
 
 Everything is deterministic: jitter comes from a seeded generator, so
 a seeded simulation run always produces the same retransmission
-schedule.
+schedule.  The generator is built on the first jittered delay, so a
+policy that never backs off (``naive()``, ``max_attempts=1``) never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Type
 
-import numpy as np
+from repro.simnet.rng import default_rng
 
 
 class ReliabilityError(Exception):
@@ -63,7 +65,7 @@ class RetryPolicy:
         #: exception types that justify another attempt; None means the
         #: caller's default classification applies.
         self.retry_on = retry_on
-        self._rng = np.random.default_rng(seed)
+        self._rng = None
 
     def delay(self, attempt: int) -> float:
         """Backoff delay after failed attempt *attempt* (0-based)."""
@@ -72,6 +74,8 @@ class RetryPolicy:
         raw = min(self.base_delay * (self.multiplier ** attempt), self.max_delay)
         if raw <= 0 or self.jitter == 0:
             return max(raw, 0.0)
+        if self._rng is None:
+            self._rng = default_rng(self.seed)
         factor = 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
         return raw * factor
 
@@ -101,7 +105,7 @@ class RetryPolicy:
 
     def reset(self) -> None:
         """Re-seed the jitter stream (restores determinism for reruns)."""
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = None
 
     def __repr__(self) -> str:
         return (

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.simnet.faults import PartitionInjector
 from repro.simnet.network import Network
+from repro.simnet.rng import default_rng
 
 
 @dataclass
@@ -40,7 +39,7 @@ class ChurnSchedule:
 
     def __init__(self, network: Network, seed: int = 0):
         self.network = network
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         self.log: list[ChurnRecord] = []
         self._partitions: list[PartitionInjector] = []
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.simnet.network import Frame, Network
+from repro.simnet.rng import default_rng
 
 
 class DropInjector:
@@ -23,7 +22,7 @@ class DropInjector:
         if not 0.0 <= p <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
         self.p = p
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         self._only = set(only_nodes) if only_nodes is not None else None
         self._network = network
         self.dropped = 0
@@ -93,7 +92,7 @@ class ChurnInjector:
 
     def __init__(self, network: Network, seed: int = 0):
         self.network = network
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         self.failed: list[str] = []
 
     def fail(self, node_ids: Iterable[str], at: float) -> None:
@@ -120,9 +119,10 @@ class ChurnInjector:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         k = int(round(len(candidates) * fraction))
-        chosen = list(self._rng.choice(list(candidates), size=k, replace=False)) if k else []
+        drawn = self._rng.choice(list(candidates), size=k, replace=False) if k else []
+        chosen = [str(c) for c in drawn]
         self.fail(chosen, at)
-        return [str(c) for c in chosen]
+        return chosen
 
 
 class NatGate:

@@ -1,14 +1,17 @@
 """Link latency models.
 
 All randomness flows through a seeded :class:`numpy.random.Generator`
-owned by the model, keeping simulations reproducible.
+owned by the model, keeping simulations reproducible.  The generator
+comes from :func:`repro.simnet.rng.default_rng`, so numpy is imported
+when a random model is built; a network on :class:`FixedLatency` (the
+default) never loads it.
 """
 
 from __future__ import annotations
 
 import abc
 
-import numpy as np
+from repro.simnet import rng
 
 
 class LatencyModel(abc.ABC):
@@ -45,7 +48,7 @@ class UniformLatency(LatencyModel):
             raise ValueError("require 0 <= low <= high")
         self.low = low
         self.high = high
-        self._rng = np.random.default_rng(seed)
+        self._rng = rng.default_rng(seed)
 
     def sample(self, src: str, dst: str, size: int) -> float:
         return float(self._rng.uniform(self.low, self.high))
@@ -70,8 +73,11 @@ class SeededLatency(LatencyModel):
         self.median = median
         self.sigma = sigma
         self.per_byte = per_byte
-        self._rng = np.random.default_rng(seed)
+        self._rng = rng.default_rng(seed)
+        # numpy's log, not math.log: the two differ in the last bit for
+        # some medians, and that bit reaches every sample
+        self._log = rng.numpy().log
 
     def sample(self, src: str, dst: str, size: int) -> float:
-        base = float(self._rng.lognormal(mean=np.log(self.median), sigma=self.sigma))
+        base = float(self._rng.lognormal(mean=self._log(self.median), sigma=self.sigma))
         return base + self.per_byte * size
