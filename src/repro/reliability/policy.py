@@ -11,8 +11,8 @@ acknowledgement and circuit-breaker switches the bindings understand.
 Everything is deterministic: jitter comes from a seeded generator, so
 a seeded simulation run always produces the same retransmission
 schedule.  The generator is built on the first jittered delay, so a
-policy that never backs off (``naive()``, ``max_attempts=1``) never
-loads numpy.
+policy that never backs off (``naive()``, ``max_attempts=1``) builds
+none, and a jittered one checks its seed before any timer runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Type
 
-from repro.simnet.rng import default_rng
+from repro.simnet.rng import check_seed, default_rng
 
 
 class ReliabilityError(Exception):
@@ -61,7 +61,7 @@ class RetryPolicy:
         self.multiplier = multiplier
         self.max_delay = max_delay
         self.jitter = jitter
-        self.seed = seed
+        self.seed = check_seed(seed) if jitter else seed
         #: exception types that justify another attempt; None means the
         #: caller's default classification applies.
         self.retry_on = retry_on

@@ -1,10 +1,10 @@
 """Link latency models.
 
-All randomness flows through a seeded :class:`numpy.random.Generator`
-owned by the model, keeping simulations reproducible.  The generator
-comes from :func:`repro.simnet.rng.default_rng`, so numpy is imported
-when a random model is built; a network on :class:`FixedLatency` (the
-default) never loads it.
+All randomness flows through a seeded generator owned by the model,
+keeping simulations reproducible: :func:`repro.simnet.rng.default_rng`
+draws numpy's stream for the seed, in pure Python for
+:class:`UniformLatency` and through numpy for :class:`SeededLatency`'s
+log-normal.  :class:`FixedLatency` (the default) draws nothing.
 """
 
 from __future__ import annotations

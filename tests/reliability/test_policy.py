@@ -62,6 +62,16 @@ class TestRetryPolicyBackoff:
         with pytest.raises(ValueError):
             RetryPolicy().delay(-1)
 
+    def test_a_jittered_policy_checks_its_seed_at_construction(self):
+        # the first jittered delay runs inside a retransmit timer: a bad
+        # seed must fail where the policy is written, not there
+        with pytest.raises(ValueError):
+            RetryPolicy(jitter=0.2, seed=-1)
+        with pytest.raises(TypeError):
+            RetryPolicy(jitter=0.2, seed=1.5)
+        # without jitter the seed is never drawn from, so it is not checked
+        assert RetryPolicy(jitter=0.0, seed=-1).schedule() == pytest.approx([0.05, 0.1])
+
 
 class TestRetryClassification:
     def test_default_retries_transport_errors_not_faults(self):

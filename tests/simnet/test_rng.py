@@ -1,10 +1,12 @@
 """Seeded generators: who loads numpy, and which streams they draw.
 
-numpy is imported only when a seeded model is built (or a retry policy
-first jitters a delay), so a peer that only hosts and invokes never
-loads it.  Moving the import must not move a single draw: every model
-below is held to the same calls made directly on
-``numpy.random.default_rng(seed)``, in the order the models make them.
+``repro.simnet.rng`` draws numpy's PCG64 stream in pure Python, so a
+peer that drops frames or jitters its retries never loads numpy; only a
+model that asks for a distribution not ported (log-normal latency,
+churn's choice) does.  Neither the port nor the handover to numpy may
+move a single draw: every model below is held to the same calls made
+directly on ``numpy.random.default_rng(seed)``, in the order the models
+make them, and the generator itself to numpy draw for draw.
 """
 
 import os
@@ -26,6 +28,7 @@ from repro.simnet import (
     Network,
     SeededLatency,
     UniformLatency,
+    rng,
 )
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -67,10 +70,19 @@ BARE_PEER = textwrap.dedent(
     assert consumer.invoke(handle, "echo", message="hi") == "hi"
 
     assert "numpy" not in sys.modules, "a bare peer loaded numpy"
-    from repro.simnet import DropInjector
+    from repro.reliability import ReliabilityPolicy
+    from repro.simnet import DropInjector, SeededLatency
 
-    DropInjector(net, p=0.1)
-    assert "numpy" in sys.modules, "a drop model drew without numpy"
+    # the lossy_p2ps shape: frames dropped, calls retried with jitter
+    drops = DropInjector(net, p=0.2, seed=3)
+    policy = ReliabilityPolicy.assured(attempts=8, seed=5)
+    for i in range(20):
+        assert consumer.invoke(handle, "echo", message=str(i), timeout=30.0, policy=policy) == str(i)
+    assert drops.dropped and policy.retry._rng is not None, "nothing dropped or retried"
+    assert "numpy" not in sys.modules, "a drop model or retry jitter loaded numpy"
+
+    SeededLatency(seed=1)
+    assert "numpy" in sys.modules, "log-normal latency drew without numpy"
     """
 )
 
@@ -178,3 +190,49 @@ def test_fail_fraction_records_plain_strings(seed):
     assert chosen == expected
     assert injector.failed == expected
     assert all(type(node_id) is str for node_id in injector.failed)
+
+
+PARITY_SEEDS = [*range(100), 2**32 - 1, 2**32, 2**64, 2**128 + 1]
+
+
+@pytest.mark.parametrize("seed", PARITY_SEEDS)
+def test_random_and_uniform_draw_numpys_stream(seed):
+    ours, theirs = rng.default_rng(seed), np.random.default_rng(seed)
+    assert [ours.random() for _ in range(1000)] == [theirs.random() for _ in range(1000)]
+    assert [ours.uniform(0.001, 0.004) for _ in range(1000)] == [
+        theirs.uniform(0.001, 0.004) for _ in range(1000)
+    ]
+
+
+def _interleaved(gen):
+    return [
+        gen.random(),
+        gen.uniform(1.0, 5.0),
+        float(gen.lognormal(mean=0.0, sigma=0.4)),
+        gen.random(),
+        [str(c) for c in gen.choice(["a", "b", "c", "d"], size=2, replace=False)],
+        gen.uniform(1.0, 5.0),
+        gen.random(),
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_numpy_only_draw_hands_the_stream_over(seed):
+    # random -> lognormal/choice (the handover) -> random: one stream
+    assert _interleaved(rng.default_rng(seed)) == _interleaved(np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError)])
+def test_a_bad_seed_is_refused_as_numpy_refuses_it(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        rng.default_rng(seed)
+
+
+@pytest.mark.parametrize("low, high, error", [(2.0, 1.0, ValueError), (0.0, float("inf"), OverflowError)])
+def test_a_bad_uniform_range_is_refused_as_numpy_refuses_it(low, high, error):
+    with pytest.raises(error):
+        np.random.default_rng(0).uniform(low, high)
+    with pytest.raises(error):
+        rng.default_rng(0).uniform(low, high)
