@@ -12,29 +12,18 @@ The most common entry points are re-exported here::
     peer = WSPeer(net.add_node("me"), StandardBinding(registry_uri))
 """
 
-from repro.core.binding import Binding, P2psBinding, StandardBinding
-from repro.core.events import PeerMessageListener
-from repro.core.handle import ServiceHandle
-from repro.core.query import P2PSServiceQuery, ServiceQuery, UDDIServiceQuery
-from repro.core.wspeer import WSPeer
-from repro.p2ps.group import PeerGroup
-from repro.simnet.network import Network
-from repro.uddi.service import UddiRegistryNode
+from repro._exports import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "WSPeer",
-    "Binding",
-    "StandardBinding",
-    "P2psBinding",
-    "PeerMessageListener",
-    "ServiceHandle",
-    "ServiceQuery",
-    "UDDIServiceQuery",
-    "P2PSServiceQuery",
-    "PeerGroup",
-    "Network",
-    "UddiRegistryNode",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".core.binding": ("Binding", "P2psBinding", "StandardBinding"),
+    ".core.events": ("PeerMessageListener",),
+    ".core.handle": ("ServiceHandle",),
+    ".core.query": ("P2PSServiceQuery", "ServiceQuery", "UDDIServiceQuery"),
+    ".core.wspeer": ("WSPeer",),
+    ".p2ps.group": ("PeerGroup",),
+    ".simnet.network": ("Network",),
+    ".uddi.service": ("UddiRegistryNode",),
+})
+__all__.append("__version__")

@@ -12,26 +12,10 @@
     a decentralised P2PS topology.
 """
 
-from repro.apps.workflow import Tool, Toolbox, Workflow, WorkflowEngine, WorkflowError
-from repro.apps.cactus import CactusSimulation, ResultCollector, run_cactus_scenario
-from repro.apps.catnets import (
-    ConsumerAgent,
-    MarketStats,
-    ProviderAgent,
-    run_market_rounds,
-)
+from repro._exports import exports
 
-__all__ = [
-    "Tool",
-    "Toolbox",
-    "Workflow",
-    "WorkflowEngine",
-    "WorkflowError",
-    "CactusSimulation",
-    "ResultCollector",
-    "run_cactus_scenario",
-    "ProviderAgent",
-    "ConsumerAgent",
-    "MarketStats",
-    "run_market_rounds",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".workflow": ("Tool", "Toolbox", "Workflow", "WorkflowEngine", "WorkflowError"),
+    ".cactus": ("CactusSimulation", "ResultCollector", "run_cactus_scenario"),
+    ".catnets": ("ConsumerAgent", "MarketStats", "ProviderAgent", "run_market_rounds"),
+})

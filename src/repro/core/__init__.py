@@ -29,38 +29,17 @@ The package mirrors the paper's interface tree (Fig. 2):
   (Figs. 4–6), and their components can be mixed (§IV).
 """
 
-from repro.core.events import (
-    ClientMessageEvent,
-    DeploymentMessageEvent,
-    DiscoveryMessageEvent,
-    EventSource,
-    PeerMessageListener,
-    PublishMessageEvent,
-    ServerMessageEvent,
-)
-from repro.core.query import P2PSServiceQuery, ServiceQuery, UDDIServiceQuery
-from repro.core.handle import ServiceHandle
-from repro.core.hosting import DeployedService, LightweightContainer
-from repro.core.errors import WsPeerError, DeploymentError, DiscoveryError, InvocationError
-from repro.core.wspeer import WSPeer
+from repro._exports import exports
 
-__all__ = [
-    "WSPeer",
-    "PeerMessageListener",
-    "EventSource",
-    "DiscoveryMessageEvent",
-    "PublishMessageEvent",
-    "ClientMessageEvent",
-    "ServerMessageEvent",
-    "DeploymentMessageEvent",
-    "ServiceQuery",
-    "UDDIServiceQuery",
-    "P2PSServiceQuery",
-    "ServiceHandle",
-    "DeployedService",
-    "LightweightContainer",
-    "WsPeerError",
-    "DeploymentError",
-    "DiscoveryError",
-    "InvocationError",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".events": (
+        "ClientMessageEvent", "DeploymentMessageEvent", "DiscoveryMessageEvent",
+        "EventSource", "PeerMessageListener", "PublishMessageEvent",
+        "ServerMessageEvent",
+    ),
+    ".query": ("P2PSServiceQuery", "ServiceQuery", "UDDIServiceQuery"),
+    ".handle": ("ServiceHandle",),
+    ".hosting": ("DeployedService", "LightweightContainer"),
+    ".errors": ("WsPeerError", "DeploymentError", "DiscoveryError", "InvocationError"),
+    ".wspeer": ("WSPeer",),
+})

@@ -14,21 +14,17 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.deployer import HttpServiceDeployer, P2psServiceDeployer, ServiceDeployer
-from repro.core.invocation import HttpInvocation, Invocation, P2psInvocation
-from repro.core.locator import P2psServiceLocator, ServiceLocator, UddiServiceLocator
-from repro.core.publisher import (
-    P2psServicePublisher,
-    ServicePublisher,
-    UddiServicePublisher,
-)
-from repro.p2ps.group import PeerGroup
-from repro.p2ps.peer import Peer
+from repro.core.deployer import HttpServiceDeployer, ServiceDeployer
+from repro.core.invocation import HttpInvocation, Invocation
+from repro.core.locator import ServiceLocator, UddiServiceLocator
+from repro.core.publisher import ServicePublisher, UddiServicePublisher
 from repro.reliability import ReliabilityPolicy
-from repro.transport.httpg import CertificateAuthority, Credential, HttpgTransport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.wspeer import WSPeer
+    from repro.p2ps.group import PeerGroup
+    from repro.p2ps.peer import Peer
+    from repro.transport.httpg import CertificateAuthority, Credential
 
 
 class Binding(abc.ABC):
@@ -96,6 +92,8 @@ class StandardBinding(Binding):
     def make_invocation(self, wspeer: "WSPeer") -> Invocation:
         extra = []
         if self.ca is not None and self.credential is not None:
+            from repro.transport.httpg import HttpgTransport
+
             extra.append(
                 HttpgTransport(wspeer.node, self.ca, self.credential, pool=wspeer.http_pool)
             )
@@ -109,7 +107,8 @@ class P2psBinding(Binding):
     """SOAP over P2PS pipes with group/rendezvous discovery (§IV-B).
 
     All four components share one :class:`~repro.p2ps.peer.Peer`, which
-    the binding creates lazily and joins to *group*.
+    the binding creates lazily and joins to *group*.  They come from
+    :mod:`repro.core.p2psmap`, loaded by the first of them.
     """
 
     name = "p2ps"
@@ -137,6 +136,8 @@ class P2psBinding(Binding):
 
     def ensure_peer(self, wspeer: "WSPeer") -> Peer:
         if wspeer.peer is None:
+            from repro.p2ps.peer import Peer
+
             peer = Peer(
                 wspeer.node,
                 name=self.peer_name or wspeer.name,
@@ -148,11 +149,15 @@ class P2psBinding(Binding):
         return wspeer.peer
 
     def make_deployer(self, wspeer: "WSPeer") -> ServiceDeployer:
+        from repro.core.p2psmap import P2psServiceDeployer
+
         return P2psServiceDeployer(
             self.ensure_peer(wspeer), wspeer.server.container, parent=wspeer.server
         )
 
     def make_publisher(self, wspeer: "WSPeer", deployer: ServiceDeployer) -> ServicePublisher:
+        from repro.core.p2psmap import P2psServiceDeployer, P2psServicePublisher
+
         if not isinstance(deployer, P2psServiceDeployer):
             raise TypeError("P2PS publisher requires a P2PS deployer for its adverts")
         return P2psServicePublisher(
@@ -160,9 +165,13 @@ class P2psBinding(Binding):
         )
 
     def make_locator(self, wspeer: "WSPeer") -> ServiceLocator:
+        from repro.core.p2psmap import P2psServiceLocator
+
         return P2psServiceLocator(self.ensure_peer(wspeer), parent=wspeer.client)
 
     def make_invocation(self, wspeer: "WSPeer") -> Invocation:
+        from repro.core.p2psmap import P2psInvocation
+
         return P2psInvocation(
             self.ensure_peer(wspeer), parent=wspeer.client,
             default_policy=self.reliability,

@@ -28,25 +28,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.errors import DeploymentError
+from repro._exports import exports
 from repro.core.events import EventSource
 from repro.core.hosting import DeployedService, LightweightContainer
-from repro.core.p2psmap import epr_from_pipe, pipe_from_epr
-from repro.p2ps.advertisements import ServiceAdvertisement
-from repro.p2ps.peer import Peer
-from repro.p2ps.pipes import PipeError
-from repro.simnet.network import NetworkError, Node
+from repro.simnet.network import Node
 from repro.soap.attachments import MULTIPART_CONTENT_TYPE
 from repro.transport.http import HttpServer, HttpTransport
 from repro.transport.uri import Uri
-from repro.wsa.epr import EndpointReference, WsaError
-from repro.wsa.headers import MessageAddressingProperties
-from repro.wsa.p2psuri import make_p2ps_uri
-from repro.wsdl.model import (
-    SOAP_HTTP_TRANSPORT,
-    SOAP_HTTPG_TRANSPORT,
-    SOAP_P2PS_TRANSPORT,
-)
+from repro.wsa.epr import EndpointReference
+from repro.wsdl.model import SOAP_HTTP_TRANSPORT, SOAP_HTTPG_TRANSPORT
+
+_, __getattr__, __dir__ = exports(__name__, {".p2psmap": ("P2psServiceDeployer",)})
 
 DEFINITION_PIPE_NAME = "definition"
 
@@ -133,99 +125,3 @@ class HttpServiceDeployer(ServiceDeployer):
         self.fire_deployment("endpoint-closed", service=name)
         if not self.server.started:
             self.fire_deployment("http-server-stopped", node=self.node.id)
-
-
-class P2psServiceDeployer(ServiceDeployer):
-    """SOAP-over-pipes endpoints: one pipe per operation + definition pipe."""
-
-    def __init__(
-        self,
-        peer: Peer,
-        container: LightweightContainer,
-        parent: Optional[EventSource] = None,
-    ):
-        super().__init__(container, parent)
-        self.peer = peer
-        self.adverts: dict[str, ServiceAdvertisement] = {}
-        self._pipe_ids: dict[str, list[str]] = {}
-
-    def deploy(self, deployed: DeployedService) -> None:
-        name = deployed.name
-        deployed.transport = SOAP_P2PS_TRANSPORT
-        pipe_ids: list[str] = []
-
-        def on_request(payload, meta: dict) -> None:
-            self.container.serve(name, payload, self._reply_maps, self._send)
-
-        def on_definition_request(payload, meta: dict) -> None:
-            # definition pipe protocol: a SOAP request whose ReplyTo names
-            # the pipe to stream the WSDL text back down
-            maps = self.container.accept(name, payload).maps
-            if maps is None or maps.reply_to is None:
-                return
-            try:
-                self._send(maps.reply_to, deployed.wsdl().to_wire())
-            except (WsaError, PipeError, NetworkError) as exc:
-                self.fire_server("reply-undeliverable", service=name, reason=str(exc))
-
-        for op_name in deployed.service.operation_names:
-            _, advert = self.peer.create_input_pipe(
-                op_name, service_name=name, listener=on_request
-            )
-            pipe_ids.append(advert.pipe_id)
-            deployed.add_endpoint(epr_from_pipe(advert), port_name=f"{name}-{op_name}")
-
-        _, def_advert = self.peer.create_input_pipe(
-            DEFINITION_PIPE_NAME, service_name=name, listener=on_definition_request
-        )
-        pipe_ids.append(def_advert.pipe_id)
-
-        advert = ServiceAdvertisement(
-            name,
-            self.peer.id,
-            pipes=[
-                self.peer.cache.get(f"pipe:{pid}")  # type: ignore[misc]
-                for pid in pipe_ids
-            ],
-            definition_pipe=DEFINITION_PIPE_NAME,
-            attributes={"namespace": deployed.namespace},
-        )
-        self.adverts[name] = advert
-        self._pipe_ids[name] = pipe_ids
-        self.fire_deployment(
-            "pipes-opened", service=name, pipes=len(pipe_ids),
-            address=make_p2ps_uri(self.peer.id, name),
-        )
-
-    def undeploy(self, deployed: DeployedService) -> None:
-        name = deployed.name
-        for pipe_id in self._pipe_ids.pop(name, []):
-            self.peer.close_input_pipe(pipe_id)
-        self.adverts.pop(name, None)
-        self.fire_deployment("pipes-closed", service=name)
-
-    def advert_for(self, name: str) -> ServiceAdvertisement:
-        advert = self.adverts.get(name)
-        if advert is None:
-            raise DeploymentError(f"service {name!r} is not deployed over P2PS")
-        return advert
-
-    # -- what this binding supplies to the hosting pipeline (Fig. 6) -------
-    @staticmethod
-    def _reply_maps(
-        maps: MessageAddressingProperties,
-    ) -> Optional[MessageAddressingProperties]:
-        """Correlate the answer with its request (steps 5/6)."""
-        if maps.reply_to is None:
-            return None  # one-way invocation: nothing to return
-        return MessageAddressingProperties(
-            to=maps.reply_to.address,
-            action=f"{maps.action}Response",
-            relates_to=maps.message_id,
-        )
-
-    def _send(self, reply_to: EndpointReference, wire) -> None:
-        """Convert the ReplyTo endpoint reference to a pipe advertisement,
-        request the return pipe and send *wire* down it (steps 2/4/6)."""
-        out_pipe = self.peer.open_output_pipe(pipe_from_epr(reply_to))
-        self.peer.send_down_pipe(out_pipe, wire)

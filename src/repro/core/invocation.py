@@ -35,14 +35,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.caching import ArtifactCache
+from repro._exports import exports
 from repro.core.errors import InvocationError
 from repro.core.events import EventSource
 from repro.observability import metrics as obs_metrics
 from repro.core.handle import ServiceHandle
-from repro.core.p2psmap import action_for_pipe, epr_from_pipe, pipe_from_epr
-from repro.p2ps.peer import Peer
-from repro.p2ps.pipes import PipeError
 from repro.reliability import (
     CircuitBreakerRegistry,
     OnewayStatus,
@@ -72,6 +69,10 @@ from repro.wsa.headers import (
     request_templates,
 )
 from repro.wsdl.stubspec import stub_spec_cached
+
+_, __getattr__, __dir__ = exports(
+    __name__, {".p2psmap": ("P2psInvocation", "_pipe_target")}
+)
 
 #: Completion callback: (result, error) — exactly one is non-None,
 #: except for void results where both may be None.
@@ -239,8 +240,8 @@ class Invocation(EventSource):
                     timeout if budget is None
                     else budget if timeout is None else min(timeout, budget),
                 )
-            except PipeError as exc:  # the local node is down: nothing can leave
-                call.finish(None, InvocationError(str(exc)))
+            except InvocationError as exc:  # the hop cannot send: nothing to retry
+                call.finish(None, exc)
 
         def on_retry(next_attempt: int, delay: float, error: Exception) -> None:
             obs_metrics.inc("client.retransmits")
@@ -448,173 +449,3 @@ class HttpInvocation(Invocation):
             )
         # Action names the WSDL operation: address + ``#operation``
         return _HttpHop(transport, uri, f"{endpoint.address}#{operation}")
-
-
-#: a pipe EPR's (address, property shape, *property texts) -> its
-#: (PipeAdvertisement, wsa:Action); a WsaError is not cached
-_pipe_targets = ArtifactCache("p2ps-targets", max_entries=256)
-
-
-def _pipe_target(endpoint: EndpointReference) -> tuple:
-    """The pipe *endpoint* names and the ``wsa:Action`` to send down it,
-    mapped once per struct of leaves (any other EPR every time)."""
-    leaves = endpoint.leaves()
-    key = None if leaves is None else (endpoint.address, leaves[0], *leaves[1])
-    found = None if key is None else _pipe_targets.get(key)
-    if found is None:
-        target = pipe_from_epr(endpoint)
-        found = (target, action_for_pipe(target))
-        if key is not None:
-            _pipe_targets.put(key, found)
-    return found
-
-
-class _PipeHop:
-    """Last hop over P2PS pipes — the consumer flow of Fig. 5.
-
-    Step 1: request an input pipe and its advertisement; 2/3: serialise
-    the advert to the WS-Addressing ``ReplyTo`` of the request; 4: listen
-    on it; 5: send SOAP down the provider's pipe.  A bare one-way skips
-    1–4, so the provider does not answer (Fig. 6 short-circuits).  Pipes
-    are one-way and give no delivery signal: each send arms a timer that
-    reports silence as that attempt's error.
-    """
-
-    reply_to = None
-
-    def __init__(
-        self, peer: Peer, endpoint: EndpointReference, operation: str,
-        reply: Optional[str],
-    ):
-        self._peer = peer
-        self._whom = (endpoint.address, operation)
-        target, self.action = _pipe_target(endpoint)
-        # resolved per call, never cached: a peer that moved is found
-        # again on the next call
-        self._out = peer.open_output_pipe(target)
-        self._in_id: Optional[str] = None
-        self._timer = None
-        self._on_reply = None
-        self._sends = 0
-        if reply is not None:
-            pipe, advert = peer.create_input_pipe(f"{reply}-{operation}")
-            pipe.add_listener(lambda payload, meta: self._on_reply(payload, None))
-            self._in_id = advert.pipe_id
-            self.reply_to = epr_from_pipe(advert)
-
-    def send(self, wire, on_reply, timeout: Optional[float]) -> None:
-        self._disarm()
-        self._on_reply = on_reply
-        self._sends += 1
-        self._peer.send_down_pipe(self._out, wire)
-        if self.reply_to is None:
-            on_reply(None, None)  # nothing comes back: sent is done
-        elif timeout is not None:
-            self._timer = self._peer.network.kernel.schedule(
-                timeout, self._silence, on_reply, timeout
-            )
-
-    def _silence(self, on_reply, timeout: float) -> None:
-        address, operation = self._whom
-        on_reply(None, InvocationError(
-            f"no response from {address} for {operation!r} after {self._sends} "
-            f"attempt(s) of {timeout}s"
-        ))
-
-    def _disarm(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()  # a no-op once the timer has fired
-
-    def close(self) -> None:
-        self._disarm()
-        if self._in_id is not None:
-            self._peer.close_input_pipe(self._in_id)
-
-
-class P2psInvocation(Invocation):
-    """SOAP over P2PS pipes.
-
-    Reliability here is retransmission: when an attempt's timer lapses
-    the same request (same MessageID) is re-sent after the policy's
-    backoff; the provider suppresses duplicate execution and replays its
-    retained response, so retries are safe even for non-idempotent
-    operations.
-    """
-
-    schemes = ("p2ps",)
-
-    def __init__(
-        self,
-        peer: Peer,
-        parent: Optional[EventSource] = None,
-        default_policy: Optional[ReliabilityPolicy] = None,
-    ):
-        super().__init__(peer.network.kernel, parent, default_policy=default_policy)
-        self.peer = peer
-
-    def _resolve(self, handle: ServiceHandle, operation: str) -> EndpointReference:
-        for endpoint in handle.endpoints:
-            if not endpoint.address.startswith("p2ps://"):
-                continue
-            if endpoint.property_text("PipeName") == operation:
-                return endpoint
-        raise InvocationError(
-            f"service {handle.name!r} has no p2ps pipe for operation {operation!r}"
-        )
-
-    def _open_hop(
-        self, endpoint: EndpointReference, operation: str, reply: Optional[str]
-    ) -> _PipeHop:
-        return _PipeHop(self.peer, endpoint, operation, reply)
-
-    def invoke_oneway(
-        self,
-        handle: ServiceHandle,
-        operation: str,
-        args: Optional[dict[str, Any]] = None,
-        policy: Optional[ReliabilityPolicy] = None,
-        timeout: Optional[float] = None,
-        **kwargs: Any,
-    ) -> Optional[OnewayStatus]:
-        """True one-way: no reply pipe is created and no ReplyTo header
-        is sent, so the provider does not answer.  Nothing is awaited,
-        so a failure to send raises here.
-
-        With an acknowledgement-requesting policy (``policy.ack``), the
-        WS-RM-lite handshake runs instead: an ack pipe is opened, the
-        request carries ``rm:AckRequested`` and is retransmitted (same
-        MessageID) until the provider's ack frame arrives or attempts
-        run out; the returned :class:`OnewayStatus` tracks the outcome,
-        errors included.  Acks are opt-in per call or per policy — a
-        bare oneway stays a single fire-and-forget frame.
-        """
-        all_args = dict(args or {})
-        all_args.update(kwargs)
-        if policy is None:
-            policy = self.default_policy or _NAIVE
-        if not policy.ack:
-            outcome: list[Optional[Exception]] = []
-            self._run(
-                handle, operation, all_args,
-                lambda result, error: outcome.append(error),
-                timeout, policy, oneway=True,
-            )
-            if outcome and outcome[0] is not None:
-                raise outcome[0]
-            return None
-        status = OnewayStatus(message_id=new_message_id())
-
-        def conclude(result: Any, error: Optional[Exception]) -> None:
-            if error is None:
-                status.acked = True
-                status.acked_at = self._now()
-            else:
-                status.error = error
-            status._conclude()
-
-        self._run(
-            handle, operation, all_args, conclude,
-            timeout if timeout is not None else 1.0, policy,
-            message_id=status.message_id, oneway=True, status=status,
-        )
-        return status

@@ -20,25 +20,19 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.deployer import DEFINITION_PIPE_NAME
+from repro._exports import exports
 from repro.core.errors import DiscoveryError
 from repro.core.events import EventSource
 from repro.core.handle import ServiceHandle
-from repro.core.p2psmap import epr_from_pipe
-from repro.core.query import P2PSServiceQuery, ServiceQuery, UDDIServiceQuery
-from repro.p2ps.advertisements import ServiceAdvertisement
-from repro.p2ps.peer import Peer
-from repro.p2ps.query import AdvertQuery
-from repro.simnet.kernel import SimTimeoutError
+from repro.core.query import ServiceQuery, UDDIServiceQuery
 from repro.simnet.network import Node
-from repro.soap.envelope import SoapEnvelope
 from repro.transport.base import TransportError
 from repro.transport.http import HttpClient, HttpRequest
 from repro.transport.uri import Uri
-from repro.uddi.client import UddiClient
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageAddressingProperties, new_message_id
 from repro.wsdl.parser import parse_wsdl_cached
+
+_, __getattr__, __dir__ = exports(__name__, {".p2psmap": ("P2psServiceLocator",)})
 
 
 def _get(uri: Uri) -> HttpRequest:
@@ -123,6 +117,8 @@ class UddiServiceLocator(ServiceLocator):
         timeout: float = 30.0,
         pool=None,
     ):
+        from repro.uddi.client import UddiClient
+
         super().__init__(lambda: node.network.kernel.now, parent)
         self.node = node
         self.http = HttpClient(node, timeout, pool=pool)
@@ -243,117 +239,3 @@ class UddiServiceLocator(ServiceLocator):
             "find_service_records", on_records,
             name_pattern=query.name_pattern, category_bag=categories,
         )
-
-
-class P2psServiceLocator(ServiceLocator):
-    """Discovers ServiceAdvertisements in the peer group."""
-
-    def __init__(self, peer: Peer, parent: Optional[EventSource] = None):
-        super().__init__(lambda: peer.network.kernel.now, parent)
-        self.peer = peer
-
-    def locate(
-        self, query: ServiceQuery, timeout: float = 10.0, expect: int = 1
-    ) -> list[ServiceHandle]:
-        attributes = query.attributes if isinstance(query, P2PSServiceQuery) else {}
-        ttl = query.ttl if isinstance(query, P2PSServiceQuery) else None
-        advert_query = AdvertQuery("service", query.name_pattern, attributes)
-        self.fire_discovery("query-issued", query=query.describe(), via="p2ps")
-        handle = self.peer.discover(advert_query, ttl=ttl)
-        adverts = handle.wait_for(expect, timeout=timeout)
-        handles = []
-        for advert in adverts:
-            if isinstance(advert, ServiceAdvertisement):
-                service_handle = self._handle_from_advert(advert, timeout)
-                if service_handle is not None:
-                    handles.append(service_handle)
-                    self.fire_discovery(
-                        "service-found", service=advert.name, via="p2ps",
-                        provider=advert.peer_id,
-                    )
-        if not handles:
-            self.fire_discovery("query-empty", query=query.describe())
-        return handles
-
-    def locate_async(
-        self,
-        query: ServiceQuery,
-        on_found: Callable[[ServiceHandle], None],
-        timeout: float = 10.0,
-    ) -> None:
-        """Event-driven variant: *on_found* fires per discovered service."""
-        attributes = query.attributes if isinstance(query, P2PSServiceQuery) else {}
-        advert_query = AdvertQuery("service", query.name_pattern, attributes)
-        self.fire_discovery("query-issued", query=query.describe(), via="p2ps")
-        handle = self.peer.discover(advert_query)
-
-        def on_advert(advert):  # type: ignore[no-untyped-def]
-            if isinstance(advert, ServiceAdvertisement):
-                service_handle = self._handle_from_advert(advert, timeout)
-                if service_handle is not None:
-                    self.fire_discovery(
-                        "service-found", service=advert.name, via="p2ps",
-                        provider=advert.peer_id,
-                    )
-                    on_found(service_handle)
-
-        handle.on_result(on_advert)
-
-    # ------------------------------------------------------------------
-    def _handle_from_advert(
-        self, advert: ServiceAdvertisement, timeout: float
-    ) -> Optional[ServiceHandle]:
-        endpoints = [
-            epr_from_pipe(pipe)
-            for pipe in advert.pipes
-            if pipe.name != advert.definition_pipe
-        ]
-        try:
-            wsdl_text = self._fetch_definition(advert, timeout)
-        except (DiscoveryError, Exception) as exc:  # noqa: BLE001
-            self.fire_discovery(
-                "service-skipped", service=advert.name,
-                reason=f"definition fetch failed: {exc}",
-            )
-            return None
-        return self._filter_quarantined(
-            ServiceHandle(
-                advert.name,
-                parse_wsdl_cached(wsdl_text),
-                endpoints,
-                source="p2ps",
-                attributes=dict(advert.attributes),
-            )
-        )
-
-    def _fetch_definition(self, advert: ServiceAdvertisement, timeout: float) -> str:
-        """Pull the WSDL through the definition pipe (§IV-B).
-
-        Sends a header-only SOAP request with our reply pipe as ReplyTo
-        and pumps until the WSDL text arrives back down it.
-        """
-        definition = advert.pipe_named(advert.definition_pipe or DEFINITION_PIPE_NAME)
-        if definition is None:
-            raise DiscoveryError(f"advert {advert.name!r} has no definition pipe")
-        out_pipe = self.peer.open_output_pipe(definition)
-        reply_pipe, reply_advert = self.peer.create_input_pipe("reply-definition")
-        box: dict[str, str] = {}
-        reply_pipe.add_listener(lambda payload, meta: box.setdefault("wsdl", payload))
-        request = SoapEnvelope()
-        maps = MessageAddressingProperties(
-            to=epr_from_pipe(definition).address,
-            action=f"{epr_from_pipe(definition).address}#{DEFINITION_PIPE_NAME}",
-            reply_to=epr_from_pipe(reply_advert),
-            message_id=new_message_id(),
-        )
-        maps.apply_to(request)
-        try:
-            self.peer.send_down_pipe(out_pipe, request.to_wire())
-            self.peer.network.kernel.pump_until(lambda: "wsdl" in box, timeout=timeout)
-        except SimTimeoutError as exc:
-            raise DiscoveryError(
-                f"definition pipe of {advert.name!r} did not answer"
-            ) from exc
-        finally:
-            self.peer.close_input_pipe(reply_advert.pipe_id)
-        return box["wsdl"]

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.deployer import P2psServiceDeployer
+from repro._exports import exports
 from repro.core.errors import DeploymentError
 from repro.core.events import EventSource
 from repro.core.hosting import DeployedService
-from repro.p2ps.peer import Peer
 from repro.simnet.network import Node
 from repro.transport.base import TransportError
-from repro.uddi.client import UddiClient
+
+_, __getattr__, __dir__ = exports(__name__, {".p2psmap": ("P2psServicePublisher",)})
 
 
 class ServicePublisher(EventSource):
@@ -56,6 +56,8 @@ class UddiServicePublisher(ServicePublisher):
         timeout: float = 30.0,
         pool=None,
     ):
+        from repro.uddi.client import UddiClient
+
         super().__init__(lambda: node.network.kernel.now, parent)
         self.node = node
         self.business_name = business_name
@@ -106,31 +108,3 @@ class UddiServicePublisher(ServicePublisher):
                 "delete_service", name=deployed.name, business_name=self.business_name
             )
         self.fire_publish("withdrawn", service=deployed.name, via="uddi")
-
-
-class P2psServicePublisher(ServicePublisher):
-    """Broadcasts the service advertisement into the peer group."""
-
-    def __init__(
-        self,
-        peer: Peer,
-        deployer: P2psServiceDeployer,
-        parent: Optional[EventSource] = None,
-    ):
-        super().__init__(lambda: peer.network.kernel.now, parent)
-        self.peer = peer
-        self.deployer = deployer
-
-    def publish(self, deployed: DeployedService, **kwargs) -> None:
-        advert = self.deployer.advert_for(deployed.name)
-        self.peer.publish(advert)
-        self.fire_publish(
-            "published", service=deployed.name, via="p2ps",
-            advert=advert.key(), pipes=len(advert.pipes),
-        )
-
-    def withdraw(self, deployed: DeployedService) -> None:
-        advert = self.deployer.adverts.get(deployed.name)
-        if advert is not None:
-            self.peer.cache.remove(advert.key())
-        self.fire_publish("withdrawn", service=deployed.name, via="p2ps")

@@ -21,22 +21,13 @@ while keeping every existing ``locate``/``publish`` call-site intact:
   builds registries + gossip mesh and attaches peers.
 """
 
-from repro.discovery.cache import RendezvousCache
-from repro.discovery.client import DiscoveryClient
-from repro.discovery.facade import DistributedUddiLocator, DistributedUddiPublisher
-from repro.discovery.gossip import GOSSIP_PORT, GossipNode, ServiceAnnouncement
-from repro.discovery.plane import DiscoveryPlane
-from repro.discovery.ring import HashRing, stable_hash
+from repro._exports import exports
 
-__all__ = [
-    "DiscoveryClient",
-    "DiscoveryPlane",
-    "DistributedUddiLocator",
-    "DistributedUddiPublisher",
-    "GossipNode",
-    "GOSSIP_PORT",
-    "HashRing",
-    "RendezvousCache",
-    "ServiceAnnouncement",
-    "stable_hash",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".cache": ("RendezvousCache",),
+    ".client": ("DiscoveryClient",),
+    ".facade": ("DistributedUddiLocator", "DistributedUddiPublisher"),
+    ".gossip": ("GOSSIP_PORT", "GossipNode", "ServiceAnnouncement"),
+    ".plane": ("DiscoveryPlane",),
+    ".ring": ("HashRing", "stable_hash"),
+})

@@ -33,79 +33,26 @@ quantiles — this package never imports numpy), the event-kind registry
 recorder hook (:mod:`~repro.observability.recorder`).
 """
 
-from repro.observability.cluster import (
-    ClusterMetricsAgent,
-    ClusterMetricsStore,
-    digest_registry,
-    merge_digests,
-)
-from repro.observability.flight import DUMP_TRIGGERS, FlightRecorder
-from repro.observability.introspection import INTROSPECTION_NS, IntrospectionService
-from repro.observability.kinds import FAMILIES, KIND_REGISTRY, KNOWN_KINDS, family_of, is_known
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    reset_default_registry,
-    set_metrics_enabled,
-)
-from repro.observability.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    current_recorder,
-    set_recorder,
-)
-from repro.observability.slo import SloEngine, SloPolicy
-from repro.observability.spans import Span, SpanTracer
-from repro.observability.stats import percentile, quantile, quantile_sorted, summarize
-from repro.observability.tracecontext import (
-    TRACE_HEADER,
-    TRACE_NS,
-    TraceContext,
-    current_context,
-    propagation_enabled,
-    set_propagation,
-)
+from repro._exports import exports
 
-__all__ = [
-    "ClusterMetricsAgent",
-    "ClusterMetricsStore",
-    "digest_registry",
-    "merge_digests",
-    "DUMP_TRIGGERS",
-    "FlightRecorder",
-    "SloEngine",
-    "SloPolicy",
-    "TRACE_HEADER",
-    "TRACE_NS",
-    "TraceContext",
-    "current_context",
-    "propagation_enabled",
-    "set_propagation",
-    "INTROSPECTION_NS",
-    "IntrospectionService",
-    "FAMILIES",
-    "KIND_REGISTRY",
-    "KNOWN_KINDS",
-    "family_of",
-    "is_known",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "default_registry",
-    "reset_default_registry",
-    "set_metrics_enabled",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "current_recorder",
-    "set_recorder",
-    "Span",
-    "SpanTracer",
-    "percentile",
-    "quantile",
-    "quantile_sorted",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".cluster": (
+        "ClusterMetricsAgent", "ClusterMetricsStore", "digest_registry",
+        "merge_digests",
+    ),
+    ".flight": ("DUMP_TRIGGERS", "FlightRecorder"),
+    ".introspection": ("INTROSPECTION_NS", "IntrospectionService"),
+    ".kinds": ("FAMILIES", "KIND_REGISTRY", "KNOWN_KINDS", "family_of", "is_known"),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "default_registry",
+        "reset_default_registry", "set_metrics_enabled",
+    ),
+    ".recorder": ("NULL_RECORDER", "NullRecorder", "current_recorder", "set_recorder"),
+    ".slo": ("SloEngine", "SloPolicy"),
+    ".spans": ("Span", "SpanTracer"),
+    ".stats": ("percentile", "quantile", "quantile_sorted", "summarize"),
+    ".tracecontext": (
+        "TRACE_HEADER", "TRACE_NS", "TraceContext", "current_context",
+        "propagation_enabled", "set_propagation",
+    ),
+})

@@ -18,44 +18,19 @@ package implements both from that description:
 Everything rides the simulated network as real XML frames.
 """
 
-from repro.p2ps.ids import new_peer_id, new_pipe_id, new_query_id
-from repro.p2ps.advertisements import (
-    AdvertError,
-    Advertisement,
-    PeerAdvertisement,
-    PipeAdvertisement,
-    ServiceAdvertisement,
-    parse_advertisement,
-)
-from repro.p2ps.cache import AdvertCache
-from repro.p2ps.query import AdvertQuery
-from repro.p2ps.pipes import (
-    EndpointResolver,
-    InputPipe,
-    OutputPipe,
-    PipeError,
-    ResolutionError,
-)
-from repro.p2ps.peer import Peer
-from repro.p2ps.group import PeerGroup
+from repro._exports import exports
 
-__all__ = [
-    "new_peer_id",
-    "new_pipe_id",
-    "new_query_id",
-    "Advertisement",
-    "AdvertError",
-    "PipeAdvertisement",
-    "ServiceAdvertisement",
-    "PeerAdvertisement",
-    "parse_advertisement",
-    "AdvertCache",
-    "AdvertQuery",
-    "InputPipe",
-    "OutputPipe",
-    "PipeError",
-    "ResolutionError",
-    "EndpointResolver",
-    "Peer",
-    "PeerGroup",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".ids": ("new_peer_id", "new_pipe_id", "new_query_id"),
+    ".advertisements": (
+        "AdvertError", "Advertisement", "PeerAdvertisement", "PipeAdvertisement",
+        "ServiceAdvertisement", "parse_advertisement",
+    ),
+    ".cache": ("AdvertCache",),
+    ".query": ("AdvertQuery",),
+    ".pipes": (
+        "EndpointResolver", "InputPipe", "OutputPipe", "PipeError", "ResolutionError",
+    ),
+    ".peer": ("Peer",),
+    ".group": ("PeerGroup",),
+})

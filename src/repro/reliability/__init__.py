@@ -17,55 +17,21 @@ Both bindings consume it through
 binding defaults.
 """
 
-from repro.reliability.ack import (
-    ACK_ACTION,
-    RM_NS,
-    ack_relates_to,
-    ack_requested,
-    build_ack,
-    is_ack,
-    mark_ack_requested,
-)
-from repro.reliability.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    CircuitBreakerRegistry,
-    CircuitOpenError,
-)
-from repro.reliability.dedup import DedupWindow
-from repro.reliability.executor import OnewayStatus, ReliableCall
-from repro.reliability.policy import (
-    BreakerConfig,
-    Deadline,
-    DeadlineExceededError,
-    ReliabilityError,
-    ReliabilityPolicy,
-    RetryPolicy,
-)
+from repro._exports import exports
 
-__all__ = [
-    "ACK_ACTION",
-    "RM_NS",
-    "ack_relates_to",
-    "ack_requested",
-    "build_ack",
-    "is_ack",
-    "mark_ack_requested",
-    "CLOSED",
-    "HALF_OPEN",
-    "OPEN",
-    "CircuitBreaker",
-    "CircuitBreakerRegistry",
-    "CircuitOpenError",
-    "DedupWindow",
-    "OnewayStatus",
-    "ReliableCall",
-    "BreakerConfig",
-    "Deadline",
-    "DeadlineExceededError",
-    "ReliabilityError",
-    "ReliabilityPolicy",
-    "RetryPolicy",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".ack": (
+        "ACK_ACTION", "RM_NS", "ack_relates_to", "ack_requested", "build_ack", "is_ack",
+        "mark_ack_requested",
+    ),
+    ".breaker": (
+        "CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker", "CircuitBreakerRegistry",
+        "CircuitOpenError",
+    ),
+    ".dedup": ("DedupWindow",),
+    ".executor": ("OnewayStatus", "ReliableCall"),
+    ".policy": (
+        "BreakerConfig", "Deadline", "DeadlineExceededError", "ReliabilityError",
+        "ReliabilityPolicy", "RetryPolicy",
+    ),
+})

@@ -12,35 +12,15 @@ at-most-once preserved across failover.
 Entry point: :meth:`repro.core.wspeer.WSPeer.enable_replication`.
 """
 
-from repro.replication.errors import (
-    ReplicaLagError,
-    ReplicationError,
-    StateDivergedError,
-)
-from repro.replication.group import ReplicationGroup
-from repro.replication.member import ReplicationConfig, ReplicationMember
-from repro.replication.state import (
-    DEFAULT_SESSION,
-    SessionLog,
-    StateDelta,
-    StateSnapshot,
-    diff_state,
-    state_digest,
-)
-from repro.replication.store import ReplicaStore
+from repro._exports import exports
 
-__all__ = [
-    "DEFAULT_SESSION",
-    "ReplicaLagError",
-    "ReplicaStore",
-    "ReplicationConfig",
-    "ReplicationError",
-    "ReplicationGroup",
-    "ReplicationMember",
-    "SessionLog",
-    "StateDelta",
-    "StateSnapshot",
-    "StateDivergedError",
-    "diff_state",
-    "state_digest",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".errors": ("ReplicaLagError", "ReplicationError", "StateDivergedError"),
+    ".group": ("ReplicationGroup",),
+    ".member": ("ReplicationConfig", "ReplicationMember"),
+    ".state": (
+        "DEFAULT_SESSION", "SessionLog", "StateDelta", "StateSnapshot", "diff_state",
+        "state_digest",
+    ),
+    ".store": ("ReplicaStore",),
+})

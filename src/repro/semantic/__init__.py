@@ -25,19 +25,12 @@ This package implements that extension:
     client tree like any other locator (§III pluggability).
 """
 
-from repro.semantic.ontology import Ontology, OntologyError
-from repro.semantic.profile import ServiceProfile
-from repro.semantic.matching import MatchDegree, Matchmaker, ProfileMatch
-from repro.semantic.query import SemanticServiceQuery
-from repro.semantic.locator import SemanticServiceLocator
+from repro._exports import exports
 
-__all__ = [
-    "Ontology",
-    "OntologyError",
-    "ServiceProfile",
-    "MatchDegree",
-    "Matchmaker",
-    "ProfileMatch",
-    "SemanticServiceQuery",
-    "SemanticServiceLocator",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".ontology": ("Ontology", "OntologyError"),
+    ".profile": ("ServiceProfile",),
+    ".matching": ("MatchDegree", "Matchmaker", "ProfileMatch"),
+    ".query": ("SemanticServiceQuery",),
+    ".locator": ("SemanticServiceLocator",),
+})

@@ -13,36 +13,14 @@ through a :class:`Network`, so every experiment in ``benchmarks/`` runs
 on virtual time and is exactly reproducible from its seed.
 """
 
-from repro.simnet.crash import CrashAction, CrashHarness, EventTrigger
-from repro.simnet.kernel import Kernel, ScheduledEvent, SimTimeoutError
-from repro.simnet.network import Frame, Network, NetworkError, Node, NodeDownError
-from repro.simnet.latency import FixedLatency, LatencyModel, SeededLatency, UniformLatency
-from repro.simnet.faults import ChurnInjector, DropInjector, PartitionInjector
-from repro.simnet.churn import ChurnRecord, ChurnSchedule
-from repro.simnet.trace import Counter, TraceLog, summarize
+from repro._exports import exports
 
-__all__ = [
-    "CrashAction",
-    "CrashHarness",
-    "EventTrigger",
-    "Kernel",
-    "ScheduledEvent",
-    "SimTimeoutError",
-    "Frame",
-    "Network",
-    "NetworkError",
-    "Node",
-    "NodeDownError",
-    "LatencyModel",
-    "FixedLatency",
-    "UniformLatency",
-    "SeededLatency",
-    "DropInjector",
-    "ChurnInjector",
-    "ChurnRecord",
-    "ChurnSchedule",
-    "PartitionInjector",
-    "Counter",
-    "TraceLog",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".crash": ("CrashAction", "CrashHarness", "EventTrigger"),
+    ".kernel": ("Kernel", "ScheduledEvent", "SimTimeoutError"),
+    ".network": ("Frame", "Network", "NetworkError", "Node", "NodeDownError"),
+    ".latency": ("FixedLatency", "LatencyModel", "SeededLatency", "UniformLatency"),
+    ".faults": ("ChurnInjector", "DropInjector", "PartitionInjector"),
+    ".churn": ("ChurnRecord", "ChurnSchedule"),
+    ".trace": ("Counter", "TraceLog", "summarize"),
+})

@@ -27,51 +27,17 @@ engine)".  This package is the Axis stand-in, built from scratch:
     the source-codegen comparator used by experiment E5.
 """
 
-from repro.soap.attachments import (
-    Attachment,
-    AttachmentError,
-    MULTIPART_CONTENT_TYPE,
-    MultipartFeedParser,
-    attachment_scope,
-    is_multipart,
-)
-from repro.soap.faults import FaultCode, SoapFault
-from repro.soap.envelope import SoapEnvelope
-from repro.soap.encoding import (
-    EncodingError,
-    StructRegistry,
-    decode_value,
-    encode_value,
-)
-from repro.soap.handlers import (
-    Handler,
-    HandlerChain,
-    MessageContext,
-    MustUnderstandHandler,
-)
-from repro.soap.rpc import RpcDispatcher, ServiceObject
-from repro.soap.stubs import DynamicStubBuilder, SourceCodegenStubBuilder
+from repro._exports import exports
 
-__all__ = [
-    "SoapEnvelope",
-    "SoapFault",
-    "FaultCode",
-    "Attachment",
-    "AttachmentError",
-    "MULTIPART_CONTENT_TYPE",
-    "MultipartFeedParser",
-    "attachment_scope",
-    "is_multipart",
-    "EncodingError",
-    "StructRegistry",
-    "encode_value",
-    "decode_value",
-    "Handler",
-    "HandlerChain",
-    "MessageContext",
-    "MustUnderstandHandler",
-    "RpcDispatcher",
-    "ServiceObject",
-    "DynamicStubBuilder",
-    "SourceCodegenStubBuilder",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".attachments": (
+        "Attachment", "AttachmentError", "MULTIPART_CONTENT_TYPE",
+        "MultipartFeedParser", "attachment_scope", "is_multipart",
+    ),
+    ".faults": ("FaultCode", "SoapFault"),
+    ".envelope": ("SoapEnvelope",),
+    ".encoding": ("EncodingError", "StructRegistry", "decode_value", "encode_value"),
+    ".handlers": ("Handler", "HandlerChain", "MessageContext", "MustUnderstandHandler"),
+    ".rpc": ("RpcDispatcher", "ServiceObject"),
+    ".stubs": ("DynamicStubBuilder", "SourceCodegenStubBuilder"),
+})

@@ -21,32 +21,13 @@ behaves like one highly available service:
     retry-after hint instead of queueing unboundedly.
 """
 
-from repro.supervision.admission import AdmissionController
-from repro.supervision.failover import (
-    BUSY,
-    FAILOVER,
-    FINAL,
-    FailoverConfig,
-    FailoverExecutor,
-    classify_error,
-)
-from repro.supervision.health import (
-    ALIVE,
-    DEAD,
-    EndpointHealth,
-    HealthMonitor,
-)
+from repro._exports import exports
 
-__all__ = [
-    "AdmissionController",
-    "FailoverConfig",
-    "FailoverExecutor",
-    "classify_error",
-    "FINAL",
-    "BUSY",
-    "FAILOVER",
-    "HealthMonitor",
-    "EndpointHealth",
-    "ALIVE",
-    "DEAD",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".admission": ("AdmissionController",),
+    ".failover": (
+        "BUSY", "FAILOVER", "FINAL", "FailoverConfig", "FailoverExecutor",
+        "classify_error",
+    ),
+    ".health": ("ALIVE", "DEAD", "EndpointHealth", "HealthMonitor"),
+})

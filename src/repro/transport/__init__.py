@@ -19,51 +19,21 @@ A :class:`TransportRegistry` maps URI schemes to transports so an
 at the endpoint address alone.
 """
 
-from repro.transport.uri import Uri, UriError
-from repro.transport.base import (
-    Transport,
-    TransportBusyError,
-    TransportError,
-    TransportRegistry,
-    TransportTimeoutError,
-)
-from repro.transport.http import (
-    HeaderMap,
-    HttpClient,
-    HttpRequest,
-    HttpResponse,
-    HttpServer,
-    HttpTransport,
-)
-from repro.transport.httpg import CertificateAuthority, Credential, HttpgTransport
-from repro.transport.connection import (
-    ConnectionClosedError,
-    ConnectionPool,
-    HttpConnection,
-    PoolConfig,
-)
-from repro.transport.datagram import DatagramTransport
+from repro._exports import exports
 
-__all__ = [
-    "Uri",
-    "UriError",
-    "Transport",
-    "TransportBusyError",
-    "TransportError",
-    "TransportTimeoutError",
-    "TransportRegistry",
-    "HeaderMap",
-    "HttpRequest",
-    "HttpResponse",
-    "HttpServer",
-    "HttpClient",
-    "HttpTransport",
-    "CertificateAuthority",
-    "Credential",
-    "HttpgTransport",
-    "ConnectionClosedError",
-    "ConnectionPool",
-    "HttpConnection",
-    "PoolConfig",
-    "DatagramTransport",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".uri": ("Uri", "UriError"),
+    ".base": (
+        "Transport", "TransportBusyError", "TransportError", "TransportRegistry",
+        "TransportTimeoutError",
+    ),
+    ".http": (
+        "HeaderMap", "HttpClient", "HttpRequest", "HttpResponse", "HttpServer",
+        "HttpTransport",
+    ),
+    ".httpg": ("CertificateAuthority", "Credential", "HttpgTransport"),
+    ".connection": (
+        "ConnectionClosedError", "ConnectionPool", "HttpConnection", "PoolConfig",
+    ),
+    ".datagram": ("DatagramTransport",),
+})

@@ -45,6 +45,7 @@ from repro.simnet.network import Frame, NetworkError, Node, NodeDownError
 from repro.transport.base import TransportError, TransportTimeoutError
 from repro.transport.http import (
     DEFAULT_HTTP_PORT,
+    DEFAULT_HTTPG_PORT,
     BodyStream,
     HttpRequest,
     HttpResponse,
@@ -841,7 +842,6 @@ class ConnectionPool:
     def _on_verdict(self, address: str, verdict: str) -> None:
         if verdict != "dead":  # repro.supervision.health.DEAD
             return
-        from repro.transport.httpg import DEFAULT_HTTPG_PORT
         from repro.transport.uri import UriError, parse_uri_cached
 
         try:

@@ -52,6 +52,7 @@ from repro.transport.base import (
 from repro.transport.uri import Uri
 
 DEFAULT_HTTP_PORT = 80
+DEFAULT_HTTPG_PORT = 8443
 
 _REASONS = {
     200: "OK",

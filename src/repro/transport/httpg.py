@@ -19,9 +19,12 @@ from typing import Optional
 
 from repro.simnet.network import Node
 from repro.transport.base import TransportError
-from repro.transport.http import HttpRequest, HttpResponse, HttpTransport
-
-DEFAULT_HTTPG_PORT = 8443
+from repro.transport.http import (
+    DEFAULT_HTTPG_PORT,
+    HttpRequest,
+    HttpResponse,
+    HttpTransport,
+)
 
 
 class AuthenticationError(TransportError):

@@ -21,27 +21,14 @@ rather than the ``urn:uddi-org:api_v2`` message schemas; the data
 model, key discipline and query semantics follow UDDI.
 """
 
-from repro.uddi.model import (
-    BindingTemplate,
-    BusinessEntity,
-    BusinessService,
-    KeyedReference,
-    TModel,
-    UddiError,
-)
-from repro.uddi.registry import UddiRegistry
-from repro.uddi.service import UDDI_SERVICE_NAME, UddiRegistryNode
-from repro.uddi.client import UddiClient
+from repro._exports import exports
 
-__all__ = [
-    "UddiError",
-    "KeyedReference",
-    "TModel",
-    "BusinessEntity",
-    "BusinessService",
-    "BindingTemplate",
-    "UddiRegistry",
-    "UddiRegistryNode",
-    "UddiClient",
-    "UDDI_SERVICE_NAME",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".model": (
+        "BindingTemplate", "BusinessEntity", "BusinessService", "KeyedReference",
+        "TModel", "UddiError",
+    ),
+    ".registry": ("UddiRegistry",),
+    ".service": ("UDDI_SERVICE_NAME", "UddiRegistryNode"),
+    ".client": ("UddiClient",),
+})

@@ -16,16 +16,10 @@ the SOAP header as a WS-Addressing ``ReplyTo`` EndpointReference.
     and the component-extraction rules the paper motivates.
 """
 
-from repro.wsa.epr import EndpointReference, WsaError
-from repro.wsa.headers import MessageAddressingProperties, new_message_id
-from repro.wsa.p2psuri import P2psAddress, make_p2ps_uri, parse_p2ps_uri
+from repro._exports import exports
 
-__all__ = [
-    "EndpointReference",
-    "WsaError",
-    "MessageAddressingProperties",
-    "new_message_id",
-    "P2psAddress",
-    "make_p2ps_uri",
-    "parse_p2ps_uri",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".epr": ("EndpointReference", "WsaError"),
+    ".headers": ("MessageAddressingProperties", "new_message_id"),
+    ".p2psuri": ("P2psAddress", "make_p2ps_uri", "parse_p2ps_uri"),
+})

@@ -21,38 +21,15 @@ A definition converts to a :class:`~repro.soap.stubs.StubSpec` with
 client proxy.
 """
 
-from repro.wsdl.model import (
-    Binding,
-    Message,
-    Operation,
-    Part,
-    Port,
-    PortType,
-    Service,
-    WsdlDefinition,
-    WsdlError,
-    SOAP_HTTP_TRANSPORT,
-    SOAP_P2PS_TRANSPORT,
-)
-from repro.wsdl.generator import generate_wsdl
-from repro.wsdl.parser import parse_wsdl
-from repro.wsdl.validate import validate_wsdl
-from repro.wsdl.stubspec import to_stub_spec
+from repro._exports import exports
 
-__all__ = [
-    "WsdlDefinition",
-    "WsdlError",
-    "Message",
-    "Part",
-    "PortType",
-    "Operation",
-    "Binding",
-    "Service",
-    "Port",
-    "SOAP_HTTP_TRANSPORT",
-    "SOAP_P2PS_TRANSPORT",
-    "generate_wsdl",
-    "parse_wsdl",
-    "validate_wsdl",
-    "to_stub_spec",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".model": (
+        "Binding", "Message", "Operation", "Part", "Port", "PortType", "Service",
+        "WsdlDefinition", "WsdlError", "SOAP_HTTP_TRANSPORT", "SOAP_P2PS_TRANSPORT",
+    ),
+    ".generator": ("generate_wsdl",),
+    ".parser": ("parse_wsdl",),
+    ".validate": ("validate_wsdl",),
+    ".stubspec": ("to_stub_spec",),
+})

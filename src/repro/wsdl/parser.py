@@ -9,7 +9,6 @@ slot texts (:func:`_read`) without tokenising.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional
 
 from repro.caching import ArtifactCache
@@ -100,17 +99,17 @@ _wsdl_cache = ArtifactCache("wsdl-definitions", max_entries=128)
 def parse_wsdl_cached(text: str) -> WsdlDefinition:
     """Parse WSDL, reusing the definition for repeated document text.
 
-    Keyed by content hash so identical documents served by different
-    providers share one parsed :class:`WsdlDefinition` (discovery
-    sweeps fetch the same WSDL once per provider).  The shared
+    Keyed by the text itself, so identical documents served by
+    different providers share one parsed :class:`WsdlDefinition`
+    (discovery sweeps fetch the same WSDL once per provider): string
+    equality is exact, and no digest is computed.  The shared
     definition is immutable by convention; a provider that redeploys
-    serves different text, which hashes to a fresh entry — stale
-    definitions age out of the LRU rather than being served.
+    serves different text, which is a fresh entry — stale definitions
+    age out of the LRU rather than being served.
     """
-    key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
-    definition = _wsdl_cache.get(key)
+    definition = _wsdl_cache.get(text)
     if definition is None:
-        definition = _wsdl_cache.put(key, parse_wsdl(text))
+        definition = _wsdl_cache.put(text, parse_wsdl(text))
     return definition
 
 

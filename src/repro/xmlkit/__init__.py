@@ -32,25 +32,14 @@ Public surface:
 Common namespace URIs used by the stack live in :mod:`repro.xmlkit.ns`.
 """
 
-from repro.xmlkit.errors import XmlError, XmlParseError, XmlWellFormednessError
-from repro.xmlkit.names import QName
-from repro.xmlkit.element import Element
-from repro.xmlkit.parser import parse, parse_fragment
-from repro.xmlkit.serializer import serialize
-from repro.xmlkit.stream import FeedParser, iter_serialize, parse_stream
-from repro.xmlkit import ns
+from repro._exports import exports
 
-__all__ = [
-    "QName",
-    "Element",
-    "parse",
-    "parse_fragment",
-    "serialize",
-    "iter_serialize",
-    "FeedParser",
-    "parse_stream",
-    "XmlError",
-    "XmlParseError",
-    "XmlWellFormednessError",
-    "ns",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".errors": ("XmlError", "XmlParseError", "XmlWellFormednessError"),
+    ".names": ("QName",),
+    ".element": ("Element",),
+    ".parser": ("parse", "parse_fragment"),
+    ".serializer": ("serialize",),
+    ".stream": ("FeedParser", "iter_serialize", "parse_stream"),
+    ".ns": ("ns",),
+})

@@ -199,6 +199,15 @@ class TestWsdlCache:
         assert a is b
         assert a.target_namespace == "urn:echo"
 
+    def test_equal_texts_share_a_definition_and_one_character_does_not(self):
+        first, second = "".join(list(WSDL)), "".join(list(WSDL))
+        assert first is not second and first == second
+        assert parse_wsdl_cached(first) is parse_wsdl_cached(second)
+        moved = WSDL.replace("node-1", "node-2")
+        assert sum(a != b for a, b in zip(moved, WSDL)) == 1
+        assert parse_wsdl_cached(moved) is not parse_wsdl_cached(first)
+        assert cache_stats()["wsdl-definitions"]["size"] == 2
+
     def test_different_text_distinct_definitions(self):
         a = parse_wsdl_cached(WSDL)
         b = parse_wsdl_cached(WSDL.replace("urn:echo", "urn:other"))
