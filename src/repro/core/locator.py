@@ -2,7 +2,11 @@
 
 "On the client side, locating a service involves retrieving the
 endpoint of the service and possibly its interface description as well"
-(§III).  Two implementations:
+(§III).  Discovery is event-driven, as the paper's core is: a locator
+defines only :meth:`ServiceLocator.locate_async`, which notifies
+*on_found* per service and *on_complete* once, and the blocking
+:meth:`ServiceLocator.locate` pumps virtual time over it.  Two
+implementations live here:
 
 :class:`UddiServiceLocator`
     Queries a UDDI registry (the "UDDI conversant component"), then
@@ -18,6 +22,7 @@ application never touches wire formats.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro._exports import exports
@@ -35,16 +40,23 @@ from repro.wsdl.parser import parse_wsdl_cached
 _, __getattr__, __dir__ = exports(__name__, {".p2psmap": ("P2psServiceLocator",)})
 
 
-def _get(uri: Uri) -> HttpRequest:
-    return HttpRequest("GET", "/" + uri.path)
+#: ``on_found(handle)``: one usable service, as it resolves
+OnFound = Callable[[ServiceHandle], None]
+#: ``on_complete(count, error)``: once, after the last ``on_found``
+OnComplete = Optional[Callable[[int, Optional[Exception]], None]]
 
 
 class ServiceLocator(EventSource):
-    """Base locator node of the interface tree."""
+    """Base locator node of the interface tree.
 
-    def __init__(self, clock, parent: Optional[EventSource] = None):
+    A subclass defines discovery once, event-driven, in
+    :meth:`locate_async`; the blocking :meth:`locate` pumps the kernel
+    over it.
+    """
+
+    def __init__(self, kernel, parent: Optional[EventSource] = None):
         super().__init__("locator", parent)
-        self._clock = clock
+        self._kernel = kernel
         #: endpoint addresses known to be dead — dropped from every
         #: handle this locator returns until a later alive verdict.
         #: Discovery caches go stale the moment a provider leaves (the
@@ -53,7 +65,7 @@ class ServiceLocator(EventSource):
         self._quarantine: set[str] = set()
 
     def _now(self) -> float:
-        return self._clock()
+        return self._kernel.now
 
     # -- endpoint staleness ------------------------------------------------
     @property
@@ -102,8 +114,55 @@ class ServiceLocator(EventSource):
 
     def locate(
         self, query: ServiceQuery, timeout: float = 10.0, expect: int = 1
-    ) -> list[ServiceHandle]:  # pragma: no cover - abstract
+    ) -> list[ServiceHandle]:
+        """Blocking discovery: pump virtual time until :meth:`locate_async`
+        completes, then return its handles or raise the error it reported."""
+        handles: list[ServiceHandle] = []
+        box: dict[str, Optional[Exception]] = {}
+        self.locate_async(
+            query, handles.append, lambda count, error: box.setdefault("error", error),
+            expect=expect, timeout=timeout,
+        )
+        self._kernel.pump_until(lambda: box)
+        if box["error"] is not None:
+            raise box["error"]
+        return handles
+
+    def locate_async(
+        self, query: ServiceQuery, on_found: OnFound, on_complete: OnComplete = None,
+        *, expect: int = 1, timeout: float = 10.0,
+    ) -> None:  # pragma: no cover - abstract
+        """Start discovery; nothing in it blocks.  *on_complete* reports
+        the number found, or the :class:`DiscoveryError` that ended the
+        query.  A locator that hears of services over time (P2PS)
+        completes once *expect* have been heard of or *timeout* virtual
+        seconds have passed."""
         raise NotImplementedError
+
+    def _found(self, handle: ServiceHandle, on_found: OnFound, **detail) -> bool:
+        """Hand *handle* over unless quarantine leaves it no endpoint."""
+        if self._filter_quarantined(handle) is None:
+            return False
+        self.fire_discovery(
+            "service-found", service=handle.name,
+            endpoints=[e.address for e in handle.endpoints], **detail,
+        )
+        on_found(handle)
+        return True
+
+    def _complete(self, query: ServiceQuery, on_complete: OnComplete, found: int) -> None:
+        if not found:
+            self.fire_discovery("query-empty", query=query.describe())
+        if on_complete is not None:
+            on_complete(found, None)
+
+    def _fail(self, on_complete: OnComplete, message: str, error: Exception) -> None:
+        """Report *error* as the DiscoveryError ``message: error``."""
+        self.fire_discovery("query-failed", reason=str(error))
+        if on_complete is not None:
+            failure = DiscoveryError(f"{message}: {error}")
+            failure.__cause__ = error
+            on_complete(0, failure)
 
 
 class UddiServiceLocator(ServiceLocator):
@@ -119,41 +178,54 @@ class UddiServiceLocator(ServiceLocator):
     ):
         from repro.uddi.client import UddiClient
 
-        super().__init__(lambda: node.network.kernel.now, parent)
+        super().__init__(node.network.kernel, parent)
         self.node = node
         self.http = HttpClient(node, timeout, pool=pool)
         self.uddi = UddiClient(node, registry_uri, timeout, pool=self.http.pool)
 
-    def locate(
-        self, query: ServiceQuery, timeout: float = 10.0, expect: int = 1
-    ) -> list[ServiceHandle]:
+    def locate_async(
+        self, query: ServiceQuery, on_found: OnFound, on_complete: OnComplete = None,
+        *, expect: int = 1, timeout: float = 10.0,
+    ) -> None:
+        """One find_service_records, then every usable hit's WSDL GET at
+        once.  The registry names every hit in one answer and the HTTP
+        client times each exchange: *expect* and *timeout* do not apply."""
         categories = query.categories if isinstance(query, UDDIServiceQuery) else []
         self.fire_discovery("query-issued", query=query.describe(), via="uddi")
-        try:
-            records = self.uddi.find_service_records(query.name_pattern, categories)
-        except TransportError as exc:
-            self.fire_discovery("query-failed", reason=str(exc))
-            raise DiscoveryError(f"UDDI registry unreachable: {exc}") from exc
-        handles: list[ServiceHandle] = []
-        for record in records:
-            usable = self._usable(record)
-            if usable is None:
-                continue
-            name, endpoints, uri = usable
-            try:
-                response = self.http.request(uri.host, uri.port or 80, _get(uri))
-                if not response.ok:
-                    raise TransportError(f"GET {uri} -> {response.status}")
-            except TransportError as exc:
+        state = {"outstanding": 0, "found": 0}
+
+        def on_wsdl(name, endpoints, uri, response, error) -> None:
+            state["outstanding"] -= 1
+            if error is None and not response.ok:
+                error = TransportError(f"GET {uri} -> {response.status}")
+            if error is not None:
                 self.fire_discovery("service-skipped", service=name,
-                                    reason=f"wsdl fetch failed: {exc}")
-                continue
-            handle = self._handle(name, endpoints, response.body, "uddi")
-            if handle is not None:
-                handles.append(handle)
-        if not handles:
-            self.fire_discovery("query-empty", query=query.describe())
-        return handles
+                                    reason=f"wsdl fetch failed: {error}")
+            elif self._found(ServiceHandle(
+                name, parse_wsdl_cached(response.body), endpoints, source="uddi"
+            ), on_found, via="uddi"):
+                state["found"] += 1
+            if state["outstanding"] == 0:
+                self._complete(query, on_complete, state["found"])
+
+        def on_records(records, error) -> None:
+            if error is not None:
+                self._fail(on_complete, "UDDI registry unreachable", error)
+                return
+            usable = [u for u in map(self._usable, records) if u is not None]
+            state["outstanding"] = len(usable)
+            if not usable:
+                self._complete(query, on_complete, 0)
+            for name, endpoints, uri in usable:
+                self.http.request_async(
+                    uri.host, uri.port or 80, HttpRequest("GET", "/" + uri.path),
+                    partial(on_wsdl, name, endpoints, uri),
+                )
+
+        self.uddi.call_async(
+            "find_service_records", on_records,
+            name_pattern=query.name_pattern, category_bag=categories, max_rows=0,
+        )
 
     def _usable(self, record: dict) -> Optional[tuple[str, list[EndpointReference], Uri]]:
         """(name, endpoints, WSDL location) of a find_service_records hit, or
@@ -168,74 +240,3 @@ class UddiServiceLocator(ServiceLocator):
                                 reason="no wsdlSpec tModel")
             return None
         return service["name"], endpoints, Uri.parse(wsdl_url)
-
-    def _handle(
-        self, name: str, endpoints: list[EndpointReference], wsdl_text: str, via: str
-    ) -> Optional[ServiceHandle]:
-        handle = self._filter_quarantined(
-            ServiceHandle(name, parse_wsdl_cached(wsdl_text), endpoints, source="uddi")
-        )
-        if handle is not None:
-            self.fire_discovery(
-                "service-found", service=name, via=via,
-                endpoints=[e.address for e in handle.endpoints],
-            )
-        return handle
-
-    # ------------------------------------------------------------------
-    def locate_async(
-        self,
-        query: ServiceQuery,
-        on_found: Callable[[ServiceHandle], None],
-        on_complete: Optional[Callable[[int, Optional[Exception]], None]] = None,
-    ) -> None:
-        """Event-driven UDDI discovery: no call in the chain blocks.
-
-        One find_service_records, then a WSDL GET per usable service,
-        entirely through callbacks; *on_found* fires per usable service
-        as its WSDL lands, *on_complete(count, error)* once the whole
-        sweep settles.
-        """
-        categories = query.categories if isinstance(query, UDDIServiceQuery) else []
-        self.fire_discovery("query-issued", query=query.describe(), via="uddi-async")
-        state = {"outstanding": 0, "found": 0}
-
-        def settle() -> None:
-            if state["outstanding"] == 0:
-                if state["found"] == 0:
-                    self.fire_discovery("query-empty", query=query.describe())
-                if on_complete is not None:
-                    on_complete(state["found"], None)
-
-        def fetch(name, endpoints, uri) -> None:
-            def on_wsdl(response, error) -> None:
-                state["outstanding"] -= 1
-                if error is not None or not response.ok:
-                    self.fire_discovery("service-skipped", service=name,
-                                        reason="wsdl fetch failed")
-                else:
-                    handle = self._handle(name, endpoints, response.body, "uddi-async")
-                    if handle is not None:
-                        state["found"] += 1
-                        on_found(handle)
-                settle()
-
-            self.http.request_async(uri.host, uri.port or 80, _get(uri), on_wsdl)
-
-        def on_records(records, error) -> None:
-            if error is not None:
-                self.fire_discovery("query-failed", reason=str(error))
-                if on_complete is not None:
-                    on_complete(0, error)
-                return
-            usable = [u for u in map(self._usable, records) if u is not None]
-            state["outstanding"] = len(usable)
-            if not usable:
-                settle()
-            for item in usable:
-                fetch(*item)
-
-        self.uddi.call_async(
-            "find_service_records", on_records,
-            name_pattern=query.name_pattern, category_bag=categories,
-        )

@@ -24,6 +24,7 @@ under their old names.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.caching import ArtifactCache
@@ -33,7 +34,7 @@ from repro.core.events import EventSource
 from repro.core.handle import ServiceHandle
 from repro.core.hosting import DeployedService, LightweightContainer
 from repro.core.invocation import _NAIVE, Invocation
-from repro.core.locator import ServiceLocator
+from repro.core.locator import OnComplete, OnFound, ServiceLocator
 from repro.core.publisher import ServicePublisher
 from repro.core.query import P2PSServiceQuery, ServiceQuery
 from repro.p2ps.advertisements import (
@@ -45,7 +46,6 @@ from repro.p2ps.peer import Peer
 from repro.p2ps.pipes import PipeError
 from repro.p2ps.query import AdvertQuery
 from repro.reliability import OnewayStatus, ReliabilityPolicy
-from repro.simnet.kernel import SimTimeoutError
 from repro.simnet.network import NetworkError
 from repro.soap.envelope import SoapEnvelope
 from repro.wsa.epr import EndpointReference, WsaError
@@ -222,96 +222,98 @@ class P2psServiceLocator(ServiceLocator):
     """Discovers ServiceAdvertisements in the peer group."""
 
     def __init__(self, peer: Peer, parent: Optional[EventSource] = None):
-        super().__init__(lambda: peer.network.kernel.now, parent)
+        super().__init__(peer.network.kernel, parent)
         self.peer = peer
 
-    def locate(
-        self, query: ServiceQuery, timeout: float = 10.0, expect: int = 1
-    ) -> list[ServiceHandle]:
-        attributes = query.attributes if isinstance(query, P2PSServiceQuery) else {}
-        ttl = query.ttl if isinstance(query, P2PSServiceQuery) else None
-        advert_query = AdvertQuery("service", query.name_pattern, attributes)
-        self.fire_discovery("query-issued", query=query.describe(), via="p2ps")
-        handle = self.peer.discover(advert_query, ttl=ttl)
-        adverts = handle.wait_for(expect, timeout=timeout)
-        handles = []
-        for advert in adverts:
-            if isinstance(advert, ServiceAdvertisement):
-                service_handle = self._handle_from_advert(advert, timeout)
-                if service_handle is not None:
-                    handles.append(service_handle)
-                    self.fire_discovery(
-                        "service-found", service=advert.name, via="p2ps",
-                        provider=advert.peer_id,
-                    )
-        if not handles:
-            self.fire_discovery("query-empty", query=query.describe())
-        return handles
-
     def locate_async(
-        self,
-        query: ServiceQuery,
-        on_found: Callable[[ServiceHandle], None],
-        timeout: float = 10.0,
+        self, query: ServiceQuery, on_found: OnFound, on_complete: OnComplete = None,
+        *, expect: int = 1, timeout: float = 10.0,
     ) -> None:
-        """Event-driven variant: *on_found* fires per discovered service."""
-        attributes = query.attributes if isinstance(query, P2PSServiceQuery) else {}
-        advert_query = AdvertQuery("service", query.name_pattern, attributes)
-        self.fire_discovery("query-issued", query=query.describe(), via="p2ps")
-        handle = self.peer.discover(advert_query)
+        """Flood the query; fetch each advert's definition as it arrives.
 
-        def on_advert(advert):  # type: ignore[no-untyped-def]
-            if isinstance(advert, ServiceAdvertisement):
-                service_handle = self._handle_from_advert(advert, timeout)
-                if service_handle is not None:
-                    self.fire_discovery(
-                        "service-found", service=advert.name, via="p2ps",
-                        provider=advert.peer_id,
-                    )
-                    on_found(service_handle)
-
-        handle.on_result(on_advert)
-
-    # ------------------------------------------------------------------
-    def _handle_from_advert(
-        self, advert: ServiceAdvertisement, timeout: float
-    ) -> Optional[ServiceHandle]:
-        endpoints = [
-            epr_from_pipe(pipe)
-            for pipe in advert.pipes
-            if pipe.name != advert.definition_pipe
-        ]
-        try:
-            wsdl_text = self._fetch_definition(advert, timeout)
-        except (DiscoveryError, Exception) as exc:  # noqa: BLE001
-            self.fire_discovery(
-                "service-skipped", service=advert.name,
-                reason=f"definition fetch failed: {exc}",
-            )
-            return None
-        return self._filter_quarantined(
-            ServiceHandle(
-                advert.name,
-                parse_wsdl_cached(wsdl_text),
-                endpoints,
-                source="p2ps",
-                attributes=dict(advert.attributes),
-            )
+        Arrival closes once *expect* adverts have arrived (with the rest
+        of the batch that brought the last one) or *timeout* has passed;
+        later adverts are ignored.  It completes when arrival is closed
+        and every definition fetch started has settled.
+        """
+        kernel = self._kernel
+        p2ps = isinstance(query, P2PSServiceQuery)
+        advert_query = AdvertQuery(
+            "service", query.name_pattern, query.attributes if p2ps else {}
         )
+        self.fire_discovery("query-issued", query=query.describe(), via="p2ps")
+        #: closed: kernel.events_fired when arrival closed (None: open)
+        state: dict[str, Any] = {"adverts": 0, "fetching": 0, "found": 0, "closed": None}
 
-    def _fetch_definition(self, advert: ServiceAdvertisement, timeout: float) -> str:
+        def close() -> None:
+            timer.cancel()
+            state["closed"] = kernel.events_fired
+            settle()
+
+        def settle() -> None:
+            if state["closed"] is not None and not state["fetching"]:
+                self._complete(query, on_complete, state["found"])
+
+        def on_advert(advert: ServiceAdvertisement) -> None:
+            if state["closed"] not in (None, kernel.events_fired):
+                return
+            state["adverts"] += 1
+            state["fetching"] += 1
+            # in an event of its own, once the batch that brought it (and
+            # the peer adverts that locate its provider) is in
+            kernel.call_soon(self._fetch_definition, advert, timeout,
+                             partial(on_definition, advert))
+            if state["closed"] is None and state["adverts"] >= expect:
+                close()
+
+        def on_definition(advert: ServiceAdvertisement, wsdl_text, error) -> None:
+            state["fetching"] -= 1
+            if error is not None:
+                self.fire_discovery("service-skipped", service=advert.name,
+                                    reason=f"definition fetch failed: {error}")
+            elif self._found(ServiceHandle(
+                advert.name, parse_wsdl_cached(wsdl_text),
+                [epr_from_pipe(pipe) for pipe in advert.pipes
+                 if pipe.name != advert.definition_pipe],
+                source="p2ps", attributes=dict(advert.attributes),
+            ), on_found, via="p2ps", provider=advert.peer_id):
+                state["found"] += 1
+            settle()
+
+        timer = kernel.schedule(timeout, close)
+        self.peer.discover(advert_query, ttl=query.ttl if p2ps else None).on_result(on_advert)
+
+    def _fetch_definition(
+        self, advert: ServiceAdvertisement, timeout: float,
+        done: Callable[[Optional[str], Optional[Exception]], None],
+    ) -> None:
         """Pull the WSDL through the definition pipe (§IV-B).
 
-        Sends a header-only SOAP request with our reply pipe as ReplyTo
-        and pumps until the WSDL text arrives back down it.
+        Sends a header-only SOAP request with a fresh reply pipe as
+        ReplyTo; *done(text, error)* fires once.  The answer and the
+        *timeout* timer race: the first cancels the timer and closes the
+        reply pipe.
         """
         definition = advert.pipe_named(advert.definition_pipe or DEFINITION_PIPE_NAME)
         if definition is None:
-            raise DiscoveryError(f"advert {advert.name!r} has no definition pipe")
-        out_pipe = self.peer.open_output_pipe(definition)
+            done(None, DiscoveryError(f"advert {advert.name!r} has no definition pipe"))
+            return
+        try:
+            out_pipe = self.peer.open_output_pipe(definition)
+        except PipeError as exc:  # a provider never heard from
+            done(None, exc)
+            return
         reply_pipe, reply_advert = self.peer.create_input_pipe("reply-definition")
-        box: dict[str, str] = {}
-        reply_pipe.add_listener(lambda payload, meta: box.setdefault("wsdl", payload))
+
+        def settle(text: Optional[str], error: Optional[Exception]) -> None:
+            timer.cancel()
+            self.peer.close_input_pipe(reply_advert.pipe_id)
+            done(text, error)
+
+        reply_pipe.add_listener(lambda payload, meta: settle(payload, None))
+        timer = self._kernel.schedule(timeout, settle, None, DiscoveryError(
+            f"definition pipe of {advert.name!r} did not answer"
+        ))
         request = SoapEnvelope()
         maps = MessageAddressingProperties(
             to=epr_from_pipe(definition).address,
@@ -322,14 +324,8 @@ class P2psServiceLocator(ServiceLocator):
         maps.apply_to(request)
         try:
             self.peer.send_down_pipe(out_pipe, request.to_wire())
-            self.peer.network.kernel.pump_until(lambda: "wsdl" in box, timeout=timeout)
-        except SimTimeoutError as exc:
-            raise DiscoveryError(
-                f"definition pipe of {advert.name!r} did not answer"
-            ) from exc
-        finally:
-            self.peer.close_input_pipe(reply_advert.pipe_id)
-        return box["wsdl"]
+        except PipeError as exc:  # the local node is down
+            settle(None, exc)
 
 
 #: a pipe EPR's (address, property shape, *property texts) -> its

@@ -23,7 +23,7 @@ from repro.core.events import EventSource, PeerMessageListener
 from repro.core.handle import ServiceHandle
 from repro.core.hosting import DeployedService, Interceptor, LightweightContainer
 from repro.core.invocation import HttpInvocation, Invocation, InvokeCallback
-from repro.core.locator import ServiceLocator
+from repro.core.locator import OnComplete, OnFound, ServiceLocator
 from repro.core.query import ServiceQuery
 from repro.reliability import ReliabilityPolicy
 from repro.simnet.network import Node
@@ -232,22 +232,22 @@ class WSPeer(EventSource):
     def locate_async(
         self,
         query: ServiceQuery | str,
-        on_found,
-        **kwargs: Any,
+        on_found: OnFound,
+        on_complete: OnComplete = None,
+        *,
+        expect: int = 1,
+        timeout: float = 10.0,
     ) -> None:
-        """Event-driven discovery: *on_found(handle)* fires per service.
-
-        Extra keyword arguments are forwarded to the active locator's
-        ``locate_async`` (e.g. ``on_complete=`` for the UDDI locator).
-        """
+        """Event-driven discovery, on any locator: *on_found(handle)*
+        fires per service as it resolves, *on_complete(count, error)*
+        once it is over (see :meth:`ServiceLocator.locate_async`).
+        :meth:`locate` is the same discovery with virtual time pumped
+        until it completes."""
         if isinstance(query, str):
             query = ServiceQuery(query)
-        locator = self.client.locator
-        if not hasattr(locator, "locate_async"):
-            raise WsPeerError(
-                f"locator {type(locator).__name__} has no asynchronous mode"
-            )
-        locator.locate_async(query, on_found, **kwargs)
+        self.client.locator.locate_async(
+            query, on_found, on_complete, expect=expect, timeout=timeout
+        )
 
     def locate_one(self, query: ServiceQuery | str, timeout: float = 10.0) -> ServiceHandle:
         handles = self.locate(query, timeout=timeout, expect=1)

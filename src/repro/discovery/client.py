@@ -12,10 +12,12 @@ three verbs:
     announcement whose freshness counter is the registry revision.
 
 ``resolve``
-    Cache first; on a miss, queries all R replicas of the home shard,
-    merges replies by revision, read-repairs stale or missing replicas,
-    fetches WSDL, and caches the result.  Wildcard patterns scatter to
-    every shard instead (no single shard owns a pattern).
+    Cache first; on a miss, queries all R replicas of the home shard at
+    once, merges replies by revision, read-repairs stale or missing
+    replicas in the background, fetches WSDL, and caches the result.
+    Wildcard patterns scatter to every shard instead (no single shard
+    owns a pattern).  One event-driven path, ``resolve_async``; the
+    blocking ``resolve`` pumps virtual time over it.
 
 ``withdraw``
     Deletes from every replica and gossips a tombstone.
@@ -23,6 +25,7 @@ three verbs:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.discovery.cache import RendezvousCache
@@ -191,55 +194,75 @@ class DiscoveryClient:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
+    def _pump(self, start: Callable[[Callable], None]) -> Any:
+        """Run an async verb to completion: pump virtual time until
+        *start*'s callback fires, then return its result or raise its
+        error."""
+        box: dict[str, Any] = {}
+        start(lambda result, error: box.update(result=result, error=error))
+        self.node.network.kernel.pump_until(lambda: box)
+        if box["error"] is not None:
+            raise box["error"]
+        return box["result"]
+
     def lookup_records(
         self,
         name_pattern: str,
         categories: Optional[list[dict]] = None,
         max_rows: int = 0,
     ) -> list[dict[str, Any]]:
-        """Replication records for *name_pattern*, replica-merged.
+        """Replication records for *name_pattern*, replica-merged (a
+        pump over :meth:`_lookup_async`)."""
+        return self._pump(
+            lambda done: self._lookup_async(name_pattern, categories, done, max_rows)
+        )
 
-        Exact names query the home shard's replica set and read-repair
-        divergent replies; wildcard patterns scatter to every shard.
-        """
-        obs_metrics.inc("discovery.lookups")
-        if "%" in name_pattern:
-            return self._scatter(name_pattern, categories, max_rows)
-        replicas = self.replicas_for(name_pattern)
-        replies: dict[str, list[dict[str, Any]]] = {}
-        last_error: Optional[Exception] = None
-        for shard in replicas:
-            try:
-                replies[shard] = self._client(shard).find_service_records(
-                    name_pattern, categories, max_rows
-                )
-            except TransportError as exc:
-                last_error = exc
-        if not replies:
-            raise DiscoveryError(
-                f"no replica of {name_pattern!r} reachable: {last_error}"
-            )
-        merged = self._merge(replies)
-        self._read_repair(name_pattern, replies, merged)
-        return list(merged.values())
-
-    def _scatter(
+    def _lookup_async(
         self,
         name_pattern: str,
         categories: Optional[list[dict]],
-        max_rows: int,
-    ) -> list[dict[str, Any]]:
+        callback: Callable[[Optional[list[dict[str, Any]]], Optional[Exception]], None],
+        max_rows: int = 0,
+    ) -> None:
+        """Ask every shard that may hold *name_pattern* at once; merge.
+
+        Exact names ask the home shard's replica set and read-repair
+        divergent replies in the background; wildcard patterns scatter
+        to every shard (no single shard owns a pattern).
+        """
+        obs_metrics.inc("discovery.lookups")
+        wildcard = "%" in name_pattern
+        shards = self.ring.nodes if wildcard else self.replicas_for(name_pattern)
         replies: dict[str, list[dict[str, Any]]] = {}
-        for shard in self.ring.nodes:
-            try:
-                replies[shard] = self._client(shard).find_service_records(
-                    name_pattern, categories, max_rows
-                )
-            except TransportError:
-                continue
-        if not replies:
-            raise DiscoveryError(f"no registry shard reachable for {name_pattern!r}")
-        return list(self._merge(replies).values())
+        state: dict[str, Any] = {"outstanding": len(shards), "error": None}
+
+        def on_records(shard: str, records, error) -> None:
+            if error is None:
+                replies[shard] = records
+            else:
+                state["error"] = error
+            state["outstanding"] -= 1
+            if state["outstanding"]:
+                return
+            if not replies:
+                callback(None, DiscoveryError(
+                    f"no registry shard reachable for {name_pattern!r}" if wildcard
+                    else f"no replica of {name_pattern!r} reachable: {state['error']}"
+                ))
+                return
+            merged = self._merge(replies)
+            if not wildcard:
+                self._read_repair(name_pattern, replies, merged)
+            callback(list(merged.values()), None)
+
+        for shard in shards:
+            self._client(shard).call_async(
+                "find_service_records",
+                partial(on_records, shard),
+                name_pattern=name_pattern,
+                category_bag=categories or [],
+                max_rows=max_rows,
+            )
 
     @staticmethod
     def _merge(
@@ -263,24 +286,23 @@ class DiscoveryClient:
         replies: dict[str, list[dict[str, Any]]],
         merged: dict[str, dict[str, Any]],
     ) -> None:
-        """Write the freshest record back to stale or missing replicas."""
+        """Write the freshest record back to stale or missing replicas,
+        in the background: the lookup's answer does not wait on it."""
         for shard, records in replies.items():
             held = {
                 r["service"]["serviceKey"]: int(r.get("revision", 0)) for r in records
             }
-            client = self._client(shard)
             for key, record in merged.items():
                 if held.get(key, -1) >= int(record.get("revision", 0)):
                     continue
-                try:
-                    client.import_service(record)
-                    obs_metrics.inc("discovery.read_repairs")
-                    self._emit(
-                        "read-repair", service=service_name, shard=shard,
-                        revision=int(record.get("revision", 0)),
-                    )
-                except TransportError:
-                    continue
+                obs_metrics.inc("discovery.read_repairs")
+                self._emit(
+                    "read-repair", service=service_name, shard=shard,
+                    revision=int(record.get("revision", 0)),
+                )
+                self._client(shard).call_async(
+                    "import_service", lambda result, error: None, record=record
+                )
 
     # ------------------------------------------------------------------
     # resolve (records + WSDL + cache)
@@ -288,35 +310,85 @@ class DiscoveryClient:
     def resolve(
         self, service_name: str, categories: Optional[list[dict]] = None
     ) -> list[ResolvedService]:
+        """Blocking :meth:`resolve_async`."""
+        return self._pump(lambda done: self.resolve_async(service_name, done, categories))
+
+    def resolve_async(
+        self,
+        service_name: str,
+        callback: Callable[[list[ResolvedService], Optional[Exception]], None],
+        categories: Optional[list[dict]] = None,
+    ) -> None:
         """Fully resolve *service_name*: endpoints + WSDL text.
 
         Exact, uncategorised names are answered from the rendezvous
-        cache when possible — zero network frames on a hit.
+        cache when possible — zero network frames, completing via
+        ``kernel.call_soon`` (never re-entrantly under the caller) — and
+        cached once resolved.  Otherwise the records are looked up
+        (:meth:`_lookup_async`), and every provider's WSDL is fetched at
+        once; a record with no WSDL location resolves with no WSDL text,
+        and one whose fetch fails is dropped.
         """
         cacheable = "%" not in service_name and not categories
-        if cacheable:
-            cached = self.cache.get(service_name)
-            if cached is not None:
-                self._emit("cache-hit", service=service_name, providers=len(cached))
-                return [
-                    ResolvedService(
-                        service_name, c.service_key, c.endpoints, c.wsdl_text,
-                        c.revision, True,
-                    )
-                    for c in cached
-                ]
-        resolved: list[ResolvedService] = []
-        for record in self._dedupe(self.lookup_records(service_name, categories)):
-            item = self._resolve_record(record)
-            if item is None:
-                continue
-            resolved.append(item)
-            if cacheable:
-                self.cache.put(
-                    item.name, item.service_key, item.endpoints,
-                    item.wsdl_text, item.revision,
+        cached = self.cache.get(service_name) if cacheable else None
+        if cached is not None:
+            self._emit("cache-hit", service=service_name, providers=len(cached))
+            items = [
+                ResolvedService(
+                    service_name, c.service_key, c.endpoints, c.wsdl_text,
+                    c.revision, True,
                 )
-        return resolved
+                for c in cached
+            ]
+            self.node.network.kernel.call_soon(callback, items, None)
+            return
+
+        def on_records(records, error) -> None:
+            if error is not None:
+                callback([], error)
+                return
+            fetches: list[tuple[ResolvedService, str]] = []
+            for record in self._dedupe(records):
+                service = record["service"]
+                endpoints = [b["accessPoint"] for b in service.get("bindingTemplates", [])]
+                if endpoints:
+                    wsdl_url = next((t["overviewURL"] for t in record.get("tModels", [])
+                                     if t.get("overviewURL")), "")
+                    fetches.append((ResolvedService(
+                        service["name"], service["serviceKey"], endpoints, "",
+                        int(record.get("revision", 0)), False,
+                    ), wsdl_url))
+            state = {"outstanding": len(fetches) + 1}  # +1: this listing
+
+            def settle() -> None:
+                state["outstanding"] -= 1
+                if state["outstanding"]:
+                    return
+                items = [item for item, _ in fetches if item.wsdl_text is not None]
+                if cacheable:
+                    for item in items:
+                        self.cache.put(
+                            item.name, item.service_key, item.endpoints,
+                            item.wsdl_text, item.revision,
+                        )
+                callback(items, None)
+
+            def fetched(item: ResolvedService, response, error) -> None:
+                item.wsdl_text = response.body if error is None and response.ok else None
+                settle()
+
+            for item, wsdl_url in fetches:
+                if not wsdl_url:
+                    settle()  # no WSDL location: resolved with no WSDL text
+                    continue
+                uri = Uri.parse(wsdl_url)
+                self.http.request_async(
+                    uri.host, uri.port or 80, HttpRequest("GET", "/" + uri.path),
+                    partial(fetched, item),
+                )
+            settle()
+
+        self._lookup_async(service_name, categories, on_records)
 
     @staticmethod
     def _dedupe(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -338,153 +410,3 @@ class DiscoveryClient:
             ):
                 best[identity] = record
         return [best[k] for k in sorted(best)]
-
-    def _resolve_record(self, record: dict[str, Any]) -> Optional[ResolvedService]:
-        service = record["service"]
-        endpoints = [
-            b["accessPoint"] for b in service.get("bindingTemplates", [])
-        ]
-        if not endpoints:
-            return None
-        wsdl_url = next(
-            (t["overviewURL"] for t in record.get("tModels", []) if t.get("overviewURL")),
-            "",
-        )
-        wsdl_text = ""
-        if wsdl_url:
-            try:
-                wsdl_text = self._fetch(wsdl_url)
-            except TransportError:
-                return None
-        return ResolvedService(
-            service["name"], service["serviceKey"], endpoints, wsdl_text,
-            int(record.get("revision", 0)), False,
-        )
-
-    def _fetch(self, url: str) -> str:
-        uri = Uri.parse(url)
-        response = self.http.request(
-            uri.host, uri.port or 80, HttpRequest("GET", "/" + uri.path)
-        )
-        if not response.ok:
-            raise TransportError(f"GET {url} -> {response.status}")
-        return response.body
-
-    # ------------------------------------------------------------------
-    # async resolve (the event-driven path benchmarks drive)
-    # ------------------------------------------------------------------
-    def resolve_async(
-        self,
-        service_name: str,
-        callback: Callable[[list[ResolvedService], Optional[Exception]], None],
-    ) -> None:
-        """Event-driven :meth:`resolve` for exact names.
-
-        A cache hit completes via ``kernel.call_soon`` (still zero
-        network frames, but never re-entrantly under the caller).
-        """
-        cached = self.cache.get(service_name)
-        if cached is not None:
-            self._emit("cache-hit", service=service_name, providers=len(cached))
-            items = [
-                ResolvedService(
-                    service_name, c.service_key, c.endpoints, c.wsdl_text,
-                    c.revision, True,
-                )
-                for c in cached
-            ]
-            self.node.network.kernel.call_soon(callback, items, None)
-            return
-        obs_metrics.inc("discovery.lookups")
-        replicas = self.replicas_for(service_name)
-        state: dict[str, Any] = {"replies": {}, "outstanding": len(replicas)}
-
-        def on_records(shard: str, records, error) -> None:
-            if error is None and records is not None:
-                state["replies"][shard] = records
-            state["outstanding"] -= 1
-            if state["outstanding"] == 0:
-                self._finish_lookup_async(service_name, state["replies"], callback)
-
-        for shard in replicas:
-            self._client(shard).call_async(
-                "find_service_records",
-                (lambda s: lambda records, error: on_records(s, records, error))(shard),
-                name_pattern=service_name,
-                category_bag=[],
-                max_rows=0,
-            )
-
-    def _finish_lookup_async(self, service_name, replies, callback) -> None:
-        if not replies:
-            callback([], DiscoveryError(f"no replica of {service_name!r} reachable"))
-            return
-        merged = self._merge(replies)
-        # repair in the background; the caller's answer doesn't wait on it
-        for shard, records in replies.items():
-            held = {
-                r["service"]["serviceKey"]: int(r.get("revision", 0)) for r in records
-            }
-            for key, record in merged.items():
-                if held.get(key, -1) >= int(record.get("revision", 0)):
-                    continue
-                obs_metrics.inc("discovery.read_repairs")
-                self._emit(
-                    "read-repair", service=service_name, shard=shard,
-                    revision=int(record.get("revision", 0)),
-                )
-                self._client(shard).call_async(
-                    "import_service", lambda result, error: None, record=record
-                )
-        records = self._dedupe(list(merged.values()))
-        items: list[ResolvedService] = []
-        pending = {"count": 0, "done_listing": False}
-
-        def finish_one() -> None:
-            pending["count"] -= 1
-            maybe_done()
-
-        def maybe_done() -> None:
-            if pending["done_listing"] and pending["count"] == 0:
-                for item in items:
-                    self.cache.put(
-                        item.name, item.service_key, item.endpoints,
-                        item.wsdl_text, item.revision,
-                    )
-                callback(items, None)
-
-        for record in records:
-            service = record["service"]
-            endpoints = [b["accessPoint"] for b in service.get("bindingTemplates", [])]
-            if not endpoints:
-                continue
-            wsdl_url = next(
-                (t["overviewURL"] for t in record.get("tModels", [])
-                 if t.get("overviewURL")),
-                "",
-            )
-            if not wsdl_url:
-                continue
-            pending["count"] += 1
-            uri = Uri.parse(wsdl_url)
-
-            def on_wsdl(response, error, _record=record, _eps=endpoints) -> None:
-                if error is None and response.ok:
-                    items.append(
-                        ResolvedService(
-                            _record["service"]["name"],
-                            _record["service"]["serviceKey"],
-                            _eps,
-                            response.body,
-                            int(_record.get("revision", 0)),
-                            False,
-                        )
-                    )
-                finish_one()
-
-            self.http.request_async(
-                uri.host, uri.port or 80, HttpRequest("GET", "/" + uri.path), on_wsdl
-            )
-        pending["done_listing"] = True
-        if pending["count"] == 0:
-            callback([], None)

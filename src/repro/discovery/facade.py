@@ -11,14 +11,13 @@ variations into the tree at any level").
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.errors import DeploymentError
-from repro.core.errors import DiscoveryError as CoreDiscoveryError
 from repro.core.events import EventSource
 from repro.core.handle import ServiceHandle
 from repro.core.hosting import DeployedService
-from repro.core.locator import ServiceLocator
+from repro.core.locator import OnComplete, OnFound, ServiceLocator
 from repro.core.publisher import ServicePublisher
 from repro.core.query import ServiceQuery, UDDIServiceQuery
 from repro.discovery.client import DiscoveryClient, DiscoveryError, ResolvedService
@@ -34,7 +33,7 @@ class DistributedUddiLocator(ServiceLocator):
         discovery: DiscoveryClient,
         parent: Optional[EventSource] = None,
     ):
-        super().__init__(lambda: discovery.node.network.kernel.now, parent)
+        super().__init__(discovery.node.network.kernel, parent)
         self.discovery = discovery
         discovery.on_event = self.fire_discovery
 
@@ -43,82 +42,37 @@ class DistributedUddiLocator(ServiceLocator):
         super().mark_endpoint_dead(address)
         self.discovery.cache.invalidate_endpoint(address)
 
-    # ------------------------------------------------------------------
-    def _handle_from(self, item: ResolvedService) -> Optional[ServiceHandle]:
-        if not item.wsdl_text:
-            self.fire_discovery(
-                "service-skipped", service=item.name, reason="no wsdl in record"
-            )
-            return None
-        return self._filter_quarantined(
-            ServiceHandle(
-                item.name,
-                parse_wsdl_cached(item.wsdl_text),
-                [EndpointReference(address) for address in item.endpoints],
-                source="uddi",
-            )
-        )
-
-    def locate(
-        self, query: ServiceQuery, timeout: float = 10.0, expect: int = 1
-    ) -> list[ServiceHandle]:
+    def locate_async(
+        self, query: ServiceQuery, on_found: OnFound, on_complete: OnComplete = None,
+        *, expect: int = 1, timeout: float = 10.0,
+    ) -> None:
+        """One :meth:`DiscoveryClient.resolve_async`; a cache hit
+        completes without any frame.  The plane answers in one sweep, so
+        *expect* and *timeout* do not apply."""
         categories = query.categories if isinstance(query, UDDIServiceQuery) else []
         self.fire_discovery("query-issued", query=query.describe(), via="discovery")
-        try:
-            resolved = self.discovery.resolve(query.name_pattern, categories)
-        except DiscoveryError as exc:
-            self.fire_discovery("query-failed", reason=str(exc))
-            raise CoreDiscoveryError(f"discovery plane unreachable: {exc}") from exc
-        handles: list[ServiceHandle] = []
-        for item in resolved:
-            handle = self._handle_from(item)
-            if handle is None:
-                continue
-            handles.append(handle)
-            self.fire_discovery(
-                "service-found", service=item.name,
-                via="discovery-cache" if item.from_cache else "discovery",
-                endpoints=[e.address for e in handle.endpoints],
-            )
-        if not handles:
-            self.fire_discovery("query-empty", query=query.describe())
-        return handles
-
-    def locate_async(
-        self,
-        query: ServiceQuery,
-        on_found: Callable[[ServiceHandle], None],
-        on_complete: Optional[Callable[[int, Optional[Exception]], None]] = None,
-    ) -> None:
-        """Event-driven locate; cache hits complete without any frame."""
-        self.fire_discovery(
-            "query-issued", query=query.describe(), via="discovery-async"
-        )
 
         def on_resolved(items: list[ResolvedService], error) -> None:
             if error is not None:
-                self.fire_discovery("query-failed", reason=str(error))
-                if on_complete is not None:
-                    on_complete(0, error)
+                self._fail(on_complete, "discovery plane unreachable", error)
                 return
             found = 0
             for item in items:
-                handle = self._handle_from(item)
-                if handle is None:
+                if not item.wsdl_text:
+                    self.fire_discovery(
+                        "service-skipped", service=item.name, reason="no wsdl in record"
+                    )
                     continue
-                found += 1
-                self.fire_discovery(
-                    "service-found", service=item.name,
-                    via="discovery-cache" if item.from_cache else "discovery",
-                    endpoints=[e.address for e in handle.endpoints],
+                handle = ServiceHandle(
+                    item.name, parse_wsdl_cached(item.wsdl_text),
+                    [EndpointReference(address) for address in item.endpoints],
+                    source="uddi",
                 )
-                on_found(handle)
-            if found == 0:
-                self.fire_discovery("query-empty", query=query.describe())
-            if on_complete is not None:
-                on_complete(found, None)
+                via = "discovery-cache" if item.from_cache else "discovery"
+                found += self._found(handle, on_found, via=via)
+            self._complete(query, on_complete, found)
 
-        self.discovery.resolve_async(query.name_pattern, on_resolved)
+        self.discovery.resolve_async(query.name_pattern, on_resolved, categories)
 
 
 class DistributedUddiPublisher(ServicePublisher):

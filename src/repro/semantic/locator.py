@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.handle import ServiceHandle
-from repro.core.locator import ServiceLocator
-from repro.core.query import ServiceQuery
-from repro.semantic.matching import Matchmaker, MatchDegree
+from repro.core.locator import OnComplete, OnFound, ServiceLocator
+from repro.core.query import P2PSServiceQuery, ServiceQuery
+from repro.semantic.matching import Matchmaker
 from repro.semantic.ontology import Ontology
 from repro.semantic.profile import PROFILE_ATTRIBUTE, ServiceProfile
 from repro.semantic.query import SemanticServiceQuery
@@ -54,49 +54,54 @@ class SemanticServiceLocator(ServiceLocator):
         ontology: Ontology,
         parent=None,
     ):
-        super().__init__(base._clock, parent)
+        super().__init__(base._kernel, parent)
         self.base = base
         self.matchmaker = Matchmaker(ontology)
 
-    def locate(
-        self, query: ServiceQuery, timeout: float = 10.0, expect: int = 1
-    ) -> list[ServiceHandle]:
+    def locate_async(
+        self, query: ServiceQuery, on_found: OnFound, on_complete: OnComplete = None,
+        *, expect: int = 1, timeout: float = 10.0,
+    ) -> None:
+        """Collect the base locator's hits; rank them once it completes."""
         if not isinstance(query, SemanticServiceQuery):
-            return self.base.locate(query, timeout=timeout, expect=expect)
-
+            self.base.locate_async(query, on_found, on_complete, expect=expect, timeout=timeout)
+            return
         self.fire_discovery("query-issued", query=query.describe(), via="semantic")
-        # over-fetch: semantic filtering happens here, not in the network
-        from repro.core.query import P2PSServiceQuery
+        candidates: list[ServiceHandle] = []
 
-        broad = P2PSServiceQuery(query.name_pattern)
-        candidates = self.base.locate(broad, timeout=timeout, expect=max(expect, 4))
-
-        profiled: list[tuple[ServiceProfile, ServiceHandle]] = []
-        for handle in candidates:
-            profile = profile_of(handle)
-            if profile is not None:
-                profiled.append((profile, handle))
-            else:
-                self.fire_discovery(
-                    "service-skipped", service=handle.name, reason="no semantic profile"
-                )
-
-        ranked = self.matchmaker.rank(
-            query.request_profile(),
-            [profile for profile, _ in profiled],
-            min_degree=query.min_degree,
-        )
-        # pair by object identity: several providers may share a service name
-        by_profile = {id(profile): handle for profile, handle in profiled}
-        results = []
-        for match in ranked:
-            handle = by_profile[id(match.profile)]
-            handle.attributes["match-degree"] = match.degree.name
-            results.append(handle)
-            self.fire_discovery(
-                "service-found", service=handle.name, via="semantic",
-                degree=match.degree.name,
+        def rank(count: int, error: Optional[Exception]) -> None:
+            if error is not None:
+                if on_complete is not None:
+                    on_complete(0, error)
+                return
+            profiled: list[tuple[ServiceProfile, ServiceHandle]] = []
+            for handle in candidates:
+                profile = profile_of(handle)
+                if profile is not None:
+                    profiled.append((profile, handle))
+                else:
+                    self.fire_discovery(
+                        "service-skipped", service=handle.name, reason="no semantic profile"
+                    )
+            ranked = self.matchmaker.rank(
+                query.request_profile(),
+                [profile for profile, _ in profiled],
+                min_degree=query.min_degree,
             )
-        if not results:
-            self.fire_discovery("query-empty", query=query.describe())
-        return results
+            # pair by object identity: several providers may share a service name
+            by_profile = {id(profile): handle for profile, handle in profiled}
+            for match in ranked:
+                handle = by_profile[id(match.profile)]
+                handle.attributes["match-degree"] = match.degree.name
+                self.fire_discovery(
+                    "service-found", service=handle.name, via="semantic",
+                    degree=match.degree.name,
+                )
+                on_found(handle)
+            self._complete(query, on_complete, len(ranked))
+
+        # over-fetch: semantic filtering happens here, not in the network
+        self.base.locate_async(
+            P2PSServiceQuery(query.name_pattern), candidates.append, rank,
+            expect=max(expect, 4), timeout=timeout,
+        )

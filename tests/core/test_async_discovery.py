@@ -7,6 +7,8 @@ from repro.core.binding import P2psBinding, StandardBinding
 from repro.core.events import RecordingListener
 from repro.core.query import P2PSServiceQuery, ServiceQuery
 from repro.p2ps import PeerGroup
+from repro.p2ps.group import link_rendezvous
+from repro.p2ps.query import AdvertQuery
 from repro.simnet import FixedLatency, Network
 from repro.uddi import UddiRegistryNode
 from tests.core.conftest import Counter, Echo
@@ -101,21 +103,110 @@ class TestUddiAsyncLocate:
         assert "EchoNoWsdl" not in [h.name for h in found]
 
 
+@pytest.fixture
+def p2ps_world():
+    net = Network(latency=FixedLatency(0.002))
+    group = PeerGroup("g")
+    provider = WSPeer(net.add_node("pp"), P2psBinding(group), name="pp")
+    provider.deploy(Echo(), name="Echo")
+    provider.publish("Echo")
+    net.run()
+    # joins after the advert broadcast: the query travels the network
+    consumer = WSPeer(net.add_node("pc"), P2psBinding(group), name="pc")
+    return net, consumer
+
+
+def locate_p2ps(consumer, name, timeout):
+    """Start an async P2PS locate; returns (found, done) lists that fill
+    as it runs, done holding (count, error, completion time)."""
+    found, done = [], []
+    net = consumer.node.network
+    consumer.client.locator.locate_async(
+        P2PSServiceQuery(name), found.append,
+        on_complete=lambda count, error: done.append((count, error, net.now)),
+        timeout=timeout,
+    )
+    return found, done
+
+
 class TestP2psAsyncLocate:
-    def test_async_locate_over_pipes(self):
-        net = Network(latency=FixedLatency(0.002))
-        group = PeerGroup("g")
-        provider = WSPeer(net.add_node("pp"), P2psBinding(group), name="pp")
-        provider.deploy(Echo(), name="Echo")
-        provider.publish("Echo")
-        net.run()
-        consumer = WSPeer(net.add_node("pc"), P2psBinding(group), name="pc")
+    def test_async_locate_over_pipes(self, p2ps_world):
+        net, consumer = p2ps_world
         found = []
         consumer.client.locator.locate_async(
             P2PSServiceQuery("Echo"), found.append
         )
         net.run()
         assert [h.name for h in found] == ["Echo"]
+
+    def test_kernel_step_never_nests(self, p2ps_world, monkeypatch):
+        net, consumer = p2ps_world
+        kernel = net.kernel
+        step = kernel.step
+        depth = {"now": 0, "max": 0}
+
+        def counting_step():
+            depth["now"] += 1
+            depth["max"] = max(depth["max"], depth["now"])
+            try:
+                return step()
+            finally:
+                depth["now"] -= 1
+
+        monkeypatch.setattr(kernel, "step", counting_step)
+        found = []
+        consumer.client.locator.locate_async(P2PSServiceQuery("Echo"), found.append)
+        net.run()
+        assert [h.name for h in found] == ["Echo"]
+        assert depth["max"] == 1
+
+    def test_completion_reports_count_and_time(self, p2ps_world):
+        net, consumer = p2ps_world
+        start = net.now
+        _, missed = locate_p2ps(consumer, "Nothing", timeout=2.0)
+        net.run()
+        assert [(count, error) for count, error, _ in missed] == [(0, None)]
+        assert missed[0][2] == pytest.approx(start + 2.0)
+        found, done = locate_p2ps(consumer, "Echo", timeout=2.0)
+        net.run()
+        assert [(count, error) for count, error, _ in done] == [(1, None)]
+        assert [h.name for h in found] == ["Echo"]
+
+    def test_find_releases_reply_pipe_and_timers(self, p2ps_world):
+        net, consumer = p2ps_world
+        pipes = len(consumer.peer._input_pipes)
+        _, done = locate_p2ps(consumer, "Echo", timeout=5.0)
+        net.run()
+        assert done and done[0][:2] == (1, None)
+        assert len(consumer.peer._input_pipes) == pipes
+        assert net.now == done[0][2]  # nothing left to fire at +5 s
+        net.run()
+        assert net.now == done[0][2]
+
+    def test_query_ttl_is_honoured(self):
+        net = Network(latency=FixedLatency(0.002))
+        groups = [PeerGroup(f"g{i}") for i in range(3)]
+        rdvs = [
+            WSPeer(net.add_node(f"r{i}"), P2psBinding(g, rendezvous=True), name=f"r{i}")
+            for i, g in enumerate(groups)
+        ]
+        for a, b in zip(rdvs, rdvs[1:]):
+            link_rendezvous(a.peer, b.peer)
+        provider = WSPeer(net.add_node("far"), P2psBinding(groups[-1]), name="far")
+        provider.deploy(Echo(), name="Far")
+        provider.publish("Far")
+        net.run()
+        consumer = WSPeer(net.add_node("near"), P2psBinding(groups[0]), name="near")
+        locator = consumer.client.locator
+        short, enough = [], []
+        locator.locate_async(P2PSServiceQuery("Far", ttl=1), short.append, timeout=1.0)
+        net.run()
+        # one hop: the query never reached the far group, so no advert came back
+        assert consumer.peer.cache.match(AdvertQuery("service", "Far")) == []
+        locator.locate_async(P2PSServiceQuery("Far"), enough.append, timeout=1.0)
+        net.run()
+        assert short == []
+        assert [h.name for h in enough] == ["Far"]
 
 
 class TestFacadeAsyncLocate:

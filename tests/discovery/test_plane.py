@@ -9,6 +9,7 @@ import pytest
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.core.errors import DiscoveryError
+from repro.core.query import UDDIServiceQuery
 from repro.discovery import DiscoveryPlane
 from repro.simnet import FixedLatency, Network
 
@@ -143,12 +144,40 @@ class TestResolve:
         with pytest.raises(DiscoveryError):
             cons.locate("Echo", timeout=40.0)
 
-    def test_wildcard_scatters_to_all_shards(self, net, plane):
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_wildcard_scatters_to_all_shards(self, net, plane, mode):
         for i in range(6):
             publish_echo(net, plane, node_id=f"p{i}", name=f"Svc{i}")
         cons = make_peer(net, plane, "cons")
-        handles = cons.locate("Svc%")
+        if mode == "sync":
+            handles = cons.locate("Svc%")
+        else:
+            handles, done = [], []
+            cons.locate_async(
+                "Svc%", handles.append,
+                on_complete=lambda count, error: done.append((count, error)),
+            )
+            net.run()
+            assert done == [(6, None)]
         assert sorted(h.name for h in handles) == [f"Svc{i}" for i in range(6)]
+
+    def test_locate_async_honours_categories(self, net, plane):
+        """A category that matches nothing completes empty, and is never
+        answered from the rendezvous cache the plain name warmed."""
+        publish_echo(net, plane)
+        cons = make_peer(net, plane, "cons")
+        cons.locate("Echo")
+        net.run()
+        hits = cons.discovery.cache.hits
+        cat = {"tModelKey": "uuid:domain", "keyName": "domain", "keyValue": "math"}
+        found, done = [], []
+        cons.locate_async(
+            UDDIServiceQuery("Echo", categories=[cat]), found.append,
+            on_complete=lambda count, error: done.append((count, error)),
+        )
+        net.run()
+        assert found == [] and done == [(0, None)]
+        assert cons.discovery.cache.hits == hits
 
     def test_locate_async_mirrors_sync(self, net, plane):
         publish_echo(net, plane)
