@@ -8,16 +8,22 @@ leading underscore keeps pytest from collecting this as a test module.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
 from repro.p2ps import PeerGroup
 from repro.p2ps.group import link_rendezvous
-from repro.simnet import FixedLatency, Network, SeededLatency, TraceLog
+from repro.simnet import FixedLatency, Network, TraceLog
+from repro.simnet.kernel import SimTimeoutError
 from repro.uddi import UddiRegistryNode
+
+# the §V applications and the semantic extension (A1–A3, EXT1) are the
+# lab package under examples/, not part of repro
+sys.path.insert(0, str(Path(__file__).parents[1] / "examples"))
 
 DEFAULT_LATENCY = 0.005  # 5 ms per hop, LAN-ish
 
@@ -157,3 +163,13 @@ def advance(net: Network, dt: float) -> None:
     """Let *dt* of virtual time pass (client pacing between requests)."""
     net.kernel.schedule(dt, lambda: None)
     net.run()
+
+
+def discovered(handle, timeout: float) -> bool:
+    """Whether the P2PS query *handle* gets a result: pump the kernel
+    until one arrives, the queue drains or *timeout* virtual seconds pass."""
+    try:
+        handle.peer.network.kernel.pump_until(lambda: handle.results, timeout=timeout)
+    except SimTimeoutError:
+        pass
+    return bool(handle.results)

@@ -9,7 +9,7 @@ costs ~one round trip, not w.
 
 from _workloads import fmt_ms, print_table
 
-from repro.apps import Toolbox, Workflow, WorkflowEngine
+from lab.workflow import Toolbox, Workflow, WorkflowEngine
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.simnet import FixedLatency, Network

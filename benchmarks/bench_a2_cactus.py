@@ -12,7 +12,7 @@ from _workloads import fmt_ms, print_table
 
 import numpy as np
 
-from repro.apps import run_cactus_scenario
+from lab.cactus import run_cactus_scenario
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.simnet import FixedLatency, Network

@@ -10,7 +10,7 @@ broker node anywhere in the topology.
 
 from _workloads import print_table
 
-from repro.apps import ConsumerAgent, ProviderAgent, run_market_rounds
+from lab.catnets import ConsumerAgent, ProviderAgent, run_market_rounds
 from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 

@@ -8,7 +8,7 @@ against how long a *living* service stays discoverable without
 republish.
 """
 
-from _workloads import EchoService, print_table
+from _workloads import discovered, print_table
 
 from repro.p2ps import AdvertQuery, Peer, PeerGroup
 from repro.simnet import FixedLatency, Network
@@ -34,8 +34,8 @@ def staleness_probe(lifetime: float, probe_delay: float) -> tuple[bool, bool]:
     net.kernel.schedule(probe_delay, lambda: None)
     net.run()
 
-    dead_found = bool(observer.discover(AdvertQuery("service", "DeadSvc")).wait_for(1, timeout=1.0))
-    live_found = bool(observer.discover(AdvertQuery("service", "LiveSvc")).wait_for(1, timeout=1.0))
+    dead_found = discovered(observer.discover(AdvertQuery("service", "DeadSvc")), timeout=1.0)
+    live_found = discovered(observer.discover(AdvertQuery("service", "LiveSvc")), timeout=1.0)
     return dead_found, live_found
 
 
@@ -92,10 +92,10 @@ def test_ab3_republish_restores_discovery():
     net.run()
     net.kernel.schedule(30.0, lambda: None)
     net.run()
-    assert not observer.discover(AdvertQuery("service", "LiveSvc")).wait_for(1, timeout=1.0)
+    assert not discovered(observer.discover(AdvertQuery("service", "LiveSvc")), timeout=1.0)
     live.publish(advert)  # periodic republish, the soft-state remedy
     net.run()
-    assert observer.discover(AdvertQuery("service", "LiveSvc")).wait_for(1, timeout=1.0)
+    assert discovered(observer.discover(AdvertQuery("service", "LiveSvc")), timeout=1.0)
 
 
 def test_ab3_fresh_probe_sees_everything():

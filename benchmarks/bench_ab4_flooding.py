@@ -9,9 +9,7 @@ of (a) one flat group, (b) a random k-regular neighbor graph, as a
 function of TTL.
 """
 
-from _workloads import fmt_ms, print_table
-
-import networkx as nx
+from _workloads import discovered, fmt_ms, print_table
 
 from repro.p2ps import AdvertQuery, Peer, PeerGroup
 from repro.p2ps.group import connect_neighbors
@@ -19,6 +17,15 @@ from repro.simnet import FixedLatency, Network
 
 N_PEERS = 24
 DEGREE = 3
+# a random 3-regular graph on the 24 peers, drawn once (seed 7) and
+# fixed here: every peer has exactly DEGREE neighbours
+OVERLAY_EDGES = [
+    (0, 16), (0, 13), (0, 21), (1, 21), (1, 14), (1, 17), (2, 4), (2, 3), (2, 6),
+    (3, 4), (3, 5), (4, 15), (5, 15), (5, 20), (6, 18), (6, 7), (7, 22), (7, 14),
+    (8, 18), (8, 20), (8, 10), (9, 10), (9, 13), (9, 12), (10, 23), (11, 23),
+    (11, 19), (11, 12), (12, 16), (13, 15), (14, 16), (17, 19), (17, 22), (18, 20),
+    (19, 23), (21, 22),
+]
 
 
 def build_flat_group(n=N_PEERS):
@@ -30,11 +37,10 @@ def build_flat_group(n=N_PEERS):
     return net, peers
 
 
-def build_regular_graph(n=N_PEERS, k=DEGREE, seed=7):
+def build_regular_graph():
     net = Network(latency=FixedLatency(0.002))
-    peers = [Peer(net.add_node(f"n{i}"), name=f"p{i}") for i in range(n)]
-    graph = nx.random_regular_graph(k, n, seed=seed)
-    for a, b in graph.edges:
+    peers = [Peer(net.add_node(f"n{i}"), name=f"p{i}") for i in range(N_PEERS)]
+    for a, b in OVERLAY_EDGES:
         connect_neighbors(peers[a], peers[b])
     return net, peers
 
@@ -48,7 +54,7 @@ def probe(build, ttl: int):
     frames_before = net.sent.total()
     start = net.now
     handle = peers[-1].discover(AdvertQuery("service", "Target"), ttl=ttl)
-    found = bool(handle.wait_for(1, timeout=3.0))
+    found = discovered(handle, timeout=3.0)
     elapsed = net.now - start
     net.run()
     return found, elapsed, net.sent.total() - frames_before

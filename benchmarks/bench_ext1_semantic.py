@@ -1,7 +1,7 @@
 """EXT1 — extension: DAML-style semantic queries (§III's hook).
 
 "More complex queries could be constructed from languages such as
-DAML."  The extension (``repro.semantic``) adds DAML-S-style profiles
+DAML."  The extension (``lab.semantic``) adds DAML-S-style profiles
 and capability matchmaking on top of the locator tree.  Experiment:
 a marketplace where service *names* are unhelpful (every provider calls
 itself "Shop-N") but profiles state real capabilities; compare what a
@@ -10,10 +10,7 @@ name query and a capability query return.
 
 from _workloads import fmt_ms, print_table
 
-from repro.core import WSPeer
-from repro.core.binding import P2psBinding
-from repro.p2ps import PeerGroup
-from repro.semantic import (
+from lab.semantic import (
     MatchDegree,
     Matchmaker,
     Ontology,
@@ -21,7 +18,10 @@ from repro.semantic import (
     SemanticServiceQuery,
     ServiceProfile,
 )
-from repro.semantic.locator import attach_profile
+from lab.semantic.locator import attach_profile
+from repro.core import WSPeer
+from repro.core.binding import P2psBinding
+from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 
 

@@ -9,7 +9,7 @@ real-time as the simulation iterated through its time steps." (§V)
 Run:  python examples/cactus_streaming.py
 """
 
-from repro.apps import run_cactus_scenario
+from lab.cactus import run_cactus_scenario
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.simnet import Network, SeededLatency

@@ -8,7 +8,7 @@ market — no central broker anywhere.
 Run:  python examples/catnets_market.py
 """
 
-from repro.apps import ConsumerAgent, ProviderAgent, run_market_rounds
+from lab.catnets import ConsumerAgent, ProviderAgent, run_market_rounds
 from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 

@@ -10,7 +10,7 @@ This package implements that extension:
 
 ``ontology``
     A DAML-lite concept hierarchy (is-a DAG over named concepts) with
-    subsumption queries, built on networkx.
+    subsumption queries.
 ``profile``
     DAML-S-style service profiles: the concepts a service consumes
     (inputs) and produces (outputs) plus a category concept; XML
@@ -25,12 +25,13 @@ This package implements that extension:
     client tree like any other locator (§III pluggability).
 """
 
-from repro._exports import exports
+from lab.semantic.locator import SemanticServiceLocator
+from lab.semantic.matching import MatchDegree, Matchmaker, ProfileMatch
+from lab.semantic.ontology import Ontology, OntologyError
+from lab.semantic.profile import ServiceProfile
+from lab.semantic.query import SemanticServiceQuery
 
-__all__, __getattr__, __dir__ = exports(__name__, {
-    ".ontology": ("Ontology", "OntologyError"),
-    ".profile": ("ServiceProfile",),
-    ".matching": ("MatchDegree", "Matchmaker", "ProfileMatch"),
-    ".query": ("SemanticServiceQuery",),
-    ".locator": ("SemanticServiceLocator",),
-})
+__all__ = [
+    "MatchDegree", "Matchmaker", "Ontology", "OntologyError", "ProfileMatch",
+    "SemanticServiceLocator", "SemanticServiceQuery", "ServiceProfile",
+]

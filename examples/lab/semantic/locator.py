@@ -19,10 +19,11 @@ from typing import Optional
 from repro.core.handle import ServiceHandle
 from repro.core.locator import OnComplete, OnFound, ServiceLocator
 from repro.core.query import P2PSServiceQuery, ServiceQuery
-from repro.semantic.matching import Matchmaker
-from repro.semantic.ontology import Ontology
-from repro.semantic.profile import PROFILE_ATTRIBUTE, ServiceProfile
-from repro.semantic.query import SemanticServiceQuery
+
+from lab.semantic.matching import Matchmaker
+from lab.semantic.ontology import Ontology
+from lab.semantic.profile import PROFILE_ATTRIBUTE, ServiceProfile
+from lab.semantic.query import SemanticServiceQuery
 
 
 def attach_profile(wspeer, service_name: str, profile: ServiceProfile) -> None:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
-from repro.semantic.ontology import Ontology
-from repro.semantic.profile import ServiceProfile
+from lab.semantic.ontology import Ontology
+from lab.semantic.profile import ServiceProfile
 
 
 class MatchDegree(IntEnum):

@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.query import ServiceQuery
-from repro.semantic.matching import MatchDegree
-from repro.semantic.profile import ServiceProfile
+
+from lab.semantic.matching import MatchDegree
+from lab.semantic.profile import ServiceProfile
 
 
 @dataclass

@@ -36,10 +36,6 @@ class Tool:
     handle: ServiceHandle
     operation: str
 
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.handle.name}.{self.operation}"
-
 
 class Toolbox:
     """Discovered services presented as invocable tools."""

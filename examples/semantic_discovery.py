@@ -8,16 +8,16 @@ over a shared ontology, and a consumer asks for *what it needs*
 Run:  python examples/semantic_discovery.py
 """
 
-from repro.core import WSPeer
-from repro.core.binding import P2psBinding
-from repro.p2ps import PeerGroup
-from repro.semantic import (
+from lab.semantic import (
     Ontology,
     SemanticServiceLocator,
     SemanticServiceQuery,
     ServiceProfile,
 )
-from repro.semantic.locator import attach_profile
+from lab.semantic.locator import attach_profile
+from repro.core import WSPeer
+from repro.core.binding import P2psBinding
+from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 
 

@@ -7,7 +7,7 @@ scratchpad and wire them together to create Web service workflows."
 Run:  python examples/triana_workflow.py
 """
 
-from repro.apps import Toolbox, Workflow, WorkflowEngine
+from lab.workflow import Toolbox, Workflow, WorkflowEngine
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.simnet import FixedLatency, Network

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Iterator
 
 _MISSING = object()
 
@@ -109,14 +109,6 @@ class ArtifactCache:
     def recent(self) -> Iterator[Any]:
         """Cached values, most recently used first; no counter moves."""
         return reversed(self._data.values())
-
-    def get_or_build(self, key: Any, build: Callable[[], Any]) -> Any:
-        """Return the cached value for *key*, building (and storing) on miss."""
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = build()
-            self.put(key, value)
-        return value
 
     # -- invalidation ------------------------------------------------------
     def invalidate(self, key: Any) -> bool:

@@ -264,10 +264,6 @@ class LightweightContainer(EventSource):
             raise DeploymentError(f"no deployed service named {name!r}")
         return deployed
 
-    @property
-    def service_names(self) -> list[str]:
-        return sorted(self._services)
-
     # ------------------------------------------------------------------
     # the hosting pipeline: wire in, wire out
     # ------------------------------------------------------------------

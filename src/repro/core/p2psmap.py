@@ -247,6 +247,7 @@ class P2psServiceLocator(ServiceLocator):
 
         def close() -> None:
             timer.cancel()
+            self.peer.end_query(handle.query_id)
             state["closed"] = kernel.events_fired
             settle()
 
@@ -281,7 +282,8 @@ class P2psServiceLocator(ServiceLocator):
             settle()
 
         timer = kernel.schedule(timeout, close)
-        self.peer.discover(advert_query, ttl=query.ttl if p2ps else None).on_result(on_advert)
+        handle = self.peer.discover(advert_query, ttl=query.ttl if p2ps else None)
+        handle.on_result(on_advert)
 
     def _fetch_definition(
         self, advert: ServiceAdvertisement, timeout: float,

@@ -11,7 +11,7 @@ peer" (§IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.p2ps.peer import Peer
@@ -37,14 +37,8 @@ class PeerGroup:
     def leave(self, peer_id: str) -> None:
         self._members.pop(peer_id, None)
 
-    def is_member(self, peer_id: str) -> bool:
-        return peer_id in self._members
-
     def members(self, exclude: str = "") -> list[Member]:
         return [m for m in self._members.values() if m.peer_id != exclude]
-
-    def rendezvous_members(self) -> list[Member]:
-        return [m for m in self._members.values() if m.rendezvous]
 
     def __len__(self) -> int:
         return len(self._members)

@@ -40,7 +40,7 @@ from repro.p2ps.pipes import (
 )
 from repro.simnet.faults import NatGate
 from repro.p2ps.query import AdvertQuery
-from repro.simnet.kernel import ScheduledEvent, SimTimeoutError
+from repro.simnet.kernel import ScheduledEvent
 from repro.simnet.network import Frame, Network, Node, NodeDownError
 from repro.xmlkit import Element, QName, ns, parse, serialize
 
@@ -76,19 +76,6 @@ class QueryHandle:
         self.results.append(advert)
         for callback in list(self._callbacks):
             callback(advert)
-
-    def wait_for(self, count: int = 1, timeout: float = 10.0) -> list[Advertisement]:
-        """Pump the kernel until *count* results arrived (or timeout).
-
-        Returns whatever has been collected; raising is left to callers
-        that require a minimum.
-        """
-        kernel = self.peer.network.kernel
-        try:
-            kernel.pump_until(lambda: len(self.results) >= count, timeout=timeout)
-        except SimTimeoutError:
-            pass
-        return list(self.results)
 
     def __repr__(self) -> str:
         return f"<QueryHandle {self.query_id} results={len(self.results)}>"
@@ -182,10 +169,6 @@ class Peer:
         neighbour; messages flood along such links."""
         self.neighbors[peer_id] = node_id
         self.resolver.learn(peer_id, node_id)
-
-    @property
-    def uses_flooding(self) -> bool:
-        return bool(self.neighbors)
 
     # ------------------------------------------------------------------
     # pipes
@@ -326,6 +309,11 @@ class Peer:
         self._seen_queries.add(query_id)
         self._broadcast(message)
         return handle
+
+    def end_query(self, query_id: str) -> None:
+        """Stop collecting for a query: later responses only feed the
+        advert cache.  The handle itself keeps what it has."""
+        self._queries.pop(query_id, None)
 
     # ------------------------------------------------------------------
     # wire protocol

@@ -83,10 +83,6 @@ class Route:
         self.node_id = node_id
         self.relay_node = relay_node
 
-    @property
-    def via_relay(self) -> bool:
-        return bool(self.relay_node)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Route)
@@ -110,10 +106,6 @@ class OutputPipe:
         self.route = Route(route) if isinstance(route, str) else route
         self.sent = 0
         self._port = pipe_port(advert.pipe_id)
-
-    @property
-    def dst_node_id(self) -> str:
-        return self.route.node_id
 
     def send(self, payload: str, **meta) -> None:
         """Fire-and-forget write down the pipe (via the relay if NATed)."""

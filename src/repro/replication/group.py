@@ -47,7 +47,6 @@ class ReplicationGroup:
         self.acked: dict[str, dict[str, int]] = {}
         self.ships_sent = 0
         self.ship_failures = 0
-        self._anti_entropy_timer = None
         self._kernel = None
 
     # ------------------------------------------------------------------
@@ -101,12 +100,6 @@ class ReplicationGroup:
                 "stateful instance per deployment"
             )
         return next(iter(targets.values()))
-
-    def member_for(self, peer) -> Optional[ReplicationMember]:
-        for member in self.members:
-            if member.peer is peer:
-                return member
-        return None
 
     # ------------------------------------------------------------------
     # the handoff directory (consulted by FailoverExecutor)
@@ -213,24 +206,17 @@ class ReplicationGroup:
     # ------------------------------------------------------------------
     # anti-entropy (periodic pull + sequence dominance)
     # ------------------------------------------------------------------
-    def start_anti_entropy(self, interval: Optional[float] = None):
+    def start_anti_entropy(self, interval: Optional[float] = None) -> None:
         """Run the convergence pull every *interval* virtual seconds."""
         period = interval if interval is not None else self.config.anti_entropy_interval
         if period <= 0 or self._kernel is None:
-            return None
+            return
 
         def tick() -> None:
             self.run_anti_entropy()
-            self._anti_entropy_timer = self._kernel.schedule(period, tick)
+            self._kernel.schedule(period, tick)
 
-        self._anti_entropy_timer = self._kernel.schedule(period, tick)
-        return self._anti_entropy_timer
-
-    def stop_anti_entropy(self) -> None:
-        timer = self._anti_entropy_timer
-        self._anti_entropy_timer = None
-        if timer is not None and hasattr(timer, "cancel"):
-            timer.cancel()
+        self._kernel.schedule(period, tick)
 
     def run_anti_entropy(self) -> None:
         """One pull round: every live member compares high waters with
@@ -335,9 +321,6 @@ class ReplicationGroup:
     # ------------------------------------------------------------------
     # convergence checks + metrics
     # ------------------------------------------------------------------
-    def high_waters(self) -> dict[str, dict[str, int]]:
-        return {m.node_id: m.store.high_water_map() for m in self.members}
-
     def delta_lag(self) -> int:
         """Max over sessions of (highest member high water - lowest
         live member high water): how far behind the most-behind live

@@ -139,9 +139,6 @@ class Wiretap:
             if (r.src == a and r.dst == b) or (r.src == b and r.dst == a)
         ]
 
-    def involving(self, node: str) -> list[TapRecord]:
-        return [r for r in self.records if node in (r.src, r.dst)]
-
     def render_sequence(self, limit: int = 40) -> str:
         """An ASCII sequence diagram of the captured conversation."""
         lines = []

@@ -200,25 +200,6 @@ def message_to_wire(
     return b"".join(iter_message_wire(envelope_wire, attachments))
 
 
-def message_wire_length(
-    envelope_wire: Union[str, bytes], attachments: Iterable[Attachment]
-) -> int:
-    """Total multipart byte count, without materialising streamed parts."""
-    env_len = (
-        len(envelope_wire.encode("utf-8"))
-        if isinstance(envelope_wire, str)
-        else len(envelope_wire)
-    )
-    total = len(_part_head(ROOT_CONTENT_ID, ENVELOPE_CONTENT_TYPE, env_len)) + env_len + 2
-    for attachment in attachments:
-        total += (
-            len(_part_head(attachment.content_id, attachment.content_type, attachment.size))
-            + attachment.size
-            + 2
-        )
-    return total + len(_FINAL_BOUNDARY) + 2
-
-
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------

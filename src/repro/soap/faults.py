@@ -77,10 +77,6 @@ class SoapFault(Exception):
             return ReplicaLagFault.from_parts(message, actor, detail)
         return cls(code, message, actor, detail, subcode=subcode)
 
-    @staticmethod
-    def is_fault_element(elem: Element) -> bool:
-        return elem.name == QName(ns.SOAP_ENV, "Fault")
-
     def __repr__(self) -> str:
         return f"<SoapFault {self.code_text}: {self.message!r}>"
 
@@ -189,17 +185,3 @@ class ReplicaLagFault(SoapFault):
             f"<ReplicaLagFault behind_by={self.behind_by} "
             f"retry_after={self.retry_after:g}s>"
         )
-
-
-def is_busy_fault_element(elem: Element) -> bool:
-    """True when *elem* is a Fault whose code is ``Server.Busy``.
-
-    Used by the dedup layers: busy answers must never be retained as
-    the canonical response for a MessageID, or a later retransmission
-    would replay "busy" forever instead of executing.
-    """
-    if not SoapFault.is_fault_element(elem):
-        return False
-    code_text = elem.find_text("faultcode", "")
-    _, _, local = code_text.rpartition(":")
-    return local == f"{FaultCode.SERVER.value}.{ServerBusyFault.SUBCODE}"

@@ -8,8 +8,7 @@ from repro.simnet.network import Node
 from repro.soap.rpc import build_rpc_request, extract_rpc_result
 from repro.transport.http import HttpClient, HttpRequest
 from repro.transport.uri import Uri
-from repro.uddi.model import BindingTemplate, BusinessService, TModel
-from repro.uddi.service import UDDI_NAMESPACE, UDDI_PATH
+from repro.uddi.service import UDDI_NAMESPACE
 
 
 class UddiClient:
@@ -121,29 +120,3 @@ class UddiClient:
 
     def import_service(self, record: dict[str, Any]) -> bool:
         return bool(self.call("import_service", record=record))
-
-    # -- inquiry conveniences ------------------------------------------------
-    def find_services(
-        self,
-        name_pattern: str = "%",
-        categories: Optional[list[dict]] = None,
-    ) -> list[BusinessService]:
-        found = self.call(
-            "find_service", name_pattern=name_pattern, category_bag=categories or []
-        )
-        return [BusinessService.from_dict(s) for s in found]
-
-    def access_points(self, service: BusinessService) -> list[BindingTemplate]:
-        detail = self.call("get_service_detail", service_key=service.key)
-        return BusinessService.from_dict(detail).binding_templates
-
-    def wsdl_url_for(self, service: BusinessService) -> str:
-        """The overviewURL of the service's wsdlSpec tModel ('' if none)."""
-        for binding in self.access_points(service):
-            for tmodel_key in binding.tmodel_keys:
-                detail = TModel.from_dict(
-                    self.call("get_tmodel_detail", tmodel_key=tmodel_key)
-                )
-                if detail.overview_url:
-                    return detail.overview_url
-        return ""

@@ -86,10 +86,6 @@ class EndpointReference:
         return tuple(shape), texts
 
     # ------------------------------------------------------------------
-    def add_property(self, elem: Element) -> Element:
-        self.reference_properties.append(elem)
-        return elem
-
     def find_property(self, name: QName | str) -> Optional[Element]:
         for prop in self.reference_properties:
             if isinstance(name, QName):

@@ -30,11 +30,6 @@ class P2psAddress:
     service_name: str = ""
     pipe_name: str = ""
 
-    @property
-    def is_bare_pipe(self) -> bool:
-        """A pipe with no associated service (a reply channel)."""
-        return self.pipe_name != "" and self.service_name == ""
-
     def service_uri(self) -> str:
         """The address *without* the pipe fragment — what goes in
         wsa:Address / wsa:To (binding rule 1)."""

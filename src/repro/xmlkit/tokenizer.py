@@ -343,8 +343,3 @@ class Tokenizer:
                     f"'<' not allowed in attribute value of {aname!r}", astart
                 )
             attrs.append((aname, self.decode_entities(raw, astart)))
-
-
-def tokenize(text: str) -> Iterator[Token]:
-    """Convenience wrapper: iterate tokens of *text*."""
-    return Tokenizer(text).tokens()

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps import (
-    CactusSimulation,
-    ConsumerAgent,
-    ProviderAgent,
-    ResultCollector,
-    run_cactus_scenario,
-    run_market_rounds,
-)
+from lab.cactus import CactusSimulation, run_cactus_scenario
+from lab.catnets import ConsumerAgent, ProviderAgent, run_market_rounds
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.p2ps import PeerGroup

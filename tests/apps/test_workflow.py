@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import Tool, Toolbox, Workflow, WorkflowEngine, WorkflowError
+from lab.workflow import Tool, Toolbox, Workflow, WorkflowEngine, WorkflowError
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.simnet import FixedLatency, Network

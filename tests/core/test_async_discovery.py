@@ -183,6 +183,14 @@ class TestP2psAsyncLocate:
         net.run()
         assert net.now == done[0][2]
 
+    def test_finished_locates_release_their_queries(self, p2ps_world):
+        net, consumer = p2ps_world
+        for _ in range(50):
+            assert [h.name for h in consumer.locate("Echo")] == ["Echo"]
+        locate_p2ps(consumer, "Nothing", timeout=1.0)
+        net.run()
+        assert consumer.peer._queries == {}
+
     def test_query_ttl_is_honoured(self):
         net = Network(latency=FixedLatency(0.002))
         groups = [PeerGroup(f"g{i}") for i in range(3)]

@@ -67,10 +67,9 @@ class TestMixedBindings:
         uddi.publish_service(
             "WSPeer", "Echo", make_p2ps_uri(provider.peer.id, "Echo")
         )
-        found = uddi.find_services("Echo")
-        assert len(found) == 1
-        points = uddi.access_points(found[0])
-        assert points[0].access_point.startswith("p2ps://")
+        (found,) = uddi.call("find_service", name_pattern="Echo", category_bag=[])
+        detail = uddi.call("get_service_detail", service_key=found["serviceKey"])
+        assert detail["bindingTemplates"][0]["accessPoint"].startswith("p2ps://")
         assert advert.name == "Echo"
 
     def test_dual_consumer_same_service_both_paths(self, world):

@@ -73,7 +73,7 @@ class TestDeploy:
         c, listener = container
         c.deploy(Echo())
         c.undeploy("Echo")
-        assert c.service_names == []
+        assert c.get("Echo") is None
         assert listener.of_kind("undeployed")
 
     def test_undeploy_missing(self, container):

@@ -18,7 +18,7 @@ from repro.observability import default_registry
 from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 from repro.soap import SoapEnvelope
-from repro.soap.faults import FaultCode, SoapFault, is_busy_fault_element
+from repro.soap.faults import FaultCode, ServerBusyFault, SoapFault
 from repro.soap.rpc import build_rpc_request, extract_rpc_result
 from repro.transport import CertificateAuthority, HttpgTransport, HttpTransport, Uri
 from repro.uddi import UddiRegistryNode
@@ -217,7 +217,7 @@ class TestSameStoryOnEveryBinding:
         admission.level = admission.capacity + 1.0  # stays saturated in flight
         wire = world.request()
         busy = SoapEnvelope.from_wire_message(world.post(wire))
-        assert is_busy_fault_element(busy.body_content)
+        assert isinstance(busy.fault(), ServerBusyFault)
         assert world.story() == ["request-received", "request-shed", "response-sent"]
         assert world.counted() == {"requests": 1, "requests_shed": 1, "faults": 1}
         assert world.service.executions == 0

@@ -3,22 +3,27 @@
 ``ServiceLocator.locate`` is written once, on the base, as a pump of
 virtual time over ``locate_async``, and ``DiscoveryClient.resolve`` is
 a pump over ``resolve_async``.  This sweep fails if a locator under
-``src/repro`` grows a blocking ``locate`` body of its own again, or if
-``resolve`` does anything but start ``resolve_async`` and wait for it.
+``src/repro`` or in the lab package (``examples/lab``, whose semantic
+locator plugs into the same tree) grows a blocking ``locate`` body of
+its own again, or if ``resolve`` does anything but start
+``resolve_async`` and wait for it.
 """
 
 import ast
 import pathlib
 
+import lab
 import repro
 
 SRC = pathlib.Path(repro.__file__).parent
+LAB = pathlib.Path(lab.__file__).parent
 
 
 def _classes() -> list[tuple[pathlib.Path, ast.ClassDef]]:
     return [
         (path, node)
-        for path in sorted(SRC.rglob("*.py"))
+        for root in (SRC, LAB)
+        for path in sorted(root.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
     ]
@@ -49,7 +54,7 @@ def test_no_locator_defines_its_own_locate():
         "DistributedUddiLocator", "SemanticServiceLocator",
     } <= locators, "the sweep lost track of the locator subclasses"
     offenders = [
-        f"{path.relative_to(SRC)}: {node.name}.locate"
+        f"{path.relative_to(path.parents[1])}: {node.name}.locate"
         for path, node in classes
         if node.name in locators - {"ServiceLocator"} and "locate" in _methods(node)
     ]

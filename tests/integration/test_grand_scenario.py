@@ -10,7 +10,7 @@ the closest thing to the paper's vision of one homogenising layer over
 
 import pytest
 
-from repro.apps import Toolbox, Workflow, WorkflowEngine
+from lab.workflow import Toolbox, Workflow, WorkflowEngine
 from repro.core import WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
 from repro.core.invocation import HttpInvocation

@@ -5,6 +5,7 @@ import pytest
 from repro.p2ps import AdvertQuery, Peer
 from repro.p2ps.group import connect_neighbors
 from repro.simnet import FixedLatency, Network, TraceLog
+from tests.p2ps.support import wait_for_results
 
 
 def make_line(n, latency=0.002):
@@ -30,8 +31,8 @@ def publish_at(peer, name="Svc"):
 class TestNeighborTopology:
     def test_uses_flooding_flag(self):
         net, peers = make_line(2)
-        assert peers[0].uses_flooding
-        assert not Peer(net.add_node("solo")).uses_flooding
+        assert peers[0].neighbors
+        assert not Peer(net.add_node("solo")).neighbors
 
     def test_advert_broadcast_is_one_hop(self):
         net, peers = make_line(3)
@@ -45,7 +46,7 @@ class TestNeighborTopology:
         advert = publish_at(peers[4], "FarSvc")
         net.run()
         handle = peers[0].discover(AdvertQuery("service", "FarSvc"), ttl=6)
-        results = handle.wait_for(1, timeout=5.0)
+        results = wait_for_results(handle, timeout=5.0)
         assert len(results) == 1
         assert results[0].key() == advert.key()
 
@@ -54,16 +55,16 @@ class TestNeighborTopology:
         publish_at(peers[4], "FarSvc")
         net.run()
         handle = peers[0].discover(AdvertQuery("service", "FarSvc"), ttl=2)
-        assert handle.wait_for(1, timeout=2.0) == []
+        assert wait_for_results(handle, timeout=2.0) == []
 
     def test_discovered_service_resolvable(self):
         net, peers = make_line(4)
         publish_at(peers[3], "FarSvc")
         net.run()
         handle = peers[0].discover(AdvertQuery("service", "FarSvc"), ttl=5)
-        (service,) = handle.wait_for(1, timeout=5.0)
+        (service,) = wait_for_results(handle, timeout=5.0)
         out = peers[0].open_output_pipe(service.pipe_named("invoke"))
-        assert out.dst_node_id == "n3"
+        assert out.route.node_id == "n3"
 
     def test_ring_terminates_via_dedup(self):
         net, peers = make_ring(6)
@@ -90,7 +91,7 @@ class TestNeighborTopology:
         net.run()
         # another leaf finds it through the hub (2 hops)
         handle = leaves[3].discover(AdvertQuery("service", "LeafSvc"), ttl=3)
-        assert len(handle.wait_for(1, timeout=3.0)) == 1
+        assert len(wait_for_results(handle, timeout=3.0)) == 1
 
     def test_mixed_mode_group_still_works(self):
         # a peer with neighbors configured floods; group members without
@@ -131,7 +132,7 @@ class TestRepublisher:
         provider.start_republisher(interval=2.0)
         net.run(until=30.0)  # far beyond the cache lifetime
         handle = observer.discover(AdvertQuery("service", "Svc"))
-        assert handle.wait_for(1, timeout=1.0)
+        assert wait_for_results(handle, timeout=1.0)
 
     def test_without_republisher_advert_dies(self):
         from repro.p2ps import AdvertQuery
@@ -140,7 +141,7 @@ class TestRepublisher:
         net.kernel.schedule(30.0, lambda: None)
         net.run()
         handle = observer.discover(AdvertQuery("service", "Svc"))
-        assert handle.wait_for(1, timeout=1.0) == []
+        assert wait_for_results(handle, timeout=1.0) == []
 
     def test_stop_republisher(self):
         from repro.p2ps import AdvertQuery
@@ -151,7 +152,7 @@ class TestRepublisher:
         provider.stop_republisher()
         net.run(until=40.0)
         handle = observer.discover(AdvertQuery("service", "Svc"))
-        assert handle.wait_for(1, timeout=1.0) == []
+        assert wait_for_results(handle, timeout=1.0) == []
 
     def test_downed_peer_stops_republishing(self):
         net, provider, observer = self.build(lifetime=5.0)

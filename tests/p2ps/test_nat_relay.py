@@ -7,6 +7,7 @@ from repro.core.binding import P2psBinding
 from repro.p2ps import AdvertQuery, Peer, PeerGroup, PipeAdvertisement
 from repro.simnet import FixedLatency, Network
 from repro.simnet.faults import NatGate
+from tests.p2ps.support import wait_for_results
 
 
 class TestNatGate:
@@ -97,7 +98,7 @@ class TestRelayPeers:
         _, advert = natted.create_input_pipe("inbox", listener=lambda p, m: got.append(p))
         public.resolver.learn(natted.id, "natted", relay_node="relay")
         out = public.open_output_pipe(advert)
-        assert out.route.via_relay
+        assert out.route.relay_node == "relay"
         public.send_down_pipe(out, "via-relay")
         net.run()
         assert got == ["via-relay"]
@@ -109,9 +110,8 @@ class TestRelayPeers:
         natted.publish_service("Hidden", ["invoke"])
         net.run()
         handle = public.discover(AdvertQuery("service", "Hidden"))
-        (service,) = handle.wait_for(1, timeout=5.0)
+        (service,) = wait_for_results(handle, timeout=5.0)
         out = public.open_output_pipe(service.pipe_named("invoke"))
-        assert out.route.via_relay
         assert out.route.relay_node == "relay"
 
     def test_frame_with_new_relay_updates_route(self):

@@ -8,10 +8,10 @@ from repro.p2ps import (
     PeerGroup,
     PipeAdvertisement,
     ResolutionError,
-    ServiceAdvertisement,
 )
 from repro.p2ps.group import link_rendezvous
 from repro.simnet import FixedLatency, Network
+from tests.p2ps.support import wait_for_results
 
 
 def make_world(n_peers=3, rendezvous_indices=(), latency=0.002):
@@ -113,7 +113,7 @@ class TestPublishDiscover:
         net.run()
         peers[1].cache.remove(f"service:{peers[0].id}:Echo")
         handle = peers[1].discover(AdvertQuery("service", "Echo"))
-        results = handle.wait_for(1)
+        results = wait_for_results(handle)
         assert len(results) == 1
         assert results[0].name == "Echo"
 
@@ -123,10 +123,10 @@ class TestPublishDiscover:
         net.run()
         peers[1].cache.remove(f"service:{peers[0].id}:Echo")
         handle = peers[1].discover(AdvertQuery("service", "Echo"))
-        (service,) = handle.wait_for(1)
+        (service,) = wait_for_results(handle)
         # after discovery the provider's pipes must be resolvable
         out = peers[1].open_output_pipe(service.pipe_named("invoke"))
-        assert out.dst_node_id == "n0"
+        assert out.route.node_id == "n0"
 
     def test_attribute_based_discovery(self):
         net, _, peers = make_world(3)
@@ -135,7 +135,7 @@ class TestPublishDiscover:
         peers[1].publish_service("Echo", ["invoke"], attributes={"tier": "bronze"})
         net.run()
         handle = peers[2].discover(AdvertQuery("service", "%", {"tier": "gold"}))
-        results = handle.wait_for(1)
+        results = wait_for_results(handle)
         assert len(results) == 1
         assert results[0].peer_id == peers[0].id
 
@@ -151,7 +151,7 @@ class TestPublishDiscover:
     def test_dead_provider_not_discovered_from_network(self):
         net, _, peers = make_world(2)
         handle = peers[1].discover(AdvertQuery("service", "Ghost"))
-        results = handle.wait_for(1, timeout=1.0)
+        results = wait_for_results(handle, timeout=1.0)
         assert results == []
 
     def test_duplicate_responses_deduped(self):
@@ -161,7 +161,7 @@ class TestPublishDiscover:
         # peers 0,2,3 all have the advert cached and will all respond
         peers[1].cache.remove(f"service:{peers[0].id}:Echo")
         handle = peers[1].discover(AdvertQuery("service", "Echo"))
-        handle.wait_for(1)
+        wait_for_results(handle)
         net.run()
         assert len(handle.results) == 1
 
@@ -189,7 +189,7 @@ class TestRendezvous:
         peers_b[1].publish_service("Remote", ["invoke"])
         net.run()  # advert spreads through group B (incl. its rendezvous)
         handle = peers_a[2].discover(AdvertQuery("service", "Remote"))
-        results = handle.wait_for(1, timeout=5.0)
+        results = wait_for_results(handle, timeout=5.0)
         assert len(results) == 1
         assert results[0].peer_id == peers_b[1].id
 
@@ -199,9 +199,9 @@ class TestRendezvous:
         peers_b[1].publish_service("Remote", ["invoke"])
         net.run()
         handle = peers_a[2].discover(AdvertQuery("service", "Remote"))
-        (service,) = handle.wait_for(1, timeout=5.0)
+        (service,) = wait_for_results(handle, timeout=5.0)
         out = peers_a[2].open_output_pipe(service.pipe_named("invoke"))
-        assert out.dst_node_id == peers_b[1].node.id
+        assert out.route.node_id == peers_b[1].node.id
 
     def test_ttl_limits_propagation(self):
         # chain of rendezvous longer than TTL: query dies before the end
@@ -222,10 +222,10 @@ class TestRendezvous:
         seeker = Peer(net.add_node("seek"), name="seek")
         seeker.join(groups[0])
         handle = seeker.discover(AdvertQuery("service", "Far"), ttl=2)
-        results = handle.wait_for(1, timeout=5.0)
+        results = wait_for_results(handle, timeout=5.0)
         assert results == []  # 4 hops away, ttl=2 cannot reach
         handle2 = seeker.discover(AdvertQuery("service", "Far"), ttl=8)
-        results2 = handle2.wait_for(1, timeout=5.0)
+        results2 = wait_for_results(handle2, timeout=5.0)
         assert len(results2) == 1
 
     def test_loop_suppression(self):
@@ -251,7 +251,7 @@ class TestGroupMembership:
         assert len(group) == 2
         peers[0].leave()
         assert len(group) == 1
-        assert not group.is_member(peers[0].id)
+        assert peers[0].id not in [m.peer_id for m in group.members()]
 
     def test_departed_peer_hears_nothing(self):
         net, group, peers = make_world(2)

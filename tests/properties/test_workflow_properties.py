@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.workflow import Tool, Workflow
+from lab.workflow import Tool, Workflow
 from repro.core.handle import ServiceHandle
 from repro.wsdl.model import WsdlDefinition
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.semantic import (
+from lab.semantic import (
     MatchDegree,
     Matchmaker,
     Ontology,

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.core import WSPeer
-from repro.core.binding import P2psBinding
-from repro.core.events import RecordingListener
-from repro.p2ps import PeerGroup
-from repro.semantic import (
+from lab.semantic import (
     MatchDegree,
     Ontology,
     SemanticServiceLocator,
     SemanticServiceQuery,
     ServiceProfile,
 )
-from repro.semantic.locator import attach_profile, profile_of
+from lab.semantic.locator import attach_profile, profile_of
+from repro.core import WSPeer
+from repro.core.binding import P2psBinding
+from repro.core.events import RecordingListener
+from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 
 

@@ -78,7 +78,7 @@ class TestCapture:
         consumer.invoke(handle, "echo", message="x")
         direct = tap.between("cons", "prov")
         assert direct and all({"cons", "prov"} == {r.src, r.dst} for r in direct)
-        assert len(tap.involving("registry")) > 0
+        assert any("registry" in (r.src, r.dst) for r in tap.records)
 
     def test_render_sequence(self, tapped_standard_world):
         net, tap, provider, consumer = tapped_standard_world

@@ -16,7 +16,7 @@ from repro.core.binding import P2psBinding, StandardBinding
 from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network
 from repro.soap.envelope import SoapEnvelope
-from repro.soap.faults import FaultCode, ServerBusyFault, SoapFault, is_busy_fault_element
+from repro.soap.faults import FaultCode, ServerBusyFault, SoapFault
 from repro.uddi import UddiRegistryNode
 from repro.xmlkit import serialize
 from tests._oracle.reference_codec import parse_reference, serialize_reference
@@ -91,12 +91,12 @@ class TestWireShape:
     def test_body_content_is_recognisably_busy(self):
         envelope = SoapEnvelope.from_wire(self.wire())
         assert envelope.is_fault
-        assert is_busy_fault_element(envelope.body_content)
+        assert isinstance(SoapFault.from_element(envelope.body_content), ServerBusyFault)
 
     def test_plain_server_fault_is_not_busy(self):
         fault = SoapFault(FaultCode.SERVER, "boom")
         envelope = SoapEnvelope.from_wire(SoapEnvelope.for_fault(fault).to_wire())
-        assert not is_busy_fault_element(envelope.body_content)
+        assert not isinstance(SoapFault.from_element(envelope.body_content), ServerBusyFault)
         assert not isinstance(envelope.fault(), ServerBusyFault)
 
     def test_zero_hint_clamps_negative(self):

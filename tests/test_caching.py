@@ -70,14 +70,6 @@ class TestArtifactCache:
         assert len(cache) == 0
         assert cache.stats.invalidations == 5
 
-    def test_get_or_build_builds_once(self):
-        cache = ArtifactCache("t-build", max_entries=4)
-        calls = []
-        build = lambda: calls.append(1) or "value"  # noqa: E731
-        assert cache.get_or_build("k", build) == "value"
-        assert cache.get_or_build("k", build) == "value"
-        assert len(calls) == 1
-
     def test_registry_reports_all_caches(self):
         ArtifactCache("t-registry", max_entries=4).put("k", 1)
         stats = cache_stats()

@@ -3,8 +3,10 @@
 Packages re-export lazily (``repro._exports``), and a binding's
 components load with the binding, so a standard peer never imports the
 P2PS stack, a P2PS peer never imports UDDI, and neither loads OpenSSL
-(``_hashlib``) unless it signs something.  Each world below runs in a
-fresh interpreter and imports the way an application does.
+(``_hashlib``) unless it signs something.  Nothing a peer runs reaches
+the lab package (``examples/lab``) or networkx.  Each world below runs
+in a fresh interpreter, with the lab importable, and imports the way an
+application does.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+EXAMPLES = SRC.parent / "examples"
 
 ECHO = """
 import sys
@@ -72,6 +75,7 @@ unloaded(
     "repro.observability.introspection",
     "repro.simnet.crash", "repro.simnet.churn",
     "repro.replication*",
+    "lab", "lab.*", "networkx", "networkx.*",
 )
 """
 
@@ -135,7 +139,9 @@ unloaded("repro.core.p2psmap", "repro.p2ps.peer")
 )
 def test_a_peer_loads_only_the_stack_of_its_binding(script):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), str(EXAMPLES), env.get("PYTHONPATH")])
+    )
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
         env=env, capture_output=True, text=True,

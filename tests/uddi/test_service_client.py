@@ -16,6 +16,19 @@ def world():
     return net, registry_node, client
 
 
+def find(client, name_pattern="%", categories=()):
+    return client.call("find_service", name_pattern=name_pattern, category_bag=list(categories))
+
+
+def wsdl_url_of(client, name):
+    """The classic UDDI v2 chain (find_service -> get_serviceDetail ->
+    get_tModelDetail) that E12's baseline drives."""
+    (service,) = find(client, name)
+    detail = client.call("get_service_detail", service_key=service["serviceKey"])
+    keys = [k for b in detail["bindingTemplates"] for k in b["tModelKeys"]]
+    return client.call("get_tmodel_detail", tmodel_key=keys[0])["overviewURL"] if keys else ""
+
+
 class TestRemoteRegistry:
     def test_publish_and_find(self, world):
         net, registry_node, client = world
@@ -23,16 +36,15 @@ class TestRemoteRegistry:
             "Cardiff", "EchoService", "http://provider:80/services/Echo",
             wsdl_url="http://provider:80/services/Echo.wsdl",
         )
-        services = client.find_services("Echo%")
-        assert len(services) == 1
-        assert services[0].name == "EchoService"
+        services = find(client, "Echo%")
+        assert [s["name"] for s in services] == ["EchoService"]
 
     def test_access_points(self, world):
         net, _, client = world
         client.publish_service("Biz", "Svc", "http://p:80/services/Svc")
-        service = client.find_services("Svc")[0]
-        points = client.access_points(service)
-        assert points[0].access_point == "http://p:80/services/Svc"
+        (service,) = find(client, "Svc")
+        detail = client.call("get_service_detail", service_key=service["serviceKey"])
+        assert detail["bindingTemplates"][0]["accessPoint"] == "http://p:80/services/Svc"
 
     def test_wsdl_url_retrieval(self, world):
         net, _, client = world
@@ -40,14 +52,12 @@ class TestRemoteRegistry:
             "Biz", "Svc", "http://p:80/services/Svc",
             wsdl_url="http://p:80/services/Svc.wsdl",
         )
-        service = client.find_services("Svc")[0]
-        assert client.wsdl_url_for(service) == "http://p:80/services/Svc.wsdl"
+        assert wsdl_url_of(client, "Svc") == "http://p:80/services/Svc.wsdl"
 
     def test_wsdl_url_missing(self, world):
         net, _, client = world
         client.publish_service("Biz", "Svc", "http://p:80/services/Svc")
-        service = client.find_services("Svc")[0]
-        assert client.wsdl_url_for(service) == ""
+        assert wsdl_url_of(client, "Svc") == ""
 
     def test_business_reused_across_publishes(self, world):
         net, registry_node, client = world
@@ -61,8 +71,8 @@ class TestRemoteRegistry:
         cat = {"tModelKey": "uuid:cat", "keyName": "domain", "keyValue": "math"}
         client.publish_service("B", "Calc", "http://p/c", categories=[cat])
         client.publish_service("B", "Echo", "http://p/e")
-        found = client.find_services("%", categories=[cat])
-        assert [s.name for s in found] == ["Calc"]
+        found = find(client, categories=[cat])
+        assert [s["name"] for s in found] == ["Calc"]
 
     def test_fault_propagates_to_client(self, world):
         net, _, client = world
@@ -72,7 +82,7 @@ class TestRemoteRegistry:
     def test_registry_counts_remote_traffic(self, world):
         net, registry_node, client = world
         client.publish_service("B", "S", "http://p/s")
-        client.find_services("%")
+        find(client)
         assert registry_node.registry.inquiries >= 2  # find_business + find_service
         assert net.stats.get("registry") > 0
 
@@ -80,7 +90,7 @@ class TestRemoteRegistry:
         net, registry_node, client = world
         other = UddiClient(net.add_node("client2"), registry_node.endpoint)
         client.publish_service("B", "S", "http://p/s")
-        assert len(other.find_services("S")) == 1
+        assert len(find(other, "S")) == 1
 
     def test_registry_stop_breaks_inquiry(self, world):
         net, registry_node, client = world
@@ -89,4 +99,4 @@ class TestRemoteRegistry:
         from repro.transport import TransportTimeoutError
 
         with pytest.raises(TransportTimeoutError):
-            client.find_services("%")
+            find(client)

@@ -174,14 +174,12 @@ class TestP2psUri:
         # reply channels have no service: "the Address field is just
         # the scheme and the host component" + fragment
         addr = parse_p2ps_uri("p2ps://peer-2#reply-7")
-        assert addr.is_bare_pipe
         assert addr.service_name == ""
         assert addr.pipe_name == "reply-7"
 
     def test_peer_only(self):
         addr = parse_p2ps_uri("p2ps://peer-2")
         assert addr == P2psAddress("peer-2")
-        assert not addr.is_bare_pipe
 
     def test_service_uri_strips_fragment(self):
         addr = parse_p2ps_uri("p2ps://p/Echo#pipe")

@@ -184,7 +184,7 @@ def _request_wire(n_args: int, payload: int, reply: bool) -> str:
     if reply:  # a P2PS-style reply EPR: namespaced reference properties
         reply_to = EndpointReference("p2ps://pcons0/reply-echo")
         for pname, text in (("PipeId", "pipe-00000042"), ("PipeName", "reply-echo")):
-            reply_to.add_property(
+            reply_to.reference_properties.append(
                 Element(QName(ns.P2PS, pname, "p2ps"), text=text, nsdecls={"p2ps": ns.P2PS})
             )
     MessageAddressingProperties.for_request(target, "echo", reply_to=reply_to).apply_to(

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.xmlkit import Element, QName, XmlParseError, XmlWellFormednessError, parse
-from repro.xmlkit.tokenizer import TokenType, tokenize
+from repro.xmlkit.tokenizer import Tokenizer, TokenType
+
+
+def tokenize(text):
+    return Tokenizer(text).tokens()
 
 
 class TestTokenizer:
