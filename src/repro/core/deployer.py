@@ -81,6 +81,8 @@ class HttpServiceDeployer(ServiceDeployer):
         self.node = node
         self.transport = transport if transport is not None else HttpTransport(node)
         self.port = port if port is not None else self.transport.default_port
+        #: the two route URIs of each deployed service, by name
+        self._routes: dict[str, tuple[Uri, Uri]] = {}
 
     @property
     def server(self) -> HttpServer:
@@ -88,9 +90,6 @@ class HttpServiceDeployer(ServiceDeployer):
 
     def endpoint_uri(self, name: str) -> str:
         return f"{self.transport.scheme}://{self.node.id}:{self.port}/services/{name}"
-
-    def wsdl_uri(self, name: str) -> str:
-        return self.endpoint_uri(name) + ".wsdl"
 
     def deploy(self, deployed: DeployedService) -> None:
         name = deployed.name
@@ -106,22 +105,23 @@ class HttpServiceDeployer(ServiceDeployer):
             return answer.wire, out_headers
 
         def wsdl_handler(body, headers: dict) -> tuple:
-            return deployed.wsdl().to_wire(), {"Content-Type": "text/xml"}
+            return deployed.wsdl_wire(), {"Content-Type": "text/xml"}
 
-        self.transport.listen(Uri.parse(self.endpoint_uri(name)), soap_handler)
-        self.transport.listen(Uri.parse(self.wsdl_uri(name)), wsdl_handler)
+        address = self.endpoint_uri(name)
+        soap = Uri.parse(address)
+        # both routes are built once and stopped by these objects
+        self._routes[name] = routes = (soap, Uri(soap.scheme, soap.host, soap.port, soap.path + ".wsdl"))
+        self.transport.listen(routes[0], soap_handler)
+        self.transport.listen(routes[1], wsdl_handler)
         if launching:
             self.fire_deployment("http-server-launched", node=self.node.id, port=self.port)
-        deployed.add_endpoint(
-            EndpointReference(self.endpoint_uri(name)),
-            port_name=f"{name}{scheme.capitalize()}Port",
-        )
-        self.fire_deployment("endpoint-opened", service=name, address=self.endpoint_uri(name))
+        deployed.add_endpoint(EndpointReference(address), port_name=f"{name}{scheme.capitalize()}Port")
+        self.fire_deployment("endpoint-opened", service=name, address=address)
 
     def undeploy(self, deployed: DeployedService) -> None:
         name = deployed.name
-        self.transport.stop_listening(Uri.parse(self.endpoint_uri(name)))
-        self.transport.stop_listening(Uri.parse(self.wsdl_uri(name)))
+        for route in self._routes.pop(name, ()):
+            self.transport.stop_listening(route)
         self.fire_deployment("endpoint-closed", service=name)
         if not self.server.started:
             self.fire_deployment("http-server-stopped", node=self.node.id)

@@ -61,8 +61,8 @@ from repro.soap.handlers import HandlerChain, MessageContext, MustUnderstandHand
 from repro.soap.rpc import RpcDispatcher, ServiceObject
 from repro.wsa.epr import EndpointReference, WsaError
 from repro.wsa.headers import MessageAddressingProperties, message_id_of
-from repro.wsdl.generator import generate_wsdl
-from repro.wsdl.model import WsdlDefinition
+from repro.wsdl.generator import generate_wsdl, wsdl_wire
+from repro.wsdl.model import SOAP_HTTP_TRANSPORT, WsdlDefinition
 from repro.xmlkit import ns
 
 #: An interceptor sees (service name, request envelope) and may return a
@@ -116,15 +116,14 @@ class DeployedService:
     def wsdl(self) -> WsdlDefinition:
         """The current interface description (reflects live endpoints
         and declares any registered struct types in <wsdl:types>)."""
-        kwargs = {}
-        if self.transport:
-            kwargs["transport"] = self.transport
-        return generate_wsdl(
-            self.service,
-            locations=self._wsdl_locations,
-            registry=self.registry,
-            **kwargs,
-        )
+        return generate_wsdl(self.service, self._wsdl_locations, self._transport_uri(), self.registry)
+
+    def wsdl_wire(self) -> str:
+        """``wsdl().to_wire()``, rendered from this service's class."""
+        return wsdl_wire(self.service, self._wsdl_locations, self._transport_uri(), self.registry)
+
+    def _transport_uri(self) -> str:
+        return self.transport or SOAP_HTTP_TRANSPORT
 
     # -- session-state API (E15) ---------------------------------------
     def _member(self):

@@ -123,7 +123,7 @@ class P2psServiceDeployer(ServiceDeployer):
             if maps is None or maps.reply_to is None:
                 return
             try:
-                self._send(maps.reply_to, deployed.wsdl().to_wire())
+                self._send(maps.reply_to, deployed.wsdl_wire())
             except (WsaError, PipeError, NetworkError) as exc:
                 self.fire_server("reply-undeliverable", service=name, reason=str(exc))
 

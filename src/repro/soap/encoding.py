@@ -112,6 +112,7 @@ _SCALAR_WRITERS: dict[type, tuple[str, Callable[[Any], str]]] = {
     float: ("xsd:double", repr),
     str: ("xsd:string", _xml_text),
 }
+_STRING = _SCALAR_WRITERS[str][0]
 _ITEM = QName("", "item")
 _ARRAY = ({XSI_TYPE: "soapenc:Array"}, {"soapenc": ns.SOAP_ENC})
 _STRUCT = ({XSI_TYPE: "soapenc:Struct"}, {"soapenc": ns.SOAP_ENC})
@@ -298,21 +299,29 @@ def value_shape(value: Any, texts: list, found: list[Attachment]) -> Optional[An
     kind = value.__class__
     if kind is dict:
         fields = []
-        for key, item in value.items():
-            row = _SCALAR_WRITERS.get(item.__class__)
-            if row is not None and item != "":  # a scalar, walked inline
-                texts.append(row[1](item))
-                shape = row[0]
+        items = iter(value.items())
+        for key, item in items:
+            if item.__class__ is str and item and item.isprintable():
+                texts.append(item)  # the common leaf: its own text, inline
+                shape = _STRING
             else:
-                shape = value_shape(item, texts, found)
+                row = _SCALAR_WRITERS.get(item.__class__)
+                if row is not None and item != "":  # a scalar, walked inline
+                    texts.append(row[1](item))
+                    shape = row[0]
+                else:
+                    shape = value_shape(item, texts, found)
+                    if shape is None:
+                        break
             # an ASCII identifier is an NCName; the regex for the rest
-            if fields is not None and shape is not None and key.__class__ is str and (
-                key.isascii() and key.isidentifier() or is_ncname(key)
-            ):
-                fields.append((key, shape))
-            else:
-                fields = None  # no shape, but every value is walked
-        return None if fields is None else ("struct", tuple(fields))
+            if key.__class__ is not str or not (key.isascii() and key.isidentifier() or is_ncname(key)):
+                break
+            fields.append((key, shape))
+        else:
+            return ("struct", tuple(fields))
+        for _, item in items:  # no shape, but every value is walked
+            value_shape(item, texts, found)
+        return None
     row = _SCALAR_WRITERS.get(kind)
     if row is not None:
         if kind is str and not value:
@@ -333,7 +342,7 @@ def value_shape(value: Any, texts: list, found: list[Attachment]) -> Optional[An
             if row is not None and not (item_kind is str and "" in value):
                 texts.append(list(map(row[1], value)))
                 return ("group", row[0])
-        shapes = tuple([value_shape(item, texts, found) for item in value])
+        shapes = tuple([value_shape(item, texts, found) for item in value]) if value else ()
         if exact and None not in shapes:
             return ("array", shapes)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):

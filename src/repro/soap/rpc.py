@@ -19,8 +19,12 @@ someone has already looked at ``body_content``.
 from __future__ import annotations
 
 import inspect
+from itertools import filterfalse
+from operator import methodcaller
+from types import FunctionType, MethodType
 from typing import Any, Callable, Optional
 
+from repro.caching import ArtifactCache
 from repro.soap.attachments import attachment_scope
 from repro.soap.encoding import EncodingError, StructRegistry, decode_value, encode_value, value_shape
 from repro.soap.envelope import DeferredBody, SoapEnvelope
@@ -29,26 +33,41 @@ from repro.xmlkit import Element, QName
 from repro.xmlkit.names import intern_qname
 
 
+#: what an operation reads off its callable's signature, by its key
+_signatures = ArtifactCache("operation-signatures", 256)
+
+
 class Operation:
-    """One callable operation of a service."""
+    """One callable operation of a service.  Its signature is read once
+    per :attr:`key` — ``(function, class)`` of a bound method, ``(function,
+    None)`` of a function, what signature and documentation depend on;
+    any other callable (a partial, a builtin) has none: read every time."""
 
     def __init__(self, name: str, target: Any, method_name: str):
         self.name = name
         self.target = target
         self.method_name = method_name
         self.callable: Callable[..., Any] = getattr(target, method_name)
-        try:
-            self.signature: Optional[inspect.Signature] = inspect.signature(self.callable)
-        except (TypeError, ValueError):
-            self.signature = None
-        parameters = self.signature.parameters.values() if self.signature else ()
-        #: the names an argument may be passed by
-        self.parameter_names: frozenset[str] = frozenset(
-            p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        )
-        #: a callable taking ``**kwargs`` (a wrapper hiding the real
-        #: signature, say) is passed every argument by name
-        self.takes_any_name = any(p.kind is p.VAR_KEYWORD for p in parameters)
+        kind, owner = self.callable.__class__, getattr(self.callable, "__self__", None)
+        if kind is MethodType and self.callable.__func__.__class__ is FunctionType:
+            self.key = (self.callable.__func__, owner if isinstance(owner, type) else owner.__class__)
+        else:
+            self.key = (self.callable, None) if kind is FunctionType else None
+        found = None if self.key is None else _signatures.get(self.key)
+        if found is None:
+            try:
+                signature: Optional[inspect.Signature] = inspect.signature(self.callable)
+            except (TypeError, ValueError):
+                signature = None
+            parameters = signature.parameters.values() if signature else ()
+            names = frozenset(p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+            found = (signature, names, any(p.kind is p.VAR_KEYWORD for p in parameters))
+            if self.key is not None:
+                _signatures.put(self.key, found)
+        #: the signature; the names an argument may be passed by; and
+        #: whether the callable takes ``**kwargs`` (a wrapper hiding the
+        #: real signature, say): then every argument is passed by name
+        self.signature, self.parameter_names, self.takes_any_name = found
 
     def __repr__(self) -> str:
         return f"<Operation {self.name} -> {type(self.target).__name__}.{self.method_name}>"
@@ -76,16 +95,15 @@ class ServiceObject:
         non-underscore callable attribute becomes an operation.
         """
         service = cls(name, namespace)
-        names = include
-        if names is None:
-            names = [
-                attr
-                for attr in dir(instance)
-                if not attr.startswith("_") and callable(getattr(instance, attr))
-            ]
-        for method_name in names:
-            if not callable(getattr(instance, method_name, None)):
-                raise ValueError(f"{method_name!r} is not a callable of {instance!r}")
+        if include is None:
+            # per instance: an instance attribute may shadow a method
+            public = filterfalse(methodcaller("startswith", "_"), dir(instance))
+            include = [attr for attr in public if callable(getattr(instance, attr))]
+        else:
+            for method_name in include:
+                if not callable(getattr(instance, method_name, None)):
+                    raise ValueError(f"{method_name!r} is not a callable of {instance!r}")
+        for method_name in include:
             service.map_operation(method_name, instance, method_name)
         return service
 

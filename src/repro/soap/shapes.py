@@ -218,6 +218,18 @@ class Wire:
             parts.append(segment)
         return "".join(parts)
 
+    def bind(self, texts: list) -> Optional[tuple]:
+        """The wire with *texts* in, cut at the :func:`sentinel`\\ s they
+        hold for values to come (:func:`splice`): ``(pieces, the value
+        between each two)``; None when a text is empty or holds one
+        outside a start tag."""
+        for text, separator in zip(texts, self.separators):
+            if separator is not VALUE and "\x00" in (text if text.__class__ is str else "".join(text)):
+                return None
+        wire = self.render(texts)
+        pieces = None if wire is None else _SENTINEL.split(wire)
+        return pieces and (tuple(pieces[0::2]), tuple(map(int, pieces[1::2])))
+
     def match(self, wire: str) -> Optional[list]:
         """The slot texts when *wire* is this wire with other texts in its
         slots, else None.  A leaf's slot ends at the next ``<`` (as a text
@@ -252,21 +264,33 @@ class Wire:
 _PATTERNS = {None: "([^<]*)", VALUE: '([^"&<\t\n\r]*)'}
 
 
+def sentinel(k: int) -> str:
+    """The marker of slot or value *k* in a wire being cut (NUL: no XML character)."""
+    return f"\x00{k}\x00"
+
+
+_SENTINEL = re.compile("\x00(\\d+)\x00")
+
+
+def splice(bound: tuple, values: list) -> Optional[str]:
+    """A :meth:`Wire.bind` wire with *values* in (attribute values); None for an empty one."""
+    if "" in values:
+        return None
+    pieces, which = bound
+    values = [escape_attr(value) for value in values]
+    parts = [pieces[0]]
+    for k, piece in zip(which, pieces[1:]):
+        parts.append(values[k])
+        parts.append(piece)
+    return "".join(parts)
+
+
 def split_at_sentinels(wire: str, count_: int) -> Optional[list[str]]:
-    """*wire* cut at the sentinels ``\\x00k\\x00``, k < *count_*, each met
-    once and in order; None when static text (the only place NUL can
-    survive escaping) collided with one."""
-    segments = []
-    prev = 0
-    for k in range(count_):
-        marker = f"\x00{k}\x00"
-        at = wire.find(marker)
-        if at < prev or wire.find(marker, at + 1) >= 0:
-            return None
-        segments.append(wire[prev:at])
-        prev = at + len(marker)
-    segments.append(wire[prev:])
-    return segments
+    """*wire* cut at the sentinels of 0 … *count_* − 1, each met once and
+    in order; None when static text (the only place NUL can survive
+    escaping) collided with one."""
+    pieces = _SENTINEL.split(wire)
+    return pieces[0::2] if pieces[1::2] == [str(k) for k in range(count_)] else None
 
 
 def template(node: tuple) -> Optional[Wire]:
@@ -275,7 +299,7 @@ def template(node: tuple) -> Optional[Wire]:
     with a sentinel.  Each group is written with two items; the static
     text between them is its separator."""
     kinds = slot_kinds(node)
-    markers = (f"\x00{k}\x00" for k in count())
+    markers = map(sentinel, count())
     texts = [[next(markers), next(markers)] if kind is True else next(markers) for kind in kinds]
     segments = split_at_sentinels(
         serialize(grow(node, texts), xml_declaration=True), len(kinds) + kinds.count(True)

@@ -59,10 +59,7 @@ class StubSpec:
                     raise ValueError(f"parameter name unusable: {p!r} in {op.name}")
 
 
-#: StubSpec is a frozen dataclass of frozen dataclasses — hashable — and
-#: a stub class is a pure function of its spec, so identical specs (the
-#: common case: many handles to the same service interface) share one
-#: generated class.
+#: per operations tuple, the last service's class: a subclass of the one built for them
 _class_cache = ArtifactCache("stub-classes", max_entries=128)
 
 
@@ -70,11 +67,13 @@ class DynamicStubBuilder:
     """Builds stub classes directly in memory — no source, no compile."""
 
     def build_class(self, spec: StubSpec) -> type:
-        cached = _class_cache.get(spec)
-        if cached is not None:
-            return cached
-        cls = self._build_class(spec)
-        return _class_cache.put(spec, cls)
+        named = _class_cache.get(spec.operations)
+        if named is not None and named._spec.service_name == spec.service_name:
+            return named
+        base = self._build_class(spec) if named is None else named.__base__
+        return _class_cache.put(spec.operations, type(f"{spec.service_name}Stub", (base,), {
+            "__doc__": f"Dynamic stub for service {spec.service_name!r}.", "_spec": spec,
+        }))
 
     def _build_class(self, spec: StubSpec) -> type:
         spec.validate()
@@ -82,14 +81,10 @@ class DynamicStubBuilder:
         def __init__(self, invoke: InvokeFn):  # noqa: N807
             self._invoke = invoke
 
-        namespace: dict[str, Any] = {
-            "__init__": __init__,
-            "__doc__": f"Dynamic stub for service {spec.service_name!r}.",
-            "_spec": spec,
-        }
+        namespace: dict[str, Any] = {"__init__": __init__}
         for op in spec.operations:
             namespace[op.name] = self._make_method(op)
-        return type(f"{spec.service_name}Stub", (object,), namespace)
+        return type("DynamicStub", (object,), namespace)
 
     @staticmethod
     def _make_method(op: OperationSpec) -> Callable[..., Any]:

@@ -134,6 +134,9 @@ _head_templates = ArtifactCache("http-head-templates", max_entries=256)
 #: (start line, header entries) the strict grammar built for the head
 #: bytes before a final ``\r\nContent-Length: `` line, keyed by them
 _head_skeletons = ArtifactCache("http-head-skeletons", max_entries=256)
+#: the same, keyed on a request prefix with its target and its
+#: SOAPAction value cut out (:func:`_cut`): a service's name is a slot
+_head_slots = ArtifactCache("http-head-slots", max_entries=64)
 #: longer prefixes are parsed every time rather than held
 _MAX_SKELETON_BYTES = 4096
 _LENGTH_LINE = b"\r\nContent-Length: "
@@ -200,7 +203,7 @@ def parse_head_block(head: Union[bytes, str]) -> tuple[str, HeaderMap, Optional[
     spliced = sep and len(digits) <= _MAX_LENGTH_DIGITS and digits.isdigit()
     if spliced:
         skeleton = _head_skeletons.get(prefix)
-        if skeleton is not None:
+        if skeleton is not None or (skeleton := _slotted(prefix)) is not None:
             start, entries = skeleton
             headers = HeaderMap.__new__(HeaderMap)
             headers._entries = {**entries, "content-length": ("Content-Length", digits.decode())}
@@ -216,7 +219,76 @@ def parse_head_block(head: Union[bytes, str]) -> tuple[str, HeaderMap, Optional[
         entries = headers._entries.copy()
         del entries["content-length"]
         _head_skeletons.put(prefix, (start, entries))
+        _learn_slots(prefix, start, entries)
     return start, headers, declared_length
+
+
+#: The SOAPAction line, whose value is a slot of :data:`_head_slots`
+_ACTION_LINE = b"\r\nSOAPAction: "
+
+
+def _cut(prefix: bytes) -> Optional[tuple]:
+    """*prefix* cut at its slots — the start line's second token (a
+    request's target) and the first SOAPAction value: ``(key, target,
+    action)``, the key being the rest, in pieces; None when the start
+    line has fewer than three tokens or the target holds a line break."""
+    parts = prefix.split(b" ", 2)
+    if len(parts) != 3 or b"\r\n" in parts[1]:
+        return None
+    method, target, rest = parts
+    at = rest.find(_ACTION_LINE)
+    if at < 0:
+        return (method, rest), target, None
+    end = rest.find(b"\r\n", at + len(_ACTION_LINE))
+    end = len(rest) if end < 0 else end
+    return (method, rest[:at], rest[end:]), target, rest[at + len(_ACTION_LINE) : end]
+
+
+def _fill(held: tuple, target: bytes, action: Optional[bytes]) -> Optional[tuple]:
+    """The start line and entries *held* for a cut prefix, with these
+    slot texts in; None when a slot is not UTF-8 (the grammar raises)."""
+    opening, closing, entries = held
+    try:
+        start = opening + target.decode("utf-8") + closing
+        if action is not None:
+            name = entries["soapaction"][0]
+            entries = {**entries, "soapaction": (name, action.decode("utf-8").strip())}
+    except UnicodeDecodeError:
+        return None
+    return start, entries
+
+
+def _slotted(prefix: bytes) -> Optional[tuple]:
+    """``(start, entries)`` of a head whose prefix is a learned one with
+    another target or SOAPAction value, stored as its skeleton; None
+    otherwise."""
+    cut = None if len(prefix) > _MAX_SKELETON_BYTES else _cut(prefix)
+    held = None if cut is None else _head_slots.get(cut[0])
+    skeleton = None if held is None else _fill(held, cut[1], cut[2])
+    return skeleton if skeleton is None else _head_skeletons.put(prefix, skeleton)
+
+
+def _learn_slots(prefix: bytes, start: str, entries: dict) -> None:
+    """Store what the grammar read off *prefix* with its slots cut out,
+    when the slots read it — and it with other slot texts — back as the
+    grammar does (a later SOAPAction line, say, would not)."""
+    cut = _cut(prefix)
+    if cut is None:
+        return
+    key, target, action = cut
+    method, rest = key[0].decode("utf-8"), key[1].decode("utf-8")
+    held = (method + " ", " " + rest.partition("\r\n")[0], entries)
+    probe = b" /probe ".join([key[0], key[1]])
+    if action is not None:
+        probe += _ACTION_LINE + b"-probe" + key[2]
+    try:
+        probed = _parse_strict(probe.decode("utf-8"))
+    except TransportError:
+        return
+    if _fill(held, target, action) == (start, entries) and _fill(
+        held, b"/probe", None if action is None else b"-probe"
+    ) == (probed[0], probed[1]._entries):
+        _head_slots.put(key, held)
 
 
 def _parse_strict(head_text: str) -> tuple[str, HeaderMap, Optional[int], int]:

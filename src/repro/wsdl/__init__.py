@@ -1,24 +1,11 @@
-"""WSDL 1.1 — service description.
+"""WSDL 1.1 — service description: deploying a service means "taking a
+code source, generating a service interface description from it" (§III).
 
-WSPeer "uses ... WSDL for service description"; deploying a service
-means "taking a code source, generating a service interface description
-from it" (§III).  This package provides:
-
-``model``
-    The WSDL object model: definitions, messages, port types,
-    operations, bindings, ports, services — and its XML (de)serialisation.
-``generator``
-    Python object → :class:`WsdlDefinition` via signature introspection
-    (the "generate WSDL from a code source" step of deployment).
-``parser``
-    WSDL text → :class:`WsdlDefinition` (the client side of "locating a
-    service involves retrieving ... its interface description").
-``validate``
-    Referential-integrity checks over a definition.
-
-A definition converts to a :class:`~repro.soap.stubs.StubSpec` with
-:func:`to_stub_spec`, which is how discovered WSDL turns into a live
-client proxy.
+``model`` — the object model and its XML form; ``generator`` — a live
+object's description, by signature introspection; ``parser`` — WSDL
+text back into the model (the client side of locating a service);
+``validate`` — referential integrity; ``stubspec`` — a definition as the
+:class:`~repro.soap.stubs.StubSpec` a client proxy is built from.
 """
 
 from repro._exports import exports

@@ -1,17 +1,19 @@
 """The WSDL 1.1 object model and its XML form.
 
+:data:`FIELDS` says once what each item writes, where and in which
+order; both readers and both writers walk it — the element path
+(:meth:`WsdlDefinition.to_element`, ``parser.parse_wsdl_element``) and
+the texts path (:meth:`WsdlDefinition.texts`, ``parser._read``).
 Definitions of one *class* — the same elements, whatever the names,
 namespace and locations in their attributes — share one wire template
-(:mod:`repro.soap.shapes`): :meth:`WsdlDefinition.to_wire` splices the
-texts of one walk of the model (:meth:`WsdlDefinition.texts`) into it.
-:meth:`WsdlDefinition.to_element` is the slow path it equals, and draws
-each class's template once.
+(:mod:`repro.soap.shapes`) that :meth:`WsdlDefinition.to_wire` splices
+the texts into; the element path draws each class's template once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.caching import ArtifactCache
 from repro.soap.shapes import Wire, shape_of, template
@@ -33,6 +35,11 @@ def wsdl_name(local: str) -> QName:
     return QName(ns.WSDL, local, "wsdl")
 
 
+def xsd_name(local: str) -> QName:
+    """The name of an XML Schema element, written with the ``xsd`` prefix."""
+    return QName(ns.XSD, local, "xsd")
+
+
 @dataclass
 class Part:
     """A message part: a named, typed slot."""
@@ -49,10 +56,8 @@ class Message:
 
 @dataclass
 class Operation:
-    """An operation of a portType: input message → output message.
-
-    ``output`` of None models a one-way (notification-style) operation.
-    """
+    """An operation of a portType: input message → output message (None:
+    a one-way, notification-style operation)."""
 
     name: str
     input: str  # message name (local, in target namespace)
@@ -66,10 +71,7 @@ class PortType:
     operations: list[Operation] = field(default_factory=list)
 
     def operation(self, name: str) -> Optional[Operation]:
-        for op in self.operations:
-            if op.name == name:
-                return op
-        return None
+        return next((op for op in self.operations if op.name == name), None)
 
 
 @dataclass
@@ -97,10 +99,95 @@ class Service:
     ports: list[Port] = field(default_factory=list)
 
     def port(self, name: str) -> Optional[Port]:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        return None
+        return next((port for port in self.ports if port.name == name), None)
+
+
+#: a field every item writes; a name, which the element path requires;
+#: an element the element path requires
+REQUIRED, NAMED, NEEDED = object(), object(), object()
+
+
+class Field(NamedTuple):
+    """One text an item writes: its *attr*, in *attribute* (None: the
+    text) of *element* (None: the item's own).  *ref* writes ``tns:``
+    before it.  *absent* is REQUIRED or the value that is not written
+    (``""``: written when true; None: when not None), which the class key
+    flags.  *default* is what the element path reads when the element or
+    attribute is missing; NAMED and NEEDED ones raise instead."""
+
+    attr: str
+    element: Optional[QName] = None
+    attribute: Optional[str] = "name"
+    ref: bool = False
+    absent: Any = REQUIRED
+    default: Any = NAMED
+
+
+_SOAP_BINDING = QName(ns.WSDL_SOAP, "binding", "soap")
+_SOAP_ADDRESS = QName(ns.WSDL_SOAP, "address", "soap")
+#: Per kind of item: its element, its fields in document order, and its
+#: children (list attribute, kind).
+FIELDS: dict[type, tuple] = {
+    Message: (wsdl_name("message"), (Field("name"),), ("parts", Part)),
+    Part: (wsdl_name("part"), (Field("name"), Field("type_text", None, "type", default="xsd:anyType")), None),
+    PortType: (wsdl_name("portType"), (Field("name"),), ("operations", Operation)),
+    Operation: (wsdl_name("operation"), (
+        Field("name"),
+        Field("documentation", wsdl_name("documentation"), None, absent="", default=""),
+        Field("input", wsdl_name("input"), "message", True, default=NEEDED),
+        Field("output", wsdl_name("output"), "message", True, absent=None, default=""),
+    ), None),
+    Binding: (wsdl_name("binding"), (
+        Field("name"),
+        Field("port_type", None, "type", True, default=""),
+        Field("transport", _SOAP_BINDING, "transport", default=SOAP_HTTP_TRANSPORT),
+        Field("style", _SOAP_BINDING, "style", default="rpc"),
+    ), None),
+    Service: (wsdl_name("service"), (Field("name"),), ("ports", Port)),
+    Port: (wsdl_name("port"), (
+        Field("name"),
+        Field("binding", None, "binding", True, default=""),
+        Field("location", _SOAP_ADDRESS, "location", default=""),
+    ), None),
+}
+#: a definition's tables in document order, with the kind of their items
+SECTIONS = (("messages", Message), ("port_types", PortType), ("bindings", Binding), ("services", Service))
+
+
+def _given(value: Any, absent: Any) -> bool:
+    """Whether an optional field of value *value* is written."""
+    return bool(value) if absent == "" else value is not None
+
+
+def _write(items, kind: type, texts: list, key: list) -> None:
+    _, fields, children = FIELDS[kind]
+    key.append(len(items))
+    for item in items:
+        for f in fields:
+            value = getattr(item, f.attr)
+            if f.absent is not REQUIRED:
+                key.append(_given(value, f.absent))
+                if not key[-1]:
+                    continue
+            texts.append(f"tns:{value}" if f.ref else value)
+        if children is not None:
+            _write(getattr(item, children[0]), children[1], texts, key)
+
+
+def _element(parent: Element, item, kind: type) -> None:
+    tag, fields, children = FIELDS[kind]
+    own, inner = {}, {}
+    for f in fields:
+        value = getattr(item, f.attr)
+        if f.absent is REQUIRED or _given(value, f.absent):
+            (own if f.element is None else inner.setdefault(f.element, {}))[f.attribute] = (
+                f"tns:{value}" if f.ref else value
+            )
+    elem = parent.add(tag, **own)
+    for element, attributes in inner.items():
+        elem.add(element, text=attributes.pop(None, None), **attributes)
+    for child in getattr(item, children[0]) if children else ():
+        _element(elem, child, children[1])
 
 
 class WsdlDefinition:
@@ -122,7 +209,6 @@ class WsdlDefinition:
             raise WsdlError(f"duplicate schema type {name!r}")
         self.schema_types[name] = list(fields)
 
-    # -- construction helpers ------------------------------------------------
     @staticmethod
     def _add(table: dict, item, kind: str):
         if item.name in table:
@@ -142,7 +228,6 @@ class WsdlDefinition:
     def add_service(self, service: Service) -> Service:
         return self._add(self.services, service, "service")
 
-    # -- navigation ------------------------------------------------------------
     def first_service(self) -> Service:
         if not self.services:
             raise WsdlError("definition has no service")
@@ -154,110 +239,43 @@ class WsdlDefinition:
             raise WsdlError(f"port {port.name!r} references unknown binding {port.binding!r}")
         port_type = self.port_types.get(binding.port_type)
         if port_type is None:
-            raise WsdlError(
-                f"binding {binding.name!r} references unknown portType {binding.port_type!r}"
-            )
+            raise WsdlError(f"binding {binding.name!r} references unknown portType {binding.port_type!r}")
         return port_type
 
-    # -- XML form ------------------------------------------------------------
     def to_element(self) -> Element:
         root = Element(
             wsdl_name("definitions"),
             attributes={"name": self.name, "targetNamespace": self.target_namespace},
-            nsdecls={
-                "wsdl": ns.WSDL,
-                "soap": ns.WSDL_SOAP,
-                "xsd": ns.XSD,
-                "soapenc": ns.SOAP_ENC,
-                "tns": self.target_namespace,
-            },
+            nsdecls={"wsdl": ns.WSDL, "soap": ns.WSDL_SOAP, "xsd": ns.XSD,
+                     "soapenc": ns.SOAP_ENC, "tns": self.target_namespace},
         )
         if self.schema_types:
-            types = root.add(wsdl_name("types"))
-            schema = types.add(
-                QName(ns.XSD, "schema", "xsd"),
-                targetNamespace=self.target_namespace,
-            )
+            schema = root.add(wsdl_name("types")).add(xsd_name("schema"))
+            schema.set("targetNamespace", self.target_namespace)
             for type_name, fields in self.schema_types.items():
-                complex_type = schema.add(
-                    QName(ns.XSD, "complexType", "xsd"), name=type_name
-                )
-                sequence = complex_type.add(QName(ns.XSD, "sequence", "xsd"))
+                sequence = schema.add(xsd_name("complexType"), name=type_name).add(xsd_name("sequence"))
                 for field_name, field_type in fields:
-                    sequence.add(
-                        QName(ns.XSD, "element", "xsd"),
-                        name=field_name,
-                        type=field_type,
-                    )
-        for message in self.messages.values():
-            m = root.add(wsdl_name("message"), name=message.name)
-            for part in message.parts:
-                m.add(wsdl_name("part"), name=part.name, type=part.type_text)
-        for port_type in self.port_types.values():
-            pt = root.add(wsdl_name("portType"), name=port_type.name)
-            for op in port_type.operations:
-                o = pt.add(wsdl_name("operation"), name=op.name)
-                if op.documentation:
-                    o.add(wsdl_name("documentation"), text=op.documentation)
-                o.add(wsdl_name("input"), message=f"tns:{op.input}")
-                if op.output is not None:
-                    o.add(wsdl_name("output"), message=f"tns:{op.output}")
-        for binding in self.bindings.values():
-            b = root.add(
-                wsdl_name("binding"),
-                name=binding.name,
-                type=f"tns:{binding.port_type}",
-            )
-            b.add(
-                QName(ns.WSDL_SOAP, "binding", "soap"),
-                transport=binding.transport,
-                style=binding.style,
-            )
-        for service in self.services.values():
-            s = root.add(wsdl_name("service"), name=service.name)
-            for port in service.ports:
-                p = s.add(
-                    wsdl_name("port"),
-                    name=port.name,
-                    binding=f"tns:{port.binding}",
-                )
-                p.add(QName(ns.WSDL_SOAP, "address", "soap"), location=port.location)
+                    sequence.add(xsd_name("element"), name=field_name, type=field_type)
+        for table, kind in SECTIONS:
+            for item in getattr(self, table).values():
+                _element(root, item, kind)
         return root
 
     def texts(self) -> tuple[tuple, list[str]]:
-        """``(class key, texts)`` from one walk of the model: the ``tns``
-        declaration and every attribute value (and documentation) in the
-        order :meth:`to_element` writes them, as strings (an element's
-        attributes are), and the counts and flags that say which elements
-        it writes."""
+        """``(class key, texts)`` from one walk of :data:`FIELDS`: the
+        ``tns`` declaration and every attribute value (and documentation)
+        in the order :meth:`to_element` writes them, as strings (an
+        element's attributes are), and the counts and flags that say which
+        elements it writes."""
         texts = [self.target_namespace, self.name, self.target_namespace]
+        key = [tuple(map(len, self.schema_types.values())) if self.schema_types else None]
         if self.schema_types:
             texts.append(self.target_namespace)
             for type_name, fields in self.schema_types.items():
                 texts += (type_name, *(text for pair in fields for text in pair))
-        for message in self.messages.values():
-            texts += (message.name, *(t for part in message.parts for t in (part.name, part.type_text)))
-        for port_type in self.port_types.values():
-            texts.append(port_type.name)
-            for op in port_type.operations:
-                texts += (op.name, op.documentation) if op.documentation else (op.name,)
-                texts += (f"tns:{op.input}",) if op.output is None else (f"tns:{op.input}", f"tns:{op.output}")
-        for binding in self.bindings.values():
-            texts += (binding.name, f"tns:{binding.port_type}", binding.transport, binding.style)
-        for service in self.services.values():
-            texts.append(service.name)
-            for port in service.ports:
-                texts += (port.name, f"tns:{port.binding}", port.location)
-        return (
-            tuple(map(len, self.schema_types.values())) if self.schema_types else None,
-            tuple(len(message.parts) for message in self.messages.values()),
-            tuple(
-                tuple((bool(op.documentation), op.output is not None) for op in port_type.operations)
-                for port_type in self.port_types.values()
-            ),
-            len(self.bindings),
-            tuple(len(service.ports) for service in self.services.values()),
-        ), list(map(str, texts))
+        for table, kind in SECTIONS:
+            _write(getattr(self, table).values(), kind, texts, key)
+        return tuple(key), list(map(str, texts))
 
     def to_wire(self, pretty: bool = False) -> str:
         if not pretty:
@@ -269,10 +287,7 @@ class WsdlDefinition:
         return serialize(self.to_element(), pretty=pretty, xml_declaration=True)
 
     def __repr__(self) -> str:
-        return (
-            f"<WsdlDefinition {self.name!r} messages={len(self.messages)} "
-            f"portTypes={len(self.port_types)} services={len(self.services)}>"
-        )
+        return f"<WsdlDefinition {self.name!r} messages={len(self.messages)} services={len(self.services)}>"
 
 
 #: Wire templates of definitions by class key, shared by ``to_wire`` and

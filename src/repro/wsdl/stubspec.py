@@ -1,18 +1,13 @@
-"""Bridge: WSDL definition → stub specification.
-
-Turning a discovered interface description into a callable client proxy
-is the heart of WSPeer's client side; this module extracts the
-operation shapes the stub builders need.
-"""
+"""Bridge: WSDL definition → stub specification, the shapes of the
+operations a client proxy exposes (WSPeer's client side)."""
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 from repro.caching import ArtifactCache
 from repro.soap.stubs import OperationSpec, StubSpec
-from repro.wsdl.model import Port, WsdlDefinition, WsdlError
+from repro.wsdl.model import Service, WsdlDefinition, WsdlError
 
 
 def to_stub_spec(
@@ -20,48 +15,42 @@ def to_stub_spec(
     service_name: Optional[str] = None,
     port_name: Optional[str] = None,
 ) -> StubSpec:
-    """Build a :class:`StubSpec` for one port of one service.
+    """A :class:`StubSpec` for one port of one service: by default the
+    first service and its first port, or for a portless (abstract)
+    service the definition's first portType."""
+    service, interface = _interface(definition, service_name, port_name)
+    return StubSpec(service.name, tuple(OperationSpec(*row) for row in interface))
 
-    Defaults to the first service and its first port; for a portless
-    (abstract) service, falls back to the definition's first portType.
-    """
-    if service_name is not None:
-        service = definition.services.get(service_name)
-        if service is None:
-            raise WsdlError(f"no service {service_name!r} in definition")
-    else:
-        service = definition.first_service()
 
-    port: Optional[Port] = None
-    if port_name is not None:
-        port = service.port(port_name)
-        if port is None:
-            raise WsdlError(f"no port {port_name!r} in service {service.name!r}")
-    elif service.ports:
-        port = service.ports[0]
-
+def _interface(
+    definition: WsdlDefinition, service_name: Optional[str], port_name: Optional[str]
+) -> tuple[Service, tuple]:
+    """The service, and what its stub is a function of besides its name:
+    per operation, its name, its input parts' names, its documentation."""
+    service = (
+        definition.first_service() if service_name is None else definition.services.get(service_name)
+    )
+    if service is None:
+        raise WsdlError(f"no service {service_name!r} in definition")
+    port = service.ports[0] if port_name is None and service.ports else None
+    if port_name is not None and (port := service.port(port_name)) is None:
+        raise WsdlError(f"no port {port_name!r} in service {service.name!r}")
     if port is not None:
         port_type = definition.port_type_for_port(port)
-    else:
-        if not definition.port_types:
-            raise WsdlError("definition has no portType")
+    elif definition.port_types:
         port_type = next(iter(definition.port_types.values()))
-
-    operations = []
+    else:
+        raise WsdlError("definition has no portType")
+    interface = []
     for op in port_type.operations:
         message = definition.messages.get(op.input)
         if message is None:
             raise WsdlError(f"operation {op.name!r}: unknown input message {op.input!r}")
-        operations.append(
-            OperationSpec(
-                op.name,
-                tuple(part.name for part in message.parts),
-                doc=op.documentation,
-            )
-        )
-    return StubSpec(service.name, tuple(operations))
+        interface.append((op.name, tuple(part.name for part in message.parts), op.documentation))
+    return service, tuple(interface)
 
 
+#: the last spec made for each interface: the service name is its slot
 _spec_cache = ArtifactCache("stub-specs", max_entries=256)
 
 
@@ -70,20 +59,12 @@ def stub_spec_cached(
     service_name: Optional[str] = None,
     port_name: Optional[str] = None,
 ) -> StubSpec:
-    """Memoised :func:`to_stub_spec` keyed on the definition object.
-
-    Entries pair the spec with a weak reference to the definition they
-    were derived from: ``id()`` reuse after garbage collection cannot
-    serve a stale spec, because the guard reference no longer matches
-    (or has died) and the entry is invalidated.
-    """
-    key = (id(definition), service_name, port_name)
-    entry = _spec_cache.get(key)
-    if entry is not None:
-        guard, spec = entry
-        if guard() is definition:
-            return spec
-        _spec_cache.invalidate(key)
-    spec = to_stub_spec(definition, service_name, port_name)
-    _spec_cache.put(key, (weakref.ref(definition), spec))
-    return spec
+    """:func:`to_stub_spec`, keyed on the interface: its services share
+    their operation specs, and a service asking again (none other of its
+    interface in between) gets the same spec."""
+    service, interface = _interface(definition, service_name, port_name)
+    spec = _spec_cache.get(interface)
+    if spec is not None and spec.service_name == service.name:
+        return spec
+    operations = tuple(OperationSpec(*row) for row in interface) if spec is None else spec.operations
+    return _spec_cache.put(interface, StubSpec(service.name, operations))

@@ -6,47 +6,27 @@ from repro.wsdl.model import WsdlDefinition
 
 
 def validate_wsdl(definition: WsdlDefinition) -> list[str]:
-    """Return a list of problems (empty = valid).
-
-    Checks: operations reference existing messages; bindings reference
-    existing portTypes; ports reference existing bindings and have
-    addresses; duplicate operation names within a portType.
-    """
+    """The problems of *definition* (empty: valid): operations naming a
+    missing message, duplicate operations in a portType, bindings naming
+    a missing portType, ports naming a missing binding or no address."""
     problems: list[str] = []
-
     for port_type in definition.port_types.values():
         seen: set[str] = set()
         for op in port_type.operations:
             if op.name in seen:
-                problems.append(
-                    f"portType {port_type.name!r}: duplicate operation {op.name!r}"
-                )
+                problems.append(f"portType {port_type.name!r}: duplicate operation {op.name!r}")
             seen.add(op.name)
-            if op.input not in definition.messages:
-                problems.append(
-                    f"operation {op.name!r}: unknown input message {op.input!r}"
-                )
-            if op.output is not None and op.output not in definition.messages:
-                problems.append(
-                    f"operation {op.name!r}: unknown output message {op.output!r}"
-                )
-
+            for kind, message in (("input", op.input), ("output", op.output)):
+                if message is not None and message not in definition.messages:
+                    problems.append(f"operation {op.name!r}: unknown {kind} message {message!r}")
     for binding in definition.bindings.values():
         if binding.port_type not in definition.port_types:
-            problems.append(
-                f"binding {binding.name!r}: unknown portType {binding.port_type!r}"
-            )
-
+            problems.append(f"binding {binding.name!r}: unknown portType {binding.port_type!r}")
     for service in definition.services.values():
         for port in service.ports:
+            where = f"port {port.name!r} in service {service.name!r}"
             if port.binding not in definition.bindings:
-                problems.append(
-                    f"port {port.name!r} in service {service.name!r}: "
-                    f"unknown binding {port.binding!r}"
-                )
+                problems.append(f"{where}: unknown binding {port.binding!r}")
             if not port.location:
-                problems.append(
-                    f"port {port.name!r} in service {service.name!r}: missing address"
-                )
-
+                problems.append(f"{where}: missing address")
     return problems

@@ -343,3 +343,72 @@ def test_rendered_wire_reparses_identically():
     assert extracted.action == f"{target.address}#add"
     assert extracted.message_id == maps.message_id
     assert envelope.body_content.name == QName("urn:calc", "add")
+
+
+# ----------------------------------------------------------------------
+# per-class tables: a new name of a known class is a slot, not an entry
+# ----------------------------------------------------------------------
+PER_CLASS = ("operation-signatures", "wsdl-classes", "http-head-slots", "stub-specs", "stub-classes")
+
+
+class _Echo:
+    def echo(self, message: str) -> str:
+        return message
+
+
+def _lifecycles(names) -> None:
+    """deploy → publish → locate → stub → call → withdraw → undeploy of
+    one class under each of *names*."""
+    from repro.core import WSPeer
+    from repro.core.binding import StandardBinding
+    from repro.simnet import FixedLatency, Network
+    from repro.uddi import UddiRegistryNode
+
+    net = Network(latency=FixedLatency(0.002))
+    registry = UddiRegistryNode(net.add_node("registry"))
+    provider = WSPeer(net.add_node("prov"), StandardBinding(registry.endpoint))
+    consumer = WSPeer(net.add_node("cons"), StandardBinding(registry.endpoint))
+    for name in names:
+        deployed = provider.deploy(_Echo(), name=name)
+        provider.publish(name)
+        stub = consumer.create_stub(consumer.locate_one(name))
+        assert stub.echo(message=name) == name
+        provider.server.publisher.withdraw(deployed)
+        provider.undeploy(name)
+
+
+def _module_tables() -> dict[str, int]:
+    import sys
+
+    return {
+        f"{module_name}.{attr}": len(value)
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("repro")
+        for attr, value in vars(module).items()
+        if isinstance(value, (dict, set, list))
+    }
+
+
+class TestPerClassCaches:
+    def test_every_per_class_table_is_a_bounded_registered_cache(self):
+        _lifecycles([f"Svc{n}" for n in range(3)])
+        stats = cache_stats()
+        for name in PER_CLASS:
+            assert 0 < stats[name]["size"] <= stats[name]["max_entries"], name
+            assert stats[name]["hits"] > 0, name  # the second name hits
+        clear_all_caches()
+        assert all(cache_stats()[name]["size"] == 0 for name in PER_CLASS)
+
+    def test_no_module_level_table_grows_with_names(self):
+        from repro.xmlkit import names
+
+        _lifecycles([f"Warm{n}" for n in range(8)])
+        before = _module_tables()
+        _lifecycles([f"Svc{n}" for n in range(80)])
+        after = _module_tables()
+        grown = {name for name, size in after.items() if size > before.get(name, 0)}
+        # the QName intern table takes each service's RPC wrapper names
+        # (their namespace names the service) up to its fixed bound, then
+        # stops interning: it is bounded, not a cache
+        assert grown <= {"repro.xmlkit.names._interned"}
+        assert len(names._interned) <= names._INTERN_MAX

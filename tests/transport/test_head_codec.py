@@ -142,6 +142,29 @@ class TestParseAgreesWithStrictGrammar:
         )
 
 
+_tokens = st.text(alphabet=st.characters(min_codepoint=0x21, max_codepoint=0x2FF), max_size=12)
+
+
+class TestSlots:
+    """A request head's target and SOAPAction value are slots: a head
+    that differs from a learned one only there is read off the slotted
+    skeleton, as the strict grammar reads it."""
+
+    @given(_fields, _tokens, _values, _tokens, _values, _lengths)
+    @settings(max_examples=300)
+    def test_another_target_or_action_reads_as_the_grammar_does(
+        self, fields, target, action, other_target, other_action, length
+    ):
+        clear_all_caches()
+        head = _head(f"POST /{target} HTTP/1.1", [("SOAPAction", action), *fields], length)
+        _outcome(parse_head_block, head)
+        other = _head(f"POST /{other_target} HTTP/1.1", [("SOAPAction", other_action), *fields], length)
+        hits = cache_stats()["http-head-slots"]["hits"]
+        assert _outcome(parse_head_block, other) == _outcome(_strict, other)
+        if other != head and not any(name.lower() == "soapaction" for name, _ in fields):
+            assert cache_stats()["http-head-slots"]["hits"] == hits + 1
+
+
 class TestHostileMutantsOfACachedPrefix:
     """A warm prefix, then bytes that differ from it: none may be
     answered by the template unless the strict grammar says the same."""
