@@ -10,9 +10,7 @@ connection leased from a :class:`ConnectionPool` (E11, E28(b));
   idle → closed``).  Until the server's ACCEPT names the connection
   port, requests ride CONNECT frames to the listening port; after it,
   the connection port, numbered in sequence.  Either way a request
-  costs two frame hops.  Several may be in flight (*pipelining*); both
-  ends reorder on the sequence number, so callers see responses in
-  request order even when the wire reorders frames.
+  costs two frame hops.  Several may be in flight (*pipelining*).
 * :class:`ConnectionPool` — a bounded per-node pool with LRU reuse,
   request-cap recycling, and health-aware eviction: a ``dead`` verdict
   from a :class:`~repro.supervision.health.HealthMonitor` closes every
@@ -23,6 +21,13 @@ connection leased from a :class:`ConnectionPool` (E11, E28(b));
   bucket) whose overflow is answered ``503`` + ``Retry-After`` before
   any dispatch work, surfaced as
   :class:`~repro.transport.base.TransportBusyError`.
+
+Both halves are ends of one kind (:class:`_End`): each sends a message
+through one decision (one frame, or a stream of chunk frames), reads a
+streamed message through one chunk codec, and passes what arrives on
+to its role through one in-order release keyed on the sequence
+number — so callers see responses, and handlers see requests, in
+request order even when the wire reorders frames.
 
 Idle is a deadline, not a timer: each end notes when a connection went
 quiet and checks ``+ idle_timeout`` only when it matters —
@@ -50,8 +55,6 @@ from repro.transport.http import (
     HttpRequest,
     HttpResponse,
     HttpServer,
-    _decoded_body,
-    parse_head_block,
 )
 
 # connection lifecycle states
@@ -95,6 +98,13 @@ class PoolConfig:
     #: flow-control window: chunks in flight before awaiting credit
     stream_window: int = 8
 
+    def __post_init__(self) -> None:
+        # a zero chunk size would stream empty frames until the call
+        # timed out, a zero window would stream nothing
+        for knob in ("chunk_size", "stream_window"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be at least 1, not {getattr(self, knob)}")
+
 
 ResponseHandler = Callable[[Optional[HttpResponse], Optional[Exception]], None]
 
@@ -105,16 +115,19 @@ def _busy(message: str, retry_after: float) -> HttpResponse:
 
 
 # ----------------------------------------------------------------------
-# E16 chunked transfer framing.
+# E16 chunked transfer framing: one chunk codec for both ends.
 #
-# A message bigger than ``chunk_threshold`` (or one whose body is a
+# A message bigger than the chunk threshold (or one whose body is a
 # BodyStream) rides the connection as ``kind="chunk"`` frames — each
-# carrying ``seq`` (which exchange), ``idx`` (position), ``last`` — and
-# the receiver grants ``kind="credit"`` frames back as it consumes
-# them.  The credit window bounds bytes in flight to
-# ``stream_window * chunk_size`` no matter how large the payload is,
-# and streamed exchanges are exempted from strict in-order delivery so
-# a 64 MB envelope never head-of-line blocks pipelined small calls.
+# carrying ``seq`` (which exchange), ``idx`` (position), ``last`` —
+# sent by a _Sender, and the receiving end's _Reader grants
+# ``kind="credit"`` frames back as it takes them.  The credit window
+# bounds bytes in flight to ``stream_window * chunk_size`` no matter how
+# large the payload is, and a streamed exchange is stepped over by the
+# in-order release, so a 64 MB envelope never head-of-line blocks
+# pipelined small calls.  The knobs (``chunk_threshold``,
+# ``chunk_size``, ``stream_window``) are a client's PoolConfig and a
+# server's HttpServer attributes of the same names.
 # ----------------------------------------------------------------------
 
 
@@ -141,150 +154,225 @@ def _rechunk(chunks, size: int):
         yield bytes(pending)
 
 
-class _StreamSender:
-    """Pushes one message's wire bytes as credit-windowed chunk frames."""
+class _Sender:
+    """The sending half: one message's wire as chunk frames from *end*,
+    never more than ``stream_window`` past the peer's last credit."""
 
-    def __init__(
-        self,
-        node: Node,
-        target: str,
-        port: str,
-        meta: dict,
-        chunks,
-        chunk_size: int,
-        window: int,
-        on_error: Optional[Callable[[Exception], None]] = None,
-    ):
-        self.node = node
-        self.target = target
-        self.port = port
-        self.meta = meta
-        self._iter = _rechunk(chunks, chunk_size)
-        self.window = max(1, window)
-        self._next_idx = 0
-        self._acked = -1
-        self._lookahead: Optional[bytes] = None
-        self._primed = False
-        self.finished = False
-        self.on_error = on_error
+    __slots__ = ("end", "seq", "pieces", "ahead", "window", "idx", "acked")
+
+    def __init__(self, end: "_End", seq: int, chunks, knobs) -> None:
+        self.end = end
+        self.seq = seq
+        self.pieces = _rechunk(chunks, knobs.chunk_size)
+        #: the chunk to send next; None once the last one left
+        self.ahead: Optional[bytes] = next(self.pieces, None)
+        self.window = knobs.stream_window
+        self.idx = 0
+        self.acked = -1
         obs_metrics.inc("transport.http.streams_started")
 
-    def on_credit(self, idx) -> None:
-        if isinstance(idx, int) and idx > self._acked:
-            self._acked = idx
-        self._pump()
-
-    def _take(self) -> tuple[Optional[bytes], bool]:
-        if not self._primed:
-            self._lookahead = next(self._iter, None)
-            self._primed = True
-        chunk = self._lookahead
-        if chunk is None:
-            return None, True
-        self._lookahead = next(self._iter, None)
-        return chunk, self._lookahead is None
-
-    def _pump(self) -> None:
-        while not self.finished and (self._next_idx - self._acked) <= self.window:
-            chunk, last = self._take()
-            if chunk is None:
-                self.finished = True
-                break
+    def pump(self, credit: int = -1) -> None:
+        """Send what the window allows — after a credit frame, through
+        its index *credit*."""
+        if credit > self.acked:
+            self.acked = credit
+        end = self.end
+        while self.ahead is not None and self.idx - self.acked <= self.window:
+            chunk = self.ahead
+            self.ahead = next(self.pieces, None)
             try:
-                self.node.send(
-                    self.target,
-                    self.port,
-                    chunk,
-                    kind="chunk",
-                    idx=self._next_idx,
-                    last=last,
-                    **self.meta,
+                end.node.send(
+                    end.target_node, end._peer_port, chunk, kind="chunk",
+                    idx=self.idx, last=self.ahead is None, conn=end.id, seq=self.seq,
                 )
             except (NetworkError, NodeDownError) as exc:
-                self.finished = True
-                if self.on_error is not None:
-                    self.on_error(exc)
+                end._senders.pop(self.seq, None)
+                end._send_failed(exc)
                 return
             obs_metrics.inc("transport.http.chunks_sent")
             obs_metrics.inc("transport.http.bytes_streamed", len(chunk))
-            self._next_idx += 1
-            if last:
-                self.finished = True
-                obs_metrics.inc("transport.http.streams_completed")
+            self.idx += 1
+        if self.ahead is None:
+            end._senders.pop(self.seq, None)
+            obs_metrics.inc("transport.http.streams_completed")
 
 
-class _StreamReceiver:
-    """Reassembles chunk frames for one exchange, feeding a byte sink
-    in index order and granting flow-control credits as it consumes.
-    Out-of-order chunks are held, but never more than one window's
-    worth: a chunk the sender's credits could not have covered (at or
-    past ``next index + window``), or one past the announced last
-    index, raises :class:`TransportError`."""
+class _Reader:
+    """The reading half: one streamed message's wire, rebuilt in index
+    order whatever order its chunks arrive in.  Early chunks are held,
+    but never more than a window's worth: a chunk the sender's credit
+    could not have covered (at or past ``next + window``), or one past
+    the announced last index, raises :class:`TransportError`."""
 
-    def __init__(
-        self, sink: Callable[[bytes], None], send_credit: Callable[[int], None], window: int
-    ):
-        self._sink = sink
-        self._send_credit = send_credit
-        self._window = max(1, window)
-        self._next_idx = 0
-        self._held: dict[int, bytes] = {}
-        self._last_idx: Optional[int] = None
-        self.received_bytes = 0
-        self.complete = False
+    __slots__ = ("window", "next", "last", "early", "wire")
 
-    def feed(self, idx, last: bool, payload) -> None:
-        if self.complete or not isinstance(idx, int):
-            return
-        if idx >= self._next_idx + self._window or (
-            self._last_idx is not None and idx > self._last_idx
-        ):
+    def __init__(self, window: int) -> None:
+        self.window = window
+        #: the index the wire continues with
+        self.next = 0
+        self.last: Optional[int] = None
+        self.early: dict[int, bytes] = {}
+        self.wire = bytearray()
+
+    def feed(self, idx: int, last: bool, payload) -> Optional[bytes]:
+        """Take chunk *idx* (a duplicate changes nothing); the whole
+        wire once the last chunk is taken, else None."""
+        if idx >= self.next + self.window or (self.last is not None and idx > self.last):
             raise TransportError(f"chunk {idx} outside the receive window")
-        if idx >= self._next_idx and idx not in self._held:
-            data = bytes(payload) if not isinstance(payload, bytes) else payload
-            self._held[idx] = data
+        if idx >= self.next and idx not in self.early:
+            self.early[idx] = payload
             if last:
-                self._last_idx = idx
-        while self._next_idx in self._held:
-            data = self._held.pop(self._next_idx)
+                self.last = idx
+        while self.next in self.early:
+            self.wire += self.early.pop(self.next)
             obs_metrics.inc("transport.http.chunks_received")
-            self.received_bytes += len(data)
-            self._sink(data)
-            self._next_idx += 1
-        self._send_credit(self._next_idx - 1)
-        if self._last_idx is not None and self._next_idx > self._last_idx:
-            self.complete = True
+            self.next += 1
+        if self.last is None or self.next <= self.last:
+            return None
+        # hand the wire over without holding a second copy of it
+        wire, self.wire = bytes(self.wire), bytearray()
+        return wire
 
 
-class _WireAssembler:
-    """Incremental splitter for a streamed HTTP wire: accumulates the
-    head until the ``\\r\\n\\r\\n`` terminator, then buffers the body."""
+class _End:
+    """What both ends of a connection share: the send-a-message
+    decision, the chunk codec (a :class:`_Sender` per streamed message
+    out, a :class:`_Reader` per streamed message in, credit frames
+    between them) and the in-order release.
 
-    def __init__(self):
-        self._buf = bytearray()
-        self.head: Optional[bytes] = None
+    An end sends ``_kind`` frames to ``target_node`` at ``_peer_port``
+    (None only on a client before ACCEPT); its role supplies what
+    happens to what arrives: :meth:`_expects`, :meth:`_on_message` (a
+    whole message's wire, parsed as a single frame's is),
+    :meth:`_deliver`, :meth:`_fault` and :meth:`_send_failed`.
+    """
 
-    def write(self, data: bytes) -> None:
-        self._buf += data
-        if self.head is None:
-            pos = self._buf.find(b"\r\n\r\n")
-            if pos >= 0:
-                self.head = bytes(self._buf[:pos])
-                del self._buf[: pos + 4]
+    _kind = ""
 
-    def finish_message(self, from_parts) -> object:
-        """Assemble the completed message through the message class's
-        ``_from_parts``."""
-        if self.head is None:
-            raise TransportError("streamed message ended before header terminator")
-        start, headers, declared = parse_head_block(self.head)
-        body = bytes(self._buf)
-        if declared is not None and declared != len(body):
-            raise TransportError(
-                f"Content-Length mismatch on streamed message: "
-                f"declared {declared}, got {len(body)} bytes"
+    def __init__(self, node: Node, target_node: str, conn_id: str, peer_port: Optional[str]):
+        self.node = node
+        self.kernel = node.network.kernel
+        self.target_node = target_node
+        self.id = conn_id
+        self._peer_port = peer_port
+        #: the in-order release: the next seq due, items held until
+        #: their turn, and seqs it steps over (streamed exchanges,
+        #: answered when whole and never blocking the ones behind)
+        self._due = 0
+        self._held: dict[int, object] = {}
+        self._skip: set[int] = set()
+        #: seq -> the codec's halves of each streamed message in flight
+        self._streams: dict[int, _Reader] = {}
+        self._senders: dict[int, _Sender] = {}
+
+    def _send_message(self, seq: int, message, knobs) -> None:
+        """Put *message* on the wire: one ``_kind`` frame, or — a
+        :class:`BodyStream` body, or a wire past
+        ``knobs.chunk_threshold`` — a stream of chunk frames."""
+        if isinstance(message.body, BodyStream):
+            chunks = message.iter_wire()
+        else:
+            wire = message.to_wire()
+            threshold = knobs.chunk_threshold
+            if threshold is None or len(wire) <= threshold:
+                port = self._peer_port
+                if port is None:  # a client before ACCEPT: the request rides the CONNECT
+                    self._connect(wire, seq)
+                    return
+                try:
+                    self.node.send(
+                        self.target_node, port, wire, kind=self._kind, conn=self.id, seq=seq,
+                    )
+                except (NetworkError, NodeDownError) as exc:
+                    self._send_failed(exc)
+                return
+            chunks = (wire,)
+        sender = self._senders[seq] = _Sender(self, seq, chunks, knobs)
+        self._exempt(seq)
+        if self._peer_port is None:  # chunk frames wait for the connection port
+            self._connect(b"", None)
+        else:
+            sender.pump()
+
+    def _on_stream(self, frame: Frame, knobs) -> None:
+        """A ``credit`` frame for one of our streams, or a ``chunk`` of
+        the peer's: fed to its reader (opened by the first chunk), each
+        one credited, the message passed on when whole."""
+        meta = frame.meta
+        seq = meta.get("seq")
+        idx = meta.get("idx")
+        if not (isinstance(seq, int) and isinstance(idx, int)):
+            return  # garbage
+        if meta.get("kind") == "credit":
+            sender = self._senders.get(seq)
+            if sender is not None:
+                sender.pump(idx)
+            return
+        reader = self._streams.get(seq)
+        if reader is None:
+            if seq in self._held or not self._expects(seq):
+                return  # stale, or a finished message's duplicate
+            reader = self._streams[seq] = _Reader(knobs.stream_window)
+            self._exempt(seq)
+        try:
+            wire = reader.feed(idx, meta.get("last", False), frame.payload)
+        except TransportError as exc:
+            self._streams.pop(seq, None)
+            self._fault(seq, exc)
+            return
+        self._send_credit(seq, reader.next - 1)
+        if wire is not None:
+            self._streams.pop(seq, None)
+            self._on_message(seq, wire)
+
+    def _send_credit(self, seq: int, idx: int) -> None:
+        try:
+            self.node.send(
+                self.target_node, self._peer_port, b"",
+                kind="credit", conn=self.id, seq=seq, idx=idx,
             )
-        return from_parts(start, headers, _decoded_body(body, headers))
+        except (NetworkError, NodeDownError):
+            pass  # the sender stalls; the request timeout owns this failure
+
+    # -- the in-order release -------------------------------------------
+    def _exempt(self, seq: int) -> None:
+        """Step the release over *seq*: its exchange streams."""
+        if seq >= self._due:
+            self._skip.add(seq)
+            self._release()
+
+    def _hold(self, seq: int, item) -> None:
+        """Hold *item* for its turn, then release what is due."""
+        self._held[seq] = item
+        self._release()
+
+    def _release(self) -> None:
+        """Deliver held items in sequence order, stepping over skipped
+        seqs, until the seq due is neither held nor skipped."""
+        while True:
+            seq = self._due
+            if seq in self._skip:
+                self._skip.discard(seq)
+                self._due = seq + 1
+            elif seq in self._held:
+                self._due = seq + 1
+                self._deliver(seq, self._held.pop(seq))
+            else:
+                return
+
+    def _hang_up(self, local_port: str, notify: bool) -> None:
+        """Close this end for good: forget every stream, sender and held
+        item, close *local_port* and, when *notify*, tell the peer."""
+        self._held.clear()
+        self._skip.clear()
+        self._streams.clear()
+        self._senders.clear()
+        self.node.close_port(local_port)
+        if notify:
+            try:
+                self.node.send(self.target_node, self._peer_port, "", kind="close", conn=self.id)
+            except (NetworkError, NodeDownError):
+                pass
 
 
 @dataclass(slots=True)
@@ -297,7 +385,6 @@ class _Exchange:
     timeout: Optional[float]
     timer: object = None
     done: bool = False
-    up_sender: object = None  # the _StreamSender of a chunked request
 
 
 def _finish(entry: _Exchange, response: Optional[HttpResponse], error: Optional[Exception]) -> None:
@@ -317,7 +404,7 @@ def _finish(entry: _Exchange, response: Optional[HttpResponse], error: Optional[
     entry.callback(response, error)
 
 
-class HttpConnection:
+class HttpConnection(_End):
     """One persistent client→server HTTP connection.
 
     Until the server's ACCEPT names the connection port, each request
@@ -325,9 +412,11 @@ class HttpConnection:
     connection (or reaches the one already open): a cold request costs
     the two hops a warm one does, and leaves at once.  All responses are
     delivered to callers in request order regardless of frame arrival
-    order.
+    order, except that an exchange with a streamed request or response
+    is answered when its response is whole.
     """
 
+    _kind = "request"
     _ids = itertools.count(1)
 
     def __init__(
@@ -338,12 +427,9 @@ class HttpConnection:
         config: Optional[PoolConfig] = None,
         on_closed: Optional[Callable[["HttpConnection"], None]] = None,
     ):
-        self.node = node
-        self.kernel = node.network.kernel
-        self.target_node = target_node
+        super().__init__(node, target_node, f"{node.id}:c{next(HttpConnection._ids)}", None)
         self.port = port
         self.config = config if config is not None else PoolConfig()
-        self.id = f"{node.id}:c{next(HttpConnection._ids)}"
         self.local_port = f"http-conn:{self.id}"
         self.state = CONNECTING
         #: when the connection last had nothing in flight; its idle
@@ -353,18 +439,10 @@ class HttpConnection:
         #: response frames that arrived ahead of an earlier sequence
         self.out_of_order = 0
         self._on_closed = on_closed
-        self._srv_port: Optional[str] = None
         #: seq -> in-flight entry, insertion (= request) order
         self._pending: dict[int, _Exchange] = {}
         self._backlog: "deque[_Exchange]" = deque()
-        self._reorder: dict[int, HttpResponse] = {}
-        #: seqs exempt from in-order delivery (E16 streamed exchanges) —
-        #: they deliver on completion and never gate ordered peers
-        self._unordered: set[int] = set()
-        #: seq -> _WireAssembler+_StreamReceiver for chunked responses
-        self._rsp_streams: dict[int, tuple] = {}
         self._next_seq = 0
-        self._next_delivery = 0
         self._unanswered = 0
         self._connect_event = None
         self._close_error: Optional[Exception] = None
@@ -387,7 +465,7 @@ class HttpConnection:
         """Issue *request*; *callback* fires (in request order) with the
         response or error.  A timeout poisons the whole connection —
         later responses on it can no longer be matched trustworthily.
-        A response the server streams as chunk frames is delivered on
+        A request or response streamed as chunk frames is delivered on
         completion, outside the strict request order.
         """
         seq = self._next_seq
@@ -411,7 +489,7 @@ class HttpConnection:
             self.state = ACTIVE
             try:
                 self.node.send(
-                    self.target_node, self._srv_port, request.to_wire(),
+                    self.target_node, self._peer_port, request.to_wire(),
                     kind="request", conn=self.id, seq=seq,
                 )
             except (NetworkError, NodeDownError) as exc:
@@ -424,52 +502,11 @@ class HttpConnection:
 
     # ------------------------------------------------------------------
     def _transmit(self, entry: _Exchange) -> None:
-        """Render the request once and put it on the wire: one frame,
-        or — a :class:`BodyStream` body, or a wire past the chunk
-        threshold — a stream of chunk frames."""
+        """Send a request that is not the steady case (see :meth:`send`)."""
         if self.state is IDLE:
             self.state = ACTIVE
-        request = entry.request
-        if isinstance(request.body, BodyStream):
-            chunks = request.iter_wire()
-        else:
-            wire = request.to_wire()
-            threshold = self.config.chunk_threshold
-            if threshold is None or len(wire) <= threshold:
-                self._unanswered += 1
-                if self._srv_port is None:
-                    self._connect(wire, entry.seq)
-                    return
-                try:
-                    self.node.send(
-                        self.target_node, self._srv_port, wire,
-                        kind="request", conn=self.id, seq=entry.seq,
-                    )
-                except (NetworkError, NodeDownError) as exc:
-                    self._teardown(exc)
-                return
-            chunks = (wire,)
-        if self._srv_port is None:  # chunk frames need the connection port
-            self._backlog.append(entry)
-            self._connect(b"", None)
-            return
         self._unanswered += 1
-        # streamed exchanges opt out of strict ordering: the server
-        # dispatches them on completion, so pipelined small calls
-        # behind this one are never head-of-line blocked
-        self._unordered.add(entry.seq)
-        sender = _StreamSender(
-            self.node,
-            self.target_node,
-            self._srv_port,
-            {"conn": self.id, "seq": entry.seq},
-            chunks,
-            self.config.chunk_size,
-            self.config.stream_window,
-            on_error=self._teardown,
-        )
-        entry.up_sender = sender
-        sender._pump()
+        self._send_message(entry.seq, entry.request, self.config)
 
     def _connect(self, wire: bytes, seq: Optional[int]) -> None:
         """Send a CONNECT to the listening port, carrying request *seq*
@@ -513,23 +550,22 @@ class HttpConnection:
         seq = meta.get("seq")
         if (
             meta.get("kind") != "response"
-            or seq != self._next_delivery
-            or self._reorder
-            or self._unordered
+            or seq != self._due
+            or self._held
+            or self._skip
         ):
             self._on_other_frame(frame)
             return
         # the steady case: the next response in order, nothing held
-        entry = self._pending.get(seq)
+        entry = self._pending.pop(seq, None)
         if entry is None:
             return  # stale or duplicate frame
         try:
             response = HttpResponse.from_wire(frame.payload)
         except TransportError as exc:
-            self._teardown(exc)
+            self._teardown(exc, first=(entry, exc))
             return
-        del self._pending[seq]
-        self._next_delivery = seq + 1
+        self._due = seq + 1
         self._unanswered -= 1
         entry.done = True
         if entry.timer is not None:
@@ -550,121 +586,62 @@ class HttpConnection:
         kind = frame.meta.get("kind")
         if kind == "response":
             seq = frame.meta.get("seq")
-            entry = self._pending.get(seq) if isinstance(seq, int) else None
-            if entry is None:
-                return  # stale or duplicate frame
-            try:
-                response = HttpResponse.from_wire(frame.payload)
-            except TransportError as exc:
-                self._teardown(exc)
-                return
-            self._complete(entry, response)
+            if isinstance(seq, int) and seq in self._pending:  # not stale, not a duplicate
+                self._on_message(seq, frame.payload)
         elif kind == "accept":
             if self.state is not CONNECTING:
                 return
             if self._connect_event is not None:
                 self._connect_event.cancel()
                 self._connect_event = None
-            self._srv_port = frame.meta.get("srv_port")
+            self._peer_port = frame.meta.get("srv_port")
             self.state = ACTIVE
+            for sender in list(self._senders.values()):  # streams waiting for the port
+                sender.pump()
             self._settle()
-        elif kind == "chunk":
-            self._on_response_chunk(frame)
-        elif kind == "credit":
-            seq = frame.meta.get("seq")
-            entry = self._pending.get(seq) if isinstance(seq, int) else None
-            if entry is not None and entry.up_sender is not None:
-                entry.up_sender.on_credit(frame.meta.get("idx"))
+        elif kind in ("chunk", "credit"):
+            self._on_stream(frame, self.config)
         elif kind == "close":
-            self._srv_port = None  # the server is gone; no close echo needed
+            self._peer_port = None  # the server is gone; no close echo needed
             self._teardown(
                 ConnectionClosedError(f"connection {self.id} closed by server")
                 if self._pending
                 else None
             )
 
-    def _on_response_chunk(self, frame: Frame) -> None:
-        """A chunk of a streamed response: feed the per-seq assembler,
-        deliver (out of order) when the last chunk lands."""
-        seq = frame.meta.get("seq")
-        entry = self._pending.get(seq) if isinstance(seq, int) else None
-        if entry is None or seq in self._reorder:
-            return
-        stream = self._rsp_streams.get(seq)
-        if stream is None:
-            assembler = _WireAssembler()
-            receiver = _StreamReceiver(
-                assembler.write,
-                lambda idx, seq=seq: self._send_credit(seq, idx),
-                self.config.stream_window,
-            )
-            stream = (assembler, receiver)
-            self._rsp_streams[seq] = stream
-            # a streaming response exempts this seq from strict order —
-            # it completes whenever its last chunk lands
-            self._unordered.add(seq)
-            self._drain()
-        assembler, receiver = stream
+    # -- the role's side of the codec and the release -------------------
+    def _expects(self, seq: int) -> bool:
+        return seq in self._pending
+
+    def _on_message(self, seq: int, wire) -> None:
+        """Response *seq* is whole: answered now when its exchange
+        streams, else held for its turn in request order."""
         try:
-            receiver.feed(frame.meta.get("idx"), frame.meta.get("last", False), frame.payload)
-            if not receiver.complete:
-                return
-            self._rsp_streams.pop(seq, None)
-            response = assembler.finish_message(HttpResponse._from_parts)
+            response = HttpResponse.from_wire(wire)
         except TransportError as exc:
             self._teardown(exc)
             return
-        self._complete(entry, response)
-
-    def _send_credit(self, seq: int, idx: int) -> None:
-        if self._srv_port is None:
-            return
-        try:
-            self.node.send(
-                self.target_node, self._srv_port, b"",
-                kind="credit", conn=self.id, seq=seq, idx=idx,
-            )
-        except (NetworkError, NodeDownError):
-            pass  # the request timeout owns this failure mode
-
-    def _complete(self, entry: _Exchange, response: HttpResponse) -> None:
-        seq = entry.seq
-        if seq == self._next_delivery:
-            self._next_delivery = seq + 1
-            self._unordered.discard(seq)
-        elif seq > self._next_delivery and seq not in self._unordered:
-            # arrived ahead of an earlier response: hold it so callers
-            # still see responses in request order
-            self.out_of_order += 1
-            obs_metrics.inc("transport.http.ooo_frames")
-            self._reorder[seq] = response
-            return
-        # otherwise a streamed exchange, delivered on completion out of
-        # band; a seq ahead of delivery stays marked so draining skips it
-        del self._pending[seq]
-        self._unanswered -= 1
-        _finish(entry, response, None)
-        self._drain()
+        if seq < self._due or seq in self._skip:
+            self._deliver(seq, response)
+        else:
+            if seq > self._due:  # ahead of an earlier response
+                self.out_of_order += 1
+                obs_metrics.inc("transport.http.ooo_frames")
+            self._hold(seq, response)
         if self.state is not CLOSED:  # a callback may have closed us
             self._settle()
 
-    def _drain(self) -> None:
-        """Advance ordered delivery: release held responses in order,
-        skipping over seqs that opted out of ordering."""
-        while True:
-            seq = self._next_delivery
-            if seq in self._reorder:
-                self._next_delivery = seq + 1
-                response = self._reorder.pop(seq)
-                entry = self._pending.pop(seq, None)
-                if entry is not None:
-                    self._unanswered -= 1
-                    _finish(entry, response, None)
-            elif seq in self._unordered:
-                self._unordered.discard(seq)
-                self._next_delivery = seq + 1
-            else:
-                break
+    def _deliver(self, seq: int, response: HttpResponse) -> None:
+        entry = self._pending.pop(seq, None)
+        if entry is not None:
+            self._unanswered -= 1
+            self._senders.pop(seq, None)  # a request stream answered early
+            _finish(entry, response, None)
+
+    def _fault(self, seq: int, error: Exception) -> None:
+        """A streamed response broke its window: nothing after it on
+        this connection can be trusted."""
+        self._teardown(error)
 
     # -- timers ---------------------------------------------------------
     def _on_connect_timeout(self) -> None:
@@ -712,23 +689,16 @@ class HttpConnection:
         pending = list(self._pending.values())
         self._pending.clear()
         self._backlog.clear()
-        self._reorder.clear()
-        self._unordered.clear()
-        self._rsp_streams.clear()
-        if self._srv_port is not None:
-            try:
-                self.node.send(
-                    self.target_node, self._srv_port, "", kind="close", conn=self.id
-                )
-            except (NetworkError, NodeDownError):
-                pass
-        self.node.close_port(self.local_port)
+        self._hang_up(self.local_port, self._peer_port is not None)
         if self._on_closed is not None:
             self._on_closed(self)
         if first is not None:
             _finish(first[0], None, first[1])
         for entry in pending:
             _finish(entry, None, self._close_error)
+
+    #: a frame the network refused ends the connection
+    _send_failed = _teardown
 
     def __repr__(self) -> str:
         return (
@@ -876,11 +846,11 @@ class ConnectionPool:
         return f"<ConnectionPool open={self.size} opened={self.opened} reused={self.reused}>"
 
 
-class ServerConnection:
+class ServerConnection(_End):
     """The provider half of one persistent connection.
 
-    Owns a dedicated port, restores request order with a reorder buffer
-    keyed on the client's sequence numbers, and — when the server sets
+    Owns a dedicated port, dispatches requests in the client's sequence
+    order through the in-order release, and — when the server sets
     ``max_pending_per_connection`` — gates each request through a
     per-connection
     :class:`~repro.supervision.admission.AdmissionController` leaky
@@ -891,28 +861,15 @@ class ServerConnection:
     for ``conn_idle_timeout``.
     """
 
+    _kind = "response"
+
     def __init__(
         self, server: HttpServer, conn_id: str, peer: str, client_port: str
     ):
+        super().__init__(server.node, peer, conn_id, client_port)
         self.server = server
-        self.node = server.node
-        self.kernel = server.node.network.kernel
-        self.id = conn_id
-        self.peer = peer
-        self.client_port = client_port
         self.srv_port = f"http-srv:{server.port}:{conn_id}"
         self.reset_admission()
-        self._next_seq = 0
-        #: seq -> raw payload, or a ``(None, retry_after)`` marker for a
-        #: request the node's worker pool shed before delivery (E13)
-        self._held: dict[int, object] = {}
-        #: seq -> (assembler, receiver) for in-progress chunked uploads
-        self._streams: dict[int, tuple] = {}
-        #: seqs handled out-of-band (chunk-streamed) — in-order draining
-        #: skips them so they never stall later ordered requests
-        self._oob: set[int] = set()
-        #: seq -> _StreamSender for chunk-streamed responses
-        self._rsp_senders: dict[int, _StreamSender] = {}
         self.last_seen = self.kernel.now
         self.requests_handled = 0
         self.busy_answered = 0
@@ -950,83 +907,32 @@ class ServerConnection:
         if (
             retry_after is None
             and meta.get("kind") == "request"
-            and seq == self._next_seq
+            and seq == self._due
             and not self._held
-            and not self._oob
+            and not self._skip
         ):
             # the steady case: the next request in order, nothing held
-            # (inlined _process)
-            self._next_seq = seq + 1
+            # (inlined _deliver)
+            self._due = seq + 1
             if self.admission is None or self._admitted(seq):
                 self.requests_handled += 1
-                self._respond(seq, self.server._response_for(frame.payload))
+                self._send_message(seq, self.server._response_for(frame.payload), self.server)
             return
         kind = meta.get("kind")
         if kind in ("request", "connect"):
             if (
                 isinstance(seq, int)
-                and seq >= self._next_seq
+                and seq >= self._due
                 and seq not in self._held
-                and seq not in self._oob
+                and seq not in self._skip
             ):  # not a duplicate, not garbage
-                self._held[seq] = frame.payload if retry_after is None else (None, retry_after)
-                self._drain_in_order()
+                self._hold(seq, frame.payload if retry_after is None else (None, retry_after))
         elif retry_after is not None:
             return  # a shed control frame is simply lost
         elif kind == "close":
             self.close(notify=False)
-        elif kind == "chunk":
-            self._on_chunk(frame)
-        elif kind == "credit":
-            sender = self._rsp_senders.get(seq)
-            if sender is not None:
-                sender.on_credit(meta.get("idx"))
-                if sender.finished:
-                    self._rsp_senders.pop(seq, None)
-
-    def _on_chunk(self, frame: Frame) -> None:
-        """One chunk of a streamed request upload.  The seq is handled
-        out-of-band: it dispatches when its last chunk lands, and the
-        in-order drain skips over it meanwhile."""
-        seq = frame.meta.get("seq")
-        if not isinstance(seq, int):
-            return
-        stream = self._streams.get(seq)
-        if stream is None:
-            if seq < self._next_seq or seq in self._oob or seq in self._held:
-                return  # duplicate chunk of a finished stream
-            assembler = _WireAssembler()
-            receiver = _StreamReceiver(
-                assembler.write,
-                lambda idx, seq=seq: self._send_credit(seq, idx),
-                self.server.stream_window,
-            )
-            stream = (assembler, receiver)
-            self._streams[seq] = stream
-            self._oob.add(seq)
-            self._drain_in_order()  # later ordered requests advance past us
-        assembler, receiver = stream
-        try:
-            receiver.feed(frame.meta.get("idx"), frame.meta.get("last", False), frame.payload)
-        except TransportError:
-            self.server.bad_requests += 1
-            obs_metrics.inc("transport.http.bad_requests")
-            self._streams.pop(seq, None)
-            self._respond(seq, HttpResponse(400, "malformed chunked request"))
-            return
-        if not receiver.complete:
-            return
-        self._streams.pop(seq, None)
-        self._dispatch_streamed(seq, assembler)
-
-    def _send_credit(self, seq: int, idx: int) -> None:
-        try:
-            self.node.send(
-                self.peer, self.client_port, b"",
-                kind="credit", conn=self.id, seq=seq, idx=idx,
-            )
-        except (NetworkError, NodeDownError):
-            pass  # sender stalls; the client's request timeout owns it
+        elif kind in ("chunk", "credit"):
+            self._on_stream(frame, self.server)
 
     def _admitted(self, seq: int) -> bool:
         """Gate request *seq* through the connection's bounded queue; a
@@ -1038,83 +944,39 @@ class ServerConnection:
         if not admitted:
             self.busy_answered += 1
             obs_metrics.inc("transport.http.queue_overflow")
-            self._respond(seq, _busy(f"connection {self.id}: request queue full", retry_after))
+            self._send_message(
+                seq, _busy(f"connection {self.id}: request queue full", retry_after), self.server
+            )
         return admitted
 
-    def _dispatch_streamed(self, seq: int, assembler: _WireAssembler) -> None:
-        if not self._admitted(seq):
-            return
-        self.requests_handled += 1
-        try:
-            request = assembler.finish_message(HttpRequest._from_parts)
-        except TransportError as exc:
-            self.server.bad_requests += 1
-            obs_metrics.inc("transport.http.bad_requests")
-            self._respond(seq, HttpResponse(400, str(exc)))
-            return
-        self._respond(seq, self.server._handle(request))
+    # -- the role's side of the codec and the release -------------------
+    def _expects(self, seq: int) -> bool:
+        return seq >= self._due and seq not in self._skip
 
-    def _drain_in_order(self) -> None:
-        while True:
-            if self._next_seq in self._oob:
-                # chunk-streamed seq: dispatched out-of-band on its own
-                # completion; ordered requests behind it keep flowing
-                self._oob.discard(self._next_seq)
-                self._next_seq += 1
-                continue
-            if self._next_seq not in self._held:
-                break
-            seq_now = self._next_seq
-            self._next_seq += 1
-            entry = self._held.pop(seq_now)
-            if isinstance(entry, tuple):  # shed by the worker pool
-                self.busy_answered += 1
-                obs_metrics.inc("transport.http.worker_overflow")
-                self._respond(
-                    seq_now, _busy(f"connection {self.id}: worker pool saturated", entry[1])
-                )
-            else:
-                self._process(seq_now, entry)
-
-    def _process(self, seq: int, payload) -> None:
-        if self._admitted(seq):
+    def _deliver(self, seq: int, payload) -> None:
+        """Request *seq*'s turn: its raw wire, or a ``(None,
+        retry_after)`` marker for one the node's worker pool shed (E13).
+        A streamed request's turn is when it is whole."""
+        if isinstance(payload, tuple):
+            self.busy_answered += 1
+            obs_metrics.inc("transport.http.worker_overflow")
+            self._send_message(
+                seq, _busy(f"connection {self.id}: worker pool saturated", payload[1]),
+                self.server,
+            )
+        elif self._admitted(seq):
             self.requests_handled += 1
-            self._respond(seq, self.server._response_for(payload))
+            self._send_message(seq, self.server._response_for(payload), self.server)
 
-    def _respond(self, seq: int, response: HttpResponse) -> None:
-        """Answer *seq* as one frame, or as chunk frames (see
-        :meth:`HttpConnection._transmit`)."""
-        if isinstance(response.body, BodyStream):
-            chunks = response.iter_wire()
-        else:
-            wire = response.to_wire()
-            threshold = self.server.chunk_threshold
-            if threshold is None or len(wire) <= threshold:
-                try:
-                    self.node.send(
-                        self.peer, self.client_port, wire,
-                        kind="response", conn=self.id, seq=seq,
-                    )
-                except (NetworkError, NodeDownError):
-                    self._on_stream_error(None)
-                return
-            chunks = (wire,)
-        sender = _StreamSender(
-            self.node,
-            self.peer,
-            self.client_port,
-            {"conn": self.id, "seq": seq},
-            chunks,
-            self.server.chunk_size,
-            self.server.stream_window,
-            on_error=self._on_stream_error,
-        )
-        self._rsp_senders[seq] = sender
-        sender._pump()
-        if sender.finished:
-            self._rsp_senders.pop(seq, None)
+    _on_message = _deliver
 
-    def _on_stream_error(self, exc: Optional[Exception]) -> None:
+    def _fault(self, seq: int, error: Exception) -> None:
+        """A streamed request broke its window."""
+        self.server.bad_requests += 1
+        obs_metrics.inc("transport.http.bad_requests")
+        self._send_message(seq, HttpResponse(400, str(error)), self.server)
+
+    def _send_failed(self, error: Exception) -> None:
         self.server.dropped_replies += 1
         obs_metrics.inc("transport.http.dropped_replies")
 
@@ -1123,21 +985,12 @@ class ServerConnection:
         if self.closed:
             return
         self.closed = True
-        self._streams.clear()
-        self._rsp_senders.clear()
-        self.node.close_port(self.srv_port)
+        self._hang_up(self.srv_port, notify)
         self.node.set_overflow_handler(self.srv_port, None)
-        if notify and self.node.up:
-            try:
-                self.node.send(
-                    self.peer, self.client_port, "", kind="close", conn=self.id
-                )
-            except (NetworkError, NodeDownError):
-                pass
         self.server._forget_connection(self)
 
     def __repr__(self) -> str:
         return (
-            f"<ServerConnection {self.id} peer={self.peer} "
+            f"<ServerConnection {self.id} peer={self.target_node} "
             f"handled={self.requests_handled} busy={self.busy_answered}>"
         )

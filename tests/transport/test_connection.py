@@ -517,6 +517,6 @@ class TestChunkWindow:
                              conn=conn.id, seq=0, idx=7 * i + 7, last=False)
         net.kernel.run(until=0.1)
         assert conn.state == CLOSED
-        assert conn._rsp_streams == {}
+        assert conn._streams == {}
         ((resp, err),) = results
         assert resp is None and isinstance(err, TransportError)
