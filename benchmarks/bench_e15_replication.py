@@ -11,7 +11,7 @@ case, not a corner.  E15 measures what the replication plane buys:
    vs unreplicated.  A *consistency violation* is an answered call
    whose result breaks the session's expected sequence — a lost update
    or a duplicate execution, as the client actually observes it.
-2. *crash points* — the simnet crash harness kills the primary at
+2. *crash points* — the simnet fault schedule kills the primary at
    adversarial protocol instants (before the delta ships, mid-ship,
    after ship but before the reply, mid-snapshot-catch-up, and during
    the handoff itself) and asserts zero violations and zero duplicate
@@ -32,7 +32,7 @@ import numpy as np
 from repro.core import ServiceHandle, WSPeer
 from repro.core.binding import StandardBinding
 from repro.replication import ReplicationConfig
-from repro.simnet import ChurnSchedule, CrashHarness, FixedLatency, Network
+from repro.simnet import ChurnSchedule, FixedLatency, Network
 from repro.uddi import UddiRegistryNode
 from repro.simnet.wiretap import payload_text
 
@@ -280,7 +280,7 @@ def measure_crash_point(point):
     if point == "mid_snapshot":
         return measure_mid_snapshot_crash()
     world = World(CounterService, replicated=True)
-    harness = CrashHarness(world.net)
+    harness = ChurnSchedule(world.net)
     drive = CounterDrive(world).run(2)  # warm-up
     _arm(world, harness, point)
     drive.run(6)
@@ -303,13 +303,13 @@ def measure_mid_snapshot_crash():
     surviving member, and calls must keep flowing meanwhile."""
     config = ReplicationConfig(compact_after=2)
     world = World(CounterService, replicated=True, config=config)
-    harness = CrashHarness(world.net)
+    harness = ChurnSchedule(world.net)
     lagging = world.providers[2]
 
     drive = CounterDrive(world).run(1)
     harness.kill(lagging.node.id)
     drive.run(5)  # history compacts past the floor while it is down
-    harness.schedule_restart(lagging.node.id, 0.1)
+    harness.restart(lagging.node.id, world.net.now + 0.1)
     # the primary dies just as the lagging member restarts, mid-resync
     harness.kill_on_event(
         world.providers[0], "request-received",

@@ -19,7 +19,7 @@ Four questions, one per section:
    seconds, GC parked, median of per-batch ratios) with a ``null``
    column showing the measurement's noise floor.
 3. *Post-mortems* (E17c): the flight recorder must freeze a dump at
-   EVERY crash-harness kill point of the E15 suite — before the delta
+   EVERY fault-schedule kill point of the E15 suite — before the delta
    ships, mid-ship, after ship but before the reply, and during the
    handoff itself (two kills, two dumps).
 4. *Aggregation* (E17d): gossiped metric digests merge to exact
@@ -55,7 +55,7 @@ from repro.observability.tracecontext import (
     reset as reset_propagation,
     set_propagation,
 )
-from repro.simnet import CrashHarness, FixedLatency, Network
+from repro.simnet import ChurnSchedule, FixedLatency, Network
 from repro.uddi import UddiRegistryNode
 from repro.simnet.wiretap import payload_text
 
@@ -125,7 +125,7 @@ def trace_failover_fanout() -> dict:
     tracer = SpanTracer(metrics=MetricsRegistry())
     tracer.install(*world.providers)
     world.consumer.enable_observability(tracer=tracer)  # propagation on
-    harness = CrashHarness(world.net)
+    harness = ChurnSchedule(world.net)
     try:
         world.invoke("increment", {"by": 1})  # session lives on the primary
         world.pace()
@@ -411,10 +411,10 @@ def _drive(world, n_calls):
 
 def measure_flight_at_crash_point(point) -> dict:
     world = ReplWorld()
-    harness = CrashHarness(world.net)
+    harness = ChurnSchedule(world.net)
     recorder = FlightRecorder(metrics=MetricsRegistry())
     recorder.install(world.consumer, *world.providers)
-    recorder.attach_harness(harness)
+    recorder.attach(harness)
 
     answered = _drive(world, 2)  # warm-up
     _arm(world, harness, point)

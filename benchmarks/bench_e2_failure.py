@@ -19,7 +19,7 @@ success from the surviving consumers.
 from _workloads import EchoService, build_p2ps_world, build_standard_world, print_table
 
 from repro.core import DiscoveryError
-from repro.simnet import ChurnInjector
+from repro.simnet import ChurnSchedule
 
 FRACTIONS = [0.0, 0.25, 0.5]
 N_PEERS = 12
@@ -52,7 +52,7 @@ def p2ps_success_under_churn(fraction: float, seed: int = 11) -> float:
     downing *fraction* of the provider peers."""
     world = build_p2ps_world(n_providers=N_PEERS, n_consumers=1)
     consumer = world.consumers[0]
-    churn = ChurnInjector(world.net, seed=seed)
+    churn = ChurnSchedule(world.net, seed=seed)
     provider_nodes = [p.node.id for p in world.providers]
     killed = set(churn.fail_fraction(provider_nodes, fraction, at=world.net.now))
     world.net.run()

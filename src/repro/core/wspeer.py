@@ -450,10 +450,11 @@ class WSPeer(EventSource):
         if given, else on the pool's config): outbound requests larger
         than *chunk_threshold* bytes leave as credit-windowed
         ``chunk`` frames of *chunk_size* bytes, and this peer's HTTP
-        server answers oversized responses the same way.  In-flight
-        memory per stream is bounded by ``window × chunk_size``, and
-        streamed exchanges do not head-of-line-block pipelined small
-        calls.  Returns the connection pool.
+        server, handed the same config, answers oversized responses
+        the same way.  In-flight memory per stream is bounded by
+        ``window × chunk_size``, and streamed exchanges do not
+        head-of-line-block pipelined small calls.  Returns the
+        connection pool.
         """
         import dataclasses
 
@@ -466,9 +467,7 @@ class WSPeer(EventSource):
         )
         server = getattr(self.server.deployer, "server", None)
         if server is not None:
-            server.chunk_threshold = chunk_threshold
-            server.chunk_size = chunk_size
-            server.stream_window = window
+            server.config = pool.config
         return pool
 
     _UNSET = object()

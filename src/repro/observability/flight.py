@@ -4,7 +4,7 @@ A span tracer answers "show me this invocation"; a flight recorder
 answers "what was the node doing just before it died".  It keeps a
 bounded ring of the most recent structured events from every source it
 listens on — cheap enough to leave on permanently — and freezes a copy
-(a *dump*) the instant something catastrophic happens: a crash-harness
+(a *dump*) the instant something catastrophic happens: a fault-schedule
 kill, replica state divergence, or a circuit breaker tripping open.
 Dumps survive the ring rolling over, so the forensic window is intact
 long after the events that filled it have been evicted.
@@ -61,14 +61,6 @@ class FlightRecorder(TreeListener):
         self.dumps_dropped = 0
         self.events_seen = 0
         self._attached: list = []
-
-    # -- wiring ------------------------------------------------------------
-    def attach_harness(self, harness: Any,
-                       peer: Optional[str] = None) -> "FlightRecorder":
-        """Attach to a crash harness so kills land in the ring — and,
-        being in :data:`DUMP_TRIGGERS`, freeze a dump."""
-        self.attach(harness, peer=peer)
-        return self
 
     # -- capture -----------------------------------------------------------
     def observe(self, event: Any, peer: Optional[str] = None) -> None:

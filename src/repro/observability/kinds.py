@@ -17,7 +17,7 @@ gap is visible.
 from __future__ import annotations
 
 #: family name -> the ``fire_*`` helper that emits it ("harness" kinds
-#: come from the crash harness's duck-typed events, not a fire_* helper)
+#: come from the fault schedule's duck-typed events, not a fire_* helper)
 FAMILIES = ("client", "server", "discovery", "publish", "deployment",
             "harness")
 
@@ -78,11 +78,15 @@ KIND_REGISTRY: dict[str, tuple[str, str]] = {
     "pipes-closed": ("deployment", "P2PS operation pipes closed"),
     "pipes-opened": ("deployment", "P2PS operation pipes created + advertised"),
     "undeployed": ("deployment", "service removed from the container"),
-    # -- harness: fault-injection actions from the simnet crash harness ----
+    # -- harness: fault actions from the simnet fault schedule -------------
+    "brownout-ended": ("harness", "browned-out node's service time restored"),
+    "brownout-started": ("harness", "node slowed to a degraded service time"),
     "frame-drop-armed": ("harness", "next matching frame will be discarded"),
     "kill-triggered": ("harness", "event trigger matched; kill is firing"),
-    "node-killed": ("harness", "node taken down by the crash harness"),
+    "network-partitioned": ("harness", "frames between node groups dropped"),
+    "node-killed": ("harness", "node taken down by the fault schedule"),
     "node-restarted": ("harness", "killed node brought back up"),
+    "partition-healed": ("harness", "partition removed; frames cross again"),
 }
 
 #: the flat set used by fast membership checks

@@ -67,7 +67,7 @@ class _Tap:
 class TreeListener:
     """Attach/detach for an instrument with ``observe(event, peer)`` and
     an ``_attached`` list, on any source with ``add_listener`` /
-    ``remove_listener`` (a WSPeer's tree root, a crash harness)."""
+    ``remove_listener`` (a WSPeer's tree root, a fault schedule)."""
 
     _attached: list
 

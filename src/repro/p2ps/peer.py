@@ -18,6 +18,7 @@ paper's EndpointResolver in action.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.p2ps.advertisements import (
@@ -46,6 +47,10 @@ from repro.xmlkit import Element, QName, ns, parse, serialize
 
 P2PS_PORT = "p2ps"
 DEFAULT_TTL = 4
+#: query ids a peer remembers for loop suppression, oldest forgotten
+#: first: a flood that loops back does so within a few hops, long
+#: before this many later queries have passed through the peer
+SEEN_QUERIES_CAP = 4096
 
 
 def _q(local: str) -> QName:
@@ -118,7 +123,7 @@ class Peer:
         self.neighbors: dict[str, str] = {}  # peer_id -> node_id
         self._input_pipes: dict[str, InputPipe] = {}
         self._queries: dict[str, QueryHandle] = {}
-        self._seen_queries: set[str] = set()
+        self._seen_queries: OrderedDict[str, None] = OrderedDict()
         self.messages_handled = 0
         self.relayed_frames = 0
         node.open_port(P2PS_PORT, self._on_message)
@@ -306,7 +311,7 @@ class Peer:
         message = self._message("query", [query.to_element()])
         message.set("id", query_id)
         message.set("ttl", str(ttl if ttl is not None else self.default_ttl))
-        self._seen_queries.add(query_id)
+        self._remember_query(query_id)
         self._broadcast(message)
         return handle
 
@@ -392,6 +397,11 @@ class Peer:
         if isinstance(advert, PeerAdvertisement):
             self.resolver.learn(advert.peer_id, advert.node_id, advert.relay_node)
 
+    def _remember_query(self, query_id: str) -> None:
+        self._seen_queries[query_id] = None
+        if len(self._seen_queries) > SEEN_QUERIES_CAP:
+            self._seen_queries.popitem(last=False)
+
     def _handle_query(
         self,
         root: Element,
@@ -402,7 +412,7 @@ class Peer:
         query_id = root.get("id", "")
         if not query_id or query_id in self._seen_queries:
             return  # loop suppression
-        self._seen_queries.add(query_id)
+        self._remember_query(query_id)
         if not payload_children:
             return
         query = AdvertQuery.from_element(payload_children[0])

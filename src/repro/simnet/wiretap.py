@@ -21,7 +21,7 @@ def payload_text(frame_or_payload) -> str:
     """A text view of a frame's payload, whatever its wire type.
 
     E16 frames carry ``bytes``; older flows carry ``str``.  Predicates
-    that grep the wire (crash-harness triggers, frame-cost policies)
+    that grep the wire (fault-schedule drops, frame-cost policies)
     should match through this instead of assuming text.
     """
     payload = getattr(frame_or_payload, "payload", frame_or_payload)

@@ -126,8 +126,8 @@ def _busy(message: str, retry_after: float) -> HttpResponse:
 # large the payload is, and a streamed exchange is stepped over by the
 # in-order release, so a 64 MB envelope never head-of-line blocks
 # pipelined small calls.  The knobs (``chunk_threshold``,
-# ``chunk_size``, ``stream_window``) are a client's PoolConfig and a
-# server's HttpServer attributes of the same names.
+# ``chunk_size``, ``stream_window``) are a PoolConfig: a client's
+# pool's, and a server's ``HttpServer.config``.
 # ----------------------------------------------------------------------
 
 
@@ -916,7 +916,7 @@ class ServerConnection(_End):
             self._due = seq + 1
             if self.admission is None or self._admitted(seq):
                 self.requests_handled += 1
-                self._send_message(seq, self.server._response_for(frame.payload), self.server)
+                self._send_message(seq, self.server._response_for(frame.payload), self.server.config)
             return
         kind = meta.get("kind")
         if kind in ("request", "connect"):
@@ -932,7 +932,7 @@ class ServerConnection(_End):
         elif kind == "close":
             self.close(notify=False)
         elif kind in ("chunk", "credit"):
-            self._on_stream(frame, self.server)
+            self._on_stream(frame, self.server.config)
 
     def _admitted(self, seq: int) -> bool:
         """Gate request *seq* through the connection's bounded queue; a
@@ -945,7 +945,8 @@ class ServerConnection(_End):
             self.busy_answered += 1
             obs_metrics.inc("transport.http.queue_overflow")
             self._send_message(
-                seq, _busy(f"connection {self.id}: request queue full", retry_after), self.server
+                seq, _busy(f"connection {self.id}: request queue full", retry_after),
+                self.server.config,
             )
         return admitted
 
@@ -962,11 +963,11 @@ class ServerConnection(_End):
             obs_metrics.inc("transport.http.worker_overflow")
             self._send_message(
                 seq, _busy(f"connection {self.id}: worker pool saturated", payload[1]),
-                self.server,
+                self.server.config,
             )
         elif self._admitted(seq):
             self.requests_handled += 1
-            self._send_message(seq, self.server._response_for(payload), self.server)
+            self._send_message(seq, self.server._response_for(payload), self.server.config)
 
     _on_message = _deliver
 
@@ -974,7 +975,7 @@ class ServerConnection(_End):
         """A streamed request broke its window."""
         self.server.bad_requests += 1
         obs_metrics.inc("transport.http.bad_requests")
-        self._send_message(seq, HttpResponse(400, str(error)), self.server)
+        self._send_message(seq, HttpResponse(400, str(error)), self.server.config)
 
     def _send_failed(self, error: Exception) -> None:
         self.server.dropped_replies += 1

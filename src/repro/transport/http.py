@@ -532,6 +532,8 @@ class HttpServer:
     """
 
     def __init__(self, node: Node, port: int = DEFAULT_HTTP_PORT):
+        from repro.transport.connection import PoolConfig
+
         self.node = node
         self.port = port
         self.routes: dict[str, RequestHandler] = {}
@@ -548,12 +550,11 @@ class HttpServer:
         self.max_pending_per_connection: Optional[float] = None
         self.conn_drain_rate: float = 200.0
         self.conn_idle_timeout: Optional[float] = 60.0
-        # E16 chunked-framing knobs: responses whose wire form exceeds
-        # chunk_threshold bytes leave as a flow-controlled sequence of
-        # chunk frames.  None disables response chunking.
-        self.chunk_threshold: Optional[int] = None
-        self.chunk_size: int = 64 * 1024
-        self.stream_window: int = 8
+        # E16 chunked-framing knobs (chunk_threshold, chunk_size,
+        # stream_window), checked where a PoolConfig is built: responses
+        # whose wire form exceeds chunk_threshold bytes leave as a
+        # flow-controlled sequence of chunk frames (None: never)
+        self.config = PoolConfig()
         self._connections: dict[str, object] = {}
 
     @property

@@ -85,14 +85,13 @@ class TestDumps:
 
 class TestHarnessIntegration:
     def test_crash_harness_kill_produces_a_dump(self):
-        from repro.simnet import FixedLatency, Network
-        from repro.simnet.crash import CrashHarness
+        from repro.simnet import ChurnSchedule, FixedLatency, Network
 
         net = Network(latency=FixedLatency(0.001))
         net.add_node("victim")
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         recorder = FlightRecorder(metrics=MetricsRegistry())
-        recorder.attach_harness(harness)
+        recorder.attach(harness)
 
         harness.kill("victim")
         dump = recorder.latest_dump()
@@ -102,7 +101,7 @@ class TestHarnessIntegration:
 
     def test_harness_events_carry_registered_kinds(self):
         from repro.observability.kinds import KNOWN_KINDS, family_of
-        from repro.simnet.crash import KIND_BY_ACTION
+        from repro.simnet.churn import KIND_BY_ACTION
 
         for action, kind in KIND_BY_ACTION.items():
             assert kind in KNOWN_KINDS, f"{action} -> {kind} unregistered"

@@ -218,7 +218,7 @@ class TestStaticSweep:
             )
 
     def test_harness_kind_map_is_registered(self):
-        from repro.simnet.crash import KIND_BY_ACTION
+        from repro.simnet.churn import KIND_BY_ACTION
 
         for action, kind in KIND_BY_ACTION.items():
             assert kind in KNOWN_KINDS, f"{action} -> {kind} unregistered"

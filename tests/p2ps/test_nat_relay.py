@@ -50,7 +50,7 @@ class TestNatGate:
 
     def test_remove_gate(self):
         net, inside, outside, gate, got_inside, _ = self.build()
-        gate.remove()
+        gate.detach()
         outside.send("inside", "in", "open-now")
         net.run()
         assert len(got_inside) == 1

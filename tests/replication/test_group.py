@@ -111,10 +111,10 @@ class TestLagGuard:
         the ship times out, delta 2 fails with it and its retry lands on
         a fresh connection — the victim buffers seq 2 (gap at 1) and is
         lagging."""
-        from repro.simnet import CrashHarness
+        from repro.simnet import ChurnSchedule
 
         world.replicate(r=2, anti_entropy=False)
-        harness = CrashHarness(world.net)
+        harness = ChurnSchedule(world.net)
         victim = world.group.members[victim_index]
         harness.drop_next(
             lambda f: f.dst == victim.node_id

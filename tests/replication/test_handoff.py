@@ -9,7 +9,7 @@ wrong value.
 """
 
 from repro.replication.state import DEFAULT_SESSION
-from repro.simnet import CrashHarness
+from repro.simnet import ChurnSchedule
 from repro.simnet.wiretap import payload_text
 
 
@@ -31,7 +31,7 @@ class TestHandoffAtMostOnce:
         group = counter_world.replicate(r=2)
         executor = counter_world.executor
         primary = counter_world.providers[0]
-        harness = CrashHarness(counter_world.net)
+        harness = ChurnSchedule(counter_world.net)
 
         # warm up: one replicated increment
         assert executor.invoke(
@@ -80,7 +80,7 @@ class TestHandoffAtMostOnce:
         recorder = RecordingListener()
         counter_world.consumer.add_listener(recorder)
         primary = counter_world.providers[0]
-        harness = CrashHarness(counter_world.net)
+        harness = ChurnSchedule(counter_world.net)
         harness.drop_replies_from(primary.node.id, count=1)
         harness.kill_on_event(
             primary, "response-sent", primary.node.id, defer=True,
@@ -101,7 +101,7 @@ class TestHandoffAtMostOnce:
         executor = counter_world.executor
         primary = counter_world.providers[0]
         behind = group.members[2]
-        harness = CrashHarness(counter_world.net)
+        harness = ChurnSchedule(counter_world.net)
         # starve member 2 of the next delta
         harness.drop_next(
             lambda f: f.dst == behind.node_id and "apply_delta" in payload_text(f),
@@ -131,7 +131,7 @@ class TestHandoffAtMostOnce:
         counter_world.replicate(r=2)
         executor = counter_world.executor
         primary = counter_world.providers[0]
-        harness = CrashHarness(counter_world.net)
+        harness = ChurnSchedule(counter_world.net)
         harness.kill(primary.node.id)
         value = executor.invoke(
             counter_world.handle, "increment", {"by": 1}, timeout=0.3
@@ -153,7 +153,7 @@ class TestHandoffAtMostOnce:
         counter_world.replicate(r=2)
         executor = counter_world.executor
         primary = counter_world.providers[0]
-        harness = CrashHarness(counter_world.net)
+        harness = ChurnSchedule(counter_world.net)
         harness.kill_on_event(
             primary, "request-received", primary.node.id,
             match=lambda e: e.detail.get("service") == "Svc",
@@ -175,12 +175,12 @@ class TestHandoffAtMostOnce:
         group = counter_world.replicate(r=2)
         executor = counter_world.executor
         primary = counter_world.providers[0]
-        harness = CrashHarness(counter_world.net)
+        harness = ChurnSchedule(counter_world.net)
 
         assert executor.invoke(
             counter_world.handle, "increment", {"by": 1}, timeout=0.3
         ) == 1
-        harness.kill(primary.node.id, restart_after=1.0)
+        harness.kill(primary.node.id, restart_at=counter_world.net.now + 1.0)
         assert executor.invoke(
             counter_world.handle, "increment", {"by": 1}, timeout=0.3
         ) == 2

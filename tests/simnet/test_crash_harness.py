@@ -1,8 +1,9 @@
-"""Unit tests for the crash-consistency harness primitives (E15)."""
+"""Unit tests for the fault schedule's crash-consistency primitives (E15):
+event-triggered kills and one-shot frame drops."""
 
 from repro.core.events import EventSource, PeerEvent
 from repro.simnet import (
-    CrashHarness,
+    ChurnSchedule,
     EventTrigger,
     FixedLatency,
     Network,
@@ -71,31 +72,31 @@ class TestEventTrigger:
 class TestKillPrimitives:
     def test_kill_downs_node_and_logs(self):
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         harness.kill("n1")
         assert not nodes[1].up
-        assert [a.action for a in harness.kills] == ["kill"]
+        assert [a.kind for a in harness.kills] == ["kill"]
         assert harness.kills[0].node == "n1"
 
     def test_kill_is_idempotent_on_dead_node(self):
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         harness.kill("n1")
         harness.kill("n1")
         assert len(harness.kills) == 1
 
     def test_restart_after(self):
         net, nodes = build()
-        harness = CrashHarness(net)
-        harness.kill("n1", restart_after=1.0)
+        harness = ChurnSchedule(net)
+        harness.kill("n1", restart_at=1.0)
         assert not nodes[1].up
         net.run(until=2.0)
         assert nodes[1].up
-        assert [a.action for a in harness.log] == ["kill", "restart"]
+        assert [a.kind for a in harness.log] == ["kill", "restart"]
 
     def test_kill_on_event_immediate(self):
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         source = EventSource("svc")
         harness.kill_on_event(source, "response-sent", "n1")
         source.fire(event("response-sent"))
@@ -106,18 +107,18 @@ class TestKillPrimitives:
         the node is still up in the firing instant, down after the
         kernel advances."""
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         source = EventSource("svc")
         harness.kill_on_event(source, "response-sent", "n1", defer=True)
         source.fire(event("response-sent"))
         assert nodes[1].up  # not yet: the kill is queued
         net.run(until=net.now + 0.01)
         assert not nodes[1].up
-        assert "(deferred)" in harness.kills[0].detail
+        assert "(deferred)" in harness.kills[0].label
 
     def test_describe_is_printable(self):
         net, _ = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         harness.kill("n2")
         lines = harness.describe()
         assert len(lines) == 1
@@ -127,7 +128,7 @@ class TestKillPrimitives:
 class TestOneShotDrop:
     def test_drops_exactly_count_then_detaches(self):
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         drop = harness.drop_next(lambda f: f.dst == "n1", count=2)
         for _ in range(4):
             nodes[0].send("n1", "in", "x")
@@ -139,7 +140,7 @@ class TestOneShotDrop:
 
     def test_detach_idempotent(self):
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         drop = harness.drop_next(lambda f: True, count=5)
         drop.detach()
         drop.detach()  # must not raise
@@ -150,7 +151,7 @@ class TestOneShotDrop:
 
     def test_harness_detach_disarms_all_drops(self):
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         harness.drop_next(lambda f: f.dst == "n1")
         harness.drop_next(lambda f: f.dst == "n2")
         harness.detach()
@@ -163,7 +164,7 @@ class TestOneShotDrop:
 
     def test_unmatched_frames_untouched(self):
         net, nodes = build()
-        harness = CrashHarness(net)
+        harness = ChurnSchedule(net)
         drop = harness.drop_next(lambda f: f.dst == "n2", count=1)
         nodes[0].send("n1", "in", "x")
         net.run()

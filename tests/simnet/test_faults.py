@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet import (
-    ChurnInjector,
+    ChurnSchedule,
     DropInjector,
     FixedLatency,
     Network,
@@ -85,7 +85,7 @@ class TestPartitionInjector:
     def test_heal_restores_connectivity(self):
         net, nodes = build()
         part = PartitionInjector(net, [["n0"], ["n1"]])
-        part.heal()
+        part.detach()
         nodes[0].send("n1", "in", "x")
         net.run()
         assert net.stats.get("n1") == 1
@@ -99,24 +99,26 @@ class TestPartitionInjector:
 
 
 class TestChurnInjector:
+    """The scheduled kill / restart / fail_fraction path of ChurnSchedule."""
+
     def test_fail_at_time(self):
         net, nodes = build()
-        churn = ChurnInjector(net)
-        churn.fail(["n1"], at=1.0)
+        churn = ChurnSchedule(net)
+        churn.kill("n1", at=1.0)
         net.run(until=2.0)
         assert not nodes[1].up
 
     def test_recover(self):
         net, nodes = build()
-        churn = ChurnInjector(net)
-        churn.fail(["n1"], at=1.0)
-        churn.recover(["n1"], at=2.0)
+        churn = ChurnSchedule(net)
+        churn.kill("n1", at=1.0)
+        churn.restart("n1", at=2.0)
         net.run(until=3.0)
         assert nodes[1].up
 
     def test_fail_fraction_counts(self):
         net, _ = build(n=10)
-        churn = ChurnInjector(net, seed=7)
+        churn = ChurnSchedule(net, seed=7)
         chosen = churn.fail_fraction([f"n{i}" for i in range(10)], 0.5, at=1.0)
         assert len(chosen) == 5
         net.run(until=2.0)
@@ -125,14 +127,14 @@ class TestChurnInjector:
 
     def test_fail_fraction_zero(self):
         net, _ = build()
-        churn = ChurnInjector(net)
+        churn = ChurnSchedule(net)
         assert churn.fail_fraction(["n0"], 0.0, at=1.0) == []
 
     def test_fail_fraction_deterministic_per_seed(self):
         picks = []
         for _ in range(2):
             net, _ = build(n=10)
-            churn = ChurnInjector(net, seed=3)
+            churn = ChurnSchedule(net, seed=3)
             picks.append(churn.fail_fraction([f"n{i}" for i in range(10)], 0.3, at=1.0))
         assert picks[0] == picks[1]
 

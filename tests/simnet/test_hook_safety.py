@@ -71,7 +71,7 @@ class TestPartitionHealRoundTrip:
         a.send("b", "inbox", "blocked")
         net.run()
         assert got == [] and injector.blocked == 1
-        injector.heal()
+        injector.detach()
         a.send("b", "inbox", "flows")
         net.run()
         assert got == ["flows"]
@@ -80,8 +80,8 @@ class TestPartitionHealRoundTrip:
         net = Network(latency=FixedLatency(0.001))
         make_pair(net)
         injector = PartitionInjector(net, [["a"], ["b"]])
-        injector.heal()
-        injector.heal()  # no ValueError
+        injector.detach()
+        injector.detach()  # no ValueError
 
     def test_heal_from_inside_another_hook(self):
         """A schedule's heal fired by a delivery-adjacent callback must
@@ -91,7 +91,7 @@ class TestPartitionHealRoundTrip:
         injector = PartitionInjector(net, [["a"], ["b"]])
 
         def healing_hook(frame):
-            injector.heal()
+            injector.detach()
             return True
 
         net._delivery_hooks.insert(0, healing_hook)

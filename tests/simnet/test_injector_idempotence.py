@@ -7,7 +7,7 @@ list, and must never remove another injector's hook.
 """
 
 from repro.simnet import (
-    ChurnInjector,
+    ChurnSchedule,
     DropInjector,
     FixedLatency,
     Network,
@@ -63,9 +63,9 @@ class TestPartitionHeal:
     def test_double_heal_is_noop(self):
         net, nodes = build()
         part = PartitionInjector(net, [["n0"], ["n1"]])
-        part.heal()
-        part.heal()  # must not raise
-        assert part.healed
+        part.detach()
+        part.detach()  # must not raise
+        assert not part.attached
         nodes[0].send("n1", "in", "x")
         net.run()
         assert net.stats.get("n1") == 1
@@ -74,8 +74,8 @@ class TestPartitionHeal:
         net, nodes = build()
         healed = PartitionInjector(net, [["n0"], ["n1"]])
         standing = PartitionInjector(net, [["n0"], ["n2"]])
-        healed.heal()
-        healed.heal()
+        healed.detach()
+        healed.detach()
         nodes[0].send("n1", "in", "x")  # released by the heal
         nodes[0].send("n2", "in", "x")  # still blocked
         net.run()
@@ -89,7 +89,7 @@ class TestPartitionHeal:
         nodes[0].send("n1", "in", "x")
         net.run()
         assert part.blocked == 1
-        part.heal()
+        part.detach()
         nodes[0].send("n1", "in", "x")
         net.run()
         assert part.blocked == 1
@@ -102,7 +102,7 @@ class TestChurnDeterminism:
         runs = []
         for _ in range(2):
             net, _ = build(n=8)
-            churn = ChurnInjector(net, seed=11)
+            churn = ChurnSchedule(net, seed=11)
             pool = [f"n{i}" for i in range(8)]
             first = churn.fail_fraction(pool, 0.25, at=1.0)
             second = churn.fail_fraction(pool, 0.5, at=2.0)
@@ -114,7 +114,7 @@ class TestChurnDeterminism:
         picks = []
         for seed in (1, 2):
             net, _ = build(n=8)
-            churn = ChurnInjector(net, seed=seed)
+            churn = ChurnSchedule(net, seed=seed)
             picks.append(
                 churn.fail_fraction([f"n{i}" for i in range(8)], 0.5, at=1.0)
             )

@@ -21,7 +21,6 @@ import pytest
 
 from repro.reliability import RetryPolicy
 from repro.simnet import (
-    ChurnInjector,
     ChurnSchedule,
     DropInjector,
     FixedLatency,
@@ -184,12 +183,14 @@ def test_random_kills_stream(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fail_fraction_records_plain_strings(seed):
     candidates = [f"n{i}" for i in range(4)]
-    injector = ChurnInjector(_network(5), seed=seed)
-    chosen = injector.fail_fraction(candidates, 0.5, at=1.0)
+    net = _network(5)
+    schedule = ChurnSchedule(net, seed=seed)
+    chosen = schedule.fail_fraction(candidates, 0.5, at=1.0)
     expected = [str(c) for c in np.random.default_rng(seed).choice(candidates, size=2, replace=False)]
     assert chosen == expected
-    assert injector.failed == expected
-    assert all(type(node_id) is str for node_id in injector.failed)
+    net.run()
+    assert [record.node for record in schedule.kills] == expected
+    assert all(type(record.node) is str for record in schedule.kills)
 
 
 PARITY_SEEDS = [*range(100), 2**32 - 1, 2**32, 2**64, 2**128 + 1]

@@ -73,7 +73,7 @@ unloaded(
     "repro.observability.spans", "repro.observability.slo",
     "repro.observability.cluster", "repro.observability.flight",
     "repro.observability.introspection",
-    "repro.simnet.crash", "repro.simnet.churn",
+    "repro.simnet.churn",
     "repro.replication*",
     "lab", "lab.*", "networkx", "networkx.*",
 )

@@ -37,13 +37,10 @@ def _world(latency):
     net = Network(latency=latency)
     client_node = net.add_node("client")
     server = HttpServer(net.add_node("server"), 80)
-    server.chunk_threshold = 4 * SIZE
-    server.chunk_size = SIZE
-    server.stream_window = WINDOW
+    server.config = PoolConfig(chunk_threshold=4 * SIZE, chunk_size=SIZE, stream_window=WINDOW)
     server.add_route("/echo", lambda req: HttpResponse(200, req.body, dict(BINARY)))
     server.start()
-    config = PoolConfig(chunk_threshold=4 * SIZE, chunk_size=SIZE, stream_window=WINDOW)
-    return net, server, HttpClient(client_node, pool=config)
+    return net, server, HttpClient(client_node, pool=server.config)
 
 
 def _streams_completed() -> float:
@@ -127,7 +124,8 @@ class TestZeroChunkSize:
         with pytest.raises(ValueError):
             dataclasses.replace(PoolConfig(), **{knob: value})
 
-    def test_enable_streaming_refuses_before_it_writes(self):
+    @staticmethod
+    def _provider():
         from repro.core import WSPeer
         from repro.core.binding import StandardBinding
         from repro.uddi import UddiRegistryNode
@@ -140,16 +138,33 @@ class TestZeroChunkSize:
         registry = UddiRegistryNode(net.add_node("registry"))
         provider = WSPeer(net.add_node("prov"), StandardBinding(registry.endpoint))
         provider.deploy(Echo(), name="Echo")
-        server = provider.server.deployer.server
+        return provider, provider.server.deployer.server
+
+    def test_server_knobs_are_one_guarded_pool_config(self):
+        server = HttpServer(Network().add_node("server"), 80)
+        assert server.config == PoolConfig()
+        for knob in ("chunk_threshold", "chunk_size", "stream_window"):
+            assert not hasattr(server, knob)  # no loose knob escapes the rule
+        with pytest.raises(ValueError):
+            server.config = dataclasses.replace(server.config, chunk_size=0)
+
+    def test_enable_streaming_hands_both_ends_one_config(self):
+        provider, server = self._provider()
+        pool = provider.enable_streaming(chunk_threshold=1024, chunk_size=256, window=2)
+        assert server.config is pool.config
+        assert (pool.config.chunk_threshold, pool.config.chunk_size, pool.config.stream_window) == (
+            1024, 256, 2,
+        )
+
+    def test_enable_streaming_refuses_before_it_writes(self):
+        provider, server = self._provider()
         config = provider.http_pool.config
         with pytest.raises(ValueError):
             provider.enable_streaming(chunk_threshold=1024, chunk_size=0)
         with pytest.raises(ValueError):
             provider.enable_streaming(chunk_threshold=1024, window=0)
         assert provider.http_pool.config is config
-        assert (server.chunk_threshold, server.chunk_size, server.stream_window) == (
-            None, 64 * 1024, 8,
-        )
+        assert server.config == PoolConfig()
 
 
 def _chunks(message: bytes, size: int) -> list:

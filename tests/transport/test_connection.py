@@ -33,6 +33,7 @@ def net():
 def echo_server(net, port=80, **knobs):
     server = HttpServer(net.get_node("server"), port)
     for name, value in knobs.items():
+        assert hasattr(server, name), f"HttpServer has no knob {name!r}"
         setattr(server, name, value)
     server.add_route("/echo", lambda req: HttpResponse(200, req.body))
     server.start()
