@@ -17,6 +17,9 @@ nodes, register themselves as listeners to them, and receive
 notification of events fired by them ... All events are propagated
 upwards to the root of the interface tree."  :class:`EventSource`
 implements exactly that: fire locally, then forward to the parent.
+
+An unheard event is not built: a ``fire_*`` helper whose node has no
+listener on its path to the root builds no event and reads no clock.
 """
 
 from __future__ import annotations
@@ -131,17 +134,25 @@ class EventSource:
     def _now(self) -> float:
         return 0.0  # overridden by nodes that know the kernel
 
+    def _fire(self, cls: type, kind: str, detail: dict[str, Any]) -> None:
+        node: Optional[EventSource] = self  # anyone listening on the path?
+        while node is not None:
+            if node._listeners:
+                self.fire(cls(kind, self._now(), self.node_name, detail))
+                return
+            node = node.parent
+
     def fire_discovery(self, kind: str, **detail: Any) -> None:
-        self.fire(DiscoveryMessageEvent(kind, self._now(), self.node_name, detail))
+        self._fire(DiscoveryMessageEvent, kind, detail)
 
     def fire_publish(self, kind: str, **detail: Any) -> None:
-        self.fire(PublishMessageEvent(kind, self._now(), self.node_name, detail))
+        self._fire(PublishMessageEvent, kind, detail)
 
     def fire_client(self, kind: str, **detail: Any) -> None:
-        self.fire(ClientMessageEvent(kind, self._now(), self.node_name, detail))
+        self._fire(ClientMessageEvent, kind, detail)
 
     def fire_server(self, kind: str, **detail: Any) -> None:
-        self.fire(ServerMessageEvent(kind, self._now(), self.node_name, detail))
+        self._fire(ServerMessageEvent, kind, detail)
 
     def fire_deployment(self, kind: str, **detail: Any) -> None:
-        self.fire(DeploymentMessageEvent(kind, self._now(), self.node_name, detail))
+        self._fire(DeploymentMessageEvent, kind, detail)

@@ -9,7 +9,9 @@ breaks ties), so a seeded run always produces the same trace.
 Internally the kernel is split into two structures (the E13
 concurrency-core refactor):
 
-* a **timer heap** holding future events, ordered by ``(time, seq)``;
+* a **timer heap** holding future events as ``(time, seq, event)``
+  tuples, so ``heapq`` orders them in C: ``seq`` is unique, so two
+  entries never tie and no event is ever compared;
 * a **run-queue** — a plain FIFO deque of events that are due *now*.
 
 Zero-delay work (``call_soon``, ``schedule(0.0, ...)``) goes straight
@@ -49,15 +51,14 @@ class SimTimeoutError(Exception):
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_kernel", "_fired", "_in_heap")
+    __slots__ = ("time", "fn", "args", "cancelled", "_kernel", "_fired", "_in_heap")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, fn: Callable[..., Any], args: tuple, kernel: "Kernel"):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._kernel: Optional["Kernel"] = None
+        self._kernel = kernel
         self._fired = False
         self._in_heap = False
 
@@ -68,22 +69,19 @@ class ScheduledEvent:
         # a cancelled timer stays parked in the heap until compaction;
         # it must not keep its callback (and the call behind it) alive
         self.fn, self.args = None, ()
-        if self._kernel is not None:
-            self._kernel._note_cancel(self)
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        self._kernel._note_cancel(self)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time:.6f} #{self.seq} {state}>"
+        return f"<ScheduledEvent t={self.time:.6f} {state}>"
 
 
 class Kernel:
     """A minimal, deterministic discrete-event simulation kernel."""
 
     def __init__(self) -> None:
-        self._timers: list[ScheduledEvent] = []  # future events (heap)
+        #: future events, a heap of (time, seq, event) entries
+        self._timers: list[tuple[float, int, ScheduledEvent]] = []
         self._ready: deque[ScheduledEvent] = deque()  # due-now FIFO run-queue
         self._seq = itertools.count()
         self._now = 0.0
@@ -118,28 +116,27 @@ class Kernel:
         """Schedule ``fn(*args)`` to run *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        event = ScheduledEvent(self._now + delay, next(self._seq), fn, args)
-        event._kernel = self
+        time = self._now + delay
+        event = ScheduledEvent(time, fn, args, self)
         self._pending += 1
         if delay == 0:
             self._ready.append(event)
         else:
             event._in_heap = True
-            heapq.heappush(self._timers, event)
+            heapq.heappush(self._timers, (time, next(self._seq), event))
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``fn(*args)`` at absolute virtual *time*."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        event = ScheduledEvent(time, next(self._seq), fn, args)
-        event._kernel = self
+        event = ScheduledEvent(time, fn, args, self)
         self._pending += 1
         if time == self._now:
             self._ready.append(event)
         else:
             event._in_heap = True
-            heapq.heappush(self._timers, event)
+            heapq.heappush(self._timers, (time, next(self._seq), event))
         return event
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
@@ -161,46 +158,41 @@ class Kernel:
                 self._compact()
 
     def _compact(self) -> None:
-        self._timers = [e for e in self._timers if not e.cancelled]
+        self._timers = [entry for entry in self._timers if not entry[2].cancelled]
         heapq.heapify(self._timers)
         self._heap_cancelled = 0
 
     # ------------------------------------------------------------------
-    def _refill_ready(self) -> bool:
-        """Advance the clock to the next timer deadline and move the
-        whole batch of events due at that instant onto the run-queue.
-        Returns False when no live timer remains."""
+    def _pop(self) -> Optional[ScheduledEvent]:
+        """The next live event: off the run-queue, or else — the clock
+        advanced to the next timer deadline — off the whole batch of
+        timers due at that instant, moved onto the run-queue.  None when
+        no live event remains."""
+        ready = self._ready
         timers = self._timers
-        while timers and timers[0].cancelled:
-            heapq.heappop(timers)
-            self._heap_cancelled -= 1
-        if not timers:
-            return False
-        batch_time = timers[0].time
-        self._now = batch_time
-        ready = self._ready
-        while timers and timers[0].time == batch_time:
-            event = heapq.heappop(timers)
-            event._in_heap = False
-            if event.cancelled:
-                self._heap_cancelled -= 1
-            else:
-                ready.append(event)
-        return True
-
-    def _next_ready(self) -> Optional[ScheduledEvent]:
-        ready = self._ready
         while True:
             while ready:
                 event = ready.popleft()
                 if not event.cancelled:
                     return event
-            if not self._refill_ready():
+            while timers and timers[0][2].cancelled:
+                heapq.heappop(timers)
+                self._heap_cancelled -= 1
+            if not timers:
                 return None
+            batch_time = timers[0][0]
+            self._now = batch_time
+            while timers and timers[0][0] == batch_time:
+                event = heapq.heappop(timers)[2]
+                event._in_heap = False
+                if event.cancelled:
+                    self._heap_cancelled -= 1
+                else:
+                    ready.append(event)
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False when queue is empty."""
-        event = self._next_ready()
+        event = self._pop()
         if event is None:
             return False
         event._fired = True
@@ -267,10 +259,10 @@ class Kernel:
         if ready:
             return self._now
         timers = self._timers
-        while timers and timers[0].cancelled:
+        while timers and timers[0][2].cancelled:
             heapq.heappop(timers)
             self._heap_cancelled -= 1
-        return timers[0].time if timers else None
+        return timers[0][0] if timers else None
 
     def advance(self, delta: float) -> None:
         """Advance the clock with no events (only valid past queue head)."""

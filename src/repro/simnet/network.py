@@ -12,6 +12,11 @@ Frames carry the actual serialised wire — text for legacy XML frames,
 raw ``bytes`` for the E16 byte-true HTTP wire and chunk-streamed
 payload slices — so the simulated network moves genuine bytes and
 ``Frame.size`` is a genuine byte count for latency sampling.
+
+An untraced frame makes no trace record: while the trace is disabled
+and has no sink, a frame builds no record and calls no ``emit``.  A
+lost or unroutable frame is counted (``Network.lost`` / ``.unroutable``)
+whether or not anyone traces it.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ class Frame:
     @property
     def size(self) -> int:
         return len(self.payload)
+
+
+def _overlay_tags(frame: Frame) -> dict[str, Any]:
+    """The tags that let a connection (E11) or gossip (E12) overlay be filtered out of a trace."""
+    return {k: frame.meta[k] for k in ("conn", "gossip") if k in frame.meta}
 
 
 FrameHandler = Callable[[Frame], None]
@@ -308,6 +318,8 @@ class Network:
         self.stats = Counter()  # frames *handled* per node
         self.sent = Counter()  # frames *sent* per node
         self.lost_in_service = Counter()  # frames lost to mid-service churn
+        self.lost = Counter()  # frames whose destination was down on arrival
+        self.unroutable = Counter()  # frames sent to no such node
         self._nodes: dict[str, Node] = {}
         self._delivery_hooks: list[DeliveryHook] = []
 
@@ -351,41 +363,46 @@ class Network:
         if not src.up:
             raise NodeDownError(f"source node is down: {frame.src}")
         self.sent.incr(frame.src)
-
-        # connection-scoped (E11) and gossip (E12) frames tag their
-        # trace records so each overlay can be filtered out of a trace
-        conn = {k: frame.meta[k] for k in ("conn", "gossip") if k in frame.meta}
+        trace = self.trace
 
         # iterate a snapshot: a hook may detach itself (or another hook)
         # mid-delivery without perturbing this frame's hook sequence
-        for hook in tuple(self._delivery_hooks):
+        for hook in tuple(self._delivery_hooks) if self._delivery_hooks else ():
             if not hook(frame):
-                self.trace.emit(self.kernel.now, "dropped", src=frame.src, dst=frame.dst, port=frame.port, **conn)
+                if trace.enabled or trace.sink is not None:
+                    trace.emit(self.kernel.now, "dropped", src=frame.src, dst=frame.dst,
+                               port=frame.port, **_overlay_tags(frame))
                 return frame
 
         if frame.dst not in self._nodes:
-            self.trace.emit(self.kernel.now, "unroutable", src=frame.src, dst=frame.dst)
+            self.unroutable.incr(frame.dst)
+            obs_metrics.inc("simnet.frames_unroutable")
+            trace.emit(self.kernel.now, "unroutable", src=frame.src, dst=frame.dst)
             return frame
 
         if frame.src == frame.dst:
             delay = self.latency.loopback()
         else:
             delay = self.latency.sample(frame.src, frame.dst, frame.size)
-        self.trace.emit(
-            self.kernel.now, "sent", src=frame.src, dst=frame.dst, port=frame.port, size=frame.size, **conn
-        )
+        if trace.enabled or trace.sink is not None:
+            trace.emit(self.kernel.now, "sent", src=frame.src, dst=frame.dst, port=frame.port,
+                       size=frame.size, **_overlay_tags(frame))
         self.kernel.schedule(delay, self._deliver, frame)
         return frame
 
     def _deliver(self, frame: Frame) -> None:
-        conn = {k: frame.meta[k] for k in ("conn", "gossip") if k in frame.meta}
+        trace = self.trace
         node = self._nodes.get(frame.dst)
         if node is None or not node.up:
-            self.trace.emit(self.kernel.now, "lost", src=frame.src, dst=frame.dst, port=frame.port, **conn)
+            self.lost.incr(frame.dst)
+            obs_metrics.inc("simnet.frames_lost")
+            if trace.enabled or trace.sink is not None:
+                trace.emit(self.kernel.now, "lost", src=frame.src, dst=frame.dst,
+                           port=frame.port, **_overlay_tags(frame))
             return
-        self.trace.emit(
-            self.kernel.now, "delivered", src=frame.src, dst=frame.dst, port=frame.port, **conn
-        )
+        if trace.enabled or trace.sink is not None:
+            trace.emit(self.kernel.now, "delivered", src=frame.src, dst=frame.dst,
+                       port=frame.port, **_overlay_tags(frame))
         node._deliver(frame)
 
     # -- convenience ---------------------------------------------------------
