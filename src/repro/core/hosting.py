@@ -49,9 +49,10 @@ from repro.core.events import EventSource
 from repro.observability import metrics as obs_metrics
 from repro.observability.tracecontext import (
     activate as trace_activate,
+    decode as trace_decode,
     event_fields as trace_event_fields,
-    extract as trace_extract,
     propagation_enabled as trace_propagation_enabled,
+    raw_context_of,
 )
 from repro.reliability import DedupWindow, ack_requested, build_ack
 from repro.soap.encoding import StructRegistry
@@ -352,10 +353,13 @@ class LightweightContainer(EventSource):
         # ambient context for the whole (synchronous) processing window,
         # so anything the handler sends from inside it — replication
         # delta ships above all — is stamped as a child of this span and
-        # the client's tree links up across nodes.
+        # the client's tree links up across nodes.  The incoming context
+        # is the one the MAPs read, when the request was addressed.
         server_trace = None
         if trace_propagation_enabled():
-            incoming_trace = trace_extract(request)
+            maps = context.maps
+            raw = raw_context_of(request) if maps is None else maps.trace_context
+            incoming_trace = trace_decode(raw) if raw else None
             if incoming_trace is not None:
                 server_trace = incoming_trace.child()
         trace_fields = trace_event_fields(server_trace)
@@ -368,8 +372,11 @@ class LightweightContainer(EventSource):
             message_id=message_id,
             **trace_fields,
         )
-        with trace_activate(server_trace):
+        if server_trace is None:
             self._answer(context)
+        else:
+            with trace_activate(server_trace):
+                self._answer(context)
         if context.fault:
             obs_metrics.inc("server.faults")
         self.fire_server(

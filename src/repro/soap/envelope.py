@@ -14,7 +14,7 @@ until someone reads the elements, so a hit builds no per-value object.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.caching import ArtifactCache
 from repro.soap.attachments import (
@@ -41,7 +41,7 @@ _HEADER = QName(ns.SOAP_ENV, "Header", "soapenv")
 _BODY = QName(ns.SOAP_ENV, "Body", "soapenv")
 _FAULT = QName(ns.SOAP_ENV, "Fault", "soapenv")
 MUST_UNDERSTAND = QName(ns.SOAP_ENV, "mustUnderstand", "soapenv")
-#: the two children of an EndpointReference ``header_epr`` reads as slots
+#: the two children of an EndpointReference a head plan reads as slots
 _WSA_ADDRESS = (ns.WSA, "Address")
 _WSA_REF_PROPS = (ns.WSA, "ReferenceProperties")
 
@@ -102,20 +102,30 @@ def _epr_view(block: tuple, at: int) -> Optional[tuple]:
     return at, tuple(shape), tuple(range(at + 1, at + 1 + len(shape)))
 
 
-def _head_index(blocks: tuple) -> tuple:
-    """``(blocks, first slot of each, {(uri, local): position of the first
-    such block}, names marked mustUnderstand, {position: EPR view})``."""
-    offsets, first, eprs, at = [], {}, {}, 0
-    for position, block in enumerate(blocks):
-        offsets.append(at)
-        first.setdefault(block[0][:2], position)
-        eprs[position] = _epr_view(block, at)
-        at += len(slot_kinds(block))
-    must = tuple(
-        intern_qname(*block[0]) for block in blocks
-        if attribute(block, ns.SOAP_ENV, "mustUnderstand") in ("1", "true")
-    )
-    return blocks, offsets, first, must, eprs
+class HeadIndex:
+    """What a head's shape answers without its texts, once per shape: its
+    *blocks*, per ``(uri, local)`` where the text of the first such block
+    is — the position of its slot when it is a leaf, else its static text
+    — (*sources*) and its EPR view when it has one (*eprs*), the names
+    marked mustUnderstand (*must*) and the *plan* that
+    :meth:`SoapEnvelope.header_plan` builds on the first read."""
+
+    __slots__ = ("blocks", "sources", "eprs", "must", "plan")
+
+    def __init__(self, blocks: tuple):
+        self.blocks, self.sources, self.eprs, self.plan, at = blocks, {}, {}, None, 0
+        for block in blocks:
+            key, content = block[0][:2], block[3]
+            if key not in self.sources:
+                self.sources[key] = at if content is SLOT else "".join(
+                    [part for part in content if part.__class__ is str]
+                )
+                self.eprs[key] = _epr_view(block, at)
+            at += len(slot_kinds(block))
+        self.must = tuple(
+            intern_qname(*block[0]) for block in blocks
+            if attribute(block, ns.SOAP_ENV, "mustUnderstand") in ("1", "true")
+        )
 
 
 class DeferredHeaders:
@@ -125,47 +135,31 @@ class DeferredHeaders:
 
     __slots__ = ("key", "texts", "_index")
 
-    def __init__(self, key: tuple, texts: list, index: Optional[tuple] = None):
+    def __init__(self, key: tuple, texts: list, index: Optional[HeadIndex] = None):
         self.key, self.texts, self._index = key, texts, index
 
     blocks_of = staticmethod(lambda key: key)
 
     @property
-    def index(self) -> tuple:
+    def index(self) -> HeadIndex:
         if self._index is None:
-            self._index = _head_index(self.blocks_of(self.key))
+            self._index = HeadIndex(self.blocks_of(self.key))
         return self._index
 
     def grow(self) -> list[Element]:
         texts = iter(self.texts)
-        return [grow(block, texts) for block in self.index[0]]
+        return [grow(block, texts) for block in self.index.blocks]
 
     def __len__(self) -> int:
-        return len(self.index[0])
-
-    def _first(self, name: QName | str) -> Optional[int]:
-        if isinstance(name, str):
-            return next((at for at, b in enumerate(self.index[0]) if b[0][1] == name), None)
-        return self.index[2].get((name.uri, name.local))
+        return len(self.index.blocks)
 
     def text(self, name: QName | str) -> Optional[str]:
-        at = self._first(name)
-        if at is None:
-            return None
-        block = self.index[0][at]
-        if block[3] is SLOT:
-            return self.texts[self.index[1][at]]
-        return "".join([part for part in block[3] if part.__class__ is str])
-
-    def epr(self, name: QName | str) -> Optional[tuple]:
-        view = self.index[4].get(self._first(name))
-        if view is None:
-            return None
-        address, shape, slots = view
-        return self.texts[address], shape, [self.texts[slot] for slot in slots]
-
-    def must_understand(self) -> tuple:
-        return self.index[3]
+        sources = self.index.sources
+        if isinstance(name, str):  # keys are in the order their first blocks are
+            at = next((at for key, at in sources.items() if key[1] == name), None)
+        else:
+            at = sources.get((name.uri, name.local))
+        return self.texts[at] if at.__class__ is int else at
 
 
 class SoapEnvelope:
@@ -182,7 +176,7 @@ class SoapEnvelope:
     ``body_content`` / ``headers`` grow them on the first read, after
     which the elements are the truth and the codec fast paths step aside
     for that part.  ``body_name``, ``is_fault``, ``rpc_values``,
-    ``header_text``, ``header_epr`` and ``must_understand`` never grow.
+    ``header_text``, ``header_plan`` and ``must_understand`` never grow.
     """
 
     def __init__(
@@ -276,16 +270,23 @@ class SoapEnvelope:
         block = self.find_header(name)
         return None if block is None else block.text
 
-    def header_epr(self, name: QName | str) -> Optional[tuple]:
-        """``(address, property shape, property texts)`` of the first block
-        named *name* while it is still texts and a struct of leaves; None
-        otherwise — the caller then reads ``headers``."""
-        return None if self._head is None else self._head.epr(name)
+    def header_plan(self, build: Callable[[HeadIndex], tuple]) -> Optional[tuple]:
+        """``(plan, texts)`` while the header blocks are texts: the plan
+        *build* makes of their shape's :class:`HeadIndex`, made on the
+        shape's first read and kept with it; None once they are elements."""
+        head = self._head
+        if head is None:
+            return None
+        index = head.index
+        plan = index.plan
+        if plan is None:
+            plan = index.plan = build(index)
+        return plan, head.texts
 
     def must_understand(self) -> tuple:
         """Names of the blocks marked ``mustUnderstand``, in order."""
         if self._head is not None:
-            return self._head.must_understand()
+            return self._head.index.must
         return tuple(b.name for b in self._headers if b.get(MUST_UNDERSTAND) in ("1", "true"))
 
     @property
@@ -420,7 +421,7 @@ class WireTemplateCache:
         wire = self._cache.get(key)
         if wire is None:
             body = deferred.node if deferred is not None else body_key
-            blocks = head_key if head is None else head.index[0]
+            blocks = head_key if head is None else head.index.blocks
             wire = template(envelope_shape(blocks, () if body is None else (body,)))
             self._cache.put(key, wire or _UNTEMPLATABLE)
         return None if wire is None or wire is _UNTEMPLATABLE else wire.render(texts)
@@ -483,7 +484,7 @@ class DecodeSkeletons:
             if texts is not None:
                 self._store.get(key)  # counts the hit, makes it most recent
                 return (
-                    None if head is None else DeferredHeaders(head[0], texts[:at], head),
+                    None if head is None else DeferredHeaders(head.blocks, texts[:at], head),
                     None if body is None else DeferredBody(  # no name: its uri is the first slot
                         name or intern_qname(texts[at], *body[0][1:]), texts[at:], body, body, body_readers),
                 )
@@ -527,7 +528,7 @@ class DecodeSkeletons:
         node = None if body is None else nodes[-1]
         name = None if node is None or node[0][0] is SLOT else body.name
         self._store.put(key, (
-            key, wire_cut, _head_index(head) if head else None,
+            key, wire_cut, HeadIndex(head) if head else None,
             sum(len(slot_kinds(block)) for block in head), name, node,
             None if node is None else readers(node),
         ))

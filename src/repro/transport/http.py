@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, MutableMapping
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from repro.caching import ArtifactCache
 from repro.observability import metrics as obs_metrics
@@ -81,7 +81,9 @@ class HeaderMap(MutableMapping):
     def __init__(self, data: HeadersLike = None):
         #: lower-cased name -> (casing as first set, value)
         self._entries: dict[str, tuple[str, str]] = {}
-        if isinstance(data, HeaderMap):
+        if data is None:
+            return
+        if data.__class__ is HeaderMap or (data.__class__ is not dict and isinstance(data, HeaderMap)):
             self._entries = data._entries.copy()
         elif data:
             items = data.items() if hasattr(data, "items") else data
@@ -131,8 +133,8 @@ class HeaderMap(MutableMapping):
 #: encoded heads up to and including ``Content-Length: ``, keyed by
 #: (start-line tokens, header entries)
 _head_templates = ArtifactCache("http-head-templates", max_entries=256)
-#: (start line, header entries) the strict grammar built for the head
-#: bytes before a final ``\r\nContent-Length: `` line, keyed by them
+#: the parsed head (:class:`_Head`) the strict grammar built for the
+#: head bytes before a final ``\r\nContent-Length: `` line, keyed by them
 _head_skeletons = ArtifactCache("http-head-skeletons", max_entries=256)
 #: the same, keyed on a request prefix with its target and its
 #: SOAPAction value cut out (:func:`_cut`): a service's name is a slot
@@ -172,17 +174,42 @@ _BINARY_CONTENT_PREFIXES = ("multipart/", "application/octet-stream")
 #: strict Content-Length field value: optional single leading OWS space,
 #: then ASCII digits only — no sign, no padding, no internal whitespace
 _CONTENT_LENGTH_RE = re.compile(r" ?([0-9]+)\Z")
+#: a field name is a token (RFC 9110 §5.1): no whitespace before the colon
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+\Z")
+#: what no field value may hold (§5.5): a C0 control other than HTAB
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f]")
+_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
 
 
-def _decoded_body(body: bytes, headers: HeaderMap) -> Union[str, bytes]:
-    """Binary content-types keep raw bytes; everything else is UTF-8
-    text (a mis-encoded text body is a framing error, not a mojibake)."""
-    if headers.get("Content-Type", "").lower().startswith(_BINARY_CONTENT_PREFIXES):
-        return body
-    try:
-        return body.decode("utf-8")
-    except UnicodeDecodeError:
-        raise TransportError("message body is not valid UTF-8") from None
+class _Head(NamedTuple):
+    """A head as a message reads it: fields as :class:`HeaderMap` entries
+    (a cached head's without its final Content-Length line), the start
+    line as a request and as a status line (None: it is not one), and
+    whether the body stays bytes."""
+
+    start: str
+    entries: dict
+    request: Optional[tuple]
+    response: Optional[tuple]
+    binary: bool
+
+
+def _parsed(start: str, entries: dict) -> _Head:
+    """The head of *start* and *entries*; a start line that is neither a
+    request line nor a status line of HTTP/1.0 or 1.1 is refused."""
+    words, (version, _, rest) = start.split(" "), start.partition(" ")
+    code, _, reason = rest.partition(" ")
+    three = len(code) == 3 and code.isdecimal()  # isdecimal: what int() reads
+    response = (int(code), reason) if version in _VERSIONS and three else None
+    request = None
+    if len(words) == 3 and words[2] in _VERSIONS:
+        path = words[1]
+        request = (words[0].upper(), path if path.startswith("/") else "/" + path)
+    if request is None and response is None:
+        raise TransportError(f"malformed start line: {start!r}")
+    kind = entries.get("content-type")
+    binary = kind is not None and kind[1].lower().startswith(_BINARY_CONTENT_PREFIXES)
+    return _Head(start, entries, request, response, binary)
 
 
 def parse_head_block(head: Union[bytes, str]) -> tuple[str, HeaderMap, Optional[int]]:
@@ -196,31 +223,34 @@ def parse_head_block(head: Union[bytes, str]) -> tuple[str, HeaderMap, Optional[
     whose prefix the strict grammar has already read is answered from
     its skeleton (see the module docstring).
     """
-    if not isinstance(head, (bytes, bytearray, memoryview)):
-        return _parse_strict(head)[:3]
-    head = bytes(head)
+    parsed, headers, declared_length = _read(head.encode("utf-8") if isinstance(head, str) else bytes(head))
+    return parsed.start, headers, declared_length
+
+
+def _read(head: bytes) -> tuple[_Head, HeaderMap, Optional[int]]:
+    """The parsed head, the headers and the declared Content-Length (or
+    None) of the byte header block *head*."""
     prefix, sep, digits = head.rpartition(_LENGTH_LINE)
     spliced = sep and len(digits) <= _MAX_LENGTH_DIGITS and digits.isdigit()
     if spliced:
-        skeleton = _head_skeletons.get(prefix)
-        if skeleton is not None or (skeleton := _slotted(prefix)) is not None:
-            start, entries = skeleton
+        parsed = _head_skeletons.get(prefix) or _slotted(prefix)
+        if parsed is not None:
             headers = HeaderMap.__new__(HeaderMap)
-            headers._entries = {**entries, "content-length": ("Content-Length", digits.decode())}
-            return start, headers, int(digits)
+            headers._entries = {**parsed.entries, "content-length": ("Content-Length", digits.decode())}
+            return parsed, headers, int(digits)
     try:
         head_text = head.decode("utf-8")
     except UnicodeDecodeError:
         raise TransportError("malformed HTTP head: not valid UTF-8") from None
-    start, headers, declared_length, length_lines = _parse_strict(head_text)
+    parsed, headers, declared_length, length_lines = _parse_strict(head_text)
     if spliced and length_lines == 1 and len(prefix) <= _MAX_SKELETON_BYTES:
         # the one Content-Length line is the last one, so the prefix
         # holds none: its entries are these minus that line's
         entries = headers._entries.copy()
         del entries["content-length"]
-        _head_skeletons.put(prefix, (start, entries))
-        _learn_slots(prefix, start, entries)
-    return start, headers, declared_length
+        held = _head_skeletons.put(prefix, parsed._replace(entries=entries))
+        _learn_slots(prefix, held)
+    return parsed, headers, declared_length
 
 
 #: The SOAPAction line, whose value is a slot of :data:`_head_slots`
@@ -244,31 +274,33 @@ def _cut(prefix: bytes) -> Optional[tuple]:
     return (method, rest[:at], rest[end:]), target, rest[at + len(_ACTION_LINE) : end]
 
 
-def _fill(held: tuple, target: bytes, action: Optional[bytes]) -> Optional[tuple]:
-    """The start line and entries *held* for a cut prefix, with these
-    slot texts in; None when a slot is not UTF-8 (the grammar raises)."""
+def _fill(held: tuple, target: bytes, action: Optional[bytes]) -> Optional[_Head]:
+    """The head *held* for a cut prefix with these slot texts in; None
+    when a slot is not UTF-8, the action holds a control or the start
+    line is refused (the grammar raises)."""
     opening, closing, entries = held
     try:
         start = opening + target.decode("utf-8") + closing
         if action is not None:
-            name = entries["soapaction"][0]
-            entries = {**entries, "soapaction": (name, action.decode("utf-8").strip())}
-    except UnicodeDecodeError:
+            value = action.decode("utf-8")
+            if _CONTROL.search(value):
+                return None
+            entries = {**entries, "soapaction": (entries["soapaction"][0], value.strip())}
+        return _parsed(start, entries)
+    except (UnicodeDecodeError, TransportError):
         return None
-    return start, entries
 
 
-def _slotted(prefix: bytes) -> Optional[tuple]:
-    """``(start, entries)`` of a head whose prefix is a learned one with
-    another target or SOAPAction value, stored as its skeleton; None
-    otherwise."""
+def _slotted(prefix: bytes) -> Optional[_Head]:
+    """The head of a prefix that is a learned one with another target or
+    SOAPAction value, stored as its skeleton; None otherwise."""
     cut = None if len(prefix) > _MAX_SKELETON_BYTES else _cut(prefix)
     held = None if cut is None else _head_slots.get(cut[0])
-    skeleton = None if held is None else _fill(held, cut[1], cut[2])
-    return skeleton if skeleton is None else _head_skeletons.put(prefix, skeleton)
+    parsed = None if held is None else _fill(held, cut[1], cut[2])
+    return parsed if parsed is None else _head_skeletons.put(prefix, parsed)
 
 
-def _learn_slots(prefix: bytes, start: str, entries: dict) -> None:
+def _learn_slots(prefix: bytes, parsed: _Head) -> None:
     """Store what the grammar read off *prefix* with its slots cut out,
     when the slots read it — and it with other slot texts — back as the
     grammar does (a later SOAPAction line, say, would not)."""
@@ -277,22 +309,23 @@ def _learn_slots(prefix: bytes, start: str, entries: dict) -> None:
         return
     key, target, action = cut
     method, rest = key[0].decode("utf-8"), key[1].decode("utf-8")
-    held = (method + " ", " " + rest.partition("\r\n")[0], entries)
+    held = (method + " ", " " + rest.partition("\r\n")[0], parsed.entries)
     probe = b" /probe ".join([key[0], key[1]])
     if action is not None:
         probe += _ACTION_LINE + b"-probe" + key[2]
     try:
-        probed = _parse_strict(probe.decode("utf-8"))
+        probed = _parse_strict(probe.decode("utf-8"))[0]
     except TransportError:
         return
-    if _fill(held, target, action) == (start, entries) and _fill(
+    if _fill(held, target, action) == parsed and _fill(
         held, b"/probe", None if action is None else b"-probe"
-    ) == (probed[0], probed[1]._entries):
+    ) == probed:
         _head_slots.put(key, held)
 
 
-def _parse_strict(head_text: str) -> tuple[str, HeaderMap, Optional[int], int]:
-    """The grammar; also returns how many Content-Length lines it read."""
+def _parse_strict(head_text: str) -> tuple[_Head, HeaderMap, Optional[int], int]:
+    """The grammar: the parsed head, the headers, the declared length,
+    and how many Content-Length lines it read."""
     lines = head_text.split("\r\n")
     start = lines[0]
     headers = HeaderMap()
@@ -302,9 +335,9 @@ def _parse_strict(head_text: str) -> tuple[str, HeaderMap, Optional[int], int]:
         if not line:
             continue
         name, colon, value = line.partition(":")
-        if not colon:
+        if not colon or _TOKEN.match(name) is None or _CONTROL.search(value):
             raise TransportError(f"malformed HTTP header line: {line!r}")
-        if name.strip().lower() == "content-length":
+        if name.lower() == "content-length":
             match = _CONTENT_LENGTH_RE.match(value)
             try:
                 length = int(match.group(1)) if match is not None else -1
@@ -319,31 +352,36 @@ def _parse_strict(head_text: str) -> tuple[str, HeaderMap, Optional[int], int]:
                 )
             declared_length = length
             length_lines += 1
-        headers[name.strip()] = value.strip()
-    return start, headers, declared_length, length_lines
+        headers[name] = value.strip()
+    return _parsed(start, headers._entries), headers, declared_length, length_lines
 
 
-def _parse_head(data: Union[bytes, str]) -> tuple[str, HeaderMap, bytes]:
-    """Split a raw message into (start line, headers, body bytes).
+def _parse_message(data: Union[bytes, str]) -> tuple[_Head, HeaderMap, Union[str, bytes]]:
+    """Split a raw message into its parsed head, its headers and its body.
 
     Framing is byte-true: the head/body split happens on the raw byte
     sequence and ``Content-Length`` is validated against the *byte*
-    length of the body.
+    length of the body.  A binary content type keeps the body raw
+    bytes; everything else is UTF-8 text (a mis-encoded text body is a
+    framing error, not a mojibake).
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    elif isinstance(data, (bytearray, memoryview)):
-        data = bytes(data)
+    if data.__class__ is not bytes:
+        data = data.encode("utf-8") if isinstance(data, str) else bytes(data)
     head, sep, body = data.partition(b"\r\n\r\n")
     if not sep:
         raise TransportError("malformed HTTP message: missing header terminator")
-    start, headers, declared_length = parse_head_block(head)
+    parsed, headers, declared_length = _read(head)
     if declared_length is not None and declared_length != len(body):
         raise TransportError(
             f"Content-Length mismatch: declared {declared_length}, "
             f"got {len(body)} bytes"
         )
-    return start, headers, body
+    if parsed.binary:
+        return parsed, headers, body
+    try:
+        return parsed, headers, body.decode("utf-8")
+    except UnicodeDecodeError:
+        raise TransportError("message body is not valid UTF-8") from None
 
 
 class BodyStream:
@@ -443,17 +481,11 @@ class HttpRequest:
 
     @classmethod
     def from_wire(cls, data: Union[bytes, str]) -> "HttpRequest":
-        start, headers, body = _parse_head(data)
-        return cls._from_parts(start, headers, _decoded_body(body, headers))
-
-    @classmethod
-    def _from_parts(cls, start: str, headers: HeaderMap, body) -> "HttpRequest":
-        """Build from an already-split head + decoded body."""
-        parts = start.split(" ")
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise TransportError(f"malformed request line: {start!r}")
-        request = cls(parts[0], parts[1], body)
-        request.headers = headers  # built for this message: no second copy
+        head, headers, body = _parse_message(data)
+        if head.request is None:
+            raise TransportError(f"malformed request line: {head.start!r}")
+        request = cls.__new__(cls)  # the head is read: nothing to normalise
+        (request.method, request.path), request.body, request.headers = head.request, body, headers
         return request
 
     def __repr__(self) -> str:
@@ -493,21 +525,11 @@ class HttpResponse:
 
     @classmethod
     def from_wire(cls, data: Union[bytes, str]) -> "HttpResponse":
-        start, headers, body = _parse_head(data)
-        return cls._from_parts(start, headers, _decoded_body(body, headers))
-
-    @classmethod
-    def _from_parts(cls, start: str, headers: HeaderMap, body) -> "HttpResponse":
-        parts = start.split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            raise TransportError(f"malformed status line: {start!r}")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise TransportError(f"malformed status code in {start!r}") from None
-        reason = parts[2] if len(parts) == 3 else ""
-        response = cls(status, body, reason=reason)
-        response.headers = headers  # built for this message: no second copy
+        head, headers, body = _parse_message(data)
+        if head.response is None:
+            raise TransportError(f"malformed status line: {head.start!r}")
+        response = cls.__new__(cls)
+        (response.status, response.reason), response.body, response.headers = head.response, body, headers
         return response
 
     def __repr__(self) -> str:

@@ -3,8 +3,8 @@
 Almost every EPR is a *struct of leaves*: an Address plus N
 attribute-free leaf properties (§IV-B; the P2PS binding keeps a pipe
 advert's fields there).  Its *property shape*, one ``((uri, local,
-prefix), nsdecls items)`` per property, is what a decoded ``wsa:ReplyTo``
-yields (``header_epr``) and what the MAP record takes (:meth:`leaves`).
+prefix), nsdecls items)`` per property, is what a head's addressing plan
+reads a decoded ``wsa:ReplyTo`` as and what the MAP record takes (:meth:`leaves`).
 A *value-backed* EPR keeps ``(address, shape, texts)`` and grows its
 properties only when ``reference_properties`` is read.
 """

@@ -14,9 +14,11 @@ Neither direction builds an element on its fast path.  ``apply_to``
 records the MAP texts and a hashable *MAP shape* (which optional headers
 are present, the property shapes of the ReplyTo EPR and of the target),
 from which the blocks' shape tree (:mod:`repro.soap.shapes`) derives by
-writing them once with ``_blocks``.  ``extract_from`` reads slot texts
-(``header_text``) and takes a ReplyTo that is a struct of leaves as a
-value-backed EPR (``header_epr``).  Headers already present, ``From`` /
+writing them once with ``_blocks``.  A received head is read through
+its shape's *addressing plan* (:func:`_plan`, built on the shape's first
+read and kept with its :class:`~repro.soap.envelope.HeadIndex`): where
+the text of each addressing leaf is, and the ReplyTo as a value-backed
+EPR when it is a struct of leaves.  Headers already present, ``From`` /
 ``FaultTo``, an EPR property with attributes or children and an empty
 text (it would self-close) take the element path.
 """
@@ -30,7 +32,7 @@ from repro.caching import ArtifactCache
 from repro.observability.recorder import current_recorder
 from repro.observability.tracecontext import TRACE_HEADER, header_element as trace_header_element
 from repro.soap.encoding import EMPTY, SCALAR_TYPES, EncodingError, rpc_tree, value_shape
-from repro.soap.envelope import DeferredHeaders, SoapEnvelope, envelope_shape
+from repro.soap.envelope import DeferredHeaders, HeadIndex, SoapEnvelope, envelope_shape
 from repro.soap.shapes import SLOT, shape_of, template
 from repro.wsa.epr import EndpointReference, WsaError, grow_leaves
 from repro.xmlkit import Element, QName, ns
@@ -42,6 +44,8 @@ _FROM = QName(ns.WSA, "From", "wsa")
 _FAULT_TO = QName(ns.WSA, "FaultTo", "wsa")
 _MESSAGE_ID = QName(ns.WSA, "MessageID", "wsa")
 _RELATES_TO = QName(ns.WSA, "RelatesTo", "wsa")
+#: the leaf blocks an addressing plan reads, in the plan's order
+_PLANNED = [(name.uri, name.local) for name in (_TO, _ACTION, _MESSAGE_ID, _RELATES_TO, TRACE_HEADER)]
 
 _message_counter = itertools.count(1)
 
@@ -190,8 +194,25 @@ class MessageAddressingProperties:
 
     @classmethod
     def extract_from(cls, envelope: SoapEnvelope) -> "MessageAddressingProperties":
-        """Read the MAPs back out of a received envelope — off its slot
-        texts while it has them."""
+        """Read the MAPs back out of a received envelope: through the
+        addressing plan while its blocks are texts.  Anything but a head
+        of leaves with To, Action and, if any, a ReplyTo with an address
+        takes the element path, which also raises the canonical error."""
+        read = envelope.header_plan(_plan)
+        if read is not None:
+            plan, texts = read
+            to, action, message_id, relates_to, trace = [
+                texts[at] if at.__class__ is int else at for at in plan[:5]
+            ]
+            reply = plan[5]
+            if to and action and not plan[6] and (reply is None or texts[reply[0]]):
+                return cls(
+                    to, action,
+                    None if reply is None else EndpointReference.from_texts(
+                        texts[reply[0]], reply[1], [texts[at] for at in reply[2]]
+                    ),
+                    message_id, relates_to, trace_context=trace,
+                )
         text = envelope.header_text
         to, action = text(_TO), text(_ACTION)
         if not to:
@@ -200,14 +221,8 @@ class MessageAddressingProperties:
             raise WsaError("message carries no wsa:Action header")
 
         def epr_of(name: QName) -> Optional[EndpointReference]:
-            parts = envelope.header_epr(name)
-            if parts is not None and parts[0]:
-                return EndpointReference.from_texts(*parts)
-            if text(name) is None:
-                return None
-            # not a struct of leaves (or no address): the element path,
-            # which also raises the canonical error
-            return EndpointReference.from_element(envelope.find_header(name))
+            block = envelope.find_header(name)
+            return None if block is None else EndpointReference.from_element(block)
 
         return cls(
             to=to,
@@ -244,6 +259,19 @@ class _MapHeaders(DeferredHeaders):
             maps.reply_to = EndpointReference.from_texts("r", reply, ["p"] * len(reply))
         texts: list = []
         return tuple(shape_of(b, texts) for b in maps._blocks(grow_leaves(props, ["p"] * len(props))))
+
+
+def _plan(index: HeadIndex) -> tuple:
+    """The addressing plan of a head shape: where the text of To, Action,
+    MessageID, RelatesTo and the trace context is (``index.sources``), the
+    ReplyTo's EPR view, and whether a block only the element path reads
+    is there: From, FaultTo, or a ReplyTo that is not a struct of leaves."""
+    sources, eprs = index.sources, index.eprs
+    reply = (ns.WSA, "ReplyTo")
+    grown = (reply in sources and eprs[reply] is None) or any(
+        (ns.WSA, local) in sources for local in ("From", "FaultTo")
+    )
+    return (*[sources.get(key) for key in _PLANNED], eprs.get(reply), grown)
 
 
 def message_id_of(envelope: SoapEnvelope) -> Optional[str]:

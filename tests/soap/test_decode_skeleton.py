@@ -327,6 +327,30 @@ def test_a_shape_that_varies_outside_its_slots_is_cut_once():
     assert stats[PROBATION]["size"] == 0
 
 
+def test_a_childs_xsi_type_is_outside_the_key_so_the_second_type_always_parses(monkeypatch):
+    """Pinned as it stands, not as it should be: the store's key names a
+    body's prefix, its local names and its tag count, not a child's
+    ``xsi:type``.  An ``echo`` of a string and one of an int share that
+    key; the shape cut first keeps it, and the other, missing the
+    skeleton and finding its key in the store, is parsed on every
+    message and never cut."""
+    parses = []
+    monkeypatch.setattr("repro.soap.envelope.parse", lambda wire: parses.append(1) or parse(wire))
+    text, number = (
+        build_rpc_request("urn:wspeer:Bench", "echo", {"message": value}).to_wire() for value in ("hi", 5)
+    )
+    assert 'xsi:type="xsd:string"' in text and 'xsi:type="xsd:int"' in number
+    assert text.replace("xsd:string", "xsd:int").replace(">hi<", ">5<") == number
+    learn(text)
+    for _ in range(5):
+        before = hits()
+        assert_parity(number)
+        assert_parity(text)
+        assert hits() == before + 1  # the text echo's, never the int's
+    assert cache_stats()[STORE]["size"] == 1
+    assert len(parses) == 2 + 5  # two sightings to cut, then every int echo
+
+
 # ----------------------------------------------------------------------
 # (b) mutated wires: same tree or same error as the slow path
 # ----------------------------------------------------------------------

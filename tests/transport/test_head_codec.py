@@ -16,7 +16,11 @@ optimisations and nothing else.  For every head:
   ``Content-Length``, format every line).
 
 Then the hostile mutants of a cached prefix: each must give the strict
-grammar's exact result or its ``TransportError``.
+grammar's exact result or its ``TransportError``; the heads RFC 9110/9112
+refuse that the grammar refuses too, cold and off a warm prefix's slots;
+and whole messages: a request or response built off a cached head
+(``from_wire``'s hit) equals the one built off the grammar, framing and
+body errors included.
 """
 
 import http.client
@@ -27,8 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caching import cache_stats, clear_all_caches
-from repro.transport import HeaderMap, HttpRequest, HttpResponse, TransportError
+from repro.simnet import FixedLatency, Network
+from repro.transport import HeaderMap, HttpRequest, HttpResponse, HttpServer, TransportError
 from repro.transport.http import _parse_strict, parse_head_block
+from tests.transport.test_http import raw_on_connection
 
 SKELETONS = "http-head-skeletons"
 TEMPLATES = "http-head-templates"
@@ -80,7 +86,8 @@ def _strict(head: bytes):
         text = head.decode("utf-8")
     except UnicodeDecodeError:
         raise TransportError("malformed HTTP head: not valid UTF-8") from None
-    return _parse_strict(text)
+    parsed, headers, length, _ = _parse_strict(text)
+    return parsed.start, headers, length
 
 
 def _hits() -> int:
@@ -229,6 +236,136 @@ class TestHostileMutantsOfACachedPrefix:
         head = self.PREFIX + b"\r\nX-Big: " + b"a" * 5000 + b"\r\nContent-Length: 5"
         self._agrees(head)
         assert cache_stats()[SKELETONS]["size"] == 1
+
+
+class TestStrictGrammar:
+    """Heads RFC 9110/9112 refuse: whitespace before a field's colon (a
+    request-smuggling shape), an empty field name, a C0 control in a
+    field value, an HTTP version other than 1.0 and 1.1.  The grammar
+    refuses each, so no cached head can answer one."""
+
+    REFUSED = {
+        "space-before-colon": b"POST /svc HTTP/1.1\r\nHost : provider:80",
+        "tab-before-colon": b"POST /svc HTTP/1.1\r\nHost\t: provider:80",
+        "empty-name": b"POST /svc HTTP/1.1\r\n: provider:80",
+        "obs-fold": b"POST /svc HTTP/1.1\r\nHost: provider:80\r\n X-Folded: 1",
+        "nul-in-value": b"POST /svc HTTP/1.1\r\nHost: provider\x00:80",
+        "bare-lf-in-value": b"POST /svc HTTP/1.1\r\nHost: provider\nX-Smuggled: 1",
+        "escape-in-value": b"POST /svc HTTP/1.1\r\nX-A: \x1b[31m",
+        "version-9": b"POST /svc HTTP/9.1\r\nHost: provider:80",
+        "version-2": b"HTTP/2 200 OK\r\nX-A: 1",
+        "no-version": b"POST /svc\r\nHost: provider:80",
+        "not-a-start-line": b"THIS IS NOT HTTP\r\nHost: provider:80",
+    }
+
+    @pytest.mark.parametrize("head", REFUSED.values(), ids=REFUSED.keys())
+    def test_the_grammar_refuses(self, head):
+        for length_line in (b"", b"\r\nContent-Length: 0"):
+            with pytest.raises(TransportError):
+                _strict(head + length_line)
+            for _ in range(2):
+                with pytest.raises(TransportError):
+                    parse_head_block(head + length_line)
+        with pytest.raises(TransportError):
+            (HttpResponse if head.startswith(b"HTTP/") else HttpRequest).from_wire(
+                head + b"\r\nContent-Length: 0\r\n\r\n"
+            )
+        assert cache_stats()[SKELETONS]["size"] == 0
+
+    @pytest.mark.parametrize("value", [b"a\x01b", b"urn:x#echo\x1f", b"\x00"])
+    def test_a_slotted_action_is_held_to_the_field_value_grammar(self, value):
+        _warm(b"POST /svc HTTP/1.1\r\nSOAPAction: urn:x#echo\r\nHost: h\r\nContent-Length: 5")
+        head = b"POST /other HTTP/1.1\r\nSOAPAction: " + value + b"\r\nHost: h\r\nContent-Length: 5"
+        with pytest.raises(TransportError):
+            parse_head_block(head)
+        assert _outcome(parse_head_block, head) == _outcome(_strict, head)
+
+    def test_tabs_and_obs_text_stay_legal(self):
+        head = "POST /svc HTTP/1.0\r\nX-A: a\tb é\x7f\r\nContent-Length: 0".encode("utf-8")
+        cold, warm = _warm(head)
+        assert cold == warm == ("POST /svc HTTP/1.0", [("X-A", "a\tb é\x7f"), ("Content-Length", "0")], 0)
+
+    def test_the_server_answers_400(self):
+        net = Network(latency=FixedLatency(0.001))
+        for name in ("server", "client"):
+            net.add_node(name)
+        server = HttpServer(net.get_node("server"), 80)
+        server.add_route("/svc", lambda request: HttpResponse(200, request.body))
+        server.start()
+        replies = raw_on_connection(net, b"POST /svc HTTP/1.1\r\nHost : x\r\nContent-Length: 2\r\n\r\nhi")
+        assert [HttpResponse.from_wire(reply).status for reply in replies] == [400]
+        assert server.bad_requests == 1 and server.requests_served == 0
+
+
+def _message(kind, data):
+    """What *kind*'s ``from_wire`` makes of *data*, as comparable data."""
+    try:
+        message = kind.from_wire(data)
+    except TransportError as exc:
+        return ("error", str(exc))
+    start = (message.method, message.path) if kind is HttpRequest else (message.status, message.reason)
+    return start, list(message.headers._entries.values()), message.body
+
+
+_content_types = st.sampled_from([
+    None, "text/xml; charset=utf-8", "multipart/related; boundary=x",
+    "Application/Octet-Stream", "application/octet-streamy",
+])
+_raw_bodies = st.one_of(st.binary(max_size=24), st.text(max_size=24).map(str.encode))
+
+
+class TestMessagesOffACachedHead:
+    """``from_wire`` builds a message on a cached head without the
+    grammar; it must build exactly what the grammar's path builds."""
+
+    @given(_start_lines, _fields, _content_types, _raw_bodies, st.integers(-1, 1))
+    @settings(max_examples=300)
+    def test_a_hit_is_the_grammars_message(self, start, fields, content_type, body, skew):
+        clear_all_caches()
+        if content_type is not None:
+            fields = [*fields, ("Content-Type", content_type)]
+        data = _head(start, fields, max(len(body) + skew, 0)) + b"\r\n\r\n" + body
+        kind = HttpResponse if start.startswith("HTTP/") else HttpRequest
+        cold = _message(kind, data)
+        hits = _hits()
+        assert _message(kind, data) == cold
+        assert _hits() == hits + 1
+        # the grammar's own reading of the same bytes, built by hand
+        parsed, headers, length, _ = _parse_strict(data.partition(b"\r\n\r\n")[0].decode("utf-8"))
+        if length != len(body):
+            assert cold == ("error", f"Content-Length mismatch: declared {length}, got {len(body)} bytes")
+        elif parsed.binary:
+            assert cold[2] == body and content_type.lower().startswith(("multipart/", "application/octet-stream"))
+        else:
+            try:
+                text = body.decode("utf-8")
+            except UnicodeDecodeError:
+                assert cold == ("error", "message body is not valid UTF-8")
+            else:
+                start_parts = parsed.request if kind is HttpRequest else parsed.response
+                assert cold == (start_parts, list(headers._entries.values()), text)
+
+    def test_a_request_head_answers_no_response(self):
+        request = b"POST /svc HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi"
+        for _ in range(3):
+            assert HttpRequest.from_wire(request).path == "/svc"
+            with pytest.raises(TransportError, match="malformed status line"):
+                HttpResponse.from_wire(request)
+        response = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"
+        for _ in range(3):
+            assert HttpResponse.from_wire(response).status == 200
+            with pytest.raises(TransportError, match="malformed request line"):
+                HttpRequest.from_wire(response)
+
+    def test_a_hit_hands_out_its_own_message(self):
+        data = b"POST svc HTTP/1.1\r\nX-A: 1\r\nContent-Length: 2\r\n\r\nhi"
+        first = HttpRequest.from_wire(data)
+        first.headers["X-A"] = "changed"
+        first.path = "/elsewhere"
+        for _ in range(2):
+            again = HttpRequest.from_wire(data)
+            assert (again.method, again.path, again.body) == ("POST", "/svc", "hi")
+            assert list(again.headers.items()) == [("X-A", "1"), ("Content-Length", "2")]
 
 
 def _reference_wire(start: str, headers: HeaderMap, body: bytes) -> bytes:

@@ -150,6 +150,29 @@ class TestHeaderCaseInsensitivity:
         assert headers.setdefault("HOST", "ignored") == "server:80"
         assert list(headers) == ["content-type", "Host"]
 
+    def test_building_a_map_asks_the_abc_only_about_a_subclass(self, monkeypatch):
+        # the ABC's isinstance is a Python call: a dict, None or a
+        # HeaderMap is told by its class
+        asked = []
+        check = type(HeaderMap).__instancecheck__
+
+        def spy(cls, instance):
+            if cls is HeaderMap:
+                asked.append(type(instance).__name__)
+            return check(cls, instance)
+
+        monkeypatch.setattr(type(HeaderMap), "__instancecheck__", spy)
+        HttpRequest("POST", "/x", "hi", {"SOAPAction": "a#b"})
+        HttpResponse(200, "ok")
+        assert dict(HeaderMap(HeaderMap({"X-A": "1"}))) == {"X-A": "1"}
+        assert asked == []
+
+        class Sub(HeaderMap):
+            pass
+
+        assert dict(HeaderMap(Sub({"X-A": "1"}))) == {"X-A": "1"}
+        assert asked == ["Sub"]
+
     def test_transport_send_respects_lowercase_content_type(self, net):
         captured = {}
         server_side = HttpTransport(net.get_node("server"))

@@ -16,6 +16,10 @@ input:
 
 Then the four rules, a hostile-mutant sweep of a warm ``echo_p2ps``
 request, and the bound on what a hostile peer can make the process keep.
+Last, the addressing plan: on every head shape the suites above and the
+decode-skeleton suite build, what the readers answer off a head's plan
+equals what they answer off the same head grown into elements, and a
+head the MAPs refuse raises the same ``WsaError`` both ways.
 """
 
 import sys
@@ -31,9 +35,10 @@ from repro.core.binding import P2psBinding
 from repro.core.deployer import P2psServiceDeployer
 from repro.core.hosting import LightweightContainer
 from repro.core.p2psmap import epr_from_pipe, pipe_from_epr
-from repro.observability.tracecontext import TRACE_HEADER
+from repro.observability.tracecontext import TRACE_HEADER, raw_context_of
 from repro.p2ps import PeerGroup
 from repro.p2ps.advertisements import PipeAdvertisement
+from repro.reliability.ack import ack_requested, mark_ack_requested
 from repro.simnet import FixedLatency, Network
 from repro.soap.envelope import MUST_UNDERSTAND, SoapEnvelope
 from repro.soap.handlers import CallbackHandler
@@ -44,6 +49,7 @@ from repro.xmlkit import Element, QName, ns, parse, serialize
 from repro.xmlkit.names import _INTERN_MAX
 from repro.xmlkit.serializer import escape_text
 from tests._oracle.reference_codec import parse_reference
+from tests.soap.test_decode_skeleton import HAND_BUILT, stack_wires  # noqa: F401 - a fixture
 
 NS = "urn:wspeer:Bench"
 STORE = "decode-skeletons"
@@ -690,3 +696,126 @@ def test_an_epr_without_properties_and_an_empty_address():
         wire = envelope.to_wire().replace("</soapenv:Header>", reply + "</soapenv:Header>")
         expected = assert_decode_parity(wire)
         assert (expected[4][0] == "error") == (error is not None)
+
+
+# ----------------------------------------------------------------------
+# the addressing plan against the element path
+# ----------------------------------------------------------------------
+def readers(envelope):
+    """What every addressing reader makes of *envelope*: the by-name
+    readers first (they never grow the blocks), then the MAPs."""
+    return (
+        message_id_of(envelope), relates_to_of(envelope), ack_requested(envelope),
+        raw_context_of(envelope),
+        attempt(lambda: maps_view(MessageAddressingProperties.extract_from(envelope))),
+    )
+
+
+def assert_plan_parity(wire):
+    """Warm, the readers answer off a decoded head's plan what they
+    answer off the same head grown into elements, MAPs or ``WsaError``
+    alike.  Returns (whether the plan was read, what they answered)."""
+    clear_all_caches()
+    try:
+        for _ in range(2):
+            SoapEnvelope.from_wire(wire)
+        planned, grown = SoapEnvelope.from_wire(wire), SoapEnvelope.from_wire(wire)
+    except Exception:  # noqa: BLE001 - the decode suites hold the error
+        return False, None
+    grown.headers  # the element path from here on
+    assert grown._head is None
+    on_plan = planned._head is not None
+    got = readers(planned)
+    assert got == readers(grown)
+    return on_plan, got
+
+
+@settings(max_examples=200, deadline=None)
+@given(addressed(), st.booleans())
+def test_the_plan_reads_a_written_head_as_its_elements(case, ack):
+    maps, target, _ = case
+    envelope = build_rpc_request(NS, "echo", {"message": "m"})
+    maps.apply_to(envelope, target=target)
+    if ack:
+        mark_ack_requested(envelope)
+    on_plan, got = assert_plan_parity(envelope.to_wire())
+    assert on_plan and got[2] == ack
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    addressed(), st.booleans(),
+    st.lists(st.tuples(st.sampled_from(["PipeId", "PipeName", "PipeType", "k"]), st.sampled_from(TEXTS)),
+             max_size=4),
+)
+def test_the_plan_reads_a_foreign_reply_to_as_its_elements(case, wrapper_decls, leaves):
+    assert assert_plan_parity(_decode_wire(case, wrapper_decls, leaves))[0]
+
+
+def test_the_plan_reads_every_stack_and_hand_built_head_as_its_elements(stack_wires):
+    on_plan = [assert_plan_parity(wire)[0] for wire in stack_wires + HAND_BUILT]
+    assert sum(on_plan) >= 20  # requests, replies and acks with headers
+
+
+@pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS.keys())
+def test_the_plan_reads_a_mutant_head_as_its_elements(mutate):
+    _, _, _, base = _p2ps_world()
+    clear_all_caches()
+    assert assert_plan_parity(base)[0]
+    assert_plan_parity(mutate(base))
+
+
+def test_the_plan_reads_the_element_path_cases_as_their_elements():
+    leafy = Element(QName(ns.P2PS, "PipeId", "p2ps"), text="pipe-1", nsdecls={"p2ps": ns.P2PS})
+    nested = leafy.copy()
+    nested.append(Element("inner"))
+    source = EndpointReference("p2ps://peer-s")
+    for fields in (
+        dict(reply_to=EndpointReference("p2ps://c", [nested])),
+        dict(source=source), dict(fault_to=source), dict(source=source, reply_to=source),
+    ):
+        maps = MessageAddressingProperties("p2ps://p/S", "p2ps://p/S#op", message_id="m", **fields)
+        envelope = build_rpc_request(NS, "echo", {"message": "hi"})
+        maps.apply_to(envelope)
+        on_plan, got = assert_plan_parity(envelope.to_wire())
+        assert on_plan and got[0] == "m" and got[-1][0] == "ok", fields
+    for attribute in ('soapenv:mustUnderstand="1"', 'f:mustUnderstand="1"'):
+        assert assert_plan_parity(_must_understand_wire(attribute))[0]
+
+
+_NO_ADDRESS = "element {%s}ReplyTo has no wsa:Address" % ns.WSA
+WSA_ERRORS = {
+    "empty-to": (lambda w: _sub(w, r"(<wsa:To[^>]*>)[^<]*", r"\1"), "message carries no wsa:To header"),
+    "self-closed-to": (lambda w: _sub(w, r"<wsa:To([^>]*)>[^<]*</wsa:To>", r"<wsa:To\1/>"),
+                       "message carries no wsa:To header"),
+    "no-to": (lambda w: _sub(w, r"<wsa:To.*?</wsa:To>", ""), "message carries no wsa:To header"),
+    "empty-action": (lambda w: _sub(w, r"(<wsa:Action[^>]*>)[^<]*", r"\1"),
+                     "message carries no wsa:Action header"),
+    "no-action": (lambda w: _sub(w, r"<wsa:Action.*?</wsa:Action>", ""), "message carries no wsa:Action header"),
+    "emptied-address": (MUTANTS["emptied-address"], _NO_ADDRESS),
+    "no-address": (lambda w: _sub(w, r"<wsa:Address>[^<]*</wsa:Address>", ""), _NO_ADDRESS),
+}
+
+
+@pytest.mark.parametrize("mutate, message", WSA_ERRORS.values(), ids=WSA_ERRORS.keys())
+def test_a_head_the_maps_refuse_raises_the_same_wsa_error_both_ways(mutate, message):
+    _, _, _, base = _p2ps_world()
+    on_plan, got = assert_plan_parity(mutate(base))
+    assert on_plan and got[-1] == ("error", WsaError, message)
+
+
+STATIC_TEXTS = {
+    "mixed-to": lambda w: _sub(w, r"(<wsa:To[^>]*>)[^<]*", r"\1a<x:y xmlns:x='urn:x'/>b"),
+    "cdata-to": lambda w: _sub(w, r"(<wsa:To[^>]*>)[^<]*", r"\1<![CDATA[p2ps://x]]>"),
+    "comment-in-to": lambda w: _sub(w, r"(<wsa:To[^>]*>)[^<]*", r"\1p2ps://<!-- c -->x"),
+    "mixed-action": lambda w: _sub(w, r"(<wsa:Action[^>]*>)[^<]*", r"\1a<x:y xmlns:x='urn:x'>in</x:y>b"),
+    "self-closed-message-id": lambda w: _sub(
+        w, r"<wsa:MessageID([^>]*)>[^<]*</wsa:MessageID>", r"<wsa:MessageID\1/>"),
+}
+
+
+@pytest.mark.parametrize("mutate", STATIC_TEXTS.values(), ids=STATIC_TEXTS.keys())
+def test_the_plan_reads_a_planned_block_that_is_no_leaf_as_its_elements(mutate):
+    """Its text is static, held in the plan as text, not as a slot."""
+    on_plan, got = assert_plan_parity(mutate(_request()[1].to_wire()))
+    assert on_plan and got[-1][0] == "ok"
