@@ -143,7 +143,7 @@ class P2psServiceDeployer(ServiceDeployer):
             name,
             self.peer.id,
             pipes=[
-                self.peer.cache.get(f"pipe:{pid}")  # type: ignore[misc]
+                self.peer.published[f"pipe:{pid}"]  # type: ignore[misc]
                 for pid in pipe_ids
             ],
             definition_pipe=DEFINITION_PIPE_NAME,
@@ -214,7 +214,7 @@ class P2psServicePublisher(ServicePublisher):
     def withdraw(self, deployed: DeployedService) -> None:
         advert = self.deployer.adverts.get(deployed.name)
         if advert is not None:
-            self.peer.cache.remove(advert.key())
+            self.peer.withdraw(advert.key())
         self.fire_publish("withdrawn", service=deployed.name, via="p2ps")
 
 

@@ -5,7 +5,8 @@ revision), consulted before any registry round-trip.  Three freshness
 signals keep it honest:
 
 - **TTL**: entries expire after ``lifetime`` seconds (the soft-state
-  rule every discovery artefact in this stack follows);
+  rule every discovery artefact in this stack follows), and past
+  :data:`RENDEZVOUS_CACHE_CAP` names the least recently used goes;
 - **gossip**: an accepted announcement with a higher freshness counter
   updates the cached endpoints in place; a tombstone or an unknown
   service key drops the entry so the next lookup refetches;
@@ -17,7 +18,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.caching import SoftTable
 from repro.observability import metrics as obs_metrics
+
+#: service names a client keeps resolved, least recently used dropped first
+RENDEZVOUS_CACHE_CAP = 4096
 
 
 class CachedService:
@@ -38,51 +43,41 @@ class RendezvousCache:
     """Per-client cache of resolved service names."""
 
     def __init__(self, clock: Callable[[], float], lifetime: float = 30.0):
-        self._clock = clock
         self.lifetime = lifetime
-        #: service name -> {service_key -> CachedService}
-        self._entries: dict[str, dict[str, CachedService]] = {}
-        self._expires: dict[str, float] = {}
-        self.hits = 0
-        self.misses = 0
+        #: service name -> {service_key -> CachedService}, never empty
+        self._entries = SoftTable(RENDEZVOUS_CACHE_CAP, lifetime, clock, self._resized)
         self.invalidations = 0
 
-    def _now(self) -> float:
-        return self._clock()
+    @property
+    def hits(self) -> int:
+        return self._entries.hits
+
+    @property
+    def misses(self) -> int:
+        return self._entries.misses
+
+    def _resized(self, *_evicted: Any) -> None:
+        obs_metrics.set_gauge("discovery.cache.size", self.size)
 
     # ------------------------------------------------------------------
     def get(self, service: str) -> Optional[list[CachedService]]:
         """Cached resolutions of *service*, or None on miss/expiry."""
-        expires = self._expires.get(service)
-        if expires is None or expires <= self._now():
-            self._drop(service)
-            self.misses += 1
-            obs_metrics.inc("discovery.cache.misses")
-            return None
         items = self._entries.get(service)
-        if not items:
-            self.misses += 1
+        if items is None:
             obs_metrics.inc("discovery.cache.misses")
             return None
-        self.hits += 1
         obs_metrics.inc("discovery.cache.hits")
         return [items[key] for key in sorted(items)]
 
-    def put(
-        self,
-        service: str,
-        service_key: str,
-        endpoints: list[str],
-        wsdl_text: str,
-        revision: int,
-    ) -> None:
-        items = self._entries.setdefault(service, {})
+    def put(self, service: str, service_key: str, endpoints: list[str],
+            wsdl_text: str, revision: int) -> None:
+        items = self._entries.peek(service, {})
         held = items.get(service_key)
         if held is not None and revision < held.revision:
             return  # never cache something staler than what we hold
         items[service_key] = CachedService(service_key, endpoints, wsdl_text, revision)
-        self._expires[service] = self._now() + self.lifetime
-        obs_metrics.set_gauge("discovery.cache.size", len(self._entries))
+        self._entries.put(service, items)
+        self._resized()
 
     # ------------------------------------------------------------------
     def invalidate(self, service: str) -> None:
@@ -91,11 +86,9 @@ class RendezvousCache:
             obs_metrics.inc("discovery.cache.invalidations")
 
     def _drop(self, service: str) -> bool:
-        had = service in self._entries
-        self._entries.pop(service, None)
-        self._expires.pop(service, None)
+        had = self._entries.pop(service) is not None
         if had:
-            obs_metrics.set_gauge("discovery.cache.size", len(self._entries))
+            self._resized()
         return had
 
     def invalidate_endpoint(self, address: str) -> None:
@@ -127,7 +120,7 @@ class RendezvousCache:
         service key we have never resolved invalidates the whole entry,
         forcing the next lookup to refetch the WSDL from the registry.
         """
-        items = self._entries.get(announcement.service)
+        items = self._entries.peek(announcement.service)
         if items is None:
             return  # not cached: nothing to reconcile
         held = items.get(announcement.service_key) if announcement.service_key else None
@@ -147,8 +140,8 @@ class RendezvousCache:
             return
         held.endpoints = list(announcement.endpoints)
         held.revision = announcement.seq
-        self._expires[announcement.service] = self._now() + max(
-            self.lifetime, announcement.valid_time
+        self._entries.put(
+            announcement.service, items, max(self.lifetime, announcement.valid_time)
         )
         obs_metrics.inc("discovery.cache.refreshed")
 
@@ -169,4 +162,3 @@ class RendezvousCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._expires.clear()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.caching import SoftTable
 from repro.discovery.ring import stable_hash
 from repro.observability import metrics as obs_metrics
 from repro.simnet.network import Frame, NetworkError, Node, NodeDownError
@@ -32,6 +33,9 @@ DISCOVERY_NS = ns.DISCOVERY
 DEFAULT_VALID_TIME = 30.0
 DEFAULT_FANOUT = 3
 DEFAULT_HOPS = 4
+#: (service, origin) facts a node holds: far above the E12 plane's
+#: 10 000 services, so only a flood of origins reaches it
+GOSSIP_STORE_CAP = 1 << 16
 
 
 def _q(local: str) -> QName:
@@ -164,6 +168,10 @@ class MetricDigest:
 DigestListener = Callable[[MetricDigest], None]
 
 
+def _expired(key: tuple[str, str], announcement: ServiceAnnouncement) -> None:
+    obs_metrics.inc("discovery.gossip.expired")
+
+
 class GossipNode:
     """The gossip agent on one network node.
 
@@ -188,8 +196,8 @@ class GossipNode:
         self.valid_time = valid_time
         self.peers: list[str] = []
         self._seqs: dict[str, int] = {}  # service -> last seq we announced
-        #: (service, origin) -> (announcement, absolute expiry)
-        self._store: dict[tuple[str, str], tuple[ServiceAnnouncement, float]] = {}
+        #: (service, origin) -> announcement, believed for its valid_time
+        self._store = SoftTable(GOSSIP_STORE_CAP, clock=self._now, on_evict=_expired)
         self._listeners: list[AnnouncementListener] = []
         self._digest_seq = 0  # our own digest freshness counter
         self._digest_seqs: dict[str, int] = {}  # origin -> freshest seen
@@ -287,59 +295,55 @@ class GossipNode:
 
     def _accept(self, announcement: ServiceAnnouncement) -> bool:
         """Apply the freshness rule; True when the store advanced."""
-        self._purge()
-        held = self._store.get(announcement.key())
-        if held is not None and announcement.seq <= held[0].seq:
+        self._store.purge()
+        held = self._store.peek(announcement.key())
+        if held is not None and announcement.seq <= held.seq:
             obs_metrics.inc("discovery.gossip.stale")
             return False
-        expires = self._now() + announcement.valid_time
-        self._store[announcement.key()] = (announcement, expires)
+        self._store.put(announcement.key(), announcement, announcement.valid_time)
         obs_metrics.inc("discovery.gossip.accepted")
         for listener in list(self._listeners):
             listener(announcement)
         return True
 
-    def _purge(self) -> None:
-        now = self._now()
-        expired = [key for key, (_, expires) in self._store.items() if expires <= now]
-        for key in expired:
-            del self._store[key]
-            obs_metrics.inc("discovery.gossip.expired")
-
     # -- spreading -----------------------------------------------------
     def _forward(self, announcement: ServiceAnnouncement, exclude: Optional[str]) -> None:
-        if not self.peers or not self.node.up:
-            return
-        forwarded = ServiceAnnouncement(
-            announcement.service,
-            announcement.origin,
-            announcement.seq,
-            announcement.valid_time,
-            announcement.endpoints,
-            announcement.service_key,
-            announcement.wsdl_url,
-            announcement.hops - 1,
-        )
-        wire = forwarded.to_wire()
-        # deterministic but decorrelated neighbour choice: each node
-        # starts its fanout window at a hash of (itself, announcement),
-        # so different nodes spread one announcement through different
-        # peers — aligned windows would leave parts of the overlay
-        # permanently shadowed behind the stale-drop rule
-        start = stable_hash(
-            f"{self.node.id}|{announcement.service}|{announcement.origin}|{announcement.seq}"
-        ) % len(self.peers)
+        if self.peers and self.node.up:
+            forwarded = ServiceAnnouncement(
+                announcement.service, announcement.origin, announcement.seq,
+                announcement.valid_time, announcement.endpoints,
+                announcement.service_key, announcement.wsdl_url, announcement.hops - 1,
+            )
+            self._spread(
+                forwarded.to_wire(), "announce", announcement.origin, exclude,
+                f"{announcement.service}|{announcement.origin}|{announcement.seq}",
+            )
+
+    def _forward_digest(self, digest: MetricDigest, exclude: Optional[str]) -> None:
+        if self.peers and self.node.up:
+            forwarded = MetricDigest(digest.origin, digest.seq, digest.payload, digest.hops - 1)
+            self._spread(forwarded.to_wire(), "digest", digest.origin, exclude,
+                         f"digest|{digest.origin}|{digest.seq}")
+
+    def _spread(self, wire: str, kind: str, origin: str, exclude: Optional[str],
+                fact: str) -> None:
+        """Send *wire* to up to ``fanout`` peers but *origin* and *exclude*,
+        from a window starting at a hash of (this node, *fact*): nodes
+        spread one fact through different peers, where aligned windows
+        would leave parts of the overlay shadowed by the stale-drop rule."""
+        start = stable_hash(f"{self.node.id}|{fact}") % len(self.peers)
+        metric = "discovery.gossip.sent" if kind == "announce" else "discovery.gossip.digest_sent"
         sent = 0
         for i in range(len(self.peers)):
             if sent >= self.fanout:
                 break
             peer = self.peers[(start + i) % len(self.peers)]
-            if peer == exclude or peer == announcement.origin:
+            if peer == exclude or peer == origin:
                 continue
             try:
-                self.node.send(peer, GOSSIP_PORT, wire, gossip="announce")
+                self.node.send(peer, GOSSIP_PORT, wire, gossip=kind)
                 sent += 1
-                obs_metrics.inc("discovery.gossip.sent")
+                obs_metrics.inc(metric)
             except (NodeDownError, NetworkError):
                 break  # we are down; nothing more goes out this round
 
@@ -354,36 +358,12 @@ class GossipNode:
             listener(digest)
         return True
 
-    def _forward_digest(self, digest: MetricDigest, exclude: Optional[str]) -> None:
-        if not self.peers or not self.node.up:
-            return
-        forwarded = MetricDigest(
-            digest.origin, digest.seq, digest.payload, digest.hops - 1)
-        wire = forwarded.to_wire()
-        start = stable_hash(
-            f"{self.node.id}|digest|{digest.origin}|{digest.seq}"
-        ) % len(self.peers)
-        sent = 0
-        for i in range(len(self.peers)):
-            if sent >= self.fanout:
-                break
-            peer = self.peers[(start + i) % len(self.peers)]
-            if peer == exclude or peer == digest.origin:
-                continue
-            try:
-                self.node.send(peer, GOSSIP_PORT, wire, gossip="digest")
-                sent += 1
-                obs_metrics.inc("discovery.gossip.digest_sent")
-            except (NodeDownError, NetworkError):
-                break
-
     # -- reading -------------------------------------------------------
     def entries_for(self, service: str) -> list[ServiceAnnouncement]:
         """Live (unexpired, non-tombstone) announcements for *service*."""
-        self._purge()
         return [
             announcement
-            for (name, _), (announcement, _) in sorted(self._store.items())
+            for (name, _), announcement in sorted(self._store.items())
             if name == service and not announcement.is_withdrawal
         ]
 

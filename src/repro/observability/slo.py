@@ -24,10 +24,11 @@ the introspection service exposes the same JSON via ``GetSloStatus``.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.caching import SoftTable
 from repro.observability import metrics as obs_metrics
 from repro.observability.recorder import TreeListener
 
@@ -123,12 +124,18 @@ class SloEngine(TreeListener):
         self.metrics = metrics if metrics is not None else obs_metrics
         self.services: dict[str, ServiceSlo] = {}
         #: message_id -> (service, sent_time) awaiting a verdict
-        self._pending: OrderedDict[str, tuple[str, float]] = OrderedDict()
-        #: message_id -> (service, fail_time) provisionally failed
-        self._provisional: OrderedDict[str, tuple[str, float]] = OrderedDict()
-        self.pending_evicted = 0
+        self._pending = SoftTable(MAX_PENDING)
+        #: message_id -> (service, fail_time) provisionally failed: one
+        #: still here its service's settle_after later is a failure
+        self._provisional = SoftTable(MAX_PENDING, None, lambda: self._now, self._settled)
+        self._now = 0.0  # the provisional table's clock: event / report time
         self._attached: list = []
         self._last_event_time = 0.0
+
+    @property
+    def pending_evicted(self) -> int:
+        """Sends forgotten unanswered because MAX_PENDING newer ones came."""
+        return self._pending.evictions
 
     def _service(self, name: str) -> ServiceSlo:
         slo = self.services.get(name)
@@ -149,10 +156,7 @@ class SloEngine(TreeListener):
         if kind == "request-sent":
             # failover hops re-send the same MessageID: keep first sent time
             if message_id not in self._pending:
-                self._pending[message_id] = (service, time)
-                while len(self._pending) > MAX_PENDING:
-                    self._pending.popitem(last=False)
-                    self.pending_evicted += 1
+                self._pending.put(message_id, (service, time))
         elif kind == "response-received":
             entry = self._pending.pop(message_id, None)
             self._provisional.pop(message_id, None)  # failover recovered
@@ -168,29 +172,26 @@ class SloEngine(TreeListener):
         elif kind in ("invoke-failed", "oneway-failed"):
             # per-attempt failure: provisional until settle_after elapses
             if message_id in self._pending:
-                self._provisional[message_id] = (service, time)
+                self._now = time
+                self._provisional.put(message_id, (service, time),
+                                      self._service(service).policy.settle_after)
         elif kind == "failover-exhausted":
             self._pending.pop(message_id, None)
             self._provisional.pop(message_id, None)
             self._service(service).record(time, False)
 
-    def _settle(self, now: float) -> None:
-        """Provisional failures with no recovery become real ones."""
-        settled = [
-            mid for mid, (service, failed_at) in self._provisional.items()
-            if now - failed_at >= self._service(service).policy.settle_after
-        ]
-        for mid in settled:
-            service, failed_at = self._provisional.pop(mid)
-            self._pending.pop(mid, None)
-            self._service(service).record(failed_at, False)
+    def _settled(self, message_id: str, entry: tuple[str, float]) -> None:
+        """A provisional failure with no recovery becomes a real one."""
+        self._pending.pop(message_id)
+        self._service(entry[0]).record(entry[1], False)
 
     # -- reporting ---------------------------------------------------------
     def report(self, now: Optional[float] = None) -> dict[str, dict[str, Any]]:
         """Settle provisionals, publish gauges, return per-service health."""
         if now is None:
             now = self._last_event_time
-        self._settle(now)
+        self._now = now
+        self._provisional.purge()
         out: dict[str, dict[str, Any]] = {}
         for name, slo in self.services.items():
             status, short, long_ = slo.health(now)

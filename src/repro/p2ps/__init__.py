@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = exports(__name__, {
         "AdvertError", "Advertisement", "PeerAdvertisement", "PipeAdvertisement",
         "ServiceAdvertisement", "parse_advertisement",
     ),
-    ".cache": ("AdvertCache",),
     ".query": ("AdvertQuery",),
     ".pipes": (
         "EndpointResolver", "InputPipe", "OutputPipe", "PipeError", "ResolutionError",

@@ -18,9 +18,9 @@ paper's EndpointResolver in action.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Optional
 
+from repro.caching import SoftTable
 from repro.p2ps.advertisements import (
     Advertisement,
     PeerAdvertisement,
@@ -28,7 +28,6 @@ from repro.p2ps.advertisements import (
     ServiceAdvertisement,
     parse_advertisement,
 )
-from repro.p2ps.cache import AdvertCache
 from repro.p2ps.group import PeerGroup
 from repro.p2ps.ids import new_peer_id, new_pipe_id, new_query_id
 from repro.p2ps.pipes import (
@@ -51,6 +50,9 @@ DEFAULT_TTL = 4
 #: first: a flood that loops back does so within a few hops, long
 #: before this many later queries have passed through the peer
 SEEN_QUERIES_CAP = 4096
+#: adverts a peer caches from others (and, in a table of their own, the
+#: ones it answers for), oldest forgotten first
+ADVERT_CACHE_CAP = 4096
 
 
 def _q(local: str) -> QName:
@@ -112,7 +114,16 @@ class Peer:
         self.relay_node_id = relay.node.id if relay is not None else ""
         if nat and relay is None:
             raise ValueError("a NATed peer needs a relay peer to be reachable")
-        self.cache = AdvertCache(lambda: self.network.kernel.now, cache_lifetime)
+        clock = lambda: self.network.kernel.now  # noqa: E731
+        #: advert key -> advert heard from others, forgotten after
+        #: *cache_lifetime* unless heard again
+        self.cache = SoftTable(ADVERT_CACHE_CAP, cache_lifetime, clock)
+        #: advert key -> advert this peer published (itself, its pipes,
+        #: its services), until withdrawn: what the republisher sends
+        self.published: dict[str, Advertisement] = {}
+        #: the published adverts this peer answers for: soft state like
+        #: a cached advert (a live peer republishes to stay discoverable)
+        self._own = SoftTable(ADVERT_CACHE_CAP, cache_lifetime, clock)
         self.resolver = TableEndpointResolver()
         self.group: Optional[PeerGroup] = None
         self._rendezvous_links: dict[str, str] = {}  # peer_id -> node_id
@@ -123,7 +134,7 @@ class Peer:
         self.neighbors: dict[str, str] = {}  # peer_id -> node_id
         self._input_pipes: dict[str, InputPipe] = {}
         self._queries: dict[str, QueryHandle] = {}
-        self._seen_queries: OrderedDict[str, None] = OrderedDict()
+        self._seen_queries = SoftTable(SEEN_QUERIES_CAP)
         self.messages_handled = 0
         self.relayed_frames = 0
         node.open_port(P2PS_PORT, self._on_message)
@@ -133,8 +144,7 @@ class Peer:
             # an outbound hello opens the NAT session so the relay's
             # forwarded frames can reach us
             self._safe_send(self.relay_node_id, serialize(self._message("hello", [])))
-        # a peer always caches (and can serve) its own advertisement
-        self.cache.put(self.advertisement())
+        self._keep(self.advertisement())
         self.resolver.learn(self.id, node.id, self.relay_node_id)
 
     # ------------------------------------------------------------------
@@ -198,7 +208,7 @@ class Peer:
         if listener is not None:
             pipe.add_listener(listener)
         self._input_pipes[advert.pipe_id] = pipe
-        self.cache.put(advert)
+        self._keep(advert)
         return pipe, advert
 
     def _learn_from_pipe_meta(self, payload: str, meta: dict) -> None:
@@ -213,7 +223,7 @@ class Peer:
         pipe = self._input_pipes.pop(pipe_id, None)
         if pipe is not None:
             pipe.close()
-            self.cache.remove(f"pipe:{pipe_id}")
+            self.withdraw(f"pipe:{pipe_id}")
 
     def open_output_pipe(self, advert: PipeAdvertisement) -> OutputPipe:
         """Resolve *advert* and return the sending end.
@@ -244,10 +254,31 @@ class Peer:
     # publish / discover
     # ------------------------------------------------------------------
     def publish(self, advert: Advertisement) -> None:
-        """Cache locally and broadcast to the group."""
-        self.cache.put(advert)
+        """Keep *advert* as our own and broadcast it to the group."""
+        self._keep(advert)
         self._learn_from_advert(advert)
         self._broadcast(self._message("advert", [advert.to_element()]))
+
+    def withdraw(self, key: str) -> None:
+        """Stop republishing, answering for and caching the advert *key*."""
+        self.published.pop(key, None)
+        self._own.pop(key)
+        self.cache.pop(key)
+
+    def _keep(self, advert: Advertisement) -> None:
+        self.published[advert.key()] = advert
+        self._own.put(advert.key(), advert)
+
+    def lookup(self, key: str) -> Optional[Advertisement]:
+        """The live advert under *key*: our own, else a cached one."""
+        advert = self._own.peek(key)
+        return advert if advert is not None else self.cache.peek(key)
+
+    def matches(self, query: AdvertQuery) -> list[Advertisement]:
+        """Live local adverts matching *query*: ours, then cached ones."""
+        local = dict(self._own.items())
+        local.update((key, a) for key, a in self.cache.items() if key not in local)
+        return [advert for advert in local.values() if query.matches(advert)]
 
     def publish_service(
         self,
@@ -266,7 +297,7 @@ class Peer:
         return advert
 
     def start_republisher(self, interval: float) -> "ScheduledEvent":
-        """Periodically rebroadcast our own cached adverts.
+        """Periodically rebroadcast the adverts we published.
 
         The soft-state remedy (see ablation AB3): cache entries expire
         everywhere after their lifetime, so a live peer must republish
@@ -279,12 +310,7 @@ class Peer:
         def republish() -> None:
             if not self.node.up:
                 return  # downed peers stay silent; restart re-schedules nothing
-            own = [
-                advert
-                for advert, _ in list(self.cache._entries.values())
-                if getattr(advert, "peer_id", None) == self.id
-            ]
-            for advert in own:
+            for advert in list(self.published.values()):
                 self.publish(advert)
             self._republish_event = self.network.kernel.schedule(interval, republish)
 
@@ -306,7 +332,7 @@ class Peer:
         query_id = new_query_id()
         handle = QueryHandle(query_id, query, self)
         self._queries[query_id] = handle
-        for advert in self.cache.match(query):
+        for advert in self.matches(query):
             handle._offer(advert)
         message = self._message("query", [query.to_element()])
         message.set("id", query_id)
@@ -372,7 +398,7 @@ class Peer:
             try:
                 origin = PeerAdvertisement.from_element(origin_elem.children[0])
                 self.resolver.learn(origin.peer_id, origin.node_id, origin.relay_node)
-                self.cache.put(origin)
+                self.cache.put(origin.key(), origin)
             except Exception:
                 origin = None
         else:
@@ -386,7 +412,7 @@ class Peer:
                     advert = parse_advertisement(child)
                 except Exception:
                     continue
-                self.cache.put(advert)
+                self.cache.put(advert.key(), advert)
                 self._learn_from_advert(advert)
         elif msg_type == "query":
             self._handle_query(root, payload_children, origin, frame)
@@ -398,9 +424,7 @@ class Peer:
             self.resolver.learn(advert.peer_id, advert.node_id, advert.relay_node)
 
     def _remember_query(self, query_id: str) -> None:
-        self._seen_queries[query_id] = None
-        if len(self._seen_queries) > SEEN_QUERIES_CAP:
-            self._seen_queries.popitem(last=False)
+        self._seen_queries.put(query_id, None)
 
     def _handle_query(
         self,
@@ -416,7 +440,7 @@ class Peer:
         if not payload_children:
             return
         query = AdvertQuery.from_element(payload_children[0])
-        matches = self.cache.match(query)
+        matches = self.matches(query)
         if matches and origin is not None:
             elements = [m.to_element() for m in matches]
             # attach the advertised peers' own adverts so the querier can
@@ -425,7 +449,7 @@ class Peer:
             for match in matches:
                 peer_id = getattr(match, "peer_id", "")
                 if peer_id and peer_id not in attached:
-                    peer_advert = self.cache.get(f"peer:{peer_id}")
+                    peer_advert = self.lookup(f"peer:{peer_id}")
                     if peer_advert is not None:
                         elements.append(peer_advert.to_element())
                         attached.add(peer_id)
@@ -454,7 +478,7 @@ class Peer:
                 advert = parse_advertisement(child)
             except Exception:
                 continue
-            self.cache.put(advert)
+            self.cache.put(advert.key(), advert)
             self._learn_from_advert(advert)
             if handle is not None and handle.query.matches(advert):
                 handle._offer(advert)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
+from repro.caching import SoftTable
 from repro.reliability.policy import BreakerConfig, ReliabilityError
 
 CLOSED = "closed"
@@ -140,6 +141,10 @@ class CircuitBreaker:
         )
 
 
+#: breakers a registry keeps, least recently used forgotten first
+BREAKERS_CAP = 4096
+
+
 class CircuitBreakerRegistry:
     """endpoint key → breaker, shared by all calls through one invoker."""
 
@@ -150,7 +155,7 @@ class CircuitBreakerRegistry:
     ):
         self._clock = clock
         self._on_transition = on_transition
-        self._breakers: dict[str, CircuitBreaker] = {}
+        self._breakers = SoftTable(BREAKERS_CAP)
 
     def for_endpoint(self, key: str, config: Optional[BreakerConfig] = None) -> CircuitBreaker:
         breaker = self._breakers.get(key)
@@ -163,11 +168,11 @@ class CircuitBreakerRegistry:
                     on_transition(_key, old, new)
 
             breaker = CircuitBreaker(config, clock=self._clock, on_transition=callback)
-            self._breakers[key] = breaker
+            self._breakers.put(key, breaker)
         return breaker
 
     def get(self, key: str) -> Optional[CircuitBreaker]:
-        return self._breakers.get(key)
+        return self._breakers.peek(key)
 
     def __len__(self) -> int:
         return len(self._breakers)

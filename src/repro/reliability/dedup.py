@@ -6,16 +6,17 @@ at-most-once *execution* under at-least-once *delivery* — the property
 that makes retransmission safe for non-idempotent stateful services
 (the paper's hosted "code sources" hold state, §III).
 
-The window is bounded two ways: ``max_entries`` (FIFO eviction, a ring
-over *first-insertion* order — re-remembering an id refreshes its
-retained value but never its place in the ring) and an optional
-``ttl`` in virtual seconds.
+The window is a :class:`~repro.caching.SoftTable` bounded two ways:
+``max_entries`` (FIFO eviction, a ring over *first-insertion* order —
+re-remembering an id refreshes its retained value but never its place
+in the ring) and an optional ``ttl`` in virtual seconds.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Iterator, Optional
+
+from repro.caching import SoftTable
 
 
 class DedupWindow:
@@ -31,28 +32,24 @@ class DedupWindow:
             raise ValueError("max_entries must be >= 1")
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive")
-        self.max_entries = max_entries
         self.ttl = ttl
-        self._clock = clock or (lambda: 0.0)
-        #: message id -> (retained value, stored-at time)
-        self._entries: "OrderedDict[str, tuple[Any, float]]" = OrderedDict()
+        #: message id -> [retained value]: only ``peek``ed, so a FIFO;
+        #: a re-remember fills the list, keeping place and deadline
+        self._entries = SoftTable(max_entries, ttl, clock or (lambda: 0.0))
         self.duplicates = 0  #: hits observed via seen()/get()/__contains__
-        self.evicted = 0
 
-    # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return self._clock()
+    @property
+    def max_entries(self) -> int:
+        return self._entries.cap
 
-    def _expire(self) -> None:
-        if self.ttl is None:
-            return
-        horizon = self._now() - self.ttl
-        while self._entries:
-            key, (_, stored_at) = next(iter(self._entries.items()))
-            if stored_at >= horizon:
-                break
-            self._entries.popitem(last=False)
-            self.evicted += 1
+    @max_entries.setter
+    def max_entries(self, cap: int) -> None:
+        self._entries.cap = cap  # applies on the next remember
+
+    @property
+    def evicted(self) -> int:
+        """Entries gone by cap or by ttl."""
+        return self._entries.evictions + self._entries.expiries
 
     # ------------------------------------------------------------------
     def remember(self, message_id: str, value: Any = None) -> None:
@@ -63,55 +60,42 @@ class DedupWindow:
         FIFO ring, so a chatty retransmitter cannot indefinitely shield
         its id from eviction.
         """
-        self._expire()
-        if message_id in self._entries:
-            self._entries[message_id] = (value, self._entries[message_id][1])
-            return
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.evicted += 1
-        self._entries[message_id] = (value, self._now())
+        held = self._entries.peek(message_id)
+        if held is None:
+            self._entries.put(message_id, [value])
+        else:
+            held[0] = value
 
     def seen(self, message_id: Optional[str]) -> bool:
         """Is *message_id* a live (non-expired) duplicate?  Counts hits."""
         if message_id is None:
             return False
-        self._expire()
         hit = message_id in self._entries
-        if hit:
-            self.duplicates += 1
+        self.duplicates += hit
         return hit
 
     def get(self, message_id: str) -> Any:
         """The retained value for *message_id* (None when absent).
         A present id counts as a duplicate hit."""
-        self._expire()
-        entry = self._entries.get(message_id)
-        if entry is None:
+        held = self._entries.peek(message_id)
+        if held is None:
             return None
         self.duplicates += 1
-        return entry[0]
+        return held[0]
 
     def __contains__(self, message_id: object) -> bool:
-        self._expire()
         hit = message_id in self._entries
-        if hit:
-            self.duplicates += 1
+        self.duplicates += hit
         return hit
 
     def __len__(self) -> int:
-        self._expire()
         return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
-        self._expire()
-        return iter(list(self._entries))
+        return iter(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"<DedupWindow {len(self._entries)}/{self.max_entries} "
-            f"ttl={self.ttl} dups={self.duplicates}>"
-        )
+        return f"<DedupWindow {len(self)}/{self.max_entries} ttl={self.ttl} dups={self.duplicates}>"

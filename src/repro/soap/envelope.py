@@ -488,7 +488,7 @@ class DecodeSkeletons:
                     None if body is None else DeferredBody(  # no name: its uri is the first slot
                         name or intern_qname(texts[at], *body[0][1:]), texts[at:], body, body, body_readers),
                 )
-        self._store.stats.misses += 1
+        self._store.misses += 1
         return None
 
     def learn(self, wire: str, root: Element, envelope: SoapEnvelope) -> None:

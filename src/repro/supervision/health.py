@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Optional
 
+from repro.caching import SoftTable
 from repro.observability import metrics as obs_metrics
 from repro.wsa.epr import EndpointReference
 
@@ -74,6 +75,10 @@ class EndpointHealth:
         return (self.good + prior) / (self.good + self.bad + 2.0 * prior)
 
 
+#: endpoints a monitor scores, least recently used forgotten first
+HEALTH_ENDPOINTS_CAP = 4096
+
+
 class HealthMonitor:
     """Scores every known endpoint; emits dead/alive verdicts.
 
@@ -101,7 +106,7 @@ class HealthMonitor:
         self.prior = prior
         self.dead_after = dead_after
         self.latency_alpha = latency_alpha
-        self._endpoints: dict[str, EndpointHealth] = {}
+        self._endpoints = SoftTable(HEALTH_ENDPOINTS_CAP)
         self._verdict_listeners: list[VerdictListener] = []
         self._breakers = None  # optional CircuitBreakerRegistry
         self._prober: Optional[ProbeFn] = None
@@ -116,7 +121,7 @@ class HealthMonitor:
         if entry is None:
             entry = EndpointHealth(address)
             entry.last_update = self._now()
-            self._endpoints[address] = entry
+            self._endpoints.put(address, entry)
         return entry
 
     def add_verdict_listener(self, listener: VerdictListener) -> None:
@@ -188,22 +193,22 @@ class HealthMonitor:
 
     # -- queries -----------------------------------------------------------
     def score(self, address: str) -> float:
-        entry = self._endpoints.get(address)
+        entry = self._endpoints.peek(address)
         if entry is None:
             return 0.5
         entry.decay(self._now(), self.tau)
         return entry.score(self.prior)
 
     def latency(self, address: str) -> Optional[float]:
-        entry = self._endpoints.get(address)
+        entry = self._endpoints.peek(address)
         return entry.latency_ewma if entry is not None else None
 
     def is_dead(self, address: str) -> bool:
-        entry = self._endpoints.get(address)
+        entry = self._endpoints.peek(address)
         return entry.dead if entry is not None else False
 
     def in_busy_cooldown(self, address: str) -> bool:
-        entry = self._endpoints.get(address)
+        entry = self._endpoints.peek(address)
         return entry is not None and self._now() < entry.busy_until
 
     def _breaker_open(self, address: str) -> bool:
@@ -294,7 +299,7 @@ class HealthMonitor:
         def tick() -> None:
             if until is not None and self._now() >= until:
                 return
-            for address, entry in list(self._endpoints.items()):
+            for address, entry in self._endpoints.items():
                 if only_suspect and not (
                     entry.dead or self._now() < entry.busy_until
                 ):

@@ -178,6 +178,10 @@ _CONTENT_LENGTH_RE = re.compile(r" ?([0-9]+)\Z")
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+\Z")
 #: what no field value may hold (§5.5): a C0 control other than HTAB
 _CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f]")
+#: a request target (RFC 9112 §3.2) holds no space or C0 control (DEL is text)
+_TARGET = re.compile(r"[^\x00-\x20]+\Z")
+#: optional whitespace around a field value (§5.6.3)
+_OWS = " \t"
 _VERSIONS = ("HTTP/1.0", "HTTP/1.1")
 
 
@@ -202,7 +206,7 @@ def _parsed(start: str, entries: dict) -> _Head:
     three = len(code) == 3 and code.isdecimal()  # isdecimal: what int() reads
     response = (int(code), reason) if version in _VERSIONS and three else None
     request = None
-    if len(words) == 3 and words[2] in _VERSIONS:
+    if len(words) == 3 and words[2] in _VERSIONS and _TOKEN.match(words[0]) and _TARGET.match(words[1]):
         path = words[1]
         request = (words[0].upper(), path if path.startswith("/") else "/" + path)
     if request is None and response is None:
@@ -285,7 +289,7 @@ def _fill(held: tuple, target: bytes, action: Optional[bytes]) -> Optional[_Head
             value = action.decode("utf-8")
             if _CONTROL.search(value):
                 return None
-            entries = {**entries, "soapaction": (entries["soapaction"][0], value.strip())}
+            entries = {**entries, "soapaction": (entries["soapaction"][0], value.strip(_OWS))}
         return _parsed(start, entries)
     except (UnicodeDecodeError, TransportError):
         return None
@@ -352,7 +356,7 @@ def _parse_strict(head_text: str) -> tuple[_Head, HeaderMap, Optional[int], int]
                 )
             declared_length = length
             length_lines += 1
-        headers[name] = value.strip()
+        headers[name] = value.strip(_OWS)
     return _parsed(start, headers._entries), headers, declared_length, length_lines
 
 

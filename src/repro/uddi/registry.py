@@ -13,8 +13,9 @@ plane, which needs four things of this core:
   identity when copied between registries.
 - **Registration leases.**  ``save_service`` accepts an optional *ttl*;
   expired entries drop out of every inquiry (the soft-state model of
-  :class:`~repro.p2ps.cache.AdvertCache` applied to UDDI), and a
-  re-publish refreshes the lease in place.
+  the P2PS advert cache applied to UDDI: the leases are a
+  :class:`~repro.caching.SoftTable`), and a re-publish refreshes the
+  lease in place.
 - **Revisions.**  Every mutation of a service bumps a monotonic
   per-entry revision counter; replication and read-repair compare
   revisions instead of clocks to decide which copy is fresher.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional
 
+from repro.caching import SoftTable
 from repro.observability import metrics as obs_metrics
 from repro.uddi.model import (
     BindingTemplate,
@@ -41,6 +43,10 @@ from repro.uddi.model import (
     UddiError,
     match_name,
 )
+
+#: leased services a shard holds; past it the oldest lease lapses early
+#: (far above the E12 plane's 10 000 services)
+LEASES_CAP = 1 << 16
 
 
 class UddiRegistry:
@@ -60,7 +66,8 @@ class UddiRegistry:
         self._tmodel_by_name: dict[str, str] = {}
         self._by_name: dict[str, set[str]] = {}  # lower name -> service keys
         self._revisions: dict[str, int] = {}  # service key -> revision
-        self._leases: dict[str, float] = {}  # service key -> absolute expiry
+        #: service key -> the lease's end; a lapsed lease drops its service
+        self._leases = SoftTable(LEASES_CAP, clock=self._now, on_evict=self._lease_lapsed)
         self._key_counter = itertools.count(1)
         self.inquiries = 0
         self.publishes = 0
@@ -75,13 +82,16 @@ class UddiRegistry:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def _count_publish(self) -> None:
+    # each publish or inquiry counts itself and first drops lapsed leases
+    def _publishing(self) -> None:
         self.publishes += 1
         obs_metrics.inc("uddi.publishes")
+        self._leases.purge()
 
-    def _count_inquiry(self) -> None:
+    def _inquiring(self) -> None:
         self.inquiries += 1
         obs_metrics.inc("uddi.inquiries")
+        self._leases.purge()
 
     def _update_size_gauge(self) -> None:
         obs_metrics.set_gauge("uddi.services", len(self._services))
@@ -100,30 +110,23 @@ class UddiRegistry:
             if not keys:
                 del self._by_name[service.name.lower()]
         self._revisions.pop(service_key, None)
-        self._leases.pop(service_key, None)
+        self._leases.pop(service_key)
         business = self._businesses.get(service.business_key)
         if business is not None and service_key in business.service_keys:
             business.service_keys.remove(service_key)
         self._update_size_gauge()
         return service
 
-    def _purge_expired(self) -> int:
-        """Drop services whose lease lapsed; returns how many dropped."""
-        if not self._leases:
-            return 0
-        now = self._now()
-        stale = [key for key, expires in self._leases.items() if expires <= now]
-        for key in stale:
-            self._drop_service(key)
-            self.leases_expired += 1
-            obs_metrics.inc("uddi.leases_expired")
-        return len(stale)
+    def _lease_lapsed(self, service_key: str, _end: float) -> None:
+        self._drop_service(service_key)
+        self.leases_expired += 1
+        obs_metrics.inc("uddi.leases_expired")
 
     def _set_lease(self, service_key: str, ttl: Optional[float]) -> None:
         if ttl is not None and ttl > 0:
-            self._leases[service_key] = self._now() + ttl
+            self._leases.put(service_key, self._now() + ttl, ttl)
         else:
-            self._leases.pop(service_key, None)
+            self._leases.pop(service_key)
 
     def _bump_revision(self, service_key: str) -> int:
         revision = self._revisions.get(service_key, 0) + 1
@@ -137,7 +140,7 @@ class UddiRegistry:
     # publish API
     # ------------------------------------------------------------------
     def save_business(self, name: str, description: str = "") -> dict[str, Any]:
-        self._count_publish()
+        self._publishing()
         business = BusinessEntity(self._new_key("biz"), name, description)
         self._businesses[business.key] = business
         return business.to_dict()
@@ -166,8 +169,7 @@ class UddiRegistry:
         bumps once and the answer is the stored record
         (:meth:`export_service`'s form): one delta a replica imports.
         """
-        self._count_publish()
-        self._purge_expired()
+        self._publishing()
         categories = [KeyedReference.from_dict(k) for k in (category_bag or [])]
         if business_name and not business_key:
             found = self.find_business(business_name, max_rows=1) or [
@@ -219,7 +221,7 @@ class UddiRegistry:
         Re-publishing the same access point replaces its tModel list
         instead of accumulating duplicate bindingTemplates.
         """
-        self._count_publish()
+        self._publishing()
         service = self._services.get(service_key)
         if service is None:
             raise UddiError(f"unknown serviceKey {service_key!r}")
@@ -244,7 +246,7 @@ class UddiRegistry:
         self, name: str, overview_url: str = "", description: str = ""
     ) -> dict[str, Any]:
         """Create — or update in place — the tModel called *name*."""
-        self._count_publish()
+        self._publishing()
         return self._save_tmodel(name, overview_url, description).to_dict()
 
     def _save_tmodel(self, name: str, overview_url: str, description: str) -> TModel:
@@ -292,8 +294,7 @@ class UddiRegistry:
     # ------------------------------------------------------------------
     def export_service(self, service_key: str) -> dict[str, Any]:
         """One self-contained replication record for *service_key*."""
-        self._count_inquiry()
-        self._purge_expired()
+        self._inquiring()
         service = self._services.get(service_key)
         if service is None:
             raise UddiError(f"unknown serviceKey {service_key!r}")
@@ -309,7 +310,7 @@ class UddiRegistry:
                 if tmodel is not None and tmodel_key not in seen:
                     seen.add(tmodel_key)
                     tmodels.append(tmodel.to_dict())
-        expires = self._leases.get(service.key)
+        expires = self._leases.peek(service.key)
         return {
             "service": service.to_dict(),
             "business": (
@@ -334,8 +335,7 @@ class UddiRegistry:
         ignored; an equal revision only refreshes the lease.  Returns
         True when the record was applied.
         """
-        self._count_publish()
-        self._purge_expired()
+        self._publishing()
         service = BusinessService.from_dict(record["service"])
         incoming = int(record.get("revision", 1))
         lease = float(record.get("lease", 0.0) or 0.0)
@@ -381,8 +381,7 @@ class UddiRegistry:
     def find_business(
         self, name_pattern: str, max_rows: int = 0
     ) -> list[dict[str, Any]]:
-        self._count_inquiry()
-        self._purge_expired()
+        self._inquiring()
         out = [
             b.to_dict()
             for b in self._businesses.values()
@@ -436,8 +435,7 @@ class UddiRegistry:
         business_key: str,
         max_rows: int,
     ) -> list[BusinessService]:
-        self._count_inquiry()
-        self._purge_expired()
+        self._inquiring()
         exact = "%" not in name_pattern
         wanted = [KeyedReference.from_dict(k) for k in (category_bag or [])]
         out: list[BusinessService] = []
@@ -454,29 +452,28 @@ class UddiRegistry:
         return out
 
     def get_service_detail(self, service_key: str) -> dict[str, Any]:
-        self._count_inquiry()
-        self._purge_expired()
+        self._inquiring()
         service = self._services.get(service_key)
         if service is None:
             raise UddiError(f"unknown serviceKey {service_key!r}")
         return service.to_dict()
 
     def get_business_detail(self, business_key: str) -> dict[str, Any]:
-        self._count_inquiry()
+        self._inquiring()
         business = self._businesses.get(business_key)
         if business is None:
             raise UddiError(f"unknown businessKey {business_key!r}")
         return business.to_dict()
 
     def get_tmodel_detail(self, tmodel_key: str) -> dict[str, Any]:
-        self._count_inquiry()
+        self._inquiring()
         tmodel = self._tmodels.get(tmodel_key)
         if tmodel is None:
             raise UddiError(f"unknown tModelKey {tmodel_key!r}")
         return tmodel.to_dict()
 
     def find_tmodel(self, name_pattern: str, max_rows: int = 0) -> list[dict[str, Any]]:
-        self._count_inquiry()
+        self._inquiring()
         out = [
             t.to_dict() for t in self._tmodels.values() if match_name(name_pattern, t.name)
         ]
@@ -485,7 +482,7 @@ class UddiRegistry:
     # ------------------------------------------------------------------
     @property
     def service_count(self) -> int:
-        self._purge_expired()
+        self._leases.purge()
         return len(self._services)
 
     @property

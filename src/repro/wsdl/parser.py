@@ -32,7 +32,7 @@ def parse_wsdl(text: str) -> WsdlDefinition:
         if definition is not None:
             _skeletons.get(key)  # counts the hit, makes it most recent
             return definition
-    _skeletons.stats.misses += 1
+    _skeletons.misses += 1
     try:
         root = parse(text)
     except XmlError as exc:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from repro.caching import SoftTable
+
 _NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*\Z")
 
 XMLNS_URI = "http://www.w3.org/2000/xmlns/"
@@ -87,10 +89,12 @@ class QName:
 # wsa:To, xsi:type, ...) millions of times; interning skips the
 # dataclass construction and NCName re-validation for every repeat and
 # makes the ``self is other`` equality fast path hit.  The table is
-# bounded so adversarial name churn cannot grow memory without limit —
-# once full, fresh names simply construct uncached instances.
+# capped so adversarial name churn cannot grow memory without limit: a
+# new name past the cap pushes out the oldest, and a hit reads the
+# table's dict directly — one lookup, no recency bookkeeping.
 _INTERN_MAX = 4096
-_interned: dict[tuple[str, str, str], QName] = {}
+_intern_table = SoftTable(_INTERN_MAX)
+_interned: dict[tuple[str, str, str], QName] = _intern_table._data
 
 
 def intern_qname(uri: str, local: str, prefix: str = "") -> QName:
@@ -98,7 +102,5 @@ def intern_qname(uri: str, local: str, prefix: str = "") -> QName:
     key = (uri, local, prefix)
     qname = _interned.get(key)
     if qname is None:
-        qname = QName(uri, local, prefix)
-        if len(_interned) < _INTERN_MAX:
-            _interned[key] = qname
+        qname = _intern_table.put(key, QName(uri, local, prefix))
     return qname

@@ -210,7 +210,7 @@ class TestP2psAsyncLocate:
         locator.locate_async(P2PSServiceQuery("Far", ttl=1), short.append, timeout=1.0)
         net.run()
         # one hop: the query never reached the far group, so no advert came back
-        assert consumer.peer.cache.match(AdvertQuery("service", "Far")) == []
+        assert consumer.peer.matches(AdvertQuery("service", "Far")) == []
         locator.locate_async(P2PSServiceQuery("Far"), enough.append, timeout=1.0)
         net.run()
         assert short == []

@@ -50,7 +50,7 @@ class TestWithdraw:
         deployed = provider.server.container.get("Echo")
         provider.server.publisher.withdraw(deployed)
         advert_key = f"service:{provider.peer.id}:Echo"
-        assert provider.peer.cache.get(advert_key) is None
+        assert provider.peer.lookup(advert_key) is None
 
 
 class TestLocatorFailures:

@@ -138,3 +138,13 @@ class TestHealthInvalidation:
             monitor.record_failure("http://a:80/e", fatal=True)
         monitor.mark_dead("http://a:80/e")
         assert cache.get("Echo") is None
+
+
+class TestCap:
+    def test_holds_its_cap(self, cache):
+        from repro.discovery.cache import RENDEZVOUS_CACHE_CAP
+
+        for i in range(10_000):
+            cache.put(f"Svc{i}", f"uuid:r0:svc-{i:06d}", [f"http://p{i}:80/e"], "<wsdl/>", 1)
+        assert cache.size <= RENDEZVOUS_CACHE_CAP
+        assert cache.get("Svc9999") is not None  # the newest are kept

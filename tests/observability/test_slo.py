@@ -159,3 +159,19 @@ class TestLiveWorld:
         report = engine.report(net.now + 60.0)
         assert report["Echo"]["good"] == 6
         assert report["Echo"]["bad"] == 0  # failover saved every call
+
+
+class TestPendingCap:
+    def test_unanswered_sends_hold_the_cap(self):
+        from repro.observability.slo import MAX_PENDING
+
+        engine = _engine()
+        for i in range(MAX_PENDING + 10):
+            _send(engine, f"m{i}", 0.0)
+        assert len(engine._pending) == MAX_PENDING
+        assert engine.pending_evicted == 10
+        # the oldest were forgotten: an answer to one is judged without
+        # its sent time, an answer to a kept one with it
+        _ok(engine, "m0", 1.0)
+        _ok(engine, f"m{MAX_PENDING + 9}", 1.0)
+        assert engine.services["Svc"].good == 2

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.p2ps import (
-    AdvertCache,
     AdvertError,
     AdvertQuery,
     PeerAdvertisement,
     PipeAdvertisement,
     ServiceAdvertisement,
+    Peer,
     parse_advertisement,
 )
+from repro.simnet import Network
 
 
 def sample_service():
@@ -117,57 +118,73 @@ class TestQuery:
 
 
 class TestCache:
+    """A peer's cache of adverts heard from others: newest per key wins,
+    entries expire after the peer's ``cache_lifetime``."""
+
     def make(self, lifetime=10.0):
-        clock = {"t": 0.0}
-        cache = AdvertCache(lambda: clock["t"], lifetime)
-        return cache, clock
+        net = Network()
+        peer = Peer(net.add_node("n"), cache_lifetime=lifetime)
+        return peer, net
+
+    @staticmethod
+    def heard(peer, advert):
+        peer.cache.put(advert.key(), advert)
+
+    @staticmethod
+    def at(net, t):
+        net.kernel.schedule(t - net.kernel.now, lambda: None)
+        net.run()
 
     def test_put_get(self):
-        cache, _ = self.make()
+        peer, _ = self.make()
         advert = sample_service()
-        cache.put(advert)
-        assert cache.get(advert.key()) == advert
-        assert advert.key() in cache
+        self.heard(peer, advert)
+        assert peer.cache.get(advert.key()) == advert
+        assert advert.key() in peer.cache
+        assert peer.lookup(advert.key()) == advert
 
     def test_newest_wins(self):
-        cache, _ = self.make()
-        cache.put(PeerAdvertisement("p", "n1"))
-        cache.put(PeerAdvertisement("p", "n2"))
-        assert cache.get("peer:p").node_id == "n2"
-        assert len(cache) == 1
+        peer, _ = self.make()
+        self.heard(peer, PeerAdvertisement("p", "n1"))
+        self.heard(peer, PeerAdvertisement("p", "n2"))
+        assert peer.cache.get("peer:p").node_id == "n2"
+        assert len(peer.cache) == 1
 
     def test_expiry(self):
-        cache, clock = self.make(lifetime=5.0)
-        cache.put(sample_service())
-        clock["t"] = 4.9
-        assert len(cache) == 1
-        clock["t"] = 5.1
-        assert cache.get("service:peer-1:Echo") is None
-        assert len(cache) == 0
+        peer, net = self.make(lifetime=5.0)
+        self.heard(peer, sample_service())
+        self.at(net, 4.9)
+        assert len(peer.cache) == 1
+        self.at(net, 5.1)
+        assert peer.cache.get("service:peer-1:Echo") is None
+        assert len(peer.cache) == 0
 
     def test_match(self):
-        cache, _ = self.make()
-        cache.put(sample_service())
-        cache.put(PeerAdvertisement("peer-1", "n1"))
-        assert len(cache.match(AdvertQuery("service", "%"))) == 1
-        assert len(cache.match(AdvertQuery("peer", "%"))) == 1
+        peer, _ = self.make()
+        self.heard(peer, sample_service())
+        self.heard(peer, PeerAdvertisement("peer-1", "n1"))
+        assert len(peer.matches(AdvertQuery("service", "%"))) == 1
+        # the peer answers with its own advert too
+        keys = {advert.key() for advert in peer.matches(AdvertQuery("peer", "%"))}
+        assert keys == {"peer:peer-1", peer.advertisement().key()}
 
     def test_match_excludes_expired(self):
-        cache, clock = self.make(lifetime=5.0)
-        cache.put(sample_service())
-        clock["t"] = 6.0
-        assert cache.match(AdvertQuery("service", "%")) == []
+        peer, net = self.make(lifetime=5.0)
+        self.heard(peer, sample_service())
+        self.at(net, 6.0)
+        assert peer.matches(AdvertQuery("service", "%")) == []
 
     def test_remove(self):
-        cache, _ = self.make()
+        peer, _ = self.make()
         advert = sample_service()
-        cache.put(advert)
-        cache.remove(advert.key())
-        assert advert.key() not in cache
+        self.heard(peer, advert)
+        peer.withdraw(advert.key())
+        assert advert.key() not in peer.cache
+        assert peer.lookup(advert.key()) is None
 
     def test_purge_count(self):
-        cache, clock = self.make(lifetime=1.0)
-        cache.put(PeerAdvertisement("a", "n"))
-        cache.put(PeerAdvertisement("b", "n"))
-        clock["t"] = 2.0
-        assert cache.purge() == 2
+        peer, net = self.make(lifetime=1.0)
+        self.heard(peer, PeerAdvertisement("a", "n"))
+        self.heard(peer, PeerAdvertisement("b", "n"))
+        self.at(net, 2.0)
+        assert peer.cache.purge() == 2

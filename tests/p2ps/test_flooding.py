@@ -161,6 +161,31 @@ class TestRepublisher:
         net.run(until=30.0)
         assert observer.cache.get(f"service:{provider.id}:Svc") is None
 
+    def test_republisher_survives_a_cache_read(self):
+        # the republisher sends what the peer published, not what its
+        # cache still holds: reading the cache after the adverts lapsed
+        # (lifetime 1 s, interval 2 s) must not cost the peer them
+        from repro.p2ps import AdvertQuery
+
+        net, provider, observer = self.build(lifetime=1.0)
+        adverts = []
+
+        def count_adverts(frame):
+            if 'type="advert"' in frame.payload:
+                adverts.append(frame.src)
+            return True
+
+        net.add_delivery_hook(count_adverts)
+        provider.start_republisher(interval=2.0)
+        net.run(until=1.5)
+        assert len(provider.cache) == 0  # everything it holds has lapsed
+        net.run(until=4.5)
+        # two rounds (t = 2, 4) of the peer, its pipe and its service
+        assert adverts.count(provider.node.id) == 6
+        assert provider.lookup(f"service:{provider.id}:Svc") is not None
+        handle = observer.discover(AdvertQuery("service", "Svc"))
+        assert wait_for_results(handle, timeout=0.4)
+
     def test_invalid_interval(self):
         import pytest
 

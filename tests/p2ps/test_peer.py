@@ -111,7 +111,7 @@ class TestPublishDiscover:
         # publish before peer 1 joined: emulate by clearing peer 1's cache
         self.publish_echo(peers[0])
         net.run()
-        peers[1].cache.remove(f"service:{peers[0].id}:Echo")
+        peers[1].cache.pop(f"service:{peers[0].id}:Echo")
         handle = peers[1].discover(AdvertQuery("service", "Echo"))
         results = wait_for_results(handle)
         assert len(results) == 1
@@ -121,7 +121,7 @@ class TestPublishDiscover:
         net, _, peers = make_world(2)
         self.publish_echo(peers[0])
         net.run()
-        peers[1].cache.remove(f"service:{peers[0].id}:Echo")
+        peers[1].cache.pop(f"service:{peers[0].id}:Echo")
         handle = peers[1].discover(AdvertQuery("service", "Echo"))
         (service,) = wait_for_results(handle)
         # after discovery the provider's pipes must be resolvable
@@ -159,7 +159,7 @@ class TestPublishDiscover:
         self.publish_echo(peers[0])
         net.run()
         # peers 0,2,3 all have the advert cached and will all respond
-        peers[1].cache.remove(f"service:{peers[0].id}:Echo")
+        peers[1].cache.pop(f"service:{peers[0].id}:Echo")
         handle = peers[1].discover(AdvertQuery("service", "Echo"))
         wait_for_results(handle)
         net.run()
@@ -274,3 +274,36 @@ class TestGroupMembership:
         net.run()
         assert peers[1].cache.get(f"service:{peers[0].id}:Echo") is not None
         assert peers[2].cache.get(f"service:{peers[0].id}:Echo") is None
+
+
+class TestCaps:
+    def test_peer_tables_hold_their_caps(self):
+        from repro.p2ps import ServiceAdvertisement
+        from repro.p2ps.peer import ADVERT_CACHE_CAP, P2PS_PORT, SEEN_QUERIES_CAP
+        from repro.xmlkit import serialize
+
+        net, _, (peer, other, _) = make_world(3)
+        peer.create_input_pipe("invoke", "Own")
+        own = peer.publish_service("Own", ["invoke"])
+        net.run()
+        # 10 000 distinct query ids (first: each query scans the cache)
+        query = other._message("query", [AdvertQuery("service", "Nothing").to_element()])
+        query.set("id", "{id}")
+        query.set("ttl", "1")
+        template = serialize(query)
+        for i in range(10_000):
+            other.node.send(peer.node.id, P2PS_PORT, template.replace("{id}", f"q{i}"))
+        # 10 000 distinct foreign adverts, 1 000 to a frame
+        for start in range(0, 10_000, 1_000):
+            adverts = [
+                ServiceAdvertisement(f"Svc{i}", other.id, []).to_element()
+                for i in range(start, start + 1_000)
+            ]
+            other.node.send(peer.node.id, P2PS_PORT, serialize(other._message("advert", adverts)))
+        net.run()
+        assert peer.messages_handled >= 10_010
+        assert len(peer.cache) <= ADVERT_CACHE_CAP
+        assert len(peer._seen_queries) <= SEEN_QUERIES_CAP
+        # the flood never pushes out what the peer published itself
+        assert peer.lookup(own.key()) == own
+        assert peer.cache.get(f"service:{other.id}:Svc9999") is not None

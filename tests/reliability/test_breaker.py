@@ -131,3 +131,14 @@ class TestRegistry:
         breaker.record_failure()
         breaker.record_failure()
         assert seen == [("p2ps://x/Y", CLOSED, OPEN)]
+
+    def test_holds_its_cap(self):
+        from repro.reliability.breaker import BREAKERS_CAP
+
+        kernel = Kernel()
+        registry = CircuitBreakerRegistry(clock=lambda: kernel.now)
+        for i in range(10_000):
+            registry.for_endpoint(f"http://n{i}:80/svc")
+        assert len(registry) <= BREAKERS_CAP
+        # the newest endpoints are the ones kept
+        assert registry.get("http://n9999:80/svc") is not None

@@ -198,7 +198,7 @@ def p2ps_holdings(consumer):
     """What a P2PS call takes from its consumer: input pipes, node ports
     and advert-cache entries (the reply pipe's advert)."""
     peer = consumer.peer
-    return len(peer._input_pipes), list(consumer.node.ports), len(peer.cache._entries)
+    return len(peer._input_pipes), list(consumer.node.ports), len(peer.published) + len(peer.cache)
 
 
 @pytest.mark.parametrize("binding", ["http", "p2ps"])

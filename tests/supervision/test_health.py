@@ -168,3 +168,14 @@ class TestProbing:
         _, h = monitor()
         h.probe("http://a")
         assert h.probes_sent == 0
+
+
+class TestCap:
+    def test_holds_its_cap(self):
+        from repro.supervision.health import HEALTH_ENDPOINTS_CAP
+
+        _, h = monitor()
+        for i in range(10_000):
+            h.record_failure(f"http://n{i}:80/svc")
+        assert len(h.snapshot()) <= HEALTH_ENDPOINTS_CAP
+        assert h.score("http://n9999:80/svc") < 0.5  # the newest are kept

@@ -68,7 +68,7 @@ assert consumer.invoke(handle, "echo", message="after") == "after"
 unloaded(
     "hashlib", "_hashlib",
     "repro.p2ps.peer", "repro.p2ps.pipes", "repro.p2ps.advertisements",
-    "repro.p2ps.query", "repro.p2ps.cache", "repro.core.p2psmap",
+    "repro.p2ps.query", "repro.core.p2psmap",
     "repro.transport.httpg",
     "repro.observability.spans", "repro.observability.slo",
     "repro.observability.cluster", "repro.observability.flight",

@@ -71,3 +71,14 @@ class TestQName:
         q = QName("urn:x", "n")
         with pytest.raises(AttributeError):
             q.local = "other"  # type: ignore[misc]
+
+
+class TestInternTable:
+    def test_interning_works_past_the_cap(self):
+        from repro.xmlkit import names
+
+        for i in range(10_000):
+            names.intern_qname("urn:churn", f"n{i}")
+        assert len(names._interned) <= names._INTERN_MAX
+        first = names.intern_qname("urn:churn", "fresh")
+        assert names.intern_qname("urn:churn", "fresh") is first
