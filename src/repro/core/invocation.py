@@ -52,7 +52,6 @@ from repro.observability.tracecontext import (
     begin_send as trace_begin_send,
     event_fields as trace_event_fields,
 )
-from repro.simnet.kernel import SimTimeoutError
 from repro.simnet.network import Node
 from repro.soap.attachments import MULTIPART_CONTENT_TYPE
 from repro.soap.encoding import StructRegistry
@@ -323,20 +322,12 @@ class Invocation(EventSource):
         """Synchronous invocation: pump virtual time until completion."""
         all_args = dict(args or {})
         all_args.update(kwargs)
-        box: dict[str, Any] = {}
-
-        def callback(result: Any, error: Optional[Exception]) -> None:
-            box["result"] = result
-            box["error"] = error
-
-        self.invoke_async(handle, operation, all_args, callback, timeout, policy=policy)
-        try:
-            self._kernel.pump_until(lambda: "result" in box or "error" in box)
-        except SimTimeoutError as exc:
-            raise InvocationError(f"invocation of {operation!r} never completed") from exc
-        if box.get("error") is not None:
-            raise box["error"]
-        return box.get("result")
+        return self._kernel.wait(
+            lambda done: self.invoke_async(
+                handle, operation, all_args, done, timeout, policy=policy
+            ),
+            lambda: InvocationError(f"invocation of {operation!r} never completed"),
+        )
 
     def invoke_oneway(
         self,

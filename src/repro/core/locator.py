@@ -118,14 +118,9 @@ class ServiceLocator(EventSource):
         """Blocking discovery: pump virtual time until :meth:`locate_async`
         completes, then return its handles or raise the error it reported."""
         handles: list[ServiceHandle] = []
-        box: dict[str, Optional[Exception]] = {}
-        self.locate_async(
-            query, handles.append, lambda count, error: box.setdefault("error", error),
-            expect=expect, timeout=timeout,
-        )
-        self._kernel.pump_until(lambda: box)
-        if box["error"] is not None:
-            raise box["error"]
+        self._kernel.wait(lambda done: self.locate_async(
+            query, handles.append, done, expect=expect, timeout=timeout,
+        ))
         return handles
 
     def locate_async(

@@ -311,7 +311,7 @@ class WSPeer(EventSource):
     # ------------------------------------------------------------------
     # supervision
     # ------------------------------------------------------------------
-    def enable_failover(self, config=None, extra_invokers: Optional[dict] = None):
+    def enable_failover(self, extra_invokers: Optional[dict] = None):
         """Supervise multi-endpoint handles: health-ranked invocation
         with cross-endpoint (and, with *extra_invokers*, cross-binding)
         failover.
@@ -324,15 +324,10 @@ class WSPeer(EventSource):
         ``{"p2ps": p2ps_invocation}`` on an HTTP-bound peer).  Returns
         the executor, also kept as ``self.failover``.
         """
-        from repro.supervision import FailoverConfig, FailoverExecutor, HealthMonitor
+        from repro.supervision import FailoverExecutor, HealthMonitor
 
         health = HealthMonitor(clock=self._clock)
-        executor = FailoverExecutor(
-            self.node.network.kernel,
-            health,
-            parent=self.client,
-            config=config if config is not None else FailoverConfig(),
-        )
+        executor = FailoverExecutor(self.node.network.kernel, health, parent=self.client)
         invocation = self.client.invocation
         for scheme in invocation.schemes:
             executor.register_invoker(scheme, invocation)

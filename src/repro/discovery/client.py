@@ -194,17 +194,6 @@ class DiscoveryClient:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def _pump(self, start: Callable[[Callable], None]) -> Any:
-        """Run an async verb to completion: pump virtual time until
-        *start*'s callback fires, then return its result or raise its
-        error."""
-        box: dict[str, Any] = {}
-        start(lambda result, error: box.update(result=result, error=error))
-        self.node.network.kernel.pump_until(lambda: box)
-        if box["error"] is not None:
-            raise box["error"]
-        return box["result"]
-
     def lookup_records(
         self,
         name_pattern: str,
@@ -212,8 +201,8 @@ class DiscoveryClient:
         max_rows: int = 0,
     ) -> list[dict[str, Any]]:
         """Replication records for *name_pattern*, replica-merged (a
-        pump over :meth:`_lookup_async`)."""
-        return self._pump(
+        blocking :meth:`_lookup_async`)."""
+        return self.node.network.kernel.wait(
             lambda done: self._lookup_async(name_pattern, categories, done, max_rows)
         )
 
@@ -311,7 +300,9 @@ class DiscoveryClient:
         self, service_name: str, categories: Optional[list[dict]] = None
     ) -> list[ResolvedService]:
         """Blocking :meth:`resolve_async`."""
-        return self._pump(lambda done: self.resolve_async(service_name, done, categories))
+        return self.node.network.kernel.wait(
+            lambda done: self.resolve_async(service_name, done, categories)
+        )
 
     def resolve_async(
         self,

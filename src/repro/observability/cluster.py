@@ -178,7 +178,7 @@ class ClusterMetricsAgent:
         self.store = ClusterMetricsStore()
         self.gossip = gossip
         self._seq = 0
-        self._timer_running = False
+        self._timer = None  # the publish cycle, while started
         if gossip is not None:
             gossip.add_digest_listener(self._on_digest)
 
@@ -213,20 +213,13 @@ class ClusterMetricsAgent:
     def start(self, kernel: Any,
               interval: float = DEFAULT_PUBLISH_INTERVAL) -> None:
         """Publish every *interval* virtual seconds on *kernel*."""
-        if self._timer_running:
-            return
-        self._timer_running = True
-
-        def tick() -> None:
-            if not self._timer_running:
-                return
-            self.publish()
-            kernel.schedule(interval, tick)
-
-        kernel.schedule(interval, tick)
+        if self._timer is None:
+            self._timer = kernel.every(interval, self.publish)
 
     def stop(self) -> None:
-        self._timer_running = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     # -- scrape path ---------------------------------------------------
     def scrape(self, handle: Any, via: Any = None) -> bool:

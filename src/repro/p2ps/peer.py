@@ -40,7 +40,6 @@ from repro.p2ps.pipes import (
 )
 from repro.simnet.faults import NatGate
 from repro.p2ps.query import AdvertQuery
-from repro.simnet.kernel import ScheduledEvent
 from repro.simnet.network import Frame, Network, Node, NodeDownError
 from repro.xmlkit import Element, QName, ns, parse, serialize
 
@@ -124,7 +123,7 @@ class Peer:
         #: the published adverts this peer answers for: soft state like
         #: a cached advert (a live peer republishes to stay discoverable)
         self._own = SoftTable(ADVERT_CACHE_CAP, cache_lifetime, clock)
-        self.resolver = TableEndpointResolver()
+        self.resolver = TableEndpointResolver(self.id)
         self.group: Optional[PeerGroup] = None
         self._rendezvous_links: dict[str, str] = {}  # peer_id -> node_id
         # Gnutella-style unstructured overlay (§II): when neighbours are
@@ -296,32 +295,30 @@ class Peer:
         self.publish(advert)
         return advert
 
-    def start_republisher(self, interval: float) -> "ScheduledEvent":
+    def start_republisher(self, interval: float):
         """Periodically rebroadcast the adverts we published.
 
         The soft-state remedy (see ablation AB3): cache entries expire
         everywhere after their lifetime, so a live peer must republish
-        to stay discoverable.  Returns the first scheduled event; cancel
-        it to stop the cycle.
+        to stay discoverable.  Returns the kernel's cycle handle; cancel
+        it (or call :meth:`stop_republisher`) to stop.
         """
-        if interval <= 0:
-            raise ValueError("republish interval must be positive")
-
         def republish() -> None:
             if not self.node.up:
-                return  # downed peers stay silent; restart re-schedules nothing
+                # downed peers stay silent; restart re-schedules nothing
+                self.stop_republisher()
+                return
             for advert in list(self.published.values()):
                 self.publish(advert)
-            self._republish_event = self.network.kernel.schedule(interval, republish)
 
-        self._republish_event = self.network.kernel.schedule(interval, republish)
-        return self._republish_event
+        self._republisher = self.network.kernel.every(interval, republish)
+        return self._republisher
 
     def stop_republisher(self) -> None:
-        event = getattr(self, "_republish_event", None)
-        if event is not None:
-            event.cancel()
-            self._republish_event = None
+        cycle = getattr(self, "_republisher", None)
+        if cycle is not None:
+            cycle.cancel()
+            self._republisher = None
 
     def discover(
         self,

@@ -15,14 +15,20 @@ resolving a :class:`PipeAdvertisement` to a physical node.
 from __future__ import annotations
 
 import abc
-from typing import Callable
+from typing import Callable, Optional
 
+from repro.caching import SoftTable
 from repro.p2ps.advertisements import PipeAdvertisement
 from repro.simnet.network import Frame, Node, NodeDownError
 
 
 class PipeError(Exception):
     """Pipe-level failure."""
+
+
+#: routes a resolver keeps to other peers, least recently heard out
+#: first (a peer's own route is kept apart and never counts)
+ROUTES_CAP = 4096
 
 
 class ResolutionError(PipeError):
@@ -142,23 +148,36 @@ class TableEndpointResolver(EndpointResolver):
 
     Peers populate the table from the :class:`PeerAdvertisement`\\ s
     they see (piggybacked on every P2PS message), so resolution is a
-    local lookup once a peer has been heard from.
+    local lookup once a peer has been heard from.  The table holds at
+    most :data:`ROUTES_CAP` routes, the least recently heard out first;
+    the owning peer's own route (*own_id*) is kept beside it, so no
+    flood of strangers can push it out.
     """
 
-    def __init__(self) -> None:
-        self._table: dict[str, Route] = {}
+    def __init__(self, own_id: Optional[str] = None) -> None:
+        self._own_id = own_id
+        self._own: Optional[Route] = None
+        self._table = SoftTable(ROUTES_CAP)
+
+    def _route(self, peer_id: str) -> Optional[Route]:
+        return self._own if peer_id == self._own_id else self._table.get(peer_id)
 
     def learn(self, peer_id: str, node_id: str, relay_node: str = "") -> None:
         """Record where *peer_id* lives (per pipe frame: a known route is kept)."""
-        route = self._table.get(peer_id)
+        own = peer_id == self._own_id
+        route = self._own if own else self._table.get(peer_id)
         if route is None or route.node_id != node_id or route.relay_node != relay_node:
-            self._table[peer_id] = Route(node_id, relay_node)
+            route = Route(node_id, relay_node)
+            if own:
+                self._own = route
+            else:
+                self._table.put(peer_id, route)
 
     def known(self, peer_id: str) -> bool:
-        return peer_id in self._table
+        return self._route(peer_id) is not None
 
     def resolve(self, advert: PipeAdvertisement) -> Route:
-        route = self._table.get(advert.peer_id)
+        route = self._route(advert.peer_id)
         if route is None:
             raise ResolutionError(
                 f"no known endpoint for peer {advert.peer_id!r} "
@@ -167,4 +186,4 @@ class TableEndpointResolver(EndpointResolver):
         return route
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._table) + (self._own is not None)

@@ -32,6 +32,6 @@ __all__, __getattr__, __dir__ = exports(__name__, {
     ".executor": ("OnewayStatus", "ReliableCall"),
     ".policy": (
         "BreakerConfig", "Deadline", "DeadlineExceededError", "ReliabilityError",
-        "ReliabilityPolicy", "RetryPolicy",
+        "ReliabilityPolicy", "RetryPolicy", "RoundRetry",
     ),
 })

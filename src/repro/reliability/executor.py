@@ -7,7 +7,9 @@ when attempts or the deadline budget run out.  It is the only retry
 loop in the program and is transport-neutral: the caller supplies an
 ``attempt`` callable that performs one physical try and reports back
 through a completion callback, which is exactly the shape of both
-``Transport.send`` and a pipe send-plus-timer.
+``Transport.send`` and a pipe send-plus-timer — or, for failover, a
+whole call to the next endpoint in health order, under a
+:class:`~repro.reliability.policy.RoundRetry` schedule.
 
 The breaker sees one logical call: one ``allow()`` before the first
 attempt and one recorded outcome at the end.  Retransmissions of a call

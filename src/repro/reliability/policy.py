@@ -114,6 +114,32 @@ class RetryPolicy:
         )
 
 
+class RoundRetry(RetryPolicy):
+    """Rounds over a fixed set of targets, for a caller that moves each
+    attempt to the next one (failover across endpoints).
+
+    Each of *rounds* rounds is *per_round* back-to-back attempts; a
+    round that fails whole waits *backoff* seconds before the next.
+    Every error is retried: the caller ends the call itself on an
+    answer no other target would change.
+    """
+
+    def __init__(self, per_round: int, rounds: int, backoff: float):
+        super().__init__(max_attempts=per_round * rounds, base_delay=0.0, jitter=0.0)
+        self.per_round = per_round
+        self.backoff = backoff
+
+    def delay(self, attempt: int) -> float:
+        return self.backoff if (attempt + 1) % self.per_round == 0 else 0.0
+
+    def retryable(self, error: BaseException) -> bool:
+        return True
+
+    def rounds_walked(self, attempts: int) -> int:
+        """The rounds *attempts* attempts have started."""
+        return -(-attempts // self.per_round)
+
+
 class Deadline:
     """A total-time budget across all attempts of one invocation.
 

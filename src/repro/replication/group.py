@@ -48,6 +48,7 @@ class ReplicationGroup:
         self.ships_sent = 0
         self.ship_failures = 0
         self._kernel = None
+        self._anti_entropy = None  # the periodic pull's cycle, once started
 
     # ------------------------------------------------------------------
     # membership
@@ -207,16 +208,18 @@ class ReplicationGroup:
     # anti-entropy (periodic pull + sequence dominance)
     # ------------------------------------------------------------------
     def start_anti_entropy(self, interval: Optional[float] = None) -> None:
-        """Run the convergence pull every *interval* virtual seconds."""
+        """Run the convergence pull every *interval* virtual seconds,
+        until :meth:`stop_anti_entropy`."""
         period = interval if interval is not None else self.config.anti_entropy_interval
-        if period <= 0 or self._kernel is None:
+        if period <= 0 or self._kernel is None or self._anti_entropy is not None:
             return
+        self._anti_entropy = self._kernel.every(period, self.run_anti_entropy)
 
-        def tick() -> None:
-            self.run_anti_entropy()
-            self._kernel.schedule(period, tick)
-
-        self._kernel.schedule(period, tick)
+    def stop_anti_entropy(self) -> None:
+        """Stop the periodic pull (the group's only standing timer)."""
+        if self._anti_entropy is not None:
+            self._anti_entropy.cancel()
+            self._anti_entropy = None
 
     def run_anti_entropy(self) -> None:
         """One pull round: every live member compares high waters with

@@ -76,6 +76,26 @@ class ScheduledEvent:
         return f"<ScheduledEvent t={self.time:.6f} {state}>"
 
 
+class Cycle:
+    """Handle for a periodic callback (:meth:`Kernel.every`);
+    :meth:`cancel` stops the cycle, also from inside the callback."""
+
+    __slots__ = ("fn", "_interval", "_kernel", "_event")
+
+    def __init__(self, kernel: "Kernel", interval: float, fn: Callable[[], Any]):
+        self.fn, self._interval, self._kernel = fn, interval, kernel
+        self._event = kernel.schedule(interval, self._tick)
+
+    def _tick(self) -> None:
+        self.fn()
+        if self.fn is not None:  # re-armed after: what fn scheduled fires first
+            self._event = self._kernel.schedule(self._interval, self._tick)
+
+    def cancel(self) -> None:
+        self.fn = None
+        self._event.cancel()
+
+
 class Kernel:
     """A minimal, deterministic discrete-event simulation kernel."""
 
@@ -219,6 +239,13 @@ class Kernel:
             fired += 1
         return fired
 
+    def every(self, interval: float, fn: Callable[[], Any]) -> Cycle:
+        """Run ``fn()`` every *interval* seconds, the first time one
+        interval from now, until the returned handle is cancelled."""
+        if interval <= 0:
+            raise ValueError(f"interval must be positive: {interval}")
+        return Cycle(self, interval, fn)
+
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain."""
         return self.run(until=None, max_events=max_events)
@@ -251,6 +278,30 @@ class Kernel:
             self.step()
             fired += 1
         return self._now
+
+    def wait(
+        self,
+        start: Callable[[Callable[[Any, Optional[BaseException]], None]], Any],
+        drained: Optional[Callable[[], BaseException]] = None,
+    ) -> Any:
+        """Run ``start(done)`` and fire events until ``done(result,
+        error)`` is called; return *result* or raise *error* — how a
+        blocking call is built on the event-driven core.  A queue that
+        drains first raises :class:`SimTimeoutError`, or what *drained*
+        builds, chained to it; the operation's own error is raised past
+        that mapping, never taken for a drain."""
+        outcome: list = []
+        start(lambda result, error: outcome.append((result, error)))
+        try:
+            self.pump_until(outcome.__len__)
+        except SimTimeoutError as exc:
+            if drained is None:
+                raise
+            raise drained() from exc
+        result, error = outcome[0]
+        if error is not None:
+            raise error
+        return result
 
     def _peek_time(self) -> Optional[float]:
         ready = self._ready

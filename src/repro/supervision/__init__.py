@@ -26,7 +26,7 @@ from repro._exports import exports
 __all__, __getattr__, __dir__ = exports(__name__, {
     ".admission": ("AdmissionController",),
     ".failover": (
-        "BUSY", "FAILOVER", "FINAL", "FailoverConfig", "FailoverExecutor",
+        "BUSY", "FAILOVER", "FINAL", "FailoverExecutor",
         "classify_error",
     ),
     ".health": ("ALIVE", "DEAD", "EndpointHealth", "HealthMonitor"),

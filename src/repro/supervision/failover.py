@@ -16,16 +16,24 @@ Every attempt of one logical call carries the same ``wsa:MessageID``,
 so provider-side dedup windows keep execution at-most-once even when
 the client gives up on one binding mid-flight and the original request
 later arrives anyway.
+
+The executor keeps only what is failover: it ranks endpoints, records
+their health and fires the ``failover`` events.  The attempts are one
+:class:`~repro.reliability.executor.ReliableCall` — the program's only
+retry loop — under a :class:`~repro.reliability.policy.RoundRetry`
+schedule (:data:`ROUNDS` passes, :data:`ROUND_BACKOFF` between them)
+and a :data:`DEADLINE`; each attempt runs the endpoint's own
+``ReliableCall`` under the caller's policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.errors import InvocationError
 from repro.core.events import EventSource
 from repro.core.handle import ServiceHandle
+from repro.core.invocation import InvokeCallback
 from repro.observability import metrics as obs_metrics
 from repro.observability.tracecontext import (
     activate as trace_activate,
@@ -34,25 +42,32 @@ from repro.observability.tracecontext import (
 )
 from repro.reliability import (
     CircuitOpenError,
-    DeadlineExceededError,
     ReliabilityPolicy,
+    ReliableCall,
+    RoundRetry,
 )
 from repro.replication.errors import ReplicaLagError, StateDivergedError
-from repro.simnet.kernel import SimTimeoutError
 from repro.soap.faults import ReplicaLagFault, ServerBusyFault, SoapFault
 from repro.supervision.health import HealthMonitor
 from repro.transport.base import TransportBusyError
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import new_message_id
 
-#: completion callback: (result, error) — exactly one is non-None,
-#: except void results where both may be None.
-InvokeCallback = Callable[[Any, Optional[Exception]], None]
-
 #: verdicts from :func:`classify_error`
 FINAL = "final"  # application fault: failing over would not help
 BUSY = "busy"  # endpoint shed us: back off there, try elsewhere
 FAILOVER = "failover"  # endpoint unreachable/slow: try the next one
+
+#: passes over the ranked endpoints one call may make; each round
+#: re-ranks, so a node that recovered mid-call is retried before the
+#: call gives up
+ROUNDS = 2
+#: virtual seconds between rounds (lets busy cooldowns lapse and
+#: restarted peers come back before the next sweep)
+ROUND_BACKOFF = 0.5
+#: total budget of one call across every endpoint and round; an attempt
+#: timeout past it is trimmed to what is left
+DEADLINE = 30.0
 
 
 def classify_error(error: Exception) -> str:
@@ -81,25 +96,6 @@ def classify_error(error: Exception) -> str:
     return FAILOVER
 
 
-@dataclass(frozen=True)
-class FailoverConfig:
-    """Shape of the failover loop for one executor."""
-
-    #: maximum passes over the ranked endpoint list; the second and
-    #: later rounds re-rank, so a node that recovered mid-call gets
-    #: retried before the call gives up
-    rounds: int = 2
-    #: virtual-time pause between rounds (lets busy cooldowns lapse and
-    #: restarted peers come back before the next sweep)
-    round_backoff: float = 0.5
-    #: total wall-budget for the logical call across every endpoint and
-    #: round; ``None`` leaves only per-attempt timeouts
-    deadline: Optional[float] = 30.0
-    #: treat attempt timeouts as failover-eligible (the safe default —
-    #: the shared MessageID keeps a late-executing duplicate suppressed)
-    failover_on_timeout: bool = True
-
-
 class FailoverExecutor(EventSource):
     """Invokes through the healthiest endpoint, failing over on error.
 
@@ -117,22 +113,17 @@ class FailoverExecutor(EventSource):
         kernel,
         health: Optional[HealthMonitor] = None,
         parent: Optional[EventSource] = None,
-        config: Optional[FailoverConfig] = None,
     ):
         super().__init__("failover", parent)
         self._kernel_ref = kernel
         self.health = health if health is not None else HealthMonitor(
             clock=lambda: kernel.now
         )
-        self.config = config if config is not None else FailoverConfig()
         self._invokers: dict[str, Any] = {}
         self.failovers = 0  # endpoint switches across all calls
         #: replication directory (E15); see :meth:`attach_replication`
         self._replication = None
         self.handoffs = 0  # stateful-session redirects to a replica
-
-    def _now(self) -> float:
-        return self._kernel_ref.now
 
     # -- wiring ------------------------------------------------------------
     def register_invoker(self, scheme: str, invocation) -> None:
@@ -169,15 +160,11 @@ class FailoverExecutor(EventSource):
         """Every EPR of *handle* this executor can actually invoke:
         request/response endpoints for any registered transport scheme,
         plus p2ps pipe endpoints whose pipe serves *operation*."""
-        candidates: list[EndpointReference] = []
-        for endpoint in handle.endpoints:
-            scheme = self._scheme_of(endpoint)
-            if scheme not in self._invokers:
-                continue
-            if scheme == "p2ps" and endpoint.property_text("PipeName") != operation:
-                continue
-            candidates.append(endpoint)
-        return candidates
+        return [
+            endpoint for endpoint in handle.endpoints
+            if (scheme := self._scheme_of(endpoint)) in self._invokers
+            and (scheme != "p2ps" or endpoint.property_text("PipeName") == operation)
+        ]
 
     def _plan_queue(
         self, candidates: list[EndpointReference]
@@ -204,10 +191,6 @@ class FailoverExecutor(EventSource):
             )
         )
         return queue
-
-    def plan(self, handle: ServiceHandle, operation: str) -> list[EndpointReference]:
-        """The ranked attempt order the next call would use."""
-        return self._plan_queue(self.candidate_endpoints(handle, operation))
 
     # -- invocation --------------------------------------------------------
     def invoke_async(
@@ -240,100 +223,40 @@ class FailoverExecutor(EventSource):
         # context and mints a sibling attempt span under it — one trace
         # across every endpoint and round, exactly like the MessageID.
         call_trace = trace_begin_send()
-        trace_fields = trace_event_fields(call_trace)
-        started = self._now()
-        state = {
-            "round": 0,
-            "queue": self._plan_queue(candidates),
-            "attempted": 0,
-            "last_endpoint": None,
-            "last_error": None,
-            "done": False,
-        }
+        about = dict(service=handle.name, operation=operation,
+                     message_id=message_id, **trace_event_fields(call_trace))
+        rounds = RoundRetry(len(candidates), ROUNDS, ROUND_BACKOFF)
+        queue: list[EndpointReference] = []
+        previous: Optional[str] = None  # the endpoint tried last ...
+        last_error: Optional[Exception] = None  # ... and how it failed
 
         def finish(result: Any, error: Optional[Exception]) -> None:
-            if state["done"]:
-                return
-            state["done"] = True
             if error is not None:
                 obs_metrics.inc("failover.exhausted")
                 self.fire_client(
-                    "failover-exhausted",
-                    service=handle.name,
-                    operation=operation,
-                    attempts=state["attempted"],
-                    rounds=state["round"] + 1,
-                    message_id=message_id,
-                    reason=str(error),
-                    **trace_fields,
+                    "failover-exhausted", attempts=call.attempts_made,
+                    rounds=rounds.rounds_walked(call.attempts_made),
+                    reason=str(error), **about,
                 )
             callback(result, error)
 
-        def budget_left() -> Optional[float]:
-            if self.config.deadline is None:
-                return None
-            return self.config.deadline - (self._now() - started)
-
-        def next_endpoint() -> None:
-            if state["done"]:
-                return
-            remaining = budget_left()
-            if remaining is not None and remaining <= 0:
-                finish(
-                    None,
-                    state["last_error"]
-                    or DeadlineExceededError(
-                        f"failover deadline of {self.config.deadline}s "
-                        f"exhausted for {operation!r}"
-                    ),
-                )
-                return
-            if not state["queue"]:
-                state["round"] += 1
-                if state["round"] >= self.config.rounds:
-                    finish(
-                        None,
-                        state["last_error"]
-                        or InvocationError(
-                            f"all endpoints failed for {operation!r} after "
-                            f"{state['attempted']} attempt(s)"
-                        ),
-                    )
-                    return
-                # next round: re-rank what we know now, after a breather
-                def start_round() -> None:
-                    state["queue"] = self._plan_queue(candidates)
-                    next_endpoint()
-
-                if self.config.round_backoff > 0:
-                    self._kernel_ref.schedule(self.config.round_backoff, start_round)
-                else:
-                    start_round()
-                return
-            endpoint = state["queue"].pop(0)
-            attempt(endpoint, remaining)
-
-        def attempt(endpoint: EndpointReference, remaining: Optional[float]) -> None:
-            scheme = self._scheme_of(endpoint)
-            invoker = self._invokers[scheme]
-            previous = state["last_endpoint"]
-            if previous is not None and previous != endpoint.address:
+        def attempt(on_done, attempt_no: int, remaining: float) -> None:
+            nonlocal previous
+            if attempt_no % rounds.per_round == 0:
+                # a round starts: re-rank on what we know now
+                queue[:] = self._plan_queue(candidates)
+            endpoint = queue.pop(0)
+            address = endpoint.address
+            if previous is not None and previous != address:
                 self.failovers += 1
                 obs_metrics.inc("failover.hops")
                 self.fire_client(
-                    "failover",
-                    service=handle.name,
-                    operation=operation,
-                    from_endpoint=previous,
-                    to_endpoint=endpoint.address,
-                    message_id=message_id,
-                    reason=str(state["last_error"]),
-                    **trace_fields,
+                    "failover", from_endpoint=previous, to_endpoint=address,
+                    reason=str(last_error), **about,
                 )
                 caught_up = (
-                    self._replication.caught_up(endpoint.address)
-                    if self._replication is not None
-                    else None
+                    self._replication.caught_up(address)
+                    if self._replication is not None else None
                 )
                 if caught_up is not None:
                     # a stateful session is moving to a replication
@@ -342,80 +265,53 @@ class FailoverExecutor(EventSource):
                     self.handoffs += 1
                     obs_metrics.inc("replication.handoffs")
                     self.fire_client(
-                        "session-handoff",
-                        service=handle.name,
-                        operation=operation,
-                        from_endpoint=previous,
-                        to_endpoint=endpoint.address,
-                        message_id=message_id,
-                        caught_up=caught_up,
-                        **trace_fields,
+                        "session-handoff", from_endpoint=previous,
+                        to_endpoint=address, caught_up=caught_up, **about,
                     )
-            state["last_endpoint"] = endpoint.address
-            state["attempted"] += 1
-            attempt_timeout = timeout
-            if remaining is not None:
-                attempt_timeout = (
-                    remaining
-                    if attempt_timeout is None
-                    else min(attempt_timeout, remaining)
-                )
-            sent_at = self._now()
+            previous = address
+            sent_at = self._kernel_ref.now
 
-            def on_done(result: Any, error: Optional[Exception]) -> None:
-                if state["done"]:
-                    return
+            def on_reply(result: Any, error: Optional[Exception]) -> None:
+                nonlocal last_error
                 if error is None:
-                    self.health.record_success(
-                        endpoint.address, latency=self._now() - sent_at
-                    )
-                    finish(result, None)
+                    self.health.record_success(address, latency=self._kernel_ref.now - sent_at)
+                    on_done(result, None)
                     return
-                state["last_error"] = error
+                last_error = error
                 verdict = classify_error(error)
-                if verdict == FAILOVER and not self.config.failover_on_timeout:
-                    if isinstance(error, (SimTimeoutError, DeadlineExceededError)):
-                        verdict = FINAL
                 if verdict == FINAL:
-                    finish(None, error)
+                    call.finish(None, error)
                     return
                 if verdict == BUSY:
-                    self.health.record_busy(
-                        endpoint.address, retry_after=error.retry_after
-                    )
+                    self.health.record_busy(address, retry_after=error.retry_after)
                 elif isinstance(error, (ReplicaLagFault, ReplicaLagError)):
                     # the member answered — it is alive, just behind;
                     # treat like a shed, not a failure, so its health
                     # score survives the redirect
                     self.health.record_busy(
-                        endpoint.address,
-                        retry_after=getattr(error, "retry_after", 0.0),
+                        address, retry_after=getattr(error, "retry_after", 0.0)
                     )
-                elif isinstance(error, CircuitOpenError):
-                    # the breaker already holds the failure history; do
-                    # not double-count a shed local decision as a fresh
-                    # remote failure
-                    pass
-                else:
-                    self.health.record_failure(endpoint.address)
-                next_endpoint()
+                elif not isinstance(error, CircuitOpenError):
+                    # (an open breaker already holds the failure history;
+                    # a shed local decision is no fresh remote failure)
+                    self.health.record_failure(address)
+                on_done(None, error)
 
             try:
                 with trace_activate(call_trace):
-                    invoker.invoke_async(
-                        handle,
-                        operation,
-                        args,
-                        on_done,
-                        attempt_timeout,
-                        policy=policy,
-                        endpoint=endpoint,
-                        message_id=message_id,
+                    self._invokers[self._scheme_of(endpoint)].invoke_async(
+                        handle, operation, args, on_reply,
+                        remaining if timeout is None else min(timeout, remaining),
+                        policy=policy, endpoint=endpoint, message_id=message_id,
                     )
             except Exception as exc:  # noqa: BLE001 - invoker boundary
-                on_done(None, exc)
+                on_reply(None, exc)
 
-        next_endpoint()
+        call = ReliableCall(
+            self._kernel_ref, ReliabilityPolicy(retry=rounds, deadline=DEADLINE),
+            attempt, finish, describe=f"failover of {operation!r}",
+        )
+        call.start()
 
     def invoke(
         self,
@@ -429,19 +325,11 @@ class FailoverExecutor(EventSource):
         """Synchronous failover invocation: pump virtual time until done."""
         all_args = dict(args or {})
         all_args.update(kwargs)
-        box: dict[str, Any] = {}
-
-        def callback(result: Any, error: Optional[Exception]) -> None:
-            box["result"] = result
-            box["error"] = error
-
-        self.invoke_async(handle, operation, all_args, callback, timeout, policy=policy)
-        try:
-            self._kernel_ref.pump_until(lambda: "result" in box or "error" in box)
-        except SimTimeoutError as exc:
-            raise InvocationError(
+        return self._kernel_ref.wait(
+            lambda done: self.invoke_async(
+                handle, operation, all_args, done, timeout, policy=policy
+            ),
+            lambda: InvocationError(
                 f"failover invocation of {operation!r} never completed"
-            ) from exc
-        if box.get("error") is not None:
-            raise box["error"]
-        return box.get("result")
+            ),
+        )

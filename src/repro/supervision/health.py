@@ -293,11 +293,9 @@ class HealthMonitor:
         cooling-down endpoints — the cheap revival path; pass False to
         sweep every known endpoint.  Stops at *until* if given.
         """
-        if interval <= 0:
-            raise ValueError("probe interval must be positive")
-
         def tick() -> None:
             if until is not None and self._now() >= until:
+                cycle.cancel()
                 return
             for address, entry in self._endpoints.items():
                 if only_suspect and not (
@@ -305,6 +303,5 @@ class HealthMonitor:
                 ):
                     continue
                 self.probe(address)
-            kernel.schedule(interval, tick)
 
-        kernel.schedule(interval, tick)
+        cycle = kernel.every(interval, tick)

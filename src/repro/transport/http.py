@@ -735,17 +735,9 @@ class HttpClient:
         This is the paper's "HTTP maintains an open connection": virtual
         time advances inside this call until the response or timeout.
         """
-        box: dict[str, object] = {}
-
-        def callback(response: Optional[HttpResponse], error: Optional[Exception]) -> None:
-            box["response"] = response
-            box["error"] = error
-
-        self.request_async(target_node, port, request, callback, timeout)
-        self.network.kernel.pump_until(lambda: "response" in box or "error" in box)
-        if box.get("error") is not None:
-            raise box["error"]  # type: ignore[misc]
-        return box["response"]  # type: ignore[return-value]
+        return self.network.kernel.wait(
+            lambda done: self.request_async(target_node, port, request, done, timeout)
+        )
 
 
 class HttpTransport(Transport):

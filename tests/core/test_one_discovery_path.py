@@ -73,15 +73,10 @@ def test_resolve_only_pumps_resolve_async():
         node.func.attr for node in ast.walk(resolve)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
-    assert called == {"_pump", "resolve_async"}, called
+    assert called == {"wait", "resolve_async"}, called
     assert not [
         node for node in ast.walk(resolve)
         if isinstance(node, (ast.For, ast.While, ast.If, ast.Try, ast.With))
     ], "resolve has a body of its own"
-    pumps = {
-        node.func.attr for node in ast.walk(methods["_pump"])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-    }
-    assert "pump_until" in pumps
     # the second, blocking resolve body and its helpers stay gone
     assert not {"_resolve_record", "_fetch", "_scatter"} & set(methods)

@@ -169,9 +169,7 @@ class TestFailover:
         providers, consumer, handle = build_replicated_http_world(
             net, registry_node, tracer, n_providers=2
         )
-        from repro.supervision import FailoverConfig
-
-        ex = consumer.enable_failover(FailoverConfig(rounds=1, round_backoff=0.0))
+        ex = consumer.enable_failover()
         for p in providers:
             p.node.go_down()
         with pytest.raises(Exception):

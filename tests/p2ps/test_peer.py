@@ -307,3 +307,27 @@ class TestCaps:
         # the flood never pushes out what the peer published itself
         assert peer.lookup(own.key()) == own
         assert peer.cache.get(f"service:{other.id}:Svc9999") is not None
+
+    def test_resolver_holds_its_cap(self):
+        from repro.p2ps import PeerAdvertisement
+        from repro.p2ps.peer import P2PS_PORT
+        from repro.p2ps.pipes import ROUTES_CAP
+        from repro.xmlkit import serialize
+
+        net, _, (peer, other, _) = make_world(3)
+        # 10 000 distinct foreign peers, 1 000 to a frame; each frame's
+        # sender is heard again before the strangers it carries
+        for start in range(0, 10_000, 1_000):
+            adverts = [
+                PeerAdvertisement(f"peer{i}", f"node{i}").to_element()
+                for i in range(start, start + 1_000)
+            ]
+            other.node.send(peer.node.id, P2PS_PORT, serialize(other._message("advert", adverts)))
+        net.run()
+        assert len(peer.resolver) <= ROUTES_CAP + 1  # the cap, plus its own route
+        assert not peer.resolver.known("peer0")
+        # neither its own route nor the peers heard last were pushed out
+        own_pipe = PipeAdvertisement("pipe-own", "invoke", peer.id)
+        assert peer.resolver.resolve(own_pipe).node_id == peer.node.id
+        assert peer.resolver.resolve(PipeAdvertisement("p", "x", "peer9999")).node_id == "node9999"
+        assert peer.resolver.resolve(PipeAdvertisement("p", "x", other.id)).node_id == other.node.id

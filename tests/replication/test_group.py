@@ -193,6 +193,19 @@ class TestAntiEntropy:
         assert member.store.snapshots_installed >= 1
         assert group.converged()
 
+    def test_stopped_group_drains(self, counter_world):
+        group = counter_world.replicate(r=2)
+        counter_world.executor.invoke(
+            counter_world.handle, "increment", {"by": 1}, timeout=0.5
+        )
+        kernel = counter_world.net.kernel
+        kernel.run(max_events=2_000)
+        assert kernel.pending > 0  # the periodic pull never lets it drain
+        group.stop_anti_entropy()
+        kernel.run()
+        assert kernel.pending == 0
+        assert group.converged()
+
     def test_stats_collector_registered(self, counter_world):
         from repro.observability import metrics as obs_metrics
 

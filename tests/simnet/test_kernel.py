@@ -165,6 +165,82 @@ class TestPumpUntil:
         assert k.pending == 1
 
 
+class TestWait:
+    def test_wait_returns_the_result(self):
+        k = Kernel()
+        assert k.wait(lambda done: k.schedule(2.0, done, "ok", None)) == "ok"
+        assert k.now == 2.0
+
+    def test_wait_raises_the_operation_error(self):
+        k = Kernel()
+        with pytest.raises(KeyError):
+            k.wait(lambda done: k.schedule(1.0, done, None, KeyError("gone")))
+
+    def test_wait_leaves_later_events_queued(self):
+        k = Kernel()
+        k.schedule(9.0, lambda: None)
+        k.wait(lambda done: k.schedule(1.0, done, None, None))
+        assert k.pending == 1
+
+    def test_drained_queue(self):
+        k = Kernel()
+        with pytest.raises(SimTimeoutError):
+            k.wait(lambda done: None)
+        with pytest.raises(ValueError, match="never") as raised:
+            k.wait(lambda done: None, lambda: ValueError("never completed"))
+        assert isinstance(raised.value.__cause__, SimTimeoutError)
+
+    def test_own_error_is_not_taken_for_a_drain(self):
+        k = Kernel()
+        own = SimTimeoutError("the operation's own")
+        with pytest.raises(SimTimeoutError) as raised:
+            k.wait(lambda done: done(None, own), lambda: ValueError("drained"))
+        assert raised.value is own
+
+
+class TestEvery:
+    def test_fires_each_interval_until_cancelled(self):
+        k = Kernel()
+        times = []
+        cycle = k.every(2.0, lambda: times.append(k.now))
+        k.run(until=7.0)
+        assert times == [2.0, 4.0, 6.0]
+        cycle.cancel()
+        assert k.pending == 0
+        assert k.run() == 0
+
+    def test_cancel_from_inside_the_callback(self):
+        k = Kernel()
+        ticks = []
+
+        def tick():
+            ticks.append(k.now)
+            if len(ticks) == 3:
+                cycle.cancel()
+
+        cycle = k.every(1.0, tick)
+        k.run()
+        assert ticks == [1.0, 2.0, 3.0]
+        assert k.pending == 0
+
+    def test_callback_events_fire_before_the_next_tick(self):
+        k = Kernel()
+        order = []
+
+        def tick():
+            order.append("tick")
+            k.schedule(1.0, order.append, "work")
+
+        cycle = k.every(1.0, tick)
+        k.run(until=2.5)
+        cycle.cancel()
+        assert order == ["tick", "work", "tick"]
+
+    def test_interval_must_be_positive(self):
+        with pytest.raises(ValueError):
+            Kernel().every(0.0, lambda: None)
+
+
 class TestAdvance:
     def test_advance_moves_clock(self):
         k = Kernel()

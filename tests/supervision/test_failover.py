@@ -9,7 +9,10 @@ from repro.core.events import RecordingListener
 from repro.core.invocation import HttpInvocation
 from repro.p2ps import PeerGroup
 from repro.soap.faults import ServerBusyFault, SoapFault
-from repro.supervision import FailoverConfig, classify_error, FINAL, BUSY, FAILOVER
+from repro.reliability import DeadlineExceededError
+from repro.simnet import DropInjector
+from repro.supervision import classify_error, FINAL, BUSY, FAILOVER
+from repro.supervision.failover import DEADLINE, ROUNDS
 from repro.transport.base import TransportError
 from tests.supervision.conftest import Counter, build_replicated_world
 
@@ -71,13 +74,37 @@ class TestHttpFailover:
 
     def test_all_endpoints_down_raises_after_rounds(self, replicated_world):
         providers, consumer, handle, _ = replicated_world
-        ex = consumer.enable_failover(
-            config=FailoverConfig(rounds=1, deadline=20.0)
-        )
+        ex = consumer.enable_failover()
         for p in providers:
             p.node.go_down()
         with pytest.raises(Exception):
             ex.invoke(handle, "echo", {"message": "void"}, timeout=0.5)
+
+    def test_exhaustion_reports_the_rounds_walked(self, replicated_world):
+        providers, consumer, handle, _ = replicated_world
+        listener = RecordingListener()
+        consumer.add_listener(listener)
+        ex = consumer.enable_failover()
+        for p in providers:
+            p.node.go_down()
+        with pytest.raises(Exception):
+            ex.invoke(handle, "echo", {"message": "void"}, timeout=0.5)
+        (event,) = listener.of_kind("failover-exhausted")
+        assert event.detail["rounds"] == ROUNDS == 2
+        assert event.detail["attempts"] == ROUNDS * len(handle.endpoints)
+
+    def test_lapsed_deadline_raises_deadline_exceeded(self, net, replicated_world):
+        providers, consumer, handle, _ = replicated_world
+        ex = consumer.enable_failover()
+        ex.invoke(handle, "echo", {"message": "warm"}, timeout=1.0)
+        started = net.kernel.now
+        # from now on every frame is lost: the first attempt waits out
+        # its whole timeout and the last is trimmed to what is left of
+        # the deadline, which lapses with attempts still unspent
+        DropInjector(net, p=1.0, seed=0)
+        with pytest.raises(DeadlineExceededError):
+            ex.invoke(handle, "echo", {"message": "lost"}, timeout=DEADLINE * 0.75)
+        assert net.kernel.now - started == pytest.approx(DEADLINE)
 
     def test_application_fault_does_not_fail_over(self, net, registry_node):
         class Flaky:
