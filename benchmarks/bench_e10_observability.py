@@ -55,8 +55,11 @@ from repro.observability import (
     set_recorder,
 )
 from repro.observability import metrics as obs_metrics
+from repro.observability.introspection import host_introspection
 from repro.observability.metrics import default_registry, reset_default_registry
+from repro.observability.tracecontext import set_propagation
 from repro.simnet import ChurnSchedule, FixedLatency, Network
+from repro.supervision.failover import attach_failover
 from repro.uddi import UddiRegistryNode
 
 SMOKE = bool(os.environ.get("E10_SMOKE"))
@@ -322,10 +325,9 @@ def _failover_trace(tracer: SpanTracer):
 def trace_churn_failover() -> dict:
     net, providers, consumer, handle = _build_replicated_world()
     tracer = SpanTracer(max_spans=MAX_CHURN_CALLS * 2)
-    consumer.enable_observability(tracer=tracer)
-    for provider in providers:
-        provider.enable_observability(tracer=tracer)
-    executor = consumer.enable_failover()
+    tracer.install(consumer, *providers)
+    set_propagation(True)
+    executor = attach_failover(consumer)
 
     horizon = MAX_CHURN_CALLS * (REQUEST_GAP + 4 * ATTEMPT_TIMEOUT)
     churn = ChurnSchedule(net)
@@ -403,11 +405,11 @@ def introspection_http() -> dict:
     world = build_standard_world(n_providers=1, n_consumers=1)
     consumer, provider = world.consumers[0], world.providers[0]
     tracer = SpanTracer()
-    consumer.enable_observability(tracer=tracer)
-    provider.enable_observability(tracer=tracer)
+    tracer.install(consumer, provider)
+    set_propagation(True)
     handle = consumer.locate_one("Echo0")
     consumer.invoke(handle, "echo", {"message": "traced"})
-    provider.host_introspection()
+    host_introspection(provider)
     provider.publish("Introspection")
     result = _roundtrip(consumer, provider, "Introspection")
     tracer.uninstall()
@@ -418,11 +420,11 @@ def introspection_p2ps() -> dict:
     world = build_p2ps_world(n_providers=1, n_consumers=1)
     consumer, provider = world.consumers[0], world.providers[0]
     tracer = SpanTracer()
-    consumer.enable_observability(tracer=tracer)
-    provider.enable_observability(tracer=tracer)
+    tracer.install(consumer, provider)
+    set_propagation(True)
     handle = consumer.locate_one("Echo0")
     consumer.invoke(handle, "echo", {"message": "traced"})
-    provider.host_introspection()
+    host_introspection(provider)
     provider.publish("Introspection")
     world.net.run()  # let the adverts settle
     result = _roundtrip(consumer, provider, "Introspection")

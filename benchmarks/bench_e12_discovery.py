@@ -85,7 +85,7 @@ def deploy_hot_providers(net, plane_or_uri, use_plane):
                 net.add_node(f"prov{p}"),
                 StandardBinding(plane_or_uri.registry_uris["registry-0"]),
             )
-            peer.enable_distributed_discovery(plane_or_uri)
+            plane_or_uri.attach(peer)
         else:
             peer = WSPeer(net.add_node(f"prov{p}"), StandardBinding(plane_or_uri))
         for name in hot_names()[p::N_PROVIDERS]:

@@ -31,8 +31,9 @@ import numpy as np
 
 from repro.core import ServiceHandle, WSPeer
 from repro.core.binding import StandardBinding
-from repro.replication import ReplicationConfig
+from repro.replication import ReplicationConfig, ReplicationGroup
 from repro.simnet import ChurnSchedule, FixedLatency, Network
+from repro.supervision.failover import attach_failover
 from repro.uddi import UddiRegistryNode
 from repro.simnet.wiretap import payload_text
 
@@ -97,11 +98,12 @@ class World:
         self.consumer = WSPeer(
             self.net.add_node("cons"), StandardBinding(self.registry.endpoint)
         )
-        self.executor = self.consumer.enable_failover()
+        self.executor = attach_failover(self.consumer)
         self.group = None
         if replicated:
-            self.group = self.providers[0].enable_replication(
-                "Svc", self.providers[1:], r=N_PROVIDERS - 1, config=config
+            self.group = ReplicationGroup.establish(
+                self.providers[0], "Svc", self.providers[1:], r=N_PROVIDERS - 1,
+                config=config,
             )
             self.executor.attach_replication(self.group)
             self.handle = self.group.handle()

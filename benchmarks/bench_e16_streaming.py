@@ -17,7 +17,8 @@ path buys at each layer:
    parity is asserted, peaks and throughput reported.
 3. *end-to-end invocation* — virtual-time simnet with per-byte
    transmission cost: a large echo plus pipelined small calls on one
-   pooled connection, buffered vs ``enable_streaming``.  Streaming
+   pooled connection, buffered vs streamed (chunk knobs set through
+   ``enable_http_keepalive``).  Streaming
    must cut the small calls' worst-case latency (no head-of-line
    blocking) while the big payload round-trips byte-identically.
 
@@ -38,6 +39,7 @@ from repro.soap.attachments import (
     message_from_wire,
     message_to_wire,
 )
+from repro.transport import PoolConfig
 from repro.xmlkit import Element, FeedParser, QName, iter_serialize, serialize
 
 SMOKE = bool(os.environ.get("E16_SMOKE"))
@@ -204,9 +206,9 @@ def measure_end_to_end(mode):
     provider, consumer = world.providers[0], world.consumers[0]
     handle = consumer.locate_one("Echo0")
     if mode == "streamed":  # buffered: the peers' pooled connections as they are
-        knobs = dict(chunk_threshold=CHUNK, chunk_size=CHUNK, window=8)
-        provider.enable_streaming(**knobs)
-        consumer.enable_streaming(**knobs)
+        config = PoolConfig(chunk_threshold=CHUNK, chunk_size=CHUNK, stream_window=8)
+        provider.enable_http_keepalive(config)
+        consumer.enable_http_keepalive(config)
     chunks_before = default_registry().get("transport.http.chunks_sent")
 
     big = "B" * E2E_BIG

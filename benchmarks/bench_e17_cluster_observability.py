@@ -44,6 +44,7 @@ from repro.core.events import RecordingListener
 from repro.observability import MetricsRegistry, SpanTracer, set_metrics_enabled
 from repro.observability.cluster import ClusterMetricsAgent
 from repro.observability.flight import FlightRecorder
+from repro.observability.introspection import host_introspection
 from repro.observability.slo import CRITICAL, OK, SloEngine, SloPolicy
 from repro.observability.tracecontext import (
     FLAG_SAMPLED,
@@ -55,7 +56,9 @@ from repro.observability.tracecontext import (
     reset as reset_propagation,
     set_propagation,
 )
+from repro.replication import ReplicationGroup
 from repro.simnet import ChurnSchedule, FixedLatency, Network
+from repro.supervision.failover import attach_failover
 from repro.uddi import UddiRegistryNode
 from repro.simnet.wiretap import payload_text
 
@@ -100,10 +103,10 @@ class ReplWorld:
         self.consumer = WSPeer(
             self.net.add_node("cons"), StandardBinding(self.registry.endpoint)
         )
-        self.group = self.providers[0].enable_replication(
-            "Svc", self.providers[1:], r=N_PROVIDERS - 1
+        self.group = ReplicationGroup.establish(
+            self.providers[0], "Svc", self.providers[1:], r=N_PROVIDERS - 1
         )
-        self.executor = self.consumer.enable_failover()
+        self.executor = attach_failover(self.consumer)
         self.executor.attach_replication(self.group)
         self.handle = self.group.handle()
 
@@ -123,8 +126,8 @@ def trace_failover_fanout() -> dict:
     reset_propagation()
     world = ReplWorld()
     tracer = SpanTracer(metrics=MetricsRegistry())
-    tracer.install(*world.providers)
-    world.consumer.enable_observability(tracer=tracer)  # propagation on
+    tracer.install(*world.providers, world.consumer)
+    set_propagation(True)
     harness = ChurnSchedule(world.net)
     try:
         world.invoke("increment", {"by": 1})  # session lives on the primary
@@ -498,8 +501,8 @@ def measure_slo_health() -> dict:
         net.add_node("cons"), StandardBinding(registry_node.endpoint)
     )
     handle = ServiceHandle("Svc", wsdl, endpoints, source="merged")
-    engine = consumer.enable_slo()
-    executor = consumer.enable_failover()
+    engine = SloEngine().install(consumer)
+    executor = attach_failover(consumer)
     for _ in range(5):
         executor.invoke(handle, "increment", {"by": 1}, timeout=1.0)
     providers[0].node.go_down()
@@ -542,16 +545,16 @@ def fetch_plane_over_wire() -> dict:
     world = build_standard_world(n_providers=1, n_consumers=1)
     consumer, provider = world.consumers[0], world.providers[0]
     tracer = SpanTracer(metrics=MetricsRegistry())
-    provider.enable_observability(tracer=tracer)
-    consumer.enable_observability(tracer=tracer)
-    provider.enable_flight_recorder()
-    provider.enable_slo()
-    agent = provider.enable_cluster_metrics(registry=MetricsRegistry())
+    tracer.install(provider, consumer)
+    set_propagation(True)
+    FlightRecorder().install(provider)
+    SloEngine().install(provider)
+    agent = ClusterMetricsAgent(provider, registry=MetricsRegistry())
     agent.registry.inc("calls", 4)
     try:
         handle = consumer.locate_one("Echo0")
         consumer.invoke(handle, "echo", {"message": "traced"})
-        provider.host_introspection()
+        host_introspection(provider)
         provider.publish("Introspection")
         intro = consumer.locate_one("Introspection")
 

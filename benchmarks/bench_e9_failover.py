@@ -31,6 +31,7 @@ import numpy as np
 from repro.core import ServiceHandle, WSPeer
 from repro.core.binding import StandardBinding
 from repro.simnet import ChurnSchedule, FixedLatency, Network
+from repro.supervision.failover import attach_failover
 from repro.uddi import UddiRegistryNode
 
 SMOKE = bool(os.environ.get("E9_SMOKE"))
@@ -122,7 +123,7 @@ def measure_availability(mode):
     churn, cycles = schedule_churn(net, providers, horizon)
 
     if mode == "failover":
-        executor = consumer.enable_failover()
+        executor = attach_failover(consumer)
         invoke = lambda msg: executor.invoke(  # noqa: E731
             handle, "echo", {"message": msg}, timeout=ATTEMPT_TIMEOUT
         )
@@ -152,7 +153,7 @@ def measure_at_most_once():
     )
     horizon = N_CALLS * (REQUEST_GAP + 4 * ATTEMPT_TIMEOUT)
     schedule_churn(net, providers, horizon)
-    executor = consumer.enable_failover()
+    executor = attach_failover(consumer)
 
     ok = 0
     for _ in range(N_CALLS):

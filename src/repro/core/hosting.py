@@ -131,7 +131,7 @@ class DeployedService:
         if self.replication is None:
             raise DeploymentError(
                 f"service {self.name!r} is not replicated; call "
-                "WSPeer.enable_replication first"
+                "ReplicationGroup.establish first"
             )
         return self.replication
 
@@ -170,9 +170,6 @@ class LightweightContainer(EventSource):
         #: optional load shedding; see :meth:`set_admission_control`
         self.admission = None
         self.requests_shed = 0
-        #: declarative record of the hosting node's worker pool (E13);
-        #: set via :meth:`set_worker_policy` (WSPeer.configure_workers)
-        self.worker_policy: Optional[dict] = None
 
     def _now(self) -> float:
         return self._clock()
@@ -199,19 +196,6 @@ class LightweightContainer(EventSource):
             )
         self.admission = controller
         return controller
-
-    def set_worker_policy(
-        self, workers: int, queue_limit: Optional[float] = None
-    ) -> dict:
-        """Record the worker-pool dispatch policy this container's node
-        runs under (E13): *workers* simulated workers draining a queue
-        bounded at *queue_limit*.  The pool itself lives on the hosting
-        node (:meth:`repro.simnet.network.Node.configure_workers`); the
-        container keeps the declarative policy so introspection and
-        metrics can report how wide its dispatch is."""
-        self.worker_policy = {"workers": workers, "queue_limit": queue_limit}
-        obs_metrics.set_gauge("server.workers", workers)
-        return self.worker_policy
 
     # ------------------------------------------------------------------
     def deploy(

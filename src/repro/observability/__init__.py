@@ -11,7 +11,8 @@ Three pieces, each usable alone:
   server-side processing all land in one tree);
 - :mod:`~repro.observability.introspection` — the dogfooded service a
   peer hosts about itself (``GetMetrics`` / ``GetTrace`` /
-  ``ListServices`` plus the E17 cluster operations).
+  ``ListServices`` plus the E17 cluster operations), deployed by
+  :func:`host_introspection`.
 
 The E17 cluster plane adds four more, still each usable alone:
 
@@ -41,7 +42,7 @@ __all__, __getattr__, __dir__ = exports(__name__, {
         "merge_digests",
     ),
     ".flight": ("DUMP_TRIGGERS", "FlightRecorder"),
-    ".introspection": ("INTROSPECTION_NS", "IntrospectionService"),
+    ".introspection": ("INTROSPECTION_NS", "IntrospectionService", "host_introspection"),
     ".kinds": ("FAMILIES", "KIND_REGISTRY", "KNOWN_KINDS", "family_of", "is_known"),
     ".metrics": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "default_registry",

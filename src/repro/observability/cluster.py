@@ -181,6 +181,8 @@ class ClusterMetricsAgent:
         self._timer = None  # the publish cycle, while started
         if gossip is not None:
             gossip.add_digest_listener(self._on_digest)
+        if peer is not None:  # what the peer's introspection serves
+            peer.cluster_metrics = self
 
     # -- gossip path ---------------------------------------------------
     def _on_digest(self, digest: Any) -> None:

@@ -47,6 +47,7 @@ def _summarise(detail: Any) -> dict[str, Any]:
 
 class FlightRecorder(TreeListener):
     """A bounded ring of recent events plus trigger-frozen dumps."""
+    peer_slot = "flight"
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  metrics: Optional[Any] = None,

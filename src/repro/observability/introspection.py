@@ -88,8 +88,10 @@ class IntrospectionService:
         return obs_metrics.default_registry()
 
     def _facility(self, held: Any, peer_attr: str) -> Any:
-        """An explicitly-wired facility, else the hosting peer's —
-        lazily, so enabling after hosting still works."""
+        """An explicitly-wired facility, else the one installed on the
+        hosting peer (``peer.flight`` / ``peer.slo`` /
+        ``peer.cluster_metrics``) — lazily, so installing after hosting
+        still works."""
         if held is not None:
             return held
         return getattr(self._peer, peer_attr, None)
@@ -169,3 +171,23 @@ class IntrospectionService:
             "peer": getattr(self._peer, "name", ""),
             "services": list(getattr(self._peer, "deployed_services", [])),
         })
+
+
+def host_introspection(peer: Any, name: str = "Introspection",
+                       tracer: Optional[SpanTracer] = None) -> Any:
+    """Deploy *peer*'s self-description service.
+
+    ``GetMetrics`` / ``GetTrace(message_id)`` / ``ListServices`` become
+    invocable over the peer's binding like any other operations — the
+    observability outputs are themselves services (the paper's
+    symmetric-peer argument applied to the peer's own internals).
+    Uses the tracer installed on the peer (``peer.tracer``) unless
+    *tracer* is given.  Returns the
+    :class:`~repro.core.hosting.DeployedService`.
+    """
+    service = IntrospectionService(
+        peer, tracer if tracer is not None else getattr(peer, "tracer", None)
+    )
+    return peer.deploy(
+        service, name=name, namespace=INTROSPECTION_NS, include=list(OPERATIONS)
+    )

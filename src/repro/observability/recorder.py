@@ -70,6 +70,9 @@ class TreeListener:
     ``remove_listener`` (a WSPeer's tree root, a fault schedule)."""
 
     _attached: list
+    #: the attribute an installed peer holds this instrument under (what
+    #: its introspection service serves)
+    peer_slot: str
 
     def attach(self, source: Any, peer: Optional[str] = None) -> None:
         """Listen on *source*, tagging its events with *peer* so
@@ -79,9 +82,11 @@ class TreeListener:
         self._attached.append((source, tap))
 
     def install(self, *peers: Any) -> Any:
-        """Attach to each WSPeer in *peers* (tagged by ``peer.name``)."""
+        """Attach to each WSPeer in *peers* (tagged by ``peer.name``)
+        and register with it as ``peer.<peer_slot>``."""
         for peer in peers:
             self.attach(peer, getattr(peer, "name", None))
+            setattr(peer, self.peer_slot, self)
         return self
 
     def detach(self) -> None:

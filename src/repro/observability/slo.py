@@ -117,6 +117,7 @@ class ServiceSlo:
 
 class SloEngine(TreeListener):
     """Tree listener turning invocation events into burn-rate health."""
+    peer_slot = "slo"
 
     def __init__(self, policy: Optional[SloPolicy] = None,
                  metrics: Optional[Any] = None):

@@ -195,6 +195,7 @@ class SpanTracer(TreeListener):
     #: recorder-protocol flag: hot paths consult this before building
     #: any event detail
     active = True
+    peer_slot = "tracer"
 
     def __init__(
         self,

@@ -9,7 +9,7 @@ to the most-caught-up live replica, and the shipped
 redirected retransmission replays instead of re-executing —
 at-most-once preserved across failover.
 
-Entry point: :meth:`repro.core.wspeer.WSPeer.enable_replication`.
+Entry point: :meth:`repro.replication.group.ReplicationGroup.establish`.
 """
 
 from repro._exports import exports

@@ -62,11 +62,20 @@ class ReplicationGroup:
         r: int = 2,
         config: Optional[ReplicationConfig] = None,
     ) -> "ReplicationGroup":
-        """Build a group over *primary* plus the first *r* of *replicas*.
+        """Replicate the deployed stateful service *service_name* over
+        *primary* plus the first *r* of *replicas*.
 
         Every peer must already hold a live deployment of
         *service_name*; replication attaches to those deployments
-        rather than cloning objects across peers.
+        rather than cloning objects across peers.  Every
+        state-changing execution on any member then ships a versioned
+        delta to the others over the ordinary transports, and
+        anti-entropy runs until :meth:`stop_anti_entropy`.  A member
+        peer with a failover executor (``attach_failover``) has it
+        consult the group's handoff directory, so a dead-endpoint call
+        moves to the most-caught-up live member, and the shipped
+        ``(MessageID, response)`` pairs keep the redirected
+        retransmission at-most-once.
         """
         config = config or ReplicationConfig(r=r)
         group = cls(service_name, config)
@@ -76,6 +85,10 @@ class ReplicationGroup:
         obs_metrics.default_registry().add_collector(
             f"replication.{service_name}", group.stats
         )
+        group.start_anti_entropy()
+        for member in group.members:
+            if member.peer.failover is not None:
+                member.peer.failover.attach_replication(group)
         return group
 
     def add_member(self, peer) -> ReplicationMember:

@@ -150,8 +150,13 @@ class Node:
         request queue at *queue_limit* waiting frames.
 
         Resizing resets the pool's busy state (it models a fresh set of
-        workers) and turns on per-node queue/utilisation gauges in the
-        metrics registry.  Returns the node for chaining.
+        workers), turns on per-node queue/utilisation gauges and
+        registers :meth:`worker_stats` as the metrics registry's
+        ``workers.<node>`` collector.  Overflow past *queue_limit* is
+        answered Busy with a retry-after hint by the port's overflow
+        handler (503 on the HTTP/HTTPG servers).  Set ``service_time``
+        or ``frame_cost`` for the per-request cost.  Returns the node
+        for chaining.
         """
         if n < 1:
             raise ValueError(f"worker pool needs at least one worker, got {n}")
@@ -163,6 +168,7 @@ class Node:
         self._instrumented = True
         self._stats_since = self.network.kernel.now
         obs_metrics.set_gauge(f"simnet.workers.{self.id}.pool_size", n)
+        obs_metrics.default_registry().add_collector(f"workers.{self.id}", self.worker_stats)
         return self
 
     def set_overflow_handler(self, port: str, handler: Optional[OverflowHandler]) -> None:

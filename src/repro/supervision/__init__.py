@@ -14,7 +14,8 @@ behaves like one highly available service:
     :class:`FailoverExecutor` — ranks a handle's endpoints by health
     and walks the ranking on retryable failures, including
     cross-binding failover, reusing one ``wsa:MessageID`` so
-    provider-side dedup keeps execution at-most-once.
+    provider-side dedup keeps execution at-most-once;
+    :func:`attach_failover` puts one over a peer's invocation.
 :mod:`repro.supervision.admission`
     :class:`AdmissionController` — provider-side leaky-bucket load
     shedding; overload answers with a ``Server.Busy`` fault carrying a
@@ -26,7 +27,7 @@ from repro._exports import exports
 __all__, __getattr__, __dir__ = exports(__name__, {
     ".admission": ("AdmissionController",),
     ".failover": (
-        "BUSY", "FAILOVER", "FINAL", "FailoverExecutor",
+        "BUSY", "FAILOVER", "FINAL", "FailoverExecutor", "attach_failover",
         "classify_error",
     ),
     ".health": ("ALIVE", "DEAD", "EndpointHealth", "HealthMonitor"),

@@ -333,3 +333,32 @@ class FailoverExecutor(EventSource):
                 f"failover invocation of {operation!r} never completed"
             ),
         )
+
+
+def attach_failover(peer, extra_invokers: Optional[dict] = None) -> FailoverExecutor:
+    """Supervise *peer*'s multi-endpoint handles: health-ranked
+    invocation with cross-endpoint (and, with *extra_invokers*,
+    cross-binding) failover.
+
+    Wires a :class:`FailoverExecutor` over the peer's active invocation
+    node, attaches its circuit breakers to the health ranking, and
+    feeds dead/alive verdicts into the locator (so stale EPRs stop
+    being handed out) and the HTTP pool (so dead endpoints lose their
+    connections).  *extra_invokers* maps additional URI schemes to
+    invocation nodes (e.g. ``{"p2ps": p2ps_invocation}`` on an
+    HTTP-bound peer).  Returns the executor, also kept as
+    ``peer.failover``.
+    """
+    health = HealthMonitor(clock=peer._clock)
+    executor = FailoverExecutor(peer.node.network.kernel, health, parent=peer.client)
+    invocation = peer.client.invocation
+    for scheme in invocation.schemes:
+        executor.register_invoker(scheme, invocation)
+    for scheme, invoker in (extra_invokers or {}).items():
+        executor.register_invoker(scheme, invoker)
+    health.attach_breakers(invocation.breakers)
+    if peer.client.locator is not None:
+        peer.client.locator.watch_health(health)
+    peer.http_pool.attach_health(health)
+    peer.failover = executor
+    return executor

@@ -213,7 +213,7 @@ class TestSameStoryOnEveryBinding:
         assert world.service.executions == 1
 
     def test_shed_is_answered_busy_and_never_retained(self, world):
-        admission = world.provider.set_admission_control(capacity=1.0, drain_rate=0.001)
+        admission = world.provider.server.container.set_admission_control(capacity=1.0, drain_rate=0.001)
         admission.level = admission.capacity + 1.0  # stays saturated in flight
         wire = world.request()
         busy = SoapEnvelope.from_wire_message(world.post(wire))

@@ -1,8 +1,8 @@
 """E16 integration: binary attachments and streamed large payloads.
 
 Attachments ride both bindings end-to-end (HTTP multipart bodies and
-P2PS multipart payloads); ``enable_streaming`` chunks oversized HTTP
-exchanges without reordering or head-of-line-blocking pipelined small
+P2PS multipart payloads); a ``PoolConfig`` with a ``chunk_threshold``,
+handed to ``enable_http_keepalive``, chunks oversized HTTP exchanges without reordering or head-of-line-blocking pipelined small
 calls; the multipart codec path holds O(chunk) memory; dedup replay
 retains multipart response wires byte-for-byte.
 """
@@ -21,6 +21,7 @@ from repro.reliability import ReliabilityPolicy, RetryPolicy
 from repro.simnet import FixedLatency, Network
 from repro.soap import Attachment
 from repro.soap.attachments import MultipartFeedParser, iter_message_wire
+from repro.transport import PoolConfig
 
 
 def _metric(name):
@@ -91,15 +92,14 @@ class TestAttachmentsOverBindings:
 
 
 class TestStreamedInvocation:
-    def _streaming_world(self, standard_pair, net, **knobs):
+    def _streaming_world(self, standard_pair, net):
         provider, consumer, _ = standard_pair
         provider.deploy(Echo(), name="Echo")
         provider.publish("Echo")
         handle = consumer.locate_one("Echo")
-        knobs.setdefault("chunk_threshold", 32 * 1024)
-        knobs.setdefault("chunk_size", 8 * 1024)
-        provider.enable_streaming(**knobs)
-        consumer.enable_streaming(**knobs)
+        config = PoolConfig(chunk_threshold=32 * 1024, chunk_size=8 * 1024)
+        provider.enable_http_keepalive(config)
+        consumer.enable_http_keepalive(config)
         return provider, consumer, handle
 
     def test_large_round_trip_streams_both_directions(self, standard_pair, net):
@@ -159,9 +159,9 @@ class TestStreamedInvocation:
         provider.deploy(BlobStore(), name="Blobs")
         provider.publish("Blobs")
         handle = consumer.locate_one("Blobs")
-        knobs = dict(chunk_threshold=32 * 1024, chunk_size=8 * 1024)
-        provider.enable_streaming(**knobs)
-        consumer.enable_streaming(**knobs)
+        config = PoolConfig(chunk_threshold=32 * 1024, chunk_size=8 * 1024)
+        provider.enable_http_keepalive(config)
+        consumer.enable_http_keepalive(config)
         before = _metric("transport.http.streams_completed")
         blob = Attachment("big", bytes(range(256)) * 1024)  # 256 KB
         assert (

@@ -1,8 +1,8 @@
-"""End-to-end tests for WSPeer.configure_workers (E13).
+"""End-to-end tests for a peer's worker pool (E13).
 
-The facade call wires three layers at once: the hosting node's
-virtual-time worker pool, the container's declarative worker policy,
-and a metrics collector exposing the pool's live stats.  Overflow on
+``Node.configure_workers`` on the hosting node wires two layers at
+once: the node's virtual-time worker pool and a metrics collector
+exposing the pool's live stats.  Overflow on
 the HTTP path must come back to the client as a
 :class:`~repro.transport.base.TransportBusyError` carrying the server's
 retry-after hint — the same vocabulary E9 admission control speaks.
@@ -33,7 +33,8 @@ class TestConfigureWorkers:
     def test_pool_unblocks_slow_requests(self, standard_pair, net):
         provider, consumer, _ = standard_pair
         handle = _locate(provider, consumer)
-        provider.configure_workers(2, service_time=0.05)
+        provider.node.configure_workers(2)
+        provider.node.service_time = 0.05
         done = []
         for i in range(2):
             consumer.invoke_async(
@@ -50,7 +51,8 @@ class TestConfigureWorkers:
     def test_serial_baseline_staggers(self, standard_pair, net):
         provider, consumer, _ = standard_pair
         handle = _locate(provider, consumer)
-        provider.configure_workers(1, service_time=0.05)
+        provider.node.configure_workers(1)
+        provider.node.service_time = 0.05
         done = []
         for i in range(2):
             consumer.invoke_async(
@@ -60,14 +62,10 @@ class TestConfigureWorkers:
         net.run()
         assert done[1][1] - done[0][1] == pytest.approx(0.05, abs=1e-6)
 
-    def test_policy_recorded_and_collector_registered(self, standard_pair, net):
+    def test_collector_registered(self, standard_pair, net):
         provider, consumer, _ = standard_pair
         _locate(provider, consumer)
-        provider.configure_workers(4, queue_limit=16)
-        assert provider.server.container.worker_policy == {
-            "workers": 4,
-            "queue_limit": 16,
-        }
+        provider.node.configure_workers(4, queue_limit=16)
         snap = obs_metrics.default_registry().snapshot()
         stats = snap[f"workers.{provider.node.id}"]
         assert stats["workers"] == 4
@@ -76,14 +74,15 @@ class TestConfigureWorkers:
     def test_rejects_zero_workers(self, standard_pair, net):
         provider, _, _ = standard_pair
         with pytest.raises(ValueError):
-            provider.configure_workers(0)
+            provider.node.configure_workers(0)
 
 
 class TestHttpOverflow:
     def test_overflow_surfaces_busy_with_retry_after(self, standard_pair, net):
         provider, consumer, _ = standard_pair
         handle = _locate(provider, consumer)
-        provider.configure_workers(1, queue_limit=0, service_time=0.2)
+        provider.node.configure_workers(1, queue_limit=0)
+        provider.node.service_time = 0.2
         naive = ReliabilityPolicy.naive()  # no retries: see the raw 503
         done = []
         for i in range(2):
@@ -105,7 +104,8 @@ class TestHttpOverflow:
     def test_retry_after_overflow_eventually_succeeds(self, standard_pair, net):
         provider, consumer, _ = standard_pair
         handle = _locate(provider, consumer)
-        provider.configure_workers(1, queue_limit=0, service_time=0.05)
+        provider.node.configure_workers(1, queue_limit=0)
+        provider.node.service_time = 0.05
         retrying = ReliabilityPolicy(
             retry=RetryPolicy(max_attempts=5, base_delay=0.06, jitter=0.0)
         )

@@ -12,6 +12,7 @@ from repro.core.errors import DiscoveryError
 from repro.core.query import UDDIServiceQuery
 from repro.discovery import DiscoveryPlane
 from repro.simnet import FixedLatency, Network
+from repro.supervision.failover import attach_failover
 
 
 class Echo:
@@ -31,7 +32,7 @@ def plane(net):
 
 def make_peer(net, plane, node_id, **attach_kwargs):
     peer = WSPeer(net.add_node(node_id), StandardBinding(plane.registry_uris["registry-0"]))
-    peer.enable_distributed_discovery(plane, **attach_kwargs)
+    plane.attach(peer, **attach_kwargs)
     return peer
 
 
@@ -259,7 +260,7 @@ class TestSupervisionIntegration:
     def test_dead_verdict_invalidates_cache_and_quarantines(self, net, plane):
         publish_echo(net, plane)
         cons = make_peer(net, plane, "cons")
-        cons.enable_failover()
+        attach_failover(cons)
         handle = cons.locate_one("Echo")
         address = handle.endpoints[0].address
         assert cons.discovery.cache.get("Echo") is not None
@@ -275,8 +276,8 @@ class TestSupervisionIntegration:
         cons = WSPeer(
             net.add_node("cons"), StandardBinding(plane.registry_uris["registry-0"])
         )
-        cons.enable_failover()
-        cons.enable_distributed_discovery(plane)
+        attach_failover(cons)
+        plane.attach(cons)
         handle = cons.locate_one("Echo")
         address = handle.endpoints[0].address
         health = cons.failover.health

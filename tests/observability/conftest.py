@@ -11,6 +11,7 @@ import pytest
 from repro.core import ServiceHandle, WSPeer
 from repro.core.binding import P2psBinding, StandardBinding
 from repro.observability import MetricsRegistry, SpanTracer
+from repro.observability.tracecontext import set_propagation
 from repro.p2ps import PeerGroup
 from repro.simnet import FixedLatency, Network, TraceLog
 from repro.uddi import UddiRegistryNode
@@ -42,8 +43,8 @@ def http_world(net, registry_node, tracer):
     provider = WSPeer(net.add_node("prov"), StandardBinding(registry_node.endpoint))
     provider.deploy(Echo(), name="Echo")
     consumer = WSPeer(net.add_node("cons"), StandardBinding(registry_node.endpoint))
-    consumer.enable_observability(tracer=tracer)
-    provider.enable_observability(tracer=tracer)
+    tracer.install(consumer, provider)
+    set_propagation(True)
     return consumer, provider, provider.local_handle("Echo")
 
 
@@ -55,8 +56,8 @@ def p2ps_world(net, tracer):
     provider.deploy(Echo(), name="Echo")
     provider.publish("Echo")
     consumer = WSPeer(net.add_node("pcons"), P2psBinding(group), name="pcons")
-    consumer.enable_observability(tracer=tracer)
-    provider.enable_observability(tracer=tracer)
+    tracer.install(consumer, provider)
+    set_propagation(True)
     net.run()  # let adverts settle
     return consumer, provider, consumer.locate_one("Echo")
 
@@ -70,10 +71,10 @@ def build_replicated_http_world(net, registry_node, tracer, n_providers=3):
             net.add_node(f"prov{i}"), StandardBinding(registry_node.endpoint)
         )
         peer.deploy(Echo(), name="Echo")
-        peer.enable_observability(tracer=tracer)
         providers.append(peer)
     consumer = WSPeer(net.add_node("cons"), StandardBinding(registry_node.endpoint))
-    consumer.enable_observability(tracer=tracer)
+    tracer.install(*providers, consumer)
+    set_propagation(True)
     locals_ = [p.local_handle("Echo") for p in providers]
     endpoints = [epr for h in locals_ for epr in h.endpoints]
     handle = ServiceHandle("Echo", locals_[0].wsdl, endpoints, source="merged")

@@ -11,6 +11,9 @@ from repro.observability.cluster import (
     digest_registry,
     merge_digests,
 )
+from repro.observability.flight import FlightRecorder
+from repro.observability.introspection import host_introspection
+from repro.observability.slo import SloEngine
 
 
 def _registry(counters=(), observations=()):
@@ -155,14 +158,12 @@ class TestGossipPath:
 class TestScrapeAndIntrospection:
     def test_scrape_pulls_a_digest(self, http_world):
         consumer, provider, handle = http_world
-        provider_agent = provider.enable_cluster_metrics(
-            registry=MetricsRegistry())
+        provider_agent = ClusterMetricsAgent(provider, registry=MetricsRegistry())
         provider_agent.registry.inc("calls", 9)
-        provider.host_introspection()
+        host_introspection(provider)
         intro = provider.local_handle("Introspection")
 
-        consumer_agent = consumer.enable_cluster_metrics(
-            registry=MetricsRegistry())
+        consumer_agent = ClusterMetricsAgent(consumer, registry=MetricsRegistry())
         assert consumer_agent.scrape(intro)
         held = [d for d in consumer_agent.store.digests()
                 if d["origin"] == "prov"]
@@ -173,9 +174,9 @@ class TestScrapeAndIntrospection:
 
     def test_get_cluster_metrics_over_the_wire(self, http_world):
         consumer, provider, handle = http_world
-        agent = provider.enable_cluster_metrics(registry=MetricsRegistry())
+        agent = ClusterMetricsAgent(provider, registry=MetricsRegistry())
         agent.registry.inc("calls", 2)
-        provider.host_introspection()
+        host_introspection(provider)
         provider.publish("Introspection")
         intro = consumer.locate_one("Introspection")
         payload = json.loads(consumer.invoke(intro, "GetClusterMetrics"))
@@ -184,7 +185,7 @@ class TestScrapeAndIntrospection:
 
     def test_ops_report_missing_facilities_with_error_shape(self, http_world):
         consumer, provider, handle = http_world
-        provider.host_introspection()
+        host_introspection(provider)
         provider.publish("Introspection")
         intro = consumer.locate_one("Introspection")
         for op, code in (("GetClusterMetrics", "no-cluster-agent"),
@@ -196,10 +197,10 @@ class TestScrapeAndIntrospection:
 
     def test_facilities_enabled_after_hosting_still_serve(self, http_world):
         consumer, provider, handle = http_world
-        provider.host_introspection()
+        host_introspection(provider)
         provider.publish("Introspection")
-        provider.enable_flight_recorder()
-        provider.enable_slo()
+        FlightRecorder().install(provider)
+        SloEngine().install(provider)
         intro = consumer.locate_one("Introspection")
         flight = json.loads(consumer.invoke(intro, "GetFlightRecord"))
         assert flight["schema"] == "repro.flight/1"

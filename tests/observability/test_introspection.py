@@ -15,7 +15,7 @@ from repro.observability import (
     MetricsRegistry,
     SpanTracer,
 )
-from repro.observability.introspection import OPERATIONS
+from repro.observability.introspection import OPERATIONS, host_introspection
 
 
 class TestDirect:
@@ -52,7 +52,7 @@ class TestOverHttp:
         consumer.invoke(handle, "echo", {"message": "traced"})
         traced_mid = tracer.message_ids[-1]
 
-        deployed = provider.host_introspection(tracer=tracer)
+        deployed = host_introspection(provider, tracer=tracer)
         assert deployed.namespace == INTROSPECTION_NS
         provider.publish("Introspection")
         intro = consumer.locate_one("Introspection")
@@ -79,7 +79,7 @@ class TestOverHttp:
         appears in the very store it queries."""
         consumer, provider, handle = http_world
         consumer.invoke(handle, "echo", {"message": "x"})
-        provider.host_introspection(tracer=tracer)
+        host_introspection(provider, tracer=tracer)
         provider.publish("Introspection")
         intro = consumer.locate_one("Introspection")
         before = len(tracer)
@@ -96,7 +96,7 @@ class TestOverP2ps:
         consumer.invoke(handle, "echo", {"message": "traced"})
         traced_mid = tracer.message_ids[-1]
 
-        provider.host_introspection(tracer=tracer)
+        host_introspection(provider, tracer=tracer)
         provider.publish("Introspection")
         net.run()  # let the pipe adverts settle
         intro = consumer.locate_one("Introspection")
@@ -115,7 +115,7 @@ class TestOverP2ps:
 
     def test_only_declared_operations_exposed(self, p2ps_world, tracer, net):
         consumer, provider, handle = p2ps_world
-        deployed = provider.host_introspection(tracer=tracer)
+        deployed = host_introspection(provider, tracer=tracer)
         assert sorted(deployed.service.operation_names) == sorted(OPERATIONS)
         provider.publish("Introspection")
         net.run()

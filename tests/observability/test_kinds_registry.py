@@ -24,6 +24,7 @@ from repro.observability.kinds import (
     is_known,
 )
 from repro.reliability import ReliabilityPolicy, RetryPolicy
+from repro.supervision.failover import attach_failover
 
 #: event dataclass -> registry family name
 FAMILY_OF_EVENT = {
@@ -154,7 +155,7 @@ class TestLiveScenarios:
         consumer.add_listener(recorder)
         for p in providers:
             p.add_listener(recorder)
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         ex.invoke(handle, "echo", {"message": "warm"}, timeout=1.0)
         providers[0].node.go_down()
         ex.invoke(handle, "echo", {"message": "hop"}, timeout=1.0)

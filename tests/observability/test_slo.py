@@ -12,6 +12,7 @@ from repro.observability.slo import (
     SloEngine,
     SloPolicy,
 )
+from repro.supervision.failover import attach_failover
 
 
 def _engine(**policy_kw):
@@ -151,7 +152,7 @@ class TestLiveWorld:
         providers, consumer, handle = build_replicated_http_world(
             net, registry_node, tracer)
         engine = SloEngine(metrics=MetricsRegistry()).install(consumer)
-        executor = consumer.enable_failover()
+        executor = attach_failover(consumer)
         for i in range(5):
             executor.invoke(handle, "echo", {"message": str(i)}, timeout=1.0)
         providers[0].node.go_down()

@@ -15,6 +15,7 @@ from repro.observability.spans import ERROR, IN_FLIGHT, OK, SENT, MAX_CHILDREN, 
 from repro.observability import MetricsRegistry
 from repro.reliability import ReliabilityPolicy, RetryPolicy
 from repro.soap.faults import ServerBusyFault
+from repro.supervision.failover import attach_failover
 
 
 def retry_policy(attempts=4):
@@ -144,7 +145,7 @@ class TestFailover:
         providers, consumer, handle = build_replicated_http_world(
             net, registry_node, tracer
         )
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         ex.invoke(handle, "echo", {"message": "warm"}, timeout=1.0)
         providers[0].node.go_down()
         before = set(tracer.message_ids)
@@ -169,7 +170,7 @@ class TestFailover:
         providers, consumer, handle = build_replicated_http_world(
             net, registry_node, tracer, n_providers=2
         )
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         for p in providers:
             p.node.go_down()
         with pytest.raises(Exception):
@@ -211,7 +212,7 @@ class TestOneway:
 class TestAdmissionRejected:
     def test_shed_request_appears_as_busy_server_child(self, http_world, tracer):
         consumer, provider, handle = http_world
-        provider.set_admission_control(capacity=1.0, drain_rate=0.01)
+        provider.server.container.set_admission_control(capacity=1.0, drain_rate=0.01)
         consumer.invoke(handle, "echo", {"message": "a"}, timeout=1.0)
         consumer.invoke(handle, "echo", {"message": "b"}, timeout=1.0)
         before = set(tracer.message_ids)

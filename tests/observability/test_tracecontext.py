@@ -27,6 +27,7 @@ from repro.observability.tracecontext import (
     set_propagation,
 )
 from repro.soap import SoapEnvelope
+from repro.supervision.failover import attach_failover
 from tests._oracle.reference_tracecontext import (
     TraceContextError,
     reference_decode,
@@ -101,7 +102,7 @@ class TestWirePropagation:
     def test_header_on_the_wire_and_continued_server_side(
         self, http_world, tracer, net
     ):
-        consumer, provider, handle = http_world  # propagation on via enable_observability
+        consumer, provider, handle = http_world  # the fixture turns propagation on
         consumer.invoke(handle, "echo", {"message": "traced"})
 
         mid = tracer.message_ids[-1]
@@ -139,7 +140,7 @@ class TestWirePropagation:
 
         providers, consumer, handle = build_replicated_http_world(
             net, registry_node, tracer)
-        executor = consumer.enable_failover()
+        executor = attach_failover(consumer)
         providers[0].node.go_down()
         executor.invoke(handle, "echo", {"message": "hop"}, timeout=1.0)
 
@@ -157,8 +158,8 @@ class TestWirePropagation:
         from tests.replication.conftest import CounterService, World
 
         world = World(CounterService)
-        tracer.install(*world.providers)
-        world.consumer.enable_observability(tracer=tracer)  # propagation on
+        tracer.install(*world.providers, world.consumer)
+        set_propagation(True)
         world.replicate(r=2)
         world.executor.invoke(world.handle, "increment", {"by": 1},
                               timeout=1.0)

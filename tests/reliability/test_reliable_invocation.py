@@ -287,7 +287,7 @@ class TestAckedOneway:
         unacked sends are retransmitted and surface their failure."""
         notebook = Notebook()
         net, provider, consumer, handle = build_p2ps_world(notebook, "Notes")
-        provider.set_admission_control(capacity=1, drain_rate=0.001)
+        provider.server.container.set_admission_control(capacity=1, drain_rate=0.001)
         listener = RecordingListener()
         provider.add_listener(listener)
         statuses = [

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
+from repro.replication import ReplicationGroup
 from repro.simnet import FixedLatency, Network
+from repro.supervision.failover import attach_failover
 from repro.uddi import UddiRegistryNode
 
 
@@ -63,11 +65,12 @@ class World:
         )
 
     def replicate(self, r=2, config=None, anti_entropy=True):
-        self.group = self.providers[0].enable_replication(
-            "Svc", self.providers[1:], r=r, config=config,
-            anti_entropy=anti_entropy,
+        self.group = ReplicationGroup.establish(
+            self.providers[0], "Svc", self.providers[1:], r=r, config=config,
         )
-        self.executor = self.consumer.enable_failover()
+        if not anti_entropy:
+            self.group.stop_anti_entropy()
+        self.executor = attach_failover(self.consumer)
         self.executor.attach_replication(self.group)
         self.handle = self.group.handle()
         return self.group

@@ -37,7 +37,7 @@ class EchoService:
 def saturate(provider):
     """Admission control saturated deep enough that the in-flight
     latency's drain cannot free a slot before the request lands."""
-    admission = provider.set_admission_control(capacity=1.0, drain_rate=0.01)
+    admission = provider.server.container.set_admission_control(capacity=1.0, drain_rate=0.01)
     admission.level = admission.capacity + 5.0
     return admission
 

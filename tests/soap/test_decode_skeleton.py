@@ -130,7 +130,7 @@ def _drive(consumer, provider, handle, net):
             consumer.invoke(handle, "boom")
         consumer.invoke(handle, "echo", message="")
         consumer.invoke(handle, "echo", message="  \n ")
-    admission = provider.set_admission_control(capacity=1.0, drain_rate=0.01)
+    admission = provider.server.container.set_admission_control(capacity=1.0, drain_rate=0.01)
     for _ in range(3):
         admission.level = admission.capacity + 5.0
         with pytest.raises(ServerBusyFault):

@@ -71,7 +71,7 @@ class TestContainerShedding:
 
     def test_overloaded_container_answers_busy(self, world):
         net, provider, consumer, handle = world
-        provider.set_admission_control(capacity=1.0, drain_rate=0.01)
+        provider.server.container.set_admission_control(capacity=1.0, drain_rate=0.01)
         assert consumer.invoke(handle, "echo", {"message": "a"}, timeout=1.0) == "a"
         assert consumer.invoke(handle, "echo", {"message": "b"}, timeout=1.0) == "b"
         with pytest.raises(ServerBusyFault) as excinfo:
@@ -85,7 +85,7 @@ class TestContainerShedding:
         net, provider, consumer, handle = world
         listener = RecordingListener()
         provider.add_listener(listener)
-        provider.set_admission_control(capacity=1.0, drain_rate=0.01)
+        provider.server.container.set_admission_control(capacity=1.0, drain_rate=0.01)
         consumer.invoke(handle, "echo", {"message": "a"}, timeout=1.0)
         consumer.invoke(handle, "echo", {"message": "b"}, timeout=1.0)
         with pytest.raises(ServerBusyFault):
@@ -97,7 +97,7 @@ class TestContainerShedding:
         execute once capacity frees — not replay 'busy' forever."""
         net, provider, consumer, handle = world
         container = provider.server.container
-        admission = provider.set_admission_control(capacity=1.0, drain_rate=1.0)
+        admission = provider.server.container.set_admission_control(capacity=1.0, drain_rate=1.0)
 
         from repro.soap.rpc import build_rpc_request
         from repro.wsa.headers import MessageAddressingProperties
@@ -135,7 +135,7 @@ class TestContainerShedding:
 
         first = container.process_request("Echo", envelope)
         assert not first.is_fault
-        admission = provider.set_admission_control(capacity=1.0, drain_rate=0.01)
+        admission = provider.server.container.set_admission_control(capacity=1.0, drain_rate=0.01)
         admission.level = admission.capacity
         replay = container.process_request("Echo", envelope)
         assert not replay.is_fault
@@ -164,7 +164,7 @@ class TestBusyOverPipes:
             net.add_node("cons"), P2psBinding(group), name="cons", listener=listener
         )
         handle = consumer.locate_one("Echo")
-        admission = provider.set_admission_control(capacity=1.0, drain_rate=1.0)
+        admission = provider.server.container.set_admission_control(capacity=1.0, drain_rate=1.0)
         admission.level = admission.capacity + 1.0  # still full on arrival
 
         # the backoff outlasts the drain, so the second attempt is admitted

@@ -12,7 +12,7 @@ from repro.soap.faults import ServerBusyFault, SoapFault
 from repro.reliability import DeadlineExceededError
 from repro.simnet import DropInjector
 from repro.supervision import classify_error, FINAL, BUSY, FAILOVER
-from repro.supervision.failover import DEADLINE, ROUNDS
+from repro.supervision.failover import DEADLINE, ROUNDS, attach_failover
 from repro.transport.base import TransportError
 from tests.supervision.conftest import Counter, build_replicated_world
 
@@ -34,13 +34,13 @@ class TestClassification:
 class TestHttpFailover:
     def test_invokes_through_healthiest_endpoint(self, replicated_world):
         providers, consumer, handle, _ = replicated_world
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         assert ex.invoke(handle, "echo", {"message": "hi"}, timeout=1.0) == "hi"
         assert ex.failovers == 0
 
     def test_fails_over_when_first_endpoint_dies(self, replicated_world):
         providers, consumer, handle, _ = replicated_world
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         ex.invoke(handle, "echo", {"message": "warm"}, timeout=1.0)
         providers[0].node.go_down()
         assert (
@@ -53,7 +53,7 @@ class TestHttpFailover:
         providers, consumer, handle, _ = replicated_world
         listener = RecordingListener()
         consumer.add_listener(listener)
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         providers[0].node.go_down()
         ex.invoke(handle, "echo", {"message": "x"}, timeout=1.0)
         events = listener.of_kind("failover")
@@ -64,7 +64,7 @@ class TestHttpFailover:
 
     def test_learned_health_skips_dead_endpoint_next_call(self, replicated_world):
         providers, consumer, handle, _ = replicated_world
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         providers[0].node.go_down()
         ex.invoke(handle, "echo", {"message": "learn"}, timeout=1.0)
         switches_before = ex.failovers
@@ -74,7 +74,7 @@ class TestHttpFailover:
 
     def test_all_endpoints_down_raises_after_rounds(self, replicated_world):
         providers, consumer, handle, _ = replicated_world
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         for p in providers:
             p.node.go_down()
         with pytest.raises(Exception):
@@ -84,7 +84,7 @@ class TestHttpFailover:
         providers, consumer, handle, _ = replicated_world
         listener = RecordingListener()
         consumer.add_listener(listener)
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         for p in providers:
             p.node.go_down()
         with pytest.raises(Exception):
@@ -95,7 +95,7 @@ class TestHttpFailover:
 
     def test_lapsed_deadline_raises_deadline_exceeded(self, net, replicated_world):
         providers, consumer, handle, _ = replicated_world
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         ex.invoke(handle, "echo", {"message": "warm"}, timeout=1.0)
         started = net.kernel.now
         # from now on every frame is lost: the first attempt waits out
@@ -114,7 +114,7 @@ class TestHttpFailover:
         providers, consumer, handle, _ = build_replicated_world(
             net, registry_node, n_providers=2, service=Flaky
         )
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         with pytest.raises(SoapFault):
             ex.invoke(handle, "echo", {"message": "x"}, timeout=1.0)
         # the fault came from execution, not unreachability: no switch
@@ -123,8 +123,8 @@ class TestHttpFailover:
     def test_busy_endpoint_fails_over_and_cools_down(self, replicated_world):
         providers, consumer, handle, _ = replicated_world
         # saturate the deterministically-first provider
-        providers[0].set_admission_control(capacity=1.0, drain_rate=0.001)
-        ex = consumer.enable_failover()
+        providers[0].server.container.set_admission_control(capacity=1.0, drain_rate=0.001)
+        ex = attach_failover(consumer)
         results = [
             ex.invoke(handle, "echo", {"message": f"m{i}"}, timeout=1.0)
             for i in range(5)
@@ -135,7 +135,7 @@ class TestHttpFailover:
 
     def test_restarted_endpoint_recovers_traffic(self, replicated_world):
         providers, consumer, handle, _ = replicated_world
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         providers[0].node.go_down()
         ex.invoke(handle, "echo", {"message": "a"}, timeout=1.0)
         providers[0].node.go_up()
@@ -156,7 +156,7 @@ class TestAtMostOnce:
         providers, consumer, handle, counters = build_replicated_world(
             net, registry_node, n_providers=2, service=Counter
         )
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         value = ex.invoke(handle, "increment", {"by": 1}, timeout=1.0)
         assert value == 1
         assert sum(c.value for c in counters) == 1
@@ -214,10 +214,11 @@ class TestCrossBinding:
         handle = ServiceHandle(
             "Echo", hh.wsdl, list(hh.endpoints) + list(located.endpoints)
         )
-        ex = consumer.enable_failover(
+        ex = attach_failover(
+            consumer,
             extra_invokers={
                 "http": HttpInvocation(consumer.node, parent=consumer.client)
-            }
+            },
         )
         return net, http_prov, p2ps_prov, consumer, handle, ex
 

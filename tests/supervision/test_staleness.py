@@ -13,6 +13,7 @@ from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.core.events import RecordingListener
 from repro.supervision import HealthMonitor
+from repro.supervision.failover import attach_failover
 from tests.supervision.conftest import Echo
 
 
@@ -41,7 +42,7 @@ class TestQuarantine:
         handle = consumer.locate_one("Echo")
         address = handle.endpoints[0].address
 
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         # the registry entry outlives the service: undeploy + down node
         provider.undeploy("Echo")
         provider.node.go_down()
@@ -64,7 +65,7 @@ class TestQuarantine:
         net, provider, consumer = world
         handle = consumer.locate_one("Echo")
         address = handle.endpoints[0].address
-        ex = consumer.enable_failover()
+        ex = attach_failover(consumer)
         locator = consumer.client.locator
 
         locator.mark_endpoint_dead(address)

@@ -133,11 +133,66 @@ assert "hashlib" in sys.modules, "an httpg call signed without hashlib"
 unloaded("repro.core.p2psmap", "repro.p2ps.peer")
 """
 
+# A subsystem attaches to a peer through its own entry point, which
+# loads that subsystem and no other.
+ATTACH_BASE = ECHO + """
+from repro import Network, StandardBinding, UddiRegistryNode, WSPeer
 
-@pytest.mark.parametrize(
-    "script", [STANDARD_WORLD, P2PS_WORLD, HTTPG_WORLD], ids=["standard", "p2ps", "httpg"]
-)
-def test_a_peer_loads_only_the_stack_of_its_binding(script):
+SUBSYSTEMS = {
+    "failover": ["repro.supervision*"],
+    "span tracer": ["repro.observability.spans"],
+    "flight recorder": ["repro.observability.flight"],
+    "discovery plane": ["repro.discovery*"],
+    "slo": ["repro.observability.slo"],
+    "cluster metrics": ["repro.observability.cluster"],
+    "introspection": ["repro.observability.introspection"],
+    "replication": [
+        "repro.replication.group", "repro.replication.member",
+        "repro.replication.state", "repro.replication.store",
+    ],
+    "churn": ["repro.simnet.churn"],
+}
+
+net = Network()
+registry = UddiRegistryNode(net.add_node("registry"))
+provider = WSPeer(net.add_node("prov"), StandardBinding(registry.endpoint))
+consumer = WSPeer(net.add_node("cons"), StandardBinding(registry.endpoint))
+"""
+
+ATTACH_CALL = """
+provider.deploy(Echo(), name="Echo")
+provider.publish("Echo")
+handle = consumer.locate_one("Echo")
+assert call(handle, "echo", message="hi") == "hi"
+unloaded(*(name for key, names in SUBSYSTEMS.items() if key != OWN for name in names))
+"""
+
+ATTACHES = {
+    "failover": """
+from repro.supervision.failover import attach_failover
+call = attach_failover(consumer).invoke
+""",
+    "span tracer": """
+from repro.observability.spans import SpanTracer
+SpanTracer().install(consumer, provider)
+call = consumer.invoke
+""",
+    "flight recorder": """
+from repro.observability.flight import FlightRecorder
+FlightRecorder().install(consumer, provider)
+call = consumer.invoke
+""",
+    "discovery plane": """
+from repro.discovery.plane import DiscoveryPlane
+plane = DiscoveryPlane(net, shards=2)
+plane.attach(provider)
+plane.attach(consumer)
+call = consumer.invoke
+""",
+}
+
+
+def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), str(EXAMPLES), env.get("PYTHONPATH")])
@@ -147,6 +202,18 @@ def test_a_peer_loads_only_the_stack_of_its_binding(script):
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "script", [STANDARD_WORLD, P2PS_WORLD, HTTPG_WORLD], ids=["standard", "p2ps", "httpg"]
+)
+def test_a_peer_loads_only_the_stack_of_its_binding(script):
+    _run(script)
+
+
+@pytest.mark.parametrize("own", sorted(ATTACHES))
+def test_an_attach_loads_only_its_own_subsystem(own):
+    _run(ATTACH_BASE + f"OWN = {own!r}\n" + ATTACHES[own] + ATTACH_CALL)
 
 
 # -- the lazy tables -----------------------------------------------------

@@ -148,21 +148,27 @@ class TestZeroChunkSize:
         with pytest.raises(ValueError):
             server.config = dataclasses.replace(server.config, chunk_size=0)
 
-    def test_enable_streaming_hands_both_ends_one_config(self):
+    def test_keepalive_hands_both_ends_one_config(self):
         provider, server = self._provider()
-        pool = provider.enable_streaming(chunk_threshold=1024, chunk_size=256, window=2)
+        pool = provider.enable_http_keepalive(
+            PoolConfig(chunk_threshold=1024, chunk_size=256, stream_window=2)
+        )
         assert server.config is pool.config
         assert (pool.config.chunk_threshold, pool.config.chunk_size, pool.config.stream_window) == (
             1024, 256, 2,
         )
 
-    def test_enable_streaming_refuses_before_it_writes(self):
+    def test_keepalive_refuses_before_it_writes(self):
         provider, server = self._provider()
         config = provider.http_pool.config
         with pytest.raises(ValueError):
-            provider.enable_streaming(chunk_threshold=1024, chunk_size=0)
+            provider.enable_http_keepalive(
+                dataclasses.replace(config, chunk_threshold=1024, chunk_size=0)
+            )
         with pytest.raises(ValueError):
-            provider.enable_streaming(chunk_threshold=1024, window=0)
+            provider.enable_http_keepalive(
+                dataclasses.replace(config, chunk_threshold=1024, stream_window=0)
+            )
         assert provider.http_pool.config is config
         assert server.config == PoolConfig()
 

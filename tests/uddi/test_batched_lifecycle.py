@@ -188,7 +188,7 @@ class TestShardedPublish:
         net = Network(latency=FixedLatency(0.002))
         plane = DiscoveryPlane(net, shards=4, replication=2)
         peer = WSPeer(net.add_node("prov"), StandardBinding(plane.registry_uris["registry-0"]))
-        peer.enable_distributed_discovery(plane)
+        plane.attach(peer)
         peer.deploy(Echo(), name="Echo")
         peer.publish("Echo")
         net.run()
