@@ -83,13 +83,14 @@ class IntrospectionService:
     def _registry(self) -> obs_metrics.MetricsRegistry:
         if self._metrics is not None:
             return self._metrics
-        if self._tracer is not None:
-            return self._tracer.metrics
+        tracer = self._facility(self._tracer, "tracer")
+        if tracer is not None:
+            return tracer.metrics
         return obs_metrics.default_registry()
 
     def _facility(self, held: Any, peer_attr: str) -> Any:
         """An explicitly-wired facility, else the one installed on the
-        hosting peer (``peer.flight`` / ``peer.slo`` /
+        hosting peer (``peer.tracer`` / ``peer.flight`` / ``peer.slo`` /
         ``peer.cluster_metrics``) — lazily, so installing after hosting
         still works."""
         if held is not None:
@@ -105,10 +106,11 @@ class IntrospectionService:
         """The span tree for *message_id* as JSON, or the documented
         error object when no tracer is wired (``no-tracer``) or the
         ring has evicted / never held the trace (``trace-not-found``)."""
-        if self._tracer is None:
+        tracer = self._facility(self._tracer, "tracer")
+        if tracer is None:
             return _error("no-tracer", "no tracer attached to this peer",
                           message_id=message_id)
-        tree = self._tracer.trace_dict(message_id)
+        tree = tracer.trace_dict(message_id)
         if tree is None:
             return _error("trace-not-found",
                           "no trace for that MessageID (unknown or evicted)",
@@ -118,10 +120,11 @@ class IntrospectionService:
     def GetDistributedTrace(self, trace_id: str) -> str:
         """Every invocation carrying *trace_id*, stitched into one
         cross-node causal tree."""
-        if self._tracer is None:
+        tracer = self._facility(self._tracer, "tracer")
+        if tracer is None:
             return _error("no-tracer", "no tracer attached to this peer",
                           trace_id=trace_id)
-        stitched = self._tracer.distributed_trace(trace_id)
+        stitched = tracer.distributed_trace(trace_id)
         if not stitched["invocations"]:
             return _error("trace-not-found",
                           "no invocations tagged with that trace id",
@@ -181,13 +184,12 @@ def host_introspection(peer: Any, name: str = "Introspection",
     invocable over the peer's binding like any other operations — the
     observability outputs are themselves services (the paper's
     symmetric-peer argument applied to the peer's own internals).
-    Uses the tracer installed on the peer (``peer.tracer``) unless
+    Uses the tracer installed on the peer (``peer.tracer``), looked up
+    on each call so a tracer installed after hosting is served, unless
     *tracer* is given.  Returns the
     :class:`~repro.core.hosting.DeployedService`.
     """
-    service = IntrospectionService(
-        peer, tracer if tracer is not None else getattr(peer, "tracer", None)
-    )
+    service = IntrospectionService(peer, tracer)
     return peer.deploy(
         service, name=name, namespace=INTROSPECTION_NS, include=list(OPERATIONS)
     )

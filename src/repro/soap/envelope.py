@@ -46,14 +46,78 @@ _WSA_ADDRESS = (ns.WSA, "Address")
 _WSA_REF_PROPS = (ns.WSA, "ReferenceProperties")
 
 
+#: what ``soapenv:Envelope`` declares, in scope for every header block
+_ENVELOPE_DECLS = (("soapenv", ns.SOAP_ENV), ("xsd", ns.XSD), ("xsi", ns.XSI))
+
+
+def header_layout(names) -> tuple[tuple, frozenset]:
+    """Where the header blocks' namespaces are declared, from *names*:
+    ``(prefix, uri, declared)`` for every declaration (True) and every
+    element or attribute name (False) in the blocks and their
+    descendants, in document order; uri SLOT is a slotted one.
+
+    Returns the declarations ``soapenv:Header`` takes, each once and in
+    the order first met, and the prefixes whose declarations leave the
+    blocks: those and the ones the Envelope already makes alike.  A
+    prefix stays declared where it is when it is the default
+    namespace, slotted, bound to two URIs among the blocks or bound
+    otherwise by the Envelope.  So every name resolves as before, and
+    a decoder that folds the in-scope declarations into each block
+    (``copy_with_scope``) reads the same blocks either way."""
+    uris: dict = {}
+    declared = set()
+    for prefix, uri, declares in names:
+        uris.setdefault(prefix, set()).add(uri)
+        if declares:
+            declared.add(prefix)
+    envelope = dict(_ENVELOPE_DECLS)
+    moved = [
+        (prefix, uri) for prefix, (uri, *more) in uris.items()
+        if prefix and prefix in declared and not more and uri is not SLOT
+        and envelope.get(prefix, uri) == uri
+    ]
+    return (
+        tuple([(prefix, uri) for prefix, uri in moved if prefix not in envelope]),
+        frozenset([prefix for prefix, _ in moved]),
+    )
+
+
+def _shape_names(node: tuple, names: list) -> None:
+    """Append :func:`header_layout`'s *names* of the shape *node* to *names*."""
+    name, attributes, nsdecls, content = node
+    names += [(prefix, uri, True) for prefix, uri in nsdecls]
+    names += [(ref[2], ref[0], False) for ref in (name, *[attr for attr, _ in attributes])]
+    for part in () if content is SLOT else content:
+        if part.__class__ is not str:
+            _shape_names(part.item if part.__class__ is Group else part, names)
+
+
+def _without(node: tuple, gone: frozenset) -> tuple:
+    """The shape *node* with no declaration of a prefix in *gone*."""
+    name, attributes, nsdecls, content = node
+    if content is not SLOT:
+        content = tuple([
+            part if part.__class__ is str
+            else Group(_without(part.item, gone)) if part.__class__ is Group
+            else _without(part, gone)
+            for part in content
+        ])
+    return name, attributes, tuple([decl for decl in nsdecls if decl[0] not in gone]), content
+
+
 def envelope_shape(blocks: tuple = (), body: tuple = ()) -> tuple:
     """The shape of an envelope around the header block shapes *blocks*
-    and *body*, its one content shape or none."""
+    and *body*, its one content shape or none; the blocks' namespaces
+    are declared where :func:`header_layout` puts them."""
+    names: list = []
+    for block in blocks:
+        _shape_names(block, names)
+    header, gone = header_layout(names)
     return (
-        (ns.SOAP_ENV, "Envelope", "soapenv"), (),
-        (("soapenv", ns.SOAP_ENV), ("xsd", ns.XSD), ("xsi", ns.XSI)),
+        (ns.SOAP_ENV, "Envelope", "soapenv"), (), _ENVELOPE_DECLS,
         (
-            ((ns.SOAP_ENV, "Header", "soapenv"), (), (), blocks),
+            ((ns.SOAP_ENV, "Header", "soapenv"), (), header,
+             tuple([_without(block, gone) for block in blocks]) if gone else blocks),
             ((ns.SOAP_ENV, "Body", "soapenv"), (), (), body),
         ),
     )
@@ -304,10 +368,20 @@ class SoapEnvelope:
         return cls(body_content=fault.to_element())
 
     def to_element(self) -> Element:
+        blocks = [block.copy() for block in self.headers]
+        elems = [elem for block in blocks for elem in block.iter()]
+        names: list = []
+        for elem in elems:
+            names += [(prefix, uri, True) for prefix, uri in elem.nsdecls.items()]
+            names += [(q.prefix, q.uri, False) for q in (elem.name, *elem.attributes)]
+        decls, gone = header_layout(names)
+        for elem in elems:
+            for prefix in gone.intersection(elem.nsdecls):
+                del elem.nsdecls[prefix]
         env = grow(envelope_shape(), ())
         header, body = env.children
-        for block in self.headers:
-            header.append(block.copy())
+        header.nsdecls.update(decls)
+        header.extend(blocks)
         if self.body_content is not None:
             body.append(self.body_content.copy())
         return env

@@ -90,6 +90,39 @@ class TestOverHttp:
         assert root.status == "ok"
 
 
+class TestInstallOrder:
+    def test_a_tracer_installed_after_hosting_is_served(self, net, registry_node):
+        """Hosting first, tracing second: the service reads the peer's
+        tracer on each call, as it reads the flight recorder."""
+        from repro.core import WSPeer
+        from repro.core.binding import StandardBinding
+        from repro.observability.flight import FlightRecorder
+        from repro.observability.tracecontext import set_propagation
+
+        from .conftest import Echo
+
+        provider = WSPeer(net.add_node("prov"), StandardBinding(registry_node.endpoint))
+        provider.deploy(Echo(), name="Echo")
+        consumer = WSPeer(net.add_node("cons"), StandardBinding(registry_node.endpoint))
+        host_introspection(provider)
+        tracer = SpanTracer(metrics=MetricsRegistry()).install(consumer, provider)
+        FlightRecorder().install(provider)
+        set_propagation(True)
+        consumer.invoke(provider.local_handle("Echo"), "echo", {"message": "late"})
+        traced_mid, trace_id = tracer.message_ids[-1], tracer.trace_ids()[-1]
+        tracer.metrics.inc("late.tracer.marker", 7)
+
+        provider.publish("Introspection")
+        intro = consumer.locate_one("Introspection")
+        tree = json.loads(consumer.invoke(intro, "GetTrace", {"message_id": traced_mid}))
+        assert tree["message_id"] == traced_mid and tree["status"] == "ok"
+        stitched = json.loads(consumer.invoke(intro, "GetDistributedTrace", {"trace_id": trace_id}))
+        assert "error" not in stitched and stitched["invocations"]
+        assert "error" not in json.loads(consumer.invoke(intro, "GetFlightRecord"))
+        # the late tracer's private registry, not the process-wide one
+        assert "counter late.tracer.marker 7" in consumer.invoke(intro, "GetMetrics")
+
+
 class TestOverP2ps:
     def test_round_trip_all_operations(self, p2ps_world, tracer, net):
         consumer, provider, handle = p2ps_world
