@@ -82,6 +82,14 @@ def header_layout(names) -> tuple[tuple, frozenset]:
     )
 
 
+def body_layout(nsdecls) -> tuple:
+    """The declarations *nsdecls* of the Body's content keeps: all but
+    those the Envelope makes alike.  A decoder detaches the content with
+    the Envelope's declarations folded in (``copy_with_scope``), and
+    written again they would repeat on it."""
+    return tuple([decl for decl in nsdecls if decl not in _ENVELOPE_DECLS])
+
+
 def _shape_names(node: tuple, names: list) -> None:
     """Append :func:`header_layout`'s *names* of the shape *node* to *names*."""
     name, attributes, nsdecls, content = node
@@ -108,7 +116,8 @@ def _without(node: tuple, gone: frozenset) -> tuple:
 def envelope_shape(blocks: tuple = (), body: tuple = ()) -> tuple:
     """The shape of an envelope around the header block shapes *blocks*
     and *body*, its one content shape or none; the blocks' namespaces
-    are declared where :func:`header_layout` puts them."""
+    are declared where :func:`header_layout` puts them, the content's
+    where :func:`body_layout` leaves them."""
     names: list = []
     for block in blocks:
         _shape_names(block, names)
@@ -118,7 +127,8 @@ def envelope_shape(blocks: tuple = (), body: tuple = ()) -> tuple:
         (
             ((ns.SOAP_ENV, "Header", "soapenv"), (), header,
              tuple([_without(block, gone) for block in blocks]) if gone else blocks),
-            ((ns.SOAP_ENV, "Body", "soapenv"), (), (), body),
+            ((ns.SOAP_ENV, "Body", "soapenv"), (), (),
+             tuple([(*node[:2], body_layout(node[2]), node[3]) for node in body])),
         ),
     )
 
@@ -383,7 +393,8 @@ class SoapEnvelope:
         header.nsdecls.update(decls)
         header.extend(blocks)
         if self.body_content is not None:
-            body.append(self.body_content.copy())
+            content = body.append(self.body_content.copy())
+            content.nsdecls = dict(body_layout(content.nsdecls.items()))
         return env
 
     def to_wire(self, pretty: bool = False) -> str:

@@ -37,10 +37,9 @@ import re
 from itertools import count
 from typing import Any, Callable, NamedTuple, Optional
 
-from repro.xmlkit import Element, QName, XmlParseError, ns
+from repro.xmlkit import Element, QName, ns
 from repro.xmlkit.names import intern_qname
 from repro.xmlkit.serializer import escape_attr, escape_text, serialize
-from repro.xmlkit.tokenizer import Tokenizer, TokenType
 
 #: the content of a leaf: its text is the next slot
 SLOT = None
@@ -232,13 +231,15 @@ class Wire:
 
     def match(self, wire: str) -> Optional[list]:
         """The slot texts when *wire* is this wire with other texts in its
-        slots, else None.  A leaf's slot ends at the next ``<`` (as a text
-        token does), a start tag's at the next ``"`` holding nothing the
-        parser would decode, and every ``<`` in a group's run starts its
-        separator: a match implies the parser's tokens."""
+        slots, else None.  A leaf's slot is character data the parser
+        takes as it stands, up to the next ``<``; a start tag's ends at
+        the next ``"`` holding nothing the parser would decode, and every
+        ``<`` in a group's run starts its separator: a match implies the
+        parser's reading.  Where the parser would refuse a slot, there is
+        no match: the parser raises the one canonical error."""
         if self._pattern is None:
             self._pattern = re.compile(re.escape(self.segments[0]) + "".join(
-                (_PATTERNS.get(sep) or f"([^<]*(?:{re.escape(sep)}[^<]*)*)") + re.escape(segment)
+                (_PATTERNS.get(sep) or f"({_CHAR_DATA}(?:{re.escape(sep)}{_CHAR_DATA})*)") + re.escape(segment)
                 for sep, segment in zip(self.separators, self.segments[1:])
             ))
         found = self._pattern.fullmatch(wire)
@@ -249,19 +250,42 @@ class Wire:
         for k, separator in self._groups:
             texts[k] = texts[k].split(separator)
         if entities:
-            decode = Tokenizer(wire).decode_entities
             try:
                 for k, text in enumerate(texts):
-                    at = found.start(k + 1)
-                    texts[k] = decode(text, at) if text.__class__ is str else [decode(t, at) for t in text]
-            except XmlParseError:
-                return None  # the parser raises it
+                    texts[k] = decode_entities(text) if text.__class__ is str else list(map(decode_entities, text))
+            except ValueError:
+                return None  # the parser refuses it
         return texts
 
 
+#: what XML 1.0's ``Char`` production leaves out
+_NOT_CHAR = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+#: character data the parser reads back as it stands: ``Char``\ s but CR
+#: (line ends are normalised), no ``<`` and no ``]]>``.  A class of what
+#: it leaves out: one of what it takes tests faster but compiles ~15×
+#: slower, once per skeleton
+_CHAR_DATA = f"[^<\\]\r{_NOT_CHAR}]*(?:](?!]>)[^<\\]\r{_NOT_CHAR}]*)*"
 #: what :meth:`Wire.match` takes for a leaf's slot and a start tag's
 #: (a group's run: items between its separators)
-_PATTERNS = {None: "([^<]*)", VALUE: '([^"&<\t\n\r]*)'}
+_PATTERNS = {None: f"({_CHAR_DATA})", VALUE: f'([^"&<\t\n\r{_NOT_CHAR}]*)'}
+_REFERENCE = re.compile(r"&(?:(lt|gt|amp|apos|quot)|#([0-9]{1,8})|#x([0-9a-fA-F]{1,8}));")
+_PREDEFINED = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+_NOT_CHARS = re.compile(f"[{_NOT_CHAR}]")
+
+
+def _referent(found: re.Match) -> str:
+    if found[1]:
+        return _PREDEFINED[found[1]]
+    return chr(int(found[2]) if found[2] else int(found[3], 16))  # ValueError past U+10FFFF
+
+
+def decode_entities(text: str) -> str:
+    """*text* with its references replaced; ValueError when one is not a
+    predefined entity or a ``Char`` (the parser words that refusal)."""
+    decoded, found = _REFERENCE.subn(_referent, text)
+    if found != text.count("&") or _NOT_CHARS.search(decoded):
+        raise ValueError(text)
+    return decoded
 
 
 def sentinel(k: int) -> str:
@@ -314,6 +338,16 @@ def template(node: tuple) -> Optional[Wire]:
     return Wire(cut_at, separators)
 
 
+#: one construct of a wire that has parsed, by its last group: a comment,
+#: CDATA section or PI (1), an end tag (2), a start tag (3; group 4 when
+#: it closes itself) or, with none, a text run
+_CONSTRUCT = re.compile(
+    r"(<!--.*?-->|<!\[CDATA\[.*?]]>|<\?.*?\?>)|(</[^>]*>)|(<(?:[^>\"']|\"[^\"]*\"|'[^']*')*?(/)?>)|[^<]+",
+    re.S,
+)
+_END_TAG, _START_TAG, _CLOSED = 2, 3, 4
+
+
 def cut(
     wire: str, elements: list[Element], depth: int = 2, own_uri: Optional[Element] = None
 ) -> tuple[list[tuple], Wire]:
@@ -324,26 +358,24 @@ def cut(
     slot value is kept.  Sibling leaves written back to back with the same
     tags fold into a group.  *own_uri*'s declaration of its own prefix is
     a slot where :func:`own_declaration` finds it."""
-    start_tag, end_tag, text = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
-    tokens = list(Tokenizer(wire).tokens())
+    constructs = list(_CONSTRUCT.finditer(wire))
     spans = []  # per element at or below depth, in document order
     level = 0
-    for i, token in enumerate(tokens):
-        if token.type is end_tag:
+    for i, construct in enumerate(constructs):
+        kind = construct.lastindex
+        if kind == _END_TAG:
             level -= 1
-        elif token.type is start_tag:
+        elif kind == _START_TAG:
+            closed = construct[_CLOSED] is not None
             if level >= depth:
-                j = i + 1
-                # a TEXT token that starts at '<' is a CDATA section
-                if tokens[j].type is text and wire[tokens[j].offset] != "<":
-                    j += 1
-                slot = not token.self_closing and tokens[j].type is end_tag
+                j = i + 1 + (constructs[i + 1].lastindex is None)  # past its plain text
+                slot = not closed and constructs[j].lastindex == _END_TAG
                 # a slot leaf: where its open tag, text, end tag and successor start
                 spans.append(
-                    (token.offset, tokens[i + 1].offset, tokens[j].offset, tokens[j + 1].offset)
+                    (construct.start(), construct.end(), constructs[j].start(), constructs[j].end())
                     if slot else None
                 )
-            level += not token.self_closing
+            level += not closed
     edges = [0]
     separators: dict[int, str] = {}
     at = 0

@@ -1,15 +1,16 @@
-"""From-scratch, namespace-aware XML infoset for the WSPeer reproduction.
+"""Namespace-aware XML infoset for the WSPeer reproduction.
 
 Every document that crosses the simulated wire in this repository — SOAP
 envelopes, WSDL definitions, UDDI messages, P2PS advertisements — is real
-XML text produced and consumed by this package.  Nothing in the rest of
-the codebase touches :mod:`xml.etree`; the tokenizer, parser and
-serialiser here are self-contained so the wire format is fully under our
-control (and fully testable).  This is the only codec in the product and
-nothing selects another: one tokenizer, one token → tree builder and one
-open-tag routine serve the batch and the streaming entry points alike.
-The original character-at-a-time implementation it must stay
-byte-compatible with is a test oracle and lives with the tests.
+XML text produced and consumed by this package.  Expat reads, xmlkit
+writes: the reader is one tree builder over the standard library's
+``xml.parsers.expat``, which decides what is XML and words every
+refusal; the serialiser, element model and names are our own, so every
+byte sent is under our control (and fully testable).  Nothing in the
+rest of the codebase touches :mod:`xml.etree` or expat, and nothing
+selects another codec: one tree builder serves the batch and the
+streaming reader, one open-tag routine both serialisers.  The original
+hand-written implementation is a test oracle and lives with the tests.
 
 Public surface:
 
@@ -24,8 +25,9 @@ Public surface:
     :class:`Element` tree → text (optionally pretty-printed).
 ``iter_serialize`` / ``FeedParser`` / ``parse_stream``
     The same codec driven incrementally (E16): byte-chunk
-    serialisation and ``feed()``/``close()`` parsing with O(chunk) peak
-    memory, byte-identical to the batch entry points.
+    serialisation with O(chunk) peak memory, byte-identical to the
+    batch serialiser, and ``feed()``/``close()`` parsing to the batch
+    parser's tree.
 ``XmlError`` and subclasses
     Raised on malformed input.
 

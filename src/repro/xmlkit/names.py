@@ -9,7 +9,6 @@ from repro.caching import SoftTable
 
 _NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*\Z")
 
-XMLNS_URI = "http://www.w3.org/2000/xmlns/"
 XML_URI = "http://www.w3.org/XML/1998/namespace"
 
 
@@ -20,14 +19,6 @@ def is_ncname(name: str) -> bool:
     is all this stack ever emits.
     """
     return _NCNAME_RE.match(name) is not None
-
-
-def split_prefixed(name: str) -> tuple[str, str]:
-    """Split ``prefix:local`` into ``(prefix, local)``; prefix may be ''."""
-    if ":" in name:
-        prefix, _, local = name.partition(":")
-        return prefix, local
-    return "", name
 
 
 @dataclass(frozen=True, slots=True)

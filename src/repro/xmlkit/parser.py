@@ -1,219 +1,111 @@
-"""Parser: token stream → Element tree, with namespace resolution."""
+"""Reader: XML text → Element tree, over the standard library's expat.
+
+Expat decides what is XML 1.0 with namespaces (well-formedness, the
+``Char`` production, entity and character references, namespace
+scoping, duplicate expanded attribute names) and words every refusal;
+this module only builds the tree from its events.  One builder serves
+:func:`parse` and :class:`~repro.xmlkit.stream.FeedParser` alike.
+
+What the reader adds to expat: a DOCTYPE is refused (no 2004-era
+Web-service format needs one, and refusing it closes the entity
+expansion attacks), a ``str`` holding a lone surrogate is refused, and
+an encoding declaration is ignored — text arrives decoded, bytes are
+UTF-8.  Adjacent character data is always one content string, whatever
+CDATA sections, comments or feed boundaries fall inside it.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional, Union
+from xml.parsers.expat import ErrorString, ExpatError, ParserCreate, XMLParserType
 
 from repro.xmlkit.element import Element
 from repro.xmlkit.errors import XmlParseError, XmlWellFormednessError
-from repro.xmlkit.names import XML_URI, intern_qname, split_prefixed
-from repro.xmlkit.tokenizer import Token, TokenType, Tokenizer
+from repro.xmlkit.names import QName, intern_qname
 
-_MISSING = object()
-
-
-class _NsScope:
-    """Prefix → URI bindings mirroring the open-element stack.
-
-    Kept as one flat dict plus an undo journal per frame, so
-    :meth:`resolve` is a single dict lookup instead of a walk up the
-    frame stack.
-    """
-
-    __slots__ = ("_flat", "_undo")
-
-    def __init__(self) -> None:
-        self._flat: dict[str, object] = {"xml": XML_URI, "": ""}
-        self._undo: list[list[tuple[str, object]]] = []
-
-    def push(self, decls: dict[str, str]) -> None:
-        """Enter a frame for non-empty *decls*.  Decl-less elements skip
-        push/pop entirely (the caller gates on truthiness)."""
-        flat = self._flat
-        undo = [(prefix, flat.get(prefix, _MISSING)) for prefix in decls]
-        flat.update(decls)
-        self._undo.append(undo)
-
-    def pop(self) -> None:
-        undo = self._undo.pop()
-        flat = self._flat
-        for prefix, old in reversed(undo):
-            if old is _MISSING:
-                del flat[prefix]
-            else:
-                flat[prefix] = old
-
-    def resolve(self, prefix: str) -> Optional[str]:
-        return self._flat.get(prefix)
+#: what expat writes between a name's URI, local part and prefix: no XML
+#: text can hold it
+_SEPARATOR = "\x01"
 
 
-_NO_DECLS: dict[str, str] = {}
+def _qname(name: str) -> QName:
+    uri, namespaced, rest = name.partition(_SEPARATOR)
+    if not namespaced:
+        return intern_qname("", name)
+    local, _, prefix = rest.partition(_SEPARATOR)
+    return intern_qname(uri, local, prefix)
 
 
-def _split_tag_attrs(token: Token) -> tuple[dict[str, str], list[tuple[str, str]]]:
-    """Separate xmlns declarations from ordinary attributes."""
-    attrs = token.attrs
-    if not attrs:
-        return _NO_DECLS, attrs
-    if len(attrs) == 1:
-        # single attribute: no duplicate possible, one startswith test
-        name, value = attrs[0]
-        if not name.startswith("xmlns"):
-            return _NO_DECLS, attrs
-        if name == "xmlns":
-            return {"": value}, []
-        if name[5] == ":":
-            prefix = name[6:]
-            if not prefix:
-                raise XmlWellFormednessError(
-                    "empty xmlns prefix", token.line, token.column
-                )
-            return {prefix: value}, []
-        return _NO_DECLS, attrs
-    nsdecls: dict[str, str] = {}
-    plain: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for name, value in attrs:
-        if name in seen:
-            raise XmlWellFormednessError(
-                f"duplicate attribute {name!r}", token.line, token.column
-            )
-        seen.add(name)
-        if not name.startswith("xmlns"):
-            plain.append((name, value))
-        elif name == "xmlns":
-            nsdecls[""] = value
-        elif name[5] == ":":
-            prefix = name[6:]
-            if not prefix:
-                raise XmlWellFormednessError("empty xmlns prefix", token.line, token.column)
-            nsdecls[prefix] = value
-        else:
-            plain.append((name, value))
-    return nsdecls, plain
+class _Builder:
+    """Expat's events → an :class:`Element` tree.  It holds no reference
+    to its parser, so a finished parse leaves no cycle behind."""
 
-
-def _resolve_element(token: Token, scope: _NsScope) -> Element:
-    nsdecls, plain_attrs = _split_tag_attrs(token)
-    if nsdecls:
-        scope.push(nsdecls)
-    try:
-        prefix, local = split_prefixed(token.value)
-        uri = scope.resolve(prefix)
-        if uri is None:
-            raise XmlWellFormednessError(
-                f"undeclared namespace prefix {prefix!r} on element <{token.value}>",
-                token.line,
-                token.column,
-            )
-        elem = Element(intern_qname(uri, local, prefix), nsdecls=nsdecls)
-        for aname, avalue in plain_attrs:
-            aprefix, alocal = split_prefixed(aname)
-            if aprefix:
-                auri = scope.resolve(aprefix)
-                if auri is None:
-                    raise XmlWellFormednessError(
-                        f"undeclared namespace prefix {aprefix!r} on attribute {aname!r}",
-                        token.line,
-                        token.column,
-                    )
-            else:
-                auri = ""  # unprefixed attributes are in no namespace
-            elem.attributes[intern_qname(auri, alocal, aprefix)] = avalue
-        return elem
-    except Exception:
-        if nsdecls:
-            scope.pop()
-        raise
-
-
-class _TreeBuilder:
-    """Token stream → Element tree: the one place namespace scope, the
-    root/stack checks and the mismatched-tag and declaration errors are
-    written.  :func:`parse` feeds it a whole document's tokens in one
-    :meth:`consume`; :class:`~repro.xmlkit.stream.FeedParser` feeds it
-    piece by piece."""
-
-    __slots__ = ("root", "_stack", "_scope")
+    __slots__ = ("root", "_stack", "_text", "_decls")
 
     def __init__(self) -> None:
         self.root: Optional[Element] = None
         self._stack: list[Element] = []
-        self._scope = _NsScope()
+        self._text: list[str] = []  # character data since the last tag
+        self._decls: dict[str, str] = {}  # for the next start tag
 
-    def consume(self, tokens: Iterable[Token], continuation: bool = False) -> None:
-        """Build from *tokens*.  With *continuation* the first token is
-        the rest of a text run whose head an earlier call appended, and
-        is merged into that content node."""
-        root, stack, scope = self.root, self._stack, self._scope
-        _START, _END, _TEXT = TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
-        for token in tokens:
-            ttype = token.type
-            if ttype is _START:
-                if root is not None and not stack:
-                    raise XmlWellFormednessError(
-                        "multiple root elements", token.line, token.column
-                    )
-                elem = _resolve_element(token, scope)
-                if stack:
-                    stack[-1].append(elem)
-                else:
-                    self.root = root = elem
-                if token.self_closing:
-                    if elem.nsdecls:
-                        scope.pop()
-                else:
-                    stack.append(elem)
-            elif ttype is _TEXT:
-                chunk = token.value
-                if not stack:
-                    if chunk.strip():
-                        where = "before" if root is None else "after"
-                        raise XmlWellFormednessError(
-                            f"character data {where} root element", token.line, token.column
-                        )
-                    continue
-                content = stack[-1]._content
-                if continuation and content and isinstance(content[-1], str):
-                    content[-1] += chunk
-                elif chunk:
-                    content.append(chunk)
-                continuation = False
-            elif ttype is _END:
-                if not stack:
-                    raise XmlWellFormednessError(
-                        f"unexpected closing tag </{token.value}>", token.line, token.column
-                    )
-                open_elem = stack.pop()
-                prefix, local = split_prefixed(token.value)
-                if open_elem.name.local != local or open_elem.name.prefix != prefix:
-                    raise XmlWellFormednessError(
-                        f"mismatched closing tag </{token.value}>; "
-                        f"open element is <{open_elem.name.prefix + ':' if open_elem.name.prefix else ''}{open_elem.name.local}>",
-                        token.line,
-                        token.column,
-                    )
-                if open_elem.nsdecls:
-                    scope.pop()
-            elif ttype is TokenType.DECLARATION:
-                if root is not None or stack:
-                    raise XmlParseError("XML declaration after content", token.line, token.column)
-            # COMMENT / PI carry no structure
+    def reader(self) -> XMLParserType:
+        parser = ParserCreate("utf-8", _SEPARATOR)
+        parser.namespace_prefixes = parser.ordered_attributes = parser.buffer_text = True
+        parser.StartNamespaceDeclHandler = self._declare
+        parser.StartElementHandler = self._start
+        parser.EndElementHandler = self._end
+        parser.CharacterDataHandler = self._text.append
+        parser.StartDoctypeDeclHandler = self._doctype
+        return parser
 
-    def close(self) -> Element:
-        """The finished tree; raises unless exactly one root was closed."""
-        if self._stack:
-            raise XmlWellFormednessError(f"unclosed element <{self._stack[-1].name.local}>")
-        if self.root is None:
-            raise XmlParseError("no root element found")
-        return self.root
+    def _declare(self, prefix: Optional[str], uri: Optional[str]) -> None:
+        self._decls[prefix or ""] = uri or ""
+
+    def _start(self, name: str, attrs: list[str]) -> None:
+        stack, text = self._stack, self._text
+        if text:
+            stack[-1]._content.append("".join(text))
+            text.clear()
+        elem = Element(_qname(name), nsdecls=self._decls)
+        self._decls.clear()
+        if attrs:
+            attributes = elem.attributes
+            for k in range(0, len(attrs), 2):
+                attributes[_qname(attrs[k])] = attrs[k + 1]
+        if stack:
+            stack[-1].append(elem)
+        else:
+            self.root = elem
+        stack.append(elem)
+
+    def _end(self, name: str) -> None:
+        elem, text = self._stack.pop(), self._text
+        if text:
+            elem._content.append("".join(text))
+            text.clear()
+
+    def _doctype(self, *_) -> None:
+        raise ValueError("DTD / doctype declarations are not supported")
 
 
-def parse(text: str) -> Element:
+def read(parser: XMLParserType, data: Union[str, bytes], final: bool) -> None:
+    """Hand *data* to *parser*, every refusal raised as an :class:`XmlParseError`."""
+    try:
+        parser.Parse(data, final)
+    except ExpatError as exc:
+        raise XmlWellFormednessError(ErrorString(exc.code), exc.lineno, exc.offset + 1) from None
+    except UnicodeEncodeError as exc:
+        raise XmlParseError(f"lone surrogate {exc.object[exc.start]!r} in text") from None
+    except ValueError as exc:  # a DOCTYPE, or a name QName does not take
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+        raise XmlParseError(str(exc), line, column) from None
+
+
+def parse(text: Union[str, bytes]) -> Element:
     """Parse an XML *document*: exactly one root element."""
-    builder = _TreeBuilder()
-    builder.consume(Tokenizer(text).tokens())
-    return builder.close()
+    builder = _Builder()
+    read(builder.reader(), text, True)
+    return builder.root
 
 
 #: The same function under the name call sites use for an embedded

@@ -14,29 +14,23 @@ Two halves, each the batch codec with the buffers turned inside out:
   byte-identical to ``serialize(...).encode("utf-8")``.
 
 * :class:`FeedParser` — the incremental form of
-  :func:`repro.xmlkit.parser.parse`.  ``feed()`` accepts ``bytes`` /
-  ``memoryview`` slices (decoded with an incremental UTF-8 decoder, so
-  a multi-byte character split across chunks is fine) or ``str``.  Each
-  feed runs the ordinary tokenizer over the unconsumed text with
-  ``final=False`` — it stops at the first construct that is not
-  complete yet, and that tail waits for the next feed — and hands the
-  tokens to the same tree builder as the batch parser.  Text runs split
-  across feeds are merged back into one content node, so the resulting
-  tree compares equal to the batch parser's.  Error positions count
-  from the start of the unconsumed text rather than of the document;
-  everything else matches.
+  :func:`repro.xmlkit.parser.parse`: the same expat reader and tree
+  builder, each ``feed()`` one ``Parse(data, False)``.  It takes
+  ``bytes`` / ``memoryview`` slices (UTF-8; a character split across
+  chunks is fine) or ``str``; expat keeps only an incomplete construct
+  between feeds, and text runs split across feeds are one content
+  string, so the tree is the batch parser's and error positions count
+  from the start of the document.
 """
 
 from __future__ import annotations
 
-import codecs
 from typing import Iterable, Iterator, Union
 
 from repro.xmlkit.element import Element
 from repro.xmlkit.errors import XmlParseError
-from repro.xmlkit.parser import _TreeBuilder
+from repro.xmlkit.parser import _Builder, read
 from repro.xmlkit.serializer import _ROOT_SCOPE, _Scope, _Serializer, escape_text
-from repro.xmlkit.tokenizer import Tokenizer
 
 #: window for escaping large text nodes: escape_text is applied to
 #: slices this long, never to the whole node
@@ -154,55 +148,27 @@ class FeedParser:
     """Incremental ``feed()``/``close()`` XML parser.
 
     Produces a tree equal to ``parse("".join(chunks))`` while holding
-    at most one construct (tag, comment, CDATA section) plus one
-    incomplete tail in memory — text runs stream straight into the
-    tree as they arrive.
+    at most one incomplete construct besides the tree itself.
     """
 
     def __init__(self) -> None:
-        self._decoder = codecs.getincrementaldecoder("utf-8")()
-        self._buf = ""
-        self._builder = _TreeBuilder()
-        self._in_text_run = False
+        self._builder = _Builder()
+        self._parser = self._builder.reader()
         self._closed = False
         self.fed_bytes = 0
 
-    # ------------------------------------------------------------------
     def feed(self, data: Union[str, _BytesLike]) -> None:
         if self._closed:
             raise XmlParseError("feed() after close()")
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            self.fed_bytes += len(data)
-            text = self._decoder.decode(bytes(data))
-        else:
-            self.fed_bytes += len(data)
-            text = data
-        if not text:
-            return
-        self._buf += text
-        self._pump(final=False)
+        self.fed_bytes += len(data)
+        read(self._parser, data, False)
 
     def close(self) -> Element:
         if self._closed:
             raise XmlParseError("close() called twice")
         self._closed = True
-        self._buf += self._decoder.decode(b"", True)
-        # what is still incomplete now is an error, and the tokenizer
-        # words it as the batch parser does ("unterminated comment", ...)
-        self._pump(final=True)
-        return self._builder.close()
-
-    # ------------------------------------------------------------------
-    def _pump(self, final: bool) -> None:
-        buf = self._buf
-        if not buf:
-            return
-        tokenizer = Tokenizer(buf, final)
-        # a text run an earlier feed left open goes on unless markup is next
-        self._builder.consume(tokenizer.tokens(), self._in_text_run and buf[0] != "<")
-        if tokenizer.pos:
-            self._in_text_run = tokenizer.text_open
-            self._buf = buf[tokenizer.pos :]
+        read(self._parser, b"", True)
+        return self._builder.root
 
 
 def parse_stream(chunks: Iterable[Union[str, _BytesLike]]) -> Element:

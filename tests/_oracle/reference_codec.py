@@ -1,29 +1,36 @@
 """The reference XML codec: the original, character-at-a-time
 implementation, frozen as an executable spec.
 
-The production codec in :mod:`repro.xmlkit` (lazy positions, regex
-scans, flattened namespace scopes, interned names, one tree builder
-shared by the batch and incremental parsers) must stay byte-for-byte
-and error-for-error compatible with what is written here.  The parity
-suites serialise every generated tree through both and parse every
-document through both, and compare the results directly.
+Writing: the production serialiser in :mod:`repro.xmlkit` (flattened
+namespace scopes, interned names, the streaming twin) must stay
+byte-for-byte compatible with :func:`serialize_reference`.
+
+Reading: production reads through expat, which decides what is
+accepted and words every refusal.  :func:`parse_reference` is the *tree*
+oracle: on a document both accept, the trees must be equal (adjacent
+text chunks joined).  It is looser than XML 1.0 — it accepts ``]]>``
+and C0 controls in text, references to non-characters and duplicate
+expanded attribute names, and normalises neither line ends nor
+attribute whitespace — so where the two disagree on accepting, expat's
+answer is the policy (DESIGN.md §2).
 
 It stands alone on purpose: of :mod:`repro.xmlkit` it uses only the
-data model (``Element``, ``QName``), the error types and the
-``TokenType`` enum — its tokenizer, its token → tree loop, its
-namespace resolution and its serializer share no code with production,
-so a bug there cannot pass for parity here.
+data model (``Element``, ``QName``) and the error types — its
+tokenizer, its token → tree loop, its namespace resolution and its
+serializer share no code with production, so a bug there cannot pass
+for parity here.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from enum import Enum, auto
 from typing import Iterator, Optional
 
 from repro.xmlkit.element import Element
 from repro.xmlkit.errors import XmlParseError, XmlWellFormednessError
 from repro.xmlkit.names import QName, XML_URI
-from repro.xmlkit.tokenizer import TokenType
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -34,6 +41,15 @@ _PREDEFINED_ENTITIES = {
 }
 
 _WS = " \t\r\n"
+
+
+class TokenType(Enum):
+    START_TAG = auto()       # value: tag name, attrs: list[(name, value)], self_closing: bool
+    END_TAG = auto()         # value: tag name
+    TEXT = auto()            # value: decoded character data
+    COMMENT = auto()         # value: comment body
+    PI = auto()              # value: (target, data)
+    DECLARATION = auto()     # value: the <?xml ...?> attribute string
 
 
 def _reference_char(digits: str, base: int) -> str:
@@ -497,3 +513,127 @@ def parse_reference(text: str) -> Element:
     if root is None:
         raise XmlParseError("no root element found")
     return root
+
+
+# ----------------------------------------------------------------------
+# where production's reader answers otherwise, and why
+# ----------------------------------------------------------------------
+#: Where production's reader (expat and its tree builder) answers
+#: otherwise than this reader, or than expat alone: row → (what
+#: production does, a test that *text* may fall in the row).
+#: The tests over-approximate: they are consulted only once the two
+#: readers disagree, to tell a policy row from a fault.
+POLICY = {
+    "cdata-end": (
+        "']]>' in character data is refused (XML 1.0 §2.4)",
+        lambda text: "]]>" in _MARKUP.sub("", text),
+    ),
+    "not-a-char": (
+        "a character outside the Char production is refused, written or referenced (§2.2)",
+        lambda text: _NOT_CHAR.search(text) is not None
+        or any(_not_char(digits, base) for digits, base in _char_references(text)),
+    ),
+    "duplicate-expanded-attribute": (
+        "two attributes with one expanded name are refused (Namespaces §6.3)",
+        lambda text: any(
+            len(set(found)) < len(found)
+            for found in (_PREFIXED_LOCALS.findall(tag) for tag in _START_TAG.findall(text))
+        ),
+    ),
+    "prefix-undeclaration": (
+        "xmlns:p=\"\" is refused: Namespaces 1.0 has no prefix undeclaration",
+        lambda text: _UNDECLARATION.search(text) is not None,
+    ),
+    "line-ends": ("CR LF and a lone CR read as LF (§2.11)", lambda text: "\r" in text),
+    "attribute-whitespace": (
+        "a literal tab, LF or CR in an attribute value reads as a space (§3.3.3)",
+        lambda text: any(_WS_IN_VALUE.search(tag) for tag in _START_TAG.findall(text)),
+    ),
+    "qualified-names": (
+        "every element, attribute and declared prefix name is a QName (one colon at most,"
+        " neither first nor last; Namespaces §3) of the ASCII subset QName takes, where"
+        " expat alone would read any XML name",
+        lambda text: any(
+            not _QNAME_SHAPED.fullmatch(name)
+            for tag in _TAG.findall(_STATIC.sub("", text))
+            for name in _NAME.findall(_QUOTED.sub("", tag))
+        ),
+    ),
+    "attribute-separation": (
+        "attributes are separated by white space (§3.1)",
+        lambda text: any(_UNSEPARATED.search(tag) for tag in _START_TAG.findall(text)),
+    ),
+    "reserved-namespaces": (
+        "the xml and xmlns prefixes and namespaces are not rebound (Namespaces §3)",
+        lambda text: _RESERVED.search(text) is not None,
+    ),
+    "comments": (
+        "a comment may not hold '--' or end in '-' (§2.5)",
+        lambda text: any(body.endswith("-") for body in _COMMENT.findall(text)),
+    ),
+    "white-space": (
+        "only space, tab, CR and LF count as white space around the root (§2.3)",
+        lambda text: _OTHER_SPACE.search(text) is not None,
+    ),
+    "prolog": (
+        "the XML declaration is read, by its grammar and at the very start only, and a"
+        " processing instruction must name a target other than xml (§2.6, §2.8)",
+        lambda text: _prolog_awry(text),
+    ),
+    "doctype": (
+        "a DOCTYPE is refused, where expat reads it (no Web-service format needs one)",
+        lambda text: "<!DOCTYPE" in text,
+    ),
+    "byte-order-mark": ("a leading BOM is accepted", lambda text: text.startswith("\ufeff")),
+}
+
+#: CDATA sections, comments and PIs; and those or a tag
+_STATIC = re.compile(r"<!\[CDATA\[.*?]]>|<!--.*?-->|<\?.*?\?>", re.S)
+_MARKUP = re.compile(_STATIC.pattern + r"|<(?:[^>\"']|\"[^\"]*\"|'[^']*')*>", re.S)
+_NOT_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_TAG = re.compile(r"</?[^!?](?:[^>\"']|\"[^\"]*\"|'[^']*')*>")
+_QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
+_NAME = re.compile(r"[^\s<>/=]+")
+_QNAME_SHAPED = re.compile(r"[A-Za-z_][\w.-]*(?::[A-Za-z_][\w.-]*)?", re.A)
+_UNSEPARATED = re.compile(r"=[ \t\r\n]*(?:\"[^\"]*\"|'[^']*')[^ \t\r\n/>]")
+_RESERVED = re.compile(
+    r"xmlns:xml|=[ \t\r\n]*[\"'](?:http://www\.w3\.org/XML/1998/namespace|http://www\.w3\.org/2000/xmlns/)[\"']"
+)
+_COMMENT = re.compile(r"<!--(.*?)-->", re.S)
+_OTHER_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+_START_TAG = re.compile(r"<[^!?/](?:[^>\"']|\"[^\"]*\"|'[^']*')*>")
+_PREFIXED_LOCALS = re.compile(r"\s[^\s=:]+:([^\s=]+)\s*=")
+_UNDECLARATION = re.compile(r"xmlns:[^\s=]+\s*=\s*(?:\"\"|'')")
+_WS_IN_VALUE = re.compile(r"=\s*(?:\"[^\"]*[\t\n\r][^\"]*\"|'[^']*[\t\n\r][^']*')")
+
+
+_DECLARATION = re.compile(
+    r"<\?xml[ \t\r\n]+version[ \t\r\n]*=[ \t\r\n]*(\"1\.[0-9]+\"|'1\.[0-9]+')"
+    r"(?:[ \t\r\n]+encoding[ \t\r\n]*=[ \t\r\n]*(\"[A-Za-z][\w.-]*\"|'[A-Za-z][\w.-]*'))?"
+    r"(?:[ \t\r\n]+standalone[ \t\r\n]*=[ \t\r\n]*(\"(yes|no)\"|'(yes|no)'))?[ \t\r\n]*\?>",
+    re.A,
+)
+_BAD_PI = re.compile(r"<\?(?![A-Za-z_][\w.-]*(?:[ \t\r\n]|\?>))|<\?[xX][mM][lL](?:[ \t\r\n]|\?>)")
+
+
+def _prolog_awry(text: str) -> bool:
+    declared = _DECLARATION.match(text)
+    if text.startswith("<?xml") and not declared:
+        return True
+    return _BAD_PI.search(text, declared.end() if declared else 0) is not None
+
+
+def _char_references(text: str) -> Iterator[tuple[str, int]]:
+    for found in re.finditer(r"&#([0-9]+);|&#x([0-9a-fA-F]+);", text):
+        yield (found[1], 10) if found[1] else (found[2], 16)
+
+
+def _not_char(digits: str, base: int) -> bool:
+    digits = digits.lstrip("0") or "0"
+    code = int(digits, base) if len(digits) < 9 else 0x110000
+    return code > 0x10FFFF or _NOT_CHAR.match(chr(code)) is not None
+
+
+def policy_rows(text: str) -> list[str]:
+    """The :data:`POLICY` rows *text* may fall in."""
+    return [row for row, (_, applies) in POLICY.items() if applies(text)]

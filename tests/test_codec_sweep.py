@@ -24,14 +24,12 @@ SWITCH = re.compile(
     re.MULTILINE,
 )
 
-#: all of production each oracle may see: the data model, the error
-#: types, and the enum that names token kinds
+#: all of production each oracle may see: the data model and the error types
 ORACLE_MAY_IMPORT = {
     reference_codec: {
         "repro.xmlkit.element": None,
         "repro.xmlkit.names": None,
         "repro.xmlkit.errors": None,
-        "repro.xmlkit.tokenizer": {"TokenType"},
     },
     reference_tracecontext: {
         "repro.observability.tracecontext": {"TraceContext"},
@@ -50,6 +48,25 @@ def test_no_codec_switch_or_oracle_under_src():
     ]
     assert not offenders, f"codec switch or oracle import under src/: {offenders}"
     assert not (src / "xmlkit" / "reference.py").exists()
+
+
+#: the one module under ``src/`` that may read XML: the tree builder over expat
+READER = pathlib.Path("xmlkit") / "parser.py"
+XML_READERS = re.compile(r"^\s*(from|import) (xml\b|pyexpat\b)|\bTokenizer\b|ParserCreate", re.MULTILINE)
+
+
+def test_one_xml_reader():
+    """Expat reads, through one tree builder; no module keeps a reader of its own."""
+    src = pathlib.Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(src)}: {match.group().strip()}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src) != READER
+        for match in XML_READERS.finditer(path.read_text())
+    ]
+    assert not offenders, f"XML read outside {READER}: {offenders}"
+    assert XML_READERS.search((src / READER).read_text())  # the sweep sees what it looks for
+    assert not (src / "xmlkit" / "tokenizer.py").exists()
 
 
 def test_oracle_shares_no_code_with_the_production_codec():

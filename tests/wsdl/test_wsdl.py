@@ -28,7 +28,8 @@ from repro.wsdl import (
     validate_wsdl,
 )
 from repro.wsdl.parser import parse_wsdl_element
-from repro.xmlkit import parse, serialize
+from repro.xmlkit import XmlParseError, parse, serialize
+from tests._oracle.reference_codec import parse_reference
 
 NS = "urn:calc"
 
@@ -158,8 +159,13 @@ class TestParserErrors:
 
     @pytest.mark.parametrize("reference", ["&#xD800;", "&#99999999999999999999;"])
     def test_reference_to_no_character(self, reference):
-        with pytest.raises(WsdlError, match="bad character reference"):
-            parse_wsdl(build_definition().to_wire().replace("Calc", reference, 1))
+        text = build_definition().to_wire().replace("Calc", reference, 1)
+        with pytest.raises(WsdlError) as refused:
+            parse_wsdl(text)
+        assert isinstance(refused.value.__cause__, XmlParseError)
+        with pytest.raises(XmlParseError) as reference_refused:
+            parse_reference(text)
+        assert refused.value.__cause__.line == reference_refused.value.line
 
     def test_wrong_root(self):
         with pytest.raises(WsdlError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.xmlkit import QName
-from repro.xmlkit.names import is_ncname, split_prefixed
+from repro.xmlkit.names import is_ncname
 
 
 class TestIsNcname:
@@ -14,17 +14,6 @@ class TestIsNcname:
     def test_invalid_names(self):
         for name in ["", "1abc", "-x", ".x", "a b", "a:b", "<", "a<b"]:
             assert not is_ncname(name), name
-
-
-class TestSplitPrefixed:
-    def test_with_prefix(self):
-        assert split_prefixed("soap:Envelope") == ("soap", "Envelope")
-
-    def test_without_prefix(self):
-        assert split_prefixed("Envelope") == ("", "Envelope")
-
-    def test_empty_prefix_kept(self):
-        assert split_prefixed(":x") == ("", "x")
 
 
 class TestQName:

@@ -1,88 +1,80 @@
-"""Tests for the tokenizer and parser."""
+"""Tests for the reader: expat's events built into an Element tree."""
 
 import pytest
 
-from repro.xmlkit import Element, QName, XmlParseError, XmlWellFormednessError, parse
-from repro.xmlkit.tokenizer import Tokenizer, TokenType
+from repro.xmlkit import Element, FeedParser, QName, XmlParseError, XmlWellFormednessError, parse
 
 
-def tokenize(text):
-    return Tokenizer(text).tokens()
+def content(text):
+    return parse(text).content
 
 
 class TestTokenizer:
+    """The lexical constructs expat's tokenizer reads, checked through :func:`parse`."""
+
     def test_simple_element(self):
-        toks = list(tokenize("<a>hi</a>"))
-        assert [t.type for t in toks] == [TokenType.START_TAG, TokenType.TEXT, TokenType.END_TAG]
+        assert content("<a>hi</a>") == ("hi",)
 
     def test_self_closing(self):
-        (tok,) = list(tokenize("<a/>"))
-        assert tok.self_closing
+        assert content("<a/>") == ()
 
     def test_attributes_both_quote_styles(self):
-        (tok,) = list(tokenize("<a x=\"1\" y='2'/>"))
-        assert tok.attrs == [("x", "1"), ("y", "2")]
+        root = parse("<a x=\"1\" y='2'/>")
+        assert [(k.local, v) for k, v in root.attributes.items()] == [("x", "1"), ("y", "2")]
 
     def test_entity_decoding_in_text(self):
-        toks = list(tokenize("<a>&lt;&amp;&gt;&quot;&apos;</a>"))
-        assert toks[1].value == "<&>\"'"
+        assert content("<a>&lt;&amp;&gt;&quot;&apos;</a>") == ("<&>\"'",)
 
     def test_numeric_char_refs(self):
-        toks = list(tokenize("<a>&#65;&#x42;</a>"))
-        assert toks[1].value == "AB"
+        assert content("<a>&#65;&#x42;</a>") == ("AB",)
 
     def test_unknown_entity_rejected(self):
         with pytest.raises(XmlParseError):
-            list(tokenize("<a>&nbsp;</a>"))
+            parse("<a>&nbsp;</a>")
 
     def test_cdata(self):
-        toks = list(tokenize("<a><![CDATA[<not-a-tag> & raw]]></a>"))
-        assert toks[1].value == "<not-a-tag> & raw"
+        assert content("<a><![CDATA[<not-a-tag> & raw]]></a>") == ("<not-a-tag> & raw",)
 
     def test_comment(self):
-        toks = list(tokenize("<!-- hello --><a/>"))
-        assert toks[0].type is TokenType.COMMENT
+        assert content("<!-- hello --><a><!-- inside --></a>") == ()
 
     def test_double_dash_in_comment_rejected(self):
         with pytest.raises(XmlParseError):
-            list(tokenize("<!-- a -- b --><a/>"))
+            parse("<!-- a -- b --><a/>")
 
     def test_xml_declaration(self):
-        toks = list(tokenize('<?xml version="1.0"?><a/>'))
-        assert toks[0].type is TokenType.DECLARATION
+        assert parse('<?xml version="1.0"?><a/>').name.local == "a"
+        with pytest.raises(XmlParseError):
+            parse('<a><?xml version="1.0"?></a>')  # only at the start
 
     def test_processing_instruction(self):
-        toks = list(tokenize("<?target some data?><a/>"))
-        assert toks[0].type is TokenType.PI
-        assert toks[0].value == ("target", "some data")
+        assert content("<?target some data?><a>x<?pi?>y</a>") == ("xy",)
 
     def test_doctype_rejected(self):
-        with pytest.raises(XmlParseError):
-            list(tokenize("<!DOCTYPE html><a/>"))
+        with pytest.raises(XmlParseError, match="doctype"):
+            parse("<!DOCTYPE html><a/>")
 
     def test_unterminated_tag(self):
         with pytest.raises(XmlParseError):
-            list(tokenize("<a foo"))
+            parse("<a foo")
 
     def test_unterminated_comment(self):
         with pytest.raises(XmlParseError):
-            list(tokenize("<!-- never ends"))
+            parse("<!-- never ends")
 
     def test_unquoted_attribute_rejected(self):
         with pytest.raises(XmlParseError):
-            list(tokenize("<a x=1/>"))
+            parse("<a x=1/>")
 
     def test_lt_in_attribute_rejected(self):
         with pytest.raises(XmlParseError):
-            list(tokenize('<a x="a<b"/>'))
+            parse('<a x="a<b"/>')
 
     def test_error_carries_position(self):
-        try:
-            list(tokenize("<a>\n<b x=bad/></a>"))
-        except XmlParseError as e:
-            assert e.line == 2
-        else:
-            pytest.fail("expected XmlParseError")
+        with pytest.raises(XmlParseError) as info:
+            parse("<a>\n<b x=bad/></a>")
+        # expat's 0-based column, made 1-based
+        assert (info.value.line, info.value.column) == (2, 6)
 
 
 class TestParser:
@@ -185,3 +177,63 @@ class TestParser:
         for _ in range(depth - 1):
             node = node.children[0]
         assert node.text == "x"
+
+
+class TestPolicy:
+    """Where the reader answers otherwise than the reference reader
+    (``tests/_oracle/reference_codec.py``): DESIGN.md §2's policy rows."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param("<a>x]]>y</a>", id="cdata-end-in-text"),
+            pytest.param("<a>\x01</a>", id="c0-control-in-text"),
+            pytest.param("<a x='\x01'/>", id="c0-control-in-attribute"),
+            pytest.param("<a>\ufffe</a>", id="u+fffe"),
+            pytest.param("<a>&#x1;</a>", id="reference-to-non-char"),
+            pytest.param('<a xmlns:p="u" xmlns:q="u" p:x="1" q:x="2"/>', id="duplicate-expanded-attribute"),
+            pytest.param("<a>\ud800</a>", id="lone-surrogate"),
+            pytest.param("<a><é/></a>", id="name-outside-qname-subset"),
+            pytest.param("<!DOCTYPE a><a/>", id="doctype"),
+        ],
+    )
+    def test_refused(self, document):
+        with pytest.raises(XmlParseError) as batch:
+            parse(document)
+        parser = FeedParser()
+        with pytest.raises(XmlParseError) as fed:
+            for k in range(0, len(document), 3):
+                parser.feed(document[k : k + 3])
+            parser.close()
+        assert type(fed.value) is type(batch.value)
+
+    def test_refused_position_counts_from_the_document_start(self):
+        document = "<a>\n  <b>ok</b>\n  x]]>y</a>"
+        with pytest.raises(XmlParseError) as batch:
+            parse(document)
+        parser = FeedParser()
+        with pytest.raises(XmlParseError) as fed:
+            for k in range(0, len(document), 4):
+                parser.feed(document[k : k + 4].encode())
+            parser.close()
+        assert (batch.value.line, batch.value.column) == (fed.value.line, fed.value.column) == (3, 6)
+
+    @pytest.mark.parametrize("document", ["\ufeff<a>x</a>", b"\xef\xbb\xbf<a>x</a>"], ids=["str", "bytes"])
+    def test_a_leading_byte_order_mark_is_accepted(self, document):
+        assert content(document) == ("x",)
+
+    def test_an_encoding_declaration_on_text_is_ignored(self):
+        assert content('<?xml version="1.0" encoding="latin-1"?><a>é</a>') == ("é",)
+
+    def test_line_ends_and_attribute_whitespace_are_normalised(self):
+        root = parse("<a x='1\n\t2' y='&#10;&#9;'>p\r\nq\rr</a>")
+        assert [root.get("x"), root.get("y")] == ["1  2", "\n\t"]
+        assert root.content == ("p\nq\nr",)
+
+    def test_adjacent_character_data_is_one_string(self):
+        document = "<a>x<![CDATA[<y>]]><!-- c -->z&amp;<?pi?>w<b/>v</a>"
+        assert content(document)[0] == "x<y>z&w"
+        parser = FeedParser()
+        for ch in document:
+            parser.feed(ch)
+        assert parser.close().content == content(document)
