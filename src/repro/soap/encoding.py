@@ -19,7 +19,10 @@ dataclass          registered complexType name  dataclass instance
 Every element this module writes carries enough type information
 (``xsi:type`` or nil) for the receiving side to decode without any
 out-of-band schema, which is what lets WSPeer invoke services it only
-discovered at runtime.
+discovered at runtime.  A **group** — a list of one scalar type — says
+its item type once, as SOAP 1.1 §5.4.2 does: ``soapenc:arrayType=
+"xsd:double[]"`` on the Array and untyped items; an item's own
+``xsi:type`` still wins, so the form with typed items reads the same.
 
 :func:`encode_value` / :func:`decode_value` are the element path and
 the reference.  Values that cross the wire without an element tree take
@@ -37,12 +40,13 @@ import re
 from typing import Any, Callable, Optional
 
 from repro.soap.attachments import Attachment, cid_of, resolve_attachment
-from repro.soap.shapes import SCALAR_READERS, SLOT, Group
+from repro.soap.shapes import SCALAR_READERS, SLOT, Group, array_item_type
 from repro.xmlkit import Element, QName, ns
 from repro.xmlkit.names import is_ncname
 
 XSI_TYPE = QName(ns.XSI, "type", "xsi")
 XSI_NIL = QName(ns.XSI, "nil", "xsi")
+ARRAY_TYPE = QName(ns.SOAP_ENC, "arrayType", "soapenc")
 HREF = QName("", "href")
 
 
@@ -121,6 +125,10 @@ _XSI_TYPE = (ns.XSI, "type", "xsi")
 _ITEM_NAME = ("", "item", "")
 _NIL_ATTRS = (((ns.XSI, "nil", "xsi"), "true"),)
 _ARRAY_TREE = (((_XSI_TYPE, "soapenc:Array"),), (("soapenc", ns.SOAP_ENC),))
+_ARRAY_TYPE = (ns.SOAP_ENC, "arrayType", "soapenc")
+#: a group's ``arrayType`` size: none, so every length has one shape
+#: (§5.4.2: "the size may be determined by inspection of the actual members")
+_ANY_SIZE = "[]"
 _STRUCT_TREE = (((_XSI_TYPE, "soapenc:Struct"),), (("soapenc", ns.SOAP_ENC),))
 #: shapes of the two values that write no text: ``None`` and ``''``
 NIL, EMPTY = "nil", "empty"
@@ -136,6 +144,22 @@ def _scalar_row(value: Any) -> Optional[tuple[str, Callable[[Any], str]]]:
                 return row
         return None
     return row
+
+
+def _group_row(value: Any) -> Optional[tuple[str, Callable[[Any], str]]]:
+    """The scalar row of a **group** — a non-empty ``list`` or ``tuple``
+    (exact types) whose items are all one exact scalar type, no ``''``
+    in a string list — else None.  A group names its item type once, in
+    ``soapenc:arrayType``, and its items are untyped leaves."""
+    kind = value.__class__
+    if kind is not list and kind is not tuple:
+        return None
+    kinds = set(map(type, value))
+    if len(kinds) != 1:
+        return None
+    item_kind = kinds.pop()
+    row = _SCALAR_WRITERS.get(item_kind)
+    return None if row is None or item_kind is str and "" in value else row
 
 
 def encode_value(
@@ -172,6 +196,13 @@ def _encode_into(elem: Element, value: Any, registry: StructRegistry) -> None:
     if isinstance(value, (list, tuple)):
         elem.attributes.update(_ARRAY[0])
         elem.nsdecls.update(_ARRAY[1])
+        row = _group_row(value)
+        if row is not None:
+            elem.set(ARRAY_TYPE, row[0] + _ANY_SIZE)
+            write = row[1]
+            for item in value:
+                elem.append(Element(_ITEM, text=write(item)))
+            return
         for item in value:
             _encode_into(elem.append(Element(_ITEM)), item, registry)
         return
@@ -205,7 +236,29 @@ def decode_value(
     registry: Optional[StructRegistry] = None,
 ) -> Any:
     """Decode an element produced by :func:`encode_value`."""
-    registry = registry or _EMPTY_REGISTRY
+    return _decode(elem, registry or _EMPTY_REGISTRY, None)
+
+
+def _type_local(elem: Element, text: str) -> str:
+    """The local part of the QName *text* in *elem*'s scope."""
+    try:
+        return elem.resolve_qname_text(text).local
+    except ValueError:
+        # Unresolvable prefix: fall back to the local part, which keeps
+        # us liberal in what we accept from foreign stacks.
+        return text.rpartition(":")[2]
+
+
+def _scalar(row: tuple, text: str) -> Any:
+    try:
+        return row[0](text)
+    except ValueError:
+        raise EncodingError(f"bad {row[1]} literal: {text!r}") from None
+
+
+def _decode(elem: Element, registry: StructRegistry, item: Optional[tuple]) -> Any:
+    """:func:`decode_value`; *item* is the :data:`SCALAR_READERS` row an
+    *elem* without ``xsi:type`` takes: its Array's ``arrayType``."""
     if elem.get(XSI_NIL) in ("true", "1"):
         return None
 
@@ -217,37 +270,27 @@ def decode_value(
 
     type_text = elem.get(XSI_TYPE)
     if type_text is None:
-        return _decode_untyped(elem, registry)
+        return _decode_untyped(elem, registry) if item is None else _scalar(item, elem.text)
 
-    try:
-        type_qname = elem.resolve_qname_text(type_text)
-    except ValueError:
-        # Unresolvable prefix: fall back to the local part, which keeps
-        # us liberal in what we accept from foreign stacks.
-        _, _, local = type_text.rpartition(":")
-        type_qname = QName("", local)
-
-    local = type_qname.local
-    text = elem.text
+    local = _type_local(elem, type_text)
     row = SCALAR_READERS.get(local)
     if row is not None:
-        try:
-            return row[0](text)
-        except ValueError:
-            raise EncodingError(f"bad {row[1]} literal: {text!r}") from None
+        return _scalar(row, elem.text)
     if local == "base64Binary":
         try:
-            return base64.b64decode(text.encode("ascii"), validate=True)
+            return base64.b64decode(elem.text.encode("ascii"), validate=True)
         except Exception:
             raise EncodingError("bad base64 content") from None
     if local == "Array":
-        return [decode_value(child, registry) for child in elem.children]
+        atype = array_item_type(elem.get(ARRAY_TYPE))
+        item = None if atype is None else SCALAR_READERS.get(_type_local(elem, atype))
+        return [_decode(child, registry, item) for child in elem.children]
     if local == "Struct":
-        return {child.name.local: decode_value(child, registry) for child in elem.children}
+        return {child.name.local: _decode(child, registry, None) for child in elem.children}
 
     cls = registry.type_of(local)
     if cls is not None:
-        kwargs = {child.name.local: decode_value(child, registry) for child in elem.children}
+        kwargs = {child.name.local: _decode(child, registry, None) for child in elem.children}
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -261,8 +304,8 @@ def _decode_untyped(elem: Element, registry: StructRegistry) -> Any:
     if elem.children:
         locals_seen = [c.name.local for c in elem.children]
         if all(local == "item" for local in locals_seen):
-            return [decode_value(c, registry) for c in elem.children]
-        return {c.name.local: decode_value(c, registry) for c in elem.children}
+            return [_decode(c, registry, None) for c in elem.children]
+        return {c.name.local: _decode(c, registry, None) for c in elem.children}
     return elem.text
 
 
@@ -334,16 +377,12 @@ def value_shape(value: Any, texts: list, found: list[Attachment]) -> Optional[An
         if value not in found:
             found.append(value)
     elif isinstance(value, (list, tuple)):
-        exact = kind is list or kind is tuple
-        kinds = set(map(type, value))
-        if exact and len(kinds) == 1:
-            item_kind = kinds.pop()
-            row = _SCALAR_WRITERS.get(item_kind)
-            if row is not None and not (item_kind is str and "" in value):
-                texts.append(list(map(row[1], value)))
-                return ("group", row[0])
+        row = _group_row(value)
+        if row is not None:
+            texts.append(list(map(row[1], value)))
+            return ("group", row[0])
         shapes = tuple([value_shape(item, texts, found) for item in value]) if value else ()
-        if exact and None not in shapes:
+        if (kind is list or kind is tuple) and None not in shapes:
             return ("array", shapes)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         for field in dataclasses.fields(value):
@@ -369,7 +408,8 @@ def value_tree(name: tuple, shape: Any) -> tuple:
         return (name, *_STRUCT_TREE, tuple([value_tree(("", key, ""), sub) for key, sub in inner]))
     if kind == "array":
         return (name, *_ARRAY_TREE, tuple([value_tree(_ITEM_NAME, sub) for sub in inner]))
-    return (name, *_ARRAY_TREE, (Group((_ITEM_NAME, ((_XSI_TYPE, inner),), (), SLOT)),))
+    attributes = (*_ARRAY_TREE[0], (_ARRAY_TYPE, inner + _ANY_SIZE))
+    return (name, attributes, _ARRAY_TREE[1], (Group((_ITEM_NAME, (), (), SLOT)),))
 
 
 def rpc_tree(namespace: str, local: str, params: tuple) -> tuple:

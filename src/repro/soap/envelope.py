@@ -82,12 +82,33 @@ def header_layout(names) -> tuple[tuple, frozenset]:
     )
 
 
-def body_layout(nsdecls) -> tuple:
-    """The declarations *nsdecls* of the Body's content keeps: all but
-    those the Envelope makes alike.  A decoder detaches the content with
-    the Envelope's declarations folded in (``copy_with_scope``), and
-    written again they would repeat on it."""
-    return tuple([decl for decl in nsdecls if decl not in _ENVELOPE_DECLS])
+def body_layout(names) -> tuple[tuple, frozenset]:
+    """Where the Body's content declares ``soapenc``, which every Array
+    and Struct declares for itself: :func:`header_layout`'s rule over
+    the content's *names* (root and descendants, as that takes them),
+    with the root in the Header's place and ``soapenc`` the only prefix
+    that moves.  Returns the declaration the root takes and the prefixes
+    whose declarations leave its descendants.  Every other declaration
+    stays where it is, the wrapper's own ``tns`` included."""
+    return header_layout([name for name in names if name[0] == "soapenc"])
+
+
+def _content_decls(own, moved) -> tuple:
+    """The declarations of the Body's content root: its *own* but those
+    the Envelope makes alike — a decoder detaches the content with the
+    Envelope's declarations folded in (``copy_with_scope``), and written
+    again they would repeat on it — then the *moved* ones it lacks."""
+    kept = [decl for decl in own if decl not in _ENVELOPE_DECLS]
+    return tuple(kept + [decl for decl in moved if decl not in own])
+
+
+def _element_names(elems) -> list:
+    """:func:`header_layout`'s names of the elements *elems*."""
+    names: list = []
+    for elem in elems:
+        names += [(prefix, uri, True) for prefix, uri in elem.nsdecls.items()]
+        names += [(q.prefix, q.uri, False) for q in (elem.name, *elem.attributes)]
+    return names
 
 
 def _shape_names(node: tuple, names: list) -> None:
@@ -113,11 +134,20 @@ def _without(node: tuple, gone: frozenset) -> tuple:
     return name, attributes, tuple([decl for decl in nsdecls if decl[0] not in gone]), content
 
 
+def _content_shape(node: tuple) -> tuple:
+    """The Body's content *node* laid out by :func:`body_layout`."""
+    names: list = []
+    _shape_names(node, names)
+    moved, gone = body_layout(names)
+    name, attributes, _, content = _without(node, gone)
+    return name, attributes, _content_decls(node[2], moved), content
+
+
 def envelope_shape(blocks: tuple = (), body: tuple = ()) -> tuple:
     """The shape of an envelope around the header block shapes *blocks*
     and *body*, its one content shape or none; the blocks' namespaces
     are declared where :func:`header_layout` puts them, the content's
-    where :func:`body_layout` leaves them."""
+    where :func:`body_layout` does."""
     names: list = []
     for block in blocks:
         _shape_names(block, names)
@@ -127,8 +157,7 @@ def envelope_shape(blocks: tuple = (), body: tuple = ()) -> tuple:
         (
             ((ns.SOAP_ENV, "Header", "soapenv"), (), header,
              tuple([_without(block, gone) for block in blocks]) if gone else blocks),
-            ((ns.SOAP_ENV, "Body", "soapenv"), (), (),
-             tuple([(*node[:2], body_layout(node[2]), node[3]) for node in body])),
+            ((ns.SOAP_ENV, "Body", "soapenv"), (), (), tuple([_content_shape(node) for node in body])),
         ),
     )
 
@@ -380,11 +409,7 @@ class SoapEnvelope:
     def to_element(self) -> Element:
         blocks = [block.copy() for block in self.headers]
         elems = [elem for block in blocks for elem in block.iter()]
-        names: list = []
-        for elem in elems:
-            names += [(prefix, uri, True) for prefix, uri in elem.nsdecls.items()]
-            names += [(q.prefix, q.uri, False) for q in (elem.name, *elem.attributes)]
-        decls, gone = header_layout(names)
+        decls, gone = header_layout(_element_names(elems))
         for elem in elems:
             for prefix in gone.intersection(elem.nsdecls):
                 del elem.nsdecls[prefix]
@@ -394,7 +419,12 @@ class SoapEnvelope:
         header.extend(blocks)
         if self.body_content is not None:
             content = body.append(self.body_content.copy())
-            content.nsdecls = dict(body_layout(content.nsdecls.items()))
+            own, elems = tuple(content.nsdecls.items()), list(content.iter())
+            moved, gone = body_layout(_element_names(elems))
+            for elem in elems:
+                for prefix in gone.intersection(elem.nsdecls):
+                    del elem.nsdecls[prefix]
+            content.nsdecls = dict(_content_decls(own, moved))
         return env
 
     def to_wire(self, pretty: bool = False) -> str:

@@ -74,6 +74,19 @@ SCALAR_READERS: dict[str, tuple[Callable[[str], Any], str]] = {
 }
 
 
+#: ``soapenc:arrayType``'s value (SOAP 1.1 §5.4.2): an ``atype`` QName
+#: and one size, whose lengths go unchecked; an atype with ranks of its
+#: own (``xsd:double[][]``) does not match
+_ARRAY_TYPE = re.compile(r"([^\[\]]+)\[[^\[\]]*\]")
+
+
+def array_item_type(text: Optional[str]) -> Optional[str]:
+    """The QName text of an Array's items when its ``arrayType`` is
+    *text* and they have no array type of their own, else None."""
+    found = None if text is None else _ARRAY_TYPE.fullmatch(text)
+    return found and found[1]
+
+
 def grow(node: tuple, texts) -> Element:
     """A fresh element tree of *node* holding *texts* (consumed in slot
     order, so several nodes can share one iterator).  Every tree has its
@@ -435,42 +448,50 @@ def own_declaration(wire: str, elem: Element) -> int:
 def readers(body: tuple) -> Optional[tuple]:
     """``(parameter local name, reader)`` per child of the RPC wrapper
     *body*: ``reader(texts)`` is what ``decode_value`` makes of it.  None
-    when one needs the element path: an ``href``, no ``xsi:type`` or one
-    the scalar table, Array and Struct do not cover, a group anywhere
-    but in an Array."""
+    when one needs the element path: an ``href``, no ``xsi:type`` (but
+    an Array item's, which its scalar ``arrayType`` types) or one the
+    scalar table, Array and Struct do not cover, a group anywhere but in
+    an Array."""
     fields = _fields(body, len(slot_kinds(body[:3] + ((),))))  # after its start tag's slots
     if fields is None or any(group for _, _, group in fields):
         return None
     return tuple((name, reader) for name, reader, _ in fields)
 
 
-def _fields(node: tuple, at: int) -> Optional[list]:
+def _local(type_text: str) -> str:
+    # all decode_value takes from a resolved QName is its local part
+    return type_text.partition(":")[2] or type_text
+
+
+def _fields(node: tuple, at: int, item: Optional[str] = None) -> Optional[list]:
     """``(local name, reader, is a group)`` per child of *node*, whose
-    first slot is *at*; None when a child has no reader."""
+    first slot is *at*; None when a child has no reader.  *item*: the
+    scalar type a child without ``xsi:type`` takes."""
     fields = []
     for part in () if node[3] is SLOT else node[3]:
         if part.__class__ is str:
             continue
         group = part.__class__ is Group
-        item = part.item if group else part
-        reader = _reader(item, at, group)
+        kid = part.item if group else part
+        reader = _reader(kid, at, group, item)
         if reader is None:
             return None
-        fields.append((item[0][1], reader, group))
+        fields.append((kid[0][1], reader, group))
         at += 1 if group else len(slot_kinds(part))
     return fields
 
 
-def _reader(node: tuple, at: int, group: bool) -> Optional[Callable[[list], Any]]:
+def _reader(
+    node: tuple, at: int, group: bool, item: Optional[str] = None
+) -> Optional[Callable[[list], Any]]:
     """The reader of *node* (first slot *at*), or of the run of its
-    copies that a *group* is."""
+    copies that a *group* is; *item* as for :func:`_fields`."""
     if attribute(node, ns.XSI, "nil") in ("true", "1"):
         return None if group else lambda texts: None
     type_text = attribute(node, ns.XSI, "type")
-    if type_text is None or attribute(node, "", "href") is not None:
+    if type_text is None and item is None or attribute(node, "", "href") is not None:
         return None
-    # all decode_value takes from the resolved QName is its local part
-    local = type_text.partition(":")[2] or type_text
+    local = item if type_text is None else _local(type_text)
     row = SCALAR_READERS.get(local)
     if row is not None:
         convert = row[0]
@@ -483,7 +504,11 @@ def _reader(node: tuple, at: int, group: bool) -> Optional[Callable[[list], Any]
         except ValueError:
             return None
         return lambda texts: value
-    fields = None if group or local not in ("Array", "Struct") else _fields(node, at)
+    if group or local not in ("Array", "Struct"):
+        return None
+    atype = array_item_type(attribute(node, ns.SOAP_ENC, "arrayType")) if local == "Array" else None
+    item = atype and _local(atype)
+    fields = _fields(node, at, item if item in SCALAR_READERS else None)
     if fields is None or local == "Struct" and any(is_group for _, _, is_group in fields):
         return None
     if local == "Struct":

@@ -37,7 +37,7 @@ Common namespace URIs used by the stack live in :mod:`repro.xmlkit.ns`.
 from repro._exports import exports
 
 __all__, __getattr__, __dir__ = exports(__name__, {
-    ".errors": ("XmlError", "XmlParseError", "XmlWellFormednessError"),
+    ".errors": ("XmlError", "XmlParseError", "XmlSerializeError", "XmlWellFormednessError"),
     ".names": ("QName",),
     ".element": ("Element",),
     ".parser": ("parse", "parse_fragment"),

@@ -23,3 +23,9 @@ class XmlParseError(XmlError):
 class XmlWellFormednessError(XmlParseError):
     """Structurally invalid XML: mismatched tags, duplicate attributes,
     undeclared namespace prefixes, multiple roots, etc."""
+
+
+class XmlSerializeError(XmlError):
+    """An element tree that has no namespace-well-formed text, such as
+    one binding a prefix to no namespace (``xmlns:p=""``, which
+    Namespaces 1.0 does not allow)."""

@@ -11,7 +11,9 @@ Web-service format needs one, and refusing it closes the entity
 expansion attacks), a ``str`` holding a lone surrogate is refused, and
 an encoding declaration is ignored — text arrives decoded, bytes are
 UTF-8.  Adjacent character data is always one content string, whatever
-CDATA sections, comments or feed boundaries fall inside it.
+CDATA sections, comments or feed boundaries fall inside it.  A refusal
+of the reader's own (a DOCTYPE, a name :class:`QName` does not take)
+points at the start of the construct refused, as expat's own do.
 """
 
 from __future__ import annotations
@@ -37,16 +39,18 @@ def _qname(name: str) -> QName:
 
 
 class _Builder:
-    """Expat's events → an :class:`Element` tree.  It holds no reference
-    to its parser, so a finished parse leaves no cycle behind."""
+    """Expat's events → an :class:`Element` tree.  It holds its parser
+    only inside :meth:`read`, so a finished parse (or one waiting for
+    its next chunk) leaves no cycle behind."""
 
-    __slots__ = ("root", "_stack", "_text", "_decls")
+    __slots__ = ("root", "_stack", "_text", "_decls", "_parser")
 
     def __init__(self) -> None:
         self.root: Optional[Element] = None
         self._stack: list[Element] = []
         self._text: list[str] = []  # character data since the last tag
         self._decls: dict[str, str] = {}  # for the next start tag
+        self._parser: Optional[XMLParserType] = None  # while reading
 
     def reader(self) -> XMLParserType:
         parser = ParserCreate("utf-8", _SEPARATOR)
@@ -55,8 +59,27 @@ class _Builder:
         parser.StartElementHandler = self._start
         parser.EndElementHandler = self._end
         parser.CharacterDataHandler = self._text.append
-        parser.StartDoctypeDeclHandler = self._doctype
+        # the DOCTYPE's first token comes here (no doctype handler is set)
+        # at its own position; the other markup nothing else takes does too
+        parser.DefaultHandler = self._markup
         return parser
+
+    def read(self, parser: XMLParserType, data: Union[str, bytes], final: bool) -> None:
+        """Hand *data* to *parser*, every refusal raised as an :class:`XmlParseError`."""
+        self._parser = parser
+        try:
+            parser.Parse(data, final)
+        except ExpatError as exc:
+            raise XmlWellFormednessError(ErrorString(exc.code), exc.lineno, exc.offset + 1) from None
+        except UnicodeEncodeError as exc:
+            raise XmlParseError(f"lone surrogate {exc.object[exc.start]!r} in text") from None
+        finally:
+            self._parser = None
+
+    def _refusal(self, message: str) -> XmlParseError:
+        """The refusal of the construct being reported, at the position where it starts."""
+        parser = self._parser
+        return XmlParseError(message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
 
     def _declare(self, prefix: Optional[str], uri: Optional[str]) -> None:
         self._decls[prefix or ""] = uri or ""
@@ -66,12 +89,15 @@ class _Builder:
         if text:
             stack[-1]._content.append("".join(text))
             text.clear()
-        elem = Element(_qname(name), nsdecls=self._decls)
+        try:
+            elem = Element(_qname(name), nsdecls=self._decls)
+            if attrs:
+                attributes = elem.attributes
+                for k in range(0, len(attrs), 2):
+                    attributes[_qname(attrs[k])] = attrs[k + 1]
+        except ValueError as exc:  # a name QName does not take
+            raise self._refusal(str(exc)) from None
         self._decls.clear()
-        if attrs:
-            attributes = elem.attributes
-            for k in range(0, len(attrs), 2):
-                attributes[_qname(attrs[k])] = attrs[k + 1]
         if stack:
             stack[-1].append(elem)
         else:
@@ -84,27 +110,15 @@ class _Builder:
             elem._content.append("".join(text))
             text.clear()
 
-    def _doctype(self, *_) -> None:
-        raise ValueError("DTD / doctype declarations are not supported")
-
-
-def read(parser: XMLParserType, data: Union[str, bytes], final: bool) -> None:
-    """Hand *data* to *parser*, every refusal raised as an :class:`XmlParseError`."""
-    try:
-        parser.Parse(data, final)
-    except ExpatError as exc:
-        raise XmlWellFormednessError(ErrorString(exc.code), exc.lineno, exc.offset + 1) from None
-    except UnicodeEncodeError as exc:
-        raise XmlParseError(f"lone surrogate {exc.object[exc.start]!r} in text") from None
-    except ValueError as exc:  # a DOCTYPE, or a name QName does not take
-        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
-        raise XmlParseError(str(exc), line, column) from None
+    def _markup(self, data: str) -> None:
+        if data.startswith("<!DOCTYPE"):
+            raise self._refusal("DTD / doctype declarations are not supported")
 
 
 def parse(text: Union[str, bytes]) -> Element:
     """Parse an XML *document*: exactly one root element."""
     builder = _Builder()
-    read(builder.reader(), text, True)
+    builder.read(builder.reader(), text, True)
     return builder.root
 
 

@@ -28,6 +28,7 @@ import re
 from typing import Optional
 
 from repro.xmlkit.element import Element
+from repro.xmlkit.errors import XmlSerializeError
 from repro.xmlkit.names import QName, XML_URI
 
 _TEXT_NEEDS_ESCAPE = re.compile(r"[&<>\r]")
@@ -316,6 +317,8 @@ class _Serializer:
         extra_decls = st[2]
         decls = {**nsdecls, **extra_decls} if extra_decls else nsdecls
         for prefix, uri in decls.items():
+            if not uri and prefix:
+                raise XmlSerializeError(f'xmlns:{prefix}="" on <{tag}>: a prefix cannot be undeclared')
             key = f"xmlns:{prefix}" if prefix else "xmlns"
             head += f' {key}="{escape_attr(uri)}"'
         return head + attrs, tag, st[0]

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Union
 
 from repro.xmlkit.element import Element
 from repro.xmlkit.errors import XmlParseError
-from repro.xmlkit.parser import _Builder, read
+from repro.xmlkit.parser import _Builder
 from repro.xmlkit.serializer import _ROOT_SCOPE, _Scope, _Serializer, escape_text
 
 #: window for escaping large text nodes: escape_text is applied to
@@ -161,13 +161,13 @@ class FeedParser:
         if self._closed:
             raise XmlParseError("feed() after close()")
         self.fed_bytes += len(data)
-        read(self._parser, data, False)
+        self._builder.read(self._parser, data, False)
 
     def close(self) -> Element:
         if self._closed:
             raise XmlParseError("close() called twice")
         self._closed = True
-        read(self._parser, b"", True)
+        self._builder.read(self._parser, b"", True)
         return self._builder.root
 
 

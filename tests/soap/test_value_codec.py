@@ -25,7 +25,7 @@ from repro.core.events import RecordingListener
 from repro.reliability.ack import build_ack
 from repro.simnet import FixedLatency, Network
 from repro.soap import Attachment, EncodingError, SoapEnvelope, StructRegistry
-from repro.soap.encoding import decode_value, encode_value
+from repro.soap.encoding import ARRAY_TYPE, decode_value, encode_value
 from repro.soap.envelope import DecodeSkeletons, wire_templates
 from repro.soap.faults import FaultCode, ServerBusyFault, SoapFault
 from repro.soap.handlers import CallbackHandler, Direction
@@ -280,15 +280,18 @@ def test_uniform_lists_of_every_length(items, length):
 def test_a_group_is_one_shape_whatever_its_length():
     """One template and one skeleton serve every length; a skeleton cut
     at two items matches 1 … 5 000, past ``MAX_TAGS`` (which bounds what
-    is cut, not what is matched)."""
+    is cut, not what is matched).  The Array names its items' type once,
+    in ``soapenc:arrayType`` with no size (SOAP 1.1 §5.4.2), and no item
+    is typed."""
     wires = {
         n: build_rpc_request(NS, "op", {"values": [i + 0.5 for i in range(n)]}).to_wire()
-        for n in (2, 3, 1, 17, 5000)
+        for n in (2, 3, 1, 17, 64, 65, 5000)
     }
     assert cache_stats()[TEMPLATES]["size"] == 1
     assert wires[5000].count("<") > DecodeSkeletons.MAX_TAGS
     for n, wire in wires.items():
         assert wire == element_wire(element_envelope("op", {"values": [i + 0.5 for i in range(n)]}))
+        assert wire.count(ATYPE) == 1 and wire.count("<item>") == n and "<item " not in wire
         before = hits()
         assert dispatched(SoapEnvelope.from_wire(wire)) == [[i + 0.5 for i in range(n)]]
         assert hits() - before == (0 if n in (2, 3) else 1), n
@@ -325,10 +328,63 @@ def test_shapes_are_exact_types():
     assert 'xsd:boolean">true<' in build_rpc_request(NS, "op", {"values": [1, True]}).to_wire()
 
 
+#: what earlier releases (and stacks that type every member) write: each
+#: item typed, no arrayType, every Array and Struct declaring soapenc
+TYPED_ITEMS = (
+    '<?xml version="1.0" encoding="utf-8"?><soapenv:Envelope'
+    ' xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/"'
+    ' xmlns:xsd="http://www.w3.org/2001/XMLSchema" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
+    '<soapenv:Header/><soapenv:Body><tns:op xmlns:tns="urn:wspeer:Codec">'
+    '<values xmlns:soapenc="http://schemas.xmlsoap.org/soap/encoding/" xsi:type="soapenc:Array">'
+    '<item xsi:type="xsd:double">0.5</item><item xsi:type="xsd:double">1.5</item>'
+    '<item xsi:type="xsd:double">2.5</item></values>'
+    '<s xmlns:soapenc="http://schemas.xmlsoap.org/soap/encoding/" xsi:type="soapenc:Array">'
+    '<item xsi:type="xsd:string">a</item><item xsi:type="xsd:string">b&amp;c</item></s>'
+    '<n xsi:type="xsd:int">1</n>'
+    '<d xmlns:soapenc="http://schemas.xmlsoap.org/soap/encoding/" xsi:type="soapenc:Struct">'
+    '<k xmlns:soapenc="http://schemas.xmlsoap.org/soap/encoding/" xsi:type="soapenc:Array">'
+    '<item xsi:type="xsd:int">1</item><item xsi:type="xsd:int">2</item></k>'
+    '<m xmlns:soapenc="http://schemas.xmlsoap.org/soap/encoding/" xsi:type="soapenc:Array">'
+    '<item xsi:type="xsd:boolean">true</item></m></d></tns:op></soapenv:Body></soapenv:Envelope>'
+)
+
+
+def test_the_typed_item_form_still_decodes_cold_and_warm():
+    values = [[0.5, 1.5, 2.5], ["a", "b&c"], 1, {"k": [1, 2], "m": [True]}]
+    assert element_values(TYPED_ITEMS) == values
+    assert_decode_parity(TYPED_ITEMS)  # cold, on probation, off the skeleton
+    warm = SoapEnvelope.from_wire(TYPED_ITEMS)
+    assert [value for _, value in warm.rpc_values()] == values  # the skeleton's readers
+    assert dispatched(warm) == values
+    params = dict(zip(["values", "s", "n", "d"], values))
+    new = build_rpc_request(NS, "op", params).to_wire()
+    assert len(new) < len(TYPED_ITEMS) and dispatched(SoapEnvelope.from_wire(new)) == values
+
+
+def test_a_uddi_exchange_declares_soapenc_once_per_message():
+    """Every Array and Struct used to declare soapenc itself: a registry
+    reply carrying a record did so nine times."""
+    net = Network(latency=FixedLatency(0.002))
+    registry = UddiRegistryNode(net.add_node("registry"))
+    provider = WSPeer(net.add_node("prov"), StandardBinding(registry.endpoint))
+    consumer = WSPeer(net.add_node("cons"), StandardBinding(registry.endpoint))
+    wires = []
+    net.add_delivery_hook(lambda frame: wires.append(frame.payload) or True)
+    provider.deploy(EchoService(), name="Echo")
+    provider.publish("Echo")
+    assert consumer.invoke(consumer.locate_one("Echo"), "echo", message="hi") == "hi"
+    uddi = [w.decode() for w in wires if isinstance(w, bytes) and b"urn:uddi-org:api_v2" in w]
+    assert len(uddi) == 4  # publish and locate, each way
+    for wire in uddi:
+        assert wire.count("xmlns:soapenc=") == 1
+    assert max(w.count("soapenc:Struct") + w.count("soapenc:Array") for w in uddi) >= 9
+
+
 # ----------------------------------------------------------------------
 # hostile mutants of a warm group skeleton
 # ----------------------------------------------------------------------
-ITEM = '<item xsi:type="xsd:double">%s</item>'
+#: a group's item: its type is its Array's ``soapenc:arrayType``
+ITEM = "<item>%s</item>"
 MUTANTS = {
     "markup-in-item": ITEM % "0.2<b/>5",
     "surrogate": ITEM % "&#xD800;",
@@ -341,7 +397,7 @@ MUTANTS = {
     "nil-item": '<item xsi:nil="true"/>',
     "nil-item-with-text": '<item xsi:nil="true">0.25</item>',
     "empty-item": ITEM % "",
-    "self-closed-item": '<item xsi:type="xsd:double"/>',
+    "self-closed-item": "<item/>",
     "removed-item": "",
     "inserted-items": (ITEM % "0.5") * 500,
     "space-after-item": ITEM % "0.25" + " ",
@@ -353,8 +409,18 @@ MUTANTS = {
     "unknown-type": '<item xsi:type="xsd:Point">0.25</item>',
     "nested": '<item xsi:type="soapenc:Array">' + ITEM % "0.25" + "</item>",
     "amp": ITEM % "0.25&amp;",
+    "typed-item": '<item xsi:type="xsd:double">0.75</item>',  # the form with typed items
 }
 VICTIM = ITEM % "0.75"
+#: the group's item type, said once on the Array
+ATYPE = ' soapenc:arrayType="xsd:double[]"'
+ATYPE_MUTANTS = {
+    "int-array-type": ' soapenc:arrayType="xsd:int[]"',
+    "unresolvable-array-type": ' soapenc:arrayType="nope:double[]"',
+    "sized-array-type": ' soapenc:arrayType="xsd:double[2]"',
+    "ranked-array-type": ' soapenc:arrayType="xsd:double[][]"',
+    "removed-array-type": "",
+}
 
 
 class ListService:
@@ -383,12 +449,16 @@ def _mutant_world():
     return post
 
 
-@pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS.keys())
-def test_a_mutant_of_a_warm_group_meets_the_slow_path_outcome(mutant):
+@pytest.mark.parametrize(
+    "victim, mutant",
+    [(VICTIM, mutant) for mutant in MUTANTS.values()] + [(ATYPE, mutant) for mutant in ATYPE_MUTANTS.values()],
+    ids=[*MUTANTS, *ATYPE_MUTANTS],
+)
+def test_a_mutant_of_a_warm_group_meets_the_slow_path_outcome(victim, mutant):
     post = _mutant_world()
     base = build_rpc_request(NS, "echo_list", {"values": [0.25, 0.5, 0.75, 1.0]}).to_wire()
-    assert base.count(VICTIM) == 1
-    hostile = base.replace(VICTIM, mutant)
+    assert base.count(victim) == 1
+    hostile = base.replace(victim, mutant)
 
     def through_the_provider(wire):
         reply = post(wire)
@@ -416,6 +486,7 @@ GROUP_BASES = [
 ]
 GROUP_FRAGMENTS = FRAGMENTS + list("<>/&\"'= xX:1") + [
     "</item>", ITEM[:-9], "</item>" + ITEM[:-9], "<item>", "0.5</item>" + ITEM[:-9] + "9",
+    '<item xsi:type="xsd:double">', ATYPE, ' soapenc:arrayType="xsd:int[]"', "[2]", "[]",
 ]
 
 
@@ -552,11 +623,11 @@ def test_a_decoded_tree_is_isolated_from_the_next_decode():
         assert envelope._body is body and envelope.body_content is body
         values = body.find("values")
         values.children[0].text = "9.5"
-        values.children[1].attributes.clear()
+        del values.attributes[ARRAY_TYPE]  # its items are untyped now
         values.nsdecls["soapenc"] = "urn:hijacked"
         values.append(Element("item", text="extra"))
         body.nsdecls.clear()
-        assert dispatched(envelope)[0] == [9.5, "1.5", "extra"]  # the tree is the truth
+        assert dispatched(envelope)[0] == ["9.5", "1.5", "extra"]  # the tree is the truth
         assert tree(SoapEnvelope.from_wire(wire).body_content) == expected
         assert dispatched(SoapEnvelope.from_wire(wire)) == [[0.5, 1.5], "n"]
 

@@ -237,3 +237,28 @@ class TestPolicy:
         for ch in document:
             parser.feed(ch)
         assert parser.close().content == content(document)
+
+
+class TestRefusalPosition:
+    """A refusal of the reader's own points where the refused construct
+    starts, as expat's own refusals do, in a batch and a fed parse."""
+
+    @pytest.mark.parametrize(
+        "document, where",
+        [
+            ("<!DOCTYPE html><a/>", (1, 1)),
+            ('<?xml version="1.0"?>\n<!-- c -->\n  <!DOCTYPE a [<!ENTITY x "y">]><a>&x;</a>', (3, 3)),
+            ("<a>\n <b><é/></b></a>", (2, 5)),
+            ('<r>\n<a xmlns:p="u" p:é="1"/></r>', (2, 1)),
+        ],
+        ids=["doctype", "doctype-after-prolog", "element-name", "attribute-name"],
+    )
+    def test_at_the_start_of_the_construct(self, document, where):
+        with pytest.raises(XmlParseError) as batch:
+            parse(document)
+        parser = FeedParser()
+        with pytest.raises(XmlParseError) as fed:
+            for k in range(0, len(document), 2):
+                parser.feed(document[k : k + 2])
+            parser.close()
+        assert (batch.value.line, batch.value.column) == (fed.value.line, fed.value.column) == where
