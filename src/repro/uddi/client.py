@@ -37,12 +37,9 @@ class UddiClient:
         )
 
     def call(self, operation: str, **args: Any) -> Any:
-        response = self.http.request(
-            self.uri.host, self.uri.port or 80, self._build_http_request(operation, args)
+        return self.http.network.kernel.wait(
+            lambda done: self._exchange(operation, args, done)
         )
-        from repro.soap import SoapEnvelope
-
-        return extract_rpc_result(SoapEnvelope.from_wire(response.body))
 
     def call_async(self, operation: str, callback, **args: Any) -> None:
         """Asynchronous inquiry: *callback(result, error)* fires later.
@@ -50,6 +47,11 @@ class UddiClient:
         The event-driven path of the paper's §III — nothing blocks while
         the registry answers.
         """
+        self._exchange(operation, args, callback)
+
+    def _exchange(self, operation: str, args: dict[str, Any], callback) -> None:
+        """One request to the registry; *callback(result, error)* gets the
+        RPC result, or the transport error or registry fault."""
         from repro.soap import SoapEnvelope
 
         def on_response(response, error) -> None:

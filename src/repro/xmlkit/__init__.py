@@ -9,8 +9,9 @@ refusal; the serialiser, element model and names are our own, so every
 byte sent is under our control (and fully testable).  Nothing in the
 rest of the codebase touches :mod:`xml.etree` or expat, and nothing
 selects another codec: one tree builder serves the batch and the
-streaming reader, one open-tag routine both serialisers.  The original
-hand-written implementation is a test oracle and lives with the tests.
+streaming reader, one element walker the batch and the streaming
+writer.  The original hand-written implementation is a test oracle and
+lives with the tests.
 
 Public surface:
 
@@ -41,7 +42,7 @@ __all__, __getattr__, __dir__ = exports(__name__, {
     ".names": ("QName",),
     ".element": ("Element",),
     ".parser": ("parse", "parse_fragment"),
-    ".serializer": ("serialize",),
-    ".stream": ("FeedParser", "iter_serialize", "parse_stream"),
+    ".serializer": ("serialize", "iter_serialize"),
+    ".stream": ("FeedParser", "parse_stream"),
     ".ns": ("ns",),
 })

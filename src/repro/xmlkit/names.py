@@ -10,6 +10,7 @@ from repro.caching import SoftTable
 _NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*\Z")
 
 XML_URI = "http://www.w3.org/XML/1998/namespace"
+XMLNS_URI = "http://www.w3.org/2000/xmlns/"
 
 
 def is_ncname(name: str) -> bool:

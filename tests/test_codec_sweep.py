@@ -69,6 +69,81 @@ def test_one_xml_reader():
     assert not (src / "xmlkit" / "tokenizer.py").exists()
 
 
+#: the one module under ``src/`` that writes XML: one element walker
+WRITER = pathlib.Path("xmlkit") / "serializer.py"
+
+
+def _writes_end_tag(node: ast.AST) -> bool:
+    if isinstance(node, ast.JoinedStr):
+        return any(isinstance(v, ast.Constant) and "</" in v.value for v in node.values)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("</")
+
+
+def _walkers(tree: ast.AST) -> list[str]:
+    """The functions in *tree* that write an end tag: ``"</..."``, or an
+    f-string with ``</`` in its text."""
+    return [
+        f"{func.name} (line {func.lineno})"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_writes_end_tag(node) for node in ast.walk(func))
+    ]
+
+
+def _held_state(tree: ast.Module) -> list[str]:
+    """Module- or class-level values that could hold state across calls:
+    anything but a constant, arithmetic on constants or a compiled regex."""
+    found = []
+    bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                value = node.value
+                regex = (
+                    isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
+                    and value.func.attr == "compile"
+                )
+                if not regex and not all(
+                    isinstance(n, (ast.Constant, ast.BinOp, ast.Tuple, ast.operator, ast.expr_context))
+                    for n in ast.walk(value)
+                ):
+                    found.append(f"line {node.lineno}: {ast.unparse(node)[:60]}")
+    return found
+
+
+def test_one_xml_writer():
+    """xmlkit writes through one element walker, which keeps nothing
+    between calls; the streaming writer is that walker, chunked."""
+    src = pathlib.Path(repro.__file__).parent
+    writer = ast.parse((src / WRITER).read_text())
+    assert len(_walkers(writer)) == 1, _walkers(writer)  # the sweep sees what it looks for
+    offenders = [
+        f"{path.relative_to(src)}: {walker}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src) != WRITER
+        for walker in _walkers(ast.parse(path.read_text()))
+    ]
+    assert not offenders, f"an element walker outside {WRITER}: {offenders}"
+
+    stream = ast.parse((src / "xmlkit" / "stream.py").read_text())
+    from_writer = {
+        alias.asname or alias.name
+        for node in ast.walk(stream)
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.xmlkit.serializer"
+        for alias in node.names
+    }
+    subclasses = [
+        node.name
+        for node in ast.walk(stream)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id in from_writer for b in node.bases)
+    ]
+    assert not subclasses, f"xmlkit/stream.py subclasses a serialiser: {subclasses}"
+
+    held = _held_state(writer)
+    assert not held, f"{WRITER} keeps state between calls: {held}"
+
+
 def test_oracle_shares_no_code_with_the_production_codec():
     offenders = []
     for oracle, may_import in ORACLE_MAY_IMPORT.items():

@@ -79,6 +79,19 @@ class TestRemoteRegistry:
         with pytest.raises(SoapFault):
             client.call("get_service_detail", service_key="uuid:nope")
 
+    def test_fault_reaches_async_callback_as_call_raises_it(self, world):
+        net, _, client = world
+        with pytest.raises(SoapFault) as raised:
+            client.call("get_service_detail", service_key="uuid:nope")
+        outcomes = []
+        client.call_async(
+            "get_service_detail", lambda *outcome: outcomes.append(outcome), service_key="uuid:nope"
+        )
+        net.run()
+        ((result, error),) = outcomes
+        assert result is None and isinstance(error, SoapFault)
+        assert (error.code, error.message) == (raised.value.code, raised.value.message)
+
     def test_registry_counts_remote_traffic(self, world):
         net, registry_node, client = world
         client.publish_service("B", "S", "http://p/s")

@@ -1,6 +1,13 @@
 """Tests for the serialiser, including the parse∘serialize round-trip."""
 
-from repro.xmlkit import Element, QName, parse, serialize
+import gc
+import random
+import tracemalloc
+
+import pytest
+
+from repro.xmlkit import Element, QName, XmlSerializeError, XmlWellFormednessError, parse, serialize
+from repro.xmlkit.names import XML_URI, XMLNS_URI
 from repro.xmlkit.serializer import escape_attr, escape_text
 
 
@@ -109,3 +116,65 @@ class TestRoundTrip:
     def test_unicode_content(self):
         root = parse("<a>héllo ✓ 中文</a>")
         assert parse(serialize(root)).text == "héllo ✓ 中文"
+
+
+class TestReservedBindings:
+    """The writer refuses what the reader refuses: Namespaces 1.0 keeps
+    ``xml`` for the XML namespace and ``xmlns`` for none."""
+
+    @pytest.mark.parametrize(
+        "prefix, uri",
+        [
+            pytest.param("xml", "urn:x", id="xml-prefix-to-another-uri"),
+            pytest.param("xmlns", "urn:y", id="xmlns-prefix-declared"),
+            pytest.param("p", XML_URI, id="another-prefix-to-the-xml-namespace"),
+            pytest.param("q", XMLNS_URI, id="another-prefix-to-the-xmlns-namespace"),
+        ],
+    )
+    def test_reserved_binding_is_refused(self, prefix, uri):
+        with pytest.raises(XmlSerializeError, match="reserved namespace binding"):
+            serialize(Element("a", nsdecls={prefix: uri}))
+        with pytest.raises(XmlWellFormednessError):  # as the reader refuses the text
+            parse(f'<a xmlns:{prefix}="{uri}"/>')
+
+    def test_a_forced_declaration_of_a_reserved_binding_is_refused(self):
+        with pytest.raises(XmlSerializeError, match="reserved namespace binding"):
+            serialize(Element(QName(XMLNS_URI, "a", "q")))
+
+    def test_the_xml_prefix_still_writes_and_round_trips(self):
+        root = Element("a", nsdecls={"xml": XML_URI}, attributes={QName(XML_URI, "lang", "xml"): "en"})
+        root.add(QName(XML_URI, "b"))
+        text = serialize(root)
+        assert text == '<a xmlns:xml="http://www.w3.org/XML/1998/namespace" xml:lang="en"><xml:b/></a>'
+        assert parse(text) == root
+        assert serialize(Element("a", attributes={QName(XML_URI, "lang"): "en"})) == '<a xml:lang="en"/>'
+
+
+def test_the_writer_keeps_nothing_between_calls():
+    """20 000 documents of depth 6, each level declaring one of 60
+    prefixes at random, leave no trace: a scope lives only as long as
+    its element's walk.  One chain of six elements is renamed for each
+    document, so the writer does the only allocating."""
+    rng = random.Random(49)
+    bindings = [(QName(f"urn:p{i}", "e", f"p{i}"), {f"p{i}": f"urn:p{i}"}) for i in range(60)]
+    chain = [Element("e") for _ in range(6)]
+    for parent, child in zip(chain, chain[1:]):
+        parent.append(child)
+
+    def document() -> Element:
+        for elem in chain:
+            elem.name, elem.nsdecls = rng.choice(bindings)
+        return chain[0]
+
+    serialize(document())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20_000):
+            serialize(document())
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 1 << 20, f"the writer kept {growth} bytes"

@@ -19,7 +19,7 @@ from repro.xmlkit import (
     parse_stream,
     serialize,
 )
-from repro.xmlkit.stream import _TEXT_WINDOW
+from repro.xmlkit.serializer import _TEXT_WINDOW
 from tests._oracle.reference_codec import parse_reference, serialize_reference
 from tests.xmlkit.test_codec_parity import joined
 
