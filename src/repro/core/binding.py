@@ -57,20 +57,12 @@ class StandardBinding(Binding):
         business_name: str = "WSPeer",
         ca: Optional[CertificateAuthority] = None,
         credential: Optional[Credential] = None,
-        reliability: Optional[ReliabilityPolicy] = None,
     ):
         self.registry_uri = registry_uri
         self.http_port = http_port
         self.business_name = business_name
         self.ca = ca
         self.credential = credential
-        #: binding-wide reliability default: HTTP retries connection-level
-        #: errors only (a timed-out exchange may have executed server-side).
-        #: Pass ``ReliabilityPolicy.naive()`` to disable retries entirely.
-        self.reliability = (
-            reliability if reliability is not None
-            else ReliabilityPolicy.standard_default()
-        )
 
     def make_deployer(self, wspeer: "WSPeer") -> ServiceDeployer:
         return HttpServiceDeployer(
@@ -97,9 +89,12 @@ class StandardBinding(Binding):
             extra.append(
                 HttpgTransport(wspeer.node, self.ca, self.credential, pool=wspeer.http_pool)
             )
+        # HTTP retries connection-level errors only (a timed-out exchange
+        # may have executed server-side); the invocation's
+        # ``default_policy`` is where a peer sets another
         return HttpInvocation(
             wspeer.node, parent=wspeer.client, extra_transports=extra,
-            default_policy=self.reliability, pool=wspeer.http_pool,
+            default_policy=ReliabilityPolicy.standard_default(), pool=wspeer.http_pool,
         )
 
 
@@ -118,32 +113,16 @@ class P2psBinding(Binding):
         group: PeerGroup,
         rendezvous: bool = False,
         peer_name: str = "",
-        default_ttl: int = 4,
-        reliability: Optional[ReliabilityPolicy] = None,
     ):
         self.group = group
         self.rendezvous = rendezvous
         self.peer_name = peer_name
-        self.default_ttl = default_ttl
-        #: binding-wide reliability default: pipes are fire-and-forget, so
-        #: lapsed attempt timers retransmit the same MessageID (provider
-        #: dedup makes that safe).  Acks stay opt-in — use
-        #: ``ReliabilityPolicy.assured()`` for the full WS-RM-lite bundle.
-        self.reliability = (
-            reliability if reliability is not None
-            else ReliabilityPolicy.p2ps_default()
-        )
 
     def ensure_peer(self, wspeer: "WSPeer") -> Peer:
         if wspeer.peer is None:
             from repro.p2ps.peer import Peer
 
-            peer = Peer(
-                wspeer.node,
-                name=self.peer_name or wspeer.name,
-                rendezvous=self.rendezvous,
-                default_ttl=self.default_ttl,
-            )
+            peer = Peer(wspeer.node, name=self.peer_name or wspeer.name, rendezvous=self.rendezvous)
             peer.join(self.group)
             wspeer.peer = peer
         return wspeer.peer
@@ -172,7 +151,11 @@ class P2psBinding(Binding):
     def make_invocation(self, wspeer: "WSPeer") -> Invocation:
         from repro.core.p2psmap import P2psInvocation
 
+        # pipes are fire-and-forget, so lapsed attempt timers retransmit
+        # the same MessageID (provider dedup makes that safe); acks stay
+        # opt-in through the invocation's ``default_policy``
+        # (``ReliabilityPolicy.assured()``, the WS-RM-lite bundle)
         return P2psInvocation(
             self.ensure_peer(wspeer), parent=wspeer.client,
-            default_policy=self.reliability,
+            default_policy=ReliabilityPolicy.p2ps_default(),
         )

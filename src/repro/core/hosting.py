@@ -91,7 +91,7 @@ class DeployedService:
         #: ``wsa:MessageID``) replay the retained response instead of
         #: re-running the operation — essential for non-idempotent
         #: stateful services under client-side retry policies.
-        self.dedup = DedupWindow(max_entries=256)
+        self.dedup = DedupWindow()
         self.duplicates_suppressed = 0
         #: set by :class:`~repro.replication.group.ReplicationGroup`
         #: when this deployment joins a replication group (E15); the

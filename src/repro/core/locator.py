@@ -168,15 +168,14 @@ class UddiServiceLocator(ServiceLocator):
         node: Node,
         registry_uri: str,
         parent: Optional[EventSource] = None,
-        timeout: float = 30.0,
         pool=None,
     ):
         from repro.uddi.client import UddiClient
 
         super().__init__(node.network.kernel, parent)
         self.node = node
-        self.http = HttpClient(node, timeout, pool=pool)
-        self.uddi = UddiClient(node, registry_uri, timeout, pool=self.http.pool)
+        self.http = HttpClient(node, pool=pool)
+        self.uddi = UddiClient(node, registry_uri, pool=self.http.pool)
 
     def locate_async(
         self, query: ServiceQuery, on_found: OnFound, on_complete: OnComplete = None,

@@ -53,7 +53,6 @@ class UddiServicePublisher(ServicePublisher):
         registry_uri: str,
         business_name: str = "WSPeer",
         parent: Optional[EventSource] = None,
-        timeout: float = 30.0,
         pool=None,
     ):
         from repro.uddi.client import UddiClient
@@ -61,7 +60,7 @@ class UddiServicePublisher(ServicePublisher):
         super().__init__(lambda: node.network.kernel.now, parent)
         self.node = node
         self.business_name = business_name
-        self.uddi = UddiClient(node, registry_uri, timeout, pool=pool)
+        self.uddi = UddiClient(node, registry_uri, pool=pool)
         #: service name -> the serviceKey its last publish was handed
         self._keys: dict[str, str] = {}
 

@@ -74,7 +74,6 @@ class DiscoveryClient:
         cache: Optional[RendezvousCache] = None,
         gossip: Optional[GossipNode] = None,
         timeout: float = 30.0,
-        cache_lifetime: float = 30.0,
         pool=None,
     ):
         self.node = node
@@ -82,7 +81,7 @@ class DiscoveryClient:
         self.replication = max(1, replication)
         self.ring = HashRing(self.registry_uris)
         self.cache = cache if cache is not None else RendezvousCache(
-            lambda: node.network.kernel.now, lifetime=cache_lifetime
+            lambda: node.network.kernel.now
         )
         self.gossip = gossip
         if gossip is not None:

@@ -34,8 +34,6 @@ class DiscoveryPlane:
         shards: int = 4,
         replication: int = 2,
         registry_service_time: float = 0.0,
-        gossip_fanout: int = 3,
-        gossip_hops: int = 4,
         advert_valid_time: float = 30.0,
         cache_lifetime: float = 30.0,
         client_timeout: float = 30.0,
@@ -43,8 +41,6 @@ class DiscoveryPlane:
     ):
         self.network = network
         self.replication = min(max(1, replication), shards)
-        self.gossip_fanout = gossip_fanout
-        self.gossip_hops = gossip_hops
         self.advert_valid_time = advert_valid_time
         self.cache_lifetime = cache_lifetime
         self.client_timeout = client_timeout
@@ -69,13 +65,7 @@ class DiscoveryPlane:
         existing = self._gossip.get(node.id)
         if existing is not None:
             return existing
-        agent = GossipNode(
-            node,
-            origin=origin,
-            fanout=self.gossip_fanout,
-            hops=self.gossip_hops,
-            valid_time=self.advert_valid_time,
-        )
+        agent = GossipNode(node, origin=origin, valid_time=self.advert_valid_time)
         for member in self._gossip.values():
             member.link(node.id)
             agent.link(member.node.id)

@@ -24,15 +24,15 @@ def stable_hash(value: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+#: points per physical node: keeps the per-node share of the keyspace
+#: within a few percent of 1/N
+VNODES = 64
+
+
 class HashRing:
-    """Consistent hashing with virtual nodes.
+    """Consistent hashing with ``VNODES`` virtual nodes per shard."""
 
-    ``vnodes`` points per physical node keeps the per-node share of the
-    keyspace within a few percent of 1/N.
-    """
-
-    def __init__(self, nodes: Iterable[str] = (), vnodes: int = 64):
-        self.vnodes = vnodes
+    def __init__(self, nodes: Iterable[str] = ()):
         self._nodes: set[str] = set()
         self._hashes: list[int] = []  # sorted vnode positions
         self._owners: list[str] = []  # owner per position (parallel list)
@@ -54,7 +54,7 @@ class HashRing:
         if node in self._nodes:
             return
         self._nodes.add(node)
-        for i in range(self.vnodes):
+        for i in range(VNODES):
             position = stable_hash(f"{node}#{i}")
             at = bisect.bisect(self._hashes, position)
             self._hashes.insert(at, position)

@@ -31,8 +31,8 @@ FLIGHT_SCHEMA = "repro.flight/1"
 #: event kinds that freeze a post-mortem dump the moment they are seen
 DUMP_TRIGGERS = frozenset({"node-killed", "state-diverged", "circuit-open"})
 
-#: defaults: ring depth per recorder, retained dumps before dropping new ones
-DEFAULT_CAPACITY = 512
+#: ring depth per recorder, retained dumps before dropping new ones
+CAPACITY = 512
 MAX_DUMPS = 32
 
 _PRIMITIVES = (str, int, float, bool, type(None))
@@ -49,15 +49,9 @@ class FlightRecorder(TreeListener):
     """A bounded ring of recent events plus trigger-frozen dumps."""
     peer_slot = "flight"
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 metrics: Optional[Any] = None,
-                 triggers: Any = DUMP_TRIGGERS,
-                 max_dumps: int = MAX_DUMPS):
-        self.capacity = capacity
+    def __init__(self, metrics: Optional[Any] = None):
         self.metrics = metrics if metrics is not None else obs_metrics
-        self.triggers = frozenset(triggers)
-        self.max_dumps = max_dumps
-        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self._ring: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
         self.dumps: list[dict[str, Any]] = []
         self.dumps_dropped = 0
         self.events_seen = 0
@@ -81,14 +75,14 @@ class FlightRecorder(TreeListener):
         self._ring.append(record)
         self.events_seen += 1
         self.metrics.inc("flight.events")
-        if kind in self.triggers:
+        if kind in DUMP_TRIGGERS:
             self.dump(reason=kind, at=record["time"])
 
     # -- dumps -------------------------------------------------------------
     def dump(self, reason: str, at: Optional[float] = None) -> Optional[dict[str, Any]]:
         """Freeze a copy of the ring.  Returns the dump, or ``None``
         when the dump store is full (counted, never silent)."""
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.dumps) >= MAX_DUMPS:
             self.dumps_dropped += 1
             self.metrics.inc("flight.dumps_dropped")
             return None

@@ -40,10 +40,9 @@ the container, the observability layer does not actually work.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.observability import metrics as obs_metrics
-from repro.observability.spans import SpanTracer
 
 #: namespace the introspection service publishes under
 INTROSPECTION_NS = "urn:repro:introspection"
@@ -61,41 +60,22 @@ def _error(code: str, message: str, **echo: Any) -> str:
 
 
 class IntrospectionService:
-    """A live object the container exposes; one per hosting peer."""
+    """A live object the container exposes; one per hosting peer.
 
-    def __init__(
-        self,
-        peer: Any = None,
-        tracer: Optional[SpanTracer] = None,
-        metrics: Optional[obs_metrics.MetricsRegistry] = None,
-        flight: Any = None,
-        cluster: Any = None,
-        slo: Any = None,
-    ):
+    Each operation reads the facility installed on the hosting peer
+    (``peer.tracer`` / ``peer.flight`` / ``peer.slo`` /
+    ``peer.cluster_metrics``) when it is called, so installing one
+    after hosting works."""
+
+    def __init__(self, peer: Any = None):
         self._peer = peer
-        self._tracer = tracer
-        self._metrics = metrics
-        self._flight = flight
-        self._cluster = cluster
-        self._slo = slo
 
     # -- helpers (underscored: invisible to the RPC surface) ---------------
     def _registry(self) -> obs_metrics.MetricsRegistry:
-        if self._metrics is not None:
-            return self._metrics
-        tracer = self._facility(self._tracer, "tracer")
+        tracer = getattr(self._peer, "tracer", None)
         if tracer is not None:
             return tracer.metrics
         return obs_metrics.default_registry()
-
-    def _facility(self, held: Any, peer_attr: str) -> Any:
-        """An explicitly-wired facility, else the one installed on the
-        hosting peer (``peer.tracer`` / ``peer.flight`` / ``peer.slo`` /
-        ``peer.cluster_metrics``) — lazily, so installing after hosting
-        still works."""
-        if held is not None:
-            return held
-        return getattr(self._peer, peer_attr, None)
 
     # -- operations --------------------------------------------------------
     def GetMetrics(self) -> str:
@@ -106,7 +86,7 @@ class IntrospectionService:
         """The span tree for *message_id* as JSON, or the documented
         error object when no tracer is wired (``no-tracer``) or the
         ring has evicted / never held the trace (``trace-not-found``)."""
-        tracer = self._facility(self._tracer, "tracer")
+        tracer = getattr(self._peer, "tracer", None)
         if tracer is None:
             return _error("no-tracer", "no tracer attached to this peer",
                           message_id=message_id)
@@ -120,7 +100,7 @@ class IntrospectionService:
     def GetDistributedTrace(self, trace_id: str) -> str:
         """Every invocation carrying *trace_id*, stitched into one
         cross-node causal tree."""
-        tracer = self._facility(self._tracer, "tracer")
+        tracer = getattr(self._peer, "tracer", None)
         if tracer is None:
             return _error("no-tracer", "no tracer attached to this peer",
                           trace_id=trace_id)
@@ -133,7 +113,7 @@ class IntrospectionService:
 
     def GetFlightRecord(self) -> str:
         """The latest flight-recorder dump (live snapshot if none)."""
-        flight = self._facility(self._flight, "flight")
+        flight = getattr(self._peer, "flight", None)
         if flight is None:
             return _error("no-flight-recorder",
                           "no flight recorder attached to this peer")
@@ -141,7 +121,7 @@ class IntrospectionService:
 
     def GetMetricsDigest(self) -> str:
         """The local registry as a mergeable digest (the scrape path)."""
-        cluster = self._facility(self._cluster, "cluster_metrics")
+        cluster = getattr(self._peer, "cluster_metrics", None)
         if cluster is not None:
             return json.dumps(cluster.local_digest(), default=str)
         # no agent: still scrapeable — an anonymous seq-0 digest of the
@@ -153,7 +133,7 @@ class IntrospectionService:
 
     def GetClusterMetrics(self) -> str:
         """The merged cluster view (gossiped + scraped digests)."""
-        cluster = self._facility(self._cluster, "cluster_metrics")
+        cluster = getattr(self._peer, "cluster_metrics", None)
         if cluster is None:
             return _error("no-cluster-agent",
                           "no cluster metrics agent on this peer")
@@ -161,7 +141,7 @@ class IntrospectionService:
 
     def GetSloStatus(self) -> str:
         """Per-service burn rates and health annotations."""
-        slo = self._facility(self._slo, "slo")
+        slo = getattr(self._peer, "slo", None)
         if slo is None:
             return _error("no-slo-engine", "no SLO engine on this peer")
         return slo.status_json()
@@ -176,8 +156,7 @@ class IntrospectionService:
         })
 
 
-def host_introspection(peer: Any, name: str = "Introspection",
-                       tracer: Optional[SpanTracer] = None) -> Any:
+def host_introspection(peer: Any, name: str = "Introspection") -> Any:
     """Deploy *peer*'s self-description service.
 
     ``GetMetrics`` / ``GetTrace(message_id)`` / ``ListServices`` become
@@ -185,11 +164,10 @@ def host_introspection(peer: Any, name: str = "Introspection",
     observability outputs are themselves services (the paper's
     symmetric-peer argument applied to the peer's own internals).
     Uses the tracer installed on the peer (``peer.tracer``), looked up
-    on each call so a tracer installed after hosting is served, unless
-    *tracer* is given.  Returns the
-    :class:`~repro.core.hosting.DeployedService`.
+    on each call so a tracer installed after hosting is served.
+    Returns the :class:`~repro.core.hosting.DeployedService`.
     """
-    service = IntrospectionService(peer, tracer)
+    service = IntrospectionService(peer)
     return peer.deploy(
         service, name=name, namespace=INTROSPECTION_NS, include=list(OPERATIONS)
     )

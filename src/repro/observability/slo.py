@@ -40,6 +40,16 @@ MAX_PENDING = 2048
 #: bound on retained (time, good) samples per service
 MAX_SAMPLES = 4096
 
+#: the two burn-rate windows, in virtual seconds
+SHORT_WINDOW = 60.0
+LONG_WINDOW = 600.0
+#: warn when both windows burn at least this fast (critical is the
+#: policy's ``fast_burn``)
+SLOW_BURN = 6.0
+#: how long a provisional (per-attempt) failure may wait for a
+#: failover recovery before settling as a real failure
+SETTLE_AFTER = 5.0
+
 
 @dataclass(frozen=True)
 class SloPolicy:
@@ -50,16 +60,8 @@ class SloPolicy:
     #: calls slower than this are SLO violations even if they succeed
     #: (``None`` disables the latency criterion)
     latency_threshold: Optional[float] = None
-    #: the two burn-rate windows, in virtual seconds
-    short_window: float = 60.0
-    long_window: float = 600.0
-    #: burn-rate thresholds: critical when both windows exceed
-    #: ``fast_burn``, warn when both exceed ``slow_burn``
+    #: critical when both windows burn at least this fast
     fast_burn: float = 14.4
-    slow_burn: float = 6.0
-    #: how long a provisional (per-attempt) failure may wait for a
-    #: failover recovery before settling as a real failure
-    settle_after: float = 5.0
 
     @property
     def error_budget(self) -> float:
@@ -102,15 +104,15 @@ class ServiceSlo:
 
     def burn_rates(self, now: float) -> tuple[float, float]:
         budget = self.policy.error_budget
-        return (self.error_fraction(now, self.policy.short_window) / budget,
-                self.error_fraction(now, self.policy.long_window) / budget)
+        return (self.error_fraction(now, SHORT_WINDOW) / budget,
+                self.error_fraction(now, LONG_WINDOW) / budget)
 
     def health(self, now: float) -> tuple[str, float, float]:
         """(status, short_burn, long_burn) — both windows must agree."""
         short, long_ = self.burn_rates(now)
         if short >= self.policy.fast_burn and long_ >= self.policy.fast_burn:
             return CRITICAL, short, long_
-        if short >= self.policy.slow_burn and long_ >= self.policy.slow_burn:
+        if short >= SLOW_BURN and long_ >= SLOW_BURN:
             return WARN, short, long_
         return OK, short, long_
 
@@ -127,8 +129,8 @@ class SloEngine(TreeListener):
         #: message_id -> (service, sent_time) awaiting a verdict
         self._pending = SoftTable(MAX_PENDING)
         #: message_id -> (service, fail_time) provisionally failed: one
-        #: still here its service's settle_after later is a failure
-        self._provisional = SoftTable(MAX_PENDING, None, lambda: self._now, self._settled)
+        #: still here SETTLE_AFTER later is a failure
+        self._provisional = SoftTable(MAX_PENDING, SETTLE_AFTER, lambda: self._now, self._settled)
         self._now = 0.0  # the provisional table's clock: event / report time
         self._attached: list = []
         self._last_event_time = 0.0
@@ -171,11 +173,11 @@ class SloEngine(TreeListener):
                     self.metrics.inc("slo.latency_violations")
             slo.record(time, good)
         elif kind in ("invoke-failed", "oneway-failed"):
-            # per-attempt failure: provisional until settle_after elapses
+            # per-attempt failure: provisional until SETTLE_AFTER elapses
             if message_id in self._pending:
                 self._now = time
-                self._provisional.put(message_id, (service, time),
-                                      self._service(service).policy.settle_after)
+                self._service(service)  # reported from its first failure on
+                self._provisional.put(message_id, (service, time))
         elif kind == "failover-exhausted":
             self._pending.pop(message_id, None)
             self._provisional.pop(message_id, None)

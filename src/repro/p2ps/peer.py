@@ -39,7 +39,7 @@ from repro.p2ps.pipes import (
     TableEndpointResolver,
 )
 from repro.simnet.faults import NatGate
-from repro.p2ps.query import AdvertQuery
+from repro.p2ps.query import AdvertQuery, advert_name
 from repro.simnet.network import Frame, Network, Node, NodeDownError
 from repro.xmlkit import Element, QName, ns, parse, serialize
 
@@ -56,6 +56,64 @@ ADVERT_CACHE_CAP = 4096
 
 def _q(local: str) -> QName:
     return QName(ns.P2PS, local, "p2ps")
+
+
+class _AdvertTable(SoftTable):
+    """Adverts by key, each also filed under its kind and lower-cased
+    name, so that an exact-name query reads its bucket, not the table.
+    A bucket holds its keys in table order: a put or a ``get`` hit
+    moves a key to the end of both, and a key leaves its bucket when it
+    leaves the table (popped, cleared, evicted or expired)."""
+
+    def __init__(self, valid_time: float, clock: Callable[[], float]):
+        super().__init__(ADVERT_CACHE_CAP, valid_time, clock, self._evicted)
+        #: (kind, lower-cased name) -> keys, in table order
+        self._buckets: dict[tuple[str, str], dict[str, None]] = {}
+        #: key -> the bucket it is filed under
+        self._filed_as: dict[str, tuple[str, str]] = {}
+
+    def put(self, key: str, advert: Advertisement, valid_time: Optional[float] = None):
+        if key in self._filed_as:
+            self.pop(key)  # refiled under the advert's name, at the end
+        filed = self._filed_as[key] = (advert.kind, advert_name(advert).lower())
+        self._buckets.setdefault(filed, {})[key] = None
+        return super().put(key, advert, valid_time)
+
+    def get(self, key: str, default=None):
+        advert = super().get(key)
+        if advert is None:
+            return default
+        bucket = self._buckets[self._filed_as[key]]
+        del bucket[key]
+        bucket[key] = None
+        return advert
+
+    def pop(self, key: str, default=None):
+        filed = self._filed_as.pop(key, None)
+        if filed is not None:
+            bucket = self._buckets[filed]
+            del bucket[key]
+            if not bucket:
+                del self._buckets[filed]
+        return super().pop(key, default)
+
+    def clear(self) -> int:
+        self._buckets.clear()
+        self._filed_as.clear()
+        return super().clear()
+
+    def _evicted(self, key: str, advert: Advertisement) -> None:
+        self.pop(key)  # the table let it go already: this unfiles it
+
+    def filed(self, kind: str, name: str) -> list[tuple[str, Advertisement]]:
+        """Live ``(key, advert)`` pairs filed under *kind* and the
+        lower-cased *name*, in table order."""
+        live = []
+        for key in list(self._buckets.get((kind, name), ())):
+            advert = self.peek(key)  # an expired one leaves its bucket here
+            if advert is not None:
+                live.append((key, advert))
+        return live
 
 
 class QueryHandle:
@@ -96,7 +154,6 @@ class Peer:
         name: str = "",
         rendezvous: bool = False,
         cache_lifetime: float = 600.0,
-        default_ttl: int = DEFAULT_TTL,
         nat: bool = False,
         relay: Optional["Peer"] = None,
     ):
@@ -104,7 +161,6 @@ class Peer:
         self.name = name or node.id
         self.id = new_peer_id(self.name)
         self.rendezvous = rendezvous
-        self.default_ttl = default_ttl
         self.network: Network = node.network
         # NAT/firewall support (§IV-B): a NATed peer has no reachable
         # address; inbound traffic must ride sessions it opened itself
@@ -116,13 +172,13 @@ class Peer:
         clock = lambda: self.network.kernel.now  # noqa: E731
         #: advert key -> advert heard from others, forgotten after
         #: *cache_lifetime* unless heard again
-        self.cache = SoftTable(ADVERT_CACHE_CAP, cache_lifetime, clock)
+        self.cache = _AdvertTable(cache_lifetime, clock)
         #: advert key -> advert this peer published (itself, its pipes,
         #: its services), until withdrawn: what the republisher sends
         self.published: dict[str, Advertisement] = {}
         #: the published adverts this peer answers for: soft state like
         #: a cached advert (a live peer republishes to stay discoverable)
-        self._own = SoftTable(ADVERT_CACHE_CAP, cache_lifetime, clock)
+        self._own = _AdvertTable(cache_lifetime, clock)
         self.resolver = TableEndpointResolver(self.id)
         self.group: Optional[PeerGroup] = None
         self._rendezvous_links: dict[str, str] = {}  # peer_id -> node_id
@@ -274,10 +330,19 @@ class Peer:
         return advert if advert is not None else self.cache.peek(key)
 
     def matches(self, query: AdvertQuery) -> list[Advertisement]:
-        """Live local adverts matching *query*: ours, then cached ones."""
-        local = dict(self._own.items())
-        local.update((key, a) for key, a in self.cache.items() if key not in local)
-        return [advert for advert in local.values() if query.matches(advert)]
+        """Live local adverts matching *query*: ours, then cached ones.
+        A name without ``%`` reads only the adverts filed under it."""
+        if "%" in query.name_pattern:
+            local = dict(self._own.items())
+            local.update((key, a) for key, a in self.cache.items() if key not in local)
+            candidates = list(local.values())
+        else:
+            filed = (query.kind, query.name_pattern.lower())
+            candidates = [advert for _, advert in self._own.filed(*filed)]
+            candidates += [
+                advert for key, advert in self.cache.filed(*filed) if key not in self._own
+            ]
+        return [advert for advert in candidates if query.matches(advert)]
 
     def publish_service(
         self,
@@ -333,7 +398,7 @@ class Peer:
             handle._offer(advert)
         message = self._message("query", [query.to_element()])
         message.set("id", query_id)
-        message.set("ttl", str(ttl if ttl is not None else self.default_ttl))
+        message.set("ttl", str(ttl if ttl is not None else DEFAULT_TTL))
         self._remember_query(query_id)
         self._broadcast(message)
         return handle

@@ -25,6 +25,14 @@ def _q(local: str) -> QName:
     return QName(ns.P2PS, local, "p2ps")
 
 
+def advert_name(advert: Advertisement) -> str:
+    """The name a query's pattern is matched against: a peer without
+    one goes by its id."""
+    if isinstance(advert, PeerAdvertisement):
+        return advert.name or advert.peer_id
+    return advert.name
+
+
 class AdvertQuery:
     """A query over advertisements."""
 
@@ -56,7 +64,7 @@ class AdvertQuery:
                 self.name_pattern, advert.name
             )
         return isinstance(advert, PeerAdvertisement) and match_name(
-            self.name_pattern, advert.name or advert.peer_id
+            self.name_pattern, advert_name(advert)
         )
 
     # ------------------------------------------------------------------

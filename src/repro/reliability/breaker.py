@@ -21,6 +21,13 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: concurrent probes allowed while half-open
+HALF_OPEN_MAX = 1
+#: a half-open probe slot taken by :meth:`CircuitBreaker.allow` is
+#: reclaimed after this many seconds if the caller never reports an
+#: outcome (crashed caller), so the breaker cannot wedge half-open
+HALF_OPEN_LEASE_TIMEOUT = 30.0
+
 
 class CircuitOpenError(ReliabilityError):
     """Fail-fast: the endpoint's breaker is open, no attempt was made."""
@@ -49,7 +56,7 @@ class CircuitBreaker:
         #: is taken by :meth:`allow` and released by the next outcome
         #: report; a caller that never reports (crash, lost completion)
         #: leaks its lease, so leases self-expire after
-        #: ``config.half_open_lease_timeout`` instead of wedging the
+        #: ``HALF_OPEN_LEASE_TIMEOUT`` instead of wedging the
         #: breaker in half-open forever.
         self._half_open_leases: list[float] = []
         self.leases_expired = 0  #: probe slots reclaimed from silent callers
@@ -107,12 +114,10 @@ class CircuitBreaker:
                 return False
         if self.state == HALF_OPEN:
             self._prune_leases()
-            if len(self._half_open_leases) >= self.config.half_open_max:
+            if len(self._half_open_leases) >= HALF_OPEN_MAX:
                 self.rejected += 1
                 return False
-            self._half_open_leases.append(
-                self._now() + self.config.half_open_lease_timeout
-            )
+            self._half_open_leases.append(self._now() + HALF_OPEN_LEASE_TIMEOUT)
         return True
 
     def record_success(self) -> None:

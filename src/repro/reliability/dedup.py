@@ -6,59 +6,43 @@ at-most-once *execution* under at-least-once *delivery* — the property
 that makes retransmission safe for non-idempotent stateful services
 (the paper's hosted "code sources" hold state, §III).
 
-The window is a :class:`~repro.caching.SoftTable` bounded two ways:
-``max_entries`` (FIFO eviction, a ring over *first-insertion* order —
+The window is a :class:`~repro.caching.SoftTable` of ``DEDUP_CAP``
+entries with FIFO eviction, a ring over *first-insertion* order —
 re-remembering an id refreshes its retained value but never its place
-in the ring) and an optional ``ttl`` in virtual seconds.
+in the ring.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.caching import SoftTable
+
+#: MessageIDs a service's window remembers, oldest first out
+DEDUP_CAP = 256
 
 
 class DedupWindow:
     """Recently-seen MessageIDs with their retained responses."""
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        ttl: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive")
-        self.ttl = ttl
+    def __init__(self):
         #: message id -> [retained value]: only ``peek``ed, so a FIFO;
-        #: a re-remember fills the list, keeping place and deadline
-        self._entries = SoftTable(max_entries, ttl, clock or (lambda: 0.0))
+        #: a re-remember fills the list, keeping its place
+        self._entries = SoftTable(DEDUP_CAP)
         self.duplicates = 0  #: hits observed via seen()/get()/__contains__
 
     @property
-    def max_entries(self) -> int:
-        return self._entries.cap
-
-    @max_entries.setter
-    def max_entries(self, cap: int) -> None:
-        self._entries.cap = cap  # applies on the next remember
-
-    @property
     def evicted(self) -> int:
-        """Entries gone by cap or by ttl."""
-        return self._entries.evictions + self._entries.expiries
+        """Entries gone by the cap."""
+        return self._entries.evictions
 
     # ------------------------------------------------------------------
     def remember(self, message_id: str, value: Any = None) -> None:
         """Record *message_id* (optionally with a retained response).
 
         Re-remembering a live id only refreshes its retained value —
-        the entry keeps its original slot (and stored-at time) in the
-        FIFO ring, so a chatty retransmitter cannot indefinitely shield
-        its id from eviction.
+        the entry keeps its original slot in the FIFO ring, so a chatty
+        retransmitter cannot indefinitely shield its id from eviction.
         """
         held = self._entries.peek(message_id)
         if held is None:
@@ -98,4 +82,4 @@ class DedupWindow:
         self._entries.clear()
 
     def __repr__(self) -> str:
-        return f"<DedupWindow {len(self)}/{self.max_entries} ttl={self.ttl} dups={self.duplicates}>"
+        return f"<DedupWindow {len(self)}/{DEDUP_CAP} dups={self.duplicates}>"

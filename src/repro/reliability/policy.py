@@ -184,11 +184,6 @@ class BreakerConfig:
     failure_threshold: float = 0.5  #: open when failure rate >= this ...
     min_calls: int = 4          #: ... and at least this many calls observed
     open_timeout: float = 5.0   #: seconds open before probing (half-open)
-    half_open_max: int = 1      #: concurrent probes allowed while half-open
-    #: a half-open probe slot taken by :meth:`CircuitBreaker.allow` is
-    #: reclaimed after this many seconds if the caller never reports an
-    #: outcome (crashed caller), so the breaker cannot wedge half-open
-    half_open_lease_timeout: float = 30.0
 
 
 @dataclass
@@ -249,19 +244,13 @@ class ReliabilityPolicy:
         return cls(retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
 
     @classmethod
-    def assured(
-        cls,
-        attempts: int = 6,
-        deadline: Optional[float] = None,
-        seed: int = 0,
-    ) -> "ReliabilityPolicy":
+    def assured(cls, attempts: int = 6, seed: int = 0) -> "ReliabilityPolicy":
         """Retry + ack + breaker: the full WS-ReliableMessaging-lite bundle."""
         return cls(
             retry=RetryPolicy(
                 max_attempts=attempts, base_delay=0.05, multiplier=2.0,
                 max_delay=1.0, jitter=0.1, seed=seed,
             ),
-            deadline=deadline,
             ack=True,
             breaker=BreakerConfig(),
         )

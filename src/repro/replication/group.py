@@ -30,8 +30,16 @@ from repro.observability.tracecontext import (
     current_context as trace_current_context,
     event_fields as trace_event_fields,
 )
+from repro.reliability import ReliabilityPolicy, RetryPolicy
 from repro.replication.member import ReplicationConfig, ReplicationMember
 from repro.replication.state import StateDelta, StateSnapshot
+
+#: per-ship attempt timeout (virtual seconds)
+SHIP_TIMEOUT = 2.0
+#: attempts per delta ship (E7 machinery; seeded jitter)
+SHIP_ATTEMPTS = 4
+#: anti-entropy pull period (virtual seconds)
+ANTI_ENTROPY_INTERVAL = 0.5
 
 
 class ReplicationGroup:
@@ -49,6 +57,14 @@ class ReplicationGroup:
         self.ship_failures = 0
         self._kernel = None
         self._anti_entropy = None  # the periodic pull's cycle, once started
+        #: every ship and pull of this group retries on one seeded jitter
+        #: stream of its own
+        self.ship_policy = ReliabilityPolicy(
+            retry=RetryPolicy(
+                max_attempts=SHIP_ATTEMPTS, base_delay=0.05, multiplier=2.0,
+                max_delay=0.5, jitter=0.05, seed=151,
+            )
+        )
 
     # ------------------------------------------------------------------
     # membership
@@ -211,8 +227,8 @@ class ReplicationGroup:
                 "apply_delta",
                 {"delta": payload},
                 on_done,
-                self.config.ship_timeout,
-                policy=self.config.ship_policy(),
+                SHIP_TIMEOUT,
+                policy=self.ship_policy,
             )
         except Exception as exc:  # noqa: BLE001 - dying-origin boundary
             on_done(None, exc)
@@ -220,13 +236,12 @@ class ReplicationGroup:
     # ------------------------------------------------------------------
     # anti-entropy (periodic pull + sequence dominance)
     # ------------------------------------------------------------------
-    def start_anti_entropy(self, interval: Optional[float] = None) -> None:
-        """Run the convergence pull every *interval* virtual seconds,
-        until :meth:`stop_anti_entropy`."""
-        period = interval if interval is not None else self.config.anti_entropy_interval
-        if period <= 0 or self._kernel is None or self._anti_entropy is not None:
+    def start_anti_entropy(self) -> None:
+        """Run the convergence pull every ``ANTI_ENTROPY_INTERVAL``
+        virtual seconds, until :meth:`stop_anti_entropy`."""
+        if self._kernel is None or self._anti_entropy is not None:
             return
-        self._anti_entropy = self._kernel.every(period, self.run_anti_entropy)
+        self._anti_entropy = self._kernel.every(ANTI_ENTROPY_INTERVAL, self.run_anti_entropy)
 
     def stop_anti_entropy(self) -> None:
         """Stop the periodic pull (the group's only standing timer)."""
@@ -329,7 +344,7 @@ class ReplicationGroup:
         try:
             member.peer.client.invocation.invoke_async(
                 handle, operation, args, callback,
-                self.config.ship_timeout, policy=self.config.ship_policy(),
+                SHIP_TIMEOUT, policy=self.ship_policy,
             )
         except Exception as exc:  # noqa: BLE001 - down-node boundary
             callback(None, exc)

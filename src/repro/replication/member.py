@@ -22,17 +22,24 @@ picking a side of the conflict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.events import EventSource
 from repro.observability import metrics as obs_metrics
-from repro.reliability import ReliabilityPolicy, RetryPolicy
 from repro.replication.errors import StateDivergedError
 from repro.replication.state import DEFAULT_SESSION, StateDelta, StateSnapshot
 from repro.replication.store import APPLIED, BUFFERED, DIVERGED, ReplicaStore
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.faults import FaultCode, ReplicaLagFault, SoapFault
+
+
+#: request argument naming the session a call belongs to (services
+#: without a ``get_session_state`` protocol ignore it and use the
+#: single default session)
+SESSION_ARG = "session"
+#: retry-after hint answered with a ReplicaLagFault
+LAG_RETRY_AFTER = 0.1
 
 
 @dataclass
@@ -41,32 +48,8 @@ class ReplicationConfig:
 
     #: replicas per service (group size is r + 1)
     r: int = 2
-    #: request argument naming the session a call belongs to (services
-    #: without a ``get_session_state`` protocol ignore this and use the
-    #: single default session)
-    session_arg: str = "session"
     #: delta-log suffix length before folding into the snapshot
     compact_after: int = 32
-    #: out-of-order deltas held per session before shedding
-    max_buffer: int = 64
-    #: (message_id, response wire) pairs carried per snapshot for dedup
-    reply_history: int = 16
-    #: per-ship attempt timeout (virtual seconds)
-    ship_timeout: float = 2.0
-    #: retry schedule for delta ships (E7 machinery; seeded)
-    ship_retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=4, base_delay=0.05, multiplier=2.0,
-            max_delay=0.5, jitter=0.05, seed=151,
-        )
-    )
-    #: anti-entropy pull period; 0 disables the background task
-    anti_entropy_interval: float = 0.5
-    #: retry-after hint answered with a ReplicaLagFault
-    lag_retry_after: float = 0.1
-
-    def ship_policy(self) -> ReliabilityPolicy:
-        return ReliabilityPolicy(retry=self.ship_retry)
 
 
 class _WholeObjectAdapter:
@@ -159,12 +142,7 @@ class ReplicationMember(EventSource):
         self.deployed = deployed
         self.config = config
         self.adapter = make_adapter(instance)
-        self.store = ReplicaStore(
-            member_id=peer.name,
-            compact_after=config.compact_after,
-            max_buffer=config.max_buffer,
-            reply_history=config.reply_history,
-        )
+        self.store = ReplicaStore(member_id=peer.name, compact_after=config.compact_after)
         self.port_name = f"{deployed.name}Replica"
         self.port = ReplicaPort(self)
         self.port_deployed = peer.deploy(
@@ -206,7 +184,7 @@ class ReplicationMember(EventSource):
         body = request.body_content
         if body is None:
             return DEFAULT_SESSION
-        session = body.find_text(self.config.session_arg, "")
+        session = body.find_text(SESSION_ARG, "")
         return session or DEFAULT_SESSION
 
     def guard_request(
@@ -242,7 +220,7 @@ class ReplicationMember(EventSource):
                     f"member {self.node_id!r} is {lag} delta(s) behind "
                     f"on session {session!r}",
                     behind_by=lag,
-                    retry_after=self.config.lag_retry_after,
+                    retry_after=LAG_RETRY_AFTER,
                 )
             )
         return None

@@ -40,6 +40,11 @@ from repro.replication.state import (
     state_digest,
 )
 
+#: out-of-order deltas held per session before shedding
+MAX_BUFFER = 64
+#: (message_id, response wire) pairs carried per snapshot for dedup
+REPLY_HISTORY = 16
+
 #: verdicts from :meth:`ReplicaStore.apply_remote`
 APPLIED = "applied"
 DUPLICATE = "duplicate"
@@ -58,30 +63,22 @@ class _SessionRecord:
         "replies",
     )
 
-    def __init__(self, session: str, compact_after: int, reply_history: int):
+    def __init__(self, session: str, compact_after: int):
         self.state: dict[str, Any] = {}
         self.high_water = 0
         self.digest = state_digest({})
         self.buffered: dict[int, StateDelta] = {}
         self.diverged = False
         self.log = SessionLog(session, compact_after=compact_after)
-        self.replies: deque[tuple[str, str]] = deque(maxlen=reply_history)
+        self.replies: deque[tuple[str, str]] = deque(maxlen=REPLY_HISTORY)
 
 
 class ReplicaStore:
     """Versioned session state for one member of a replication group."""
 
-    def __init__(
-        self,
-        member_id: str = "",
-        compact_after: int = 32,
-        max_buffer: int = 64,
-        reply_history: int = 16,
-    ):
+    def __init__(self, member_id: str = "", compact_after: int = 32):
         self.member_id = member_id
         self.compact_after = compact_after
-        self.max_buffer = max_buffer
-        self.reply_history = reply_history
         self._sessions: dict[str, _SessionRecord] = {}
         # counters (surfaced through the group's metrics collector)
         self.applied = 0
@@ -96,7 +93,7 @@ class ReplicaStore:
     def _record(self, session: str) -> _SessionRecord:
         record = self._sessions.get(session)
         if record is None:
-            record = _SessionRecord(session, self.compact_after, self.reply_history)
+            record = _SessionRecord(session, self.compact_after)
             self._sessions[session] = record
         return record
 
@@ -235,7 +232,7 @@ class ReplicaStore:
             self.duplicates += 1
             return DUPLICATE, []
         if delta.seq > record.high_water + 1:
-            if len(record.buffered) >= self.max_buffer:
+            if len(record.buffered) >= MAX_BUFFER:
                 self.buffer_overflows += 1
                 return BUFFERED, []
             if delta.seq not in record.buffered:

@@ -501,6 +501,9 @@ def wire_carries_fault(wire) -> bool:
 #: static document content); cached so the probe is not re-run.
 _UNTEMPLATABLE = object()
 
+#: envelope templates the one :data:`wire_templates` cache keeps
+WIRE_TEMPLATES_CAP = 256
+
 
 class WireTemplateCache:
     """Envelope templates (:func:`repro.soap.shapes.template`) by shape.
@@ -511,8 +514,8 @@ class WireTemplateCache:
     makes :meth:`render` return None: the caller serialises.
     """
 
-    def __init__(self, max_entries: int = 256):
-        self._cache = ArtifactCache("wire-templates", max_entries)
+    def __init__(self):
+        self._cache = ArtifactCache("wire-templates", WIRE_TEMPLATES_CAP)
 
     def render(self, envelope: "SoapEnvelope") -> Optional[str]:
         """The full wire text of *envelope*, or None to signal slow-path."""

@@ -36,12 +36,21 @@ VerdictListener = Callable[[str, str], None]
 #: reports the probe outcome exactly once
 ProbeFn = Callable[[str, Callable[[bool, float], None]], None]
 
+#: time constant (virtual seconds) over which observations decay
+TAU = 30.0
+#: Beta prior mass on each side of an endpoint's score
+PRIOR = 1.0
+#: consecutive hard failures that declare an endpoint dead
+DEAD_AFTER = 3
+#: weight of the newest sample in the latency EWMA
+LATENCY_ALPHA = 0.3
+
 
 class EndpointHealth:
     """Decayed outcome counters plus latency tracking for one endpoint.
 
     ``good``/``bad`` are observation masses that decay with time
-    constant *tau*, so an endpoint that failed hard an hour ago but
+    constant ``TAU``, so an endpoint that failed hard an hour ago but
     answers now scores high again without any explicit reset.  The
     score is a Beta-smoothed success ratio in (0, 1); ``0.5`` means
     "no evidence either way".
@@ -63,16 +72,16 @@ class EndpointHealth:
         self.dead = False
         self.last_seen_ok: Optional[float] = None
 
-    def decay(self, now: float, tau: float) -> None:
+    def decay(self, now: float) -> None:
         dt = now - self.last_update
         if dt > 0 and (self.good or self.bad):
-            factor = math.exp(-dt / tau)
+            factor = math.exp(-dt / TAU)
             self.good *= factor
             self.bad *= factor
         self.last_update = max(self.last_update, now)
 
-    def score(self, prior: float = 1.0) -> float:
-        return (self.good + prior) / (self.good + self.bad + 2.0 * prior)
+    def score(self) -> float:
+        return (self.good + PRIOR) / (self.good + self.bad + 2.0 * PRIOR)
 
 
 #: endpoints a monitor scores, least recently used forgotten first
@@ -84,28 +93,15 @@ class HealthMonitor:
 
     Passive signals arrive through ``record_success`` /
     ``record_failure`` / ``record_busy`` (the failover executor calls
-    these on every attempt).  ``dead_after`` consecutive hard failures
+    these on every attempt).  ``DEAD_AFTER`` consecutive hard failures
     declare an endpoint dead; any later success (typically from an
     active probe, or from a last-resort attempt when every endpoint of
     a handle is dead) revives it.  Verdict listeners hear each
     transition exactly once.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        tau: float = 30.0,
-        prior: float = 1.0,
-        dead_after: int = 3,
-        latency_alpha: float = 0.3,
-    ):
-        if dead_after < 1:
-            raise ValueError("dead_after must be >= 1")
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
-        self.tau = tau
-        self.prior = prior
-        self.dead_after = dead_after
-        self.latency_alpha = latency_alpha
         self._endpoints = SoftTable(HEALTH_ENDPOINTS_CAP)
         self._verdict_listeners: list[VerdictListener] = []
         self._breakers = None  # optional CircuitBreakerRegistry
@@ -142,7 +138,7 @@ class HealthMonitor:
     def record_success(self, address: str, latency: Optional[float] = None) -> None:
         now = self._now()
         entry = self._entry(address)
-        entry.decay(now, self.tau)
+        entry.decay(now)
         entry.good += 1.0
         entry.consecutive_failures = 0
         entry.busy_until = 0.0
@@ -151,8 +147,9 @@ class HealthMonitor:
             if entry.latency_ewma is None:
                 entry.latency_ewma = latency
             else:
-                a = self.latency_alpha
-                entry.latency_ewma = a * latency + (1.0 - a) * entry.latency_ewma
+                entry.latency_ewma = (
+                    LATENCY_ALPHA * latency + (1.0 - LATENCY_ALPHA) * entry.latency_ewma
+                )
         if entry.dead:
             entry.dead = False
             self._emit_verdict(address, ALIVE)
@@ -165,11 +162,11 @@ class HealthMonitor:
         """
         now = self._now()
         entry = self._entry(address)
-        entry.decay(now, self.tau)
+        entry.decay(now)
         entry.bad += 1.0
         entry.consecutive_failures += 1
         if not entry.dead and (
-            fatal or entry.consecutive_failures >= self.dead_after
+            fatal or entry.consecutive_failures >= DEAD_AFTER
         ):
             entry.dead = True
             self._emit_verdict(address, DEAD)
@@ -181,7 +178,7 @@ class HealthMonitor:
         toward the dead verdict."""
         now = self._now()
         entry = self._entry(address)
-        entry.decay(now, self.tau)
+        entry.decay(now)
         entry.bad += 0.5
         entry.consecutive_failures = 0
         entry.busy_until = max(entry.busy_until, now + max(retry_after, 0.0))
@@ -196,8 +193,8 @@ class HealthMonitor:
         entry = self._endpoints.peek(address)
         if entry is None:
             return 0.5
-        entry.decay(self._now(), self.tau)
-        return entry.score(self.prior)
+        entry.decay(self._now())
+        return entry.score()
 
     def latency(self, address: str) -> Optional[float]:
         entry = self._endpoints.peek(address)
@@ -251,9 +248,9 @@ class HealthMonitor:
         now = self._now()
         out: dict[str, dict] = {}
         for address, entry in sorted(self._endpoints.items()):
-            entry.decay(now, self.tau)
+            entry.decay(now)
             out[address] = {
-                "score": round(entry.score(self.prior), 4),
+                "score": round(entry.score(), 4),
                 "dead": entry.dead,
                 "busy": now < entry.busy_until,
                 "consecutive_failures": entry.consecutive_failures,

@@ -11,12 +11,14 @@ service is deployed into".  This package makes that concrete: a
     The Globus authenticated-HTTP analogue: same message model behind a
     credential handshake validated against a certificate authority.
 ``datagram``
-    Fire-and-forget one-way frames; the raw material P2PS pipes are
-    built from.
+    Fire-and-forget one-way frames on a node port, standalone: P2PS
+    pipes send their frames through the peer's own node
+    (:mod:`repro.p2ps.pipes`), not through this transport.
 
-A :class:`TransportRegistry` maps URI schemes to transports so an
-:class:`~repro.core.invocation.Invocation` can pick its wire by looking
-at the endpoint address alone.
+An :class:`~repro.core.invocation.HttpInvocation` picks its wire by the
+endpoint address's scheme from a scheme → transport map of its own;
+:class:`TransportRegistry` is the same lookup as a standalone object,
+which no invocation node uses.
 """
 
 from repro._exports import exports

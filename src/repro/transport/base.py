@@ -79,7 +79,8 @@ class Transport(abc.ABC):
 
 
 class TransportRegistry:
-    """scheme → :class:`Transport` lookup used by invocation machinery."""
+    """scheme → :class:`Transport` lookup, standalone (an invocation
+    node keeps its own scheme map)."""
 
     def __init__(self) -> None:
         self._by_scheme: dict[str, Transport] = {}

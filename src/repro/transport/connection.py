@@ -64,6 +64,10 @@ IDLE = "idle"
 CLOSED = "closed"
 
 
+#: abort a connection whose CONNECT/ACCEPT handshake takes longer
+CONNECT_TIMEOUT = 5.0
+
+
 class ConnectionClosedError(TransportError):
     """The connection closed (or aborted) before the request completed."""
 
@@ -87,8 +91,6 @@ class PoolConfig:
     max_requests_per_connection: Optional[int] = None
     #: allow several in-flight requests per connection
     pipeline: bool = True
-    #: abort if the CONNECT/ACCEPT handshake takes longer than this
-    connect_timeout: Optional[float] = 5.0
     #: E16: send messages whose wire form exceeds this many bytes as a
     #: sequence of chunk frames instead of one giant frame (None
     #: disables request chunking; BodyStream bodies always stream)
@@ -100,10 +102,15 @@ class PoolConfig:
 
     def __post_init__(self) -> None:
         # a zero chunk size would stream empty frames until the call
-        # timed out, a zero window would stream nothing
-        for knob in ("chunk_size", "stream_window"):
-            if getattr(self, knob) < 1:
-                raise ValueError(f"{knob} must be at least 1, not {getattr(self, knob)}")
+        # timed out, a zero window would stream nothing; a pool of no
+        # connection still opens one, and a cap of no request acts as 1
+        for knob in ("max_connections", "max_requests_per_connection", "chunk_size",
+                     "stream_window"):
+            value = getattr(self, knob)
+            if value is not None and value < 1:
+                raise ValueError(f"{knob} must be at least 1, not {value}")
+        if self.idle_timeout is not None and self.idle_timeout < 0:
+            raise ValueError(f"idle_timeout must not be negative, not {self.idle_timeout}")
 
 
 ResponseHandler = Callable[[Optional[HttpResponse], Optional[Exception]], None]
@@ -512,10 +519,8 @@ class HttpConnection(_End):
         """Send a CONNECT to the listening port, carrying request *seq*
         (none when *wire* is empty); the first one arms the connect
         timeout."""
-        if self._connect_event is None and self.config.connect_timeout is not None:
-            self._connect_event = self.kernel.schedule(
-                self.config.connect_timeout, self._on_connect_timeout
-            )
+        if self._connect_event is None:
+            self._connect_event = self.kernel.schedule(CONNECT_TIMEOUT, self._on_connect_timeout)
         try:
             self.node.send(
                 self.target_node, f"http:{self.port}", wire, kind="connect",
@@ -648,7 +653,7 @@ class HttpConnection(_End):
         self._teardown(
             TransportTimeoutError(
                 f"connect to {self.target_node}:{self.port} timed out "
-                f"after {self.config.connect_timeout}s"
+                f"after {CONNECT_TIMEOUT}s"
             )
         )
 

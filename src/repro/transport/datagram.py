@@ -1,10 +1,12 @@
-"""One-way datagram transport — the raw material of P2PS pipes.
+"""One-way datagram transport: fire-and-forget frames on a node port.
 
-P2PS pipes are "generally unidirectional" (§IV-B); at the wire level a
-pipe write is a single fire-and-forget frame to the resolved endpoint.
-No delivery report exists: an unreachable peer simply never hears the
-message, exactly the unreliability the paper's asynchronous design
-copes with.
+P2PS pipes are "generally unidirectional" (§IV-B), and this transport
+sends the same kind of frame: one to the addressed node and port, with
+no delivery report, so an unreachable node simply never hears the
+message.  Pipes themselves do not use it: an
+:class:`~repro.p2ps.pipes.OutputPipe` sends through its peer's
+:class:`~repro.simnet.network.Node`, and the P2PS binding's invocation
+through its :class:`~repro.p2ps.peer.Peer`.
 """
 
 from __future__ import annotations

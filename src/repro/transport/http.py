@@ -53,6 +53,9 @@ from repro.transport.uri import Uri
 
 DEFAULT_HTTP_PORT = 80
 DEFAULT_HTTPG_PORT = 8443
+#: seconds an exchange may take when neither its client nor its call
+#: names a timeout (every transport, locator and publisher client)
+CLIENT_TIMEOUT = 30.0
 
 _REASONS = {
     200: "OK",
@@ -699,7 +702,7 @@ class HttpClient:
     def __init__(
         self,
         node: Node,
-        default_timeout: Optional[float] = 30.0,
+        default_timeout: Optional[float] = CLIENT_TIMEOUT,
         pool=None,
     ):
         from repro.transport.connection import ConnectionPool
@@ -753,14 +756,9 @@ class HttpTransport(Transport):
     scheme = "http"
     default_port = DEFAULT_HTTP_PORT
 
-    def __init__(
-        self,
-        node: Node,
-        default_timeout: Optional[float] = 30.0,
-        pool=None,
-    ):
+    def __init__(self, node: Node, pool=None):
         self.node = node
-        self.client = HttpClient(node, default_timeout, pool=pool)
+        self.client = HttpClient(node, pool=pool)
         self._servers: dict[int, HttpServer] = {}
 
     def server_for(self, port: Optional[int] = None) -> HttpServer:

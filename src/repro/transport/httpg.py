@@ -106,11 +106,10 @@ class HttpgTransport(HttpTransport):
         node: Node,
         ca: CertificateAuthority,
         credential: Credential,
-        default_timeout: Optional[float] = 30.0,
         mutual: bool = True,
         pool=None,
     ):
-        super().__init__(node, default_timeout, pool=pool)
+        super().__init__(node, pool=pool)
         self.ca = ca
         self.credential = credential
         self.mutual = mutual

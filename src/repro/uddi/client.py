@@ -6,7 +6,7 @@ from typing import Any, Optional
 
 from repro.simnet.network import Node
 from repro.soap.rpc import build_rpc_request, extract_rpc_result
-from repro.transport.http import HttpClient, HttpRequest
+from repro.transport.http import CLIENT_TIMEOUT, HttpClient, HttpRequest
 from repro.transport.uri import Uri
 from repro.uddi.service import UDDI_NAMESPACE
 
@@ -21,7 +21,8 @@ class UddiClient:
     """
 
     def __init__(
-        self, node: Node, registry_uri: str, timeout: Optional[float] = 30.0, pool=None
+        self, node: Node, registry_uri: str, timeout: Optional[float] = CLIENT_TIMEOUT,
+        pool=None,
     ):
         self.node = node
         self.uri = Uri.parse(registry_uri)

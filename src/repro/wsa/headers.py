@@ -319,6 +319,10 @@ def _request_template(operation, params, heads):
     return wire or _UNTEMPLATABLE
 
 
+#: request templates the one :data:`request_templates` cache keeps
+REQUEST_TEMPLATES_CAP = 256
+
+
 class RequestTemplateCache:
     """The request shape per class, for the invocation hot path.
 
@@ -333,8 +337,8 @@ class RequestTemplateCache:
     envelope the generic way.
     """
 
-    def __init__(self, max_entries: int = 256):
-        self._cache = ArtifactCache("envelope-templates", max_entries)
+    def __init__(self):
+        self._cache = ArtifactCache("envelope-templates", REQUEST_TEMPLATES_CAP)
 
     def render(
         self,

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.reliability.dedup as dedup_module
 from repro.core import InvocationError, WSPeer
 from repro.core.binding import P2psBinding
 from repro.core.events import RecordingListener
@@ -97,11 +98,11 @@ class TestRetransmission:
         assert consumer.invoke(handle, "bump", timeout=0.2) >= 1
         assert service.executions == 1
 
-    def test_response_cache_bounded(self):
+    def test_response_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(dedup_module, "DEDUP_CAP", 4)
         net, provider, consumer, handle, service = build_world()
         # the one retention point is the service's own dedup window
         window = provider.server.container.get("Counting").dedup
-        window.max_entries = 4
         for _ in range(10):
             consumer.invoke(handle, "bump", timeout=1.0)
         assert len(window) == 4

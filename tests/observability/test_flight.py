@@ -2,6 +2,7 @@
 
 import json
 
+import repro.observability.flight as flight_module
 from repro.core.events import ClientMessageEvent, ServerMessageEvent
 from repro.observability import MetricsRegistry
 from repro.observability.flight import (
@@ -16,8 +17,9 @@ def _event(kind, time=1.0, **detail):
 
 
 class TestRing:
-    def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=8, metrics=MetricsRegistry())
+    def test_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(flight_module, "CAPACITY", 8)
+        recorder = FlightRecorder(metrics=MetricsRegistry())
         for i in range(20):
             recorder.observe(_event("request-sent", time=float(i), n=i))
         assert len(recorder) == 8
@@ -55,8 +57,9 @@ class TestDumps:
         assert first["reason"] in DUMP_TRIGGERS
         assert any(e["kind"] == "request-sent" for e in first["events"])
 
-    def test_dump_survives_ring_rollover(self):
-        recorder = FlightRecorder(capacity=4, metrics=MetricsRegistry())
+    def test_dump_survives_ring_rollover(self, monkeypatch):
+        monkeypatch.setattr(flight_module, "CAPACITY", 4)
+        recorder = FlightRecorder(metrics=MetricsRegistry())
         recorder.observe(_event("request-sent", time=1.0, mark="early"))
         recorder.observe(_event("circuit-open", time=2.0))
         for i in range(10):
@@ -66,8 +69,9 @@ class TestDumps:
         assert not any(e.get("mark") == "early"
                        for e in recorder.snapshot()["events"])
 
-    def test_dump_store_is_bounded(self):
-        recorder = FlightRecorder(metrics=MetricsRegistry(), max_dumps=2)
+    def test_dump_store_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(flight_module, "MAX_DUMPS", 2)
+        recorder = FlightRecorder(metrics=MetricsRegistry())
         for _ in range(5):
             recorder.observe(_event("circuit-open"))
         assert len(recorder.dumps) == 2

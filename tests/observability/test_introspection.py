@@ -6,6 +6,7 @@ data over the traced stack is the point.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ class TestDirect:
     def test_get_metrics_renders_registry(self):
         reg = MetricsRegistry()
         reg.inc("a.b", 3)
-        service = IntrospectionService(metrics=reg)
+        service = IntrospectionService(SimpleNamespace(tracer=SpanTracer(metrics=reg)))
         assert "counter a.b 3" in service.GetMetrics()
 
     def test_get_trace_without_tracer_reports_error(self):
@@ -36,7 +37,7 @@ class TestDirect:
 
     def test_get_trace_unknown_mid_reports_error(self):
         tracer = SpanTracer(metrics=MetricsRegistry())
-        service = IntrospectionService(tracer=tracer)
+        service = IntrospectionService(SimpleNamespace(tracer=tracer))
         payload = json.loads(service.GetTrace("urn:uuid:gone"))
         assert payload["error"]["code"] == "trace-not-found"
         assert payload["error"]["message"]
@@ -52,7 +53,7 @@ class TestOverHttp:
         consumer.invoke(handle, "echo", {"message": "traced"})
         traced_mid = tracer.message_ids[-1]
 
-        deployed = host_introspection(provider, tracer=tracer)
+        deployed = host_introspection(provider)
         assert deployed.namespace == INTROSPECTION_NS
         provider.publish("Introspection")
         intro = consumer.locate_one("Introspection")
@@ -79,7 +80,7 @@ class TestOverHttp:
         appears in the very store it queries."""
         consumer, provider, handle = http_world
         consumer.invoke(handle, "echo", {"message": "x"})
-        host_introspection(provider, tracer=tracer)
+        host_introspection(provider)
         provider.publish("Introspection")
         intro = consumer.locate_one("Introspection")
         before = len(tracer)
@@ -129,7 +130,7 @@ class TestOverP2ps:
         consumer.invoke(handle, "echo", {"message": "traced"})
         traced_mid = tracer.message_ids[-1]
 
-        host_introspection(provider, tracer=tracer)
+        host_introspection(provider)
         provider.publish("Introspection")
         net.run()  # let the pipe adverts settle
         intro = consumer.locate_one("Introspection")
@@ -148,7 +149,7 @@ class TestOverP2ps:
 
     def test_only_declared_operations_exposed(self, p2ps_world, tracer, net):
         consumer, provider, handle = p2ps_world
-        deployed = host_introspection(provider, tracer=tracer)
+        deployed = host_introspection(provider)
         assert sorted(deployed.service.operation_names) == sorted(OPERATIONS)
         provider.publish("Introspection")
         net.run()

@@ -2,6 +2,7 @@
 
 import json
 
+import repro.observability.slo as slo_module
 from repro.core.events import ClientMessageEvent
 from repro.observability import MetricsRegistry
 from repro.observability.slo import (
@@ -55,17 +56,19 @@ class TestBurnArithmetic:
         assert abs(short - 9.0) < 1e-9  # 0.9 error / 0.1 budget
         assert abs(long_ - 9.0) < 1e-9
 
-    def test_windows_disagreeing_stays_quiet(self):
+    def test_windows_disagreeing_stays_quiet(self, monkeypatch):
         # a long-ago incident: long window hot, short window calm
-        policy = SloPolicy(availability_target=0.9, short_window=10.0,
-                           long_window=1000.0, fast_burn=2.0, slow_burn=1.0)
+        monkeypatch.setattr(slo_module, "SHORT_WINDOW", 10.0)
+        monkeypatch.setattr(slo_module, "LONG_WINDOW", 1000.0)
+        monkeypatch.setattr(slo_module, "SLOW_BURN", 1.0)
+        policy = SloPolicy(availability_target=0.9, fast_burn=2.0)
         slo = ServiceSlo("Svc", policy)
         for i in range(50):
             slo.record(float(i), False)  # old failures
         for i in range(50, 60):
             slo.record(float(i), True)   # recent calm
         status, short, long_ = slo.health(60.0)
-        assert short < policy.slow_burn <= long_
+        assert short < slo_module.SLOW_BURN <= long_
         assert status == OK
 
     def test_both_windows_hot_is_critical(self):
@@ -94,14 +97,14 @@ class TestEventIntake:
         assert report["Svc"]["latency_violations"] == 1
 
     def test_provisional_failure_settles_after_grace(self):
-        engine = _engine(settle_after=5.0)
+        engine = _engine()  # SETTLE_AFTER is 5.0
         _send(engine, "m1", 1.0)
         _fail(engine, "m1", 1.5)
         assert engine.report(2.0)["Svc"]["bad"] == 0  # still provisional
         assert engine.report(10.0)["Svc"]["bad"] == 1  # settled
 
     def test_failover_recovery_cancels_provisional(self):
-        engine = _engine(settle_after=5.0)
+        engine = _engine()  # SETTLE_AFTER is 5.0
         _send(engine, "m1", 1.0)
         _fail(engine, "m1", 1.5)       # attempt 1 died
         _send(engine, "m1", 1.6)       # hop re-sends same MessageID

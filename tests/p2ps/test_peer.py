@@ -331,3 +331,94 @@ class TestCaps:
         assert peer.resolver.resolve(own_pipe).node_id == peer.node.id
         assert peer.resolver.resolve(PipeAdvertisement("p", "x", "peer9999")).node_id == "node9999"
         assert peer.resolver.resolve(PipeAdvertisement("p", "x", other.id)).node_id == other.node.id
+
+
+def full_scan(peer, query):
+    """What ``Peer.matches`` answers, by walking both tables whole."""
+    local = dict(peer._own.items())
+    local.update((key, a) for key, a in peer.cache.items() if key not in local)
+    return [advert for advert in local.values() if query.matches(advert)]
+
+
+class TestQueryIndex:
+    """An exact-name query costs its answer, not the advert cache."""
+
+    def test_exact_name_query_reads_only_its_bucket(self, monkeypatch):
+        import repro.p2ps.peer as peer_module
+        from repro.p2ps import ServiceAdvertisement
+
+        monkeypatch.setattr(peer_module, "ADVERT_CACHE_CAP", 20_000)
+        net = Network(latency=FixedLatency(0.002))
+        peer = Peer(net.add_node("n0"), name="p0")
+        for i in range(10_000):
+            advert = ServiceAdvertisement(f"Svc{i}", f"other{i % 7}", [])
+            peer.cache.put(advert.key(), advert)
+        wanted = []
+        for tier in ("gold", "lead", "gold"):
+            advert = ServiceAdvertisement("Target", f"prov{len(wanted)}", [], attributes={"tier": tier})
+            peer.cache.put(advert.key(), advert)
+            wanted.append(advert)
+        calls = []
+        matches = AdvertQuery.matches
+        monkeypatch.setattr(
+            AdvertQuery, "matches", lambda self, advert: calls.append(advert) or matches(self, advert)
+        )
+        found = peer.matches(AdvertQuery("service", "tARGET", {"tier": "gold"}))
+        assert found == [wanted[0], wanted[2]]
+        assert len(calls) <= len(wanted)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_index_answers_what_a_full_scan_answers(self, monkeypatch, seed):
+        import random
+
+        import repro.p2ps.peer as peer_module
+        from repro.p2ps import PeerAdvertisement, ServiceAdvertisement
+
+        monkeypatch.setattr(peer_module, "ADVERT_CACHE_CAP", 12)
+        rng = random.Random(seed)
+        net = Network(latency=FixedLatency(0.002))
+        peer = Peer(net.add_node("n0"), name="p0", cache_lifetime=5.0)
+        names = ["Echo", "echo", "Calc", "", "p1"]
+
+        def advert():
+            kind, owner, name = rng.choice("sps"), f"p{rng.randrange(4)}", rng.choice(names)
+            if kind == "s":
+                return ServiceAdvertisement(name or "Echo", owner, [],
+                                            attributes={"tier": rng.choice("ab")})
+            if kind == "p":  # a pipe's key keeps its id while its name moves
+                return PipeAdvertisement(f"pipe{rng.randrange(6)}", name or "invoke", owner)
+            return PeerAdvertisement(owner, f"node-{owner}", rng.choice(names))
+
+        queries = [
+            AdvertQuery(kind, name, attributes)
+            for kind in ("service", "pipe", "peer")
+            for name in ("echo", "ECHO", "Calc", "invoke", "p1", "p2", "", "nothing")
+            for attributes in ({}, {"tier": "a"})
+        ]
+        pops = withdrawals = 0
+        for _ in range(600):
+            step = rng.random()
+            if step < 0.45:
+                item = advert()
+                peer.cache.put(item.key(), item)
+            elif step < 0.55:
+                peer.publish(advert())
+            elif step < 0.65 and peer.published:
+                peer.withdraw(rng.choice(sorted(peer.published)))
+                withdrawals += 1
+            elif step < 0.75:
+                keys = list(peer.cache)
+                if keys:
+                    peer.cache.pop(rng.choice(keys))
+                    pops += 1
+            elif step < 0.85:
+                keys = list(peer.cache)
+                if keys:
+                    peer.cache.get(rng.choice(keys))  # a hit is the newest entry
+            else:
+                net.kernel.schedule(rng.uniform(0.5, 3.0), lambda: None)
+                net.run()
+            for query in queries:
+                assert peer.matches(query) == full_scan(peer, query), (query, step)
+        assert peer.cache.evictions and peer.cache.expiries and peer._own.expiries
+        assert pops and withdrawals

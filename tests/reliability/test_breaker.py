@@ -18,7 +18,6 @@ def make_breaker(kernel=None, **overrides):
         failure_threshold=overrides.pop("failure_threshold", 0.5),
         min_calls=overrides.pop("min_calls", 4),
         open_timeout=overrides.pop("open_timeout", 5.0),
-        half_open_max=overrides.pop("half_open_max", 1),
     )
     return kernel, CircuitBreaker(config, clock=lambda: kernel.now)
 
@@ -69,7 +68,7 @@ class TestOpenBehaviour:
         assert breaker.state == HALF_OPEN
 
     def test_half_open_limits_concurrent_probes(self):
-        kernel, breaker = make_breaker(min_calls=2, open_timeout=1.0, half_open_max=1)
+        kernel, breaker = make_breaker(min_calls=2, open_timeout=1.0)
         breaker.record_failure()
         breaker.record_failure()
         kernel.schedule(2.0, lambda: None)

@@ -5,8 +5,10 @@ released by the matching ``record_success``/``record_failure``.  A
 caller that dies mid-probe never reports, and without a timeout that
 leaked lease would pin the breaker in half-open (all further calls
 rejected) forever.  Leases therefore self-expire after
-``half_open_lease_timeout``.
+``HALF_OPEN_LEASE_TIMEOUT``.
 """
+
+import pytest
 
 from repro.reliability import (
     CLOSED,
@@ -15,20 +17,23 @@ from repro.reliability import (
     BreakerConfig,
     CircuitBreaker,
 )
+import repro.reliability.breaker as breaker_module
 from repro.simnet import Kernel
 
 
-def make_breaker(kernel=None, **overrides):
-    kernel = kernel or Kernel()
-    config = BreakerConfig(
-        window=overrides.pop("window", 8),
-        failure_threshold=overrides.pop("failure_threshold", 0.5),
-        min_calls=overrides.pop("min_calls", 2),
-        open_timeout=overrides.pop("open_timeout", 5.0),
-        half_open_max=overrides.pop("half_open_max", 1),
-        half_open_lease_timeout=overrides.pop("half_open_lease_timeout", 10.0),
-    )
-    return kernel, CircuitBreaker(config, clock=lambda: kernel.now)
+@pytest.fixture
+def make_breaker(monkeypatch):
+    """A breaker that opens after two failures, with the module's
+    half-open probe count and lease timeout set for the test."""
+
+    def make(half_open_max=1, half_open_lease_timeout=10.0):
+        monkeypatch.setattr(breaker_module, "HALF_OPEN_MAX", half_open_max)
+        monkeypatch.setattr(breaker_module, "HALF_OPEN_LEASE_TIMEOUT", half_open_lease_timeout)
+        kernel = Kernel()
+        config = BreakerConfig(window=8, failure_threshold=0.5, min_calls=2, open_timeout=5.0)
+        return kernel, CircuitBreaker(config, clock=lambda: kernel.now)
+
+    return make
 
 
 def advance(kernel, dt):
@@ -47,13 +52,13 @@ def trip_to_half_open(kernel, breaker):
 
 
 class TestLeaseLifecycle:
-    def test_lease_holds_probe_slot(self):
+    def test_lease_holds_probe_slot(self, make_breaker):
         kernel, breaker = make_breaker(half_open_max=1)
         trip_to_half_open(kernel, breaker)
         assert breaker.half_open_inflight == 1
         assert not breaker.allow()  # slot taken, within lease timeout
 
-    def test_outcome_report_releases_lease(self):
+    def test_outcome_report_releases_lease(self, make_breaker):
         kernel, breaker = make_breaker(half_open_max=1)
         trip_to_half_open(kernel, breaker)
         breaker.record_success()
@@ -61,7 +66,7 @@ class TestLeaseLifecycle:
         assert breaker.half_open_inflight == 0
         assert breaker.leases_expired == 0
 
-    def test_silent_caller_lease_expires(self):
+    def test_silent_caller_lease_expires(self, make_breaker):
         """The regression: allow() then *never* report.  After the lease
         timeout a fresh probe must be admitted — the breaker is not
         wedged by the crashed caller."""
@@ -81,7 +86,7 @@ class TestLeaseLifecycle:
         breaker.record_success()
         assert breaker.state == CLOSED
 
-    def test_multiple_leaked_leases_all_expire(self):
+    def test_multiple_leaked_leases_all_expire(self, make_breaker):
         kernel, breaker = make_breaker(
             half_open_max=3, half_open_lease_timeout=4.0
         )
@@ -96,7 +101,7 @@ class TestLeaseLifecycle:
         assert breaker.leases_expired == 3
         assert breaker.allow()
 
-    def test_expiry_is_per_lease_not_batch(self):
+    def test_expiry_is_per_lease_not_batch(self, make_breaker):
         kernel, breaker = make_breaker(
             half_open_max=2, half_open_lease_timeout=5.0
         )
@@ -107,7 +112,7 @@ class TestLeaseLifecycle:
         assert breaker.half_open_inflight == 1
         assert breaker.leases_expired == 1
 
-    def test_reopen_clears_outstanding_leases(self):
+    def test_reopen_clears_outstanding_leases(self, make_breaker):
         kernel, breaker = make_breaker(half_open_max=2)
         trip_to_half_open(kernel, breaker)
         assert breaker.allow()

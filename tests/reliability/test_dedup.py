@@ -2,8 +2,8 @@
 
 import pytest
 
+import repro.reliability.dedup as dedup_module
 from repro.reliability import DedupWindow
-from repro.simnet import Kernel
 
 
 class TestRememberAndSeen:
@@ -52,8 +52,9 @@ class TestRememberAndSeen:
 
 
 class TestEviction:
-    def test_fifo_eviction_at_capacity(self):
-        window = DedupWindow(max_entries=3)
+    def test_fifo_eviction_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(dedup_module, "DEDUP_CAP", 3)
+        window = DedupWindow()
         for mid in ("a", "b", "c", "d"):
             window.remember(mid)
         assert len(window) == 3
@@ -61,20 +62,12 @@ class TestEviction:
         assert list(window) == ["b", "c", "d"]
         assert window.evicted == 1
 
-    def test_shrinking_max_entries_applies_on_next_remember(self):
-        window = DedupWindow(max_entries=8)
-        for i in range(8):
-            window.remember(f"m{i}")
-        window.max_entries = 3
-        window.remember("new")
-        assert len(window) <= 3
-        assert "new" in window
-
-    def test_re_remember_keeps_fifo_order(self):
+    def test_re_remember_keeps_fifo_order(self, monkeypatch):
         # regression: re-remembering used to move_to_end, silently
         # turning the documented FIFO ring into LRU — a retransmitting
         # client could shield its id from eviction forever
-        window = DedupWindow(max_entries=2)
+        monkeypatch.setattr(dedup_module, "DEDUP_CAP", 2)
+        window = DedupWindow()
         window.remember("a")
         window.remember("b")
         window.remember("a", "updated")  # refreshes the value only
@@ -82,41 +75,7 @@ class TestEviction:
         window.remember("c")  # evicts a (oldest first insertion), not b
         assert "a" not in window and "b" in window and "c" in window
 
-    def test_re_remember_keeps_original_stored_at(self):
-        # FIFO consistency extends to the ttl clock: refreshing a value
-        # must not restart the entry's lifetime
-        kernel = Kernel()
-        window = DedupWindow(ttl=5.0, clock=lambda: kernel.now)
-        window.remember("a")
-        kernel.schedule(3.0, lambda: None)
-        kernel.run_until_idle()  # now = 3.0
-        window.remember("a", "refreshed")
-        kernel.schedule(3.0, lambda: None)
-        kernel.run_until_idle()  # now = 6.0 > first-insertion + ttl
-        assert not window.seen("a")
-
-    def test_capacity_validation(self):
+    def test_capacity_validation(self, monkeypatch):
+        monkeypatch.setattr(dedup_module, "DEDUP_CAP", 0)
         with pytest.raises(ValueError):
-            DedupWindow(max_entries=0)
-        with pytest.raises(ValueError):
-            DedupWindow(ttl=0)
-
-
-class TestTtlExpiryUnderVirtualClock:
-    def test_entries_expire_after_ttl(self):
-        kernel = Kernel()
-        window = DedupWindow(ttl=5.0, clock=lambda: kernel.now)
-        window.remember("early")
-        kernel.schedule(6.0, lambda: None)
-        kernel.run_until_idle()  # now = 6.0 > ttl
-        assert not window.seen("early")
-        assert window.evicted == 1
-
-    def test_live_entries_survive(self):
-        kernel = Kernel()
-        window = DedupWindow(ttl=5.0, clock=lambda: kernel.now)
-        window.remember("early")
-        kernel.schedule(3.0, lambda: None)
-        kernel.run_until_idle()
-        window.remember("late")
-        assert window.seen("early") and window.seen("late")
+            DedupWindow()

@@ -125,10 +125,12 @@ class TestPolicyBundles:
         assert not policy.ack
 
     def test_assured_bundles_everything(self):
-        policy = ReliabilityPolicy.assured(attempts=4, deadline=10.0)
+        policy = ReliabilityPolicy.assured(attempts=4)
         assert policy.retry.max_attempts == 4
         assert policy.ack
         assert isinstance(policy.breaker, BreakerConfig)
+        assert policy.new_deadline() is None
+        policy.deadline = 10.0
         deadline = policy.new_deadline()
         assert deadline is not None and deadline.budget == 10.0
 

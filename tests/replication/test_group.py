@@ -3,6 +3,7 @@
 import pytest
 
 from repro.replication import ReplicationConfig
+from repro.replication.group import SHIP_TIMEOUT
 from repro.replication.state import DEFAULT_SESSION
 from repro.soap.faults import ReplicaLagFault
 from repro.simnet.wiretap import payload_text
@@ -120,7 +121,7 @@ class TestLagGuard:
             lambda f: f.dst == victim.node_id
             and "apply_delta" in payload_text(f)
             and '"seq": 1,' in payload_text(f),
-            count=world.group.config.ship_retry.max_attempts,
+            count=world.group.ship_policy.retry.max_attempts,
         )
         world.executor.invoke(
             world.handle, "increment", {"by": 1}, timeout=0.5
@@ -130,7 +131,7 @@ class TestLagGuard:
 
     def _second_mutation(self, world):
         world.executor.invoke(world.handle, "increment", {"by": 1}, timeout=0.5)
-        world.settle(world.group.config.ship_timeout + 0.5)
+        world.settle(SHIP_TIMEOUT + 0.5)
 
     def test_gap_makes_member_lag(self, counter_world):
         victim = self._open_gap(counter_world)

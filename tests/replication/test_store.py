@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.replication.store as store_module
 from repro.replication.errors import StateDivergedError
 from repro.replication.state import StateDelta, StateSnapshot, state_digest
 from repro.replication.store import (
@@ -82,8 +83,9 @@ class TestApplyRemote:
         assert store.get_state("s") == {"v": 20}
         assert not store.is_lagging("s")
 
-    def test_buffer_bounded(self):
-        store = ReplicaStore("m", max_buffer=2)
+    def test_buffer_bounded(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_BUFFER", 2)
+        store = ReplicaStore("m")
         store.apply_remote(delta_for(3, 3))
         store.apply_remote(delta_for(4, 4))
         store.apply_remote(delta_for(5, 5))  # over the bound: shed

@@ -1,14 +1,15 @@
 """HealthMonitor: decayed scores, verdicts, ranking, probes."""
 
+import repro.supervision.health as health_module
 from repro.reliability import OPEN, BreakerConfig, CircuitBreakerRegistry
 from repro.simnet import Kernel
 from repro.supervision import ALIVE, DEAD, HealthMonitor
 from repro.wsa.epr import EndpointReference
 
 
-def monitor(kernel=None, **kwargs):
+def monitor(kernel=None):
     kernel = kernel or Kernel()
-    return kernel, HealthMonitor(clock=lambda: kernel.now, **kwargs)
+    return kernel, HealthMonitor(clock=lambda: kernel.now)
 
 
 class TestScoring:
@@ -23,8 +24,9 @@ class TestScoring:
             h.record_failure("http://bad")
         assert h.score("http://good") > 0.5 > h.score("http://bad")
 
-    def test_old_evidence_decays_toward_neutral(self):
-        kernel, h = monitor(tau=10.0)
+    def test_old_evidence_decays_toward_neutral(self, monkeypatch):
+        monkeypatch.setattr(health_module, "TAU", 10.0)
+        kernel, h = monitor()
         for _ in range(10):
             h.record_failure("http://a")
         low = h.score("http://a")
@@ -43,7 +45,7 @@ class TestScoring:
 
 class TestVerdicts:
     def test_dead_after_consecutive_failures(self):
-        _, h = monitor(dead_after=3)
+        _, h = monitor()  # DEAD_AFTER is 3
         verdicts = []
         h.add_verdict_listener(lambda addr, v: verdicts.append((addr, v)))
         h.record_failure("http://a")
@@ -53,8 +55,9 @@ class TestVerdicts:
         assert h.is_dead("http://a")
         assert verdicts == [("http://a", DEAD)]
 
-    def test_success_revives_and_emits_alive(self):
-        _, h = monitor(dead_after=1)
+    def test_success_revives_and_emits_alive(self, monkeypatch):
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 1)
+        _, h = monitor()
         verdicts = []
         h.add_verdict_listener(lambda addr, v: verdicts.append(v))
         h.record_failure("http://a")
@@ -62,21 +65,24 @@ class TestVerdicts:
         assert not h.is_dead("http://a")
         assert verdicts == [DEAD, ALIVE]
 
-    def test_mark_dead_is_immediate(self):
-        _, h = monitor(dead_after=10)
+    def test_mark_dead_is_immediate(self, monkeypatch):
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 10)
+        _, h = monitor()
         h.mark_dead("http://a")
         assert h.is_dead("http://a")
 
-    def test_each_transition_fires_once(self):
-        _, h = monitor(dead_after=1)
+    def test_each_transition_fires_once(self, monkeypatch):
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 1)
+        _, h = monitor()
         verdicts = []
         h.add_verdict_listener(lambda addr, v: verdicts.append(v))
         h.record_failure("http://a")
         h.record_failure("http://a")  # still dead: no second verdict
         assert verdicts == [DEAD]
 
-    def test_busy_does_not_count_toward_dead(self):
-        _, h = monitor(dead_after=2)
+    def test_busy_does_not_count_toward_dead(self, monkeypatch):
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 2)
+        _, h = monitor()
         h.record_failure("http://a")
         h.record_busy("http://a", retry_after=1.0)
         h.record_failure("http://a")  # consecutive count was reset by busy
@@ -110,8 +116,9 @@ class TestRanking:
         ranked = h.rank(self.eprs("http://bad", "http://good"))
         assert [e.address for e in ranked] == ["http://good", "http://bad"]
 
-    def test_dead_endpoints_sort_last_but_stay(self):
-        _, h = monitor(dead_after=1)
+    def test_dead_endpoints_sort_last_but_stay(self, monkeypatch):
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 1)
+        _, h = monitor()
         h.record_failure("http://dead")
         ranked = h.rank(self.eprs("http://dead", "http://unknown"))
         assert [e.address for e in ranked] == ["http://unknown", "http://dead"]
@@ -144,8 +151,9 @@ class TestRanking:
 
 
 class TestProbing:
-    def test_probe_revives_dead_endpoint(self):
-        kernel, h = monitor(dead_after=1)
+    def test_probe_revives_dead_endpoint(self, monkeypatch):
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 1)
+        kernel, h = monitor()
         h.record_failure("http://a")
         assert h.is_dead("http://a")
         h.set_prober(lambda addr, done: done(True, 0.01))
@@ -153,8 +161,9 @@ class TestProbing:
         assert not h.is_dead("http://a")
         assert h.probes_sent == 1
 
-    def test_periodic_probing_targets_suspects(self):
-        kernel, h = monitor(dead_after=1)
+    def test_periodic_probing_targets_suspects(self, monkeypatch):
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 1)
+        kernel, h = monitor()
         h.record_failure("http://down")
         h.record_success("http://fine")
         probed = []

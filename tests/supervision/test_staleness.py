@@ -9,11 +9,13 @@ dead endpoint.
 
 import pytest
 
+import repro.supervision.health as health_module
 from repro.core import WSPeer
 from repro.core.binding import StandardBinding
 from repro.core.events import RecordingListener
 from repro.supervision import HealthMonitor
 from repro.supervision.failover import attach_failover
+from repro.supervision.health import DEAD_AFTER
 from tests.supervision.conftest import Echo
 
 
@@ -48,7 +50,7 @@ class TestQuarantine:
         provider.node.go_down()
 
         # enough failed calls to cross the dead_after threshold
-        for _ in range(ex.health.dead_after):
+        for _ in range(DEAD_AFTER):
             with pytest.raises(Exception):
                 ex.invoke(handle, "echo", {"message": "x"}, timeout=0.25)
         assert ex.health.is_dead(address)
@@ -87,12 +89,11 @@ class TestQuarantine:
         assert listener.of_kind("endpoint-quarantined")
         assert listener.of_kind("endpoint-restored")
 
-    def test_direct_monitor_wiring_without_failover(self, world):
+    def test_direct_monitor_wiring_without_failover(self, world, monkeypatch):
         """watch_health is usable standalone — no executor required."""
         net, provider, consumer = world
-        monitor = HealthMonitor(
-            clock=lambda: net.kernel.now, dead_after=1
-        )
+        monkeypatch.setattr(health_module, "DEAD_AFTER", 1)
+        monitor = HealthMonitor(clock=lambda: net.kernel.now)
         consumer.client.locator.watch_health(monitor)
         handle = consumer.locate_one("Echo")
         monitor.record_failure(handle.endpoints[0].address)

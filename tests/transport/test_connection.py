@@ -225,9 +225,7 @@ class TestBoundedServerQueue:
 class TestFailureHandling:
     def test_request_timeout_aborts_connection_and_pool_recovers(self, net):
         # no server listening: the CONNECT frame lands on no handler
-        client = HttpClient(
-            net.get_node("client"), pool=PoolConfig(connect_timeout=5.0)
-        )
+        client = HttpClient(net.get_node("client"))
         with pytest.raises(TransportTimeoutError):
             client.request(
                 "server", 80, HttpRequest("POST", "/echo", "x"), timeout=0.5
@@ -521,3 +519,25 @@ class TestChunkWindow:
         assert conn._streams == {}
         ((resp, err),) = results
         assert resp is None and isinstance(err, TransportError)
+
+
+class TestPoolConfigRefusals:
+    """A degenerate pool shape is refused when the config is built, as
+    a chunk size or window below 1 is; ``None`` stays "no limit"."""
+
+    def test_refuses_a_pool_of_no_connection(self):
+        # it would still open one, past its own cap
+        with pytest.raises(ValueError, match="max_connections"):
+            PoolConfig(max_connections=0)
+
+    def test_refuses_a_cap_of_no_request_per_connection(self):
+        # it would act as 1
+        with pytest.raises(ValueError, match="max_requests_per_connection"):
+            PoolConfig(max_requests_per_connection=0)
+        assert PoolConfig(max_requests_per_connection=None).max_requests_per_connection is None
+
+    def test_refuses_a_negative_idle_timeout(self):
+        with pytest.raises(ValueError, match="idle_timeout"):
+            PoolConfig(idle_timeout=-1.0)
+        assert PoolConfig(idle_timeout=None).idle_timeout is None
+        assert PoolConfig(idle_timeout=0.0).idle_timeout == 0.0
